@@ -17,16 +17,17 @@ from .diffgeo import (ChristoffelData, FrameData, MetricData,
                       gauss_curvature, gram_defects, herm, lagrangian_angle,
                       gradient_identity_defects, metric_from_jet, minimality_defects,
                       residue_identity_defects)
-from .report import (CheckRecord, GridSpec, VerificationReport, verify_cone,
-                     verify_spectral)
+from .report import (CheckRecord, GridSpec, VerificationReport, verify,
+                     verify_cone, verify_spectral)
 from .spectral_curve import (RationalOneForm, ReducibleCurveData,
                              derive_constants, expansion_at_infinity,
                              regularity_defect, residue_at_infinity,
                              residue_simple, sum_of_residues)
-from .surface_families import (MetricField, SurfaceJet, cone_family_jet,
-                               cone_metric_field, degeneracy_angle, fd_jet,
-                               hopf_representative, in_degeneracy_tube,
-                               spectral_family_jet, spectral_metric_field)
+from .surface_families import (Family, MetricField, SurfaceJet, cone_family,
+                               cone_family_jet, cone_metric_field, degeneracy_angle,
+                               fd_jet, hopf_representative, in_degeneracy_tube,
+                               spectral_family, spectral_family_jet,
+                               spectral_metric_field)
 from .theta import (LatticeTruncation, PeriodMatrix, TruncationCapError,
                     default_radius, quasi_periodicity_defect,
                     read_period_matrix, riemann_theta)

@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
-from .report import (GridSpec, curve_info_text, env_threads, sample_rows,
-                     verify_cone, verify_spectral, write_csv)
+from .report import GridSpec, curve_info_text, sample_rows, verify, write_csv
 from .spectral_curve import derive_constants
-from .surface_families import (cone_family_jet, cone_metric_field,
-                               spectral_family_jet, spectral_metric_field)
+from .surface_families import Family, cone_family, spectral_family
 from .theta import LatticeTruncation, quasi_periodicity_defect, read_period_matrix, riemann_theta
 
 
@@ -105,21 +104,22 @@ def _spectral_curve_from_args(args):
     return derive_constants(params["a"], params["b"], params["q1"], params["gamma_im"])
 
 
-def _cone_params_from_args(args):
+def _family_from_args(args) -> Family:
+    if args.family == "spectral":
+        return spectral_family(_spectral_curve_from_args(args))
     if args.m is None or args.n is None:
         raise ValueError("cone family needs --m and --n")
-    return args.m, args.n
+    return cone_family(args.m, args.n)
+
+
+def _step(h: float) -> float:
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"--h must be finite and positive, got {h}")
+    return h
 
 
 def _cmd_verify(args) -> int:
-    if args.family == "spectral":
-        curve = _spectral_curve_from_args(args)
-        report = verify_spectral(curve, args.grid, h=args.h,
-                                 tol_profile=args.tol_profile, threads=env_threads())
-    else:
-        m, n = _cone_params_from_args(args)
-        report = verify_cone(m, n, args.grid, h=args.h,
-                             tol_profile=args.tol_profile, threads=env_threads())
+    report = verify(_family_from_args(args), args.grid, _step(args.h), args.tol_profile)
     print(report.format_text())
     if args.json_out:
         report.write_json(args.json_out)
@@ -127,19 +127,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    if args.family == "spectral":
-        curve = _spectral_curve_from_args(args)
-        jet_field = lambda x, y: spectral_family_jet(curve, x, y)
-        m_field = spectral_metric_field(curve)
-        tube = curve
-    else:
-        m, n = _cone_params_from_args(args)
-        jet_field = lambda x, y: cone_family_jet(m, n, x, y)
-        m_field = cone_metric_field(m, n)
-        tube = None
-    if args.tol_profile == "fd":
-        m_field = m_field.without_derivatives()
-    rows = sample_rows(jet_field, m_field, args.grid, args.h, tube)
+    rows = sample_rows(_family_from_args(args), args.grid, _step(args.h), args.tol_profile)
     try:
         write_csv(args.out, rows)
     except OSError as exc:
@@ -160,7 +148,7 @@ def _parse_complex_vector(text: str) -> np.ndarray:
 def _cmd_theta(args) -> int:
     B = read_period_matrix(args.period_file)
     z = _parse_complex_vector(args.z)
-    trunc = LatticeTruncation(args.radius) if args.radius else None
+    trunc = LatticeTruncation(args.radius) if args.radius is not None else None
     val = riemann_theta(z, B, trunc)
     print(f"theta = {val.real:.17g}{val.imag:+.17g}j")
     if args.shift_m:
@@ -180,7 +168,7 @@ def main(argv=None) -> int:
                 "curve-info": _cmd_curve_info, "theta": _cmd_theta}
     try:
         return commands[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

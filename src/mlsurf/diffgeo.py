@@ -195,33 +195,65 @@ def _twisted_frame(jet: SurfaceJet, beta: float) -> np.ndarray:
     ])
 
 
-def frame_and_connection(jet_field, x: float, y: float, h: float = 1e-4) -> FrameData:
-    """Frame Phi at (x, y) and connection matrices A = Phi_x Phi^-1, B = Phi_y Phi^-1.
+@dataclass(frozen=True)
+class Stencil:
+    """Jets at (x+h, y), (x-h, y), (x, y+h), (x, y-h) and their Lagrangian
+    angles; an angle is None where lagrangian_angle rejected the jet."""
 
-    jet_field maps (x, y) to a SurfaceJet; Phi derivatives are central finite
-    differences with step h.  The Lagrangian angle at the stencil points is
-    unwrapped to the nearest value of the center angle so the half-angle twist
-    stays continuous.
+    h: float
+    jets: tuple
+    betas: tuple
+
+
+def stencil(jet_field, x: float, y: float, h: float) -> Stencil:
+    """Evaluate the four central-difference neighbours of (x, y) once."""
+    jets = tuple(jet_field(xx, yy) for xx, yy in ((x + h, y), (x - h, y), (x, y + h), (x, y - h)))
+    betas = []
+    for j in jets:
+        try:
+            betas.append(lagrangian_angle(j))
+        except ValueError:
+            betas.append(None)
+    return Stencil(h=h, jets=jets, betas=tuple(betas))
+
+
+def stencil_frame(center: SurfaceJet, beta_c: float, st: Stencil) -> FrameData:
+    """Frame Phi at the centre and A = Phi_x Phi^-1, B = Phi_y Phi^-1 from the stencil.
+
+    The neighbour angles are unwrapped to the nearest value of the centre
+    angle so the half-angle twist stays continuous.
     """
-    center = jet_field(x, y)
-    beta_c = lagrangian_angle(center)
-
-    def frame_at(xx, yy):
-        j = jet_field(xx, yy)
+    def frame_at(j, b):
         if np.linalg.norm(j.phi_y) < 1e-8 or np.linalg.norm(j.phi_x) < 1e-8:
             raise ValueError("stencil crosses a degenerate point")
-        b = lagrangian_angle(j)
-        b = beta_c + math.remainder(b - beta_c, 2.0 * math.pi)
-        return _twisted_frame(j, b)
+        if b is None:
+            raise ValueError("stencil angle off the unit circle")
+        return _twisted_frame(j, beta_c + math.remainder(b - beta_c, 2.0 * math.pi))
 
+    xp, xm, yp, ym = (frame_at(j, b) for j, b in zip(st.jets, st.betas))
     Phi = _twisted_frame(center, beta_c)
-    Phi_x = (frame_at(x + h, y) - frame_at(x - h, y)) / (2.0 * h)
-    Phi_y = (frame_at(x, y + h) - frame_at(x, y - h)) / (2.0 * h)
+    Phi_x = (xp - xm) / (2.0 * st.h)
+    Phi_y = (yp - ym) / (2.0 * st.h)
     inv = np.linalg.inv(Phi)
     A = Phi_x @ inv
     B = Phi_y @ inv
     return FrameData(Phi=Phi, beta=beta_c, A=A, B=B,
                      f=float(A[1, 1].imag), h=float(B[1, 1].imag))
+
+
+def stencil_beta_gradient(st: Stencil) -> tuple:
+    """Central-difference gradient of the Lagrangian angle, unwrapped mod 2 pi."""
+    if None in st.betas:
+        raise ValueError("stencil angle off the unit circle")
+    bxp, bxm, byp, bym = st.betas
+    return (math.remainder(bxp - bxm, 2.0 * math.pi) / (2.0 * st.h),
+            math.remainder(byp - bym, 2.0 * math.pi) / (2.0 * st.h))
+
+
+def frame_and_connection(jet_field, x: float, y: float, h: float = 1e-4) -> FrameData:
+    """Scalar oracle: the frame and connection at (x, y) with step h."""
+    center = jet_field(x, y)
+    return stencil_frame(center, lagrangian_angle(center), stencil(jet_field, x, y, h))
 
 
 def frame_defects(fd: FrameData) -> dict:
@@ -245,15 +277,8 @@ def frame_defects(fd: FrameData) -> dict:
 
 
 def beta_gradient_fd(jet_field, x: float, y: float, h: float = 1e-4) -> tuple:
-    """Central-difference gradient of the Lagrangian angle, unwrapped mod 2 pi."""
-    def delta(b1, b2):
-        return math.remainder(b1 - b2, 2.0 * math.pi)
-
-    bx = delta(lagrangian_angle(jet_field(x + h, y)),
-               lagrangian_angle(jet_field(x - h, y))) / (2.0 * h)
-    by = delta(lagrangian_angle(jet_field(x, y + h)),
-               lagrangian_angle(jet_field(x, y - h))) / (2.0 * h)
-    return bx, by
+    """Scalar oracle: central-difference gradient of the Lagrangian angle."""
+    return stencil_beta_gradient(stencil(jet_field, x, y, h))
 
 
 def residue_identity_defects(curve: ReducibleCurveData, jet: SurfaceJet) -> np.ndarray:

@@ -6,20 +6,16 @@ import cmath
 import csv
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import diffgeo
-from .diffgeo import (angle_defect, angle_defect_mod_pi, gram_defects,
-                      lagrangian_angle)
+from .diffgeo import gram_defects, lagrangian_angle
 from .spectral_curve import (ReducibleCurveData, expansion_at_infinity,
-                             regularity_defect)
-from .surface_families import (MetricField, cone_family_jet, cone_metric_field,
-                               in_degeneracy_tube, spectral_family_jet,
-                               spectral_metric_field)
+                             regularity_defect, residue_simple)
+from .surface_families import (Family, MetricField, cone_family,
+                               in_degeneracy_tube, spectral_family)
 
 TUBE_RADIUS = 1e-2
 TUBE_G_TOL = 1e-3
@@ -127,7 +123,7 @@ class VerificationReport:
 
 
 class _MaxAggregator:
-    """Associative max-reduction of per-point defects plus exclusion counts."""
+    """Max-reduction of per-point defects plus exclusion counts; NaN is sticky."""
 
     def __init__(self):
         self.values = {}
@@ -135,7 +131,8 @@ class _MaxAggregator:
 
     def see(self, name: str, value: float) -> None:
         value = float(value)
-        if name not in self.values or value > self.values[name]:
+        old = self.values.get(name)
+        if old is None or value > old or math.isnan(value):
             self.values[name] = value
 
     def fail(self, *names: str) -> None:
@@ -146,241 +143,141 @@ class _MaxAggregator:
         for name in names:
             self.excluded[name] = self.excluded.get(name, 0) + 1
 
-    def merge(self, other: "_MaxAggregator") -> None:
-        for name, value in other.values.items():
-            self.see(name, value)
-        for name, count in other.excluded.items():
-            self.excluded[name] = self.excluded.get(name, 0) + count
-
 
 _GRAM_NAMES = ("gram_norm", "gram_phi_phix", "gram_phi_phiy", "gram_phix_phiy")
-_FRAME_NAMES = ("unitarity", "det_unit", "A_antiherm", "B_antiherm", "A_trace",
-                "B_trace", "A_pattern", "B_pattern", "f_real", "h_real")
+_FRAME_NAMES = tuple("frame_" + n for n in (
+    "unitarity", "det_unit", "A_antiherm", "B_antiherm", "A_trace",
+    "B_trace", "A_pattern", "B_pattern", "f_real", "h_real"))
 _CHRISTOFFEL_NAMES = ("christoffel_b11", "christoffel_b12", "christoffel_b22",
                       "gradient_identity_x", "gradient_identity_y", "minimality_im_x", "minimality_im_y")
+_ANGLE_NAMES = ("beta_constant",) + _CHRISTOFFEL_NAMES + _FRAME_NAMES
+_SPECTRAL_ANGLE_NAMES = _ANGLE_NAMES + ("beta_e2i_plus_one", "curvature_K_minus_1")
 
 
-@dataclass(frozen=True)
-class _SweepConfig:
-    jet_field: object
-    metric_field: MetricField
-    beta_ref: float
-    h: float
-    tube_curve: ReducibleCurveData | None = None   # enables tube exclusion
-    residue_curve: ReducibleCurveData | None = None
-    curvature_field: MetricField | None = None     # K must equal 1 where set
-    check_beta_squared: bool = False
-    check_anisotropy: bool = False
-    beta_mod: str = "2pi"
-
-    def angle_check_names(self) -> tuple:
-        names = ["beta_constant"] + list(_CHRISTOFFEL_NAMES)
-        names += ["frame_" + n for n in _FRAME_NAMES]
-        if self.check_beta_squared:
-            names.append("beta_e2i_plus_one")
-        if self.curvature_field is not None:
-            names.append("curvature_K_minus_1")
-        return tuple(names)
+def _in_tube(family: Family, x: float, y: float) -> bool:
+    return family.curve is not None and in_degeneracy_tube(family.curve, x, y, TUBE_RADIUS)
 
 
-def _point_checks(cfg: _SweepConfig, agg: _MaxAggregator, x: float, y: float) -> None:
-    jet = cfg.jet_field(x, y)
-    g = gram_defects(jet)
-    for name, val in zip(_GRAM_NAMES, g):
+def _curvature_field(family: Family, tol_profile: str) -> MetricField:
+    if tol_profile not in TOL_CURVATURE:
+        raise ValueError(f"unknown tol profile {tol_profile!r}")
+    return family.metric if tol_profile == "strict" else family.metric.without_derivatives()
+
+
+def _point_checks(family: Family, k_field: MetricField, beta_ref: float, h: float,
+                  agg: _MaxAggregator, x: float, y: float) -> None:
+    curve = family.curve
+    angle_names = _ANGLE_NAMES if curve is None else _SPECTRAL_ANGLE_NAMES
+    jet = family.jet(x, y)
+    for name, val in zip(_GRAM_NAMES, gram_defects(jet)):
         agg.see(name, val)
 
     E = float(np.sum(np.abs(jet.phi_x) ** 2))
     G = float(np.sum(np.abs(jet.phi_y) ** 2))
-    agg.see("metric_E_closed_form", abs(E - cfg.metric_field.E(x, y)))
-    agg.see("metric_G_closed_form", abs(G - cfg.metric_field.G(x, y)))
+    agg.see("metric_E_closed_form", abs(E - family.metric.E(x, y)))
+    agg.see("metric_G_closed_form", abs(G - family.metric.G(x, y)))
 
-    if cfg.residue_curve is not None:
-        t1 = diffgeo.residue_identity_defects(cfg.residue_curve, jet)
-        for k, val in enumerate(t1):
+    if curve is not None:
+        for k, val in enumerate(diffgeo.residue_identity_defects(curve, jet)):
             agg.see(f"residue_identity_{k + 1}", val)
-
-    in_tube = (cfg.tube_curve is not None
-               and in_degeneracy_tube(cfg.tube_curve, x, y, TUBE_RADIUS))
-    if in_tube:
+    if _in_tube(family, x, y):
         agg.see("tube_G_bound", G)
-        agg.exclude(*cfg.angle_check_names())
+        agg.exclude(*angle_names)
         return
 
     try:
         beta = lagrangian_angle(jet)
     except ValueError:
-        agg.fail(*cfg.angle_check_names())
+        agg.fail(*angle_names)
         return
-    if cfg.check_beta_squared:
+    if curve is not None:
         agg.see("beta_e2i_plus_one", abs(cmath.exp(2j * beta) + 1.0))
-    if cfg.beta_mod == "pi":
-        agg.see("beta_constant", angle_defect_mod_pi(beta, cfg.beta_ref))
-    else:
-        agg.see("beta_constant", angle_defect(beta, cfg.beta_ref))
+    agg.see("beta_constant", abs(math.remainder(beta - beta_ref, family.beta_period)))
 
-    if cfg.check_anisotropy:
-        md = diffgeo.metric_from_jet(jet)
-        agg.see("metric_anisotropy", abs(md.v1 - md.v2))
-
+    # one stencil serves the beta gradient and the frame derivatives
+    st = diffgeo.stencil(family.jet, x, y, h)
     try:
         md = diffgeo.metric_from_jet(jet)
+        if curve is None:
+            agg.see("metric_anisotropy", abs(md.v1 - md.v2))
         ch = diffgeo.christoffel_solve(jet)
-        for name, val in zip(("christoffel_b11", "christoffel_b12", "christoffel_b22"),
-                             diffgeo.christoffel_b_defects(ch, md)):
-            agg.see(name, val)
         grads = diffgeo.metric_gradients_from_jet(jet)
-        beta_grads = diffgeo.beta_gradient_fd(cfg.jet_field, x, y, cfg.h)
-        for name, val in zip(("gradient_identity_x", "gradient_identity_y"),
-                             diffgeo.gradient_identity_defects(ch, grads, beta_grads)):
-            agg.see(name, val)
-        for name, val in zip(("minimality_im_x", "minimality_im_y"),
-                             diffgeo.minimality_defects(ch)):
+        defects = np.concatenate([
+            diffgeo.christoffel_b_defects(ch, md),
+            diffgeo.gradient_identity_defects(ch, grads, diffgeo.stencil_beta_gradient(st)),
+            diffgeo.minimality_defects(ch)])
+        for name, val in zip(_CHRISTOFFEL_NAMES, defects):
             agg.see(name, val)
     except ValueError:
         agg.fail(*_CHRISTOFFEL_NAMES)
 
     try:
-        fr = diffgeo.frame_and_connection(cfg.jet_field, x, y, cfg.h)
+        fr = diffgeo.stencil_frame(jet, beta, st)
         for name, val in diffgeo.frame_defects(fr).items():
             agg.see("frame_" + name, val)
     except ValueError:
-        agg.fail(*("frame_" + n for n in _FRAME_NAMES))
+        agg.fail(*_FRAME_NAMES)
 
-    if cfg.curvature_field is not None:
+    if curve is not None:
         try:
-            K = diffgeo.gauss_curvature(cfg.curvature_field, x, y, cfg.h)
+            K = diffgeo.gauss_curvature(k_field, x, y, h)
             agg.see("curvature_K_minus_1", abs(K - 1.0))
         except ValueError:
             agg.fail("curvature_K_minus_1")
 
 
-def _sweep(cfg: _SweepConfig, grid: GridSpec, threads: int) -> _MaxAggregator:
-    xs, ys = grid.xs(), grid.ys()
-
-    def run_row(y):
-        agg = _MaxAggregator()
-        for x in xs:
-            _point_checks(cfg, agg, float(x), float(y))
-        return agg
-
-    total = _MaxAggregator()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for agg in pool.map(run_row, ys):
-                total.merge(agg)
-    else:
-        for y in ys:
-            total.merge(run_row(float(y)))
-    return total
-
-
-def _reference_beta(cfg_jet_field, grid: GridSpec, tube_curve) -> float:
+def _points(grid: GridSpec):
     for y in grid.ys():
         for x in grid.xs():
-            if tube_curve is not None and in_degeneracy_tube(tube_curve, float(x),
-                                                             float(y), TUBE_RADIUS):
-                continue
-            return lagrangian_angle(cfg_jet_field(float(x), float(y)))
+            yield float(x), float(y)
+
+
+def _reference_beta(family: Family, grid: GridSpec) -> float:
+    for x, y in _points(grid):
+        if not _in_tube(family, x, y):
+            return lagrangian_angle(family.jet(x, y))
     raise ValueError("no grid point outside the degeneracy tube")
 
 
-def env_threads() -> int:
-    raw = os.environ.get("MLSURF_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def verify(family: Family, grid: GridSpec, h: float = 1e-4,
+           tol_profile: str = "strict") -> VerificationReport:
+    """Run the family's check suite over the grid."""
+    k_field = _curvature_field(family, tol_profile)
+    beta_ref = _reference_beta(family, grid)
+    agg = _MaxAggregator()
+    for x, y in _points(grid):
+        _point_checks(family, k_field, beta_ref, h, agg, x, y)
+
+    def rec(name, tol, kind="upper"):
+        return CheckRecord(name, agg.values[name], tol, kind, agg.excluded.get(name, 0))
+
+    checks = [rec(name, TOL_ANALYTIC) for name in
+              _GRAM_NAMES + ("metric_E_closed_form", "metric_G_closed_form")]
+    if family.curve is not None:
+        checks += [rec(f"residue_identity_{k}", TOL_RESIDUE_IDENTITY) for k in range(1, 7)]
+        checks.append(rec("beta_e2i_plus_one", TOL_ANALYTIC))
+    checks += [rec(name, TOL_IDENTITY) for name in ("beta_constant",) + _CHRISTOFFEL_NAMES]
+    checks += [rec(name, TOL_FRAME) for name in _FRAME_NAMES]
+    if family.curve is None:
+        checks.append(rec("metric_anisotropy", 0.1, kind="lower"))
+    else:
+        checks.append(rec("curvature_K_minus_1", TOL_CURVATURE[tol_profile]))
+        if "tube_G_bound" in agg.values:
+            checks.append(rec("tube_G_bound", TUBE_G_TOL))
+        checks += curve_checks(family.curve)
+    return VerificationReport(family.name, family.parameters, grid, h, tol_profile, checks)
 
 
 def verify_spectral(curve: ReducibleCurveData, grid: GridSpec, h: float = 1e-4,
-                    tol_profile: str = "strict", threads: int | None = None) -> VerificationReport:
+                    tol_profile: str = "strict") -> VerificationReport:
     """Run the full spectral-family check suite over the grid."""
-    if tol_profile not in TOL_CURVATURE:
-        raise ValueError(f"unknown tol profile {tol_profile!r}")
-    threads = env_threads() if threads is None else threads
-    jet_field = lambda x, y: spectral_family_jet(curve, x, y)
-    m_field = spectral_metric_field(curve)
-    k_field = m_field if tol_profile == "strict" else m_field.without_derivatives()
-    cfg = _SweepConfig(
-        jet_field=jet_field, metric_field=m_field,
-        beta_ref=_reference_beta(jet_field, grid, curve), h=h,
-        tube_curve=curve, residue_curve=curve, curvature_field=k_field,
-        check_beta_squared=True, beta_mod="pi",
-    )
-    agg = _sweep(cfg, grid, threads)
-
-    report = VerificationReport(
-        family="spectral",
-        parameters={"a": curve.a, "b": curve.b, "q1": curve.Q1,
-                    "gamma_im": curve.gamma_im},
-        grid=grid, h=h, tol_profile=tol_profile,
-    )
-    checks = report.checks
-    for name in _GRAM_NAMES:
-        checks.append(CheckRecord(name, agg.values[name], TOL_ANALYTIC))
-    checks.append(CheckRecord("metric_E_closed_form",
-                              agg.values["metric_E_closed_form"], TOL_ANALYTIC))
-    checks.append(CheckRecord("metric_G_closed_form",
-                              agg.values["metric_G_closed_form"], TOL_ANALYTIC))
-    for k in range(6):
-        name = f"residue_identity_{k + 1}"
-        checks.append(CheckRecord(name, agg.values[name], TOL_RESIDUE_IDENTITY))
-    _append_angle_checks(checks, agg, cfg)
-    checks.append(CheckRecord("curvature_K_minus_1",
-                              agg.values["curvature_K_minus_1"],
-                              TOL_CURVATURE[tol_profile],
-                              excluded_points=agg.excluded.get("curvature_K_minus_1", 0)))
-    if "tube_G_bound" in agg.values:
-        checks.append(CheckRecord("tube_G_bound", agg.values["tube_G_bound"], TUBE_G_TOL))
-    checks.extend(curve_checks(curve))
-    return report
-
-
-def _append_angle_checks(checks: list, agg: _MaxAggregator, cfg: _SweepConfig) -> None:
-    def rec(name, tol):
-        checks.append(CheckRecord(name, agg.values[name], tol,
-                                  excluded_points=agg.excluded.get(name, 0)))
-
-    if cfg.check_beta_squared:
-        rec("beta_e2i_plus_one", TOL_ANALYTIC)
-    rec("beta_constant", TOL_IDENTITY)
-    for name in _CHRISTOFFEL_NAMES:
-        rec(name, TOL_IDENTITY)
-    for name in _FRAME_NAMES:
-        rec("frame_" + name, TOL_FRAME)
+    return verify(spectral_family(curve), grid, h, tol_profile)
 
 
 def verify_cone(m: int, n: int, grid: GridSpec, h: float = 1e-4,
-                tol_profile: str = "strict", threads: int | None = None) -> VerificationReport:
+                tol_profile: str = "strict") -> VerificationReport:
     """Run the cone-family check suite over the grid."""
-    if tol_profile not in TOL_CURVATURE:
-        raise ValueError(f"unknown tol profile {tol_profile!r}")
-    if m < 1 or n < 1:
-        raise ValueError(f"m, n must be positive integers, got {m}, {n}")
-    threads = env_threads() if threads is None else threads
-    jet_field = lambda x, y: cone_family_jet(m, n, x, y)
-    cfg = _SweepConfig(
-        jet_field=jet_field, metric_field=cone_metric_field(m, n),
-        beta_ref=lagrangian_angle(jet_field(float(grid.xs()[0]), float(grid.ys()[0]))),
-        h=h, check_anisotropy=True, beta_mod="2pi",
-    )
-    agg = _sweep(cfg, grid, threads)
-
-    report = VerificationReport(
-        family="cone", parameters={"m": m, "n": n},
-        grid=grid, h=h, tol_profile=tol_profile,
-    )
-    checks = report.checks
-    for name in _GRAM_NAMES:
-        checks.append(CheckRecord(name, agg.values[name], TOL_ANALYTIC))
-    checks.append(CheckRecord("metric_E_closed_form",
-                              agg.values["metric_E_closed_form"], TOL_ANALYTIC))
-    checks.append(CheckRecord("metric_G_closed_form",
-                              agg.values["metric_G_closed_form"], TOL_ANALYTIC))
-    _append_angle_checks(checks, agg, cfg)
-    checks.append(CheckRecord("metric_anisotropy", agg.values["metric_anisotropy"],
-                              0.1, kind="lower"))
-    return report
+    return verify(cone_family(m, n), grid, h, tol_profile)
 
 
 def curve_checks(curve: ReducibleCurveData) -> list:
@@ -404,33 +301,28 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def sample_rows(jet_field, metric_field: MetricField,
-                grid: GridSpec, h: float, tube_curve=None):
+def sample_rows(family: Family, grid: GridSpec, h: float, tol_profile: str = "strict"):
     """Yield CSV rows; beta and K are empty at excluded degenerate points."""
-    for y in grid.ys():
-        for x in grid.xs():
-            x, y2 = float(x), float(y)
-            jet = jet_field(x, y2)
-            E = float(np.sum(np.abs(jet.phi_x) ** 2))
-            G = float(np.sum(np.abs(jet.phi_y) ** 2))
-            excluded = (tube_curve is not None
-                        and in_degeneracy_tube(tube_curve, x, y2, TUBE_RADIUS))
-            beta_s = ""
-            k_s = ""
-            if not excluded:
-                try:
-                    beta_s = _fmt(lagrangian_angle(jet))
-                except ValueError:
-                    beta_s = ""
-                try:
-                    k_s = _fmt(diffgeo.gauss_curvature(metric_field, x, y2, h))
-                except ValueError:
-                    k_s = ""
-            row = [_fmt(x), _fmt(y2)]
-            for comp in jet.phi:
-                row.extend([_fmt(comp.real), _fmt(comp.imag)])
-            row.extend([_fmt(E), _fmt(G), beta_s, k_s])
-            yield row
+    k_field = _curvature_field(family, tol_profile)
+    for x, y in _points(grid):
+        jet = family.jet(x, y)
+        E = float(np.sum(np.abs(jet.phi_x) ** 2))
+        G = float(np.sum(np.abs(jet.phi_y) ** 2))
+        beta_s = k_s = ""
+        if not _in_tube(family, x, y):
+            try:
+                beta_s = _fmt(lagrangian_angle(jet))
+            except ValueError:
+                pass
+            try:
+                k_s = _fmt(diffgeo.gauss_curvature(k_field, x, y, h))
+            except ValueError:
+                pass
+        row = [_fmt(x), _fmt(y)]
+        for comp in jet.phi:
+            row.extend([_fmt(comp.real), _fmt(comp.imag)])
+        row.extend([_fmt(E), _fmt(G), beta_s, k_s])
+        yield row
 
 
 def write_csv(path, rows) -> None:
@@ -446,7 +338,6 @@ def curve_info_text(curve: ReducibleCurveData) -> str:
     omega1 = curve.omega1()
     omega2 = curve.omega2()
     w2 = expansion_at_infinity(omega2, 2)
-    from .spectral_curve import residue_simple
     lines = [
         f"a        = {_fmt(curve.a)}",
         f"b        = {_fmt(curve.b)}",

@@ -239,6 +239,8 @@ def derive_constants(a: float, b: float, Q1: float, gamma_im: float) -> Reducibl
     b = float(b)
     Q1 = float(Q1)
     gamma_im = float(gamma_im)
+    if not all(map(math.isfinite, (a, b, Q1, gamma_im))):
+        raise ValueError(f"parameters must be finite, got {a}, {b}, {Q1}, {gamma_im}")
     if not (a > 0):
         raise ValueError(f"a must be positive, got {a}")
     if not (b > 0):
@@ -275,7 +277,7 @@ def derive_constants(a: float, b: float, Q1: float, gamma_im: float) -> Reducibl
         r = residue_simple(omega2, q)
         if abs(r.imag) > 1e-12 * (1.0 + abs(r)):
             raise ValueError(f"Res_{q} Omega_2 came out non-real: {r}")
-        if r.real <= 0:
+        if not r.real > 0:
             raise ValueError(f"Res_{q} Omega_2 = {r.real} must be positive")
         res_Q.append(r.real)
 

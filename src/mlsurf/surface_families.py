@@ -212,6 +212,39 @@ def cone_metric_field(m: int, n: int) -> MetricField:
     return MetricField(E=E, G=G, E_y=lambda x, y: 0.0, G_x=G_x)
 
 
+@dataclass(frozen=True)
+class Family:
+    """One surface family as the grid sweep and the CSV sampler see it.
+
+    beta_period is pi where the frame flips orientation across degeneracy
+    lines (spectral), else 2 pi.  A spectral curve brings the residue
+    identities, the degeneracy tube, K = 1 and the curve-level records.
+    """
+
+    name: str
+    parameters: dict
+    jet: object                     # (x, y) -> SurfaceJet
+    metric: MetricField
+    beta_period: float
+    curve: ReducibleCurveData | None = None
+
+
+def spectral_family(curve: ReducibleCurveData) -> Family:
+    """The surface of a spectral curve built by derive_constants."""
+    return Family("spectral", {"a": curve.a, "b": curve.b, "q1": curve.Q1,
+                               "gamma_im": curve.gamma_im},
+                  lambda x, y: spectral_family_jet(curve, x, y),
+                  spectral_metric_field(curve), math.pi, curve)
+
+
+def cone_family(m: int, n: int) -> Family:
+    """The elementary cone surface of orders m, n >= 1."""
+    if m < 1 or n < 1:
+        raise ValueError(f"m, n must be positive integers, got {m}, {n}")
+    return Family("cone", {"m": m, "n": n}, lambda x, y: cone_family_jet(m, n, x, y),
+                  cone_metric_field(m, n), 2.0 * math.pi)
+
+
 def degeneracy_angle(curve: ReducibleCurveData) -> float:
     """theta* with f2 = 0 on the lines a*x - b*y = theta* (mod pi).
 

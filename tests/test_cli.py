@@ -1,8 +1,15 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlsurf.cli import main
 from mlsurf.report import GridSpec, verify_spectral
@@ -223,18 +230,76 @@ def test_theta_subcommand(tmp_path, capsys):
     assert defect < 1e-10
 
 
-def test_threads_do_not_change_report(monkeypatch, capsys):
-    curve = derive_constants(1.0, 1.0, 2.0, 1.0)
-    r1 = verify_spectral(curve, GridSpec(12, 12), threads=1)
-    r4 = verify_spectral(curve, GridSpec(12, 12), threads=4)
-    v1 = {c.name: (c.value, c.excluded_points) for c in r1.checks}
-    v4 = {c.name: (c.value, c.excluded_points) for c in r4.checks}
-    assert v1 == v4
-    monkeypatch.setenv("MLSURF_THREADS", "3")
-    code = run(["verify", "--family", "cone", "--m", "1", "--n", "1",
-                "--grid", "8x8"])
-    assert code == 0
-    capsys.readouterr()
+SPHERE = ["--family", "spectral", "--a", "1", "--b", "1", "--q1", "2", "--gamma-im", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", *SPHERE, "--grid", "4x4", "--h", "0"],
+    ["verify", *SPHERE, "--grid", "4x4", "--h", "nan"],
+    ["verify", *SPHERE, "--grid", "4x4", "--h=-1e-4"],
+    ["verify", "--family", "cone", "--m", "1", "--n", "1", "--grid", "4x4", "--h", "inf"],
+    ["sample", *SPHERE, "--grid", "4x4", "--h", "0", "--out", os.devnull],
+    ["verify", "--family", "spectral", "--a", "1", "--b", "1", "--q1", "inf",
+     "--gamma-im", "1", "--grid", "4x4"],
+    ["verify", "--family", "spectral", "--a", "1", "--b", "1", "--q1", "2",
+     "--gamma-im", "1e200", "--grid", "4x4"],
+    ["curve-info", "--a", "nan", "--b", "1", "--q1", "2", "--gamma-im", "1"],
+], ids=["h-0", "h-nan", "h-negative", "h-inf", "sample-h-0", "q1-inf", "gamma-im-1e200",
+        "a-nan"])
+def test_invalid_numbers_exit_2_with_one_line(argv, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_theta_invalid_input_exits_2(tmp_path, capsys):
+    pm = tmp_path / "pm.txt"
+    pm.write_text("1\n1j\n")
+    assert run(["theta", "--period-file", str(pm), "--z", "0", "--radius", "0"]) == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    # OverflowError in the automatic radius, mapped to exit 2
+    assert run(["theta", "--period-file", str(pm), "--z", "1e300j"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+_VALUES = st.sampled_from(["1", "2", "-2", "0.5", "0", "-1", "1e200", "1e-300", "inf",
+                           "nan", "abc", "", "0.3+200j", "1,2", "1e-4", "fd", "99"])
+# valid defaults come first, so drawn flags override them and reach the sweep
+_ACCEPTED = {
+    "verify": (["--a", "1", "--b", "1", "--q1", "2", "--gamma-im", "1", "--m", "1", "--n", "2"],
+               {"--a", "--b", "--q1", "--gamma-im", "--m", "--n", "--h", "--tol-profile"}),
+    "curve-info": (["--a", "1", "--b", "1", "--q1", "2", "--gamma-im", "1"],
+                   {"--a", "--b", "--q1", "--gamma-im"}),
+    "theta": (["--z", "0.1,0.2j"], {"--z", "--radius", "--shift-m"}),
+}
+_ACCEPTED["sample"] = _ACCEPTED["verify"]
+_FLAGS = ["--a", "--b", "--q1", "--gamma-im", "--m", "--n", "--h", "--tol-profile",
+          "--z", "--radius", "--shift-m", "--bogus"]
+
+
+@given(command=st.sampled_from(sorted(_ACCEPTED)),
+       family=st.sampled_from(["spectral", "cone", "other"]),
+       grid=st.sampled_from(["1x1", "2x3", "4x4", "0x2", "4x", "banana"]),
+       flags=st.lists(st.tuples(st.sampled_from(_FLAGS), _VALUES), max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_main_never_raises(command, family, grid, flags):
+    defaults, accepted = _ACCEPTED[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        pm = os.path.join(tmp, "pm.txt")
+        with open(pm, "w") as fh:
+            fh.write("2\n1j 0.2\n0.2 2j\n")
+        argv = [command] + defaults
+        if command in ("verify", "sample"):
+            argv += ["--family", family, "--grid", grid]
+        argv += {"sample": ["--out", os.path.join(tmp, "s.csv")],
+                 "theta": ["--period-file", pm]}.get(command, [])
+        for flag, value in flags:
+            if flag in accepted or flag == "--bogus":
+                argv.append(f"{flag}={value}")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 1, 2)
 
 
 def test_exit_codes_exhaustive(tmp_path, capsys):

@@ -112,6 +112,13 @@ def test_derive_constants_rejects_bad_parameters():
         derive_constants(-1.0, 1.0, 2.0, 1.0)
     with pytest.raises(ValueError, match="positive"):
         derive_constants(1.0, 0.0, 2.0, 1.0)
+    for params in ((1.0, 1.0, math.inf, 1.0), (1.0, 1.0, math.nan, 1.0),
+                   (1.0, 1.0, 2.0, -math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            derive_constants(*params)
+    # finite but so large that the residues of Omega_2 come out NaN
+    with pytest.raises(ValueError, match="Omega_2 = nan must be positive"):
+        derive_constants(1.0, 1.0, 2.0, 1e200)
 
 
 def sympy_infinity_series(form, order):
