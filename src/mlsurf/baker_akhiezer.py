@@ -49,20 +49,26 @@ class BARationalValue:
     psi: complex
 
 
-def _f2_g2(curve: ReducibleCurveData, x: float, y: float) -> tuple:
+def _f2_g2(curve: ReducibleCurveData, x, y) -> tuple:
+    """f2 and g2 at scalars or arrays (x, y)."""
     d, b, gamma = curve.d, curve.b, curve.gamma
     theta = curve.a * x - b * y
-    ep = cmath.exp(1j * theta)
-    em = cmath.exp(-1j * theta)
+    ep = np.exp(1j * theta)
+    em = np.exp(-1j * theta)
     f2 = d / (2.0 * b) * ((b - gamma) * ep + (b + gamma) * em)
     g2 = d * (b * b - gamma * gamma) / (2.0 * b) * (ep - em)
     return f2, g2
 
 
-def f_coefficients(curve: ReducibleCurveData, x: float, y: float) -> tuple:
-    """(f1, f2) as reals; the leading expansion coefficients at the punctures."""
-    f2, _ = _f2_g2(curve, x, y)
-    return curve.d, f2.real
+def f_coefficients(curve: ReducibleCurveData, x, y) -> tuple:
+    """(f1, f2) as reals; the leading expansion coefficients at the punctures.
+
+    With gamma = i*gamma_im, f2 = d (cos(theta) + (gamma_im / b) sin(theta)).
+    This real form rounds alike for scalars and arrays (x, y); numpy's
+    complex products do not.
+    """
+    theta = curve.a * x - curve.b * y
+    return curve.d, curve.d * (np.cos(theta) + (curve.gamma_im / curve.b) * np.sin(theta))
 
 
 def ba_rational_eval(curve: ReducibleCurveData, x: float, y: float,

@@ -24,6 +24,7 @@ from .surface_families import MetricField, SurfaceJet
 
 CONDITION_LIMIT = 1e8
 UNITARITY_GATE = 1e-6
+MIN_STENCIL_NORM = 1e-8  # |phi_x| and |phi_y| at a frame stencil point
 
 
 def herm(u, w) -> complex:
@@ -224,7 +225,7 @@ def stencil_frame(center: SurfaceJet, beta_c: float, st: Stencil) -> FrameData:
     angle so the half-angle twist stays continuous.
     """
     def frame_at(j, b):
-        if np.linalg.norm(j.phi_y) < 1e-8 or np.linalg.norm(j.phi_x) < 1e-8:
+        if np.linalg.norm(j.phi_y) < MIN_STENCIL_NORM or np.linalg.norm(j.phi_x) < MIN_STENCIL_NORM:
             raise ValueError("stencil crosses a degenerate point")
         if b is None:
             raise ValueError("stencil angle off the unit circle")
@@ -287,20 +288,58 @@ def residue_identity_defects(curve: ReducibleCurveData, jet: SurfaceJet) -> np.n
     With A_k = Res_{Q_k} Omega / alpha_k^2 (identically 1 under the
     alpha = sqrt(Res) normalization) the six sums are the residue totals of
     the forms psi(P) conj(psi(mu P)) Omega and their derivative variants;
-    each must vanish.
+    each must vanish.  A jet whose fields are stacked (n, 3) arrays, with x
+    and y arrays of n points, gives a (6, n) array.
     """
     A = np.array([r / al ** 2 for r, al in zip(curve.res_Q, curve.alpha)])
     f1, f2 = f_coefficients(curve, jet.x, jet.y)
     p, px, py = jet.phi, jet.phi_x, jet.phi_y
     sums = np.array([
-        np.sum(p * np.conj(p) * A) + curve.d ** 2 * curve.res_r,
-        np.sum(p * np.conj(px) * A),
-        np.sum(p * np.conj(py) * A),
-        np.sum(px * np.conj(py) * A),
-        np.sum(px * np.conj(px) * A) + f1 ** 2 * curve.c1_exp,
-        np.sum(py * np.conj(py) * A) + f2 ** 2 * curve.c2_exp,
+        np.sum(p * np.conj(p) * A, axis=-1) + curve.d ** 2 * curve.res_r,
+        np.sum(p * np.conj(px) * A, axis=-1),
+        np.sum(p * np.conj(py) * A, axis=-1),
+        np.sum(px * np.conj(py) * A, axis=-1),
+        np.sum(px * np.conj(px) * A, axis=-1) + f1 ** 2 * curve.c1_exp,
+        np.sum(py * np.conj(py) * A, axis=-1) + f2 * f2 * curve.c2_exp,
     ])
     return np.abs(sums)
+
+
+def gauss_curvature_masked(field: MetricField, x, y, h: float = 1e-4) -> tuple:
+    """gauss_curvature at scalars or arrays of points, with a validity mask.
+
+    Returns (K, ok): ok is False where E or G is not positive at one of the
+    five points the stencil visits, and K is meaningless there.
+    """
+    def eg(xx, yy):
+        E = field.E(xx, yy)
+        G = field.G(xx, yy)
+        return E, G, np.logical_not((E <= 0.0) | (G <= 0.0))
+
+    def p_term(xx, yy):
+        E, G, ok = eg(xx, yy)
+        if field.G_x is not None:
+            gx = field.G_x(xx, yy)
+        else:
+            gx = (field.G(xx + h, yy) - field.G(xx - h, yy)) / (2.0 * h)
+        return gx / np.sqrt(E * G), ok
+
+    def s_term(xx, yy):
+        E, G, ok = eg(xx, yy)
+        if field.E_y is not None:
+            ey = field.E_y(xx, yy)
+        else:
+            ey = (field.E(xx, yy + h) - field.E(xx, yy - h)) / (2.0 * h)
+        return ey / np.sqrt(E * G), ok
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        E, G, ok = eg(x, y)
+        (pp, ok_pp), (pm, ok_pm) = p_term(x + h, y), p_term(x - h, y)
+        (sp, ok_sp), (sm, ok_sm) = s_term(x, y + h), s_term(x, y - h)
+        dp = (pp - pm) / (2.0 * h)
+        ds = (sp - sm) / (2.0 * h)
+        K = -(dp + ds) / (2.0 * np.sqrt(E * G))
+    return K, ok & ok_pp & ok_pm & ok_sp & ok_sm
 
 
 def gauss_curvature(field: MetricField, x: float, y: float, h: float = 1e-4) -> float:
@@ -308,32 +347,10 @@ def gauss_curvature(field: MetricField, x: float, y: float, h: float = 1e-4) -> 
 
     The outer derivatives are central differences with step h; the inner
     first derivatives G_x, E_y use the field's closed forms when registered
-    and nested central differences otherwise.
+    and nested central differences otherwise.  Raises where E or G is not
+    positive at a stencil point.
     """
-    def eg(xx, yy):
-        E = field.E(xx, yy)
-        G = field.G(xx, yy)
-        if E <= 0.0 or G <= 0.0:
-            raise ValueError(f"metric not positive at ({xx}, {yy}): E={E}, G={G}")
-        return E, G
-
-    def p_term(xx, yy):
-        E, G = eg(xx, yy)
-        if field.G_x is not None:
-            gx = field.G_x(xx, yy)
-        else:
-            gx = (field.G(xx + h, yy) - field.G(xx - h, yy)) / (2.0 * h)
-        return gx / math.sqrt(E * G)
-
-    def s_term(xx, yy):
-        E, G = eg(xx, yy)
-        if field.E_y is not None:
-            ey = field.E_y(xx, yy)
-        else:
-            ey = (field.E(xx, yy + h) - field.E(xx, yy - h)) / (2.0 * h)
-        return ey / math.sqrt(E * G)
-
-    E, G = eg(x, y)
-    dp = (p_term(x + h, y) - p_term(x - h, y)) / (2.0 * h)
-    ds = (s_term(x, y + h) - s_term(x, y - h)) / (2.0 * h)
-    return float(-(dp + ds) / (2.0 * math.sqrt(E * G)))
+    K, ok = gauss_curvature_masked(field, x, y, h)
+    if not ok:
+        raise ValueError(f"metric not positive on the stencil around ({x}, {y})")
+    return float(K)

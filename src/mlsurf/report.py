@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import cmath
 import csv
 import json
 import math
@@ -10,14 +9,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import diffgeo
-from .diffgeo import gram_defects, lagrangian_angle
 from .spectral_curve import (ReducibleCurveData, expansion_at_infinity,
                              regularity_defect, residue_simple)
-from .surface_families import (Family, MetricField, cone_family,
-                               in_degeneracy_tube, spectral_family)
+from .surface_families import Family, MetricField, cone_family, spectral_family
+from .sweep import (CHRISTOFFEL_NAMES, FRAME_NAMES, GRAM_NAMES, METRIC_NAMES,
+                    RESIDUE_NAMES, check_maxima, sample_blocks)
 
-TUBE_RADIUS = 1e-2
 TUBE_G_TOL = 1e-3
 
 # tolerance tiers: analytic identities / derived identities / single-FD / curvature
@@ -88,6 +85,7 @@ class VerificationReport:
     h: float
     tol_profile: str
     checks: list = field(default_factory=list)
+    timings: dict = field(default_factory=dict)   # seconds per sweep phase
 
     @property
     def overall(self) -> bool:
@@ -98,7 +96,7 @@ class VerificationReport:
                 "grid": self.grid.to_dict(), "h": self.h,
                 "tol_profile": self.tol_profile,
                 "checks": [c.to_dict() for c in self.checks],
-                "overall": self.overall}
+                "overall": self.overall, "timings": self.timings}
 
     def write_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -122,150 +120,35 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-class _MaxAggregator:
-    """Max-reduction of per-point defects plus exclusion counts; NaN is sticky."""
-
-    def __init__(self):
-        self.values = {}
-        self.excluded = {}
-
-    def see(self, name: str, value: float) -> None:
-        value = float(value)
-        old = self.values.get(name)
-        if old is None or value > old or math.isnan(value):
-            self.values[name] = value
-
-    def fail(self, *names: str) -> None:
-        for name in names:
-            self.see(name, math.inf)
-
-    def exclude(self, *names: str) -> None:
-        for name in names:
-            self.excluded[name] = self.excluded.get(name, 0) + 1
-
-
-_GRAM_NAMES = ("gram_norm", "gram_phi_phix", "gram_phi_phiy", "gram_phix_phiy")
-_FRAME_NAMES = tuple("frame_" + n for n in (
-    "unitarity", "det_unit", "A_antiherm", "B_antiherm", "A_trace",
-    "B_trace", "A_pattern", "B_pattern", "f_real", "h_real"))
-_CHRISTOFFEL_NAMES = ("christoffel_b11", "christoffel_b12", "christoffel_b22",
-                      "gradient_identity_x", "gradient_identity_y", "minimality_im_x", "minimality_im_y")
-_ANGLE_NAMES = ("beta_constant",) + _CHRISTOFFEL_NAMES + _FRAME_NAMES
-_SPECTRAL_ANGLE_NAMES = _ANGLE_NAMES + ("beta_e2i_plus_one", "curvature_K_minus_1")
-
-
-def _in_tube(family: Family, x: float, y: float) -> bool:
-    return family.curve is not None and in_degeneracy_tube(family.curve, x, y, TUBE_RADIUS)
-
-
 def _curvature_field(family: Family, tol_profile: str) -> MetricField:
     if tol_profile not in TOL_CURVATURE:
         raise ValueError(f"unknown tol profile {tol_profile!r}")
     return family.metric if tol_profile == "strict" else family.metric.without_derivatives()
 
 
-def _point_checks(family: Family, k_field: MetricField, beta_ref: float, h: float,
-                  agg: _MaxAggregator, x: float, y: float) -> None:
-    curve = family.curve
-    angle_names = _ANGLE_NAMES if curve is None else _SPECTRAL_ANGLE_NAMES
-    jet = family.jet(x, y)
-    for name, val in zip(_GRAM_NAMES, gram_defects(jet)):
-        agg.see(name, val)
-
-    E = float(np.sum(np.abs(jet.phi_x) ** 2))
-    G = float(np.sum(np.abs(jet.phi_y) ** 2))
-    agg.see("metric_E_closed_form", abs(E - family.metric.E(x, y)))
-    agg.see("metric_G_closed_form", abs(G - family.metric.G(x, y)))
-
-    if curve is not None:
-        for k, val in enumerate(diffgeo.residue_identity_defects(curve, jet)):
-            agg.see(f"residue_identity_{k + 1}", val)
-    if _in_tube(family, x, y):
-        agg.see("tube_G_bound", G)
-        agg.exclude(*angle_names)
-        return
-
-    try:
-        beta = lagrangian_angle(jet)
-    except ValueError:
-        agg.fail(*angle_names)
-        return
-    if curve is not None:
-        agg.see("beta_e2i_plus_one", abs(cmath.exp(2j * beta) + 1.0))
-    agg.see("beta_constant", abs(math.remainder(beta - beta_ref, family.beta_period)))
-
-    # one stencil serves the beta gradient and the frame derivatives
-    st = diffgeo.stencil(family.jet, x, y, h)
-    try:
-        md = diffgeo.metric_from_jet(jet)
-        if curve is None:
-            agg.see("metric_anisotropy", abs(md.v1 - md.v2))
-        ch = diffgeo.christoffel_solve(jet)
-        grads = diffgeo.metric_gradients_from_jet(jet)
-        defects = np.concatenate([
-            diffgeo.christoffel_b_defects(ch, md),
-            diffgeo.gradient_identity_defects(ch, grads, diffgeo.stencil_beta_gradient(st)),
-            diffgeo.minimality_defects(ch)])
-        for name, val in zip(_CHRISTOFFEL_NAMES, defects):
-            agg.see(name, val)
-    except ValueError:
-        agg.fail(*_CHRISTOFFEL_NAMES)
-
-    try:
-        fr = diffgeo.stencil_frame(jet, beta, st)
-        for name, val in diffgeo.frame_defects(fr).items():
-            agg.see("frame_" + name, val)
-    except ValueError:
-        agg.fail(*_FRAME_NAMES)
-
-    if curve is not None:
-        try:
-            K = diffgeo.gauss_curvature(k_field, x, y, h)
-            agg.see("curvature_K_minus_1", abs(K - 1.0))
-        except ValueError:
-            agg.fail("curvature_K_minus_1")
-
-
-def _points(grid: GridSpec):
-    for y in grid.ys():
-        for x in grid.xs():
-            yield float(x), float(y)
-
-
-def _reference_beta(family: Family, grid: GridSpec) -> float:
-    for x, y in _points(grid):
-        if not _in_tube(family, x, y):
-            return lagrangian_angle(family.jet(x, y))
-    raise ValueError("no grid point outside the degeneracy tube")
-
-
 def verify(family: Family, grid: GridSpec, h: float = 1e-4,
            tol_profile: str = "strict") -> VerificationReport:
     """Run the family's check suite over the grid."""
-    k_field = _curvature_field(family, tol_profile)
-    beta_ref = _reference_beta(family, grid)
-    agg = _MaxAggregator()
-    for x, y in _points(grid):
-        _point_checks(family, k_field, beta_ref, h, agg, x, y)
+    maxima, excluded, timings = check_maxima(family, grid, h, _curvature_field(family, tol_profile))
 
     def rec(name, tol, kind="upper"):
-        return CheckRecord(name, agg.values[name], tol, kind, agg.excluded.get(name, 0))
+        return CheckRecord(name, float(maxima[name]), tol, kind, excluded.get(name, 0))
 
-    checks = [rec(name, TOL_ANALYTIC) for name in
-              _GRAM_NAMES + ("metric_E_closed_form", "metric_G_closed_form")]
+    checks = [rec(name, TOL_ANALYTIC) for name in GRAM_NAMES + METRIC_NAMES]
     if family.curve is not None:
-        checks += [rec(f"residue_identity_{k}", TOL_RESIDUE_IDENTITY) for k in range(1, 7)]
+        checks += [rec(name, TOL_RESIDUE_IDENTITY) for name in RESIDUE_NAMES]
         checks.append(rec("beta_e2i_plus_one", TOL_ANALYTIC))
-    checks += [rec(name, TOL_IDENTITY) for name in ("beta_constant",) + _CHRISTOFFEL_NAMES]
-    checks += [rec(name, TOL_FRAME) for name in _FRAME_NAMES]
+    checks += [rec(name, TOL_IDENTITY) for name in ("beta_constant",) + CHRISTOFFEL_NAMES]
+    checks += [rec(name, TOL_FRAME) for name in FRAME_NAMES]
     if family.curve is None:
         checks.append(rec("metric_anisotropy", 0.1, kind="lower"))
     else:
         checks.append(rec("curvature_K_minus_1", TOL_CURVATURE[tol_profile]))
-        if "tube_G_bound" in agg.values:
+        if "tube_G_bound" in maxima:
             checks.append(rec("tube_G_bound", TUBE_G_TOL))
         checks += curve_checks(family.curve)
-    return VerificationReport(family.name, family.parameters, grid, h, tol_profile, checks)
+    return VerificationReport(family.name, family.parameters, grid, h, tol_profile, checks,
+                              timings)
 
 
 def verify_spectral(curve: ReducibleCurveData, grid: GridSpec, h: float = 1e-4,
@@ -304,25 +187,14 @@ def _fmt(v: float) -> str:
 def sample_rows(family: Family, grid: GridSpec, h: float, tol_profile: str = "strict"):
     """Yield CSV rows; beta and K are empty at excluded degenerate points."""
     k_field = _curvature_field(family, tol_profile)
-    for x, y in _points(grid):
-        jet = family.jet(x, y)
-        E = float(np.sum(np.abs(jet.phi_x) ** 2))
-        G = float(np.sum(np.abs(jet.phi_y) ** 2))
-        beta_s = k_s = ""
-        if not _in_tube(family, x, y):
-            try:
-                beta_s = _fmt(lagrangian_angle(jet))
-            except ValueError:
-                pass
-            try:
-                k_s = _fmt(diffgeo.gauss_curvature(k_field, x, y, h))
-            except ValueError:
-                pass
-        row = [_fmt(x), _fmt(y)]
-        for comp in jet.phi:
-            row.extend([_fmt(comp.real), _fmt(comp.imag)])
-        row.extend([_fmt(E), _fmt(G), beta_s, k_s])
-        yield row
+    for block in sample_blocks(family, grid, h, k_field):
+        for x, y, phi, E, G, beta, has_beta, K, has_K in zip(*(v.tolist() for v in block)):
+            row = [_fmt(x), _fmt(y)]
+            for comp in phi:
+                row.extend([_fmt(comp.real), _fmt(comp.imag)])
+            row.extend([_fmt(E), _fmt(G), _fmt(beta) if has_beta else "",
+                        _fmt(K) if has_K else ""])
+            yield row
 
 
 def write_csv(path, rows) -> None:

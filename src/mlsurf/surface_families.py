@@ -35,8 +35,9 @@ class SurfaceJet:
 class MetricField:
     """Closed-form diagonal metric E dx^2 + G dy^2 with optional first derivatives.
 
-    E, G, E_y, G_x are callables of (x, y); E_y/G_x may be None, in which case
-    curvature falls back to nested finite differences.
+    E, G, E_y, G_x are callables of (x, y), written in numpy ufuncs so that
+    they take scalars or arrays of points alike; E_y/G_x may be None, in which
+    case curvature falls back to nested finite differences.
     """
 
     E: object
@@ -50,7 +51,7 @@ class MetricField:
 
 @lru_cache(maxsize=64)
 def _spectral_exp_terms(curve: ReducibleCurveData):
-    """Coefficient and frequency arrays (3 components x 2 terms each).
+    """Coefficient, frequency and derivative-factor arrays (3 components x 2 terms each).
 
     phi_i = alpha_i * psi_2(x, y, Q_i) collapses to
 
@@ -58,7 +59,9 @@ def _spectral_exp_terms(curve: ReducibleCurveData):
       + pre_i * Aminus_i * e^{i(-a x + (Q_i + b) y)}
 
     with Aplus = (b - gamma)(Q + b)/(Q - gamma) and
-    Aminus = (b + gamma)(Q - b)/(Q - gamma).
+    Aminus = (b + gamma)(Q - b)/(Q - gamma).  F stacks the factors
+    [1, dx, dy, dx^2, dx dy, dy^2] (dx = i P, dy = i Q) that turn the terms
+    into the six jet fields.
     """
     a, b, gamma, d = curve.a, curve.b, curve.gamma, curve.d
     C = np.empty((3, 2), dtype=complex)
@@ -70,27 +73,36 @@ def _spectral_exp_terms(curve: ReducibleCurveData):
         C[i, 1] = pre * (b + gamma) * (Qi - b) / (Qi - gamma)
         P[i] = (a, -a)
         Q[i] = (Qi - b, Qi + b)
-    C.setflags(write=False)
-    P.setflags(write=False)
-    Q.setflags(write=False)
-    return C, P, Q
+    dx = 1j * P
+    dy = 1j * Q
+    F = np.array([np.ones_like(dx), dx, dy, dx * dx, dx * dy, dy * dy])
+    for arr in (C, P, Q, F):
+        arr.setflags(write=False)
+    return C, P, Q, F
 
 
 def spectral_family_jet(curve: ReducibleCurveData, x: float, y: float) -> SurfaceJet:
     """Jet of phi_i = alpha_i * psi_2(x, y, Q_i); derivatives are exact."""
-    C, P, Q = _spectral_exp_terms(curve)
-    t = C * np.exp(1j * (P * x + Q * y))
-    dx = 1j * P
-    dy = 1j * Q
-    return SurfaceJet(
-        x=x, y=y,
-        phi=t.sum(axis=1),
-        phi_x=(dx * t).sum(axis=1),
-        phi_y=(dy * t).sum(axis=1),
-        phi_xx=(dx * dx * t).sum(axis=1),
-        phi_xy=(dx * dy * t).sum(axis=1),
-        phi_yy=(dy * dy * t).sum(axis=1),
-    )
+    C, P, Q, F = _spectral_exp_terms(curve)
+    return SurfaceJet(x, y, *(F * (C * np.exp(1j * (P * x + Q * y)))).sum(axis=-1))
+
+
+@lru_cache(maxsize=64)
+def _cone_terms(m: int, n: int):
+    """Amplitude constants, iq for the y-frequencies q, and the factors
+    [1, 1, iq, 1, iq, -q^2] that turn the amplitude rows (u, u', u, u'', u', u)
+    into the six jet fields."""
+    q = np.array([math.pi * m, math.pi * n, -math.pi * (m + n)])
+    iq = 1j * q
+    W = np.array([np.ones(3), np.ones(3), iq, np.ones(3), iq, -(q * q)], dtype=complex)
+    iq.setflags(write=False)
+    W.setflags(write=False)
+    return (math.sqrt((m + n) / (2 * m + n)), math.sqrt((m + n) / (m + 2 * n)),
+            n / (m + 2 * n), m / (2 * m + n), iq, W)
+
+
+# amplitude row (0: u, 1: u', 2: u'') under each jet field
+_CONE_ROWS = np.array([0, 1, 0, 2, 1, 0])
 
 
 def cone_family_jet(m: int, n: int, x: float, y: float) -> SurfaceJet:
@@ -102,30 +114,15 @@ def cone_family_jet(m: int, n: int, x: float, y: float) -> SurfaceJet:
     """
     if m < 1 or n < 1:
         raise ValueError(f"m, n must be positive integers, got {m}, {n}")
-    k1 = math.sqrt((m + n) / (2 * m + n))
-    k2 = math.sqrt((m + n) / (m + 2 * n))
-    A = n / (m + 2 * n)
-    B = m / (2 * m + n)
+    k1, k2, A, B, iq, W = _cone_terms(m, n)
     sx, cx = math.sin(x), math.cos(x)
     rho = math.sqrt(A * cx * cx + B * sx * sx)  # >= min(A, B) > 0
     s = (B - A) * sx * cx
     rho_p = s / rho
     rho_pp = (B - A) * math.cos(2 * x) / rho - s * s / rho ** 3
-
-    u = np.array([k1 * sx, k2 * cx, rho])
-    u_p = np.array([k1 * cx, -k2 * sx, rho_p])
-    u_pp = np.array([-k1 * sx, -k2 * cx, rho_pp])
-    q = np.array([math.pi * m, math.pi * n, -math.pi * (m + n)])
-    e = np.exp(1j * q * y)
-    return SurfaceJet(
-        x=x, y=y,
-        phi=u * e,
-        phi_x=u_p * e,
-        phi_y=1j * q * u * e,
-        phi_xx=u_pp * e,
-        phi_xy=1j * q * u_p * e,
-        phi_yy=-(q * q) * u * e,
-    )
+    u = np.array([[k1 * sx, k2 * cx, rho], [k1 * cx, -k2 * sx, rho_p],
+                  [-k1 * sx, -k2 * cx, rho_pp]])
+    return SurfaceJet(x, y, *(W * u[_CONE_ROWS] * np.exp(iq * y)))
 
 
 def fd_jet(evaluator, x: float, y: float, h: float) -> SurfaceJet:
@@ -170,16 +167,16 @@ def spectral_metric_field(curve: ReducibleCurveData) -> MetricField:
     a, b, c, d, gi = curve.a, curve.b, curve.c, curve.d, curve.gamma_im
     E0 = a * a  # = |f1|^2 * |c1_exp|
 
-    def f2x(x, y):
-        theta = a * x - b * y
-        return d * a * (-math.sin(theta) + (gi / b) * math.cos(theta))
+    def G(x, y):
+        f2 = f_coefficients(curve, x, y)[1]
+        return c * (f2 * f2)
 
-    return MetricField(
-        E=lambda x, y: E0,
-        G=lambda x, y: c * f_coefficients(curve, x, y)[1] ** 2,
-        E_y=lambda x, y: 0.0,
-        G_x=lambda x, y: 2.0 * c * f_coefficients(curve, x, y)[1] * f2x(x, y),
-    )
+    def G_x(x, y):
+        theta = a * x - b * y
+        f2x = d * a * (-np.sin(theta) + (gi / b) * np.cos(theta))
+        return 2.0 * c * f_coefficients(curve, x, y)[1] * f2x
+
+    return MetricField(E=lambda x, y: E0, G=G, E_y=lambda x, y: 0.0, G_x=G_x)
 
 
 def cone_metric_field(m: int, n: int) -> MetricField:
@@ -190,22 +187,22 @@ def cone_metric_field(m: int, n: int) -> MetricField:
     B = m / (2 * m + n)
     q = (math.pi * m, math.pi * n, math.pi * (m + n))
 
-    def rho_sq(x):
-        return A * math.cos(x) ** 2 + B * math.sin(x) ** 2
-
-    def rho_p_sq(x):
-        return ((B - A) * math.sin(x) * math.cos(x)) ** 2 / rho_sq(x)
+    def rho_sq(c, s):
+        return A * (c * c) + B * (s * s)
 
     def E(x, y):
-        return k1sq * math.cos(x) ** 2 + k2sq * math.sin(x) ** 2 + rho_p_sq(x)
+        c, s = np.cos(x), np.sin(x)
+        rho_p = (B - A) * s * c
+        return k1sq * (c * c) + k2sq * (s * s) + rho_p * rho_p / rho_sq(c, s)
 
     def G(x, y):
-        return (q[0] ** 2 * k1sq * math.sin(x) ** 2
-                + q[1] ** 2 * k2sq * math.cos(x) ** 2
-                + q[2] ** 2 * rho_sq(x))
+        c, s = np.cos(x), np.sin(x)
+        return (q[0] ** 2 * k1sq * (s * s)
+                + q[1] ** 2 * k2sq * (c * c)
+                + q[2] ** 2 * rho_sq(c, s))
 
     def G_x(x, y):
-        s2 = math.sin(2 * x)
+        s2 = np.sin(2 * x)
         return (q[0] ** 2 * k1sq * s2 - q[1] ** 2 * k2sq * s2
                 + q[2] ** 2 * (B - A) * s2)
 

@@ -1,0 +1,316 @@
+"""Chunked grid sweep: the per-point checks of diffgeo on stacked arrays.
+
+The sweep visits the grid in report order (y outer, x inner) in blocks of
+CHUNK points.  For each block it calls the family's point jet at every
+centre and, where the centre angle is accepted, at the four stencil points
+(x + h, y), (x - h, y), (x, y + h), (x, y - h), and copies the six jet fields
+into stacked (n, 3) arrays; no SurfaceJet is kept.  Every check then runs on
+the stacked arrays with the floating-point operations of its scalar oracle
+in diffgeo (np.vecdot for np.vdot, hypot for the abs of one complex number,
+math.remainder rebuilt from np.fmod), so each reduced maximum equals the
+oracles' bit for bit.  The metric, residue and curvature checks call the
+closed forms the oracles call.  CHUNK bounds the memory a sweep holds
+whatever the grid size; the report does not depend on it.
+"""
+
+from __future__ import annotations
+
+import math
+import time
+
+import numpy as np
+
+from .diffgeo import (CONDITION_LIMIT, MIN_STENCIL_NORM, UNITARITY_GATE,
+                      gauss_curvature_masked, residue_identity_defects)
+from .surface_families import Family, MetricField, SurfaceJet, in_degeneracy_tube
+
+CHUNK = 256
+TUBE_RADIUS = 1e-2
+_TWO_PI = 2.0 * math.pi
+
+GRAM_NAMES = ("gram_norm", "gram_phi_phix", "gram_phi_phiy", "gram_phix_phiy")
+METRIC_NAMES = ("metric_E_closed_form", "metric_G_closed_form")
+RESIDUE_NAMES = tuple(f"residue_identity_{k}" for k in range(1, 7))
+FRAME_NAMES = tuple("frame_" + n for n in (
+    "unitarity", "det_unit", "A_antiherm", "B_antiherm", "A_trace",
+    "B_trace", "A_pattern", "B_pattern", "f_real", "h_real"))
+CHRISTOFFEL_NAMES = ("christoffel_b11", "christoffel_b12", "christoffel_b22",
+                     "gradient_identity_x", "gradient_identity_y",
+                     "minimality_im_x", "minimality_im_y")
+ANGLE_NAMES = ("beta_constant",) + CHRISTOFFEL_NAMES + FRAME_NAMES
+SPECTRAL_ANGLE_NAMES = ANGLE_NAMES + ("beta_e2i_plus_one", "curvature_K_minus_1")
+PHASES = ("jets", "metric", "residue", "angle", "christoffel", "frame", "curvature", "reduce")
+
+
+class Timings:
+    """Seconds spent in each sweep phase, from perf_counter laps."""
+
+    def __init__(self):
+        self.seconds = dict.fromkeys(PHASES, 0.0)
+        self._start = self._last = time.perf_counter()
+
+    def lap(self, phase: str) -> None:
+        now = time.perf_counter()
+        self.seconds[phase] += now - self._last
+        self._last = now
+
+    def to_dict(self) -> dict:
+        return {**self.seconds, "total": time.perf_counter() - self._start}
+
+
+def _jets(jet_field, xs, ys, tube_curve=None) -> tuple:
+    """Stacked (6, n, 3) jet fields at the points and, given a spectral curve,
+    which points lie in its degeneracy tube."""
+    out = np.empty((6, len(xs), 3), dtype=complex)
+    tube = np.zeros(len(xs), dtype=bool)
+    for k, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
+        if tube_curve is not None:
+            tube[k] = in_degeneracy_tube(tube_curve, x, y, TUBE_RADIUS)
+        j = jet_field(x, y)
+        out[0, k], out[1, k], out[2, k] = j.phi, j.phi_x, j.phi_y
+        out[3, k], out[4, k], out[5, k] = j.phi_xx, j.phi_xy, j.phi_yy
+    return out, tube
+
+
+def _blocks(family: Family, grid, timer: Timings):
+    """(x, y, tube mask, stacked centre jets) for each block of CHUNK grid points."""
+    xs, ys = grid.xs(), grid.ys()
+    total = grid.nx * grid.ny
+    for start in range(0, total, CHUNK):
+        idx = np.arange(start, min(start + CHUNK, total))
+        x, y = xs[idx % grid.nx], ys[idx // grid.nx]
+        J, tube = _jets(family.jet, x, y, family.curve)
+        timer.lap("jets")
+        yield x, y, tube, J
+
+
+def _abs(z):
+    """abs() of each complex number as Python computes it (np.abs rounds differently)."""
+    return np.hypot(z.real, z.imag)
+
+
+def _norm(v):
+    """np.linalg.norm of each row, bit for bit (norm(axis=-1) rounds differently)."""
+    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+
+
+def _remainder(x, p: float):
+    """math.remainder(x, p) elementwise, bit for bit (np.remainder differs)."""
+    ax = np.abs(x)
+    m = np.fmod(ax, p)
+    c = p - m
+    tie = m - 2.0 * np.fmod(0.5 * (ax - m), p)
+    return np.copysign(1.0, x) * np.where(m < c, m, np.where(m > c, -c, tie))
+
+
+def _py_max(a, b):
+    """Python's max(a, b) elementwise: a unless b > a."""
+    return np.where(b > a, b, a)
+
+
+def _stacked(f, a) -> tuple:
+    """(f over a stack of matrices, mask of the matrices f accepts); f raises
+    LinAlgError for a whole stack when one matrix fails."""
+    try:
+        return f(a), np.ones(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        ok = np.array([_accepts(f, m) for m in a], dtype=bool)
+        return f(np.where(ok[:, None, None], a, np.eye(3))), ok
+
+
+def _accepts(f, m) -> bool:
+    try:
+        f(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _angles(J) -> tuple:
+    """diffgeo.lagrangian_angle of stacked jets: (beta, accepted, |phi_x|, |phi_y|)."""
+    nx, ny = _norm(J[1]), _norm(J[2])
+    det = np.linalg.det(np.stack([J[0], J[1] / nx[:, None], J[2] / ny[:, None]], axis=1))
+    ok = (nx != 0.0) & (ny != 0.0) & ~(np.abs(_abs(det) - 1.0) > UNITARITY_GATE)
+    return np.angle(det), ok, nx, ny
+
+
+def _twisted_frames(J, nx, ny, beta):
+    """diffgeo._twisted_frame of stacked jets: (n, 3, 3)."""
+    tw = np.exp(-0.5j * beta)[:, None]
+    return np.stack([J[0], tw * J[1] / nx[:, None], tw * J[2] / ny[:, None]], axis=1)
+
+
+def _max(values, ok=None):
+    """Max with NaN sticky; a point that failed (ok False) counts as inf."""
+    if ok is not None:
+        values = np.where(ok, values, np.inf)
+    return np.max(values, initial=-np.inf)
+
+
+def _christoffel(J, E, G, nb_beta, nb_ok, h: float) -> dict:
+    """Christoffel, gradient-identity and minimality maxima over stacked centre jets.
+
+    A point fails the group where E or G is zero, the basis (phi_x, phi_y,
+    phi) is ill-conditioned, or a neighbour angle was rejected.
+    """
+    basis = np.stack([J[1], J[2], J[0]], axis=-1)
+    cond, ok = _stacked(np.linalg.cond, basis)
+    ok &= (E != 0.0) & (G != 0.0) & np.isfinite(cond) & (cond <= CONDITION_LIMIT)
+    ok &= nb_ok.all(axis=0)
+    i = np.flatnonzero(ok)
+    J, E, G = J[:, i], E[i], G[i]
+    sol = np.linalg.solve(basis[i], np.stack([J[3], J[4], J[5]], axis=-1))
+    v1x = 2.0 * np.vecdot(J[1], J[3]).real / E
+    v1y = 2.0 * np.vecdot(J[1], J[4]).real / E
+    v2x = 2.0 * np.vecdot(J[2], J[4]).real / G
+    v2y = 2.0 * np.vecdot(J[2], J[5]).real / G
+    bxp, bxm, byp, bym = nb_beta[:, i]
+    bx = _remainder(bxp - bxm, _TWO_PI) / (2.0 * h)
+    by = _remainder(byp - bym, _TWO_PI) / (2.0 * h)
+    trace_x = sol[:, 0, 0] + sol[:, 1, 1]
+    trace_y = sol[:, 0, 1] + sol[:, 1, 2]
+    values = (
+        _abs(sol[:, 2, 0] + E) / E,
+        _abs(sol[:, 2, 1]) / np.sqrt(E * G),
+        _abs(sol[:, 2, 2] + G) / G,
+        _abs(trace_x - (0.5 * (v1x + v2x) + 1j * bx)),
+        _abs(trace_y - (0.5 * (v1y + v2y) + 1j * by)),
+        np.abs(trace_x.imag),
+        np.abs(trace_y.imag),
+    )
+    fail = np.inf if len(i) < len(ok) else -np.inf
+    return {name: max(_max(v), fail) for name, v in zip(CHRISTOFFEL_NAMES, values)}
+
+
+def _frame(J, nx, ny, beta, nbJ, nb_nx, nb_ny, nb_beta, nb_ok, h: float) -> dict:
+    """Frame-defect maxima of diffgeo.stencil_frame over stacked centre jets.
+
+    A point fails the group where a neighbour has |phi_x| or |phi_y| below
+    MIN_STENCIL_NORM or a rejected angle, or where its frame cannot be inverted.
+    """
+    ok = (~(nb_nx < MIN_STENCIL_NORM) & ~(nb_ny < MIN_STENCIL_NORM) & nb_ok).all(axis=0)
+    i = np.flatnonzero(ok)
+    beta = beta[i]
+    Phi = _twisted_frames(J[:, i], nx[i], ny[i], beta)
+    xp, xm, yp, ym = (
+        _twisted_frames(nbJ[:, d, i], nb_nx[d, i], nb_ny[d, i],
+                        beta + _remainder(nb_beta[d, i] - beta, _TWO_PI))
+        for d in range(4))
+    inv, inv_ok = _stacked(np.linalg.inv, Phi)
+    A = (xp - xm) / (2.0 * h) @ inv
+    B = (yp - ym) / (2.0 * h) @ inv
+    eye = np.eye(3)
+    values = (
+        np.abs(Phi @ np.conj(Phi).swapaxes(-1, -2) - eye).max(axis=(1, 2)),
+        _abs(np.linalg.det(Phi) - 1.0),
+        np.abs(A + np.conj(A).swapaxes(-1, -2)).max(axis=(1, 2)),
+        np.abs(B + np.conj(B).swapaxes(-1, -2)).max(axis=(1, 2)),
+        _abs(np.trace(A, axis1=1, axis2=2)),
+        _abs(np.trace(B, axis1=1, axis2=2)),
+        _py_max(_abs(A[:, 0, 2]), _abs(A[:, 2, 0])),
+        _py_max(_abs(B[:, 0, 1]), _abs(B[:, 1, 0])),
+        np.abs(A[:, 1, 1].real),
+        np.abs(B[:, 1, 1].real),
+    )
+    fail = np.inf if len(i) < len(ok) else -np.inf
+    return {name: max(_max(v, inv_ok), fail) for name, v in zip(FRAME_NAMES, values)}
+
+
+def check_maxima(family: Family, grid, h: float, k_field: MetricField) -> tuple:
+    """Masked max of every per-point check over the grid.
+
+    Returns (maxima, excluded, timings): check name -> max defect (NaN
+    sticky, inf where a point failed the check), angle-check name -> tube
+    points excluded, and seconds per phase.  Tube points feed
+    "tube_G_bound" instead of the angle checks.  Raises ValueError when the
+    first point outside the tube has a rejected angle (it fixes the
+    reference angle) or no point lies outside the tube.
+    """
+    curve = family.curve
+    angle_names = ANGLE_NAMES if curve is None else SPECTRAL_ANGLE_NAMES
+    timer = Timings()
+    maxima = {}
+    tube_points = 0
+    beta_ref = None
+
+    for x, y, tube, J in _blocks(family, grid, timer):
+        block = {}
+        with np.errstate(divide="ignore", invalid="ignore"):
+            E = np.sum(np.abs(J[1]) ** 2, axis=-1)
+            G = np.sum(np.abs(J[2]) ** 2, axis=-1)
+            for name, v in zip(GRAM_NAMES, (np.vecdot(J[0], J[0]) - 1.0, np.vecdot(J[1], J[0]),
+                                            np.vecdot(J[2], J[0]), np.vecdot(J[2], J[1]))):
+                block[name] = _max(_abs(v))
+            block["metric_E_closed_form"] = _max(np.abs(E - family.metric.E(x, y)))
+            block["metric_G_closed_form"] = _max(np.abs(G - family.metric.G(x, y)))
+            timer.lap("metric")
+            if curve is not None:
+                defects = residue_identity_defects(curve, SurfaceJet(x, y, *J))
+                block.update(zip(RESIDUE_NAMES, defects.max(axis=1)))
+                timer.lap("residue")
+
+            beta, ok, nx, ny = _angles(J)
+            outside = ~tube
+            if beta_ref is None and outside.any():
+                k = int(np.argmax(outside))
+                if not ok[k]:
+                    raise ValueError("Lagrangian angle rejected at the reference point "
+                                     f"({x[k]}, {y[k]}), the first outside the degeneracy tube")
+                beta_ref = beta[k]
+            act = np.flatnonzero(outside & ok)
+            rejected = np.inf if (outside & ~ok).any() else -np.inf
+            if tube.any():
+                block["tube_G_bound"] = _max(G[tube])
+                tube_points += int(tube.sum())
+            beta_a = beta[act]
+            block["beta_constant"] = _max(np.abs(_remainder(beta_a - beta_ref, family.beta_period)))
+            if curve is not None:
+                block["beta_e2i_plus_one"] = _max(_abs(np.exp(2j * beta_a) + 1.0))
+            timer.lap("angle")
+
+        xa, ya = x[act], y[act]
+        nbJ, _ = _jets(family.jet, np.concatenate([xa + h, xa - h, xa, xa]),
+                       np.concatenate([ya, ya, ya + h, ya - h]))
+        timer.lap("jets")
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nb_beta, nb_ok, nb_nx, nb_ny = (v.reshape(4, len(act)) for v in _angles(nbJ))
+            nbJ = nbJ.reshape(6, 4, len(act), 3)
+            timer.lap("angle")
+            Ja, Ea, Ga = J[:, act], E[act], G[act]
+            if curve is None:
+                # math.log, as diffgeo.metric_from_jet: np.log rounds differently
+                block["metric_anisotropy"] = _max(np.array(
+                    [abs(math.log(e / 2.0) - math.log(g / 2.0)) if e != 0.0 and g != 0.0
+                     else -math.inf for e, g in zip(Ea.tolist(), Ga.tolist())]))
+            block.update(_christoffel(Ja, Ea, Ga, nb_beta, nb_ok, h))
+            timer.lap("christoffel")
+            block.update(_frame(Ja, nx[act], ny[act], beta_a, nbJ, nb_nx, nb_ny,
+                                nb_beta, nb_ok, h))
+            timer.lap("frame")
+            if curve is not None:
+                K, pos = gauss_curvature_masked(k_field, xa, ya, h)
+                block["curvature_K_minus_1"] = _max(np.abs(K - 1.0), pos)
+                timer.lap("curvature")
+
+        for name in angle_names:
+            block[name] = max(block[name], rejected)
+        for name, value in block.items():
+            maxima[name] = np.maximum(maxima.get(name, -np.inf), value)
+        timer.lap("reduce")
+
+    if beta_ref is None:
+        raise ValueError("no grid point outside the degeneracy tube")
+    return maxima, dict.fromkeys(angle_names, tube_points), timer.to_dict()
+
+
+def sample_blocks(family: Family, grid, h: float, k_field: MetricField):
+    """Per block: x, y, phi, E, G, beta and K, and the masks where beta and K
+    are defined (outside the tube; angle accepted; metric positive)."""
+    for x, y, tube, J in _blocks(family, grid, Timings()):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            E = np.sum(np.abs(J[1]) ** 2, axis=-1)
+            G = np.sum(np.abs(J[2]) ** 2, axis=-1)
+            beta, ok, _, _ = _angles(J)
+            K, pos = gauss_curvature_masked(k_field, x, y, h)
+        yield x, y, J[0], E, G, beta, ~tube & ok, K, ~tube & pos

@@ -144,8 +144,10 @@ def riemann_theta(z, B: PeriodMatrix, trunc: LatticeTruncation | None = None) ->
             f"(cap {trunc.term_cap})"
         )
     M = _lattice_points(B.genus, trunc.radius)
-    quad = np.einsum("ni,ij,nj->n", M, B.entries, M)
-    terms = np.exp(1j * math.pi * quad + 2j * math.pi * (M @ z))
+    # a term beyond double range raises FloatingPointError (an ArithmeticError)
+    with np.errstate(over="raise", invalid="raise"):
+        quad = np.einsum("ni,ij,nj->n", M, B.entries, M)
+        terms = np.exp(1j * math.pi * quad + 2j * math.pi * (M @ z))
     return complex(math.fsum(terms.real), math.fsum(terms.imag))
 
 
@@ -165,5 +167,6 @@ def quasi_periodicity_defect(z, m, B: PeriodMatrix,
     Bm = B.entries @ m
     lhs = riemann_theta(z + Bm, B, trunc)
     theta_z = riemann_theta(z, B, trunc)
-    factor = np.exp(-1j * math.pi * (Bm @ m) - 2j * math.pi * (m @ z))
-    return float(abs(lhs - factor * theta_z) / (1.0 + abs(theta_z)))
+    with np.errstate(over="raise", invalid="raise"):
+        factor = np.exp(-1j * math.pi * (Bm @ m) - 2j * math.pi * (m @ z))
+        return float(abs(lhs - factor * theta_z) / (1.0 + abs(theta_z)))

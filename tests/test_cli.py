@@ -4,7 +4,10 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,9 @@ from hypothesis import strategies as st
 from mlsurf.cli import main
 from mlsurf.report import GridSpec, verify_spectral
 from mlsurf.spectral_curve import derive_constants
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(argv):
@@ -85,7 +91,23 @@ def test_verify_json_out(tmp_path, capsys):
             # exclusions only on checks with the tube policy
             assert c["name"].startswith(("beta", "christoffel", "gradient_identity",
                                          "minimality_im", "frame", "curvature"))
-    capsys.readouterr()
+    timings = data["timings"]
+    assert set(timings) == {"jets", "metric", "residue", "angle", "christoffel", "frame",
+                            "curvature", "reduce", "total"}
+    assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
+    assert sum(v for k, v in timings.items() if k != "total") <= timings["total"]
+    assert "timings" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [["verify"], ["sample", "--out", os.devnull]])
+def test_worked_example_writes_nothing_to_stderr(command):
+    # 16x16 puts 32 points in the degeneracy tube, where G is nearly zero and
+    # the sweep masks what it computed; no numpy warning may reach the user
+    proc = subprocess.run([sys.executable, "-m", "mlsurf.cli", *command, *SPHERE,
+                           "--grid", "16x16"], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0
+    assert proc.stderr == ""
 
 
 def test_scenario_file(tmp_path, capsys):
@@ -260,6 +282,11 @@ def test_theta_invalid_input_exits_2(tmp_path, capsys):
     # OverflowError in the automatic radius, mapped to exit 2
     assert run(["theta", "--period-file", str(pm), "--z", "1e300j"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    # theta terms beyond double range: one line naming the overflow, no warning
+    for extra in ([], ["--shift-m", "1"]):
+        assert run(["theta", "--period-file", str(pm), "--z", "0.3+200j", *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "overflow" in err
 
 
 _VALUES = st.sampled_from(["1", "2", "-2", "0.5", "0", "-1", "1e200", "1e-300", "inf",

@@ -1,68 +1,216 @@
+import cmath
+import dataclasses
 import math
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mlsurf.diffgeo import (beta_gradient_fd, christoffel_solve,
-                            frame_and_connection, frame_defects,
-                            gradient_identity_defects, metric_gradients_from_jet)
-from mlsurf.report import TUBE_RADIUS, GridSpec, _MaxAggregator, verify
+from mlsurf import sweep
+from mlsurf.diffgeo import (angle_defect, angle_defect_mod_pi, beta_gradient_fd,
+                            christoffel_b_defects, christoffel_solve, frame_and_connection,
+                            frame_defects, gauss_curvature, gradient_identity_defects,
+                            gram_defects, lagrangian_angle, metric_from_jet,
+                            metric_gradients_from_jet, minimality_defects,
+                            residue_identity_defects)
+from mlsurf.report import GridSpec, sample_rows, verify
 from mlsurf.spectral_curve import derive_constants
 from mlsurf.surface_families import (Family, cone_family, cone_family_jet,
                                      cone_metric_field, in_degeneracy_tube,
                                      spectral_family)
 
+_GRAM = ("gram_norm", "gram_phi_phix", "gram_phi_phiy", "gram_phix_phiy")
+_CHRISTOFFEL = ("christoffel_b11", "christoffel_b12", "christoffel_b22",
+                "gradient_identity_x", "gradient_identity_y", "minimality_im_x", "minimality_im_y")
+_FRAME = tuple("frame_" + n for n in ("unitarity", "det_unit", "A_antiherm", "B_antiherm",
+                                      "A_trace", "B_trace", "A_pattern", "B_pattern",
+                                      "f_real", "h_real"))
 
-def _oracle_maxima(family, grid, h=1e-4):
-    """Max over the grid of the scalar frame and gradient-identity oracles."""
-    worst = {}
-    for y in grid.ys():
-        for x in grid.xs():
-            x, y = float(x), float(y)
-            if family.curve is not None and in_degeneracy_tube(family.curve, x, y, TUBE_RADIUS):
-                continue
-            jet = family.jet(x, y)
-            fr = frame_and_connection(family.jet, x, y, h)
-            point = {"frame_" + k: v for k, v in frame_defects(fr).items()}
-            gx, gy = gradient_identity_defects(christoffel_solve(jet),
-                                               metric_gradients_from_jet(jet),
-                                               beta_gradient_fd(family.jet, x, y, h))
-            point.update(gradient_identity_x=gx, gradient_identity_y=gy)
-            for name, val in point.items():
-                worst[name] = max(worst.get(name, -math.inf), float(val))
-    return worst
+
+def _oracle_maxima(family, grid, h=1e-4, tol_profile="strict"):
+    """Every per-point check of the report, from the scalar diffgeo functions
+    alone, point by point: (name -> NaN-sticky max, name -> excluded points)."""
+    curve = family.curve
+    k_field = family.metric if tol_profile == "strict" else family.metric.without_derivatives()
+    angle_defect_fn = angle_defect_mod_pi if family.beta_period == math.pi else angle_defect
+    worst, excluded = {}, {}
+
+    def see(names, compute):
+        try:
+            values = compute()
+        except ValueError:
+            values = [math.inf] * len(names)
+        for name, value in zip(names, values):
+            old = worst.get(name)
+            if old is None or value > old or math.isnan(value):
+                worst[name] = float(value)
+
+    def in_tube(x, y):
+        return curve is not None and in_degeneracy_tube(curve, x, y, sweep.TUBE_RADIUS)
+
+    points = [(float(x), float(y)) for y in grid.ys() for x in grid.xs()]
+    beta_ref = lagrangian_angle(family.jet(*next(p for p in points if not in_tube(*p))))
+    angle_names = ["beta_constant", *_CHRISTOFFEL, *_FRAME]
+    if curve is not None:
+        angle_names += ["beta_e2i_plus_one", "curvature_K_minus_1"]
+    for x, y in points:
+        jet = family.jet(x, y)
+        md = metric_from_jet(jet)
+        see(_GRAM, lambda: gram_defects(jet))
+        see(["metric_E_closed_form", "metric_G_closed_form"],
+            lambda: [abs(md.E - family.metric.E(x, y)), abs(md.G - family.metric.G(x, y))])
+        if curve is not None:
+            see([f"residue_identity_{k}" for k in range(1, 7)],
+                lambda: residue_identity_defects(curve, jet))
+        if in_tube(x, y):
+            see(["tube_G_bound"], lambda: [md.G])
+            for name in angle_names:
+                excluded[name] = excluded.get(name, 0) + 1
+            continue
+        try:
+            beta = lagrangian_angle(jet)
+        except ValueError:
+            see(angle_names, lambda: [math.inf] * len(angle_names))
+            continue
+        see(["beta_constant"], lambda: [angle_defect_fn(beta, beta_ref)])
+        if curve is None:
+            see(["metric_anisotropy"], lambda: [abs(md.v1 - md.v2)])
+        else:
+            see(["beta_e2i_plus_one"], lambda: [abs(cmath.exp(2j * beta) + 1.0)])
+            see(["curvature_K_minus_1"], lambda: [abs(gauss_curvature(k_field, x, y, h) - 1.0)])
+
+        def christoffel():
+            ch = christoffel_solve(jet)
+            return [*christoffel_b_defects(ch, md),
+                    *gradient_identity_defects(ch, metric_gradients_from_jet(jet),
+                                               beta_gradient_fd(family.jet, x, y, h)),
+                    *minimality_defects(ch)]
+
+        see(_CHRISTOFFEL, christoffel)
+        see(_FRAME, lambda: frame_defects(frame_and_connection(family.jet, x, y, h)).values())
+    return worst, excluded
+
+
+def _assert_report_matches_oracle(family, grid, h=1e-4, tol_profile="strict"):
+    expected, excluded = _oracle_maxima(family, grid, h, tol_profile)
+    report = verify(family, grid, h, tol_profile)
+    got = {c.name: c for c in report.checks if not c.name.startswith("curve_")}
+    assert list(got) == [n for n in got if n in expected] and set(got) == set(expected)
+    for name, value in expected.items():
+        v = got[name].value
+        assert v == value or abs(v - value) <= 1e-13 * abs(value) \
+            or (math.isnan(v) and math.isnan(value)), (name, v, value)
+        assert got[name].excluded_points == excluded.get(name, 0), name
+    return report
+
+
+TUBE_POINTS = spectral_family(derive_constants(1.3, 0.7, 2.1, -0.9))
 
 
 @pytest.mark.parametrize("family", [
     spectral_family(derive_constants(1.0, 1.0, 2.0, 1.0)),
     cone_family(1, 2),
-], ids=["worked-example", "cone-1-2"])
+    TUBE_POINTS,
+    cone_family(3, 4),
+], ids=["worked-example", "cone-1-2", "tube-points", "cone-3-4"])
 def test_report_matches_scalar_oracles(family):
-    # the sweep shares one stencil between frame and beta gradient; its
-    # maxima must equal the scalar oracles that evaluate their own stencils
-    grid = GridSpec(16, 16)
-    expected = _oracle_maxima(family, grid)
-    assert len(expected) == 12
-    report = verify(family, grid)
-    got = {c.name: c.value for c in report.checks if c.name in expected}
-    assert got == expected
+    # the sweep runs every check on stacked arrays; its maxima and exclusion
+    # counts must equal the scalar oracles evaluated point by point
+    report = _assert_report_matches_oracle(family, GridSpec(16, 16))
+    if family is TUBE_POINTS:
+        assert report.checks[-6].name == "tube_G_bound"
+        assert report.checks[0].excluded_points == 0 < report.checks[-7].excluded_points
 
 
-def test_nan_poisons_max_in_either_order():
-    for order in ((0.5, math.nan), (math.nan, 0.5)):
-        agg = _MaxAggregator()
-        for v in order:
-            agg.see("d", v)
-        assert math.isnan(agg.values["d"])
-    agg = _MaxAggregator()
-    agg.see("d", math.nan)
-    agg.fail("d")
-    assert math.isnan(agg.values["d"])
+@pytest.mark.parametrize("chunk", [1, 7, sweep.CHUNK])
+def test_chunk_size_does_not_change_the_output(chunk, monkeypatch):
+    def outputs():
+        grid = GridSpec(16, 16)
+        return ([c.to_dict() for c in verify(TUBE_POINTS, grid).checks],
+                [c.to_dict() for c in verify(cone_family(1, 2), grid, tol_profile="fd").checks],
+                list(sample_rows(TUBE_POINTS, grid, 1e-4)),
+                list(sample_rows(cone_family(2, 1), GridSpec(5, 3), 1e-4, "fd")))
+
+    expected = outputs()
+    monkeypatch.setattr(sweep, "CHUNK", chunk)
+    assert outputs() == expected
+
+
+_SIGN = st.sampled_from([-1.0, 1.0])
+
+
+@given(a=st.floats(0.5, 2.0), b=st.floats(0.5, 2.0), q_gap=st.floats(0.3, 2.0),
+       gamma=st.floats(0.3, 2.0), q_sign=_SIGN, gamma_sign=_SIGN)
+@settings(max_examples=12, deadline=None)
+def test_valid_spectral_parameters_pass(a, b, q_gap, gamma, q_sign, gamma_sign):
+    curve = derive_constants(a, b, q_sign * (b + q_gap), gamma_sign * gamma)
+    report = _assert_report_matches_oracle(spectral_family(curve), GridSpec(8, 8))
+    failed = {c.name: c.value for c in report.checks if not c.passed}
+    # the known spectral-tube-G defect: a fixed 1e-3 bound on G in the tube
+    assert set(failed) <= {"tube_G_bound"} and all(v < 2e-3 for v in failed.values())
+
+
+@given(m=st.integers(1, 6), n=st.integers(1, 6))
+@settings(max_examples=12, deadline=None)
+def test_cone_orders_match_the_oracle(m, n):
+    report = _assert_report_matches_oracle(cone_family(m, n), GridSpec(8, 8))
+    # m + n >= 4 fails frame_B_trace at the default h (the known cone-frame-fd defect)
+    assert report.overall or m + n >= 4
+
+
+_GRID4 = GridSpec(4, 4)
+_X, _Y = float(_GRID4.xs()[1]), float(_GRID4.ys()[2])
+
+
+def _jet_scaled_at(family, point, **scale):
+    def jet(x, y):
+        j = family.jet(x, y)
+        if (x, y) == point:
+            j = dataclasses.replace(j, **{f: getattr(j, f) * s for f, s in scale.items()})
+        return j
+    return dataclasses.replace(family, jet=jet)
+
+
+def _metric_negative_at(family, point):
+    G = family.metric.G
+    metric = dataclasses.replace(
+        family.metric, G=lambda x, y: np.where((x == point[0]) & (y == point[1]), -1.0, G(x, y)))
+    return dataclasses.replace(family, metric=metric)
+
+
+@pytest.mark.parametrize("family, failed, kept", [
+    # |det| = 2 at a grid point: every angle check fails there
+    (_jet_scaled_at(cone_family(1, 2), (_X, _Y), phi=2.0),
+     "beta_constant christoffel_b11 frame_unitarity", "metric_E_closed_form"),
+    # |det| = 2 at a stencil point: its angle is rejected
+    (_jet_scaled_at(cone_family(1, 2), (_X + 1e-4, _Y), phi=2.0),
+     "christoffel_b11 frame_unitarity", "beta_constant"),
+    # |phi_x| < 1e-8 at a stencil point; its angle stands
+    (_jet_scaled_at(cone_family(1, 2), (_X, _Y - 1e-4), phi_x=1e-9),
+     "frame_unitarity frame_B_trace", "christoffel_b11 gradient_identity_y"),
+    # cond(phi_x, phi_y, phi) ~ 1e9 at a grid point; its angle stands
+    (_jet_scaled_at(cone_family(1, 2), (_X, _Y), phi_y=1e-9),
+     "christoffel_b11 minimality_im_y", "beta_constant frame_unitarity"),
+    # G < 0 at a curvature stencil point
+    (_metric_negative_at(spectral_family(derive_constants(1.0, 1.0, 2.0, 1.0)), (_X + 1e-4, _Y)),
+     "curvature_K_minus_1", "frame_unitarity metric_G_closed_form"),
+], ids=["centre-angle", "neighbour-angle", "neighbour-degenerate", "ill-conditioned", "metric-not-positive"])
+def test_failed_points_match_the_oracle(family, failed, kept):
+    report = _assert_report_matches_oracle(family, _GRID4)
+    values = {c.name: c.value for c in report.checks}
+    assert all(values[name] == math.inf for name in failed.split())
+    assert all(values[name] < 1e-6 for name in kept.split())
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_nan_jet_fails_verify():
-    # one interior grid point yields a NaN jet; it is visited after finite ones
-    bad = (float(GridSpec(4, 4).xs()[2]), float(GridSpec(4, 4).ys()[1]))
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_nan_jet_fails_verify(where):
+    # one grid point yields a NaN jet, visited before or after every finite one
+    grid = GridSpec(4, 4)
+    k = 0 if where == "first" else -1
+    bad = (float(grid.xs()[k]), float(grid.ys()[k]))
 
     def jet(x, y):
         j = cone_family_jet(1, 2, x, y)
@@ -72,8 +220,23 @@ def test_nan_jet_fails_verify():
         return j
 
     family = Family("cone", {"m": 1, "n": 2}, jet, cone_metric_field(1, 2), 2.0 * math.pi)
-    report = verify(family, GridSpec(4, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # the sweep masks what NaN touches
+        report = verify(family, grid)
     checks = {c.name: c for c in report.checks}
     assert math.isnan(checks["gram_norm"].value)
     assert not checks["gram_norm"].passed
     assert not report.overall
+    _assert_report_matches_oracle(family, grid)
+
+
+def test_rejected_reference_angle_exits_verify():
+    # the first point outside the tube fixes the reference angle; if its
+    # angle is rejected the sweep cannot run
+    def jet(x, y):
+        j = cone_family_jet(1, 2, x, y)
+        return type(j)(x, y, 2.0 * j.phi, j.phi_x, j.phi_y, j.phi_xx, j.phi_xy, j.phi_yy)
+
+    family = Family("cone", {"m": 1, "n": 2}, jet, cone_metric_field(1, 2), 2.0 * math.pi)
+    with pytest.raises(ValueError, match="reference point"):
+        verify(family, GridSpec(4, 4))
