@@ -85,19 +85,15 @@ def lagrangian_angle(jet: SurfaceJet) -> float:
     return float(np.angle(det))
 
 
-def angle_defect_mod_pi(beta: float, beta_ref: float) -> float:
-    """Distance from beta - beta_ref to the nearest multiple of pi.
+def angle_defect(beta: float, beta_ref: float, period: float) -> float:
+    """Distance from beta - beta_ref to the nearest multiple of period.
 
-    The frame's derivative rows reverse orientation across metric-degeneracy
-    lines, flipping beta by pi; e^{2 i beta} (the quantity the construction
-    pins down) is insensitive to that flip.
+    The period is pi where the frame's derivative rows reverse orientation
+    across metric-degeneracy lines, flipping beta by pi; e^{2 i beta} (the
+    quantity the construction pins down) is insensitive to that flip.
+    Elsewhere it is 2 pi.
     """
-    return abs(math.remainder(beta - beta_ref, math.pi))
-
-
-def angle_defect(beta: float, beta_ref: float) -> float:
-    """Distance from beta - beta_ref to the nearest multiple of 2 pi."""
-    return abs(math.remainder(beta - beta_ref, 2.0 * math.pi))
+    return abs(math.remainder(beta - beta_ref, period))
 
 
 @dataclass(frozen=True)
@@ -196,18 +192,9 @@ def _twisted_frame(jet: SurfaceJet, beta: float) -> np.ndarray:
     ])
 
 
-@dataclass(frozen=True)
-class Stencil:
-    """Jets at (x+h, y), (x-h, y), (x, y+h), (x, y-h) and their Lagrangian
-    angles; an angle is None where lagrangian_angle rejected the jet."""
-
-    h: float
-    jets: tuple
-    betas: tuple
-
-
-def stencil(jet_field, x: float, y: float, h: float) -> Stencil:
-    """Evaluate the four central-difference neighbours of (x, y) once."""
+def _neighbours(jet_field, x: float, y: float, h: float) -> tuple:
+    """Jets at (x + h, y), (x - h, y), (x, y + h), (x, y - h) and their
+    Lagrangian angles; an angle is None where lagrangian_angle rejected the jet."""
     jets = tuple(jet_field(xx, yy) for xx, yy in ((x + h, y), (x - h, y), (x, y + h), (x, y - h)))
     betas = []
     for j in jets:
@@ -215,15 +202,19 @@ def stencil(jet_field, x: float, y: float, h: float) -> Stencil:
             betas.append(lagrangian_angle(j))
         except ValueError:
             betas.append(None)
-    return Stencil(h=h, jets=jets, betas=tuple(betas))
+    return jets, betas
 
 
-def stencil_frame(center: SurfaceJet, beta_c: float, st: Stencil) -> FrameData:
-    """Frame Phi at the centre and A = Phi_x Phi^-1, B = Phi_y Phi^-1 from the stencil.
+def frame_and_connection(jet_field, x: float, y: float, h: float = 1e-4) -> FrameData:
+    """Scalar oracle: the frame Phi at (x, y) and A = Phi_x Phi^-1,
+    B = Phi_y Phi^-1 by central differences with step h.
 
     The neighbour angles are unwrapped to the nearest value of the centre
     angle so the half-angle twist stays continuous.
     """
+    center = jet_field(x, y)
+    beta_c = lagrangian_angle(center)
+
     def frame_at(j, b):
         if np.linalg.norm(j.phi_y) < MIN_STENCIL_NORM or np.linalg.norm(j.phi_x) < MIN_STENCIL_NORM:
             raise ValueError("stencil crosses a degenerate point")
@@ -231,30 +222,13 @@ def stencil_frame(center: SurfaceJet, beta_c: float, st: Stencil) -> FrameData:
             raise ValueError("stencil angle off the unit circle")
         return _twisted_frame(j, beta_c + math.remainder(b - beta_c, 2.0 * math.pi))
 
-    xp, xm, yp, ym = (frame_at(j, b) for j, b in zip(st.jets, st.betas))
+    xp, xm, yp, ym = (frame_at(j, b) for j, b in zip(*_neighbours(jet_field, x, y, h)))
     Phi = _twisted_frame(center, beta_c)
-    Phi_x = (xp - xm) / (2.0 * st.h)
-    Phi_y = (yp - ym) / (2.0 * st.h)
     inv = np.linalg.inv(Phi)
-    A = Phi_x @ inv
-    B = Phi_y @ inv
+    A = (xp - xm) / (2.0 * h) @ inv
+    B = (yp - ym) / (2.0 * h) @ inv
     return FrameData(Phi=Phi, beta=beta_c, A=A, B=B,
                      f=float(A[1, 1].imag), h=float(B[1, 1].imag))
-
-
-def stencil_beta_gradient(st: Stencil) -> tuple:
-    """Central-difference gradient of the Lagrangian angle, unwrapped mod 2 pi."""
-    if None in st.betas:
-        raise ValueError("stencil angle off the unit circle")
-    bxp, bxm, byp, bym = st.betas
-    return (math.remainder(bxp - bxm, 2.0 * math.pi) / (2.0 * st.h),
-            math.remainder(byp - bym, 2.0 * math.pi) / (2.0 * st.h))
-
-
-def frame_and_connection(jet_field, x: float, y: float, h: float = 1e-4) -> FrameData:
-    """Scalar oracle: the frame and connection at (x, y) with step h."""
-    center = jet_field(x, y)
-    return stencil_frame(center, lagrangian_angle(center), stencil(jet_field, x, y, h))
 
 
 def frame_defects(fd: FrameData) -> dict:
@@ -278,8 +252,13 @@ def frame_defects(fd: FrameData) -> dict:
 
 
 def beta_gradient_fd(jet_field, x: float, y: float, h: float = 1e-4) -> tuple:
-    """Scalar oracle: central-difference gradient of the Lagrangian angle."""
-    return stencil_beta_gradient(stencil(jet_field, x, y, h))
+    """Scalar oracle: central-difference gradient of the Lagrangian angle, unwrapped mod 2 pi."""
+    _, betas = _neighbours(jet_field, x, y, h)
+    if None in betas:
+        raise ValueError("stencil angle off the unit circle")
+    bxp, bxm, byp, bym = betas
+    return (math.remainder(bxp - bxm, 2.0 * math.pi) / (2.0 * h),
+            math.remainder(byp - bym, 2.0 * math.pi) / (2.0 * h))
 
 
 def residue_identity_defects(curve: ReducibleCurveData, jet: SurfaceJet) -> np.ndarray:

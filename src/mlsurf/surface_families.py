@@ -252,8 +252,11 @@ def degeneracy_angle(curve: ReducibleCurveData) -> float:
     return math.atan2(-curve.b, curve.gamma_im) % math.pi
 
 
+TUBE_RADIUS = 1e-2  # half-width, in a*x - b*y, of the tube the angle checks exclude
+
+
 def in_degeneracy_tube(curve: ReducibleCurveData, x: float, y: float,
-                       radius: float = 1e-2) -> bool:
+                       radius: float = TUBE_RADIUS) -> bool:
     """Whether a*x - b*y is within radius of a degeneracy line (mod pi)."""
     theta = curve.a * x - curve.b * y
     return abs(math.remainder(theta - degeneracy_angle(curve), math.pi)) < radius

@@ -2,14 +2,15 @@
 
 The sweep visits the grid in report order (y outer, x inner) in blocks of
 CHUNK points.  For each block it calls the family's point jet at every
-centre and, where the centre angle is accepted, at the four stencil points
+centre and, outside the degeneracy tube, at the four stencil points
 (x + h, y), (x - h, y), (x, y + h), (x, y - h), and copies the six jet fields
 into stacked (n, 3) arrays; no SurfaceJet is kept.  Every check then runs on
 the stacked arrays with the floating-point operations of its scalar oracle
 in diffgeo (np.vecdot for np.vdot, hypot for the abs of one complex number,
 math.remainder rebuilt from np.fmod), so each reduced maximum equals the
 oracles' bit for bit.  The metric, residue and curvature checks call the
-closed forms the oracles call.  CHUNK bounds the memory a sweep holds
+closed forms the oracles call.  Each check group returns (values, ok) and
+one accumulator folds them into the maxima.  CHUNK bounds the memory a sweep holds
 whatever the grid size; the report does not depend on it.
 """
 
@@ -25,7 +26,6 @@ from .diffgeo import (CONDITION_LIMIT, MIN_STENCIL_NORM, UNITARITY_GATE,
 from .surface_families import Family, MetricField, SurfaceJet, in_degeneracy_tube
 
 CHUNK = 256
-TUBE_RADIUS = 1e-2
 _TWO_PI = 2.0 * math.pi
 
 GRAM_NAMES = ("gram_norm", "gram_phi_phix", "gram_phi_phiy", "gram_phix_phiy")
@@ -65,7 +65,7 @@ def _jets(jet_field, xs, ys, tube_curve=None) -> tuple:
     tube = np.zeros(len(xs), dtype=bool)
     for k, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
         if tube_curve is not None:
-            tube[k] = in_degeneracy_tube(tube_curve, x, y, TUBE_RADIUS)
+            tube[k] = in_degeneracy_tube(tube_curve, x, y)
         j = jet_field(x, y)
         out[0, k], out[1, k], out[2, k] = j.phi, j.phi_x, j.phi_y
         out[3, k], out[4, k], out[5, k] = j.phi_xx, j.phi_xy, j.phi_yy
@@ -135,41 +135,28 @@ def _angles(J) -> tuple:
 
 
 def _twisted_frames(J, nx, ny, beta):
-    """diffgeo._twisted_frame of stacked jets: (n, 3, 3)."""
-    tw = np.exp(-0.5j * beta)[:, None]
-    return np.stack([J[0], tw * J[1] / nx[:, None], tw * J[2] / ny[:, None]], axis=1)
+    """diffgeo._twisted_frame of stacked jets: (..., 3, 3)."""
+    tw = np.exp(-0.5j * beta)[..., None]
+    return np.stack([J[0], tw * J[1] / nx[..., None], tw * J[2] / ny[..., None]], axis=-2)
 
 
-def _max(values, ok=None):
-    """Max with NaN sticky; a point that failed (ok False) counts as inf."""
-    if ok is not None:
-        values = np.where(ok, values, np.inf)
-    return np.max(values, initial=-np.inf)
-
-
-def _christoffel(J, E, G, nb_beta, nb_ok, h: float) -> dict:
-    """Christoffel, gradient-identity and minimality maxima over stacked centre jets.
-
-    A point fails the group where E or G is zero, the basis (phi_x, phi_y,
-    phi) is ill-conditioned, or a neighbour angle was rejected.
-    """
+def _christoffel(J, E, G, nb_beta, h: float) -> tuple:
+    """Christoffel, gradient-identity and minimality defects over stacked centre
+    jets, and where they hold: E and G nonzero and the basis (phi_x, phi_y,
+    phi) conditioned within CONDITION_LIMIT."""
     basis = np.stack([J[1], J[2], J[0]], axis=-1)
     cond, ok = _stacked(np.linalg.cond, basis)
     ok &= (E != 0.0) & (G != 0.0) & np.isfinite(cond) & (cond <= CONDITION_LIMIT)
-    ok &= nb_ok.all(axis=0)
-    i = np.flatnonzero(ok)
-    J, E, G = J[:, i], E[i], G[i]
-    sol = np.linalg.solve(basis[i], np.stack([J[3], J[4], J[5]], axis=-1))
+    sol = np.linalg.solve(np.where(ok[:, None, None], basis, np.eye(3)),
+                          np.stack([J[3], J[4], J[5]], axis=-1))
     v1x = 2.0 * np.vecdot(J[1], J[3]).real / E
     v1y = 2.0 * np.vecdot(J[1], J[4]).real / E
     v2x = 2.0 * np.vecdot(J[2], J[4]).real / G
     v2y = 2.0 * np.vecdot(J[2], J[5]).real / G
-    bxp, bxm, byp, bym = nb_beta[:, i]
-    bx = _remainder(bxp - bxm, _TWO_PI) / (2.0 * h)
-    by = _remainder(byp - bym, _TWO_PI) / (2.0 * h)
+    bx, by = _remainder(nb_beta[0::2] - nb_beta[1::2], _TWO_PI) / (2.0 * h)
     trace_x = sol[:, 0, 0] + sol[:, 1, 1]
     trace_y = sol[:, 0, 1] + sol[:, 1, 2]
-    values = (
+    return (
         _abs(sol[:, 2, 0] + E) / E,
         _abs(sol[:, 2, 1]) / np.sqrt(E * G),
         _abs(sol[:, 2, 2] + G) / G,
@@ -177,30 +164,21 @@ def _christoffel(J, E, G, nb_beta, nb_ok, h: float) -> dict:
         _abs(trace_y - (0.5 * (v1y + v2y) + 1j * by)),
         np.abs(trace_x.imag),
         np.abs(trace_y.imag),
-    )
-    fail = np.inf if len(i) < len(ok) else -np.inf
-    return {name: max(_max(v), fail) for name, v in zip(CHRISTOFFEL_NAMES, values)}
+    ), ok
 
 
-def _frame(J, nx, ny, beta, nbJ, nb_nx, nb_ny, nb_beta, nb_ok, h: float) -> dict:
-    """Frame-defect maxima of diffgeo.stencil_frame over stacked centre jets.
-
-    A point fails the group where a neighbour has |phi_x| or |phi_y| below
-    MIN_STENCIL_NORM or a rejected angle, or where its frame cannot be inverted.
-    """
-    ok = (~(nb_nx < MIN_STENCIL_NORM) & ~(nb_ny < MIN_STENCIL_NORM) & nb_ok).all(axis=0)
-    i = np.flatnonzero(ok)
-    beta = beta[i]
-    Phi = _twisted_frames(J[:, i], nx[i], ny[i], beta)
-    xp, xm, yp, ym = (
-        _twisted_frames(nbJ[:, d, i], nb_nx[d, i], nb_ny[d, i],
-                        beta + _remainder(nb_beta[d, i] - beta, _TWO_PI))
-        for d in range(4))
-    inv, inv_ok = _stacked(np.linalg.inv, Phi)
+def _frame(J, nx, ny, beta, nbJ, nb_nx, nb_ny, nb_beta, h: float) -> tuple:
+    """Frame defects of diffgeo.frame_and_connection over stacked centre jets,
+    and where they hold: |phi_x| and |phi_y| at least MIN_STENCIL_NORM at
+    every neighbour and the frame invertible."""
+    Phi = _twisted_frames(J, nx, ny, beta)
+    xp, xm, yp, ym = _twisted_frames(nbJ, nb_nx, nb_ny, beta + _remainder(nb_beta - beta, _TWO_PI))
+    inv, ok = _stacked(np.linalg.inv, Phi)
+    ok &= (~(nb_nx < MIN_STENCIL_NORM) & ~(nb_ny < MIN_STENCIL_NORM)).all(axis=0)
     A = (xp - xm) / (2.0 * h) @ inv
     B = (yp - ym) / (2.0 * h) @ inv
     eye = np.eye(3)
-    values = (
+    return (
         np.abs(Phi @ np.conj(Phi).swapaxes(-1, -2) - eye).max(axis=(1, 2)),
         _abs(np.linalg.det(Phi) - 1.0),
         np.abs(A + np.conj(A).swapaxes(-1, -2)).max(axis=(1, 2)),
@@ -211,9 +189,7 @@ def _frame(J, nx, ny, beta, nbJ, nb_nx, nb_ny, nb_beta, nb_ok, h: float) -> dict
         _py_max(_abs(B[:, 0, 1]), _abs(B[:, 1, 0])),
         np.abs(A[:, 1, 1].real),
         np.abs(B[:, 1, 1].real),
-    )
-    fail = np.inf if len(i) < len(ok) else -np.inf
-    return {name: max(_max(v, inv_ok), fail) for name, v in zip(FRAME_NAMES, values)}
+    ), ok
 
 
 def check_maxima(family: Family, grid, h: float, k_field: MetricField) -> tuple:
@@ -227,46 +203,48 @@ def check_maxima(family: Family, grid, h: float, k_field: MetricField) -> tuple:
     reference angle) or no point lies outside the tube.
     """
     curve = family.curve
-    angle_names = ANGLE_NAMES if curve is None else SPECTRAL_ANGLE_NAMES
     timer = Timings()
     maxima = {}
     tube_points = 0
     beta_ref = None
 
+    def fold(phase, names, values, ok=True):
+        # NaN-sticky running max in which a point where ok is False counts as inf
+        timer.lap(phase)
+        for name, v in zip(names, values):
+            maxima[name] = np.maximum(maxima.get(name, -np.inf),
+                                      np.max(np.where(ok, v, np.inf), initial=-np.inf))
+        timer.lap("reduce")
+
     for x, y, tube, J in _blocks(family, grid, timer):
-        block = {}
         with np.errstate(divide="ignore", invalid="ignore"):
             E = np.sum(np.abs(J[1]) ** 2, axis=-1)
             G = np.sum(np.abs(J[2]) ** 2, axis=-1)
-            for name, v in zip(GRAM_NAMES, (np.vecdot(J[0], J[0]) - 1.0, np.vecdot(J[1], J[0]),
-                                            np.vecdot(J[2], J[0]), np.vecdot(J[2], J[1]))):
-                block[name] = _max(_abs(v))
-            block["metric_E_closed_form"] = _max(np.abs(E - family.metric.E(x, y)))
-            block["metric_G_closed_form"] = _max(np.abs(G - family.metric.G(x, y)))
-            timer.lap("metric")
+            fold("metric", GRAM_NAMES, map(_abs, (np.vecdot(J[0], J[0]) - 1.0, np.vecdot(J[1], J[0]),
+                                                  np.vecdot(J[2], J[0]), np.vecdot(J[2], J[1]))))
+            fold("metric", METRIC_NAMES, (np.abs(E - family.metric.E(x, y)),
+                                          np.abs(G - family.metric.G(x, y))))
             if curve is not None:
-                defects = residue_identity_defects(curve, SurfaceJet(x, y, *J))
-                block.update(zip(RESIDUE_NAMES, defects.max(axis=1)))
-                timer.lap("residue")
+                fold("residue", RESIDUE_NAMES, residue_identity_defects(curve, SurfaceJet(x, y, *J)))
 
-            beta, ok, nx, ny = _angles(J)
-            outside = ~tube
-            if beta_ref is None and outside.any():
-                k = int(np.argmax(outside))
-                if not ok[k]:
+            beta, accepted, nx, ny = _angles(J)
+            if beta_ref is None and not tube.all():
+                k = int(np.argmin(tube))
+                if not accepted[k]:
                     raise ValueError("Lagrangian angle rejected at the reference point "
                                      f"({x[k]}, {y[k]}), the first outside the degeneracy tube")
                 beta_ref = beta[k]
-            act = np.flatnonzero(outside & ok)
-            rejected = np.inf if (outside & ~ok).any() else -np.inf
             if tube.any():
-                block["tube_G_bound"] = _max(G[tube])
+                fold("angle", ["tube_G_bound"], [G[tube]])
                 tube_points += int(tube.sum())
-            beta_a = beta[act]
-            block["beta_constant"] = _max(np.abs(_remainder(beta_a - beta_ref, family.beta_period)))
+            # the angle checks run at the points outside the tube and fail
+            # wherever the centre angle was rejected
+            act = np.flatnonzero(~tube)
+            centre_ok, beta_a = accepted[act], beta[act]
+            fold("angle", ["beta_constant"],
+                 [np.abs(_remainder(beta_a - beta_ref, family.beta_period))], centre_ok)
             if curve is not None:
-                block["beta_e2i_plus_one"] = _max(_abs(np.exp(2j * beta_a) + 1.0))
-            timer.lap("angle")
+                fold("angle", ["beta_e2i_plus_one"], [_abs(np.exp(2j * beta_a) + 1.0)], centre_ok)
 
         xa, ya = x[act], y[act]
         nbJ, _ = _jets(family.jet, np.concatenate([xa + h, xa - h, xa, xa]),
@@ -276,31 +254,25 @@ def check_maxima(family: Family, grid, h: float, k_field: MetricField) -> tuple:
         with np.errstate(divide="ignore", invalid="ignore"):
             nb_beta, nb_ok, nb_nx, nb_ny = (v.reshape(4, len(act)) for v in _angles(nbJ))
             nbJ = nbJ.reshape(6, 4, len(act), 3)
+            angles_ok = centre_ok & nb_ok.all(axis=0)
             timer.lap("angle")
             Ja, Ea, Ga = J[:, act], E[act], G[act]
             if curve is None:
                 # math.log, as diffgeo.metric_from_jet: np.log rounds differently
-                block["metric_anisotropy"] = _max(np.array(
-                    [abs(math.log(e / 2.0) - math.log(g / 2.0)) if e != 0.0 and g != 0.0
-                     else -math.inf for e, g in zip(Ea.tolist(), Ga.tolist())]))
-            block.update(_christoffel(Ja, Ea, Ga, nb_beta, nb_ok, h))
-            timer.lap("christoffel")
-            block.update(_frame(Ja, nx[act], ny[act], beta_a, nbJ, nb_nx, nb_ny,
-                                nb_beta, nb_ok, h))
-            timer.lap("frame")
+                fold("christoffel", ["metric_anisotropy"], [np.array(
+                    [abs(math.log(e / 2.0) - math.log(g / 2.0)) if c and e != 0.0 and g != 0.0
+                     else -math.inf for e, g, c in zip(Ea.tolist(), Ga.tolist(), centre_ok)])])
+            values, ok = _christoffel(Ja, Ea, Ga, nb_beta, h)
+            fold("christoffel", CHRISTOFFEL_NAMES, values, ok & angles_ok)
+            values, ok = _frame(Ja, nx[act], ny[act], beta_a, nbJ, nb_nx, nb_ny, nb_beta, h)
+            fold("frame", FRAME_NAMES, values, ok & angles_ok)
             if curve is not None:
                 K, pos = gauss_curvature_masked(k_field, xa, ya, h)
-                block["curvature_K_minus_1"] = _max(np.abs(K - 1.0), pos)
-                timer.lap("curvature")
-
-        for name in angle_names:
-            block[name] = max(block[name], rejected)
-        for name, value in block.items():
-            maxima[name] = np.maximum(maxima.get(name, -np.inf), value)
-        timer.lap("reduce")
+                fold("curvature", ["curvature_K_minus_1"], [np.abs(K - 1.0)], pos & centre_ok)
 
     if beta_ref is None:
         raise ValueError("no grid point outside the degeneracy tube")
+    angle_names = ANGLE_NAMES if curve is None else SPECTRAL_ANGLE_NAMES
     return maxima, dict.fromkeys(angle_names, tube_points), timer.to_dict()
 
 

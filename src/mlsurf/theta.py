@@ -21,19 +21,18 @@ _TAIL_DIGITS = 14.0
 
 
 class TruncationCapError(ValueError):
-    """Lattice truncation would exceed the configured term cap."""
+    """Lattice truncation would exceed DEFAULT_TERM_CAP terms."""
 
 
 @dataclass(frozen=True)
 class LatticeTruncation:
     """Summation box: lattice vectors m with |m|_inf <= radius.
 
-    The cardinality (2*radius + 1)^g is checked against term_cap before any
-    work is done.
+    The cardinality (2*radius + 1)^g is checked against DEFAULT_TERM_CAP
+    before any work is done.
     """
 
     radius: int
-    term_cap: int = DEFAULT_TERM_CAP
 
     def __post_init__(self):
         if self.radius < 1:
@@ -98,12 +97,13 @@ def read_period_matrix(path) -> PeriodMatrix:
 
 @lru_cache(maxsize=32)
 def _lattice_points(genus: int, radius: int) -> np.ndarray:
-    """Integer vectors with |m|_inf <= radius, sorted by shell then lexicographically."""
+    """Integer vectors with |m|_inf <= radius, in lexicographic order.
+
+    The order is arbitrary: riemann_theta sums exactly, so no term order can
+    change a value.
+    """
     axis = np.arange(-radius, radius + 1)
     M = np.stack(np.meshgrid(*([axis] * genus), indexing="ij"), axis=-1).reshape(-1, genus)
-    shell = np.abs(M).max(axis=1)
-    order = np.lexsort(tuple(M[:, k] for k in reversed(range(genus))) + (shell,))
-    M = M[order]
     M.setflags(write=False)
     return M
 
@@ -129,20 +129,19 @@ def riemann_theta(z, B: PeriodMatrix, trunc: LatticeTruncation | None = None) ->
     """Evaluate theta(z) = sum_m exp(pi*i*(B m, m) + 2*pi*i*(m, z)).
 
     z is a complex vector of length B.genus.  When trunc is None the radius is
-    chosen by default_radius.  Accumulation uses math.fsum on the real and
-    imaginary parts, so the value is exactly rounded and independent of term
-    order.
+    chosen by default_radius; a box of more than DEFAULT_TERM_CAP terms raises
+    TruncationCapError.  Accumulation uses math.fsum on the real and imaginary
+    parts, so the value is exactly rounded and independent of term order
+    (the lattice points come in no particular order).
     """
     z = np.asarray(z, dtype=complex)
     if z.shape != (B.genus,):
         raise ValueError(f"z has shape {z.shape}, expected ({B.genus},)")
     if trunc is None:
         trunc = LatticeTruncation(default_radius(z, B))
-    if trunc.n_terms(B.genus) > trunc.term_cap:
+    if trunc.n_terms(B.genus) > DEFAULT_TERM_CAP:
         raise TruncationCapError(
-            f"radius {trunc.radius} needs {trunc.n_terms(B.genus)} terms "
-            f"(cap {trunc.term_cap})"
-        )
+            f"radius {trunc.radius} needs {trunc.n_terms(B.genus)} terms (cap {DEFAULT_TERM_CAP})")
     M = _lattice_points(B.genus, trunc.radius)
     # a term beyond double range raises FloatingPointError (an ArithmeticError)
     with np.errstate(over="raise", invalid="raise"):

@@ -264,7 +264,7 @@ def test_criterion_10_cone_family():
             jet = cone_family_jet(1, 2, x, y)
             worst_gram = max(worst_gram, float(np.max(gram_defects(jet))))
             worst_beta = max(worst_beta,
-                             angle_defect(lagrangian_angle(jet), beta_ref))
+                             angle_defect(lagrangian_angle(jet), beta_ref, 2.0 * math.pi))
             md = metric_from_jet(jet)
             worst_v = max(worst_v, abs(md.v1 - md.v2))
     assert worst_gram < 1e-10

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mlsurf.diffgeo import (angle_defect_mod_pi, beta_gradient_fd,
+from mlsurf.diffgeo import (angle_defect, beta_gradient_fd,
                             christoffel_b_defects, christoffel_residual,
                             christoffel_solve, frame_and_connection,
                             frame_defects, gauss_curvature, gram_defects,
@@ -110,7 +110,7 @@ def test_lagrangian_angle_sphere(sphere_curve):
         assert abs(cmath.exp(2j * beta) + 1.0) < 1e-12
         vals.append(beta)
     ref = vals[0]
-    assert max(angle_defect_mod_pi(b, ref) for b in vals) < 1e-10
+    assert max(angle_defect(b, ref, math.pi) for b in vals) < 1e-10
 
 
 def test_lagrangian_angle_cone_constant():

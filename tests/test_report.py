@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlsurf import sweep
-from mlsurf.diffgeo import (angle_defect, angle_defect_mod_pi, beta_gradient_fd,
+from mlsurf.diffgeo import (angle_defect, beta_gradient_fd,
                             christoffel_b_defects, christoffel_solve, frame_and_connection,
                             frame_defects, gauss_curvature, gradient_identity_defects,
                             gram_defects, lagrangian_angle, metric_from_jet,
@@ -17,7 +17,7 @@ from mlsurf.diffgeo import (angle_defect, angle_defect_mod_pi, beta_gradient_fd,
                             residue_identity_defects)
 from mlsurf.report import GridSpec, sample_rows, verify
 from mlsurf.spectral_curve import derive_constants
-from mlsurf.surface_families import (Family, cone_family, cone_family_jet,
+from mlsurf.surface_families import (TUBE_RADIUS, Family, cone_family, cone_family_jet,
                                      cone_metric_field, in_degeneracy_tube,
                                      spectral_family)
 
@@ -34,7 +34,6 @@ def _oracle_maxima(family, grid, h=1e-4, tol_profile="strict"):
     alone, point by point: (name -> NaN-sticky max, name -> excluded points)."""
     curve = family.curve
     k_field = family.metric if tol_profile == "strict" else family.metric.without_derivatives()
-    angle_defect_fn = angle_defect_mod_pi if family.beta_period == math.pi else angle_defect
     worst, excluded = {}, {}
 
     def see(names, compute):
@@ -48,7 +47,7 @@ def _oracle_maxima(family, grid, h=1e-4, tol_profile="strict"):
                 worst[name] = float(value)
 
     def in_tube(x, y):
-        return curve is not None and in_degeneracy_tube(curve, x, y, sweep.TUBE_RADIUS)
+        return curve is not None and in_degeneracy_tube(curve, x, y, TUBE_RADIUS)
 
     points = [(float(x), float(y)) for y in grid.ys() for x in grid.xs()]
     beta_ref = lagrangian_angle(family.jet(*next(p for p in points if not in_tube(*p))))
@@ -74,7 +73,7 @@ def _oracle_maxima(family, grid, h=1e-4, tol_profile="strict"):
         except ValueError:
             see(angle_names, lambda: [math.inf] * len(angle_names))
             continue
-        see(["beta_constant"], lambda: [angle_defect_fn(beta, beta_ref)])
+        see(["beta_constant"], lambda: [angle_defect(beta, beta_ref, family.beta_period)])
         if curve is None:
             see(["metric_anisotropy"], lambda: [abs(md.v1 - md.v2)])
         else:
@@ -196,7 +195,18 @@ def _metric_negative_at(family, point):
     # G < 0 at a curvature stencil point
     (_metric_negative_at(spectral_family(derive_constants(1.0, 1.0, 2.0, 1.0)), (_X + 1e-4, _Y)),
      "curvature_K_minus_1", "frame_unitarity metric_G_closed_form"),
-], ids=["centre-angle", "neighbour-angle", "neighbour-degenerate", "ill-conditioned", "metric-not-positive"])
+    # |det| = 2 at a spectral grid point: K = 1 is an angle check too
+    (_jet_scaled_at(spectral_family(derive_constants(1.0, 1.0, 2.0, 1.0)), (_X, _Y), phi=2.0),
+     "beta_constant beta_e2i_plus_one curvature_K_minus_1 frame_unitarity", "metric_G_closed_form"),
+    # |det| = 2 and a large |phi_x| at a grid point: no anisotropy is read there
+    (_jet_scaled_at(cone_family(1, 2), (_X, _Y), phi=2.0, phi_x=1e3),
+     "beta_constant christoffel_b11 frame_unitarity", "metric_G_closed_form"),
+    # phi = 0 at a grid point: det 0 rejects the angle, the basis and the frame are singular
+    (_jet_scaled_at(cone_family(1, 2), (_X, _Y), phi=0.0),
+     "beta_constant christoffel_b11 frame_unitarity", "metric_E_closed_form metric_G_closed_form"),
+], ids=["centre-angle", "neighbour-angle", "neighbour-degenerate", "ill-conditioned",
+        "metric-not-positive", "centre-angle-spectral", "centre-angle-anisotropy",
+        "singular-basis"])
 def test_failed_points_match_the_oracle(family, failed, kept):
     report = _assert_report_matches_oracle(family, _GRID4)
     values = {c.name: c.value for c in report.checks}

@@ -4,6 +4,7 @@ from mpmath import mp, mpc
 from mpmath import exp as mpexp
 from mpmath import pi as mppi
 
+from mlsurf import theta
 from mlsurf.theta import (LatticeTruncation, PeriodMatrix, TruncationCapError,
                           default_radius, quasi_periodicity_defect,
                           read_period_matrix, riemann_theta)
@@ -120,7 +121,7 @@ def test_dimension_mismatch_rejected():
 def test_truncation_cap():
     B = PeriodMatrix(1j * np.eye(3))
     with pytest.raises(TruncationCapError):
-        riemann_theta(np.zeros(3), B, LatticeTruncation(radius=100, term_cap=1000))
+        riemann_theta(np.zeros(3), B, LatticeTruncation(radius=100))
     with pytest.raises(ValueError):
         LatticeTruncation(0)
 
@@ -151,6 +152,25 @@ def test_riemann_theta_deterministic_and_order_independent():
     # widening the box only adds terms below roundoff once converged
     v3 = riemann_theta(z, B, LatticeTruncation(12))
     assert abs(v1 - v3) < 1e-13 * (1 + abs(v3))
+
+
+def test_lattice_order_does_not_change_theta(monkeypatch):
+    # math.fsum is exactly rounded, so the order in which _lattice_points
+    # lists the box cannot change a theta value or a defect by one bit
+    rng = np.random.default_rng(5)
+    cases = []
+    for g in (1, 2, 3, 4):
+        z = rng.uniform(-1.0, 1.0, g) + 0.2j * rng.uniform(-1.0, 1.0, g)
+        cases.append((z, rng.integers(-1, 2, g), rng_period_matrix(rng, g)))
+
+    def values():
+        return [(riemann_theta(z, B), quasi_periodicity_defect(z, m, B, LatticeTruncation(6)))
+                for z, m, B in cases]
+
+    expected = values()
+    lattice = theta._lattice_points
+    monkeypatch.setattr(theta, "_lattice_points", lambda g, r: lattice(g, r)[::-1])
+    assert values() == expected
 
 
 def test_read_period_matrix_roundtrip(tmp_path):
