@@ -287,6 +287,21 @@ def test_theta_invalid_input_exits_2(tmp_path, capsys):
         assert run(["theta", "--period-file", str(pm), "--z", "0.3+200j", *extra]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "overflow" in err
+    # Im z . Y^{-1} Im z beyond double range, with an explicit radius
+    pm2 = tmp_path / "pm2.txt"
+    pm2.write_text("2\n1j 0.1\n0.1 1j\n")
+    assert run(["theta", "--period-file", str(pm2), "--z", "0.1+1e300j,0", "--radius", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "overflow" in err
+    # a non-finite z or period-matrix entry: one line, never a NaN value
+    for z, extra in (("nan,0", []), ("nanj,0", []), ("nanj,0", ["--radius", "3"]),
+                     ("infj,0", [])):
+        assert run(["theta", "--period-file", str(pm2), "--z", z, *extra]) == 2
+        assert capsys.readouterr().err == "error: z must be finite\n"
+    for rows in ("1j nan\n0.1 1j\n", "1j 0.1\n0.1 infj\n"):
+        pm2.write_text("2\n" + rows)
+        assert run(["theta", "--period-file", str(pm2), "--z", "0,0"]) == 2
+        assert capsys.readouterr().err == "error: period matrix entries must be finite\n"
 
 
 _VALUES = st.sampled_from(["1", "2", "-2", "0.5", "0", "-1", "1e200", "1e-300", "inf",

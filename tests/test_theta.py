@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from mpmath import mp, mpc
@@ -155,22 +157,81 @@ def test_riemann_theta_deterministic_and_order_independent():
 
 
 def test_lattice_order_does_not_change_theta(monkeypatch):
-    # math.fsum is exactly rounded, so the order in which _lattice_points
-    # lists the box cannot change a theta value or a defect by one bit
+    # math.fsum is exactly rounded, so the order in which _ellipsoid_points
+    # lists the kept points cannot change a theta value or a defect by one bit.
+    # Terms are summed largest first; with Im z = 0 the terms of m and -m have
+    # equal moduli, so their order still follows the listing
     rng = np.random.default_rng(5)
     cases = []
     for g in (1, 2, 3, 4):
-        z = rng.uniform(-1.0, 1.0, g) + 0.2j * rng.uniform(-1.0, 1.0, g)
-        cases.append((z, rng.integers(-1, 2, g), rng_period_matrix(rng, g)))
+        for im in (0.2, 0.0):
+            z = rng.uniform(-1.0, 1.0, g) + im * 1j * rng.uniform(-1.0, 1.0, g)
+            cases.append((z, rng.integers(-1, 2, g), rng_period_matrix(rng, g)))
 
     def values():
         return [(riemann_theta(z, B), quasi_periodicity_defect(z, m, B, LatticeTruncation(6)))
                 for z, m, B in cases]
 
     expected = values()
-    lattice = theta._lattice_points
-    monkeypatch.setattr(theta, "_lattice_points", lambda g, r: lattice(g, r)[::-1])
+    points = theta._ellipsoid_points
+    monkeypatch.setattr(theta, "_ellipsoid_points", lambda z, B, r: points(z, B, r)[::-1])
     assert values() == expected
+
+
+def _box_terms(z, B, radius):
+    """Every term of the box |m|_inf <= radius, computed as riemann_theta computes a term."""
+    axis = np.arange(-radius, radius + 1)
+    M = np.stack(np.meshgrid(*([axis] * B.genus), indexing="ij"), axis=-1).reshape(-1, B.genus)
+    quad = np.einsum("ni,ij,nj->n", M, B.entries, M)
+    return M, np.exp(1j * math.pi * quad + 2j * math.pi * (M @ z))
+
+
+def test_omitted_box_terms_are_exact_zeros():
+    # theta sums only the box points whose exponent can give a nonzero term;
+    # every other term of the box must be exactly 0.0, so that the value is
+    # bit for bit the sum over the whole box
+    rng = np.random.default_rng(17)
+    omitted = 0
+    for k in range(24):
+        g = 1 + k % 4
+        A = rng.normal(size=(g, g))
+        X = rng.uniform(-0.5, 0.5, size=(g, g))
+        B = PeriodMatrix((X + X.T) / 2 + 1j * (0.8 * np.eye(g) + A @ A.T))
+        z = rng.uniform(-0.5, 0.5, g) + 1j * rng.uniform(-0.3, 0.3, g)
+        m = rng.integers(-1, 2, g)
+        radius = (None, 3, 5)[k % 3]
+        trunc = LatticeTruncation(radius) if radius else None
+        for w in (z, z + B.entries @ m):
+            R = radius or default_radius(w, B)
+            if (2 * R + 1) ** g > 200_000:
+                continue
+            M, terms = _box_terms(w, B, R)
+            with np.errstate(over="raise"):
+                rows = theta._ellipsoid_points(w, B, R).tolist()
+            kept = set(map(tuple, rows))
+            box = list(map(tuple, M.tolist()))
+            assert len(kept) == len(rows) and kept <= set(box)
+            out = np.array([row not in kept for row in box])
+            assert np.all(terms[out] == 0.0)
+            omitted += int(out.sum())
+            full = complex(math.fsum(terms.real), math.fsum(terms.imag))
+            value = riemann_theta(w, B, trunc)
+            assert (value.real.hex(), value.imag.hex()) == (full.real.hex(), full.imag.hex())
+    assert omitted > 0
+
+
+def test_non_finite_input_rejected():
+    B = PeriodMatrix([[1j, 0.1], [0.1, 1j]])
+    for z in ([np.nan, 0.0], [complex(0.0, np.nan), 0.0], [0.0, complex(0.0, np.inf)]):
+        with pytest.raises(ValueError, match="z must be finite"):
+            riemann_theta(np.array(z), B, LatticeTruncation(3))
+        with pytest.raises(ValueError, match="z must be finite"):
+            riemann_theta(np.array(z), B)
+    for bad in (np.nan, complex(0.0, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            PeriodMatrix([[1j, bad], [0.1, 1j]])
+        with pytest.raises(ValueError, match="finite"):
+            PeriodMatrix([[1j, 0.1], [bad, 1j]])
 
 
 def test_read_period_matrix_roundtrip(tmp_path):
