@@ -153,7 +153,7 @@ def _cmd_theta(args) -> int:
     print(f"theta = {val.real:.17g}{val.imag:+.17g}j")
     if args.shift_m:
         m = np.array([int(tok) for tok in args.shift_m.split(",") if tok.strip()])
-        defect = quasi_periodicity_defect(z, m, B, trunc)
+        defect = quasi_periodicity_defect(z, m, B, trunc, val)
         print(f"quasi_periodicity_defect = {defect:.17g}")
     return 0
 

@@ -12,6 +12,15 @@ enumeration (Fincke and Pohst, Math. Comp. 44 (1985) 463-471; Deconinck et al.,
 Math. Comp. 73 (2004) 1417-1442).  Every other box term is exactly 0.0, each
 kept term rounds the same whatever terms surround it, and math.fsum is
 exactly rounded, so a value is bit for bit the sum over the whole box.
+
+The floor ellipsoid still keeps every term down to exp(-760), while the value
+is decided by the few within exp(-SPREAD) of the largest.  So the sum is first
+taken over a small ellipsoid around the Babai point, and the terms it omits
+are bounded by the Gaussian lattice tail bound of Deconinck et al.  When that
+bound plus the rounding residual of the small sum is below half the gap from
+the sum to its neighbouring doubles, the whole box rounds to the same double,
+and the small sum is returned.  Otherwise the floor ellipsoid is summed.
+Either way the value is bit for bit the floor sum.
 """
 
 from __future__ import annotations
@@ -33,6 +42,9 @@ EXPONENT_FLOOR = -760.0
 # automatically: exp(-pi*lam_min*R^2) * exp(2*pi*|Im z|*R*g) < 1e-14
 _TAIL_DIGITS = 14.0
 
+# the small ellipsoid keeps the terms within exp(-SPREAD) of the Babai point's
+SPREAD = 100.0
+
 
 class TruncationCapError(ValueError):
     """Lattice truncation would exceed DEFAULT_TERM_CAP terms."""
@@ -51,9 +63,6 @@ class LatticeTruncation:
     def __post_init__(self):
         if self.radius < 1:
             raise ValueError(f"truncation radius must be >= 1, got {self.radius}")
-
-    def n_terms(self, genus: int) -> int:
-        return (2 * self.radius + 1) ** genus
 
 
 class PeriodMatrix:
@@ -129,34 +138,116 @@ def default_radius(z, B: PeriodMatrix) -> int:
     tail = _TAIL_DIGITS * math.log(10.0)
     lin = 2.0 * math.pi * imz * g
     root = (lin + math.sqrt(lin * lin + 4.0 * math.pi * lam * tail)) / (2.0 * math.pi * lam)
+    if not math.isfinite(root):
+        raise ValueError(f"|Im z| = {imz:g} is too large for an automatic radius; "
+                         "give one with --radius")
     return max(1, math.ceil(root))
 
 
-def _ellipsoid_points(z: np.ndarray, B: PeriodMatrix, radius: int) -> np.ndarray:
-    """Box points |m|_inf <= radius whose term has real exponent >= EXPONENT_FLOOR.
+def _tail_bound(g: int, r: float, rho: float, q: float) -> float:
+    """Upper bound on the sum of exp(-pi*(|u|^2 - q)) over the points u, |u| > rho,
+    of any translate of a g-dimensional lattice whose packing radius is r.
+
+    The balls of radius r around the points are disjoint, which gives
+    (Deconinck et al. 2004) the bound
+    (g / r^g) * int_a^inf (w + r)^(g-1) exp(-pi*(w^2 - q)) dw with a = rho - 2r > 0.
+    With I_k the integral of w^k: I_1 = e/(2 pi), I_k = a^(k-1) e/(2 pi) +
+    (k-1)/(2 pi) I_(k-2), where e = exp(-pi*(a^2 - q)).  I_0 = erfc(a sqrt(pi))/2
+    is replaced by its Mills-ratio bound e/(2 pi a), which does not underflow
+    where erfc does.  inf when rho <= 2r.
+    """
+    a = rho - 2.0 * r
+    if a <= 0.0:
+        return math.inf
+    e = math.exp(-math.pi * (a * a - q)) / (2.0 * math.pi)
+    ints = [e / a, e]
+    for k in range(2, g):
+        ints.append(a ** (k - 1) * e + (k - 1) / (2.0 * math.pi) * ints[k - 2])
+    return g / r ** g * sum(math.comb(g - 1, k) * r ** (g - 1 - k) * ints[k] for k in range(g))
+
+
+def _certified(parts: list, tau: float) -> float | None:
+    """fsum(parts), if it is also the exactly rounded sum of parts plus any terms
+    whose moduli add up to at most tau; else None.
+
+    The exact sum of parts is s + e with s = fsum(parts) and e the exactly
+    rounded residual, so s is certified when |e| (widened for its own rounding)
+    plus tau is below half the smaller gap from s to its neighbouring doubles.
+    The inequality is strict, because a tie may round either way.  Half the
+    gap of a subnormal s or of s = 0.0 rounds to 0.0, so those are never
+    certified.
+    """
+    s = math.fsum(parts)
+    e = math.fsum(parts + [-s])
+    gap = min(s - math.nextafter(s, -math.inf), math.nextafter(s, math.inf) - s)
+    return s if abs(e) * (1.0 + 2.0 ** -50) + tau < 0.5 * gap else None
+
+
+def _ellipsoid_points(z: np.ndarray, B: PeriodMatrix, radius: int,
+                      spread: float | None = None) -> tuple[np.ndarray, float]:
+    """Box points |m|_inf <= radius in an ellipsoid, and a bound on the omitted terms.
 
     With Im(B) = L L^T and v = L^{-1} Im z, the real exponent of the m-th term
-    is pi*(|v|^2 - |L^T m + v|^2), so the kept points lie in the ellipsoid
-    |L^T m + v|^2 <= |v|^2 - EXPONENT_FLOOR/pi.  Coordinates are fixed from the
-    last to the first (Fincke-Pohst): once m_{i+1}, ..., m_{g-1} are fixed,
-    row i of L^T m + v bounds m_i to an interval, and each partial vector is
-    repeated once per integer in it.  A few extra box points only cost time,
-    so the bound is padded rather than tight.  Returns a C-contiguous int64
-    array with one row per point.  Call under np.errstate(over="raise"), so
-    that an exponent beyond double range raises FloatingPointError.
+    is pi*(|v|^2 - |L^T m + v|^2), so the points lie in an ellipsoid
+    |L^T m + v|^2 <= budget.  With spread None it is the floor ellipsoid,
+    budget = |v|^2 - EXPONENT_FLOOR/pi: every omitted term is exactly 0.0, and
+    the bound tau is 0.0.  With a spread, budget = q + spread/pi, where q is
+    |L^T m + v|^2 at the Babai point (each coordinate, last to first, rounded
+    and clipped to the box), an upper bound on the box minimum; tau then
+    bounds the sum of the moduli of the omitted terms as computed.  The floor
+    ellipsoid is listed instead when the box is too small for the small one
+    to pay, when the floor ellipsoid is the smaller one, or when its budget
+    exceeds 1e8.
+
+    Coordinates are fixed from the last to the first (Fincke-Pohst): once
+    m_{i+1}, ..., m_{g-1} are fixed, row i of L^T m + v bounds m_i to an
+    interval, and each partial vector is repeated once per integer in it.  A
+    few extra box points only cost time, so the bound is padded rather than
+    tight.  The points are a C-contiguous int64 array with one row per point.
+    Call under np.errstate(over="raise"), so that an exponent beyond double
+    range raises FloatingPointError.
     """
     L = B.im_cholesky
     g = B.genus
+    diag = L.diagonal().tolist()
     w = z.imag
     v = []
     for i in range(g):
         s = w[i]
         for j in range(i):
             s -= L[i, j] * v[j]
-        v.append(s / L[i, i])
+        v.append(s / diag[i])
+    vv = sum(x * x for x in v)
     # |v|^2 = Im z . Y^{-1} Im z; the relative pad covers the rounding of the
     # exponent when it is large
-    budget = (sum(x * x for x in v) - EXPONENT_FLOOR / math.pi) * (1.0 + 1e-9)
+    budget = (vv - EXPONENT_FLOOR / math.pi) * (1.0 + 1e-9)
+    tau = 0.0
+    # a small ellipsoid holds at least spread^(g/2) / (Gamma(g/2 + 1) det L)
+    # points, and it saves more than its own set-up only when the box holds
+    # several times that many
+    if spread is not None and ((2 * radius + 1) ** g * math.gamma(g / 2 + 1) * math.prod(diag)
+                               > 4.0 * spread ** (g / 2)):
+        U = L.T.tolist()
+        m = [0] * g
+        q = 0.0
+        for i in range(g - 1, -1, -1):
+            t = float(v[i])
+            for j in range(i + 1, g):
+                t += U[i][j] * m[j]
+            m[i] = min(max(math.floor(0.5 - t / diag[i]), -radius), radius)
+            q += (diag[i] * m[i] + t) ** 2
+        small = q + spread / math.pi
+        # the factor 2 in tau allows the exponents a rounding error of ln 2;
+        # the pad of the budget assumes 1e-9 of it, far less below 1e8
+        if small < budget <= 1e8:
+            rho = math.sqrt(small)
+            # |L^T m| >= min L_kk for m != 0, so any r up to half of it is a
+            # packing radius; g/(4 pi rho) about minimises the bound
+            r = min(0.5 * min(diag), g / (4.0 * math.pi * rho))
+            tail = _tail_bound(g, r, rho, q)
+            # each box term may also round up by one subnormal unit
+            tau = 2.0 * math.exp(math.pi * (vv - q)) * tail + (2 * radius + 1) ** g * 2.0 ** -1074
+            budget = small * (1.0 + 1e-9)
     # the last coordinate has a single interval, found on scalars
     d = L[g - 1, g - 1]
     mid, half = -v[g - 1] / d, math.sqrt(budget) / d
@@ -180,7 +271,23 @@ def _ellipsoid_points(z: np.ndarray, B: PeriodMatrix, radius: int) -> np.ndarray
         if i:
             row = d * M[:, i] + t.repeat(count)
             rest = rest.repeat(count) - row * row
-    return M
+    return M, tau
+
+
+def _theta_sum(z: np.ndarray, B: PeriodMatrix, radius: int,
+               spread: float | None = None) -> complex | None:
+    """Sum of the terms at the points _ellipsoid_points lists; None when the
+    terms it omits may change the exactly rounded sum (see _certified)."""
+    M, tau = _ellipsoid_points(z, B, radius, spread)
+    quad = np.einsum("ni,ij,nj->n", M, B.entries, M)
+    # largest terms first (complex values sort by real part): fsum keeps
+    # fewer partials, and the order cannot change its exactly rounded value
+    terms = np.exp(np.sort(1j * math.pi * quad + 2j * math.pi * (M @ z))[::-1])
+    re, im = terms.real.tolist(), terms.imag.tolist()
+    if not tau:
+        return complex(math.fsum(re), math.fsum(im))
+    re, im = _certified(re, tau), _certified(im, tau)
+    return None if re is None or im is None else complex(re, im)
 
 
 def riemann_theta(z, B: PeriodMatrix, trunc: LatticeTruncation | None = None) -> complex:
@@ -188,38 +295,44 @@ def riemann_theta(z, B: PeriodMatrix, trunc: LatticeTruncation | None = None) ->
 
     z is a finite complex vector of length B.genus.  When trunc is None the
     radius is chosen by default_radius; a box of more than DEFAULT_TERM_CAP
-    terms raises TruncationCapError.  The sum runs over the box points that
-    _ellipsoid_points keeps; every other box term is exactly 0.0 in double
-    precision.  Accumulation uses math.fsum on the real and imaginary parts,
-    so the value is exactly rounded, independent of term order, and bit for
-    bit the sum over the whole box.
+    terms raises TruncationCapError.  Accumulation uses math.fsum on the real
+    and imaginary parts, so a sum is exactly rounded and independent of term
+    order.  The value is bit for bit the sum over the whole box, in one of two
+    ways.  The first pass sums the small ellipsoid of _ellipsoid_points and
+    returns it when _certified proves, from the tail bound on the omitted
+    terms, that the whole box rounds to the same double.  Otherwise, or if the
+    first pass raises an ArithmeticError, the floor ellipsoid is summed, whose
+    omitted terms are exactly 0.0 in double precision; its value or error is
+    the result.
     """
     z = np.asarray(z, dtype=complex)
     if z.shape != (B.genus,):
         raise ValueError(f"z has shape {z.shape}, expected ({B.genus},)")
     if not all(map(cmath.isfinite, z.tolist())):
         raise ValueError("z must be finite")
-    if trunc is None:
-        trunc = LatticeTruncation(default_radius(z, B))
-    if trunc.n_terms(B.genus) > DEFAULT_TERM_CAP:
+    radius = default_radius(z, B) if trunc is None else trunc.radius
+    n_terms = (2 * radius + 1) ** B.genus
+    if n_terms > DEFAULT_TERM_CAP:
         raise TruncationCapError(
-            f"radius {trunc.radius} needs {trunc.n_terms(B.genus)} terms (cap {DEFAULT_TERM_CAP})")
+            f"radius {radius} needs {n_terms} terms (cap {DEFAULT_TERM_CAP})")
     # a term beyond double range raises FloatingPointError (an ArithmeticError)
     with np.errstate(over="raise", invalid="raise"):
-        M = _ellipsoid_points(z, B, trunc.radius)
-        quad = np.einsum("ni,ij,nj->n", M, B.entries, M)
-        # largest terms first (complex values sort by real part): fsum keeps
-        # fewer partials, and the order cannot change its exactly rounded value
-        terms = np.exp(np.sort(1j * math.pi * quad + 2j * math.pi * (M @ z))[::-1])
-    return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
+        try:
+            value = _theta_sum(z, B, radius, SPREAD)
+        except ArithmeticError:
+            value = None
+        if value is None:
+            value = _theta_sum(z, B, radius)
+    return value
 
 
-def quasi_periodicity_defect(z, m, B: PeriodMatrix,
-                             trunc: LatticeTruncation | None = None) -> float:
+def quasi_periodicity_defect(z, m, B: PeriodMatrix, trunc: LatticeTruncation | None = None,
+                             theta_z: complex | None = None) -> float:
     """Relative defect of theta(z + B m) = exp(-pi*i*(B m, m) - 2*pi*i*(m, z)) theta(z).
 
-    Returns |theta(z + Bm) - factor * theta(z)| / (1 + |theta(z)|).  Pure test
-    helper; vanishes to roundoff for an exact theta evaluation.
+    Returns |theta(z + Bm) - factor * theta(z)| / (1 + |theta(z)|).  theta_z,
+    if given, is riemann_theta(z, B, trunc), already evaluated by the caller.
+    Pure test helper; vanishes to roundoff for an exact theta evaluation.
     """
     z = np.asarray(z, dtype=complex)
     m = np.asarray(m)
@@ -229,7 +342,8 @@ def quasi_periodicity_defect(z, m, B: PeriodMatrix,
         raise ValueError("m must be an integer vector")
     Bm = B.entries @ m
     lhs = riemann_theta(z + Bm, B, trunc)
-    theta_z = riemann_theta(z, B, trunc)
+    if theta_z is None:
+        theta_z = riemann_theta(z, B, trunc)
     with np.errstate(over="raise", invalid="raise"):
         factor = np.exp(-1j * math.pi * (Bm @ m) - 2j * math.pi * (m @ z))
         return float(abs(lhs - factor * theta_z) / (1.0 + abs(theta_z)))

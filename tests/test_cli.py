@@ -252,6 +252,25 @@ def test_theta_subcommand(tmp_path, capsys):
     assert defect < 1e-10
 
 
+def test_theta_shift_evaluates_theta_z_once(tmp_path, capsys, monkeypatch):
+    # the printed theta(z) also serves the defect: one evaluation at z, one at z + Bm
+    from mlsurf import cli, theta
+    pm = tmp_path / "pm.txt"
+    pm.write_text("2\n1j 0.1\n0.1 1.3j\n")
+    points = []
+    evaluate = theta.riemann_theta
+
+    def counting(z, *args):
+        points.append(z.tolist())
+        return evaluate(z, *args)
+
+    for module in (cli, theta):
+        monkeypatch.setattr(module, "riemann_theta", counting)
+    assert run(["theta", "--period-file", str(pm), "--z", "0.2+0.1j,0.3", "--shift-m", "1,0"]) == 0
+    capsys.readouterr()
+    assert points == [[0.2 + 0.1j, 0.3], [0.2 + 1.1j, 0.4]]
+
+
 SPHERE = ["--family", "spectral", "--a", "1", "--b", "1", "--q1", "2", "--gamma-im", "1"]
 
 
@@ -279,9 +298,10 @@ def test_theta_invalid_input_exits_2(tmp_path, capsys):
     pm.write_text("1\n1j\n")
     assert run(["theta", "--period-file", str(pm), "--z", "0", "--radius", "0"]) == 2
     assert "must be >= 1" in capsys.readouterr().err
-    # OverflowError in the automatic radius, mapped to exit 2
+    # the automatic radius overflows: one line naming Im z and the way out
     assert run(["theta", "--period-file", str(pm), "--z", "1e300j"]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == ("error: |Im z| = 1e+300 is too large for an automatic "
+                                       "radius; give one with --radius\n")
     # theta terms beyond double range: one line naming the overflow, no warning
     for extra in ([], ["--shift-m", "1"]):
         assert run(["theta", "--period-file", str(pm), "--z", "0.3+200j", *extra]) == 2

@@ -174,7 +174,12 @@ def test_lattice_order_does_not_change_theta(monkeypatch):
 
     expected = values()
     points = theta._ellipsoid_points
-    monkeypatch.setattr(theta, "_ellipsoid_points", lambda z, B, r: points(z, B, r)[::-1])
+
+    def reversed_points(*args):  # both passes: small ellipsoid and floor
+        M, tau = points(*args)
+        return M[::-1], tau
+
+    monkeypatch.setattr(theta, "_ellipsoid_points", reversed_points)
     assert values() == expected
 
 
@@ -207,7 +212,9 @@ def test_omitted_box_terms_are_exact_zeros():
                 continue
             M, terms = _box_terms(w, B, R)
             with np.errstate(over="raise"):
-                rows = theta._ellipsoid_points(w, B, R).tolist()
+                kept_points, tau = theta._ellipsoid_points(w, B, R)
+            assert tau == 0.0
+            rows = kept_points.tolist()
             kept = set(map(tuple, rows))
             box = list(map(tuple, M.tolist()))
             assert len(kept) == len(rows) and kept <= set(box)
@@ -218,6 +225,137 @@ def test_omitted_box_terms_are_exact_zeros():
             value = riemann_theta(w, B, trunc)
             assert (value.real.hex(), value.imag.hex()) == (full.real.hex(), full.imag.hex())
     assert omitted > 0
+
+
+def _seeded_period_matrix(rng, g):
+    A = rng.normal(size=(g, g))
+    X = rng.uniform(-0.5, 0.5, size=(g, g))
+    return PeriodMatrix((X + X.T) / 2 + 1j * (0.8 * np.eye(g) + A @ A.T))
+
+
+def test_tail_bound_covers_a_brute_force_tail():
+    # the sum of exp(-pi (|u|^2 - q)) over the points |u| > rho of L^T Z^g + v,
+    # taken over a finite box of m, is at most the bound
+    rng = np.random.default_rng(29)
+    checked = 0
+    for g, reach in ((1, 40), (2, 14), (3, 7), (4, 4)):
+        axis = np.arange(-reach, reach + 1)
+        M = np.stack(np.meshgrid(*([axis] * g), indexing="ij"), axis=-1).reshape(-1, g)
+        for _ in range(3):
+            A = rng.normal(size=(g, g))
+            L = np.linalg.cholesky(rng.uniform(0.3, 0.8) * np.eye(g) + 0.3 * A @ A.T)
+            v = rng.uniform(-2.0, 2.0, g)
+            norms = np.linalg.norm(M @ L + v, axis=1)
+            packing = 0.5 * min(L.diagonal())
+            assert theta._tail_bound(g, packing, 2.0 * packing, 0.0) == math.inf
+            for rho in (2.0 * packing + 0.2, 2.0 * packing + 1.0, 3.0, 4.5):
+                # any radius up to the packing radius is one, as riemann_theta uses
+                for r in (packing, min(packing, g / (4.0 * math.pi * rho))):
+                    for q in (0.0, 2.5):
+                        tail = math.fsum(np.exp(-math.pi * (norms[norms > rho] ** 2 - q)))
+                        bound = theta._tail_bound(g, r, rho, q)
+                        assert tail <= bound < math.inf
+                        checked += tail > 1e-6 * bound
+    assert checked > 20  # the bound is not loose enough to hide a wrong scale
+
+
+def test_certified_rejects_unsafe_roundings():
+    u = 2.0 ** -53  # half the gap above 1.5, and the gap below 1.0
+    assert theta._certified([1.5, 2.0 ** -60], 2.0 ** -60) == 1.5
+    assert theta._certified([1.5], 0.5 * u) == 1.5
+    # the omitted terms may add exactly half the gap: a tie
+    assert theta._certified([1.5], u) is None
+    # a residual of exactly half the gap: the kept terms alone are a tie
+    assert theta._certified([1.5, u], 0.0) is None
+    # s = 0.0: its sign and its subnormal neighbours depend on the omitted terms
+    for parts in ([1.0, -1.0], [-0.0], []):
+        assert theta._certified(parts, 0.0) is None
+    # a power of two: the gap below is half the gap above, so a residual and tau
+    # on the narrow side may round down although they are below half the wide gap
+    assert theta._certified([1.0, -0.375 * u], 0.25 * u) is None
+    assert theta._certified([1.0, -0.375 * u], 0.0625 * u) == 1.0
+    assert theta._certified([-2.0, 0.375 * 2 * u], 0.25 * 2 * u) is None
+
+
+def test_small_pass_is_certified_or_falls_back(monkeypatch):
+    # riemann_theta sums a small ellipsoid first (tau > 0) and the floor
+    # ellipsoid only when that sum is not certified; on small boxes the first
+    # call already lists the floor ellipsoid (tau == 0).  Every value is the
+    # full-box sum
+    passes = []
+    points = theta._ellipsoid_points
+
+    def spy(z, B, radius, spread=None):
+        M, tau = points(z, B, radius, spread)
+        passes.append((spread, tau > 0.0))
+        return M, tau
+
+    monkeypatch.setattr(theta, "_ellipsoid_points", spy)
+    small, floor = (theta.SPREAD, True), (None, False)
+    certified, fell_back, skipped = [small], [small, floor], [(theta.SPREAD, False)]
+    rng = np.random.default_rng(31)
+    seen, real_valued = [], []
+    for k in range(24):
+        g = 1 + k % 4
+        B = _seeded_period_matrix(rng, g)
+        z = rng.uniform(-0.5, 0.5, g) + 1j * rng.uniform(-0.3, 0.3, g)
+        # Re B = 0 and Re z = 0: every term is real, the imaginary part is
+        # exactly 0.0, which is never certified
+        real_B = PeriodMatrix(1j * B.entries.imag)
+        radius = (None, 5)[k % 2]
+        trunc = LatticeTruncation(radius) if radius else None
+        for w, P in ((z, B), (z + B.entries @ rng.integers(-1, 2, g), B), (1j * z.imag, real_B)):
+            R = radius or default_radius(w, P)
+            if (2 * R + 1) ** g > 200_000:
+                continue
+            passes.clear()
+            value = riemann_theta(w, P, trunc)
+            _, terms = _box_terms(w, P, R)
+            full = complex(math.fsum(terms.real), math.fsum(terms.imag))
+            assert (value.real.hex(), value.imag.hex()) == (full.real.hex(), full.imag.hex())
+            assert passes in (certified, fell_back, skipped)
+            if P is real_B:
+                assert value.imag == 0.0 and passes in (fell_back, skipped)
+                real_valued.append(passes[:])
+            seen.append(passes[:])
+    assert certified in seen and skipped in seen and fell_back in real_valued
+    # the cap is checked before any pass
+    passes.clear()
+    with pytest.raises(TruncationCapError, match="cap 4000000"):
+        riemann_theta(np.zeros(3), PeriodMatrix(1j * np.eye(3)), LatticeTruncation(100))
+    assert passes == []
+
+
+def test_a_certified_small_sum_is_the_full_box_sum():
+    # with spreads far below SPREAD the omitted terms matter: the small sum
+    # must then be refused, and every sum that is certified must equal the
+    # full-box sum
+    rng = np.random.default_rng(41)
+    outcomes = set()
+    for k in range(16):
+        g = 1 + k % 4
+        B = _seeded_period_matrix(rng, g)
+        z = rng.uniform(-0.5, 0.5, g) + 1j * rng.uniform(-0.3, 0.3, g)
+        R = 3 if g == 4 else 5
+        _, terms = _box_terms(z, B, R)
+        full = complex(math.fsum(terms.real), math.fsum(terms.imag))
+        for spread in (1.0, 5.0, 10.0, 20.0, 40.0):
+            with np.errstate(over="raise", invalid="raise"):
+                value = theta._theta_sum(z, B, R, spread)
+            if value is not None:
+                assert (value.real.hex(), value.imag.hex()) == (full.real.hex(), full.imag.hex())
+            outcomes.add(value is None)
+    assert outcomes == {True, False}
+
+
+def test_defect_reuses_a_given_theta_value():
+    rng = np.random.default_rng(37)
+    B = _seeded_period_matrix(rng, 3)
+    z = rng.uniform(-0.5, 0.5, 3) + 1j * rng.uniform(-0.3, 0.3, 3)
+    m = np.array([0, 1, 0])
+    theta_z = riemann_theta(z, B)
+    assert quasi_periodicity_defect(z, m, B, None, theta_z) == quasi_periodicity_defect(z, m, B)
+    assert quasi_periodicity_defect(z, m, B, None, 2 * theta_z) > 0.1
 
 
 def test_non_finite_input_rejected():
