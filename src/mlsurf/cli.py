@@ -113,8 +113,9 @@ def _family_from_args(args) -> Family:
 
 
 def _step(h: float) -> float:
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"--h must be finite and positive, got {h}")
+    # above 1e-2, h^2 pi^2 / 6 >> TOL_FRAME; from 1e5 the frame checks compare 0 with 0
+    if not (math.isfinite(h) and 0 < h <= 1e-2):
+        raise ValueError(f"--h must be finite, positive and at most 0.01, got {h}")
     return h
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -178,6 +177,7 @@ def curve_checks(curve: ReducibleCurveData) -> list:
 
 CSV_HEADER = ["x", "y", "re_phi1", "im_phi1", "re_phi2", "im_phi2",
               "re_phi3", "im_phi3", "E", "G", "beta", "K"]
+_ROW = "%.17g," * 10 + "%s,%s\r\n"   # beta and K are "" where excluded
 
 
 def _fmt(v: float) -> str:
@@ -185,24 +185,21 @@ def _fmt(v: float) -> str:
 
 
 def sample_rows(family: Family, grid: GridSpec, h: float, tol_profile: str = "strict"):
-    """Yield CSV rows; beta and K are empty at excluded degenerate points."""
+    """Yield the CSV text block by block, as each sweep block's list of lines;
+    beta and K are empty at excluded degenerate points."""
     k_field = _curvature_field(family, tol_profile)
-    for block in sample_blocks(family, grid, h, k_field):
-        for x, y, phi, E, G, beta, has_beta, K, has_K in zip(*(v.tolist() for v in block)):
-            row = [_fmt(x), _fmt(y)]
-            for comp in phi:
-                row.extend([_fmt(comp.real), _fmt(comp.imag)])
-            row.extend([_fmt(E), _fmt(G), _fmt(beta) if has_beta else "",
-                        _fmt(K) if has_K else ""])
-            yield row
+    for x, y, phi, E, G, beta, has_beta, K, has_K in sample_blocks(family, grid, h, k_field):
+        cols = [x, y, *(part[:, i] for i in range(3) for part in (phi.real, phi.imag)), E, G]
+        beta_s = [_fmt(v) if ok else "" for v, ok in zip(beta.tolist(), has_beta.tolist())]
+        K_s = [_fmt(v) if ok else "" for v, ok in zip(K.tolist(), has_K.tolist())]
+        yield [_ROW % row for row in zip(*(c.tolist() for c in cols), beta_s, K_s)]
 
 
-def write_csv(path, rows) -> None:
+def write_csv(path, blocks) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow(row)
+        fh.write(",".join(CSV_HEADER) + "\r\n")
+        for lines in blocks:
+            fh.writelines(lines)
 
 
 def curve_info_text(curve: ReducibleCurveData) -> str:

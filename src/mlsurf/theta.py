@@ -26,6 +26,7 @@ Either way the value is bit for bit the floor sum.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -93,6 +94,7 @@ class PeriodMatrix:
         self.im_cholesky = L
         self.genus = B.shape[0]
 
+    @functools.cached_property
     def min_im_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.entries.imag)[0])
 
@@ -132,7 +134,7 @@ def default_radius(z, B: PeriodMatrix) -> int:
     left side quadratic in R.
     """
     z = np.asarray(z, dtype=complex)
-    lam = B.min_im_eigenvalue()
+    lam = B.min_im_eigenvalue
     imz = max(map(abs, z.imag.tolist()), default=0.0)
     g = B.genus
     tail = _TAIL_DIGITS * math.log(10.0)

@@ -271,6 +271,24 @@ def test_theta_shift_evaluates_theta_z_once(tmp_path, capsys, monkeypatch):
     assert points == [[0.2 + 0.1j, 0.3], [0.2 + 1.1j, 0.4]]
 
 
+def test_theta_shift_computes_the_smallest_eigenvalue_once(tmp_path, capsys, monkeypatch):
+    # both automatic radii (theta(z) and theta(z + Bm)) read one cached eigenvalue
+    from mlsurf import theta
+    pm = tmp_path / "pm.txt"
+    pm.write_text("2\n1j 0.1\n0.1 1.3j\n")
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        calls.append(a.tolist())
+        return eigvalsh(a)
+
+    monkeypatch.setattr(theta.np.linalg, "eigvalsh", counting)
+    assert run(["theta", "--period-file", str(pm), "--z", "0.2+0.1j,0.3", "--shift-m", "1,0"]) == 0
+    capsys.readouterr()
+    assert calls == [[[1.0, 0.0], [0.0, 1.3]]]
+
+
 SPHERE = ["--family", "spectral", "--a", "1", "--b", "1", "--q1", "2", "--gamma-im", "1"]
 
 
@@ -280,17 +298,28 @@ SPHERE = ["--family", "spectral", "--a", "1", "--b", "1", "--q1", "2", "--gamma-
     ["verify", *SPHERE, "--grid", "4x4", "--h=-1e-4"],
     ["verify", "--family", "cone", "--m", "1", "--n", "1", "--grid", "4x4", "--h", "inf"],
     ["sample", *SPHERE, "--grid", "4x4", "--h", "0", "--out", os.devnull],
+    # a huge step makes every difference quotient 0, so the frame checks would pass
+    ["verify", "--family", "cone", "--m", "9", "--n", "7", "--grid", "4x4", "--h", "1e5"],
+    ["sample", *SPHERE, "--grid", "4x4", "--h", "1e5", "--out", os.devnull],
     ["verify", "--family", "spectral", "--a", "1", "--b", "1", "--q1", "inf",
      "--gamma-im", "1", "--grid", "4x4"],
     ["verify", "--family", "spectral", "--a", "1", "--b", "1", "--q1", "2",
      "--gamma-im", "1e200", "--grid", "4x4"],
     ["curve-info", "--a", "nan", "--b", "1", "--q1", "2", "--gamma-im", "1"],
-], ids=["h-0", "h-nan", "h-negative", "h-inf", "sample-h-0", "q1-inf", "gamma-im-1e200",
-        "a-nan"])
+], ids=["h-0", "h-nan", "h-negative", "h-inf", "sample-h-0", "h-1e5", "sample-h-1e5",
+        "q1-inf", "gamma-im-1e200", "a-nan"])
 def test_invalid_numbers_exit_2_with_one_line(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_step_bound_is_checked_before_the_output_is_opened(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    argv = ["sample", *SPHERE, "--grid", "2x2", "--out", str(out), "--h"]
+    assert run(argv + ["0.0100001"]) == 2
+    assert capsys.readouterr().err.count("\n") == 1 and not out.exists()
+    assert run(argv + ["1e-2"]) == 0 and out.exists()
 
 
 def test_theta_invalid_input_exits_2(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import cmath
+import csv
 import dataclasses
+import io
 import math
 import warnings
 
@@ -15,7 +17,7 @@ from mlsurf.diffgeo import (angle_defect, beta_gradient_fd,
                             gram_defects, lagrangian_angle, metric_from_jet,
                             metric_gradients_from_jet, minimality_defects,
                             residue_identity_defects)
-from mlsurf.report import GridSpec, sample_rows, verify
+from mlsurf.report import CSV_HEADER, GridSpec, sample_rows, verify, write_csv
 from mlsurf.spectral_curve import derive_constants
 from mlsurf.surface_families import (TUBE_RADIUS, Family, cone_family, cone_family_jet,
                                      cone_metric_field, in_degeneracy_tube,
@@ -133,12 +135,40 @@ def test_chunk_size_does_not_change_the_output(chunk, monkeypatch):
         grid = GridSpec(16, 16)
         return ([c.to_dict() for c in verify(TUBE_POINTS, grid).checks],
                 [c.to_dict() for c in verify(cone_family(1, 2), grid, tol_profile="fd").checks],
-                list(sample_rows(TUBE_POINTS, grid, 1e-4)),
-                list(sample_rows(cone_family(2, 1), GridSpec(5, 3), 1e-4, "fd")))
+                "".join(map("".join, sample_rows(TUBE_POINTS, grid, 1e-4))),
+                "".join(map("".join, sample_rows(cone_family(2, 1), GridSpec(5, 3), 1e-4, "fd"))))
 
     expected = outputs()
     monkeypatch.setattr(sweep, "CHUNK", chunk)
     assert outputs() == expected
+
+
+def _csv_oracle(family, grid, h, tol_profile):
+    # csv.writer over one f"{v:.17g}" call per field
+    k_field = family.metric if tol_profile == "strict" else family.metric.without_derivatives()
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(CSV_HEADER)
+    for block in sweep.sample_blocks(family, grid, h, k_field):
+        for x, y, phi, E, G, beta, has_beta, K, has_K in zip(*(v.tolist() for v in block)):
+            fields = [x, y, *(p for c in phi for p in (c.real, c.imag)), E, G]
+            writer.writerow([f"{v:.17g}" for v in fields]
+                            + [f"{beta:.17g}" if has_beta else "", f"{K:.17g}" if has_K else ""])
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("family, grid, tol_profile", [
+    (TUBE_POINTS, GridSpec(16, 16), "strict"),
+    (cone_family(2, 1), GridSpec(5, 3), "fd"),
+    (spectral_family(derive_constants(1.0, 1.0, 2.0, 1.0)), GridSpec(1, 1), "strict"),
+], ids=["tube-points", "cone-2-1-fd", "one-point"])
+def test_csv_matches_the_csv_writer_oracle(family, grid, tol_profile, tmp_path):
+    path = tmp_path / "s.csv"
+    write_csv(path, sample_rows(family, grid, 1e-4, tol_profile))
+    expected = _csv_oracle(family, grid, 1e-4, tol_profile)
+    assert path.read_bytes() == expected
+    if family is TUBE_POINTS:   # rows inside the tube end in empty beta and K cells
+        assert b",,\r\n" in expected
 
 
 _SIGN = st.sampled_from([-1.0, 1.0])
