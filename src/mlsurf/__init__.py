@@ -24,9 +24,9 @@ from .spectral_curve import (RationalOneForm, ReducibleCurveData,
                              regularity_defect, residue_at_infinity,
                              residue_simple, sum_of_residues)
 from .surface_families import (Family, MetricField, SurfaceJet, cone_family,
-                               cone_family_jet, cone_metric_field, degeneracy_angle,
-                               fd_jet, hopf_representative, in_degeneracy_tube,
-                               spectral_family, spectral_family_jet,
+                               cone_family_jet, cone_jet_field, cone_metric_field,
+                               degeneracy_angle, in_degeneracy_tube, spectral_family,
+                               spectral_family_jet, spectral_jet_field,
                                spectral_metric_field)
 from .theta import (LatticeTruncation, PeriodMatrix, TruncationCapError,
                     default_radius, quasi_periodicity_defect,

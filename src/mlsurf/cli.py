@@ -146,14 +146,24 @@ def _parse_complex_vector(text: str) -> np.ndarray:
     return np.array([complex(tok) for tok in text.split(",") if tok.strip()])
 
 
+def _parse_shift(text: str, genus: int) -> np.ndarray:
+    try:
+        m = np.array([int(tok) for tok in text.split(",") if tok.strip()], dtype=np.int64)
+        if m.shape == (genus,):
+            return m
+    except (ValueError, OverflowError):
+        pass
+    raise ValueError(f"--shift-m must be {genus} comma-separated integers, got {text!r}")
+
+
 def _cmd_theta(args) -> int:
     B = read_period_matrix(args.period_file)
     z = _parse_complex_vector(args.z)
+    m = _parse_shift(args.shift_m, B.genus) if args.shift_m else None
     trunc = LatticeTruncation(args.radius) if args.radius is not None else None
     val = riemann_theta(z, B, trunc)
     print(f"theta = {val.real:.17g}{val.imag:+.17g}j")
-    if args.shift_m:
-        m = np.array([int(tok) for tok in args.shift_m.split(",") if tok.strip()])
+    if m is not None:
         defect = quasi_periodicity_defect(z, m, B, trunc, val)
         print(f"quasi_periodicity_defect = {defect:.17g}")
     return 0

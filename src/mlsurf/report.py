@@ -177,7 +177,8 @@ def curve_checks(curve: ReducibleCurveData) -> list:
 
 CSV_HEADER = ["x", "y", "re_phi1", "im_phi1", "re_phi2", "im_phi2",
               "re_phi3", "im_phi3", "E", "G", "beta", "K"]
-_ROW = "%.17g," * 10 + "%s,%s\r\n"   # beta and K are "" where excluded
+_ROW = "%.17g," * 11 + "%.17g\r\n"
+_ROW_EXCLUDED = "%.17g," * 10 + "%s,%s\r\n"   # beta or K is "" where excluded
 
 
 def _fmt(v: float) -> str:
@@ -189,10 +190,11 @@ def sample_rows(family: Family, grid: GridSpec, h: float, tol_profile: str = "st
     beta and K are empty at excluded degenerate points."""
     k_field = _curvature_field(family, tol_profile)
     for x, y, phi, E, G, beta, has_beta, K, has_K in sample_blocks(family, grid, h, k_field):
-        cols = [x, y, *(part[:, i] for i in range(3) for part in (phi.real, phi.imag)), E, G]
-        beta_s = [_fmt(v) if ok else "" for v, ok in zip(beta.tolist(), has_beta.tolist())]
-        K_s = [_fmt(v) if ok else "" for v, ok in zip(K.tolist(), has_K.tolist())]
-        yield [_ROW % row for row in zip(*(c.tolist() for c in cols), beta_s, K_s)]
+        cols = [x, y, *(p[:, i] for i in range(3) for p in (phi.real, phi.imag)), E, G, beta, K]
+        yield [_ROW % row if b and k else _ROW_EXCLUDED % (
+                   *row[:10], _fmt(row[10]) if b else "", _fmt(row[11]) if k else "")
+               for row, b, k in zip(zip(*(c.tolist() for c in cols)),
+                                    has_beta.tolist(), has_K.tolist())]
 
 
 def write_csv(path, blocks) -> None:

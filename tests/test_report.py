@@ -20,7 +20,7 @@ from mlsurf.diffgeo import (angle_defect, beta_gradient_fd,
 from mlsurf.report import CSV_HEADER, GridSpec, sample_rows, verify, write_csv
 from mlsurf.spectral_curve import derive_constants
 from mlsurf.surface_families import (TUBE_RADIUS, Family, cone_family, cone_family_jet,
-                                     cone_metric_field, in_degeneracy_tube,
+                                     cone_jet_field, cone_metric_field, in_degeneracy_tube,
                                      spectral_family)
 
 _GRAM = ("gram_norm", "gram_phi_phix", "gram_phi_phiy", "gram_phix_phiy")
@@ -197,13 +197,24 @@ _GRID4 = GridSpec(4, 4)
 _X, _Y = float(_GRID4.xs()[1]), float(_GRID4.ys()[2])
 
 
+_JET_FIELDS = ("phi", "phi_x", "phi_y", "phi_xx", "phi_xy", "phi_yy")
+
+
 def _jet_scaled_at(family, point, **scale):
+    # the point jet and the batched field, each scaled at the point alone
     def jet(x, y):
         j = family.jet(x, y)
         if (x, y) == point:
             j = dataclasses.replace(j, **{f: getattr(j, f) * s for f, s in scale.items()})
         return j
-    return dataclasses.replace(family, jet=jet)
+
+    def jets(xs, ys):
+        J = family.jets(xs, ys)
+        at = (xs == point[0]) & (ys == point[1])
+        for f, s in scale.items():
+            J[_JET_FIELDS.index(f), at] *= s
+        return J
+    return dataclasses.replace(family, jet=jet, jets=jets)
 
 
 def _metric_negative_at(family, point):
@@ -266,7 +277,12 @@ def test_nan_jet_fails_verify(where):
                         j.phi_xx, j.phi_xy, j.phi_yy)
         return j
 
-    family = Family("cone", {"m": 1, "n": 2}, jet, cone_metric_field(1, 2), 2.0 * math.pi)
+    def jets(xs, ys):
+        J = cone_jet_field(1, 2, xs, ys)
+        J[0, (xs == bad[0]) & (ys == bad[1])] *= math.nan
+        return J
+
+    family = Family("cone", {"m": 1, "n": 2}, jet, jets, cone_metric_field(1, 2), 2.0 * math.pi)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # the sweep masks what NaN touches
         report = verify(family, grid)
@@ -284,6 +300,11 @@ def test_rejected_reference_angle_exits_verify():
         j = cone_family_jet(1, 2, x, y)
         return type(j)(x, y, 2.0 * j.phi, j.phi_x, j.phi_y, j.phi_xx, j.phi_xy, j.phi_yy)
 
-    family = Family("cone", {"m": 1, "n": 2}, jet, cone_metric_field(1, 2), 2.0 * math.pi)
+    def jets(xs, ys):
+        J = cone_jet_field(1, 2, xs, ys)
+        J[0] *= 2.0
+        return J
+
+    family = Family("cone", {"m": 1, "n": 2}, jet, jets, cone_metric_field(1, 2), 2.0 * math.pi)
     with pytest.raises(ValueError, match="reference point"):
         verify(family, GridSpec(4, 4))

@@ -1,19 +1,131 @@
 import cmath
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from mlsurf import sweep
 from mlsurf.baker_akhiezer import ba_rational_eval
 from mlsurf.spectral_curve import derive_constants
-from mlsurf.surface_families import (cone_family_jet, cone_metric_field, fd_jet,
-                                     hopf_representative, spectral_family_jet,
-                                     spectral_metric_field)
+from mlsurf.surface_families import (TUBE_RADIUS, SurfaceJet, cone_family, cone_family_jet,
+                                     cone_jet_field, cone_metric_field, degeneracy_angle,
+                                     in_degeneracy_tube, spectral_family_jet,
+                                     spectral_jet_field, spectral_metric_field)
 
 
 @pytest.fixture(scope="module")
 def sphere_curve():
     return derive_constants(1.0, 1.0, 2.0, 1.0)
+
+
+def fd_jet(evaluator, x: float, y: float, h: float) -> SurfaceJet:
+    """O(h^2) central-difference jet of a point map (x, y) -> C^3."""
+    if h <= 0:
+        raise ValueError("h must be positive")
+    f = lambda xx, yy: np.asarray(evaluator(xx, yy), dtype=complex)
+    c = f(x, y)
+    xp, xm = f(x + h, y), f(x - h, y)
+    yp, ym = f(x, y + h), f(x, y - h)
+    pp, pm = f(x + h, y + h), f(x + h, y - h)
+    mp, mm = f(x - h, y + h), f(x - h, y - h)
+    return SurfaceJet(
+        x=x, y=y,
+        phi=c,
+        phi_x=(xp - xm) / (2 * h),
+        phi_y=(yp - ym) / (2 * h),
+        phi_xx=(xp - 2 * c + xm) / h ** 2,
+        phi_yy=(yp - 2 * c + ym) / h ** 2,
+        phi_xy=(pp - pm - mp + mm) / (4 * h ** 2),
+    )
+
+
+def hopf_representative(phi) -> np.ndarray:
+    """Canonical homogeneous representative of [phi] in CP^2: unit norm, with
+    the first component of magnitude above 1e-12 rotated to the positive real axis."""
+    v = np.asarray(phi, dtype=complex)
+    norm = np.linalg.norm(v)
+    if norm == 0:
+        raise ValueError("cannot project the zero vector")
+    v = v / norm
+    idx = next(i for i in range(v.size) if abs(v[i]) > 1e-12)
+    return v * np.exp(-1j * np.angle(v[idx]))
+
+
+_JET_FIELDS = ("phi", "phi_x", "phi_y", "phi_xx", "phi_xy", "phi_yy")
+
+
+def _scalar_field(jet, xs, ys):
+    """The (6, n, 3) field stacked from one scalar jet per point."""
+    jets = [jet(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+    return np.array([[getattr(j, f) for j in jets] for f in _JET_FIELDS])
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_spectral_jet_field_matches_the_scalar_jet_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    b = rng.uniform(0.5, 2.0)
+    curve = derive_constants(rng.uniform(0.5, 2.0), b,
+                             (b + rng.uniform(0.3, 2.0)) * rng.choice([-1.0, 1.0]),
+                             rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0]))
+    xs, ys = rng.uniform(-50, 50, (2, 2000))
+    field = spectral_jet_field(curve, xs, ys)
+    assert field.shape == (6, 2000, 3)
+    expected = _scalar_field(lambda x, y: spectral_family_jet(curve, x, y), xs, ys)
+    assert np.array_equal(_bits(field), _bits(expected))
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_cone_jet_field_matches_the_scalar_jet_bit_for_bit(m):
+    rng = np.random.default_rng(100 + m)
+    for n in range(1, 7):
+        xs, ys = rng.uniform(-50, 50, (2, 500))
+        field = cone_jet_field(m, n, xs, ys)
+        assert field.shape == (6, 500, 3)
+        expected = _scalar_field(lambda x, y: cone_family_jet(m, n, x, y), xs, ys)
+        assert np.array_equal(_bits(field), _bits(expected)), (m, n)
+
+
+def test_cone_jet_field_rejects_bad_orders():
+    with pytest.raises(ValueError):
+        cone_jet_field(0, 1, np.zeros(1), np.zeros(1))
+
+
+def _sweep_tube_mask(curve, xs, ys):
+    # the sweep's vectorised mask over the product grid xs x ys, in report order
+    family = dataclasses.replace(cone_family(1, 2), curve=curve)
+    grid = SimpleNamespace(nx=len(xs), ny=len(ys), xs=lambda: xs, ys=lambda: ys)
+    return np.concatenate([tube for _, _, tube, _ in sweep._blocks(family, grid, sweep.Timings())])
+
+
+def test_sweep_tube_mask_matches_in_degeneracy_tube():
+    r = TUBE_RADIUS
+    # a stand-in curve with theta* = 0 and a x - b y = x, so x = +-r lies exactly on the edge
+    flat = SimpleNamespace(a=1.0, b=0.0, gamma_im=1.0)
+    assert degeneracy_angle(flat) == 0.0
+    edges = np.array([r, -r, math.nextafter(r, 0.0), math.nextafter(-r, 0.0),
+                      math.nextafter(r, 1.0), math.nextafter(-r, -1.0), 0.0, -0.0])
+    rng = np.random.default_rng(12)
+    curve = derive_constants(1.3, 0.7, -2.1, 0.9)
+    y0 = 0.37
+    # points within a few ulps of the tube edges a x - b y - theta* = k pi +- r
+    near = np.array([(degeneracy_angle(curve) + k * math.pi + s * r + curve.b * y0) / curve.a
+                     for k in range(-20, 21) for s in (-1.0, 1.0)])
+    near = np.concatenate([near, *(np.nextafter(near, d) for d in (-np.inf, np.inf))])
+    for c, xs, ys in [(flat, edges, np.array([0.0, 1.5, -40.0])),
+                      (curve, near, np.array([y0])),
+                      (curve, rng.uniform(-50, 50, 400), rng.uniform(-50, 50, 5))]:
+        mask = _sweep_tube_mask(c, xs, ys)
+        expected = [in_degeneracy_tube(c, x, y) for y in ys.tolist() for x in xs.tolist()]
+        assert mask.tolist() == expected
+        assert 0 < mask.sum() < len(mask)
+    assert _sweep_tube_mask(flat, edges, np.zeros(1)).tolist() == [False, False] + [True] * 2 \
+        + [False] * 2 + [True] * 2
 
 
 # independent closed-form oracles, hand-expanded from the two-term sums
