@@ -11,7 +11,8 @@ import numpy as np
 from .report import GridSpec, curve_info_text, sample_rows, verify, write_csv
 from .spectral_curve import derive_constants
 from .surface_families import Family, cone_family, spectral_family
-from .theta import LatticeTruncation, quasi_periodicity_defect, read_period_matrix, riemann_theta
+from .theta import (LatticeTruncation, parse_complex, quasi_periodicity_defect,
+                    read_period_matrix, riemann_theta)
 
 
 def _parse_grid(text: str) -> GridSpec:
@@ -22,46 +23,36 @@ def _parse_grid(text: str) -> GridSpec:
         raise argparse.ArgumentTypeError(f"grid must look like 64x64, got {text!r}")
 
 
-def _family_flags(sub, cone_allowed: bool = True):
-    families = ["spectral", "cone"] if cone_allowed else ["spectral"]
-    sub.add_argument("--family", choices=families,
-                     default="spectral" if not cone_allowed else None,
-                     required=cone_allowed)
-    sub.add_argument("--a", type=float)
-    sub.add_argument("--b", type=float)
-    sub.add_argument("--q1", type=float)
-    sub.add_argument("--gamma-im", type=float, dest="gamma_im")
-    sub.add_argument("--scenario", help="key = value file with a, b, q1, gamma_im")
-    if cone_allowed:
-        sub.add_argument("--m", type=int)
-        sub.add_argument("--n", type=int)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mlsurf",
         description="Construct minimal Lagrangian surfaces in CP^2 from spectral "
                     "data and verify the geometric identities on a grid.")
     subs = parser.add_subparsers(dest="command", required=True)
+    # flags shared between subcommands, each declared once in a parent parser
+    family, spectral, spectral_family = (argparse.ArgumentParser(add_help=False)
+                                         for _ in range(3))
+    family.add_argument("--family", choices=["spectral", "cone"], required=True)
+    spectral_family.add_argument("--family", choices=["spectral"], default="spectral")
+    spectral.add_argument("--a", type=float)
+    spectral.add_argument("--b", type=float)
+    spectral.add_argument("--q1", type=float)
+    spectral.add_argument("--gamma-im", type=float, dest="gamma_im")
+    spectral.add_argument("--scenario", help="key = value file with a, b, q1, gamma_im")
+    surface = argparse.ArgumentParser(add_help=False, parents=[family, spectral])
+    surface.add_argument("--m", type=int)
+    surface.add_argument("--n", type=int)
+    surface.add_argument("--grid", type=_parse_grid, default=GridSpec(64, 64))
+    surface.add_argument("--h", type=float, default=1e-4, help="finite-difference step")
+    surface.add_argument("--tol-profile", choices=["strict", "fd"], default="strict",
+                         dest="tol_profile")
 
-    verify = subs.add_parser("verify", help="run the verification suite")
-    _family_flags(verify)
-    verify.add_argument("--grid", type=_parse_grid, default=GridSpec(64, 64))
-    verify.add_argument("--h", type=float, default=1e-4, help="finite-difference step")
-    verify.add_argument("--tol-profile", choices=["strict", "fd"], default="strict",
-                        dest="tol_profile")
+    verify = subs.add_parser("verify", help="run the verification suite", parents=[surface])
     verify.add_argument("--json-out", dest="json_out", help="write machine-readable report")
-
-    sample = subs.add_parser("sample", help="sample the surface to CSV")
-    _family_flags(sample)
-    sample.add_argument("--grid", type=_parse_grid, default=GridSpec(64, 64))
-    sample.add_argument("--h", type=float, default=1e-4)
-    sample.add_argument("--tol-profile", choices=["strict", "fd"], default="strict",
-                        dest="tol_profile")
+    sample = subs.add_parser("sample", help="sample the surface to CSV", parents=[surface])
     sample.add_argument("--out", required=True, help="CSV output path")
-
-    info = subs.add_parser("curve-info", help="dump derived curve constants")
-    _family_flags(info, cone_allowed=False)
+    subs.add_parser("curve-info", help="dump derived curve constants",
+                    parents=[spectral_family, spectral])
 
     theta = subs.add_parser("theta", help="evaluate the Riemann theta function")
     theta.add_argument("--period-file", required=True, dest="period_file",
@@ -143,7 +134,7 @@ def _cmd_curve_info(args) -> int:
 
 
 def _parse_complex_vector(text: str) -> np.ndarray:
-    return np.array([complex(tok) for tok in text.split(",") if tok.strip()])
+    return np.array([parse_complex(tok, "--z") for tok in text.split(",") if tok.strip()])
 
 
 def _parse_shift(text: str, genus: int) -> np.ndarray:

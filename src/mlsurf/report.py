@@ -98,9 +98,8 @@ class VerificationReport:
                 "overall": self.overall, "timings": self.timings}
 
     def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        with open(path, "w") as fh:  # one write: json.dump makes thousands of small ones
+            fh.write(json.dumps(self.to_dict(), indent=2) + "\n")
 
     def format_text(self) -> str:
         pars = " ".join(f"{k}={v}" for k, v in self.parameters.items())

@@ -20,7 +20,9 @@ are bounded by the Gaussian lattice tail bound of Deconinck et al.  When that
 bound plus the rounding residual of the small sum is below half the gap from
 the sum to its neighbouring doubles, the whole box rounds to the same double,
 and the small sum is returned.  Otherwise the floor ellipsoid is summed.
-Either way the value is bit for bit the floor sum.
+Either way the value is bit for bit the floor sum.  DEFAULT_TERM_CAP counts
+kept points, not the box: an input is refused before any point is listed when
+a proven bound on the floor ellipsoid's points exceeds it.
 """
 
 from __future__ import annotations
@@ -48,16 +50,12 @@ SPREAD = 100.0
 
 
 class TruncationCapError(ValueError):
-    """Lattice truncation would exceed DEFAULT_TERM_CAP terms."""
+    """The points kept from the summation box may exceed DEFAULT_TERM_CAP."""
 
 
 @dataclass(frozen=True)
 class LatticeTruncation:
-    """Summation box: lattice vectors m with |m|_inf <= radius.
-
-    The cardinality (2*radius + 1)^g is checked against DEFAULT_TERM_CAP
-    before any work is done.
-    """
+    """Summation box |m|_inf <= radius; DEFAULT_TERM_CAP bounds the points kept from it."""
 
     radius: int
 
@@ -102,6 +100,13 @@ class PeriodMatrix:
         return f"PeriodMatrix(genus={self.genus})"
 
 
+def parse_complex(token: str, source) -> complex:
+    try:  # a ValueError that names where the token came from
+        return complex(token)
+    except ValueError:
+        raise ValueError(f"{source}: malformed complex number {token!r}") from None
+
+
 def read_period_matrix(path) -> PeriodMatrix:
     """Read a period matrix from a plain-text file.
 
@@ -119,7 +124,7 @@ def read_period_matrix(path) -> PeriodMatrix:
         raise ValueError(f"{path}: expected {g} matrix rows, found {len(lines) - 1}")
     rows = []
     for ln in lines[1:]:
-        row = [complex(tok) for tok in ln.split()]
+        row = [parse_complex(tok, path) for tok in ln.split()]
         if len(row) != g:
             raise ValueError(f"{path}: expected {g} entries per row, got {len(row)}")
         rows.append(row)
@@ -197,9 +202,11 @@ def _ellipsoid_points(z: np.ndarray, B: PeriodMatrix, radius: int,
     |L^T m + v|^2 at the Babai point (each coordinate, last to first, rounded
     and clipped to the box), an upper bound on the box minimum; tau then
     bounds the sum of the moduli of the omitted terms as computed.  The floor
-    ellipsoid is listed instead when the box is too small for the small one
-    to pay, when the floor ellipsoid is the smaller one, or when its budget
-    exceeds 1e8.
+    ellipsoid is listed instead when it is too small for the small one to
+    pay, when it is the smaller one, or when its budget exceeds 1e8.  Before
+    any point is listed, TruncationCapError is raised when the floor ellipsoid
+    may hold more than DEFAULT_TERM_CAP points, and FloatingPointError when
+    the term at the Babai point is clearly beyond double range.
 
     Coordinates are fixed from the last to the first (Fincke-Pohst): once
     m_{i+1}, ..., m_{g-1} are fixed, row i of L^T m + v bounds m_i to an
@@ -223,33 +230,47 @@ def _ellipsoid_points(z: np.ndarray, B: PeriodMatrix, radius: int,
     # |v|^2 = Im z . Y^{-1} Im z; the relative pad covers the rounding of the
     # exponent when it is large
     budget = (vv - EXPONENT_FLOOR / math.pi) * (1.0 + 1e-9)
+    kept = (2 * radius + 1) ** g
+    if kept > DEFAULT_TERM_CAP:
+        # the cells L^T (m + [-1/2, 1/2)^g) of the points listed below are disjoint,
+        # of volume det L, and inside the ball |x + v| <= sqrt(budget) + sum_k |L^T e_k| / 2
+        reach = math.sqrt(budget) + 0.5 * math.fsum(np.linalg.norm(L, axis=1).tolist())
+        ball = math.pi ** (g / 2) / math.gamma(g / 2 + 1) * math.prod(reach / d for d in diag)
+        kept = math.ceil(min(kept, ball))
+    if kept > DEFAULT_TERM_CAP:
+        raise TruncationCapError(f"radius {radius} needs {kept} terms (cap {DEFAULT_TERM_CAP})")
+    U = L.T.tolist()
+    m = [0] * g
+    q = 0.0
+    for i in range(g - 1, -1, -1):
+        t = float(v[i])
+        for j in range(i + 1, g):
+            t += U[i][j] * m[j]
+        m[i] = min(max(math.floor(0.5 - t / diag[i]), -radius), radius)
+        t += diag[i] * m[i]
+        q += t * t
+    # the Babai point is in either ellipsoid, and exp overflows on its term above 710.2:
+    # 725 leaves the 15 units of exponent rounding that EXPONENT_FLOOR leaves, and the pad
+    if math.pi * (vv - q - 1e-9 * budget) > 725.0:
+        raise FloatingPointError("overflow encountered in exp")
     tau = 0.0
     # a small ellipsoid holds at least spread^(g/2) / (Gamma(g/2 + 1) det L)
-    # points, and it saves more than its own set-up only when the box holds
-    # several times that many
-    if spread is not None and ((2 * radius + 1) ** g * math.gamma(g / 2 + 1) * math.prod(diag)
+    # points, and it saves more than its own set-up only when the floor one
+    # holds several times that many
+    if spread is not None and (kept * math.gamma(g / 2 + 1) * math.prod(diag)
                                > 4.0 * spread ** (g / 2)):
-        U = L.T.tolist()
-        m = [0] * g
-        q = 0.0
-        for i in range(g - 1, -1, -1):
-            t = float(v[i])
-            for j in range(i + 1, g):
-                t += U[i][j] * m[j]
-            m[i] = min(max(math.floor(0.5 - t / diag[i]), -radius), radius)
-            q += (diag[i] * m[i] + t) ** 2
-        small = q + spread / math.pi
+        inner = q + spread / math.pi
         # the factor 2 in tau allows the exponents a rounding error of ln 2;
         # the pad of the budget assumes 1e-9 of it, far less below 1e8
-        if small < budget <= 1e8:
-            rho = math.sqrt(small)
+        if inner < budget <= 1e8:
+            rho = math.sqrt(inner)
             # |L^T m| >= min L_kk for m != 0, so any r up to half of it is a
             # packing radius; g/(4 pi rho) about minimises the bound
             r = min(0.5 * min(diag), g / (4.0 * math.pi * rho))
             tail = _tail_bound(g, r, rho, q)
-            # each box term may also round up by one subnormal unit
-            tau = 2.0 * math.exp(math.pi * (vv - q)) * tail + (2 * radius + 1) ** g * 2.0 ** -1074
-            budget = small * (1.0 + 1e-9)
+            # each term of the floor ellipsoid may also round up by one subnormal unit
+            tau = 2.0 * math.exp(math.pi * (vv - q)) * tail + kept * 2.0 ** -1074
+            budget = inner * (1.0 + 1e-9)
     # the last coordinate has a single interval, found on scalars
     d = L[g - 1, g - 1]
     mid, half = -v[g - 1] / d, math.sqrt(budget) / d
@@ -296,9 +317,10 @@ def riemann_theta(z, B: PeriodMatrix, trunc: LatticeTruncation | None = None) ->
     """Evaluate theta(z) = sum_m exp(pi*i*(B m, m) + 2*pi*i*(m, z)).
 
     z is a finite complex vector of length B.genus.  When trunc is None the
-    radius is chosen by default_radius; a box of more than DEFAULT_TERM_CAP
-    terms raises TruncationCapError.  Accumulation uses math.fsum on the real
-    and imaginary parts, so a sum is exactly rounded and independent of term
+    radius is chosen by default_radius.  TruncationCapError is raised, before
+    any term is summed, when the floor ellipsoid may hold more than
+    DEFAULT_TERM_CAP points.  Accumulation uses math.fsum on the real and
+    imaginary parts, so a sum is exactly rounded and independent of term
     order.  The value is bit for bit the sum over the whole box, in one of two
     ways.  The first pass sums the small ellipsoid of _ellipsoid_points and
     returns it when _certified proves, from the tail bound on the omitted
@@ -313,10 +335,6 @@ def riemann_theta(z, B: PeriodMatrix, trunc: LatticeTruncation | None = None) ->
     if not all(map(cmath.isfinite, z.tolist())):
         raise ValueError("z must be finite")
     radius = default_radius(z, B) if trunc is None else trunc.radius
-    n_terms = (2 * radius + 1) ** B.genus
-    if n_terms > DEFAULT_TERM_CAP:
-        raise TruncationCapError(
-            f"radius {radius} needs {n_terms} terms (cap {DEFAULT_TERM_CAP})")
     # a term beyond double range raises FloatingPointError (an ArithmeticError)
     with np.errstate(over="raise", invalid="raise"):
         try:

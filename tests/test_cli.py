@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -358,11 +359,29 @@ def test_theta_invalid_input_exits_2(tmp_path, capsys):
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == f"error: --shift-m must be 2 comma-separated integers, got {shift!r}\n"
-    # a valid shift beyond the term cap still prints theta(z) first
+    # a valid shift beyond the term cap still prints theta(z) first: Im B = 0.02 I
+    # keeps about 14 M points around z + Bm, against 47^3 in the box of theta(z)
+    pm3 = tmp_path / "pm3.txt"
+    pm3.write_text("3\n0.02j 0 0\n0 0.02j 0\n0 0 0.02j\n")
+    assert run(["theta", "--period-file", str(pm3), "--z", "0.1,0,0", "--shift-m", "100,0,0"]) == 2
+    out = capsys.readouterr()
+    assert out.out.startswith("theta = 73.4965290539") and out.out.count("\n") == 1
+    assert out.err == "error: radius 601 needs 14178624 terms (cap 4000000)\n"
+    # a shift whose box exceeds the cap but whose ellipsoid does not, with a term
+    # beyond double range: the overflow is raised before any point is listed
+    tracemalloc.start()
     assert run(["theta", "--period-file", str(pm), "--z", "0.1", "--shift-m", "1000000"]) == 2
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     out = capsys.readouterr()
     assert out.out.startswith("theta = 1.06992374") and out.out.count("\n") == 1
-    assert out.err == "error: radius 2000001 needs 4000003 terms (cap 4000000)\n"
+    assert out.err == "error: overflow encountered in exp\n" and peak < 4_000_000
+    # a malformed complex number names its flag or file and the token
+    assert run(["theta", "--period-file", str(pm2), "--z", "0.1,abc"]) == 2
+    assert capsys.readouterr().err == "error: --z: malformed complex number 'abc'\n"
+    pm2.write_text("2\n1j 0.1x\n0.1 1j\n")
+    assert run(["theta", "--period-file", str(pm2), "--z", "0.1,0.2"]) == 2
+    assert capsys.readouterr().err == f"error: {pm2}: malformed complex number '0.1x'\n"
 
 
 _VALUES = st.sampled_from(["1", "2", "-2", "0.5", "0", "-1", "1e200", "1e-300", "inf",

@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpc
 from mpmath import exp as mpexp
 from mpmath import pi as mppi
@@ -121,11 +124,49 @@ def test_dimension_mismatch_rejected():
 
 
 def test_truncation_cap():
-    B = PeriodMatrix(1j * np.eye(3))
+    # Im B = 1e-4 I: the floor ellipsoid covers the whole box of 201^3 points
+    B = PeriodMatrix(1e-4j * np.eye(3))
     with pytest.raises(TruncationCapError):
         riemann_theta(np.zeros(3), B, LatticeTruncation(radius=100))
     with pytest.raises(ValueError):
         LatticeTruncation(0)
+
+
+@given(g=st.integers(1, 4), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_cap_bound_covers_the_listed_points(g, data):
+    # the bound the cap is checked against never undercounts the points of the
+    # floor ellipsoid; with the cap at 0 every call reports its bound
+    floats = st.floats(-1.0, 1.0)
+    A = np.array(data.draw(st.lists(floats, min_size=g * g, max_size=g * g))).reshape(g, g)
+    c = data.draw(st.floats(0.5 * g, 100.0))
+    B = PeriodMatrix(1j * (c * np.eye(g) + A @ A.T))
+    z = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=g, max_size=g))) * 1j
+    radius = data.draw(st.integers(1, {1: 400, 2: 40, 3: 16, 4: 9}[g]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(theta, "DEFAULT_TERM_CAP", 0)
+        with pytest.raises(TruncationCapError) as refused, np.errstate(over="raise"):
+            theta._ellipsoid_points(z, B, radius)
+    bound = int(re.search(r"needs (\d+) terms", str(refused.value)).group(1))
+    with np.errstate(over="raise"):
+        M, _ = theta._ellipsoid_points(z, B, radius)
+    assert len(M) <= bound <= (2 * radius + 1) ** g
+
+
+def test_cap_admits_a_box_whose_ellipsoid_fits(monkeypatch):
+    # with the cap lowered below the box, an input is refused only when the
+    # floor ellipsoid may exceed it; an admitted value is the full-box sum
+    monkeypatch.setattr(theta, "DEFAULT_TERM_CAP", 1000)
+    B = PeriodMatrix([[0.1 + 3j, 0.2 + 0.3j], [0.2 + 0.3j, -0.3 + 3.2j]])
+    z = np.array([0.3 + 0.2j, -0.1 + 0.4j])
+    assert (2 * 30 + 1) ** 2 > 1000
+    value = riemann_theta(z, B, LatticeTruncation(30))
+    _, terms = _box_terms(z, B, 30)
+    full = complex(math.fsum(terms.real), math.fsum(terms.imag))
+    assert (value.real.hex(), value.imag.hex()) == (full.real.hex(), full.imag.hex())
+    # Im B = 0.5 I keeps about 1,500 points: refused with the bound, not the box
+    with pytest.raises(TruncationCapError, match=r"radius 30 needs 1\d{3} terms \(cap 1000\)"):
+        riemann_theta(z, PeriodMatrix(0.5j * np.eye(2)), LatticeTruncation(30))
 
 
 def test_period_matrix_invariants():
@@ -322,7 +363,7 @@ def test_small_pass_is_certified_or_falls_back(monkeypatch):
     # the cap is checked before any pass
     passes.clear()
     with pytest.raises(TruncationCapError, match="cap 4000000"):
-        riemann_theta(np.zeros(3), PeriodMatrix(1j * np.eye(3)), LatticeTruncation(100))
+        riemann_theta(np.zeros(3), PeriodMatrix(1e-4j * np.eye(3)), LatticeTruncation(100))
     assert passes == []
 
 
@@ -382,4 +423,7 @@ def test_read_period_matrix_roundtrip(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("2\n1j 0\n")
     with pytest.raises(ValueError, match="rows"):
+        read_period_matrix(bad)
+    bad.write_text("2\n1j 0\n0 0.1x\n")
+    with pytest.raises(ValueError, match=re.escape(f"{bad}: malformed complex number '0.1x'")):
         read_period_matrix(bad)
