@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 
@@ -74,8 +75,11 @@ def _read_scenario(path: str) -> dict:
                 continue
             if "=" not in ln:
                 raise ValueError(f"{path}: expected 'key = value', got {ln!r}")
-            key, _, val = ln.partition("=")
-            out[key.strip()] = float(val.strip())
+            key, _, val = (s.strip() for s in ln.partition("="))
+            try:
+                out[key] = float(val)
+            except ValueError:
+                raise ValueError(f"{path}: {key} = {val!r} is not a number") from None
     return out
 
 
@@ -111,10 +115,13 @@ def _step(h: float) -> float:
 
 
 def _cmd_verify(args) -> int:
-    report = verify(_family_from_args(args), args.grid, _step(args.h), args.tol_profile)
-    print(report.format_text())
-    if args.json_out:
-        report.write_json(args.json_out)
+    family, h = _family_from_args(args), _step(args.h)
+    # opened before the sweep, as sample opens its CSV: a bad path prints no report
+    with open(args.json_out, "w") if args.json_out else contextlib.nullcontext() as fh:
+        report = verify(family, args.grid, h, args.tol_profile)
+        print(report.format_text())
+        if fh:
+            report.write_json(fh)
     return 0 if report.overall else 1
 
 

@@ -23,29 +23,37 @@ TOL_FRAME = 1e-6
 TOL_CURVATURE = {"strict": 1e-4, "fd": 1e-3}
 TOL_RESIDUE_IDENTITY = 1e-9
 
+# (tolerance, kind) of each sweep check; curvature_K_minus_1 takes TOL_CURVATURE[profile]
+_LIMITS = {
+    **dict.fromkeys(GRAM_NAMES + METRIC_NAMES + ("beta_e2i_plus_one",), (TOL_ANALYTIC, "upper")),
+    **dict.fromkeys(RESIDUE_NAMES, (TOL_RESIDUE_IDENTITY, "upper")),
+    **dict.fromkeys(("beta_constant",) + CHRISTOFFEL_NAMES, (TOL_IDENTITY, "upper")),
+    **dict.fromkeys(FRAME_NAMES, (TOL_FRAME, "upper")),
+    "metric_anisotropy": (0.1, "lower"),
+    "tube_G_bound": (TUBE_G_TOL, "upper"),
+}
+
 
 @dataclass(frozen=True)
 class GridSpec:
+    """nx by ny points of the period square [0, 2 pi)^2."""
+
     nx: int
     ny: int
-    x_range: tuple = (0.0, 2.0 * math.pi)
-    y_range: tuple = (0.0, 2.0 * math.pi)
 
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
             raise ValueError("grid must have at least one point per axis")
 
     def xs(self) -> np.ndarray:
-        x0, x1 = self.x_range
-        return x0 + (x1 - x0) * np.arange(self.nx) / self.nx
+        return 2.0 * math.pi * np.arange(self.nx) / self.nx
 
     def ys(self) -> np.ndarray:
-        y0, y1 = self.y_range
-        return y0 + (y1 - y0) * np.arange(self.ny) / self.ny
+        return 2.0 * math.pi * np.arange(self.ny) / self.ny
 
     def to_dict(self) -> dict:
-        return {"nx": self.nx, "ny": self.ny,
-                "x_range": list(self.x_range), "y_range": list(self.y_range)}
+        period = [0.0, 2.0 * math.pi]
+        return {"nx": self.nx, "ny": self.ny, "x_range": period, "y_range": period}
 
 
 @dataclass
@@ -97,9 +105,9 @@ class VerificationReport:
                 "checks": [c.to_dict() for c in self.checks],
                 "overall": self.overall, "timings": self.timings}
 
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:  # one write: json.dump makes thousands of small ones
-            fh.write(json.dumps(self.to_dict(), indent=2) + "\n")
+    def write_json(self, fh) -> None:
+        # one write: json.dump makes thousands of small ones
+        fh.write(json.dumps(self.to_dict(), indent=2) + "\n")
 
     def format_text(self) -> str:
         pars = " ".join(f"{k}={v}" for k, v in self.parameters.items())
@@ -128,22 +136,10 @@ def verify(family: Family, grid: GridSpec, h: float = 1e-4,
            tol_profile: str = "strict") -> VerificationReport:
     """Run the family's check suite over the grid."""
     maxima, excluded, timings = check_maxima(family, grid, h, _curvature_field(family, tol_profile))
-
-    def rec(name, tol, kind="upper"):
-        return CheckRecord(name, float(maxima[name]), tol, kind, excluded.get(name, 0))
-
-    checks = [rec(name, TOL_ANALYTIC) for name in GRAM_NAMES + METRIC_NAMES]
+    limits = {**_LIMITS, "curvature_K_minus_1": (TOL_CURVATURE[tol_profile], "upper")}
+    checks = [CheckRecord(name, float(value), *limits[name], excluded.get(name, 0))
+              for name, value in maxima.items()]
     if family.curve is not None:
-        checks += [rec(name, TOL_RESIDUE_IDENTITY) for name in RESIDUE_NAMES]
-        checks.append(rec("beta_e2i_plus_one", TOL_ANALYTIC))
-    checks += [rec(name, TOL_IDENTITY) for name in ("beta_constant",) + CHRISTOFFEL_NAMES]
-    checks += [rec(name, TOL_FRAME) for name in FRAME_NAMES]
-    if family.curve is None:
-        checks.append(rec("metric_anisotropy", 0.1, kind="lower"))
-    else:
-        checks.append(rec("curvature_K_minus_1", TOL_CURVATURE[tol_profile]))
-        if "tube_G_bound" in maxima:
-            checks.append(rec("tube_G_bound", TUBE_G_TOL))
         checks += curve_checks(family.curve)
     return VerificationReport(family.name, family.parameters, grid, h, tol_profile, checks,
                               timings)

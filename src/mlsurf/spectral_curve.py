@@ -70,11 +70,6 @@ class RationalOneForm:
             acc = acc * z + c
         return acc
 
-    def at(self, z: complex) -> complex:
-        """Value of the rational function multiplying dz."""
-        den = np.prod([(z - r) ** m for r, m in self.denominator_roots])
-        return self.scale * self.numerator_at(z) / den
-
 
 def residue_simple(form: RationalOneForm, pole: complex) -> complex:
     """Residue at a listed simple pole, by deflated evaluation.
@@ -203,9 +198,8 @@ class ReducibleCurveData:
     def omega1(self) -> RationalOneForm:
         return _omega1(self.a)
 
-    def omega2(self, scale: complex | None = None) -> RationalOneForm:
-        return _omega2(self.b, self.Q, self.gamma_im,
-                       self.c if scale is None else scale)
+    def omega2(self) -> RationalOneForm:
+        return _omega2(self.b, self.Q, self.gamma_im, self.c)
 
 
 def _omega1(a: float) -> RationalOneForm:

@@ -36,8 +36,6 @@ FRAME_NAMES = tuple("frame_" + n for n in (
 CHRISTOFFEL_NAMES = ("christoffel_b11", "christoffel_b12", "christoffel_b22",
                      "gradient_identity_x", "gradient_identity_y",
                      "minimality_im_x", "minimality_im_y")
-ANGLE_NAMES = ("beta_constant",) + CHRISTOFFEL_NAMES + FRAME_NAMES
-SPECTRAL_ANGLE_NAMES = ANGLE_NAMES + ("beta_e2i_plus_one", "curvature_K_minus_1")
 PHASES = ("jets", "metric", "residue", "angle", "christoffel", "frame", "curvature", "reduce")
 
 
@@ -196,15 +194,20 @@ def check_maxima(family: Family, grid, h: float, k_field: MetricField) -> tuple:
     """Masked max of every per-point check over the grid.
 
     Returns (maxima, excluded, timings): check name -> max defect (NaN
-    sticky, inf where a point failed the check), angle-check name -> tube
-    points excluded, and seconds per phase.  Tube points feed
-    "tube_G_bound" instead of the angle checks.  Raises ValueError when the
-    first point outside the tube has a rejected angle (it fixes the
-    reference angle) or no point lies outside the tube.
+    sticky, inf where a point failed the check) in report order, each check
+    that skips the tube -> tube points excluded, and seconds per phase.  Tube
+    points feed "tube_G_bound" instead, last and only if there are any.
+    Raises ValueError when the first point outside the tube has a rejected
+    angle (it fixes the reference angle) or no point lies outside the tube.
     """
     curve = family.curve
     timer = Timings()
-    maxima = {}
+    # check names in report order; all but the metric and residue ones skip the tube
+    angle = ("beta_constant",) + CHRISTOFFEL_NAMES + FRAME_NAMES
+    outside = (angle + ("metric_anisotropy",) if curve is None
+               else ("beta_e2i_plus_one",) + angle + ("curvature_K_minus_1",))
+    maxima = dict.fromkeys(GRAM_NAMES + METRIC_NAMES + (() if curve is None else RESIDUE_NAMES)
+                           + outside, -np.inf)
     tube_points = 0
     beta_ref = None
 
@@ -272,8 +275,7 @@ def check_maxima(family: Family, grid, h: float, k_field: MetricField) -> tuple:
 
     if beta_ref is None:
         raise ValueError("no grid point outside the degeneracy tube")
-    angle_names = ANGLE_NAMES if curve is None else SPECTRAL_ANGLE_NAMES
-    return maxima, dict.fromkeys(angle_names, tube_points), timer.to_dict()
+    return maxima, dict.fromkeys(outside, tube_points), timer.to_dict()
 
 
 def sample_blocks(family: Family, grid, h: float, k_field: MetricField):

@@ -7,22 +7,16 @@ so the result does not depend on summation order beyond unit roundoff.
 Only the box points whose term can be nonzero in double precision are summed.
 The modulus of a term is exp(-pi*(m^T Y m + 2 m.Im z)) with Y = Im B, and
 exp(x) is exactly 0.0 for x < -745.14.  The box points with a real exponent of
-at least EXPONENT_FLOOR form an ellipsoid, listed by a vectorised Fincke-Pohst
-enumeration (Fincke and Pohst, Math. Comp. 44 (1985) 463-471; Deconinck et al.,
-Math. Comp. 73 (2004) 1417-1442).  Every other box term is exactly 0.0, each
-kept term rounds the same whatever terms surround it, and math.fsum is
-exactly rounded, so a value is bit for bit the sum over the whole box.
-
-The floor ellipsoid still keeps every term down to exp(-760), while the value
-is decided by the few within exp(-SPREAD) of the largest.  So the sum is first
-taken over a small ellipsoid around the Babai point, and the terms it omits
-are bounded by the Gaussian lattice tail bound of Deconinck et al.  When that
-bound plus the rounding residual of the small sum is below half the gap from
-the sum to its neighbouring doubles, the whole box rounds to the same double,
-and the small sum is returned.  Otherwise the floor ellipsoid is summed.
-Either way the value is bit for bit the floor sum.  DEFAULT_TERM_CAP counts
-kept points, not the box: an input is refused before any point is listed when
-a proven bound on the floor ellipsoid's points exceeds it.
+at least EXPONENT_FLOOR form the floor ellipsoid, listed by a vectorised
+Fincke-Pohst enumeration (Fincke and Pohst, Math. Comp. 44 (1985) 463-471).
+Every other box term is exactly 0.0, each kept term rounds the same whatever
+terms surround it, and math.fsum is exactly rounded, so its sum is bit for bit
+the sum over the whole box.  The value is decided by far fewer terms, so
+riemann_theta first sums a small ellipsoid and keeps that sum only when the
+Gaussian lattice tail bound of Deconinck et al. (Math. Comp. 73 (2004)
+1417-1442) proves the whole box rounds to the same double.  DEFAULT_TERM_CAP
+counts kept points, not the box.  riemann_theta owns this pass policy;
+_ellipsoid_points only lists the points of a given ellipsoid.
 """
 
 from __future__ import annotations
@@ -119,7 +113,12 @@ def read_period_matrix(path) -> PeriodMatrix:
     lines = [ln for ln in lines if ln]
     if not lines:
         raise ValueError(f"{path}: empty period-matrix file")
-    g = int(lines[0])
+    try:
+        g = int(lines[0])
+    except ValueError:
+        g = 0
+    if g < 1:
+        raise ValueError(f"{path}: genus line must be a positive integer, got {lines[0]!r}")
     if len(lines) != g + 1:
         raise ValueError(f"{path}: expected {g} matrix rows, found {len(lines) - 1}")
     rows = []
@@ -190,87 +189,17 @@ def _certified(parts: list, tau: float) -> float | None:
     return s if abs(e) * (1.0 + 2.0 ** -50) + tau < 0.5 * gap else None
 
 
-def _ellipsoid_points(z: np.ndarray, B: PeriodMatrix, radius: int,
-                      spread: float | None = None) -> tuple[np.ndarray, float]:
-    """Box points |m|_inf <= radius in an ellipsoid, and a bound on the omitted terms.
-
-    With Im(B) = L L^T and v = L^{-1} Im z, the real exponent of the m-th term
-    is pi*(|v|^2 - |L^T m + v|^2), so the points lie in an ellipsoid
-    |L^T m + v|^2 <= budget.  With spread None it is the floor ellipsoid,
-    budget = |v|^2 - EXPONENT_FLOOR/pi: every omitted term is exactly 0.0, and
-    the bound tau is 0.0.  With a spread, budget = q + spread/pi, where q is
-    |L^T m + v|^2 at the Babai point (each coordinate, last to first, rounded
-    and clipped to the box), an upper bound on the box minimum; tau then
-    bounds the sum of the moduli of the omitted terms as computed.  The floor
-    ellipsoid is listed instead when it is too small for the small one to
-    pay, when it is the smaller one, or when its budget exceeds 1e8.  Before
-    any point is listed, TruncationCapError is raised when the floor ellipsoid
-    may hold more than DEFAULT_TERM_CAP points, and FloatingPointError when
-    the term at the Babai point is clearly beyond double range.
+def _ellipsoid_points(L: np.ndarray, v: list, radius: int, budget: float) -> np.ndarray:
+    """Box points |m|_inf <= radius with |L^T m + v|^2 <= budget, L lower triangular.
 
     Coordinates are fixed from the last to the first (Fincke-Pohst): once
     m_{i+1}, ..., m_{g-1} are fixed, row i of L^T m + v bounds m_i to an
     interval, and each partial vector is repeated once per integer in it.  A
-    few extra box points only cost time, so the bound is padded rather than
-    tight.  The points are a C-contiguous int64 array with one row per point.
-    Call under np.errstate(over="raise"), so that an exponent beyond double
-    range raises FloatingPointError.
+    few extra box points only cost time, so callers pad the budget rather
+    than keep it tight.  The points are a C-contiguous int64 array with one
+    row per point.
     """
-    L = B.im_cholesky
-    g = B.genus
-    diag = L.diagonal().tolist()
-    w = z.imag
-    v = []
-    for i in range(g):
-        s = w[i]
-        for j in range(i):
-            s -= L[i, j] * v[j]
-        v.append(s / diag[i])
-    vv = sum(x * x for x in v)
-    # |v|^2 = Im z . Y^{-1} Im z; the relative pad covers the rounding of the
-    # exponent when it is large
-    budget = (vv - EXPONENT_FLOOR / math.pi) * (1.0 + 1e-9)
-    kept = (2 * radius + 1) ** g
-    if kept > DEFAULT_TERM_CAP:
-        # the cells L^T (m + [-1/2, 1/2)^g) of the points listed below are disjoint,
-        # of volume det L, and inside the ball |x + v| <= sqrt(budget) + sum_k |L^T e_k| / 2
-        reach = math.sqrt(budget) + 0.5 * math.fsum(np.linalg.norm(L, axis=1).tolist())
-        ball = math.pi ** (g / 2) / math.gamma(g / 2 + 1) * math.prod(reach / d for d in diag)
-        kept = math.ceil(min(kept, ball))
-    if kept > DEFAULT_TERM_CAP:
-        raise TruncationCapError(f"radius {radius} needs {kept} terms (cap {DEFAULT_TERM_CAP})")
-    U = L.T.tolist()
-    m = [0] * g
-    q = 0.0
-    for i in range(g - 1, -1, -1):
-        t = float(v[i])
-        for j in range(i + 1, g):
-            t += U[i][j] * m[j]
-        m[i] = min(max(math.floor(0.5 - t / diag[i]), -radius), radius)
-        t += diag[i] * m[i]
-        q += t * t
-    # the Babai point is in either ellipsoid, and exp overflows on its term above 710.2:
-    # 725 leaves the 15 units of exponent rounding that EXPONENT_FLOOR leaves, and the pad
-    if math.pi * (vv - q - 1e-9 * budget) > 725.0:
-        raise FloatingPointError("overflow encountered in exp")
-    tau = 0.0
-    # a small ellipsoid holds at least spread^(g/2) / (Gamma(g/2 + 1) det L)
-    # points, and it saves more than its own set-up only when the floor one
-    # holds several times that many
-    if spread is not None and (kept * math.gamma(g / 2 + 1) * math.prod(diag)
-                               > 4.0 * spread ** (g / 2)):
-        inner = q + spread / math.pi
-        # the factor 2 in tau allows the exponents a rounding error of ln 2;
-        # the pad of the budget assumes 1e-9 of it, far less below 1e8
-        if inner < budget <= 1e8:
-            rho = math.sqrt(inner)
-            # |L^T m| >= min L_kk for m != 0, so any r up to half of it is a
-            # packing radius; g/(4 pi rho) about minimises the bound
-            r = min(0.5 * min(diag), g / (4.0 * math.pi * rho))
-            tail = _tail_bound(g, r, rho, q)
-            # each term of the floor ellipsoid may also round up by one subnormal unit
-            tau = 2.0 * math.exp(math.pi * (vv - q)) * tail + kept * 2.0 ** -1074
-            budget = inner * (1.0 + 1e-9)
+    g = len(v)
     # the last coordinate has a single interval, found on scalars
     d = L[g - 1, g - 1]
     mid, half = -v[g - 1] / d, math.sqrt(budget) / d
@@ -294,40 +223,38 @@ def _ellipsoid_points(z: np.ndarray, B: PeriodMatrix, radius: int,
         if i:
             row = d * M[:, i] + t.repeat(count)
             rest = rest.repeat(count) - row * row
-    return M, tau
+    return M
 
 
-def _theta_sum(z: np.ndarray, B: PeriodMatrix, radius: int,
-               spread: float | None = None) -> complex | None:
-    """Sum of the terms at the points _ellipsoid_points lists; None when the
-    terms it omits may change the exactly rounded sum (see _certified)."""
-    M, tau = _ellipsoid_points(z, B, radius, spread)
+def _terms(z: np.ndarray, B: PeriodMatrix, M: np.ndarray) -> tuple[list, list]:
+    """Real and imaginary parts of the terms at the points M, largest first
+    (complex values sort by real part): fsum keeps fewer partials, and the
+    order cannot change its exactly rounded value."""
     quad = np.einsum("ni,ij,nj->n", M, B.entries, M)
-    # largest terms first (complex values sort by real part): fsum keeps
-    # fewer partials, and the order cannot change its exactly rounded value
     terms = np.exp(np.sort(1j * math.pi * quad + 2j * math.pi * (M @ z))[::-1])
-    re, im = terms.real.tolist(), terms.imag.tolist()
-    if not tau:
-        return complex(math.fsum(re), math.fsum(im))
-    re, im = _certified(re, tau), _certified(im, tau)
-    return None if re is None or im is None else complex(re, im)
+    return terms.real.tolist(), terms.imag.tolist()
 
 
 def riemann_theta(z, B: PeriodMatrix, trunc: LatticeTruncation | None = None) -> complex:
     """Evaluate theta(z) = sum_m exp(pi*i*(B m, m) + 2*pi*i*(m, z)).
 
     z is a finite complex vector of length B.genus.  When trunc is None the
-    radius is chosen by default_radius.  TruncationCapError is raised, before
-    any term is summed, when the floor ellipsoid may hold more than
-    DEFAULT_TERM_CAP points.  Accumulation uses math.fsum on the real and
-    imaginary parts, so a sum is exactly rounded and independent of term
-    order.  The value is bit for bit the sum over the whole box, in one of two
-    ways.  The first pass sums the small ellipsoid of _ellipsoid_points and
-    returns it when _certified proves, from the tail bound on the omitted
-    terms, that the whole box rounds to the same double.  Otherwise, or if the
-    first pass raises an ArithmeticError, the floor ellipsoid is summed, whose
-    omitted terms are exactly 0.0 in double precision; its value or error is
-    the result.
+    radius is chosen by default_radius.  With Im(B) = L L^T and v = L^{-1} Im z
+    the real exponent of the m-th term is pi*(|v|^2 - |L^T m + v|^2), so the
+    terms above any level lie in an ellipsoid |L^T m + v|^2 <= budget, listed
+    by _ellipsoid_points.  The floor ellipsoid has budget |v|^2 -
+    EXPONENT_FLOOR/pi: every term outside it is exactly 0.0.  Before any
+    point is listed, TruncationCapError is raised when it may hold more than
+    DEFAULT_TERM_CAP points, and FloatingPointError when the term at the
+    Babai point (each coordinate, last to first, rounded and clipped to the
+    box) is clearly beyond double range.  With q = |L^T m + v|^2 there, an
+    upper bound on the box minimum, the small ellipsoid q + SPREAD/pi is
+    summed first where it pays, and returned when _certified proves from the
+    tail bound on the omitted terms that the whole box rounds to the same
+    double.  Otherwise, or if that pass raises an ArithmeticError, the floor
+    ellipsoid is summed; its value or error is the result.  Sums are
+    math.fsum on the real and imaginary parts, so either value is bit for
+    bit the sum over the whole box.
     """
     z = np.asarray(z, dtype=complex)
     if z.shape != (B.genus,):
@@ -335,15 +262,68 @@ def riemann_theta(z, B: PeriodMatrix, trunc: LatticeTruncation | None = None) ->
     if not all(map(cmath.isfinite, z.tolist())):
         raise ValueError("z must be finite")
     radius = default_radius(z, B) if trunc is None else trunc.radius
+    L, g = B.im_cholesky, B.genus
+    diag = L.diagonal().tolist()
     # a term beyond double range raises FloatingPointError (an ArithmeticError)
     with np.errstate(over="raise", invalid="raise"):
+        w = z.imag
+        v = []
+        for i in range(g):
+            s = w[i]
+            for j in range(i):
+                s -= L[i, j] * v[j]
+            v.append(s / diag[i])
+        vv = sum(x * x for x in v)
+        # |v|^2 = Im z . Y^{-1} Im z; the relative pad covers the rounding of the
+        # exponent when it is large
+        budget = (vv - EXPONENT_FLOOR / math.pi) * (1.0 + 1e-9)
+        kept = (2 * radius + 1) ** g
+        if kept > DEFAULT_TERM_CAP:
+            # the cells L^T (m + [-1/2, 1/2)^g) of the listed points are disjoint, of
+            # volume det L, and inside the ball |x + v| <= sqrt(budget) + sum_k |L^T e_k| / 2
+            reach = math.sqrt(budget) + 0.5 * math.fsum(np.linalg.norm(L, axis=1).tolist())
+            ball = math.pi ** (g / 2) / math.gamma(g / 2 + 1) * math.prod(reach / d for d in diag)
+            kept = math.ceil(min(kept, ball))
+        if kept > DEFAULT_TERM_CAP:
+            raise TruncationCapError(f"radius {radius} needs {kept} terms (cap {DEFAULT_TERM_CAP})")
+        U = L.T.tolist()
+        m = [0] * g
+        q = 0.0
+        for i in range(g - 1, -1, -1):
+            t = float(v[i])
+            for j in range(i + 1, g):
+                t += U[i][j] * m[j]
+            m[i] = min(max(math.floor(0.5 - t / diag[i]), -radius), radius)
+            t += diag[i] * m[i]
+            q += t * t
+        # the Babai point is in either ellipsoid, and exp overflows on its term above 710.2:
+        # 725 leaves the 15 units of exponent rounding that EXPONENT_FLOOR leaves, and the pad
+        if math.pi * (vv - q - 1e-9 * budget) > 725.0:
+            raise FloatingPointError("overflow encountered in exp")
         try:
-            value = _theta_sum(z, B, radius, SPREAD)
+            # a small ellipsoid holds at least SPREAD^(g/2) / (Gamma(g/2 + 1) det L)
+            # points, and it saves more than its own set-up only when the floor one
+            # holds several times that many; the factor 2 in tau allows the
+            # exponents a rounding error of ln 2, while the pad of the budget
+            # assumes 1e-9 of it, far less below 1e8
+            inner = q + SPREAD / math.pi
+            if (kept * math.gamma(g / 2 + 1) * math.prod(diag) > 4.0 * SPREAD ** (g / 2)
+                    and inner < budget <= 1e8):
+                rho = math.sqrt(inner)
+                # |L^T m| >= min L_kk for m != 0, so any r up to half of it is a
+                # packing radius; g/(4 pi rho) about minimises the bound
+                r = min(0.5 * min(diag), g / (4.0 * math.pi * rho))
+                # each term of the floor ellipsoid may also round up by one subnormal unit
+                tau = (2.0 * math.exp(math.pi * (vv - q)) * _tail_bound(g, r, rho, q)
+                       + kept * 2.0 ** -1074)
+                re, im = _terms(z, B, _ellipsoid_points(L, v, radius, inner * (1.0 + 1e-9)))
+                re, im = _certified(re, tau), _certified(im, tau)
+                if re is not None and im is not None:
+                    return complex(re, im)
         except ArithmeticError:
-            value = None
-        if value is None:
-            value = _theta_sum(z, B, radius)
-    return value
+            pass
+        re, im = _terms(z, B, _ellipsoid_points(L, v, radius, budget))
+    return complex(math.fsum(re), math.fsum(im))
 
 
 def quasi_periodicity_defect(z, m, B: PeriodMatrix, trunc: LatticeTruncation | None = None,

@@ -122,6 +122,10 @@ def test_scenario_file(tmp_path, capsys):
     bad.write_text("a = 1\nwhat = 3\n")
     assert run(["verify", "--family", "spectral", "--scenario", str(bad)]) == 2
     capsys.readouterr()
+    bad.write_text("a = 1\nb = x\n")
+    assert run(["verify", "--family", "spectral", "--scenario", str(bad)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {bad}: b = 'x' is not a number\n"
 
 
 def test_curve_info(capsys):
@@ -230,6 +234,15 @@ def test_sample_fd_profile(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_unwritable_json_out(tmp_path, capsys):
+    # the report file is opened before the sweep: one error line, no report
+    out_file = tmp_path / "nope" / "x.json"
+    code = run(["verify", *SPHERE, "--grid", "4x4", "--json-out", str(out_file)])
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
 def test_sample_unwritable_path(tmp_path, capsys):
     code = run(["sample", "--family", "cone", "--m", "1", "--n", "1",
                 "--out", str(tmp_path / "nope" / "x.csv")])
@@ -332,9 +345,11 @@ def test_theta_invalid_input_exits_2(tmp_path, capsys):
     assert run(["theta", "--period-file", str(pm), "--z", "1e300j"]) == 2
     assert capsys.readouterr().err == ("error: |Im z| = 1e+300 is too large for an automatic "
                                        "radius; give one with --radius\n")
-    # theta terms beyond double range: one line naming the overflow, no warning
-    for extra in ([], ["--shift-m", "1"]):
-        assert run(["theta", "--period-file", str(pm), "--z", "0.3+200j", *extra]) == 2
+    # theta terms beyond double range: one line naming the overflow, no warning.
+    # At 0.3+15.1j the largest term is just beyond it (exponent 716): the tail
+    # bound of the small pass overflows first, and the floor pass reports the sum's
+    for z, extra in (("0.3+200j", []), ("0.3+200j", ["--shift-m", "1"]), ("0.3+15.1j", [])):
+        assert run(["theta", "--period-file", str(pm), "--z", z, *extra]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "overflow" in err
     # Im z . Y^{-1} Im z beyond double range, with an explicit radius
@@ -382,6 +397,10 @@ def test_theta_invalid_input_exits_2(tmp_path, capsys):
     pm2.write_text("2\n1j 0.1x\n0.1 1j\n")
     assert run(["theta", "--period-file", str(pm2), "--z", "0.1,0.2"]) == 2
     assert capsys.readouterr().err == f"error: {pm2}: malformed complex number '0.1x'\n"
+    pm2.write_text("x\n1j 0.1\n0.1 1j\n")
+    assert run(["theta", "--period-file", str(pm2), "--z", "0.1,0.2"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {pm2}: genus line must be a positive integer, got 'x'\n"
 
 
 _VALUES = st.sampled_from(["1", "2", "-2", "0.5", "0", "-1", "1e200", "1e-300", "inf",

@@ -129,6 +129,33 @@ def test_report_matches_scalar_oracles(family):
         assert report.checks[0].excluded_points == 0 < report.checks[-7].excluded_points
 
 
+_HEAD = ("gram_norm gram_phi_phix gram_phi_phiy gram_phix_phiy "
+         "metric_E_closed_form metric_G_closed_form", 1e-10, "upper")
+_ANGLE = [("beta_constant christoffel_b11 christoffel_b12 christoffel_b22 gradient_identity_x "
+           "gradient_identity_y minimality_im_x minimality_im_y", 1e-8, "upper"),
+          ("frame_unitarity frame_det_unit frame_A_antiherm frame_B_antiherm frame_A_trace "
+           "frame_B_trace frame_A_pattern frame_B_pattern frame_f_real frame_h_real", 1e-6, "upper")]
+_RESIDUES = [(" ".join(f"residue_identity_{k}" for k in range(1, 7)), 1e-9, "upper"),
+             ("beta_e2i_plus_one", 1e-10, "upper")]
+_CURVE = [("curve_regularity", 1e-13, "upper"), ("curve_w2_P1_rel curve_w2_P2_rel", 1e-12, "upper"),
+          ("curve_Q_sum", 1e-13, "upper"), ("curve_residues_positive", 0.0, "lower")]
+
+
+@pytest.mark.parametrize("family, tol_profile, groups", [
+    (TUBE_POINTS, "strict", [_HEAD, *_RESIDUES, *_ANGLE, ("curvature_K_minus_1", 1e-4, "upper"),
+                             ("tube_G_bound", 1e-3, "upper"), *_CURVE]),
+    (TUBE_POINTS, "fd", [_HEAD, *_RESIDUES, *_ANGLE, ("curvature_K_minus_1", 1e-3, "upper"),
+                         ("tube_G_bound", 1e-3, "upper"), *_CURVE]),
+    (cone_family(1, 2), "strict", [_HEAD, *_ANGLE, ("metric_anisotropy", 0.1, "lower")]),
+], ids=["tube-points-strict", "tube-points-fd", "cone-1-2"])
+def test_report_check_order(family, tol_profile, groups):
+    # the text and JSON reports list the checks in this order, each with its
+    # tolerance and kind
+    report = verify(family, GridSpec(16, 16), 1e-4, tol_profile)
+    assert [(c.name, c.tolerance, c.kind) for c in report.checks] == [
+        (name, tol, kind) for names, tol, kind in groups for name in names.split()]
+
+
 @pytest.mark.parametrize("chunk", [1, 7, sweep.CHUNK])
 def test_chunk_size_does_not_change_the_output(chunk, monkeypatch):
     def outputs():

@@ -145,12 +145,26 @@ def test_cap_bound_covers_the_listed_points(g, data):
     radius = data.draw(st.integers(1, {1: 400, 2: 40, 3: 16, 4: 9}[g]))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(theta, "DEFAULT_TERM_CAP", 0)
-        with pytest.raises(TruncationCapError) as refused, np.errstate(over="raise"):
-            theta._ellipsoid_points(z, B, radius)
+        with pytest.raises(TruncationCapError) as refused:
+            riemann_theta(z, B, LatticeTruncation(radius))
     bound = int(re.search(r"needs (\d+) terms", str(refused.value)).group(1))
-    with np.errstate(over="raise"):
-        M, _ = theta._ellipsoid_points(z, B, radius)
+    M, _ = _floor_points(z, B, radius)
     assert len(M) <= bound <= (2 * radius + 1) ** g
+
+
+def _floor_points(z, B, radius):
+    """(points of the floor ellipsoid, theta value) as riemann_theta lists and
+    sums them: with SPREAD infinite the small pass never pays, so the one
+    listing is the floor ellipsoid's."""
+    listed = []
+    points = theta._ellipsoid_points
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(theta, "SPREAD", math.inf)
+        patch.setattr(theta, "_ellipsoid_points",
+                      lambda *args: listed.append(points(*args)) or listed[-1])
+        value = riemann_theta(z, B, LatticeTruncation(radius))
+    [M] = listed
+    return M, value
 
 
 def test_cap_admits_a_box_whose_ellipsoid_fits(monkeypatch):
@@ -217,8 +231,7 @@ def test_lattice_order_does_not_change_theta(monkeypatch):
     points = theta._ellipsoid_points
 
     def reversed_points(*args):  # both passes: small ellipsoid and floor
-        M, tau = points(*args)
-        return M[::-1], tau
+        return points(*args)[::-1]
 
     monkeypatch.setattr(theta, "_ellipsoid_points", reversed_points)
     assert values() == expected
@@ -252,9 +265,7 @@ def test_omitted_box_terms_are_exact_zeros():
             if (2 * R + 1) ** g > 200_000:
                 continue
             M, terms = _box_terms(w, B, R)
-            with np.errstate(over="raise"):
-                kept_points, tau = theta._ellipsoid_points(w, B, R)
-            assert tau == 0.0
+            kept_points, floor_value = _floor_points(w, B, R)
             rows = kept_points.tolist()
             kept = set(map(tuple, rows))
             box = list(map(tuple, M.tolist()))
@@ -263,8 +274,8 @@ def test_omitted_box_terms_are_exact_zeros():
             assert np.all(terms[out] == 0.0)
             omitted += int(out.sum())
             full = complex(math.fsum(terms.real), math.fsum(terms.imag))
-            value = riemann_theta(w, B, trunc)
-            assert (value.real.hex(), value.imag.hex()) == (full.real.hex(), full.imag.hex())
+            for value in (floor_value, riemann_theta(w, B, trunc)):
+                assert (value.real.hex(), value.imag.hex()) == (full.real.hex(), full.imag.hex())
     assert omitted > 0
 
 
@@ -319,21 +330,28 @@ def test_certified_rejects_unsafe_roundings():
 
 
 def test_small_pass_is_certified_or_falls_back(monkeypatch):
-    # riemann_theta sums a small ellipsoid first (tau > 0) and the floor
-    # ellipsoid only when that sum is not certified; on small boxes the first
-    # call already lists the floor ellipsoid (tau == 0).  Every value is the
-    # full-box sum
+    # riemann_theta sums a small ellipsoid first and lists the floor ellipsoid
+    # only when the real or imaginary part of that sum is not certified; on
+    # small boxes the small pass is skipped and the floor ellipsoid is the one
+    # listing.  Every value is the full-box sum
     passes = []
-    points = theta._ellipsoid_points
+    points, certified_sum = theta._ellipsoid_points, theta._certified
 
-    def spy(z, B, radius, spread=None):
-        M, tau = points(z, B, radius, spread)
-        passes.append((spread, tau > 0.0))
-        return M, tau
+    def spy_points(*args):
+        passes.append("list")
+        return points(*args)
 
-    monkeypatch.setattr(theta, "_ellipsoid_points", spy)
-    small, floor = (theta.SPREAD, True), (None, False)
-    certified, fell_back, skipped = [small], [small, floor], [(theta.SPREAD, False)]
+    def spy_certified(parts, tau):
+        s = certified_sum(parts, tau)
+        passes.append(s is not None)
+        return s
+
+    def fell_back(p):
+        return len(p) == 4 and p[0] == p[3] == "list" and False in p[1:3]
+
+    monkeypatch.setattr(theta, "_ellipsoid_points", spy_points)
+    monkeypatch.setattr(theta, "_certified", spy_certified)
+    certified, skipped = ["list", True, True], ["list"]
     rng = np.random.default_rng(31)
     seen, real_valued = [], []
     for k in range(24):
@@ -354,12 +372,12 @@ def test_small_pass_is_certified_or_falls_back(monkeypatch):
             _, terms = _box_terms(w, P, R)
             full = complex(math.fsum(terms.real), math.fsum(terms.imag))
             assert (value.real.hex(), value.imag.hex()) == (full.real.hex(), full.imag.hex())
-            assert passes in (certified, fell_back, skipped)
+            assert passes in (certified, skipped) or fell_back(passes)
             if P is real_B:
-                assert value.imag == 0.0 and passes in (fell_back, skipped)
+                assert value.imag == 0.0 and (passes == skipped or fell_back(passes))
                 real_valued.append(passes[:])
             seen.append(passes[:])
-    assert certified in seen and skipped in seen and fell_back in real_valued
+    assert certified in seen and skipped in seen and any(map(fell_back, real_valued))
     # the cap is checked before any pass
     passes.clear()
     with pytest.raises(TruncationCapError, match="cap 4000000"):
@@ -367,12 +385,20 @@ def test_small_pass_is_certified_or_falls_back(monkeypatch):
     assert passes == []
 
 
-def test_a_certified_small_sum_is_the_full_box_sum():
+def test_a_certified_small_sum_is_the_full_box_sum(monkeypatch):
     # with spreads far below SPREAD the omitted terms matter: the small sum
-    # must then be refused, and every sum that is certified must equal the
-    # full-box sum
+    # must then be refused, and every value, a certified small sum or the
+    # floor sum after a refusal, must equal the full-box sum
     rng = np.random.default_rng(41)
-    outcomes = set()
+    outcomes, refused = set(), []
+    certified_sum = theta._certified
+
+    def spy_certified(parts, tau):
+        s = certified_sum(parts, tau)
+        refused.append(s is None)
+        return s
+
+    monkeypatch.setattr(theta, "_certified", spy_certified)
     for k in range(16):
         g = 1 + k % 4
         B = _seeded_period_matrix(rng, g)
@@ -381,11 +407,11 @@ def test_a_certified_small_sum_is_the_full_box_sum():
         _, terms = _box_terms(z, B, R)
         full = complex(math.fsum(terms.real), math.fsum(terms.imag))
         for spread in (1.0, 5.0, 10.0, 20.0, 40.0):
-            with np.errstate(over="raise", invalid="raise"):
-                value = theta._theta_sum(z, B, R, spread)
-            if value is not None:
-                assert (value.real.hex(), value.imag.hex()) == (full.real.hex(), full.imag.hex())
-            outcomes.add(value is None)
+            monkeypatch.setattr(theta, "SPREAD", spread)
+            refused.clear()
+            value = riemann_theta(z, B, LatticeTruncation(R))
+            assert (value.real.hex(), value.imag.hex()) == (full.real.hex(), full.imag.hex())
+            outcomes.add(any(refused))
     assert outcomes == {True, False}
 
 
@@ -427,3 +453,9 @@ def test_read_period_matrix_roundtrip(tmp_path):
     bad.write_text("2\n1j 0\n0 0.1x\n")
     with pytest.raises(ValueError, match=re.escape(f"{bad}: malformed complex number '0.1x'")):
         read_period_matrix(bad)
+    # the genus line: one message naming the file and the line, for each way it is wrong
+    for genus in ("x", "2.0", "0", "-1"):
+        bad.write_text(f"{genus}\n1j 0\n0 1j\n")
+        with pytest.raises(ValueError) as refused:
+            read_period_matrix(bad)
+        assert str(refused.value) == f"{bad}: genus line must be a positive integer, got {genus!r}"
