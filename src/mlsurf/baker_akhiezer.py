@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,7 @@ class DivisorDegeneracyError(ArithmeticError):
     """A theta denominator in the assembly formula is numerically zero."""
 
 
-@dataclass(frozen=True)
-class BARationalValue:
+class BARationalValue(NamedTuple):
     """Value of the rational-model function together with its building blocks.
 
     f1 and f2 are stored as reals: both are real identically in (x, y) under
@@ -137,7 +136,6 @@ def ba_essential_singularity_coeffs(curve: ReducibleCurveData, x: float, y: floa
     return out
 
 
-@dataclass(frozen=True)
 class ThetaBAInputs:
     """Precomputed period data for the generic theta-form assembly.
 
@@ -149,26 +147,22 @@ class ThetaBAInputs:
     maps or period integrals from a curve equation is out of scope here.
     """
 
-    B: PeriodMatrix
-    z_vec: np.ndarray
-    U: np.ndarray
-    V: np.ndarray
-    abel_P: np.ndarray
-    abel_r: np.ndarray
-    exp1_P: complex
-    exp2_P: complex
-    exp1_r: complex
-    exp2_r: complex
-    d: float
+    __slots__ = ("B", "z_vec", "U", "V", "abel_P", "abel_r",
+                 "exp1_P", "exp2_P", "exp1_r", "exp2_r", "d")
 
-    def __post_init__(self):
-        g = self.B.genus
-        for name in ("z_vec", "U", "V", "abel_P", "abel_r"):
-            vec = np.asarray(getattr(self, name), dtype=complex)
+    def __init__(self, B: PeriodMatrix, z_vec: np.ndarray, U: np.ndarray, V: np.ndarray,
+                 abel_P: np.ndarray, abel_r: np.ndarray, exp1_P: complex, exp2_P: complex,
+                 exp1_r: complex, exp2_r: complex, d: float):
+        g = B.genus
+        for name, vec in zip(("z_vec", "U", "V", "abel_P", "abel_r"),
+                             (z_vec, U, V, abel_P, abel_r)):
+            vec = np.asarray(vec, dtype=complex)
             if vec.shape != (g,):
                 raise ValueError(f"{name} has shape {vec.shape}, expected ({g},)")
             vec.setflags(write=False)
-            object.__setattr__(self, name, vec)
+            setattr(self, name, vec)
+        self.B, self.d = B, d
+        self.exp1_P, self.exp2_P, self.exp1_r, self.exp2_r = exp1_P, exp2_P, exp1_r, exp2_r
 
 
 def ba_theta_assembly(inp: ThetaBAInputs, x: float, y: float,

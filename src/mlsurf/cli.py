@@ -167,10 +167,24 @@ def _cmd_theta(args) -> int:
     return 0
 
 
+def _join_dash_values(argv: list) -> list:
+    """`--flag -0.3+0.1j` as `--flag=-0.3+0.1j`.  argparse takes a token that
+    starts with "-" for a flag unless it is a plain negative number, so exponent
+    and complex forms would be refused; every mlsurf option but -h takes a value."""
+    out = []
+    for tok in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1] and out[-1] != "--help"
+                and tok.startswith("-") and not tok.startswith("--") and tok != "-h"):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse already printed the diagnostic
         return exc.code if isinstance(exc.code, int) else 2
     commands = {"verify": _cmd_verify, "sample": _cmd_sample,

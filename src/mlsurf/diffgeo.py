@@ -14,7 +14,7 @@ the conventions are fixed once:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +42,7 @@ def gram_defects(jet: SurfaceJet) -> np.ndarray:
     ])
 
 
-@dataclass(frozen=True)
-class MetricData:
+class MetricData(NamedTuple):
     v1: float
     v2: float
     E: float
@@ -96,8 +95,7 @@ def angle_defect(beta: float, beta_ref: float, period: float) -> float:
     return abs(math.remainder(beta - beta_ref, period))
 
 
-@dataclass(frozen=True)
-class ChristoffelData:
+class ChristoffelData(NamedTuple):
     """Connection coefficients of the moving basis (phi_x, phi_y, phi)."""
 
     G111: complex
@@ -172,8 +170,7 @@ def minimality_defects(ch: ChristoffelData) -> np.ndarray:
     ])
 
 
-@dataclass(frozen=True)
-class FrameData:
+class FrameData(NamedTuple):
     Phi: np.ndarray
     beta: float
     A: np.ndarray

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,16 +34,15 @@ _LIMITS = {
 }
 
 
-@dataclass(frozen=True)
 class GridSpec:
     """nx by ny points of the period square [0, 2 pi)^2."""
 
-    nx: int
-    ny: int
+    __slots__ = ("nx", "ny")
 
-    def __post_init__(self):
-        if self.nx < 1 or self.ny < 1:
+    def __init__(self, nx: int, ny: int):
+        if nx < 1 or ny < 1:
             raise ValueError("grid must have at least one point per axis")
+        self.nx, self.ny = nx, ny
 
     def xs(self) -> np.ndarray:
         return 2.0 * math.pi * np.arange(self.nx) / self.nx
@@ -56,8 +55,7 @@ class GridSpec:
         return {"nx": self.nx, "ny": self.ny, "x_range": period, "y_range": period}
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(NamedTuple):
     """One verified identity: measured value against its pinned tolerance.
 
     kind "upper" passes when value <= tolerance (defect checks); kind "lower"
@@ -84,15 +82,14 @@ class CheckRecord:
                 "excluded_points": self.excluded_points, "passed": self.passed}
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     family: str
     parameters: dict
     grid: GridSpec
     h: float
     tol_profile: str
-    checks: list = field(default_factory=list)
-    timings: dict = field(default_factory=dict)   # seconds per sweep phase
+    checks: list
+    timings: dict   # seconds per sweep phase
 
     @property
     def overall(self) -> bool:
@@ -172,8 +169,8 @@ def curve_checks(curve: ReducibleCurveData) -> list:
 
 CSV_HEADER = ["x", "y", "re_phi1", "im_phi1", "re_phi2", "im_phi2",
               "re_phi3", "im_phi3", "E", "G", "beta", "K"]
-_ROW = "%.17g," * 11 + "%.17g\r\n"
-_ROW_EXCLUDED = "%.17g," * 10 + "%s,%s\r\n"   # beta or K is "" where excluded
+_ROW = "%s,%s," + "%.17g," * 9 + "%.17g\r\n"   # x and y come formatted
+_ROW_EXCLUDED = "%s,%s," + "%.17g," * 8 + "%s,%s\r\n"   # beta or K is "" where excluded
 
 
 def _fmt(v: float) -> str:
@@ -184,12 +181,16 @@ def sample_rows(family: Family, grid: GridSpec, h: float, tol_profile: str = "st
     """Yield the CSV text block by block, as each sweep block's list of lines;
     beta and K are empty at excluded degenerate points."""
     k_field = _curvature_field(family, tol_profile)
+    # nx + ny distinct coordinates, each formatted once
+    coords = grid.xs().tolist() + grid.ys().tolist()
+    coord_text = dict(zip(coords, map(_fmt, coords))).__getitem__
     for x, y, phi, E, G, beta, has_beta, K, has_K in sample_blocks(family, grid, h, k_field):
-        cols = [x, y, *(p[:, i] for i in range(3) for p in (phi.real, phi.imag)), E, G, beta, K]
+        cols = [*(p[:, i] for i in range(3) for p in (phi.real, phi.imag)), E, G, beta, K]
+        rows = zip(map(coord_text, x.tolist()), map(coord_text, y.tolist()),
+                   *(c.tolist() for c in cols))
         yield [_ROW % row if b and k else _ROW_EXCLUDED % (
                    *row[:10], _fmt(row[10]) if b else "", _fmt(row[11]) if k else "")
-               for row, b, k in zip(zip(*(c.tolist() for c in cols)),
-                                    has_beta.tolist(), has_K.tolist())]
+               for row, b, k in zip(rows, has_beta.tolist(), has_K.tolist())]
 
 
 def write_csv(path, blocks) -> None:

@@ -16,7 +16,7 @@ computed by deflated products, never by contour quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +24,6 @@ import numpy as np
 REGULARITY_TOL = 1e-13
 
 
-@dataclass(frozen=True)
 class RationalOneForm:
     """scale * numerator(z) / prod (z - root)^mult * dz on one component.
 
@@ -33,23 +32,22 @@ class RationalOneForm:
     form is regular at infinity.
     """
 
-    component: int
-    numerator_coeffs: tuple
-    denominator_roots: tuple  # of (root, multiplicity)
-    scale: complex = 1.0
+    __slots__ = ("component", "numerator_coeffs", "denominator_roots", "scale")
 
-    def __post_init__(self):
-        if self.component not in (1, 2):
-            raise ValueError(f"component must be 1 or 2, got {self.component}")
-        coeffs = tuple(complex(c) for c in self.numerator_coeffs)
+    def __init__(self, component: int, numerator_coeffs: tuple, denominator_roots: tuple,
+                 scale: complex = 1.0):
+        if component not in (1, 2):
+            raise ValueError(f"component must be 1 or 2, got {component}")
+        coeffs = tuple(complex(c) for c in numerator_coeffs)
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
-        object.__setattr__(self, "numerator_coeffs", coeffs)
-        roots = tuple((complex(r), int(m)) for r, m in self.denominator_roots)
+        roots = tuple((complex(r), int(m)) for r, m in denominator_roots)
         if any(m < 1 for _, m in roots):
             raise ValueError("pole multiplicities must be positive")
-        object.__setattr__(self, "denominator_roots", roots)
-        object.__setattr__(self, "scale", complex(self.scale))
+        self.component = component
+        self.numerator_coeffs = coeffs
+        self.denominator_roots = roots  # of (root, multiplicity)
+        self.scale = complex(scale)
         if self.numerator_degree > self.denominator_degree - 2:
             raise ValueError(
                 "form has a pole at infinity: need deg(num) <= deg(den) - 2, "
@@ -164,8 +162,7 @@ def sum_of_residues(form: RationalOneForm) -> complex:
     return total
 
 
-@dataclass(frozen=True)
-class ReducibleCurveData:
+class ReducibleCurveData(NamedTuple):
     """Gluing coordinates, marked points and every derived constant of the curve.
 
     alpha[i] = sqrt(Res_{Q_i} Omega_2) and res_Q[i] the residues themselves;

@@ -10,8 +10,8 @@ differences exist only as a cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +19,7 @@ from .baker_akhiezer import f_coefficients
 from .spectral_curve import ReducibleCurveData
 
 
-@dataclass(frozen=True)
-class SurfaceJet:
+class SurfaceJet(NamedTuple):
     x: float
     y: float
     phi: np.ndarray
@@ -31,8 +30,7 @@ class SurfaceJet:
     phi_yy: np.ndarray
 
 
-@dataclass(frozen=True)
-class MetricField:
+class MetricField(NamedTuple):
     """Closed-form diagonal metric E dx^2 + G dy^2 with optional first derivatives.
 
     E, G, E_y, G_x are callables of (x, y), written in numpy ufuncs so that
@@ -194,8 +192,7 @@ def cone_metric_field(m: int, n: int) -> MetricField:
     return MetricField(E=E, G=G, E_y=lambda x, y: 0.0, G_x=G_x)
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One surface family as the grid sweep and the CSV sampler see it.
 
     beta_period is pi where the frame flips orientation across degeneracy

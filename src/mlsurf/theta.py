@@ -24,7 +24,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,15 +46,15 @@ class TruncationCapError(ValueError):
     """The points kept from the summation box may exceed DEFAULT_TERM_CAP."""
 
 
-@dataclass(frozen=True)
 class LatticeTruncation:
     """Summation box |m|_inf <= radius; DEFAULT_TERM_CAP bounds the points kept from it."""
 
-    radius: int
+    __slots__ = ("radius",)
 
-    def __post_init__(self):
-        if self.radius < 1:
-            raise ValueError(f"truncation radius must be >= 1, got {self.radius}")
+    def __init__(self, radius: int):
+        if radius < 1:
+            raise ValueError(f"truncation radius must be >= 1, got {radius}")
+        self.radius = radius
 
 
 class PeriodMatrix:

@@ -328,6 +328,32 @@ def test_invalid_numbers_exit_2_with_one_line(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag, value, rest", [
+    ("--z", "-0.3+0.1j,0.2j", []),
+    ("--shift-m", "-1,0", ["--z", "0.2+0.1j,0.3"]),
+    ("--q1", "-2e0", []),
+    ("--a", "-inf", []),
+], ids=["z-complex", "shift-m", "q1-exponent", "a-inf"])
+def test_a_value_that_starts_with_a_minus_sign(flag, value, rest, tmp_path, capsys):
+    # argparse reads "-0.3+0.1j" or "-2e0" as a flag unless it follows "="
+    pm = tmp_path / "pm.txt"
+    pm.write_text("2\n1j 0.1\n0.1 1.3j\n")
+    head = (["theta", "--period-file", str(pm)] if flag in ("--z", "--shift-m") else
+            ["curve-info", "--a", "1", "--b", "1", "--q1", "2", "--gamma-im", "1"])
+    outputs = []
+    for spelling in ([flag, value], [f"{flag}={value}"]):
+        code = run(head + rest + spelling)
+        outputs.append((code, *capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    if value == "-inf":
+        assert outputs[0] == (2, "", "error: parameters must be finite, got -inf, 1.0, 2.0, 1.0\n")
+    else:
+        assert outputs[0][0] == 0 and outputs[0][2] == ""
+    # -h is never taken for a value
+    assert run(head + [flag, "-h"]) == 2
+    assert f"argument {flag}: expected one argument" in capsys.readouterr().err
+
+
 def test_step_bound_is_checked_before_the_output_is_opened(tmp_path, capsys):
     out = tmp_path / "s.csv"
     argv = ["sample", *SPHERE, "--grid", "2x2", "--out", str(out), "--h"]

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 
 import numpy as np
@@ -59,7 +58,7 @@ def test_gram_defects_examples(sphere_curve):
     assert np.max(gram_defects(jet)) < 1e-12
     jet = cone_family_jet(1, 2, 0.77, -0.31)
     assert np.max(gram_defects(jet)) < 1e-12
-    scaled = dataclasses.replace(jet, phi=1.1 * jet.phi)
+    scaled = jet._replace(phi=1.1 * jet.phi)
     d = gram_defects(scaled)
     assert abs(d[0] - 0.21) < 1e-12
 
@@ -81,7 +80,7 @@ def test_metric_examples(sphere_curve):
         assert abs(md.G - 1.5 * (1 + math.sin(2 * (x - y)))) < 1e-10
     jet = sphere_jet(sphere_curve, 0.2, 0.5)
     md = metric_from_jet(jet)
-    doubled = metric_from_jet(dataclasses.replace(jet, phi_x=2.0 * jet.phi_x))
+    doubled = metric_from_jet(jet._replace(phi_x=2.0 * jet.phi_x))
     assert abs(doubled.v1 - md.v1 - math.log(4.0)) < 1e-13
 
 
@@ -94,7 +93,7 @@ def test_metric_cone_hand_oracle():
 
 def test_metric_degenerate_point_rejected(sphere_curve):
     jet = sphere_jet(sphere_curve, 0.3, 1.1)
-    zero = dataclasses.replace(jet, phi_y=np.zeros(3, dtype=complex))
+    zero = jet._replace(phi_y=np.zeros(3, dtype=complex))
     with pytest.raises(ValueError, match="degenerate"):
         metric_from_jet(zero)
 
@@ -125,14 +124,14 @@ def test_lagrangian_angle_first_row_phase(sphere_curve):
     jet = sphere_jet(sphere_curve, 0.3, 1.1)
     beta0 = lagrangian_angle(jet)
     t = 0.83
-    rotated = dataclasses.replace(jet, phi=np.exp(1j * t) * jet.phi)
+    rotated = jet._replace(phi=np.exp(1j * t) * jet.phi)
     beta1 = lagrangian_angle(rotated)
     assert abs(math.remainder(beta1 - beta0 - t, 2 * math.pi)) < 1e-12
 
 
 def test_lagrangian_angle_gate(sphere_curve):
     jet = sphere_jet(sphere_curve, 0.3, 1.1)
-    bad = dataclasses.replace(jet, phi=1.2 * jet.phi)
+    bad = jet._replace(phi=1.2 * jet.phi)
     with pytest.raises(ValueError, match="unit circle"):
         lagrangian_angle(bad)
 
@@ -170,7 +169,7 @@ def test_christoffel_closed_form_coefficients(sphere_curve):
 
 def test_christoffel_ill_conditioned(sphere_curve):
     jet = sphere_jet(sphere_curve, 0.3, 1.1)
-    bad = dataclasses.replace(jet, phi_y=jet.phi_x)
+    bad = jet._replace(phi_y=jet.phi_x)
     with pytest.raises(ValueError, match="ill-conditioned"):
         christoffel_solve(bad)
 
@@ -346,7 +345,7 @@ def test_degeneracy_tube_bound(sphere_curve):
 
 def test_gradient_identity_synthetic_violation(sphere_curve):
     jet = sphere_jet(sphere_curve, 0.3, 1.1)
-    broken = dataclasses.replace(jet, phi_y=jet.phi_y + 0.3 * jet.phi)
+    broken = jet._replace(phi_y=jet.phi_y + 0.3 * jet.phi)
     d = gradient_identity_defects(christoffel_solve(broken), metric_gradients_from_jet(broken),
                        (0.0, 0.0))
     assert np.max(d) > 1e-2

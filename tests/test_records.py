@@ -1,0 +1,83 @@
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mlsurf.baker_akhiezer import ThetaBAInputs, ba_rational_eval
+from mlsurf.diffgeo import christoffel_solve, frame_and_connection, metric_from_jet
+from mlsurf.report import GridSpec, verify
+from mlsurf.spectral_curve import RationalOneForm, derive_constants
+from mlsurf.surface_families import _spectral_exp_terms, spectral_family, spectral_family_jet
+from mlsurf.theta import LatticeTruncation, PeriodMatrix
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def test_importing_the_cli_generates_no_dataclass_code():
+    # every dataclass compiles its methods with exec at import; the records are NamedTuples
+    code = ("import sys; import numpy; sys.path.insert(0, %r); import mlsurf.cli; "
+            "print('dataclasses' in sys.modules)" % SRC)
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def _records():
+    curve = derive_constants(1.0, 1.0, 2.0, 1.0)
+    family = spectral_family(curve)
+    jet = spectral_family_jet(curve, 0.3, 0.7)
+    report = verify(family, GridSpec(1, 1))
+    return [jet, family.metric, family, curve, ba_rational_eval(curve, 0.3, 0.7, 2, 2.0),
+            metric_from_jet(jet), christoffel_solve(jet), frame_and_connection(family.jet, 0.3, 0.7),
+            report.checks[0], report]
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_records_refuse_attribute_assignment(record):
+    name = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, name, getattr(record, name))
+
+
+def test_equal_curves_share_the_cached_exponential_terms():
+    p = (1.3, 0.7, 2.1, -0.9)
+    assert _spectral_exp_terms(derive_constants(*p)) is _spectral_exp_terms(derive_constants(*p))
+
+
+def _theta_inputs(z_vec):
+    one = np.zeros(1, dtype=complex)
+    return ThetaBAInputs(B=PeriodMatrix([[1j]]), z_vec=z_vec, U=one, V=one, abel_P=one,
+                         abel_r=one, exp1_P=0.0, exp2_P=0.0, exp1_r=0.0, exp2_r=0.0, d=1.0)
+
+
+_ROOTS = ((0.0, 1), (1.0, 1), (-1.0, 1))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: GridSpec(0, 1), "grid must have at least one point per axis"),
+    (lambda: GridSpec(3, 0), "grid must have at least one point per axis"),
+    (lambda: LatticeTruncation(0), "truncation radius must be >= 1, got 0"),
+    (lambda: _theta_inputs(np.zeros(2)), "z_vec has shape (2,), expected (1,)"),
+    (lambda: RationalOneForm(3, (1.0,), _ROOTS), "component must be 1 or 2, got 3"),
+    (lambda: RationalOneForm(1, (1.0,), ((0.0, 0), (1.0, 1))),
+     "pole multiplicities must be positive"),
+    (lambda: RationalOneForm(1, (0.0, 0.0, 1.0), _ROOTS),
+     "form has a pole at infinity: need deg(num) <= deg(den) - 2, got 2 > 3 - 2"),
+], ids=["grid-nx", "grid-ny", "radius", "theta-shape", "component", "multiplicity", "infinity"])
+def test_validating_classes_keep_their_messages(build, message):
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert str(refused.value) == message
+
+
+def test_validating_classes_normalise_their_inputs():
+    form = RationalOneForm(1, (1, 0.0, 0.0), [(0, 1), (1, 1.0), (-1, 1)], scale=2)
+    assert form.numerator_coeffs == (1 + 0j,) and form.scale == 2 + 0j
+    assert form.denominator_roots == ((0j, 1), (1 + 0j, 1), (-1 + 0j, 1))
+    inp = _theta_inputs([0.5])
+    assert inp.z_vec.dtype == complex and not inp.z_vec.flags.writeable
+    grid = GridSpec(2, 3)
+    assert (grid.nx, grid.ny) == (2, 3) and LatticeTruncation(4).radius == 4

@@ -1,6 +1,5 @@
 import cmath
 import csv
-import dataclasses
 import io
 import math
 import warnings
@@ -232,7 +231,7 @@ def _jet_scaled_at(family, point, **scale):
     def jet(x, y):
         j = family.jet(x, y)
         if (x, y) == point:
-            j = dataclasses.replace(j, **{f: getattr(j, f) * s for f, s in scale.items()})
+            j = j._replace(**{f: getattr(j, f) * s for f, s in scale.items()})
         return j
 
     def jets(xs, ys):
@@ -241,14 +240,14 @@ def _jet_scaled_at(family, point, **scale):
         for f, s in scale.items():
             J[_JET_FIELDS.index(f), at] *= s
         return J
-    return dataclasses.replace(family, jet=jet, jets=jets)
+    return family._replace(jet=jet, jets=jets)
 
 
 def _metric_negative_at(family, point):
     G = family.metric.G
-    metric = dataclasses.replace(
-        family.metric, G=lambda x, y: np.where((x == point[0]) & (y == point[1]), -1.0, G(x, y)))
-    return dataclasses.replace(family, metric=metric)
+    metric = family.metric._replace(
+        G=lambda x, y: np.where((x == point[0]) & (y == point[1]), -1.0, G(x, y)))
+    return family._replace(metric=metric)
 
 
 @pytest.mark.parametrize("family, failed, kept", [

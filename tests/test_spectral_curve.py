@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -171,7 +170,7 @@ def forced_q2_equal_q1_form(a, b, Q1, G):
                            denominator_roots=((Q1, 2), (Q3, 1), (b, 1), (-b, 1)))
     res_a = 1.0 / (2 * a * a)
     c = -res_a / residue_simple(unit, b)
-    return dataclasses.replace(unit, scale=c), Q3, c
+    return RationalOneForm(2, unit.numerator_coeffs, unit.denominator_roots, c), Q3, c
 
 
 def test_expansion_forced_q2_breaks_minimality():
@@ -190,7 +189,7 @@ def test_expansion_forced_q2_breaks_minimality():
 def test_regularity_defect_construction_and_perturbation():
     curve = derive_constants(1.0, 1.0, 2.0, 1.0)
     assert regularity_defect(curve) < 1e-13
-    perturbed = dataclasses.replace(curve, c=1.1 * curve.c)
+    perturbed = curve._replace(c=1.1 * curve.c)
     res_b = residue_simple(curve.omega2(), curve.b)
     assert abs(regularity_defect(perturbed) - 0.1 * abs(res_b)) < 1e-14
 

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -98,7 +97,7 @@ def test_cone_jet_field_rejects_bad_orders():
 
 def _sweep_tube_mask(curve, xs, ys):
     # the sweep's vectorised mask over the product grid xs x ys, in report order
-    family = dataclasses.replace(cone_family(1, 2), curve=curve)
+    family = cone_family(1, 2)._replace(curve=curve)
     grid = SimpleNamespace(nx=len(xs), ny=len(ys), xs=lambda: xs, ys=lambda: ys)
     return np.concatenate([tube for _, _, tube, _ in sweep._blocks(family, grid, sweep.Timings())])
 
