@@ -24,48 +24,6 @@ def _parse_grid(text: str) -> GridSpec:
         raise argparse.ArgumentTypeError(f"grid must look like 64x64, got {text!r}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mlsurf",
-        description="Construct minimal Lagrangian surfaces in CP^2 from spectral "
-                    "data and verify the geometric identities on a grid.")
-    subs = parser.add_subparsers(dest="command", required=True)
-    # flags shared between subcommands, each declared once in a parent parser
-    family, spectral, spectral_family = (argparse.ArgumentParser(add_help=False)
-                                         for _ in range(3))
-    family.add_argument("--family", choices=["spectral", "cone"], required=True)
-    spectral_family.add_argument("--family", choices=["spectral"], default="spectral")
-    spectral.add_argument("--a", type=float)
-    spectral.add_argument("--b", type=float)
-    spectral.add_argument("--q1", type=float)
-    spectral.add_argument("--gamma-im", type=float, dest="gamma_im")
-    spectral.add_argument("--scenario", help="key = value file with a, b, q1, gamma_im")
-    surface = argparse.ArgumentParser(add_help=False, parents=[family, spectral])
-    surface.add_argument("--m", type=int)
-    surface.add_argument("--n", type=int)
-    surface.add_argument("--grid", type=_parse_grid, default=GridSpec(64, 64))
-    surface.add_argument("--h", type=float, default=1e-4, help="finite-difference step")
-    surface.add_argument("--tol-profile", choices=["strict", "fd"], default="strict",
-                         dest="tol_profile")
-
-    verify = subs.add_parser("verify", help="run the verification suite", parents=[surface])
-    verify.add_argument("--json-out", dest="json_out", help="write machine-readable report")
-    sample = subs.add_parser("sample", help="sample the surface to CSV", parents=[surface])
-    sample.add_argument("--out", required=True, help="CSV output path")
-    subs.add_parser("curve-info", help="dump derived curve constants",
-                    parents=[spectral_family, spectral])
-
-    theta = subs.add_parser("theta", help="evaluate the Riemann theta function")
-    theta.add_argument("--period-file", required=True, dest="period_file",
-                       help="text file: genus line, then g rows of g complex entries")
-    theta.add_argument("--z", required=True,
-                       help="comma-separated complex entries, e.g. 0.1+0.2j,0.3j")
-    theta.add_argument("--radius", type=int, help="lattice truncation |m|_inf <= R")
-    theta.add_argument("--shift-m", dest="shift_m",
-                       help="integer vector: also print the quasi-periodicity defect")
-    return parser
-
-
 def _read_scenario(path: str) -> dict:
     out = {}
     with open(path) as fh:
@@ -111,6 +69,9 @@ def _step(h: float) -> float:
     # above 1e-2, h^2 pi^2 / 6 >> TOL_FRAME; from 1e5 the frame checks compare 0 with 0
     if not (math.isfinite(h) and 0 < h <= 1e-2):
         raise ValueError(f"--h must be finite, positive and at most 0.01, got {h}")
+    # doubles near 2 pi are 2^-50 apart; a smaller step rounds x ± h to x or next to it
+    if h < 2 * math.pi * 2.0**-52:
+        raise ValueError(f"--h must be at least 2 pi 2^-52 (about 1.4e-15), got {h}")
     return h
 
 
@@ -167,6 +128,50 @@ def _cmd_theta(args) -> int:
     return 0
 
 
+_FLOAT = dict(type=float)
+_SPECTRAL = [("--a", _FLOAT), ("--b", _FLOAT), ("--q1", _FLOAT), ("--gamma-im", _FLOAT),
+             ("--scenario", dict(help="key = value file with a, b, q1, gamma_im"))]
+_SURFACE = [("--family", dict(choices=["spectral", "cone"], required=True)), *_SPECTRAL,
+            ("--m", dict(type=int)), ("--n", dict(type=int)),
+            ("--grid", dict(type=_parse_grid, default="64x64")),
+            ("--h", dict(type=float, default=1e-4, help="finite-difference step")),
+            ("--tol-profile", dict(choices=["strict", "fd"], default="strict"))]
+# name: (help, the command's flags in help order, its handler)
+COMMANDS = {
+    "verify": ("run the verification suite", [
+        *_SURFACE, ("--json-out", dict(help="write machine-readable report"))], _cmd_verify),
+    "sample": ("sample the surface to CSV", [
+        *_SURFACE, ("--out", dict(required=True, help="CSV output path"))], _cmd_sample),
+    "curve-info": ("dump derived curve constants", [
+        ("--family", dict(choices=["spectral"], default="spectral")), *_SPECTRAL],
+        _cmd_curve_info),
+    "theta": ("evaluate the Riemann theta function", [
+        ("--period-file", dict(
+            required=True, help="text file: genus line, then g rows of g complex entries")),
+        ("--z", dict(required=True, help="comma-separated complex entries, e.g. 0.1+0.2j,0.3j")),
+        ("--radius", dict(type=int, help="lattice truncation |m|_inf <= R")),
+        ("--shift-m", dict(help="integer vector: also print the quasi-periodicity defect"))],
+        _cmd_theta),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of `command` alone: the one a call runs."""
+    parser = argparse.ArgumentParser(
+        prog="mlsurf", allow_abbrev=False,
+        description="Construct minimal Lagrangian surfaces in CP^2 from spectral "
+                    "data and verify the geometric identities on a grid.")
+    # the usage line lists every command either way; with every command built a
+    # metavar would rename "argument command" in the invalid-choice error
+    subs = parser.add_subparsers(dest="command", required=True,
+                                 metavar="{%s}" % ",".join(COMMANDS) if command else None)
+    for name in [command] if command else COMMANDS:
+        sub = subs.add_parser(name, help=COMMANDS[name][0], allow_abbrev=False)
+        for flag, kwargs in COMMANDS[name][1]:
+            sub.add_argument(flag, **kwargs)
+    return parser
+
+
 def _join_dash_values(argv: list) -> list:
     """`--flag -0.3+0.1j` as `--flag=-0.3+0.1j`.  argparse takes a token that
     starts with "-" for a flag unless it is a plain negative number, so exponent
@@ -182,15 +187,13 @@ def _join_dash_values(argv: list) -> list:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = _join_dash_values(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
+        args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     except SystemExit as exc:  # argparse already printed the diagnostic
         return exc.code if isinstance(exc.code, int) else 2
-    commands = {"verify": _cmd_verify, "sample": _cmd_sample,
-                "curve-info": _cmd_curve_info, "theta": _cmd_theta}
     try:
-        return commands[args.command](args)
+        return COMMANDS[args.command][2](args)
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -246,55 +246,59 @@ def derive_constants(a: float, b: float, Q1: float, gamma_im: float) -> Reducibl
             "and alpha_3 is imaginary"
         )
 
-    Q2 = -Q1
-    Q3 = -b * b * (Q1 + Q2) / (b * b + Q1 * Q2)  # evaluates to exactly 0
-    if any(abs(q - s * b) < 1e-12 * b for q in (Q1, Q2, Q3) for s in (1.0, -1.0)):
-        raise ValueError("degenerate marked point: Q_i coincides with a gluing coordinate")
+    try:
+        Q2 = -Q1
+        Q3 = -b * b * (Q1 + Q2) / (b * b + Q1 * Q2)  # evaluates to exactly 0
+        if any(abs(q - s * b) < 1e-12 * b for q in (Q1, Q2, Q3) for s in (1.0, -1.0)):
+            raise ValueError("degenerate marked point: Q_i coincides with a gluing coordinate")
 
-    omega1 = _omega1(a)
-    res_r = residue_simple(omega1, 0.0)
-    res_a = residue_simple(omega1, a)
-    res_ma = residue_simple(omega1, -a)
+        omega1 = _omega1(a)
+        res_r = residue_simple(omega1, 0.0)
+        res_a = residue_simple(omega1, a)
+        res_ma = residue_simple(omega1, -a)
 
-    unit = _omega2(b, (Q1, Q2, Q3), gamma_im, scale=1.0)
-    c = -res_a / residue_simple(unit, b)
-    if abs(c.imag) > 1e-12 * (1.0 + abs(c)):
-        raise ValueError(f"scale c came out non-real: {c}")
-    c = c.real
+        unit = _omega2(b, (Q1, Q2, Q3), gamma_im, scale=1.0)
+        c = -res_a / residue_simple(unit, b)
+        if abs(c.imag) > 1e-12 * (1.0 + abs(c)):
+            raise ValueError(f"scale c came out non-real: {c}")
+        c = c.real
 
-    omega2 = _omega2(b, (Q1, Q2, Q3), gamma_im, scale=c)
-    res_Q = []
-    for q in (Q1, Q2, Q3):
-        r = residue_simple(omega2, q)
-        if abs(r.imag) > 1e-12 * (1.0 + abs(r)):
-            raise ValueError(f"Res_{q} Omega_2 came out non-real: {r}")
-        if not r.real > 0:
-            raise ValueError(f"Res_{q} Omega_2 = {r.real} must be positive")
-        res_Q.append(r.real)
+        omega2 = _omega2(b, (Q1, Q2, Q3), gamma_im, scale=c)
+        res_Q = []
+        for q in (Q1, Q2, Q3):
+            r = residue_simple(omega2, q)
+            if abs(r.imag) > 1e-12 * (1.0 + abs(r)):
+                raise ValueError(f"Res_{q} Omega_2 came out non-real: {r}")
+            if not r.real > 0:
+                raise ValueError(f"Res_{q} Omega_2 = {r.real} must be positive")
+            res_Q.append(r.real)
 
-    # positive branch; d real is required by the reality conditions
-    d = math.sqrt(-1.0 / res_r.real)
+        # positive branch; d real is required by the reality conditions
+        d = math.sqrt(-1.0 / res_r.real)
 
-    exp1 = expansion_at_infinity(omega1, 2)
-    exp2 = expansion_at_infinity(omega2, 2)
-    c1_exp = float(exp1[0].real)
-    c2_exp = float(exp2[0].real)
+        exp1 = expansion_at_infinity(omega1, 2)
+        exp2 = expansion_at_infinity(omega2, 2)
+        c1_exp = float(exp1[0].real)
+        c2_exp = float(exp2[0].real)
 
-    curve = ReducibleCurveData(
-        a=a, b=b, Q1=Q1, gamma_im=gamma_im, Q2=Q2, Q3=Q3, c=c, d=d,
-        alpha=tuple(math.sqrt(r) for r in res_Q),
-        res_Q=tuple(res_Q), res_r=res_r.real, c1_exp=c1_exp, c2_exp=c2_exp,
-    )
+        curve = ReducibleCurveData(
+            a=a, b=b, Q1=Q1, gamma_im=gamma_im, Q2=Q2, Q3=Q3, c=c, d=d,
+            alpha=tuple(math.sqrt(r) for r in res_Q),
+            res_Q=tuple(res_Q), res_r=res_r.real, c1_exp=c1_exp, c2_exp=c2_exp,
+        )
 
-    defect = regularity_defect(curve)
-    if defect > REGULARITY_TOL:
-        raise ValueError(f"gluing regularity defect {defect} exceeds {REGULARITY_TOL}")
-    lead = max(abs(exp2[0]), 1e-300)
-    if abs(exp2[1]) / lead > 1e-12:
-        raise ValueError(f"w^2 coefficient of Omega_2 did not cancel: {exp2[1]}")
-    if abs(res_a + res_ma + res_r) > 1e-13:
-        raise ValueError("Omega_1 residues violate the residue theorem")
-    return curve
+        defect = regularity_defect(curve)
+        if defect > REGULARITY_TOL:
+            raise ValueError(f"gluing regularity defect {defect} exceeds {REGULARITY_TOL}")
+        lead = max(abs(exp2[0]), 1e-300)
+        if abs(exp2[1]) / lead > 1e-12:
+            raise ValueError(f"w^2 coefficient of Omega_2 did not cancel: {exp2[1]}")
+        if abs(res_a + res_ma + res_r) > 1e-13:
+            raise ValueError("Omega_1 residues violate the residue theorem")
+        return curve
+    except ArithmeticError as exc:  # e.g. a residue product beyond double range
+        raise ValueError(f"cannot derive the curve constants of a = {a}, b = {b}, "
+                         f"q1 = {Q1}, gamma_im = {gamma_im}: {exc}") from None
 
 
 def regularity_defect(curve: ReducibleCurveData) -> float:

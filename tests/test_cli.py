@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlsurf import cli
 from mlsurf.cli import main
 from mlsurf.report import GridSpec, verify_spectral
 from mlsurf.spectral_curve import derive_constants
@@ -320,8 +322,13 @@ SPHERE = ["--family", "spectral", "--a", "1", "--b", "1", "--q1", "2", "--gamma-
     ["verify", "--family", "spectral", "--a", "1", "--b", "1", "--q1", "2",
      "--gamma-im", "1e200", "--grid", "4x4"],
     ["curve-info", "--a", "nan", "--b", "1", "--q1", "2", "--gamma-im", "1"],
+    # x +- h rounds to x, so every frame check would compare 0 with 0 and pass
+    ["verify", *SPHERE, "--grid", "8x8", "--h", "1e-300"],
+    # derive_constants overflows or divides by zero: the message names the inputs
+    ["curve-info", "--a", "1", "--b", "1", "--q1", "1e308", "--gamma-im", "1"],
+    ["curve-info", "--a", "1e-300", "--b", "1", "--q1", "2", "--gamma-im", "1"],
 ], ids=["h-0", "h-nan", "h-negative", "h-inf", "sample-h-0", "h-1e5", "sample-h-1e5",
-        "q1-inf", "gamma-im-1e200", "a-nan"])
+        "q1-inf", "gamma-im-1e200", "a-nan", "h-1e-300", "q1-1e308", "a-1e-300"])
 def test_invalid_numbers_exit_2_with_one_line(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
@@ -360,6 +367,118 @@ def test_step_bound_is_checked_before_the_output_is_opened(tmp_path, capsys):
     assert run(argv + ["0.0100001"]) == 2
     assert capsys.readouterr().err.count("\n") == 1 and not out.exists()
     assert run(argv + ["1e-2"]) == 0 and out.exists()
+
+
+def test_step_floor_is_checked_before_the_output_is_opened(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    argv = ["sample", *SPHERE, "--grid", "2x2", "--out", str(out), "--h"]
+    assert run(argv + ["1.3e-15"]) == 2
+    assert capsys.readouterr().err == ("error: --h must be at least 2 pi 2^-52 "
+                                       "(about 1.4e-15), got 1.3e-15\n")
+    assert not out.exists()
+    assert run(argv + [repr(2 * math.pi * 2.0**-52)]) == 0 and out.exists()
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["theta", "--period-file", "pm.txt", "--z", "0", "--h", "1e-3"],
+     "mlsurf: error: unrecognized arguments: --h 1e-3"),
+    (["theta", "--period-file", "pm.txt", "--z", "0", "--rad", "3"],
+     "mlsurf: error: unrecognized arguments: --rad 3"),
+    (["verify", "--fam", "cone", "--m", "1", "--n", "1", "--grid", "2x2"],
+     "mlsurf verify: error: the following arguments are required: --family"),
+], ids=["theta-h-is-not-help", "theta-rad", "verify-fam"])
+def test_abbreviated_flags_exit_2(argv, error, tmp_path, monkeypatch, capsys):
+    # argparse would expand --h to --help in theta and exit 0 with the usage
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pm.txt").write_text("1\n1j\n")
+    assert run(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.endswith("\n" + error + "\n")
+
+
+def _parse(parser, argv):
+    """(exit code or None, Namespace fields, stdout, stderr) of one parse_args call."""
+    code, fields = None, None
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            fields = {k: (v.nx, v.ny) if isinstance(v, GridSpec) else v
+                      for k, v in vars(parser.parse_args(argv)).items()}
+        except SystemExit as exc:
+            code = exc.code
+    return code, fields, out.getvalue(), err.getvalue()
+
+
+_VALID = {
+    "verify": ["--family", "cone", "--m", "1", "--n", "2", "--json-out", "r.json", "--h", "1e-3"],
+    "sample": [*SPHERE, "--grid", "8x4", "--out", "s.csv", "--tol-profile", "fd"],
+    "curve-info": ["--a", "1", "--b", "1", "--q1", "2", "--gamma-im", "1", "--scenario", "s"],
+    "theta": ["--period-file", "pm.txt", "--z", "0.1", "--radius", "3", "--shift-m", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_VALID))
+def test_one_command_parser_parses_as_the_full_parser(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    only = cli.build_parser(command)
+    subs = next(a for a in only._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subs.choices) == [command]
+    for rest in (["--help"], _VALID[command], _VALID[command] + ["--bogus", "1"],
+                 _VALID[command] + ["extra"], ["--family=x"], []):
+        got = _parse(only, [command, *rest])
+        assert got == _parse(cli.build_parser(None), [command, *rest])
+    assert _parse(only, [command, *_VALID[command]])[0] is None
+    assert _parse(only, [command, "--help"])[2].startswith(f"usage: mlsurf {command} [-h]")
+
+
+ROOT_USAGE = "usage: mlsurf [-h] {verify,sample,curve-info,theta} ...\n"
+
+
+def test_root_usage_and_errors_are_unchanged(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run([]) == 2
+    assert capsys.readouterr().err == (
+        ROOT_USAGE + "mlsurf: error: the following arguments are required: command\n")
+    assert run(["bogus"]) == 2
+    assert capsys.readouterr().err == (
+        ROOT_USAGE + "mlsurf: error: argument command: invalid choice: 'bogus' "
+        "(choose from 'verify', 'sample', 'curve-info', 'theta')\n")
+    assert run(["-h"]) == 0
+    assert capsys.readouterr().out == ROOT_USAGE + """
+Construct minimal Lagrangian surfaces in CP^2 from spectral data and verify
+the geometric identities on a grid.
+
+positional arguments:
+  {verify,sample,curve-info,theta}
+    verify              run the verification suite
+    sample              sample the surface to CSV
+    curve-info          dump derived curve constants
+    theta               evaluate the Riemann theta function
+
+options:
+  -h, --help            show this help message and exit
+"""
+    # a parser built for one command still lists every command in its usage line
+    assert run(["theta", "--period-file", "pm.txt", "--z", "0", "extra"]) == 2
+    assert capsys.readouterr().err == ROOT_USAGE + "mlsurf: error: unrecognized arguments: extra\n"
+
+
+def test_main_builds_one_parser_per_call(monkeypatch, capsys):
+    built, build_parser = [], cli.build_parser
+
+    def spy(command=None):
+        built.append(command)
+        return build_parser(command)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    cases = [(["curve-info", *SPHERE[2:]], "curve-info"), (["theta", "--help"], "theta"),
+             (["verify", "--bogus"], "verify"), (["sample"], "sample"), ([], None),
+             (["-h"], None), (["bogus"], None), (["-h", "theta"], None)]
+    for argv, command in cases:
+        before = len(built)
+        run(argv)
+        assert built[before:] == [command]
+    capsys.readouterr()
 
 
 def test_theta_invalid_input_exits_2(tmp_path, capsys):

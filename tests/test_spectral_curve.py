@@ -118,6 +118,14 @@ def test_derive_constants_rejects_bad_parameters():
     # finite but so large that the residues of Omega_2 come out NaN
     with pytest.raises(ValueError, match="Omega_2 = nan must be positive"):
         derive_constants(1.0, 1.0, 2.0, 1e200)
+    # an overflow or a division by zero names every input, not only the operation
+    for params, cause in (((1.0, 1.0, 1e308, 1.0), "complex exponentiation"),
+                          ((1e-300, 1.0, 2.0, 1.0), "complex division by zero")):
+        a, b, q1, gamma_im = params
+        with pytest.raises(ValueError) as info:
+            derive_constants(*params)
+        assert str(info.value) == (f"cannot derive the curve constants of a = {a}, b = {b}, "
+                                   f"q1 = {q1}, gamma_im = {gamma_im}: {cause}")
 
 
 def sympy_infinity_series(form, order):
