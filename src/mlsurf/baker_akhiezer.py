@@ -16,8 +16,6 @@ psi_1(+-a) = psi_2(+-b); with gamma = i*gamma_im both f2 and the expansion
 coefficients at the punctures come out real.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
 from typing import NamedTuple

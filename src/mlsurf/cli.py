@@ -1,7 +1,5 @@
 """Command-line interface: mlsurf <verify|sample|curve-info|theta> [flags]."""
 
-from __future__ import annotations
-
 import argparse
 import contextlib
 import math
@@ -78,7 +76,11 @@ def _step(h: float) -> float:
 def _cmd_verify(args) -> int:
     family, h = _family_from_args(args), _step(args.h)
     # opened before the sweep, as sample opens its CSV: a bad path prints no report
-    with open(args.json_out, "w") if args.json_out else contextlib.nullcontext() as fh:
+    try:
+        out = open(args.json_out, "w") if args.json_out else contextlib.nullcontext()
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.json_out}: {exc}") from None
+    with out as fh:
         report = verify(family, args.grid, h, args.tol_profile)
         print(report.format_text())
         if fh:

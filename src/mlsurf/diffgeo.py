@@ -11,8 +11,6 @@ the conventions are fixed once:
     k-th basis direction in the (i, j) equation.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

@@ -1,8 +1,5 @@
 """Grid-scale verification runs, report records and CSV sampling."""
 
-from __future__ import annotations
-
-import json
 import math
 from typing import NamedTuple
 
@@ -103,6 +100,7 @@ class VerificationReport(NamedTuple):
                 "overall": self.overall, "timings": self.timings}
 
     def write_json(self, fh) -> None:
+        import json  # here, not at the top: only verify --json-out pays for it
         # one write: json.dump makes thousands of small ones
         fh.write(json.dumps(self.to_dict(), indent=2) + "\n")
 

@@ -13,8 +13,6 @@ with c fixed by residue cancellation at the gluing points.  All residues are
 computed by deflated products, never by contour quadrature.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

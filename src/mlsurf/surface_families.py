@@ -7,8 +7,6 @@ component), so every derivative is exact coefficient algebra; finite
 differences exist only as a cross-check.
 """
 
-from __future__ import annotations
-
 import math
 from functools import lru_cache
 from typing import NamedTuple

@@ -13,8 +13,6 @@ ok) and one accumulator folds them into the maxima.  CHUNK bounds the memory
 a sweep holds whatever the grid size; the report does not depend on it.
 """
 
-from __future__ import annotations
-
 import math
 import time
 

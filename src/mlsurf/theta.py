@@ -19,8 +19,6 @@ counts kept points, not the box.  riemann_theta owns this pass policy;
 _ellipsoid_points only lists the points of a given ellipsoid.
 """
 
-from __future__ import annotations
-
 import cmath
 import functools
 import math
@@ -40,6 +38,9 @@ _TAIL_DIGITS = 14.0
 
 # the small ellipsoid keeps the terms within exp(-SPREAD) of the Babai point's
 SPREAD = 100.0
+
+# relative gap allowed between B[i, j] and B[j, i] before a matrix is refused
+SYMMETRY_TOL = 1e-12
 
 
 class TruncationCapError(ValueError):
@@ -62,9 +63,11 @@ class PeriodMatrix:
 
     The stored matrix is symmetrized exactly from the upper triangle, so
     B[i, j] == B[j, i] bit for bit.  Construction fails if an entry is not
-    finite or Im(B) is not positive definite; im_cholesky is the lower
-    Cholesky factor L of Im(B) = L L^T.  No Siegel reduction is attempted;
-    callers are expected to supply well-conditioned matrices.
+    finite, if |B[i, j] - B[j, i]| > SYMMETRY_TOL * max(1, |B[i, j]|) (the
+    series would see (B + B^T)/2, not the given matrix) or if Im(B) is not
+    positive definite; im_cholesky is the lower Cholesky factor L of
+    Im(B) = L L^T.  No Siegel reduction is attempted; callers are expected to
+    supply well-conditioned matrices.
     """
 
     def __init__(self, entries):
@@ -73,8 +76,13 @@ class PeriodMatrix:
             raise ValueError(f"period matrix must be square, got shape {B.shape}")
         if not all(map(cmath.isfinite, B.ravel().tolist())):
             raise ValueError("period matrix entries must be finite")
-        for i in range(1, B.shape[0]):
-            B[i, :i] = B[:i, i]
+        rows = B.tolist()  # Python complexes: numpy scalar arithmetic is several times slower
+        for j in range(1, len(rows)):
+            for i in range(j):
+                if abs(rows[i][j] - rows[j][i]) > SYMMETRY_TOL * max(1.0, abs(rows[i][j])):
+                    raise ValueError(f"period matrix must be symmetric: B[{i}, {j}] = "
+                                     f"{rows[i][j]} but B[{j}, {i}] = {rows[j][i]}")
+            B[j, :j] = B[:j, j]
         try:
             L = np.linalg.cholesky(B.imag)
         except np.linalg.LinAlgError:

@@ -242,3 +242,6 @@ def test_read_theta_ba_inputs(tmp_path):
     bad.write_text("genus 1\nB 1j\n")
     with pytest.raises(ValueError, match="missing"):
         read_theta_ba_inputs(bad)
+    path.write_text(path.read_text().replace("B 0.2+0j 1.5j", "B 0.3+0j 1.5j"))
+    with pytest.raises(ValueError, match=r"symmetric: B\[0, 1\]"):
+        read_theta_ba_inputs(path)

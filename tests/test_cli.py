@@ -102,15 +102,23 @@ def test_verify_json_out(tmp_path, capsys):
     assert "timings" not in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command", [["verify"], ["sample", "--out", os.devnull]])
-def test_worked_example_writes_nothing_to_stderr(command):
+@pytest.mark.parametrize("command", [["verify"], ["sample", "--out", os.devnull],
+                                     ["verify", "--json-out", "report.json"]])
+def test_worked_example_writes_nothing_to_stderr(command, tmp_path):
     # 16x16 puts 32 points in the degeneracy tube, where G is nearly zero and
-    # the sweep masks what it computed; no numpy warning may reach the user
+    # the sweep masks what it computed; no numpy warning may reach the user.
+    # A fresh interpreter is also the only place where --json-out imports json
+    # itself: pytest has already imported it here
     proc = subprocess.run([sys.executable, "-m", "mlsurf.cli", *command, *SPHERE,
                            "--grid", "16x16"], capture_output=True, text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": SRC})
+                          env={**os.environ, "PYTHONPATH": SRC}, cwd=tmp_path)
     assert proc.returncode == 0
     assert proc.stderr == ""
+    if "--json-out" in command:
+        with open(tmp_path / "report.json") as fh:
+            names = [c["name"] for c in json.load(fh)["checks"]]
+        check_lines = proc.stdout.splitlines()[2:-1]  # between the table header and "overall"
+        assert names and names == [ln.split()[0] for ln in check_lines]
 
 
 def test_scenario_file(tmp_path, capsys):
@@ -242,7 +250,8 @@ def test_verify_unwritable_json_out(tmp_path, capsys):
     code = run(["verify", *SPHERE, "--grid", "4x4", "--json-out", str(out_file)])
     assert code == 2
     out = capsys.readouterr()
-    assert out.out == "" and out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert out.out == "" and out.err.count("\n") == 1
+    assert out.err.startswith(f"error: cannot write {out_file}: ")
 
 
 def test_sample_unwritable_path(tmp_path, capsys):
@@ -546,6 +555,12 @@ def test_theta_invalid_input_exits_2(tmp_path, capsys):
     assert run(["theta", "--period-file", str(pm2), "--z", "0.1,0.2"]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {pm2}: genus line must be a positive integer, got 'x'\n"
+    # an asymmetric matrix, which the series would read as (B + B^T)/2
+    pm2.write_text("2\n1j 0.5\n0.2 1j\n")
+    assert run(["theta", "--period-file", str(pm2), "--z", "0,0"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == ("error: period matrix must be symmetric: "
+                                         "B[0, 1] = (0.5+0j) but B[1, 0] = (0.2+0j)\n")
 
 
 _VALUES = st.sampled_from(["1", "2", "-2", "0.5", "0", "-1", "1e200", "1e-300", "inf",

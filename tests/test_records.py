@@ -15,10 +15,14 @@ from mlsurf.theta import LatticeTruncation, PeriodMatrix
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def test_importing_the_cli_generates_no_dataclass_code():
-    # every dataclass compiles its methods with exec at import; the records are NamedTuples
+# dataclasses: every dataclass compiles its methods with exec at import, and the
+# records are NamedTuples; json: only verify --json-out needs it and imports it
+# then; __future__: postponed annotations make NamedTuple compile one ForwardRef
+# per field
+@pytest.mark.parametrize("module", ["dataclasses", "json", "__future__"])
+def test_importing_the_cli_generates_no_dataclass_code(module):
     code = ("import sys; import numpy; sys.path.insert(0, %r); import mlsurf.cli; "
-            "print('dataclasses' in sys.modules)" % SRC)
+            "print(%r in sys.modules)" % (SRC, module))
     proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -184,7 +184,12 @@ def test_cap_admits_a_box_whose_ellipsoid_fits(monkeypatch):
 
 
 def test_period_matrix_invariants():
-    B = PeriodMatrix([[0.1 + 1j, 0.2], [0.9, 0.3 + 2j]])  # lower triangle ignored
+    # the series would see (B + B^T)/2: an asymmetric matrix is refused, not mirrored
+    with pytest.raises(ValueError, match=r"symmetric: B\[0, 1\] = \(0\.2\+0j\) "
+                                         r"but B\[1, 0\] = \(0\.9\+0j\)$"):
+        PeriodMatrix([[0.1 + 1j, 0.2], [0.9, 0.3 + 2j]])
+    # a gap of one ulp is roundoff: kept, with the lower triangle copied from the upper
+    B = PeriodMatrix([[0.1 + 1j, 0.2], [math.nextafter(0.2, 1.0), 0.3 + 2j]])
     assert B.entries[1, 0] == B.entries[0, 1] == 0.2
     with pytest.raises(ValueError, match="positive definite"):
         PeriodMatrix([[-1j]])
