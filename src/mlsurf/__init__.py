@@ -6,11 +6,9 @@ side: every Gram, frame, Christoffel, residue-identity, metric and curvature
 claim is turned into a grid-scale defect check.
 """
 
-from .baker_akhiezer import (BARationalValue, DivisorDegeneracyError,
-                             ThetaBAInputs, ba_conjugation_defect,
+from .baker_akhiezer import (BARationalValue, ba_conjugation_defect,
                              ba_essential_singularity_coeffs, ba_rational_eval,
-                             ba_theta_assembly, consistency_defect,
-                             f_coefficients, read_theta_ba_inputs)
+                             consistency_defect, f_coefficients)
 from .diffgeo import (ChristoffelData, FrameData, MetricData,
                       christoffel_b_defects, christoffel_residual,
                       christoffel_solve, frame_and_connection, frame_defects,

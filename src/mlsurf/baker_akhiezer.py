@@ -1,4 +1,4 @@
-"""Baker-Akhiezer function: closed form on the reducible curve, theta assembly in general.
+"""Baker-Akhiezer function: closed form on the reducible curve.
 
 On the reducible curve the function is a pair (psi_1, psi_2), one rational
 piece per component:
@@ -17,20 +17,11 @@ coefficients at the punctures come out real.
 """
 
 import cmath
-import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .spectral_curve import ReducibleCurveData
-from .theta import LatticeTruncation, PeriodMatrix, riemann_theta
-
-# theta denominators below this magnitude signal a degenerate divisor
-DIVISOR_DEGENERACY_TOL = 1e-13
-
-
-class DivisorDegeneracyError(ArithmeticError):
-    """A theta denominator in the assembly formula is numerically zero."""
 
 
 class BARationalValue(NamedTuple):
@@ -132,88 +123,3 @@ def ba_essential_singularity_coeffs(curve: ReducibleCurveData, x: float, y: floa
     else:
         raise ValueError(f"puncture must be 'P1' or 'P2', got {puncture!r}")
     return out
-
-
-class ThetaBAInputs:
-    """Precomputed period data for the generic theta-form assembly.
-
-    z_vec already contains the Riemann-constant shift minus the Abel images of
-    the divisor; U and V are the b-period vectors of the two normalized
-    second-kind differentials; exp1_*/exp2_* are the values of their
-    exponential path integrals at the evaluation point P and at the
-    normalization point r.  All of these are opaque inputs: computing Abel
-    maps or period integrals from a curve equation is out of scope here.
-    """
-
-    __slots__ = ("B", "z_vec", "U", "V", "abel_P", "abel_r",
-                 "exp1_P", "exp2_P", "exp1_r", "exp2_r", "d")
-
-    def __init__(self, B: PeriodMatrix, z_vec: np.ndarray, U: np.ndarray, V: np.ndarray,
-                 abel_P: np.ndarray, abel_r: np.ndarray, exp1_P: complex, exp2_P: complex,
-                 exp1_r: complex, exp2_r: complex, d: float):
-        g = B.genus
-        for name, vec in zip(("z_vec", "U", "V", "abel_P", "abel_r"),
-                             (z_vec, U, V, abel_P, abel_r)):
-            vec = np.asarray(vec, dtype=complex)
-            if vec.shape != (g,):
-                raise ValueError(f"{name} has shape {vec.shape}, expected ({g},)")
-            vec.setflags(write=False)
-            setattr(self, name, vec)
-        self.B, self.d = B, d
-        self.exp1_P, self.exp2_P, self.exp1_r, self.exp2_r = exp1_P, exp2_P, exp1_r, exp2_r
-
-
-def ba_theta_assembly(inp: ThetaBAInputs, x: float, y: float,
-                      trunc: LatticeTruncation | None = None) -> complex:
-    """psi(x, y, P) = psi_tilde(P) / psi_tilde(r) * d in the theta form.
-
-    psi_tilde(P) = theta(A(P) + xU + yV + z) / theta(A(P) + z)
-                   * exp(2 pi i (x * exp1_P + y * exp2_P)).
-    """
-    def tilde(abel, e1, e2):
-        den = riemann_theta(abel + inp.z_vec, inp.B, trunc)
-        if abs(den) < DIVISOR_DEGENERACY_TOL:
-            raise DivisorDegeneracyError(
-                f"theta(A + z) = {den}: divisor hits the evaluation point"
-            )
-        num = riemann_theta(abel + x * inp.U + y * inp.V + inp.z_vec, inp.B, trunc)
-        return num / den * cmath.exp(2j * math.pi * (x * e1 + y * e2))
-
-    psi_r = tilde(inp.abel_r, inp.exp1_r, inp.exp2_r)
-    if abs(psi_r) < DIVISOR_DEGENERACY_TOL:
-        raise DivisorDegeneracyError(f"psi_tilde(r) = {psi_r}: normalization degenerates")
-    return tilde(inp.abel_P, inp.exp1_P, inp.exp2_P) / psi_r * inp.d
-
-
-def read_theta_ba_inputs(path) -> ThetaBAInputs:
-    """Parse theta-assembly inputs from a labeled plain-text file.
-
-    Lines are ``key value...`` with '#' comments.  Keys: ``genus`` (first),
-    ``B`` repeated genus times (one matrix row per line), the vectors
-    ``z_vec U V abel_P abel_r`` (genus complex entries each), the scalars
-    ``exp1_P exp2_P exp1_r exp2_r`` and the real ``d``.
-    """
-    rows = {"B": []}
-    with open(path) as fh:
-        for raw in fh:
-            ln = raw.split("#")[0].strip()
-            if not ln:
-                continue
-            key, *toks = ln.split()
-            if key == "B":
-                rows["B"].append([complex(t) for t in toks])
-            else:
-                rows[key] = toks
-    try:
-        g = int(rows["genus"][0])
-        B = PeriodMatrix(rows["B"])
-        if B.genus != g:
-            raise ValueError(f"genus {g} does not match {len(rows['B'])} B rows")
-        vecs = {k: np.array([complex(t) for t in rows[k]])
-                for k in ("z_vec", "U", "V", "abel_P", "abel_r")}
-        scalars = {k: complex(rows[k][0])
-                   for k in ("exp1_P", "exp2_P", "exp1_r", "exp2_r")}
-        d = float(rows["d"][0])
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing key {exc}") from None
-    return ThetaBAInputs(B=B, d=d, **vecs, **scalars)

@@ -75,14 +75,11 @@ def residue_simple(form: RationalOneForm, pole: complex) -> complex:
     multiplicity one.
     """
     pole = complex(pole)
-    match = None
     for k, (root, mult) in enumerate(form.denominator_roots):
         if pole == root or abs(pole - root) <= 1e-12 * (1.0 + abs(pole)):
-            match = (k, root, mult)
             break
-    if match is None:
+    else:
         raise ValueError(f"{pole} is not a listed denominator root")
-    k, root, mult = match
     if mult != 1:
         raise ValueError(f"pole {root} has multiplicity {mult}; residue_simple needs 1")
     den = 1.0 + 0.0j
@@ -263,12 +260,14 @@ def derive_constants(a: float, b: float, Q1: float, gamma_im: float) -> Reducibl
 
         omega2 = _omega2(b, (Q1, Q2, Q3), gamma_im, scale=c)
         res_Q = []
-        for q in (Q1, Q2, Q3):
+        for i, q in enumerate((Q1, Q2, Q3), 1):
             r = residue_simple(omega2, q)
+            if not np.isfinite(r):
+                raise FloatingPointError(f"Res_Q{i} Omega_2 = {r} is not finite")
             if abs(r.imag) > 1e-12 * (1.0 + abs(r)):
-                raise ValueError(f"Res_{q} Omega_2 came out non-real: {r}")
+                raise ValueError(f"Res_Q{i} Omega_2 came out non-real: {r}")
             if not r.real > 0:
-                raise ValueError(f"Res_{q} Omega_2 = {r.real} must be positive")
+                raise ValueError(f"Res_Q{i} Omega_2 = {r.real} must be positive")
             res_Q.append(r.real)
 
         # positive branch; d real is required by the reality conditions

@@ -289,8 +289,11 @@ def riemann_theta(z, B: PeriodMatrix, trunc: LatticeTruncation | None = None) ->
             # the cells L^T (m + [-1/2, 1/2)^g) of the listed points are disjoint, of
             # volume det L, and inside the ball |x + v| <= sqrt(budget) + sum_k |L^T e_k| / 2
             reach = math.sqrt(budget) + 0.5 * math.fsum(np.linalg.norm(L, axis=1).tolist())
-            ball = math.pi ** (g / 2) / math.gamma(g / 2 + 1) * math.prod(reach / d for d in diag)
-            kept = math.ceil(min(kept, ball))
+            try:  # Gamma(g/2 + 1) overflows from g = 342 on, where the box count stays the bound
+                kept = math.ceil(min(kept, math.pi ** (g / 2) / math.gamma(g / 2 + 1)
+                                     * math.prod(reach / d for d in diag)))
+            except OverflowError:
+                pass
         if kept > DEFAULT_TERM_CAP:
             raise TruncationCapError(f"radius {radius} needs {kept} terms (cap {DEFAULT_TERM_CAP})")
         U = L.T.tolist()

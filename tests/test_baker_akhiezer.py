@@ -4,14 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from mlsurf.baker_akhiezer import (BARationalValue, DivisorDegeneracyError,
-                                   ThetaBAInputs, ba_conjugation_defect,
+from mlsurf.baker_akhiezer import (BARationalValue, ba_conjugation_defect,
                                    ba_essential_singularity_coeffs,
-                                   ba_rational_eval, ba_theta_assembly,
-                                   consistency_defect, f_coefficients,
-                                   read_theta_ba_inputs)
+                                   ba_rational_eval, consistency_defect,
+                                   f_coefficients)
 from mlsurf.spectral_curve import derive_constants
-from mlsurf.theta import PeriodMatrix
 
 
 @pytest.fixture(scope="module")
@@ -149,99 +146,3 @@ def test_ba_rational_value_fields(sphere_curve):
     from mlsurf.surface_families import spectral_family_jet
     jet = spectral_family_jet(sphere_curve, 0.4, 0.8)
     assert abs(jet.phi[0] - sphere_curve.alpha[0] * phi1_over_alpha) < 1e-14
-
-
-def theta_inputs_g1(B_entry=2j, U=0.0, V=0.0, d=1.0):
-    return ThetaBAInputs(
-        B=PeriodMatrix([[B_entry]]),
-        z_vec=np.array([0.05 + 0.1j]),
-        U=np.array([complex(U)]),
-        V=np.array([complex(V)]),
-        abel_P=np.array([0.3 + 0.02j]),
-        abel_r=np.array([-0.2 + 0.01j]),
-        exp1_P=0.125, exp2_P=-0.25, exp1_r=0.5, exp2_r=0.75,
-        d=d,
-    )
-
-
-def test_theta_assembly_normalization_at_origin():
-    inp = theta_inputs_g1(U=0.11, V=-0.07, d=1.75)
-    assert abs(ba_theta_assembly(inp, 0.0, 0.0) - 1.75) < 1e-14
-
-
-def test_theta_assembly_integer_lattice_shift():
-    inp = theta_inputs_g1(U=0.11, V=-0.07, d=1.2)
-    shifted = ThetaBAInputs(
-        B=inp.B, z_vec=inp.z_vec, U=inp.U, V=inp.V,
-        abel_P=inp.abel_P + np.array([1.0]), abel_r=inp.abel_r,
-        exp1_P=inp.exp1_P, exp2_P=inp.exp2_P, exp1_r=inp.exp1_r,
-        exp2_r=inp.exp2_r, d=inp.d,
-    )
-    for (x, y) in ((0.3, 0.7), (-1.2, 0.4)):
-        v0 = ba_theta_assembly(inp, x, y)
-        v1 = ba_theta_assembly(shifted, x, y)
-        assert abs(v1 - v0) < 1e-10 * abs(v0)
-
-
-def test_theta_assembly_reduces_to_pure_exponential():
-    # U = V = 0: theta ratios cancel, psi = d exp(2 pi i (x D1 + y D2))
-    inp = theta_inputs_g1(U=0.0, V=0.0, d=0.8)
-    d1 = inp.exp1_P - inp.exp1_r
-    d2 = inp.exp2_P - inp.exp2_r
-    for (x, y) in ((0.0, 0.0), (0.4, -0.9), (2.0, 1.0)):
-        expected = 0.8 * cmath.exp(2j * math.pi * (x * d1 + y * d2))
-        assert abs(ba_theta_assembly(inp, x, y) - expected) < 1e-13
-
-
-def test_theta_assembly_divisor_degeneracy():
-    # theta(z; B) with B = i vanishes at the odd half period (1 + B)/2
-    inp = ThetaBAInputs(
-        B=PeriodMatrix([[1j]]),
-        z_vec=np.array([0.5 + 0.5j]),
-        U=np.array([0.1 + 0j]), V=np.array([0.0j]),
-        abel_P=np.array([0.0j]), abel_r=np.array([0.1 + 0j]),
-        exp1_P=0.0, exp2_P=0.0, exp1_r=0.0, exp2_r=0.0, d=1.0,
-    )
-    with pytest.raises(DivisorDegeneracyError):
-        ba_theta_assembly(inp, 0.3, 0.4)
-
-
-def test_theta_inputs_dimension_validation():
-    with pytest.raises(ValueError, match="shape"):
-        ThetaBAInputs(B=PeriodMatrix([[1j]]), z_vec=np.zeros(2, dtype=complex),
-                      U=np.zeros(1, dtype=complex), V=np.zeros(1, dtype=complex),
-                      abel_P=np.zeros(1, dtype=complex),
-                      abel_r=np.zeros(1, dtype=complex),
-                      exp1_P=0.0, exp2_P=0.0, exp1_r=0.0, exp2_r=0.0, d=1.0)
-
-
-def test_read_theta_ba_inputs(tmp_path):
-    path = tmp_path / "inputs.txt"
-    path.write_text(
-        "# two-puncture assembly data\n"
-        "genus 2\n"
-        "B 0.1+1j 0.2+0j\n"
-        "B 0.2+0j 1.5j\n"
-        "z_vec 0.05+0.1j 0j\n"
-        "U 0.11+0j 0j\n"
-        "V -0.07+0j 0j\n"
-        "abel_P 0.3+0.02j 0j\n"
-        "abel_r -0.2+0.01j 0j\n"
-        "exp1_P 0.125\n"
-        "exp2_P -0.25\n"
-        "exp1_r 0.5\n"
-        "exp2_r 0.75\n"
-        "d 1.5\n"
-    )
-    inp = read_theta_ba_inputs(path)
-    assert inp.B.genus == 2
-    assert inp.d == 1.5
-    assert inp.U[0] == 0.11
-    assert abs(ba_theta_assembly(inp, 0.0, 0.0) - 1.5) < 1e-13
-    bad = tmp_path / "bad.txt"
-    bad.write_text("genus 1\nB 1j\n")
-    with pytest.raises(ValueError, match="missing"):
-        read_theta_ba_inputs(bad)
-    path.write_text(path.read_text().replace("B 0.2+0j 1.5j", "B 0.3+0j 1.5j"))
-    with pytest.raises(ValueError, match=r"symmetric: B\[0, 1\]"):
-        read_theta_ba_inputs(path)

@@ -1,0 +1,45 @@
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
+import pytest
+
+import mlsurf
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+# a dotted name is documented code when it starts with the package, one of its
+# modules or a name the package exports (`Family.jets`)
+HEADS = ({"mlsurf"} | {m.name for m in pkgutil.iter_modules(mlsurf.__path__)}
+         | {n for n in vars(mlsurf) if not n.startswith("_")})
+
+
+def _documented_names() -> list:
+    names = set()
+    for span in re.findall(r"`([^`\n]+)`", README):
+        for name in re.findall(r"(?<![\w.])[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", span):
+            if name.split(".")[0] in HEADS:
+                names.add(name)
+    return sorted(names)
+
+
+def _resolve(name: str):
+    obj, path = mlsurf, "mlsurf"
+    for part in (name if name.startswith("mlsurf.") else f"mlsurf.{name}").split(".")[1:]:
+        path = f"{path}.{part}"
+        # a module the package does not import is not yet an attribute
+        obj = getattr(obj, part) if hasattr(obj, part) else importlib.import_module(path)
+    return obj
+
+
+def test_the_scan_finds_names_in_prose_tables_and_assignments():
+    names = _documented_names()
+    for name in ("sweep.CHUNK", "theta.SYMMETRY_TOL", "diffgeo.gauss_curvature_masked",
+                 "mlsurf.baker_akhiezer", "Family.jets"):
+        assert name in names
+
+
+@pytest.mark.parametrize("name", _documented_names())
+def test_readme_names_resolve(name):
+    _resolve(name)

@@ -2,15 +2,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from mlsurf.baker_akhiezer import ThetaBAInputs, ba_rational_eval
+from mlsurf.baker_akhiezer import ba_rational_eval
 from mlsurf.diffgeo import christoffel_solve, frame_and_connection, metric_from_jet
 from mlsurf.report import GridSpec, verify
 from mlsurf.spectral_curve import RationalOneForm, derive_constants
 from mlsurf.surface_families import _spectral_exp_terms, spectral_family, spectral_family_jet
-from mlsurf.theta import LatticeTruncation, PeriodMatrix
+from mlsurf.theta import LatticeTruncation
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -51,12 +50,6 @@ def test_equal_curves_share_the_cached_exponential_terms():
     assert _spectral_exp_terms(derive_constants(*p)) is _spectral_exp_terms(derive_constants(*p))
 
 
-def _theta_inputs(z_vec):
-    one = np.zeros(1, dtype=complex)
-    return ThetaBAInputs(B=PeriodMatrix([[1j]]), z_vec=z_vec, U=one, V=one, abel_P=one,
-                         abel_r=one, exp1_P=0.0, exp2_P=0.0, exp1_r=0.0, exp2_r=0.0, d=1.0)
-
-
 _ROOTS = ((0.0, 1), (1.0, 1), (-1.0, 1))
 
 
@@ -64,13 +57,12 @@ _ROOTS = ((0.0, 1), (1.0, 1), (-1.0, 1))
     (lambda: GridSpec(0, 1), "grid must have at least one point per axis"),
     (lambda: GridSpec(3, 0), "grid must have at least one point per axis"),
     (lambda: LatticeTruncation(0), "truncation radius must be >= 1, got 0"),
-    (lambda: _theta_inputs(np.zeros(2)), "z_vec has shape (2,), expected (1,)"),
     (lambda: RationalOneForm(3, (1.0,), _ROOTS), "component must be 1 or 2, got 3"),
     (lambda: RationalOneForm(1, (1.0,), ((0.0, 0), (1.0, 1))),
      "pole multiplicities must be positive"),
     (lambda: RationalOneForm(1, (0.0, 0.0, 1.0), _ROOTS),
      "form has a pole at infinity: need deg(num) <= deg(den) - 2, got 2 > 3 - 2"),
-], ids=["grid-nx", "grid-ny", "radius", "theta-shape", "component", "multiplicity", "infinity"])
+], ids=["grid-nx", "grid-ny", "radius", "component", "multiplicity", "infinity"])
 def test_validating_classes_keep_their_messages(build, message):
     with pytest.raises(ValueError) as refused:
         build()
@@ -81,7 +73,5 @@ def test_validating_classes_normalise_their_inputs():
     form = RationalOneForm(1, (1, 0.0, 0.0), [(0, 1), (1, 1.0), (-1, 1)], scale=2)
     assert form.numerator_coeffs == (1 + 0j,) and form.scale == 2 + 0j
     assert form.denominator_roots == ((0j, 1), (1 + 0j, 1), (-1 + 0j, 1))
-    inp = _theta_inputs([0.5])
-    assert inp.z_vec.dtype == complex and not inp.z_vec.flags.writeable
     grid = GridSpec(2, 3)
     assert (grid.nx, grid.ny) == (2, 3) and LatticeTruncation(4).radius == 4

@@ -115,12 +115,15 @@ def test_derive_constants_rejects_bad_parameters():
                    (1.0, 1.0, 2.0, -math.inf)):
         with pytest.raises(ValueError, match="finite"):
             derive_constants(*params)
-    # finite but so large that the residues of Omega_2 come out NaN
-    with pytest.raises(ValueError, match="Omega_2 = nan must be positive"):
-        derive_constants(1.0, 1.0, 2.0, 1e200)
-    # an overflow or a division by zero names every input, not only the operation
+    # gamma_im^2 underflows, so the residue at Q3 = 0 is 0: the message names the marked point
+    with pytest.raises(ValueError) as info:
+        derive_constants(1.0, 1.0, 2.0, 1e-200)
+    assert str(info.value) == "Res_Q3 Omega_2 = 0.0 must be positive"
+    # an overflow, a division by zero or a NaN residue names every input, not only the cause
     for params, cause in (((1.0, 1.0, 1e308, 1.0), "complex exponentiation"),
-                          ((1e-300, 1.0, 2.0, 1.0), "complex division by zero")):
+                          ((1e-300, 1.0, 2.0, 1.0), "complex division by zero"),
+                          ((1.0, 1.0, 2.0, 1e200), "Res_Q1 Omega_2 = (nan+nanj) is not finite"),
+                          ((1.0, 1.0, 1e200, 1.0), "Res_Q1 Omega_2 = (nan+nanj) is not finite")):
         a, b, q1, gamma_im = params
         with pytest.raises(ValueError) as info:
             derive_constants(*params)

@@ -79,6 +79,15 @@ def test_parity_randomized():
         assert abs(t1 - t0) < 1e-12 * (1.0 + abs(t0))
 
 
+@pytest.mark.parametrize("b", [1j, 0.3 + 1.2j])
+def test_theta_vanishes_at_the_odd_half_period(b):
+    # theta(z + (1 + B)/2) is an exponential times the odd theta with characteristic
+    # (1/2, 1/2), so theta vanishes at the odd half period; at 1/2 it does not
+    B = PeriodMatrix([[b]])
+    assert abs(riemann_theta([0.5 + 0.5 * b], B)) < 1e-14
+    assert abs(riemann_theta([0.5], B)) > 0.9
+
+
 def test_quasi_periodicity_zero_shift_is_exact():
     B = PeriodMatrix([[1j]])
     assert quasi_periodicity_defect(np.array([0.2 + 0.1j]), np.array([0]), B) == 0.0
