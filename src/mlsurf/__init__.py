@@ -19,8 +19,7 @@ from .report import (CheckRecord, GridSpec, VerificationReport, verify,
                      verify_cone, verify_spectral)
 from .spectral_curve import (RationalOneForm, ReducibleCurveData,
                              derive_constants, expansion_at_infinity,
-                             regularity_defect, residue_at_infinity,
-                             residue_simple, sum_of_residues)
+                             regularity_defect, residue_simple, sum_of_residues)
 from .surface_families import (Family, MetricField, SurfaceJet, cone_family,
                                cone_family_jet, cone_jet_field, cone_metric_field,
                                degeneracy_angle, in_degeneracy_tube, spectral_family,

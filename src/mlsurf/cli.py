@@ -144,9 +144,7 @@ COMMANDS = {
         *_SURFACE, ("--json-out", dict(help="write machine-readable report"))], _cmd_verify),
     "sample": ("sample the surface to CSV", [
         *_SURFACE, ("--out", dict(required=True, help="CSV output path"))], _cmd_sample),
-    "curve-info": ("dump derived curve constants", [
-        ("--family", dict(choices=["spectral"], default="spectral")), *_SPECTRAL],
-        _cmd_curve_info),
+    "curve-info": ("dump derived curve constants", _SPECTRAL, _cmd_curve_info),
     "theta": ("evaluate the Riemann theta function", [
         ("--period-file", dict(
             required=True, help="text file: genus line, then g rows of g complex entries")),

@@ -173,8 +173,6 @@ class FrameData(NamedTuple):
     beta: float
     A: np.ndarray
     B: np.ndarray
-    f: float
-    h: float
 
 
 def _twisted_frame(jet: SurfaceJet, beta: float) -> np.ndarray:
@@ -222,8 +220,7 @@ def frame_and_connection(jet_field, x: float, y: float, h: float = 1e-4) -> Fram
     inv = np.linalg.inv(Phi)
     A = (xp - xm) / (2.0 * h) @ inv
     B = (yp - ym) / (2.0 * h) @ inv
-    return FrameData(Phi=Phi, beta=beta_c, A=A, B=B,
-                     f=float(A[1, 1].imag), h=float(B[1, 1].imag))
+    return FrameData(Phi=Phi, beta=beta_c, A=A, B=B)
 
 
 def frame_defects(fd: FrameData) -> dict:

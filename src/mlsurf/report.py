@@ -5,8 +5,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spectral_curve import (ReducibleCurveData, expansion_at_infinity,
-                             regularity_defect, residue_simple)
+from .spectral_curve import (REGULARITY_TOL, W2_TOL, ReducibleCurveData,
+                             expansion_at_infinity, regularity_defect, residue_simple)
 from .surface_families import Family, MetricField, cone_family, spectral_family
 from .sweep import (CHRISTOFFEL_NAMES, FRAME_NAMES, GRAM_NAMES, METRIC_NAMES,
                     RESIDUE_NAMES, check_maxima, sample_blocks)
@@ -157,9 +157,9 @@ def curve_checks(curve: ReducibleCurveData) -> list:
     w1 = expansion_at_infinity(curve.omega1(), 2)
     w2 = expansion_at_infinity(curve.omega2(), 2)
     return [
-        CheckRecord("curve_regularity", regularity_defect(curve), 1e-13),
-        CheckRecord("curve_w2_P1_rel", float(abs(w1[1]) / abs(w1[0])), 1e-12),
-        CheckRecord("curve_w2_P2_rel", float(abs(w2[1]) / abs(w2[0])), 1e-12),
+        CheckRecord("curve_regularity", regularity_defect(curve), REGULARITY_TOL),
+        CheckRecord("curve_w2_P1_rel", float(abs(w1[1]) / abs(w1[0])), W2_TOL),
+        CheckRecord("curve_w2_P2_rel", float(abs(w2[1]) / abs(w2[0])), W2_TOL),
         CheckRecord("curve_Q_sum", abs(curve.Q1 + curve.Q2 + curve.Q3), 1e-13),
         CheckRecord("curve_residues_positive", min(curve.res_Q), 0.0, kind="lower"),
     ]

@@ -20,6 +20,7 @@ import numpy as np
 
 # residue cancellation at the gluing points must hold to this tolerance
 REGULARITY_TOL = 1e-13
+W2_TOL = 1e-12  # and the w^2 coefficient of Omega_2 at P2, relative to the w one, to this
 
 
 class RationalOneForm:
@@ -30,19 +31,15 @@ class RationalOneForm:
     form is regular at infinity.
     """
 
-    __slots__ = ("component", "numerator_coeffs", "denominator_roots", "scale")
+    __slots__ = ("numerator_coeffs", "denominator_roots", "scale")
 
-    def __init__(self, component: int, numerator_coeffs: tuple, denominator_roots: tuple,
-                 scale: complex = 1.0):
-        if component not in (1, 2):
-            raise ValueError(f"component must be 1 or 2, got {component}")
+    def __init__(self, numerator_coeffs: tuple, denominator_roots: tuple, scale: complex = 1.0):
         coeffs = tuple(complex(c) for c in numerator_coeffs)
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         roots = tuple((complex(r), int(m)) for r, m in denominator_roots)
         if any(m < 1 for _, m in roots):
             raise ValueError("pole multiplicities must be positive")
-        self.component = component
         self.numerator_coeffs = coeffs
         self.denominator_roots = roots  # of (root, multiplicity)
         self.scale = complex(scale)
@@ -135,20 +132,9 @@ def expansion_at_infinity(form: RationalOneForm, order: int) -> np.ndarray:
     return g[1:]
 
 
-def residue_at_infinity(form: RationalOneForm) -> complex:
-    """Residue of the form at z = infinity (w^-1 coefficient in w = 1/z).
-
-    Zero for every constructible form here since regularity at infinity is a
-    construction invariant; kept explicit so the global residue theorem can be
-    asserted without a tautology.
-    """
-    # shift = dd - dn - 2 >= 0 means g(w) is analytic at w = 0
-    return 0.0 + 0.0j
-
-
 def sum_of_residues(form: RationalOneForm) -> complex:
-    """Sum of all residues including infinity; exactly the residue theorem."""
-    total = residue_at_infinity(form)
+    """Sum of the finite residues; the form is regular at infinity, so it vanishes."""
+    total = 0.0 + 0.0j
     for root, mult in form.denominator_roots:
         if mult == 1:
             total += residue_simple(form, root)
@@ -196,7 +182,6 @@ class ReducibleCurveData(NamedTuple):
 
 def _omega1(a: float) -> RationalOneForm:
     return RationalOneForm(
-        component=1,
         numerator_coeffs=(1.0,),
         denominator_roots=((0.0, 1), (a, 1), (-a, 1)),
         scale=1.0,
@@ -206,7 +191,6 @@ def _omega1(a: float) -> RationalOneForm:
 def _omega2(b: float, Q: tuple, gamma_im: float, scale: complex) -> RationalOneForm:
     # numerator z^2 - gamma^2 = z^2 + gamma_im^2 for gamma = i*gamma_im
     return RationalOneForm(
-        component=2,
         numerator_coeffs=(gamma_im * gamma_im, 0.0, 1.0),
         denominator_roots=((Q[0], 1), (Q[1], 1), (Q[2], 1), (b, 1), (-b, 1)),
         scale=scale,
@@ -240,12 +224,13 @@ def derive_constants(a: float, b: float, Q1: float, gamma_im: float) -> Reducibl
             f"|Q1| = {abs(Q1)} must exceed b = {b}; otherwise Res_Q3 Omega_2 < 0 "
             "and alpha_3 is imaginary"
         )
+    if abs(Q1) - b < 1e-12 * b:  # Q2 = -Q1 is as near the other one; Q3 = 0 is near neither
+        raise ValueError(f"degenerate marked point: Q1 = {Q1} lies within 1e-12 b of the "
+                         f"gluing coordinate {'-b' if Q1 < 0 else 'b'} = {math.copysign(b, Q1)}")
 
     try:
         Q2 = -Q1
         Q3 = -b * b * (Q1 + Q2) / (b * b + Q1 * Q2)  # evaluates to exactly 0
-        if any(abs(q - s * b) < 1e-12 * b for q in (Q1, Q2, Q3) for s in (1.0, -1.0)):
-            raise ValueError("degenerate marked point: Q_i coincides with a gluing coordinate")
 
         omega1 = _omega1(a)
         res_r = residue_simple(omega1, 0.0)
@@ -254,6 +239,8 @@ def derive_constants(a: float, b: float, Q1: float, gamma_im: float) -> Reducibl
 
         unit = _omega2(b, (Q1, Q2, Q3), gamma_im, scale=1.0)
         c = -res_a / residue_simple(unit, b)
+        if not np.isfinite(c):
+            raise FloatingPointError(f"scale c of Omega_2 = {c} is not finite")
         if abs(c.imag) > 1e-12 * (1.0 + abs(c)):
             raise ValueError(f"scale c came out non-real: {c}")
         c = c.real
@@ -288,7 +275,7 @@ def derive_constants(a: float, b: float, Q1: float, gamma_im: float) -> Reducibl
         if defect > REGULARITY_TOL:
             raise ValueError(f"gluing regularity defect {defect} exceeds {REGULARITY_TOL}")
         lead = max(abs(exp2[0]), 1e-300)
-        if abs(exp2[1]) / lead > 1e-12:
+        if abs(exp2[1]) / lead > W2_TOL:
             raise ValueError(f"w^2 coefficient of Omega_2 did not cancel: {exp2[1]}")
         if abs(res_a + res_ma + res_r) > 1e-13:
             raise ValueError("Omega_1 residues violate the residue theorem")

@@ -64,7 +64,7 @@ def _jets(jet, xs, ys) -> np.ndarray:
     return out
 
 
-def _blocks(family: Family, grid, timer: Timings):
+def _blocks(family: Family, grid):
     """(x, y, tube mask, stacked centre jets) for each block of CHUNK grid
     points; the mask is in_degeneracy_tube's, bit for bit."""
     xs, ys = grid.xs(), grid.ys()
@@ -76,7 +76,6 @@ def _blocks(family: Family, grid, timer: Timings):
         J = family.jets(x, y)
         tube = (np.zeros(len(x), dtype=bool) if c is None else
                 np.abs(_remainder(c.a * x - c.b * y - degeneracy_angle(c), math.pi)) < TUBE_RADIUS)
-        timer.lap("jets")
         yield x, y, tube, J
 
 
@@ -217,7 +216,8 @@ def check_maxima(family: Family, grid, h: float, k_field: MetricField) -> tuple:
                                       np.max(np.where(ok, v, np.inf), initial=-np.inf))
         timer.lap("reduce")
 
-    for x, y, tube, J in _blocks(family, grid, timer):
+    for x, y, tube, J in _blocks(family, grid):
+        timer.lap("jets")
         with np.errstate(divide="ignore", invalid="ignore"):
             E = np.sum(np.abs(J[1]) ** 2, axis=-1)
             G = np.sum(np.abs(J[2]) ** 2, axis=-1)
@@ -279,7 +279,7 @@ def check_maxima(family: Family, grid, h: float, k_field: MetricField) -> tuple:
 def sample_blocks(family: Family, grid, h: float, k_field: MetricField):
     """Per block: x, y, phi, E, G, beta and K, and the masks where beta and K
     are defined (outside the tube; angle accepted; metric positive)."""
-    for x, y, tube, J in _blocks(family, grid, Timings()):
+    for x, y, tube, J in _blocks(family, grid):
         with np.errstate(divide="ignore", invalid="ignore"):
             E = np.sum(np.abs(J[1]) ** 2, axis=-1)
             G = np.sum(np.abs(J[2]) ** 2, axis=-1)

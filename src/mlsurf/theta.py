@@ -295,6 +295,11 @@ def riemann_theta(z, B: PeriodMatrix, trunc: LatticeTruncation | None = None) ->
             except OverflowError:
                 pass
         if kept > DEFAULT_TERM_CAP:
+            if kept >= 10**15:  # printed rounded up to four digits, as 4.978e+381
+                e = int(math.log10(kept)) - 3  # math.log10 takes any int; float(kept) overflows
+                lead = -(-kept // 10 ** e)  # 1000..10001: log10 may round down across an integer
+                kept = (f"{lead / 1000:.3f}e+{e + 3}" if lead < 10000 else
+                        f"{-(-lead // 10) / 1000:.3f}e+{e + 4}")
             raise TruncationCapError(f"radius {radius} needs {kept} terms (cap {DEFAULT_TERM_CAP})")
         U = L.T.tolist()
         m = [0] * g

@@ -138,11 +138,11 @@ def test_criterion_05_puncture_expansion_conditions():
     # negative control: forcing Q2 = +Q1 produces a double pole and a w^2 term
     a, b, Q1, G = 1.0, 1.0, 2.0, 1.0
     Q3 = -b * b * (2 * Q1) / (b * b + Q1 * Q1)
-    unit = RationalOneForm(component=2, numerator_coeffs=(G * G, 0.0, 1.0),
+    unit = RationalOneForm(numerator_coeffs=(G * G, 0.0, 1.0),
                            denominator_roots=((Q1, 2), (Q3, 1), (b, 1), (-b, 1)))
     c = -(1.0 / (2 * a * a)) / residue_simple(unit, b)
     forced = expansion_at_infinity(
-        RationalOneForm(component=2, numerator_coeffs=(G * G, 0.0, 1.0),
+        RationalOneForm(numerator_coeffs=(G * G, 0.0, 1.0),
                         denominator_roots=((Q1, 2), (Q3, 1), (b, 1), (-b, 1)),
                         scale=c), 2)
     ratio = abs(forced[1]) / abs(forced[0])

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -336,10 +337,13 @@ SPHERE = ["--family", "spectral", "--a", "1", "--b", "1", "--q1", "2", "--gamma-
     # derive_constants overflows or divides by zero: the message names the inputs
     ["curve-info", "--a", "1", "--b", "1", "--q1", "1e308", "--gamma-im", "1"],
     ["curve-info", "--a", "1e-300", "--b", "1", "--q1", "2", "--gamma-im", "1"],
-    # the residues of Omega_2 come out NaN
+    # the scale of Omega_2 comes out NaN
     ["curve-info", "--a", "1", "--b", "1", "--q1", "1e200", "--gamma-im", "1"],
+    # Q1 lies within 1e-12 b of the gluing coordinate b
+    ["curve-info", "--a", "1", "--b", "1", "--q1", "1.0000000000001", "--gamma-im", "1"],
 ], ids=["h-0", "h-nan", "h-negative", "h-inf", "sample-h-0", "h-1e5", "sample-h-1e5",
-        "q1-inf", "gamma-im-1e200", "a-nan", "h-1e-300", "q1-1e308", "a-1e-300", "q1-1e200"])
+        "q1-inf", "gamma-im-1e200", "a-nan", "h-1e-300", "q1-1e308", "a-1e-300", "q1-1e200",
+        "q1-at-b"])
 def test_invalid_numbers_exit_2_with_one_line(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
@@ -538,14 +542,16 @@ def test_theta_invalid_input_exits_2(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out.startswith("theta = 73.4965290539") and out.out.count("\n") == 1
     assert out.err == "error: radius 601 needs 14178624 terms (cap 4000000)\n"
-    # from genus 342 on Gamma(g/2 + 1) overflows in the ball bound, and the box count is the bound
-    pm400 = tmp_path / "pm400.txt"
-    pm400.write_text("400\n" + "".join(" ".join(["0"] * i + ["1j"] + ["0"] * (399 - i)) + "\n"
-                                         for i in range(400)))
-    assert run(["theta", "--period-file", str(pm400), "--z", ",".join(["0"] * 400)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: radius ") and err.endswith(" (cap 4000000)\n")
-    assert err.count("\n") == 1
+    # from genus 342 on Gamma(g/2 + 1) overflows in the ball bound, and the box count is the
+    # bound; either bound has hundreds of digits here and is printed as a short mantissa
+    for g in (341, 400):
+        pmg = tmp_path / f"pm{g}.txt"
+        pmg.write_text(f"{g}\n" + "".join(" ".join(["0"] * i + ["1j"] + ["0"] * (g - 1 - i)) + "\n"
+                                          for i in range(g)))
+        assert run(["theta", "--period-file", str(pmg), "--z", ",".join(["0"] * g)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: radius \d+ needs \d\.\d{3}e\+\d+ terms \(cap 4000000\)\n", err)
+        assert len(err) < 80
     # a shift whose box exceeds the cap but whose ellipsoid does not, with a term
     # beyond double range: the overflow is raised before any point is listed
     tracemalloc.start()

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import mlsurf
+from mlsurf import cli
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -43,3 +44,26 @@ def test_the_scan_finds_names_in_prose_tables_and_assignments():
 @pytest.mark.parametrize("name", _documented_names())
 def test_readme_names_resolve(name):
     _resolve(name)
+
+
+def _cli_block_flags() -> list:
+    """(command, flag) for each --flag of README's CLI usage block, a
+    continuation line counting for the `mlsurf <command>` line above it."""
+    block = re.search(r"## CLI\n\n```\n(.*?)```", README, re.S).group(1)
+    pairs, command = [], None
+    for line in block.splitlines():
+        if line.startswith("mlsurf "):
+            command = line.split()[1]
+        pairs += [(command, flag) for flag in re.findall(r"(?<![\w-])--?[a-z][\w-]*", line)]
+    return sorted(set(pairs))
+
+
+def test_the_cli_block_scan_covers_every_command():
+    commands = {command for command, _ in _cli_block_flags()}
+    assert commands == set(cli.COMMANDS)
+    assert ("verify", "--json-out") in _cli_block_flags()  # from a continuation line
+
+
+@pytest.mark.parametrize("command, flag", _cli_block_flags())
+def test_readme_cli_flags_are_options_of_their_command(command, flag):
+    assert flag in {"-h", "--help"} | {f for f, _ in cli.COMMANDS[command][1]}

@@ -57,12 +57,10 @@ _ROOTS = ((0.0, 1), (1.0, 1), (-1.0, 1))
     (lambda: GridSpec(0, 1), "grid must have at least one point per axis"),
     (lambda: GridSpec(3, 0), "grid must have at least one point per axis"),
     (lambda: LatticeTruncation(0), "truncation radius must be >= 1, got 0"),
-    (lambda: RationalOneForm(3, (1.0,), _ROOTS), "component must be 1 or 2, got 3"),
-    (lambda: RationalOneForm(1, (1.0,), ((0.0, 0), (1.0, 1))),
-     "pole multiplicities must be positive"),
-    (lambda: RationalOneForm(1, (0.0, 0.0, 1.0), _ROOTS),
+    (lambda: RationalOneForm((1.0,), ((0.0, 0), (1.0, 1))), "pole multiplicities must be positive"),
+    (lambda: RationalOneForm((0.0, 0.0, 1.0), _ROOTS),
      "form has a pole at infinity: need deg(num) <= deg(den) - 2, got 2 > 3 - 2"),
-], ids=["grid-nx", "grid-ny", "radius", "component", "multiplicity", "infinity"])
+], ids=["grid-nx", "grid-ny", "radius", "multiplicity", "infinity"])
 def test_validating_classes_keep_their_messages(build, message):
     with pytest.raises(ValueError) as refused:
         build()
@@ -70,7 +68,7 @@ def test_validating_classes_keep_their_messages(build, message):
 
 
 def test_validating_classes_normalise_their_inputs():
-    form = RationalOneForm(1, (1, 0.0, 0.0), [(0, 1), (1, 1.0), (-1, 1)], scale=2)
+    form = RationalOneForm((1, 0.0, 0.0), [(0, 1), (1, 1.0), (-1, 1)], scale=2)
     assert form.numerator_coeffs == (1 + 0j,) and form.scale == 2 + 0j
     assert form.denominator_roots == ((0j, 1), (1 + 0j, 1), (-1 + 0j, 1))
     grid = GridSpec(2, 3)

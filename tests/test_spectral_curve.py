@@ -7,12 +7,11 @@ import sympy
 
 from mlsurf.spectral_curve import (RationalOneForm, derive_constants,
                                    expansion_at_infinity, regularity_defect,
-                                   residue_at_infinity, residue_simple,
-                                   sum_of_residues)
+                                   residue_simple, sum_of_residues)
 
 
 def omega1_form(a):
-    return RationalOneForm(component=1, numerator_coeffs=(1.0,),
+    return RationalOneForm(numerator_coeffs=(1.0,),
                            denominator_roots=((0.0, 1), (a, 1), (-a, 1)))
 
 
@@ -32,7 +31,7 @@ def test_residue_simple_errors():
     form = omega1_form(1.0)
     with pytest.raises(ValueError, match="not a listed"):
         residue_simple(form, 3.0)
-    double = RationalOneForm(component=1, numerator_coeffs=(1.0,),
+    double = RationalOneForm(numerator_coeffs=(1.0,),
                              denominator_roots=((0.0, 2), (1.0, 1)))
     with pytest.raises(ValueError, match="multiplicity"):
         residue_simple(double, 0.0)
@@ -49,19 +48,15 @@ def test_global_residue_theorem():
         for form in (curve.omega1(), curve.omega2()):
             scale = max(abs(residue_simple(form, r)) for r, _ in form.denominator_roots)
             assert abs(sum_of_residues(form)) < 1e-12 * scale
-            assert residue_at_infinity(form) == 0.0
 
 
 def test_form_construction_invariants():
     with pytest.raises(ValueError, match="pole at infinity"):
-        RationalOneForm(component=1, numerator_coeffs=(0.0, 0.0, 1.0),
+        RationalOneForm(numerator_coeffs=(0.0, 0.0, 1.0),
                         denominator_roots=((0.0, 1), (1.0, 1), (-1.0, 1)))
-    trimmed = RationalOneForm(component=1, numerator_coeffs=(1.0, 0.0, 0.0),
+    trimmed = RationalOneForm(numerator_coeffs=(1.0, 0.0, 0.0),
                               denominator_roots=((0.0, 1), (1.0, 1), (-1.0, 1)))
     assert trimmed.numerator_degree == 0
-    with pytest.raises(ValueError, match="component"):
-        RationalOneForm(component=3, numerator_coeffs=(1.0,),
-                        denominator_roots=((0.0, 1), (1.0, 1), (-1.0, 1)))
 
 
 def test_derive_constants_worked_example():
@@ -119,11 +114,20 @@ def test_derive_constants_rejects_bad_parameters():
     with pytest.raises(ValueError) as info:
         derive_constants(1.0, 1.0, 2.0, 1e-200)
     assert str(info.value) == "Res_Q3 Omega_2 = 0.0 must be positive"
-    # an overflow, a division by zero or a NaN residue names every input, not only the cause
-    for params, cause in (((1.0, 1.0, 1e308, 1.0), "complex exponentiation"),
+    # a marked point within 1e-12 b of a gluing coordinate names both, with their values
+    with pytest.raises(ValueError) as info:
+        derive_constants(1.0, 1.0, 1.0000000000001, 1.0)
+    assert str(info.value) == ("degenerate marked point: Q1 = 1.0000000000001 lies within 1e-12 b "
+                               "of the gluing coordinate b = 1.0")
+    with pytest.raises(ValueError) as info:
+        derive_constants(1.0, 2.0, -2.0000000000001, 1.0)
+    assert str(info.value) == ("degenerate marked point: Q1 = -2.0000000000001 lies within 1e-12 b "
+                               "of the gluing coordinate -b = -2.0")
+    # a scale that overflows to NaN, or a division by zero, names every input, not only the cause
+    for params, cause in (((1.0, 1.0, 1e308, 1.0), "scale c of Omega_2 = (nan+nanj) is not finite"),
                           ((1e-300, 1.0, 2.0, 1.0), "complex division by zero"),
-                          ((1.0, 1.0, 2.0, 1e200), "Res_Q1 Omega_2 = (nan+nanj) is not finite"),
-                          ((1.0, 1.0, 1e200, 1.0), "Res_Q1 Omega_2 = (nan+nanj) is not finite")):
+                          ((1.0, 1.0, 2.0, 1e200), "scale c of Omega_2 = (nan+nanj) is not finite"),
+                          ((1.0, 1.0, 1e200, 1.0), "scale c of Omega_2 = (nan+nanj) is not finite")):
         a, b, q1, gamma_im = params
         with pytest.raises(ValueError) as info:
             derive_constants(*params)
@@ -147,7 +151,7 @@ def sympy_infinity_series(form, order):
 
 def test_expansion_requires_vanishing_at_infinity():
     # deg(num) = deg(den) - 2 is regular at infinity but has no zero there
-    form = RationalOneForm(component=1, numerator_coeffs=(1.0,),
+    form = RationalOneForm(numerator_coeffs=(1.0,),
                            denominator_roots=((1.0, 1), (-1.0, 1)))
     with pytest.raises(ValueError, match="vanish"):
         expansion_at_infinity(form, 2)
@@ -177,11 +181,11 @@ def test_expansion_omega2_minimality_condition():
 def forced_q2_equal_q1_form(a, b, Q1, G):
     """Negative control: Q2 = +Q1 (double pole), c from regularity at z2 = b."""
     Q3 = -b * b * (2 * Q1) / (b * b + Q1 * Q1)
-    unit = RationalOneForm(component=2, numerator_coeffs=(G * G, 0.0, 1.0),
+    unit = RationalOneForm(numerator_coeffs=(G * G, 0.0, 1.0),
                            denominator_roots=((Q1, 2), (Q3, 1), (b, 1), (-b, 1)))
     res_a = 1.0 / (2 * a * a)
     c = -res_a / residue_simple(unit, b)
-    return RationalOneForm(2, unit.numerator_coeffs, unit.denominator_roots, c), Q3, c
+    return RationalOneForm(unit.numerator_coeffs, unit.denominator_roots, c), Q3, c
 
 
 def test_expansion_forced_q2_breaks_minimality():

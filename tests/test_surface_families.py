@@ -99,7 +99,7 @@ def _sweep_tube_mask(curve, xs, ys):
     # the sweep's vectorised mask over the product grid xs x ys, in report order
     family = cone_family(1, 2)._replace(curve=curve)
     grid = SimpleNamespace(nx=len(xs), ny=len(ys), xs=lambda: xs, ys=lambda: ys)
-    return np.concatenate([tube for _, _, tube, _ in sweep._blocks(family, grid, sweep.Timings())])
+    return np.concatenate([tube for _, _, tube, _ in sweep._blocks(family, grid)])
 
 
 def test_sweep_tube_mask_matches_in_degeneracy_tube():
