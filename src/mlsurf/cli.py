@@ -16,10 +16,13 @@ from .theta import (LatticeTruncation, parse_complex, quasi_periodicity_defect,
 
 def _parse_grid(text: str) -> GridSpec:
     try:
-        nx, ny = text.lower().split("x")
-        return GridSpec(nx=int(nx), ny=int(ny))
-    except (ValueError, TypeError):
-        raise argparse.ArgumentTypeError(f"grid must look like 64x64, got {text!r}")
+        nx, ny = map(int, text.lower().split("x"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"grid must look like 64x64, got {text!r}") from None
+    try:
+        return GridSpec(nx=nx, ny=ny)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}, got {text!r}") from None
 
 
 def _read_scenario(path: str) -> dict:
@@ -98,8 +101,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_curve_info(args) -> int:
-    curve = _spectral_curve_from_args(args)
-    print(curve_info_text(curve))
+    print(curve_info_text(_spectral_curve_from_args(args)))
     return 0
 
 
@@ -156,18 +158,20 @@ COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of `command` alone: the one a call runs."""
+    """The parser of `command` alone, or with no command the root parser of them all."""
+    if command:
+        parser = argparse.ArgumentParser(prog=f"mlsurf {command}", allow_abbrev=False)
+        for flag, kwargs in COMMANDS[command][1]:
+            parser.add_argument(flag, **kwargs)
+        return parser
     parser = argparse.ArgumentParser(
         prog="mlsurf", allow_abbrev=False,
         description="Construct minimal Lagrangian surfaces in CP^2 from spectral "
                     "data and verify the geometric identities on a grid.")
-    # the usage line lists every command either way; with every command built a
-    # metavar would rename "argument command" in the invalid-choice error
-    subs = parser.add_subparsers(dest="command", required=True,
-                                 metavar="{%s}" % ",".join(COMMANDS) if command else None)
-    for name in [command] if command else COMMANDS:
-        sub = subs.add_parser(name, help=COMMANDS[name][0], allow_abbrev=False)
-        for flag, kwargs in COMMANDS[name][1]:
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, flags, _) in COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag, kwargs in flags:
             sub.add_argument(flag, **kwargs)
     return parser
 
@@ -188,12 +192,13 @@ def _join_dash_values(argv: list) -> list:
 
 def main(argv=None) -> int:
     argv = _join_dash_values(sys.argv[1:] if argv is None else argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+        args = build_parser(command).parse_args(argv[1:] if command else argv)
     except SystemExit as exc:  # argparse already printed the diagnostic
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return COMMANDS[args.command][2](args)
+        return COMMANDS[command or args.command][2](args)  # or the one the root parser matched
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

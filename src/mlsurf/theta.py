@@ -157,6 +157,15 @@ def default_radius(z, B: PeriodMatrix) -> int:
     return max(1, math.ceil(root))
 
 
+def _short(n: int) -> str:
+    """n in full below 10^15, else rounded up to four digits, as 4.978e+381."""
+    if n < 10**15:
+        return str(n)
+    e = int(math.log10(n)) - 3  # math.log10 takes any int; float(n) overflows
+    m = -(-n // 10 ** e)  # 1000..10001: log10 may round down across an integer
+    return f"{m / 1000:.3f}e+{e + 3}" if m < 10000 else f"{-(-m // 10) / 1000:.3f}e+{e + 4}"
+
+
 def _tail_bound(g: int, r: float, rho: float, q: float) -> float:
     """Upper bound on the sum of exp(-pi*(|u|^2 - q)) over the points u, |u| > rho,
     of any translate of a g-dimensional lattice whose packing radius is r.
@@ -295,12 +304,8 @@ def riemann_theta(z, B: PeriodMatrix, trunc: LatticeTruncation | None = None) ->
             except OverflowError:
                 pass
         if kept > DEFAULT_TERM_CAP:
-            if kept >= 10**15:  # printed rounded up to four digits, as 4.978e+381
-                e = int(math.log10(kept)) - 3  # math.log10 takes any int; float(kept) overflows
-                lead = -(-kept // 10 ** e)  # 1000..10001: log10 may round down across an integer
-                kept = (f"{lead / 1000:.3f}e+{e + 3}" if lead < 10000 else
-                        f"{-(-lead // 10) / 1000:.3f}e+{e + 4}")
-            raise TruncationCapError(f"radius {radius} needs {kept} terms (cap {DEFAULT_TERM_CAP})")
+            raise TruncationCapError(f"radius {_short(radius)} needs {_short(kept)} terms "
+                                     f"(cap {DEFAULT_TERM_CAP})")
         U = L.T.tolist()
         m = [0] * g
         q = 0.0

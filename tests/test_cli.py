@@ -396,9 +396,9 @@ def test_step_floor_is_checked_before_the_output_is_opened(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, error", [
     (["theta", "--period-file", "pm.txt", "--z", "0", "--h", "1e-3"],
-     "mlsurf: error: unrecognized arguments: --h 1e-3"),
+     "mlsurf theta: error: unrecognized arguments: --h 1e-3"),
     (["theta", "--period-file", "pm.txt", "--z", "0", "--rad", "3"],
-     "mlsurf: error: unrecognized arguments: --rad 3"),
+     "mlsurf theta: error: unrecognized arguments: --rad 3"),
     (["verify", "--fam", "cone", "--m", "1", "--n", "1", "--grid", "2x2"],
      "mlsurf verify: error: the following arguments are required: --family"),
 ], ids=["theta-h-is-not-help", "theta-rad", "verify-fam"])
@@ -436,14 +436,24 @@ _VALID = {
 def test_one_command_parser_parses_as_the_full_parser(command, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     only = cli.build_parser(command)
-    subs = next(a for a in only._actions if isinstance(a, argparse._SubParsersAction))
-    assert list(subs.choices) == [command]
-    for rest in (["--help"], _VALID[command], _VALID[command] + ["--bogus", "1"],
-                 _VALID[command] + ["extra"], ["--family=x"], []):
-        got = _parse(only, [command, *rest])
-        assert got == _parse(cli.build_parser(None), [command, *rest])
-    assert _parse(only, [command, *_VALID[command]])[0] is None
-    assert _parse(only, [command, "--help"])[2].startswith(f"usage: mlsurf {command} [-h]")
+    assert not any(isinstance(a, argparse._SubParsersAction) for a in only._actions)
+    # unrecognized arguments are reported by the command's own parser, not the root's
+    unrecognized = {"--bogus 1": [*_VALID[command], "--bogus", "1"],
+                    "extra": [*_VALID[command], "extra"]}
+    if command == "curve-info":  # it has no --family, so the flag is unrecognized
+        unrecognized["--family=x"] = ["--family=x"]
+    for rest in (["--help"], _VALID[command], ["--family=x"], []):
+        if rest in unrecognized.values():
+            continue
+        code, fields, out, err = _parse(cli.build_parser(None), [command, *rest])
+        if fields is not None:
+            assert fields.pop("command") == command
+        assert _parse(only, rest) == (code, fields, out, err)
+    for extras, rest in unrecognized.items():
+        assert _parse(only, rest) == (2, None, "", only.format_usage() + (
+            f"mlsurf {command}: error: unrecognized arguments: {extras}\n"))
+    assert _parse(only, _VALID[command])[0] is None
+    assert _parse(only, ["--help"])[2].startswith(f"usage: mlsurf {command} [-h]")
 
 
 ROOT_USAGE = "usage: mlsurf [-h] {verify,sample,curve-info,theta} ...\n"
@@ -473,9 +483,12 @@ positional arguments:
 options:
   -h, --help            show this help message and exit
 """
-    # a parser built for one command still lists every command in its usage line
+    # a named command's parser reports its own unrecognized arguments
     assert run(["theta", "--period-file", "pm.txt", "--z", "0", "extra"]) == 2
-    assert capsys.readouterr().err == ROOT_USAGE + "mlsurf: error: unrecognized arguments: extra\n"
+    assert capsys.readouterr().err == (
+        "usage: mlsurf theta [-h] --period-file PERIOD_FILE --z Z [--radius RADIUS]\n"
+        "                    [--shift-m SHIFT_M]\n"
+        "mlsurf theta: error: unrecognized arguments: extra\n")
 
 
 def test_main_builds_one_parser_per_call(monkeypatch, capsys):
@@ -494,6 +507,37 @@ def test_main_builds_one_parser_per_call(monkeypatch, capsys):
         run(argv)
         assert built[before:] == [command]
     capsys.readouterr()
+
+
+def test_a_named_command_constructs_one_argparse_parser(monkeypatch, tmp_path, capsys):
+    made, init = [], argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    pm = tmp_path / "pm.txt"
+    pm.write_text("1\n1j\n")
+    assert run(["theta", "--period-file", str(pm), "--z", "0.1"]) == 0
+    assert made == ["mlsurf theta"]
+    # nothing is kept from one call to the next
+    assert run(["theta", "--period-file", str(pm), "--z", "0.1"]) == 0
+    assert made == ["mlsurf theta", "mlsurf theta"]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("grid, reason", [
+    ("banana", "grid must look like 64x64, got 'banana'"),
+    ("4x4x4", "grid must look like 64x64, got '4x4x4'"),
+    ("0x4", "grid must have at least one point per axis, got '0x4'"),
+    ("4x0", "grid must have at least one point per axis, got '4x0'"),
+])
+def test_bad_grid_names_its_cause(grid, reason, capsys):
+    assert run(["verify", "--family", "cone", "--m", "1", "--n", "1", "--grid", grid]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.endswith(
+        f"\nmlsurf verify: error: argument --grid: {reason}\n")
 
 
 def test_theta_invalid_input_exits_2(tmp_path, capsys):
@@ -544,7 +588,7 @@ def test_theta_invalid_input_exits_2(tmp_path, capsys):
     assert out.err == "error: radius 601 needs 14178624 terms (cap 4000000)\n"
     # from genus 342 on Gamma(g/2 + 1) overflows in the ball bound, and the box count is the
     # bound; either bound has hundreds of digits here and is printed as a short mantissa
-    for g in (341, 400):
+    for g in (341, 342, 400):
         pmg = tmp_path / f"pm{g}.txt"
         pmg.write_text(f"{g}\n" + "".join(" ".join(["0"] * i + ["1j"] + ["0"] * (g - 1 - i)) + "\n"
                                           for i in range(g)))
@@ -552,6 +596,12 @@ def test_theta_invalid_input_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: radius \d+ needs \d\.\d{3}e\+\d+ terms \(cap 4000000\)\n", err)
         assert len(err) < 80
+    # a 4,000-digit radius prints as short as the bound
+    assert run(["theta", "--period-file", str(tmp_path / "pm342.txt"), "--z", ",".join(["0"] * 342),
+                "--radius", str(10**3999)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: radius 1.000e+3999 needs 8.959e+1367760 terms (cap 4000000)\n"
+    assert len(err) < 80
     # a shift whose box exceeds the cap but whose ellipsoid does not, with a term
     # beyond double range: the overflow is raised before any point is listed
     tracemalloc.start()
