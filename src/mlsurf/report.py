@@ -176,19 +176,22 @@ def _fmt(v: float) -> str:
 
 
 def sample_rows(family: Family, grid: GridSpec, h: float, tol_profile: str = "strict"):
-    """Yield the CSV text block by block, as each sweep block's list of lines;
-    beta and K are empty at excluded degenerate points."""
+    """Yield the CSV text in sweep block order as lists of at most isqrt(nx * ny)
+    lines (a square grid's row); beta and K are empty at excluded degenerate points."""
     k_field = _curvature_field(family, tol_profile)
     # nx + ny distinct coordinates, each formatted once
     coords = grid.xs().tolist() + grid.ys().tolist()
     coord_text = dict(zip(coords, map(_fmt, coords))).__getitem__
+    side = math.isqrt(grid.nx * grid.ny)
     for x, y, phi, E, G, beta, has_beta, K, has_K in sample_blocks(family, grid, h, k_field):
-        cols = [*(p[:, i] for i in range(3) for p in (phi.real, phi.imag)), E, G, beta, K]
-        rows = zip(map(coord_text, x.tolist()), map(coord_text, y.tolist()),
-                   *(c.tolist() for c in cols))
-        yield [_ROW % row if b and k else _ROW_EXCLUDED % (
-                   *row[:10], _fmt(row[10]) if b else "", _fmt(row[11]) if k else "")
-               for row, b, k in zip(rows, has_beta.tolist(), has_K.tolist())]
+        cols = [x, y, *(p[:, i] for i in range(3) for p in (phi.real, phi.imag)),
+                E, G, beta, K, has_beta, has_K]
+        for s in range(0, len(x), side):   # text is held a piece, not a block, at a time
+            xs, ys, *vals, bs, ks = (c[s:s + side].tolist() for c in cols)
+            rows = zip(map(coord_text, xs), map(coord_text, ys), *vals)
+            yield [_ROW % row if b and k else _ROW_EXCLUDED % (
+                       *row[:10], _fmt(row[10]) if b else "", _fmt(row[11]) if k else "")
+                   for row, b, k in zip(rows, bs, ks)]
 
 
 def write_csv(path, blocks) -> None:

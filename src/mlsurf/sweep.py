@@ -10,7 +10,8 @@ complex number, math.remainder rebuilt from np.fmod), so each reduced maximum
 equals the oracles' bit for bit.  The metric, residue and curvature checks
 call the closed forms the oracles call.  Each check group returns (values,
 ok) and one accumulator folds them into the maxima.  CHUNK bounds the memory
-a sweep holds whatever the grid size; the report does not depend on it.
+a sweep holds whatever the grid size: at 1024 a 64x64 verify peaks 7 MB above an
+idle process, a sample 2.6 MB (README, Performance).  The report does not depend on it.
 """
 
 import math
@@ -22,7 +23,7 @@ from .diffgeo import (CONDITION_LIMIT, MIN_STENCIL_NORM, UNITARITY_GATE,
                       gauss_curvature_masked, residue_identity_defects)
 from .surface_families import TUBE_RADIUS, Family, MetricField, SurfaceJet, degeneracy_angle
 
-CHUNK = 256
+CHUNK = 1024   # the block size the README's measured table picks
 _TWO_PI = 2.0 * math.pi
 
 GRAM_NAMES = ("gram_norm", "gram_phi_phix", "gram_phi_phiy", "gram_phix_phiy")

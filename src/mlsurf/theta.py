@@ -157,12 +157,14 @@ def default_radius(z, B: PeriodMatrix) -> int:
     return max(1, math.ceil(root))
 
 
-def _short(n: int) -> str:
-    """n in full below 10^15, else rounded up to four digits, as 4.978e+381."""
+def _short(n, digits: float = math.inf) -> str:
+    """n in full below 10^15, else rounded up to four digits, as 4.978e+381; an
+    infinite n stands for 10^digits, rounded from that logarithm."""
     if n < 10**15:
         return str(n)
-    e = int(math.log10(n)) - 3  # math.log10 takes any int; float(n) overflows
-    m = -(-n // 10 ** e)  # 1000..10001: log10 may round down across an integer
+    e = int(math.log10(n) if n < math.inf else digits) - 3  # log10 takes any int
+    # 1000..10001: log10 may round down across an integer
+    m = -(-n // 10 ** e) if n < math.inf else math.ceil(10 ** (digits - e))
     return f"{m / 1000:.3f}e+{e + 3}" if m < 10000 else f"{-(-m // 10) / 1000:.3f}e+{e + 4}"
 
 
@@ -293,7 +295,10 @@ def riemann_theta(z, B: PeriodMatrix, trunc: LatticeTruncation | None = None) ->
         # |v|^2 = Im z . Y^{-1} Im z; the relative pad covers the rounding of the
         # exponent when it is large
         budget = (vv - EXPONENT_FLOOR / math.pi) * (1.0 + 1e-9)
-        kept = (2 * radius + 1) ** g
+        # a box count of over 10,000 digits is not formed (a million-digit power takes
+        # seconds): the ball bound below, or else its logarithm, decides
+        digits = g * math.log10(2 * radius + 1)
+        kept = (2 * radius + 1) ** g if digits < 1e4 else math.inf
         if kept > DEFAULT_TERM_CAP:
             # the cells L^T (m + [-1/2, 1/2)^g) of the listed points are disjoint, of
             # volume det L, and inside the ball |x + v| <= sqrt(budget) + sum_k |L^T e_k| / 2
@@ -304,7 +309,7 @@ def riemann_theta(z, B: PeriodMatrix, trunc: LatticeTruncation | None = None) ->
             except OverflowError:
                 pass
         if kept > DEFAULT_TERM_CAP:
-            raise TruncationCapError(f"radius {_short(radius)} needs {_short(kept)} terms "
+            raise TruncationCapError(f"radius {_short(radius)} needs {_short(kept, digits)} terms "
                                      f"(cap {DEFAULT_TERM_CAP})")
         U = L.T.tolist()
         m = [0] * g

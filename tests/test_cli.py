@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -602,6 +603,20 @@ def test_theta_invalid_input_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: radius 1.000e+3999 needs 8.959e+1367760 terms (cap 4000000)\n"
     assert len(err) < 80
+    # the refusal is decided and printed from logarithms, not from a million-digit power:
+    # it takes about as long as with a 21-digit radius, whose box count is formed exactly
+    argv = ["theta", "--period-file", str(tmp_path / "pm342.txt"), "--z", ",".join(["0"] * 342)]
+
+    def best_of_three(radius):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert run([*argv, "--radius", radius]) == 2
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best_of_three(str(10**3999)) < 3.0 * best_of_three(str(10**20))
+    assert "needs 8.959e+6942 terms" in capsys.readouterr().err
     # a shift whose box exceeds the cap but whose ellipsoid does not, with a term
     # beyond double range: the overflow is raised before any point is listed
     tracemalloc.start()

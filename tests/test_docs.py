@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import mlsurf
-from mlsurf import cli
+from mlsurf import cli, sweep
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -44,6 +44,11 @@ def test_the_scan_finds_names_in_prose_tables_and_assignments():
 @pytest.mark.parametrize("name", _documented_names())
 def test_readme_names_resolve(name):
     _resolve(name)
+
+
+def test_readme_states_the_shipped_block_size():
+    stated = re.findall(r"sweep\.CHUNK = (\d+)", README)
+    assert stated and all(int(n) == sweep.CHUNK for n in stated)
 
 
 def _cli_block_flags() -> list:

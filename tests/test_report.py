@@ -155,7 +155,7 @@ def test_report_check_order(family, tol_profile, groups):
         (name, tol, kind) for names, tol, kind in groups for name in names.split()]
 
 
-@pytest.mark.parametrize("chunk", [1, 7, sweep.CHUNK])
+@pytest.mark.parametrize("chunk", [1, 7, 256, sweep.CHUNK])
 def test_chunk_size_does_not_change_the_output(chunk, monkeypatch):
     def outputs():
         grid = GridSpec(16, 16)
@@ -167,6 +167,25 @@ def test_chunk_size_does_not_change_the_output(chunk, monkeypatch):
     expected = outputs()
     monkeypatch.setattr(sweep, "CHUNK", chunk)
     assert outputs() == expected
+
+
+def test_a_partial_block_at_the_shipped_chunk_changes_nothing(monkeypatch):
+    # one full block of sweep.CHUNK points and one partial block; at CHUNK 256
+    # the same grid is cut elsewhere, and sample's pieces are at most one grid row
+    side = math.isqrt(3 * sweep.CHUNK // 2) + 1
+    grid = GridSpec(side, side)
+    assert sweep.CHUNK < side * side < 2 * sweep.CHUNK
+
+    def outputs():
+        pieces = [list(sample_rows(f, grid, 1e-4)) for f in (TUBE_POINTS, cone_family(3, 2))]
+        assert all(0 < len(p) <= side for ps in pieces for p in ps)
+        return ([c.to_dict() for c in verify(TUBE_POINTS, grid).checks],
+                [c.to_dict() for c in verify(cone_family(3, 2), grid).checks],
+                ["".join(map("".join, ps)) for ps in pieces])
+
+    shipped = outputs()
+    monkeypatch.setattr(sweep, "CHUNK", 256)
+    assert outputs() == shipped
 
 
 def _csv_oracle(family, grid, h, tol_profile):
