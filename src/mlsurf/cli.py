@@ -114,8 +114,10 @@ def _parse_shift(text: str, genus: int) -> np.ndarray:
         m = np.array([int(tok) for tok in text.split(",") if tok.strip()], dtype=np.int64)
         if m.shape == (genus,):
             return m
-    except (ValueError, OverflowError):
+    except ValueError:
         pass
+    except OverflowError:
+        raise ValueError(f"--shift-m entries must be signed 64-bit integers, got {text!r}")
     raise ValueError(f"--shift-m must be {genus} comma-separated integers, got {text!r}")
 
 

@@ -197,8 +197,8 @@ def sample_rows(family: Family, grid: GridSpec, h: float, tol_profile: str = "st
 def write_csv(path, blocks) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\r\n")
-        for lines in blocks:
-            fh.writelines(lines)
+        for lines in blocks:   # one write per piece: the text layer's cost is per call
+            fh.write("".join(lines))
 
 
 def curve_info_text(curve: ReducibleCurveData) -> str:

@@ -84,11 +84,14 @@ def spectral_family_jet(curve: ReducibleCurveData, x: float, y: float) -> Surfac
 
 
 def spectral_jet_field(curve: ReducibleCurveData, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """spectral_family_jet at the points (xs, ys) as one (6, n, 3) array, in the
-    same floating-point operations, so bit for bit."""
+    """spectral_family_jet at the points (xs, ys) as one (6, n, 3) array, bit for bit: the
+    scalar jet's sum over an axis of two is the one addition F[..., 0] T_0 + F[..., 1] T_1."""
     C, P, Q, F = _spectral_exp_terms(curve)
-    x, y = xs[:, None, None], ys[:, None, None]
-    return (F[:, None] * (C * np.exp(1j * (P * x + Q * y)))).sum(axis=-1)
+    T = C * np.exp(1j * (P * xs[:, None, None] + Q * ys[:, None, None]))
+    J = np.empty((6, len(xs), 3), dtype=complex)
+    for r, f in enumerate(F):
+        np.add(f[:, 0] * T[..., 0], f[:, 1] * T[..., 1], out=J[r])
+    return J
 
 
 @lru_cache(maxsize=64)
@@ -132,15 +135,20 @@ def cone_family_jet(m: int, n: int, x: float, y: float) -> SurfaceJet:
 def cone_jet_field(m: int, n: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """cone_family_jet at every point as one (6, n, 3) array, bit for bit where
     np.sin and np.cos round as math.sin and math.cos (a test checks it);
-    float_power rounds as Python's rho ** 3, the array power rho ** 3 does not."""
+    float_power rounds as Python's rho ** 3, the array power rho ** 3 does not.
+    Field r is (W[r] * u) * e without W[r] where it is 1: (1+0j) * (u+0j) is u+0j."""
     k1, k2, A, B, iq, W = _cone_terms(m, n)
     sx, cx = np.sin(xs), np.cos(xs)
     rho = np.sqrt(A * cx * cx + B * sx * sx)
     s = (B - A) * sx * cx
     rho_pp = (B - A) * np.cos(2 * xs) / rho - s * s / np.float_power(rho, 3)
-    u = np.stack([np.stack(row, axis=-1) for row in (
-        (k1 * sx, k2 * cx, rho), (k1 * cx, -k2 * sx, s / rho), (-k1 * sx, -k2 * cx, rho_pp))])
-    return W[:, None] * u[_CONE_ROWS] * np.exp(iq * ys[:, None])
+    u = [np.stack(row, axis=-1) for row in (
+        (k1 * sx, k2 * cx, rho), (k1 * cx, -k2 * sx, s / rho), (-k1 * sx, -k2 * cx, rho_pp))]
+    e = np.exp(iq * ys[:, None])
+    J = np.empty((6, len(xs), 3), dtype=complex)
+    for r, k in enumerate(_CONE_ROWS):
+        np.multiply(u[k] if r in (0, 1, 3) else W[r] * u[k], e, out=J[r])
+    return J
 
 
 def spectral_metric_field(curve: ReducibleCurveData) -> MetricField:

@@ -11,7 +11,7 @@ equals the oracles' bit for bit.  The metric, residue and curvature checks
 call the closed forms the oracles call.  Each check group returns (values,
 ok) and one accumulator folds them into the maxima.  CHUNK bounds the memory
 a sweep holds whatever the grid size: at 1024 a 64x64 verify peaks 7 MB above an
-idle process, a sample 2.6 MB (README, Performance).  The report does not depend on it.
+idle process, a sample 2.8 MB (README, Performance).  The report does not depend on it.
 """
 
 import math

@@ -284,17 +284,17 @@ def riemann_theta(z, B: PeriodMatrix, trunc: LatticeTruncation | None = None) ->
     diag = L.diagonal().tolist()
     # a term beyond double range raises FloatingPointError (an ArithmeticError)
     with np.errstate(over="raise", invalid="raise"):
-        w = z.imag
-        v = []
-        for i in range(g):
-            s = w[i]
-            for j in range(i):
-                s -= L[i, j] * v[j]
-            v.append(s / diag[i])
+        v = []  # on Python floats, where an overflow gives inf: the budget is checked
+        for s, row, d in zip(z.imag.tolist(), L.tolist(), diag):
+            for lij, vj in zip(row, v):
+                s -= lij * vj
+            v.append(s / d)
         vv = sum(x * x for x in v)
         # |v|^2 = Im z . Y^{-1} Im z; the relative pad covers the rounding of the
         # exponent when it is large
         budget = (vv - EXPONENT_FLOOR / math.pi) * (1.0 + 1e-9)
+        if not math.isfinite(budget):
+            raise FloatingPointError("overflow encountered in Im z . (Im B)^-1 Im z")
         # a box count of over 10,000 digits is not formed (a million-digit power takes
         # seconds): the ball bound below, or else its logarithm, decides
         digits = g * math.log10(2 * radius + 1)
@@ -315,7 +315,7 @@ def riemann_theta(z, B: PeriodMatrix, trunc: LatticeTruncation | None = None) ->
         m = [0] * g
         q = 0.0
         for i in range(g - 1, -1, -1):
-            t = float(v[i])
+            t = v[i]
             for j in range(i + 1, g):
                 t += U[i][j] * m[j]
             m[i] = min(max(math.floor(0.5 - t / diag[i]), -radius), radius)

@@ -557,12 +557,15 @@ def test_theta_invalid_input_exits_2(tmp_path, capsys):
         assert run(["theta", "--period-file", str(pm), "--z", z, *extra]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "overflow" in err
-    # Im z . Y^{-1} Im z beyond double range, with an explicit radius
+    # Im z . Y^{-1} Im z beyond double range, with an explicit radius: one line naming it,
+    # also where each entry of v = L^-1 Im z is finite (1e308 squared overflows)
     pm2 = tmp_path / "pm2.txt"
+    pmi = tmp_path / "pmi.txt"
     pm2.write_text("2\n1j 0.1\n0.1 1j\n")
-    assert run(["theta", "--period-file", str(pm2), "--z", "0.1+1e300j,0", "--radius", "3"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "overflow" in err
+    pmi.write_text("2\n1j 0\n0 1j\n")
+    for pmz, z, r in ((pm2, "0.1+1e300j,0", "3"), (pmi, "1e308j,0", "2")):
+        assert run(["theta", "--period-file", str(pmz), "--z", z, "--radius", r]) == 2
+        assert capsys.readouterr().err == "error: overflow encountered in Im z . (Im B)^-1 Im z\n"
     # a non-finite z or period-matrix entry: one line, never a NaN value
     for z, extra in (("nan,0", []), ("nanj,0", []), ("nanj,0", ["--radius", "3"]),
                      ("infj,0", [])):
@@ -574,11 +577,22 @@ def test_theta_invalid_input_exits_2(tmp_path, capsys):
         assert capsys.readouterr().err == "error: period matrix entries must be finite\n"
     # a malformed --shift-m: one line naming it, before theta(z) is printed
     pm2.write_text("2\n1j 0.1\n0.1 1j\n")
-    for shift in ("1,x", "1", "1,2,3", "1.5,0", "1e400,0", "99999999999999999999,0", ","):
+    for shift in ("1,x", "1", "1,2,3", "1.5,0", "1e400,0", ","):
         assert run(["theta", "--period-file", str(pm2), "--z", "0.1,0.2", "--shift-m", shift]) == 2
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == f"error: --shift-m must be 2 comma-separated integers, got {shift!r}\n"
+    # integers, but beyond int64
+    for shift in ("99999999999999999999,0", "0,-9223372036854775809"):
+        assert run(["theta", "--period-file", str(pm2), "--z", "0.1,0.2", "--shift-m", shift]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("error: --shift-m entries must be signed 64-bit integers, "
+                           f"got {shift!r}\n")
+    # the least int64 is accepted; theta(z + Bm) then needs too many terms
+    assert run(["theta", "--period-file", str(pm2), "--z", "0.1,0.2",
+                "--shift-m", "0,-9223372036854775808"]) == 2
+    assert capsys.readouterr().err.startswith("error: radius ")
     # a valid shift beyond the term cap still prints theta(z) first: Im B = 0.02 I
     # keeps about 14 M points around z + Bm, against 47^3 in the box of theta(z)
     pm3 = tmp_path / "pm3.txt"

@@ -7,6 +7,7 @@ import pytest
 
 from mlsurf import sweep
 from mlsurf.baker_akhiezer import ba_rational_eval
+from mlsurf.report import GridSpec
 from mlsurf.spectral_curve import derive_constants
 from mlsurf.surface_families import (TUBE_RADIUS, SurfaceJet, cone_family, cone_family_jet,
                                      cone_jet_field, cone_metric_field, degeneracy_angle,
@@ -65,6 +66,16 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+def _with_sweep_points(xs, ys):
+    """xs, ys followed by the points a sweep evaluates, where the sign of a zero
+    decides bits: one full sweep.CHUNK block of a 64x64 grid in block order
+    (2 pi k / 64 from exact 0.0), and every pair of 0.0, -0.0, pi and -pi."""
+    grid, idx = GridSpec(64, 64), np.arange(sweep.CHUNK)
+    sx, sy = np.meshgrid([0.0, -0.0, math.pi, -math.pi], [0.0, -0.0, math.pi, -math.pi])
+    return (np.concatenate([xs, grid.xs()[idx % grid.nx], sx.ravel()]),
+            np.concatenate([ys, grid.ys()[idx // grid.nx], sy.ravel()]))
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_spectral_jet_field_matches_the_scalar_jet_bit_for_bit(seed):
     rng = np.random.default_rng(seed)
@@ -72,9 +83,9 @@ def test_spectral_jet_field_matches_the_scalar_jet_bit_for_bit(seed):
     curve = derive_constants(rng.uniform(0.5, 2.0), b,
                              (b + rng.uniform(0.3, 2.0)) * rng.choice([-1.0, 1.0]),
                              rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0]))
-    xs, ys = rng.uniform(-50, 50, (2, 2000))
+    xs, ys = _with_sweep_points(*rng.uniform(-50, 50, (2, 2000)))
     field = spectral_jet_field(curve, xs, ys)
-    assert field.shape == (6, 2000, 3)
+    assert field.shape == (6, len(xs), 3)
     expected = _scalar_field(lambda x, y: spectral_family_jet(curve, x, y), xs, ys)
     assert np.array_equal(_bits(field), _bits(expected))
 
@@ -83,9 +94,9 @@ def test_spectral_jet_field_matches_the_scalar_jet_bit_for_bit(seed):
 def test_cone_jet_field_matches_the_scalar_jet_bit_for_bit(m):
     rng = np.random.default_rng(100 + m)
     for n in range(1, 7):
-        xs, ys = rng.uniform(-50, 50, (2, 500))
+        xs, ys = _with_sweep_points(*rng.uniform(-50, 50, (2, 500)))
         field = cone_jet_field(m, n, xs, ys)
-        assert field.shape == (6, 500, 3)
+        assert field.shape == (6, len(xs), 3)
         expected = _scalar_field(lambda x, y: cone_family_jet(m, n, x, y), xs, ys)
         assert np.array_equal(_bits(field), _bits(expected)), (m, n)
 
