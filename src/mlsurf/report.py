@@ -154,12 +154,12 @@ def verify_cone(m: int, n: int, grid: GridSpec, h: float = 1e-4,
 
 def curve_checks(curve: ReducibleCurveData) -> list:
     """Curve-level records: regularity, puncture expansions, residue signs."""
-    w1 = expansion_at_infinity(curve.omega1(), 2)
-    w2 = expansion_at_infinity(curve.omega2(), 2)
+    c1, q1 = expansion_at_infinity(curve.omega1())
+    c2, q2 = expansion_at_infinity(curve.omega2())
     return [
         CheckRecord("curve_regularity", regularity_defect(curve), REGULARITY_TOL),
-        CheckRecord("curve_w2_P1_rel", float(abs(w1[1]) / abs(w1[0])), W2_TOL),
-        CheckRecord("curve_w2_P2_rel", float(abs(w2[1]) / abs(w2[0])), W2_TOL),
+        CheckRecord("curve_w2_P1_rel", abs(q1) / abs(c1), W2_TOL),
+        CheckRecord("curve_w2_P2_rel", abs(q2) / abs(c2), W2_TOL),
         CheckRecord("curve_Q_sum", abs(curve.Q1 + curve.Q2 + curve.Q3), 1e-13),
         CheckRecord("curve_residues_positive", min(curve.res_Q), 0.0, kind="lower"),
     ]
@@ -205,7 +205,7 @@ def curve_info_text(curve: ReducibleCurveData) -> str:
     """Human-readable dump of every derived curve constant."""
     omega1 = curve.omega1()
     omega2 = curve.omega2()
-    w2 = expansion_at_infinity(omega2, 2)
+    _, q2 = expansion_at_infinity(omega2)
     lines = [
         f"a        = {_fmt(curve.a)}",
         f"b        = {_fmt(curve.b)}",
@@ -224,7 +224,7 @@ def curve_info_text(curve: ReducibleCurveData) -> str:
         f"Res_r    = {_fmt(curve.res_r)}",
         f"c1_exp   = {_fmt(curve.c1_exp)}",
         f"c2_exp   = {_fmt(curve.c2_exp)}",
-        f"w2_coeff_P2      = {_fmt(abs(w2[1]))}",
+        f"w2_coeff_P2      = {_fmt(abs(q2))}",
         f"regularity(+a,+b) = {_fmt(abs(residue_simple(omega1, curve.a) + residue_simple(omega2, curve.b)))}",
         f"regularity(-a,-b) = {_fmt(abs(residue_simple(omega1, -curve.a) + residue_simple(omega2, -curve.b)))}",
     ]

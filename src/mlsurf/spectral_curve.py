@@ -86,61 +86,25 @@ def residue_simple(form: RationalOneForm, pole: complex) -> complex:
     return form.scale * form.numerator_at(root) / den
 
 
-def _series_divide(num, den, n: int) -> np.ndarray:
-    """First n Taylor coefficients of num(w)/den(w) around w = 0 (den[0] != 0)."""
-    out = np.zeros(n, dtype=complex)
-    for k in range(n):
-        acc = num[k] if k < len(num) else 0.0
-        for j in range(1, min(k, len(den) - 1) + 1):
-            acc -= den[j] * out[k - j]
-        out[k] = acc / den[0]
-    return out
+def expansion_at_infinity(form: RationalOneForm) -> tuple:
+    """(c, q) of Omega = (c w + q w^2 + ...) dw in w = 1/z.
 
-
-def _infinity_series(form: RationalOneForm, n: int) -> np.ndarray:
-    """Coefficients of g(w) where Omega = g(w) dw in w = 1/z, indices 0..n-1.
-
-    Substituting z = 1/w gives g(w) = -scale * w^(dd-dn-2) * RN(w)/RD(w) with
-    RN, RD the reversed numerator/denominator coefficient polynomials.
+    In w, Omega = -scale w^s RN(w) / prod (1 - r w)^mult dw with RN the reversed
+    numerator and s = deg(den) - deg(num) - 2 >= 0, so its coefficients at w^s
+    and w^(s+1) are -scale lead and -scale (next - sum(-r) lead).  Requires the
+    form to vanish at infinity in w; at s = 0 only the zero form does, and its
+    q is 0.  The minimality condition on the second marked point is q = 0.
     """
-    dn = form.numerator_degree
-    den = np.array([1.0 + 0.0j])
+    *_, nxt, lead = (0j,) + form.numerator_coeffs
+    root_sum = 0j  # sum(-r) with multiplicity, in listed order: q's last bits depend on it
     for root, mult in form.denominator_roots:
         for _ in range(mult):
-            den = np.convolve(den, np.array([-root, 1.0 + 0.0j]))
-    rn = np.array(form.numerator_coeffs[::-1], dtype=complex)
-    rd = den[::-1]  # rd[0] = leading coefficient = 1
-    shift = (form.denominator_degree - dn) - 2  # >= 0 by construction
-    series = _series_divide(rn, rd, max(n - shift, 0))
-    out = np.zeros(n, dtype=complex)
-    out[shift:shift + len(series)] = -form.scale * series[: max(n - shift, 0)]
-    return out
-
-
-def expansion_at_infinity(form: RationalOneForm, order: int) -> np.ndarray:
-    """Coefficients (c, q, d3, ...) of Omega = (c w + q w^2 + d3 w^3 + ...) dw, w = 1/z.
-
-    Entry k is the coefficient of w^(k+1).  Requires the form to have at least
-    a simple zero at infinity in the coordinate w; the minimality condition on
-    the second marked point is q = 0.
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    g = _infinity_series(form, order + 1)
+            root_sum += -root
+    shift = form.denominator_degree - form.numerator_degree - 2
+    g = [0j] * shift + [-form.scale * lead, -form.scale * (nxt - root_sum * lead), 0j]
     if g[0] != 0:
         raise ValueError("form does not vanish at infinity in w = 1/z")
-    return g[1:]
-
-
-def sum_of_residues(form: RationalOneForm) -> complex:
-    """Sum of the finite residues; the form is regular at infinity, so it vanishes."""
-    total = 0.0 + 0.0j
-    for root, mult in form.denominator_roots:
-        if mult == 1:
-            total += residue_simple(form, root)
-        else:
-            raise ValueError("sum_of_residues requires all poles simple")
-    return total
+    return g[1], g[2]
 
 
 class ReducibleCurveData(NamedTuple):
@@ -260,23 +224,20 @@ def derive_constants(a: float, b: float, Q1: float, gamma_im: float) -> Reducibl
         # positive branch; d real is required by the reality conditions
         d = math.sqrt(-1.0 / res_r.real)
 
-        exp1 = expansion_at_infinity(omega1, 2)
-        exp2 = expansion_at_infinity(omega2, 2)
-        c1_exp = float(exp1[0].real)
-        c2_exp = float(exp2[0].real)
+        c1, _ = expansion_at_infinity(omega1)
+        c2, q2 = expansion_at_infinity(omega2)
 
         curve = ReducibleCurveData(
             a=a, b=b, Q1=Q1, gamma_im=gamma_im, Q2=Q2, Q3=Q3, c=c, d=d,
             alpha=tuple(math.sqrt(r) for r in res_Q),
-            res_Q=tuple(res_Q), res_r=res_r.real, c1_exp=c1_exp, c2_exp=c2_exp,
+            res_Q=tuple(res_Q), res_r=res_r.real, c1_exp=float(c1.real), c2_exp=float(c2.real),
         )
 
         defect = regularity_defect(curve)
         if defect > REGULARITY_TOL:
             raise ValueError(f"gluing regularity defect {defect} exceeds {REGULARITY_TOL}")
-        lead = max(abs(exp2[0]), 1e-300)
-        if abs(exp2[1]) / lead > W2_TOL:
-            raise ValueError(f"w^2 coefficient of Omega_2 did not cancel: {exp2[1]}")
+        if abs(q2) / max(abs(c2), 1e-300) > W2_TOL:
+            raise ValueError(f"w^2 coefficient of Omega_2 did not cancel: {q2}")
         if abs(res_a + res_ma + res_r) > 1e-13:
             raise ValueError("Omega_1 residues violate the residue theorem")
         return curve

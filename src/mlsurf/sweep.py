@@ -229,16 +229,18 @@ def check_maxima(family: Family, grid, h: float, k_field: MetricField) -> tuple:
             if curve is not None:
                 fold("residue", RESIDUE_NAMES, residue_identity_defects(curve, SurfaceJet(x, y, *J)))
 
+            if tube.any():
+                fold("angle", ["tube_G_bound"], [G[tube]])
+                tube_points += int(tube.sum())
+            if tube.all():  # no point outside the tube: no angle stage
+                continue
             beta, accepted, nx, ny = _angles(J)
-            if beta_ref is None and not tube.all():
+            if beta_ref is None:
                 k = int(np.argmin(tube))
                 if not accepted[k]:
                     raise ValueError("Lagrangian angle rejected at the reference point "
                                      f"({x[k]}, {y[k]}), the first outside the degeneracy tube")
                 beta_ref = beta[k]
-            if tube.any():
-                fold("angle", ["tube_G_bound"], [G[tube]])
-                tube_points += int(tube.sum())
             # the angle checks run at the points outside the tube and fail
             # wherever the centre angle was rejected
             act = np.flatnonzero(~tube)

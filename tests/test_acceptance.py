@@ -132,7 +132,7 @@ def test_criterion_05_puncture_expansion_conditions():
     for _ in range(20):
         curve = random_curve(rng)
         for form in (curve.omega1(), curve.omega2()):
-            coeffs = expansion_at_infinity(form, 2)
+            coeffs = expansion_at_infinity(form)
             worst = max(worst, abs(coeffs[1]) / abs(coeffs[0]))
     assert worst < 1e-12
     # negative control: forcing Q2 = +Q1 produces a double pole and a w^2 term
@@ -144,7 +144,7 @@ def test_criterion_05_puncture_expansion_conditions():
     forced = expansion_at_infinity(
         RationalOneForm(numerator_coeffs=(G * G, 0.0, 1.0),
                         denominator_roots=((Q1, 2), (Q3, 1), (b, 1), (-b, 1)),
-                        scale=c), 2)
+                        scale=c))
     ratio = abs(forced[1]) / abs(forced[0])
     assert ratio > 1e-2
     done(5, f"w^2 coefficient < {worst:.2e} relative on valid curves; "

@@ -140,16 +140,58 @@ def test_scenario_file(tmp_path, capsys):
     assert out.out == "" and out.err == f"error: {bad}: b = 'x' is not a number\n"
 
 
+CURVE_INFO = {  # the full text, pinned: every constant and both puncture expansions
+    ("1", "1", "2", "1"): """\
+a        = 1
+b        = 1
+Q1       = 2
+Q2       = -2
+Q3       = 0
+gamma    = 1j
+c        = 1.5
+d        = 1
+alpha_1  = 0.55901699437494745
+alpha_2  = 0.55901699437494745
+alpha_3  = 0.61237243569579447
+Res_Q1   = 0.3125
+Res_Q2   = 0.3125
+Res_Q3   = 0.375
+Res_r    = -1
+c1_exp   = -1
+c2_exp   = -1.5
+w2_coeff_P2      = 0
+regularity(+a,+b) = 0
+regularity(-a,-b) = 0
+""",
+    ("1.3", "0.7", "2.1", "-0.9"): """\
+a        = 1.3
+b        = 0.69999999999999996
+Q1       = 2.1000000000000001
+Q2       = -2.1000000000000001
+Q3       = 0
+gamma    = -0.90000000000000002j
+c        = 0.87428311333636743
+d        = 1.3
+alpha_1  = 0.3633155368759467
+alpha_2  = 0.3633155368759467
+alpha_3  = 0.5724680057963466
+Res_Q1   = 0.13199817933545741
+Res_Q2   = 0.13199817933545741
+Res_Q3   = 0.32771961766044594
+Res_r    = -0.59171597633136086
+c1_exp   = -1
+c2_exp   = -0.87428311333636743
+w2_coeff_P2      = 0
+regularity(+a,+b) = 0
+regularity(-a,-b) = 0
+""",
+}
+
+
 def test_curve_info(capsys):
-    code = run(["curve-info", "--a", "1", "--b", "1", "--q1", "2",
-                "--gamma-im", "1"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "Q3       = 0" in out
-    assert "d        = 1" in out
-    assert "alpha_3  = 0.61237243569579447" in out
-    assert "c2_exp   = -1.5" in out
-    assert "w2_coeff_P2      = 0" in out
+    for (a, b, q1, gamma_im), text in CURVE_INFO.items():
+        code = run(["curve-info", "--a", a, "--b", b, "--q1", q1, "--gamma-im", gamma_im])
+        assert (code, *capsys.readouterr()) == (0, text, "")
 
 
 def read_csv_rows(path):
@@ -349,6 +391,15 @@ def test_invalid_numbers_exit_2_with_one_line(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("grid", ["1x1", "2x1"])
+def test_a_grid_inside_the_degeneracy_tube_exits_2_with_one_line(grid, capsys):
+    # gamma_im = -100 puts a degeneracy line 0.005 from a x - b y = 0 (mod pi)
+    argv = ["verify", "--family", "spectral", "--a", "1", "--b", "0.5", "--q1", "1",
+            "--gamma-im", "-100", "--grid", grid]
+    assert (run(argv), *capsys.readouterr()) == (
+        2, "", "error: no grid point outside the degeneracy tube\n")
 
 
 @pytest.mark.parametrize("flag, value, rest", [

@@ -72,3 +72,9 @@ def test_the_cli_block_scan_covers_every_command():
 @pytest.mark.parametrize("command, flag", _cli_block_flags())
 def test_readme_cli_flags_are_options_of_their_command(command, flag):
     assert flag in {"-h", "--help"} | {f for f, _ in cli.COMMANDS[command][1]}
+
+
+def test_the_library_layout_table_lists_every_module_once():
+    table = re.search(r"## Library layout\n\n(.*?)\n\n", README, re.S).group(1)
+    rows = re.findall(r"^\| `mlsurf\.(\w+)` \|", table, re.M)
+    assert sorted(rows) == sorted(m.name for m in pkgutil.iter_modules(mlsurf.__path__))

@@ -188,6 +188,17 @@ def test_a_partial_block_at_the_shipped_chunk_changes_nothing(monkeypatch):
     assert outputs() == shipped
 
 
+def test_a_block_inside_the_tube_skips_the_angle_stage(monkeypatch):
+    # a degeneracy line passes 0.005 from the origin: at CHUNK 1 the first
+    # block is all tube and the second fixes the reference angle
+    family = spectral_family(derive_constants(1.0, 0.5, 1.0, -100.0))
+    grid = GridSpec(4, 4)
+    assert in_degeneracy_tube(family.curve, 0.0, 0.0)
+    shipped = [c.to_dict() for c in verify(family, grid).checks]
+    monkeypatch.setattr(sweep, "CHUNK", 1)
+    assert [c.to_dict() for c in _assert_report_matches_oracle(family, grid).checks] == shipped
+
+
 def _csv_oracle(family, grid, h, tol_profile):
     # csv.writer over one f"{v:.17g}" call per field
     k_field = family.metric if tol_profile == "strict" else family.metric.without_derivatives()

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import sympy
 
 from mlsurf.spectral_curve import (RationalOneForm, derive_constants,
                                    expansion_at_infinity, regularity_defect,
-                                   residue_simple, sum_of_residues)
+                                   residue_simple)
 
 
 def omega1_form(a):
@@ -46,8 +47,8 @@ def test_global_residue_theorem():
                                  rng.uniform(1.01, 3.0) * b * rng.choice([-1.0, 1.0]),
                                  rng.uniform(0.2, 2.0))
         for form in (curve.omega1(), curve.omega2()):
-            scale = max(abs(residue_simple(form, r)) for r, _ in form.denominator_roots)
-            assert abs(sum_of_residues(form)) < 1e-12 * scale
+            residues = [residue_simple(form, r) for r, _ in form.denominator_roots]
+            assert abs(sum(residues)) < 1e-12 * max(map(abs, residues))
 
 
 def test_form_construction_invariants():
@@ -135,8 +136,8 @@ def test_derive_constants_rejects_bad_parameters():
                                    f"q1 = {q1}, gamma_im = {gamma_im}: {cause}")
 
 
-def sympy_infinity_series(form, order):
-    """Independent oracle: sympy series of -f(1/w)/w^2 around w = 0."""
+def sympy_infinity_series(form):
+    """Independent oracle: (c, q) from the sympy series of -f(1/w)/w^2 around w = 0."""
     w = sympy.symbols("w")
     z = 1 / w
     num = sum(sympy.nsimplify(c, rational=False) * z ** k
@@ -144,9 +145,9 @@ def sympy_infinity_series(form, order):
     den = sympy.prod([(z - sympy.nsimplify(r, rational=False)) ** m
                       for r, m in form.denominator_roots])
     g = -form.scale * num / den / w ** 2
-    series = sympy.series(sympy.simplify(g), w, 0, order + 1).removeO()
+    series = sympy.series(sympy.simplify(g), w, 0, 3).removeO()
     poly = sympy.Poly(series, w)
-    return [complex(poly.coeff_monomial(w ** k)) for k in range(1, order + 1)]
+    return [complex(poly.coeff_monomial(w ** k)) for k in (1, 2)]
 
 
 def test_expansion_requires_vanishing_at_infinity():
@@ -154,28 +155,74 @@ def test_expansion_requires_vanishing_at_infinity():
     form = RationalOneForm(numerator_coeffs=(1.0,),
                            denominator_roots=((1.0, 1), (-1.0, 1)))
     with pytest.raises(ValueError, match="vanish"):
-        expansion_at_infinity(form, 2)
-    with pytest.raises(ValueError, match="order"):
-        expansion_at_infinity(omega1_form(1.0), 0)
+        expansion_at_infinity(form)
+    for scale in (1.0, 1e-3, -2.5):
+        with pytest.raises(ValueError, match="vanish"):
+            expansion_at_infinity(RationalOneForm((0.5, 2.0), ((1.0, 2), (3.0, 1)), scale))
+    # the zero form is the one form with s = 0 that vanishes there
+    zero = RationalOneForm(numerator_coeffs=(0.0,), denominator_roots=((1.0, 1), (-2.0, 1)))
+    assert expansion_at_infinity(zero) == (0, 0)
 
 
 def test_expansion_omega1_hand_oracle():
     # -w dw / (1 - a^2 w^2) = (-w - a^2 w^3 - ...) dw
     for a in (1.0, 1.3):
-        coeffs = expansion_at_infinity(omega1_form(a), 4)
-        expected = np.array([-1.0, 0.0, -a * a, 0.0])
-        assert np.allclose(coeffs, expected, atol=1e-14)
-        oracle = sympy_infinity_series(omega1_form(a), 4)
+        coeffs = expansion_at_infinity(omega1_form(a))
+        assert coeffs == (-1.0, 0.0)
+        oracle = sympy_infinity_series(omega1_form(a))
         assert np.allclose(coeffs, oracle, atol=1e-12)
 
 
 def test_expansion_omega2_minimality_condition():
     curve = derive_constants(1.0, 1.0, 2.0, 1.0)
-    coeffs = expansion_at_infinity(curve.omega2(), 3)
+    coeffs = expansion_at_infinity(curve.omega2())
     assert abs(coeffs[0] - (-curve.c)) < 1e-14
     assert abs(coeffs[1]) < 1e-14  # w^2 coefficient: -c (Q1+Q2+Q3) = 0
-    oracle = sympy_infinity_series(curve.omega2(), 3)
+    oracle = sympy_infinity_series(curve.omega2())
     assert np.allclose(coeffs, oracle, atol=1e-12)
+
+
+def exact_expansion(num, roots, scale):
+    """(c, q) in exact arithmetic: the w and w^2 Taylor coefficients of
+    -scale w^s RN(w) / prod (1 - r w)^mult by series division."""
+    den = [Fraction(1)]
+    for r, mult in roots:
+        for _ in range(mult):
+            den = [u - r * v for u, v in zip(den + [0], [0] + den)]  # times (1 - r w)
+    shift = sum(m for _, m in roots) - (len(num) - 1) - 2
+    rn, series = num[::-1], []
+    for k in range(3):
+        acc = rn[k] if k < len(rn) else Fraction(0)
+        series.append(acc - sum(den[j] * series[k - j] for j in range(1, min(k, len(den) - 1) + 1)))
+    g = [Fraction(0)] * shift + [-scale * t for t in series]
+    return g[1], g[2]
+
+
+@pytest.mark.parametrize("shift", [1, 2, 3])
+def test_expansion_matches_an_exact_rational_oracle(shift):
+    rng = random.Random(shift)
+
+    def rational():  # a double, so Fraction(x) is exactly the value the form holds
+        return rng.choice((-1, 1)) * rng.randint(1, 40) / rng.randint(1, 9)
+
+    for _ in range(200):
+        roots = []
+        while sum(m for _, m in roots) < shift + 2 or rng.random() < 0.3:
+            roots.append((rational(), rng.randint(1, 3)))
+        num = [rational() for _ in range(sum(m for _, m in roots) - shift - 1)]
+        scale = rational()
+        form = RationalOneForm(num, roots, scale)
+        c, q = expansion_at_infinity(form)
+        exact = exact_expansion([Fraction(v) for v in num],
+                                [(Fraction(r), m) for r, m in roots], Fraction(scale))
+        nxt = num[-2] if len(num) > 1 else 0.0
+        bound = 1e-12 * abs(scale) * (abs(nxt) + abs(num[-1]) * sum(m * abs(r) for r, m in roots))
+        for got, want in zip((c, q), exact):
+            assert got.imag == 0 and abs(got.real - float(want)) <= bound, (form, got, want)
+        if shift >= 2:  # below w^s the coefficients are exact zeros
+            assert c == 0 == exact[0]
+        if shift == 3:
+            assert q == 0 == exact[1]
 
 
 def forced_q2_equal_q1_form(a, b, Q1, G):
@@ -191,13 +238,13 @@ def forced_q2_equal_q1_form(a, b, Q1, G):
 def test_expansion_forced_q2_breaks_minimality():
     a, b, Q1, G = 1.0, 1.0, 2.0, 1.0
     form, Q3, c = forced_q2_equal_q1_form(a, b, Q1, G)
-    coeffs = expansion_at_infinity(form, 2)
+    coeffs = expansion_at_infinity(form)
     # w^2 coefficient = -c (2 Q1 + Q3) = -2 c Q1^3 / (b^2 + Q1^2), nonzero
     expected = -c * (2 * Q1 + Q3)
     assert abs(coeffs[1] - expected) < 1e-13 * abs(expected)
     assert abs(expected - (-2 * c * Q1 ** 3 / (b * b + Q1 * Q1))) < 1e-13
     assert abs(coeffs[1] / coeffs[0]) > 1e-2
-    oracle = sympy_infinity_series(form, 2)
+    oracle = sympy_infinity_series(form)
     assert np.allclose(coeffs, oracle, atol=1e-12)
 
 
@@ -250,6 +297,6 @@ def test_random_parameter_sweep_invariants():
         assert regularity_defect(curve) < 1e-13
         assert all(r > 0 for r in curve.res_Q)
         assert abs(curve.Q1 + curve.Q2 + curve.Q3) == 0.0
-        coeffs = expansion_at_infinity(curve.omega2(), 2)
+        coeffs = expansion_at_infinity(curve.omega2())
         assert abs(coeffs[1]) < 1e-12 * abs(coeffs[0])
         assert abs(curve.d - a) < 4e-16 * a and curve.d > 0
