@@ -1,7 +1,6 @@
 """Command-line interface: mlsurf <verify|sample|curve-info|theta> [flags]."""
 
 import argparse
-import contextlib
 import math
 import sys
 
@@ -78,15 +77,17 @@ def _step(h: float) -> float:
 
 def _cmd_verify(args) -> int:
     family, h = _family_from_args(args), _step(args.h)
-    # opened before the sweep, as sample opens its CSV: a bad path prints no report
+    # checked before the sweep, as sample opens its CSV, so a bad path prints no
+    # report; truncated only after it, so a refused sweep leaves the file as it was
     try:
-        out = open(args.json_out, "w") if args.json_out else contextlib.nullcontext()
+        if args.json_out:
+            open(args.json_out, "a").close()
     except OSError as exc:
         raise ValueError(f"cannot write {args.json_out}: {exc}") from None
-    with out as fh:
-        report = verify(family, args.grid, h, args.tol_profile)
-        print(report.format_text())
-        if fh:
+    report = verify(family, args.grid, h, args.tol_profile)
+    print(report.format_text())
+    if args.json_out:
+        with open(args.json_out, "w") as fh:
             report.write_json(fh)
     return 0 if report.overall else 1
 

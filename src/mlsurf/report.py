@@ -167,8 +167,6 @@ def curve_checks(curve: ReducibleCurveData) -> list:
 
 CSV_HEADER = ["x", "y", "re_phi1", "im_phi1", "re_phi2", "im_phi2",
               "re_phi3", "im_phi3", "E", "G", "beta", "K"]
-_ROW = "%s,%s," + "%.17g," * 9 + "%.17g\r\n"   # x and y come formatted
-_ROW_EXCLUDED = "%s,%s," + "%.17g," * 8 + "%s,%s\r\n"   # beta or K is "" where excluded
 
 
 def _fmt(v: float) -> str:
@@ -177,21 +175,21 @@ def _fmt(v: float) -> str:
 
 def sample_rows(family: Family, grid: GridSpec, h: float, tol_profile: str = "strict"):
     """Yield the CSV text in sweep block order as lists of at most isqrt(nx * ny)
-    lines (a square grid's row); beta and K are empty at excluded degenerate points."""
+    lines (a square grid's row); beta and K are empty at excluded degenerate points.
+    A block's distinct bit patterns are formatted once each (-0.0 and NaNs keep theirs)."""
     k_field = _curvature_field(family, tol_profile)
-    # nx + ny distinct coordinates, each formatted once
-    coords = grid.xs().tolist() + grid.ys().tolist()
-    coord_text = dict(zip(coords, map(_fmt, coords))).__getitem__
     side = math.isqrt(grid.nx * grid.ny)
     for x, y, phi, E, G, beta, has_beta, K, has_K in sample_blocks(family, grid, h, k_field):
-        cols = [x, y, *(p[:, i] for i in range(3) for p in (phi.real, phi.imag)),
-                E, G, beta, K, has_beta, has_K]
-        for s in range(0, len(x), side):   # text is held a piece, not a block, at a time
-            xs, ys, *vals, bs, ks = (c[s:s + side].tolist() for c in cols)
-            rows = zip(map(coord_text, xs), map(coord_text, ys), *vals)
-            yield [_ROW % row if b and k else _ROW_EXCLUDED % (
-                       *row[:10], _fmt(row[10]) if b else "", _fmt(row[11]) if k else "")
-                   for row, b, k in zip(rows, bs, ks)]
+        cols = np.stack([x, y, *(p[:, i] for i in range(3) for p in (phi.real, phi.imag)),
+                         E, G, beta, K], axis=1)
+        bits, cell = np.unique(cols.view(np.uint64), return_inverse=True)
+        # the floats come one at a time from a memoryview; .tolist() would hold them all
+        text = np.array([*map("%.17g".__mod__, memoryview(bits.view(float))), ""], dtype=object)
+        cell = cell.reshape(cols.shape)   # numpy 1.x returns it flat
+        cell[~has_beta, 10] = cell[~has_K, 11] = len(bits)   # the "" of excluded cells
+        del cols, bits
+        for s in range(0, len(x), side):   # lines are held a piece, not a block, at a time
+            yield [",".join(row) + "\r\n" for row in text[cell[s:s + side]].tolist()]
 
 
 def write_csv(path, blocks) -> None:

@@ -10,8 +10,8 @@ complex number, math.remainder rebuilt from np.fmod), so each reduced maximum
 equals the oracles' bit for bit.  The metric, residue and curvature checks
 call the closed forms the oracles call.  Each check group returns (values,
 ok) and one accumulator folds them into the maxima.  CHUNK bounds the memory
-a sweep holds whatever the grid size: at 1024 a 64x64 verify peaks 7 MB above an
-idle process, a sample 2.8 MB (README, Performance).  The report does not depend on it.
+a sweep holds whatever the grid size: at 1024 a 64x64 verify peaks 7.6 MB above an
+idle process, a sample 4.0-4.3 MB (README, Performance).  The report does not depend on it.
 """
 
 import math
@@ -57,12 +57,10 @@ class Timings:
 def _jets(jet, xs, ys) -> np.ndarray:
     """Stacked (6, n, 3) jet fields, one scalar jet call per point.  Only the
     stencil jets take this path, because the benchmark counts jets by these calls."""
-    out = np.empty((6, len(xs), 3), dtype=complex)
+    out = np.empty((len(xs), 6, 3), dtype=complex)
     for k, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
-        j = jet(x, y)
-        out[0, k], out[1, k], out[2, k] = j.phi, j.phi_x, j.phi_y
-        out[3, k], out[4, k], out[5, k] = j.phi_xx, j.phi_xy, j.phi_yy
-    return out
+        out[k] = jet(x, y)[2:]   # the six rows in one copy; a list of jets would hold 1 kB a point
+    return out.transpose(1, 0, 2)
 
 
 def _blocks(family: Family, grid):
@@ -74,10 +72,9 @@ def _blocks(family: Family, grid):
     for start in range(0, total, CHUNK):
         idx = np.arange(start, min(start + CHUNK, total))
         x, y = xs[idx % grid.nx], ys[idx // grid.nx]
-        J = family.jets(x, y)
         tube = (np.zeros(len(x), dtype=bool) if c is None else
                 np.abs(_remainder(c.a * x - c.b * y - degeneracy_angle(c), math.pi)) < TUBE_RADIUS)
-        yield x, y, tube, J
+        yield x, y, tube, family.jets(x, y)   # held by the caller alone
 
 
 def _abs(z):
@@ -288,4 +285,6 @@ def sample_blocks(family: Family, grid, h: float, k_field: MetricField):
             G = np.sum(np.abs(J[2]) ** 2, axis=-1)
             beta, ok, _, _ = _angles(J)
             K, pos = gauss_curvature_masked(k_field, x, y, h)
-        yield x, y, J[0], E, G, beta, ~tube & ok, K, ~tube & pos
+        phi = J[0].copy()
+        del J   # freed before the caller formats the block's rows
+        yield x, y, phi, E, G, beta, ~tube & ok, K, ~tube & pos

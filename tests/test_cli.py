@@ -298,6 +298,20 @@ def test_verify_unwritable_json_out(tmp_path, capsys):
     assert out.err.startswith(f"error: cannot write {out_file}: ")
 
 
+def test_a_refused_verify_leaves_an_earlier_json_report_as_it_was(tmp_path, capsys):
+    # the path is checked before the sweep and truncated only once a report exists
+    out_file = tmp_path / "r.json"
+    run(["verify", *SPHERE, "--grid", "4x4", "--json-out", str(out_file)])
+    before = out_file.read_bytes()
+    assert json.loads(before)["family"] == "spectral"
+    capsys.readouterr()
+    argv = ["verify", "--family", "spectral", "--a", "1", "--b", "0.5", "--q1", "1",
+            "--gamma-im", "-100", "--grid", "1x1", "--json-out", str(out_file)]
+    assert (run(argv), *capsys.readouterr()) == (
+        2, "", "error: no grid point outside the degeneracy tube\n")
+    assert out_file.read_bytes() == before
+
+
 def test_sample_unwritable_path(tmp_path, capsys):
     code = run(["sample", "--family", "cone", "--m", "1", "--n", "1",
                 "--out", str(tmp_path / "nope" / "x.csv")])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlsurf import sweep
+from mlsurf import report, sweep
 from mlsurf.diffgeo import (angle_defect, beta_gradient_fd,
                             christoffel_b_defects, christoffel_solve, frame_and_connection,
                             frame_defects, gauss_curvature, gradient_identity_defects,
@@ -200,12 +200,16 @@ def test_a_block_inside_the_tube_skips_the_angle_stage(monkeypatch):
 
 
 def _csv_oracle(family, grid, h, tol_profile):
-    # csv.writer over one f"{v:.17g}" call per field
     k_field = family.metric if tol_profile == "strict" else family.metric.without_derivatives()
+    return _csv_text(sweep.sample_blocks(family, grid, h, k_field))
+
+
+def _csv_text(blocks):
+    # csv.writer over one f"{v:.17g}" call per field
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(CSV_HEADER)
-    for block in sweep.sample_blocks(family, grid, h, k_field):
+    for block in blocks:
         for x, y, phi, E, G, beta, has_beta, K, has_K in zip(*(v.tolist() for v in block)):
             fields = [x, y, *(p for c in phi for p in (c.real, c.imag)), E, G]
             writer.writerow([f"{v:.17g}" for v in fields]
@@ -225,6 +229,46 @@ def test_csv_matches_the_csv_writer_oracle(family, grid, tol_profile, tmp_path):
     assert path.read_bytes() == expected
     if family is TUBE_POINTS:   # rows inside the tube end in empty beta and K cells
         assert b",,\r\n" in expected
+
+
+def _edge_block(values, has_beta, has_K):
+    # a sample_blocks tuple from rows of 12 CSV values
+    v = np.array(values, dtype=float)
+    phi = np.empty((len(v), 3), dtype=complex)   # set part by part: a + 1j * b loses -0.0
+    phi.real, phi.imag = v[:, 2:8:2], v[:, 3:8:2]
+    return (v[:, 0], v[:, 1], phi, v[:, 8], v[:, 9], v[:, 10], np.array(has_beta),
+            v[:, 11], np.array(has_K))
+
+
+def test_every_field_of_a_block_keeps_its_own_text(monkeypatch, tmp_path):
+    # sample_rows formats each distinct bit pattern of a block once: -0.0 is
+    # not 0.0, a NaN keeps its own text, and an excluded beta or K cell is
+    # empty even where its value is repeated in a cell that is written
+    nan, inf, tiny = math.nan, math.inf, 5e-324
+    neg_nan = -np.float64(nan)
+    payload_nan = np.array([0x7FF8_0000_0000_0001], dtype=np.uint64).view(float)[0]
+    assert np.signbit(neg_nan) and np.isnan(payload_nan)
+    blocks = [
+        _edge_block([[0.0, -0.0, 0.1, -0.0, 0.0, 0.1, nan, neg_nan, 0.1, 0.1, 0.1, 0.1],
+                     [-0.0, 0.0, inf, -inf, tiny, -tiny, 0.1, 0.1, -0.0, 0.0, 0.1, 0.1],
+                     [0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1]],
+                    [False, True, True], [True, False, False]),
+        _edge_block([[neg_nan, nan, 0.0, 0.0, -0.0, -0.0, 0.1, inf, tiny, 0.1, -0.0, nan],
+                     [0.1, tiny, -tiny, -0.0, 0.0, neg_nan, nan, -inf, 0.1, payload_nan, neg_nan,
+                      0.0]],
+                    [True, False], [False, True]),
+    ]
+    monkeypatch.setattr(report, "sample_blocks", lambda *args: iter(blocks))
+    grid = GridSpec(2, 3)
+    pieces = list(sample_rows(cone_family(1, 2), grid, 1e-4))
+    assert [len(p) for p in pieces] == [2, 1, 2]   # at most isqrt(2 * 3) lines each
+    path = tmp_path / "s.csv"
+    write_csv(path, pieces)
+    expected = _csv_text(blocks)
+    assert path.read_bytes() == expected
+    tenth = "0.10000000000000001"
+    assert expected.decode().split("\r\n")[1] == (
+        f"0,-0,{tenth},-0,0,{tenth},nan,nan,{tenth},{tenth},,{tenth}")
 
 
 _SIGN = st.sampled_from([-1.0, 1.0])
