@@ -2,6 +2,7 @@
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -77,11 +78,14 @@ def _step(h: float) -> float:
 
 def _cmd_verify(args) -> int:
     family, h = _family_from_args(args), _step(args.h)
-    # checked before the sweep, as sample opens its CSV, so a bad path prints no
-    # report; truncated only after it, so a refused sweep leaves the file as it was
+    # checked before the sweep (a file the check creates is removed at once), so a bad
+    # path prints no report; truncated after it, so a refused sweep leaves the path as it was
     try:
         if args.json_out:
+            new = not os.path.lexists(args.json_out)
             open(args.json_out, "a").close()
+            if new:
+                os.remove(args.json_out)
     except OSError as exc:
         raise ValueError(f"cannot write {args.json_out}: {exc}") from None
     report = verify(family, args.grid, h, args.tol_profile)

@@ -78,9 +78,12 @@ def _spectral_exp_terms(curve: ReducibleCurveData):
 
 
 def spectral_family_jet(curve: ReducibleCurveData, x: float, y: float) -> SurfaceJet:
-    """Jet of phi_i = alpha_i * psi_2(x, y, Q_i); derivatives are exact."""
+    """Jet of phi_i = alpha_i * psi_2(x, y, Q_i); derivatives are exact.  F[1] x + F[2] y
+    (dx = iP, dy = iQ) has the field's i (P x + Q y) as imaginary part and +-0 as real
+    part, so exp rounds both alike; M[..., 0] + M[..., 1] is the field's one addition."""
     C, P, Q, F = _spectral_exp_terms(curve)
-    return SurfaceJet(x, y, *(F * (C * np.exp(1j * (P * x + Q * y)))).sum(axis=-1))
+    M = F * (C * np.exp(F[1] * x + F[2] * y))
+    return SurfaceJet(x, y, *(M[..., 0] + M[..., 1]))
 
 
 def spectral_jet_field(curve: ReducibleCurveData, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -119,7 +122,8 @@ def cone_family_jet(m: int, n: int, x: float, y: float) -> SurfaceJet:
 
     phi = (sin(x) sqrt(m+n)/sqrt(2m+n) e^{pi i m y},
            cos(x) sqrt(m+n)/sqrt(m+2n) e^{pi i n y},
-           sqrt(n cos^2 x/(m+2n) + m sin^2 x/(2m+n)) e^{-pi i (m+n) y}).
+           sqrt(n cos^2 x/(m+2n) + m sin^2 x/(2m+n)) e^{-pi i (m+n) y})
+    as (W * u) * e, the (6, 3) amplitude rows u built from floats in _CONE_ROWS order.
     """
     k1, k2, A, B, iq, W = _cone_terms(m, n)
     sx, cx = math.sin(x), math.cos(x)
@@ -127,9 +131,9 @@ def cone_family_jet(m: int, n: int, x: float, y: float) -> SurfaceJet:
     s = (B - A) * sx * cx
     rho_p = s / rho
     rho_pp = (B - A) * math.cos(2 * x) / rho - s * s / rho ** 3
-    u = np.array([[k1 * sx, k2 * cx, rho], [k1 * cx, -k2 * sx, rho_p],
-                  [-k1 * sx, -k2 * cx, rho_pp]])
-    return SurfaceJet(x, y, *(W * u[_CONE_ROWS] * np.exp(iq * y)))
+    u, u_p = (k1 * sx, k2 * cx, rho), (k1 * cx, -k2 * sx, rho_p)
+    u = np.array([u, u_p, u, (-k1 * sx, -k2 * cx, rho_pp), u_p, u])
+    return SurfaceJet(x, y, *(W * u * np.exp(iq * y)))
 
 
 def cone_jet_field(m: int, n: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

@@ -1,17 +1,17 @@
 """Chunked grid sweep: the per-point checks of diffgeo on stacked arrays.
 
 The sweep visits the grid in report order (y outer, x inner) in blocks of
-CHUNK points.  Per block it evaluates the batched jet field (Family.jets) and
-the degeneracy-tube mask at all centres at once, and outside the tube the
-scalar point jets at the stencil points (x +- h, y), (x, y +- h), as (6, n, 3)
-arrays.  Every check runs on them with the floating-point operations of its
-scalar oracle in diffgeo (np.vecdot for np.vdot, hypot for the abs of one
-complex number, math.remainder rebuilt from np.fmod), so each reduced maximum
-equals the oracles' bit for bit.  The metric, residue and curvature checks
-call the closed forms the oracles call.  Each check group returns (values,
-ok) and one accumulator folds them into the maxima.  CHUNK bounds the memory
-a sweep holds whatever the grid size: at 1024 a 64x64 verify peaks 7.6 MB above an
-idle process, a sample 4.0-4.3 MB (README, Performance).  The report does not depend on it.
+CHUNK points.  Per block it evaluates the batched (6, n, 3) jet field (Family.jets)
+and the degeneracy-tube mask at all centres at once, and outside the tube phi, phi_x
+and phi_y of the scalar point jets at the stencil points (x +- h, y), (x, y +- h).
+Every check runs on them with the floating-point operations of its scalar oracle
+in diffgeo (np.vecdot for np.vdot, hypot for the abs of one complex number,
+math.remainder rebuilt from np.fmod), so each reduced maximum equals the oracles'
+bit for bit.  The metric, residue and curvature checks call the closed forms the
+oracles call.  Each check group returns (values, ok) and one accumulator folds
+them into the maxima.  CHUNK bounds the memory a sweep holds whatever the grid
+size: at 1024 a 64x64 verify peaks 7.6 MB above an idle process, a sample
+4.0-4.3 MB (README, Performance).  The report does not depend on it.
 """
 
 import math
@@ -35,7 +35,8 @@ FRAME_NAMES = tuple("frame_" + n for n in (
 CHRISTOFFEL_NAMES = ("christoffel_b11", "christoffel_b12", "christoffel_b22",
                      "gradient_identity_x", "gradient_identity_y",
                      "minimality_im_x", "minimality_im_y")
-PHASES = ("jets", "metric", "residue", "angle", "christoffel", "frame", "curvature", "reduce")
+PHASES = ("jets", "stencil", "metric", "residue", "angle", "christoffel", "frame", "curvature",
+          "reduce")
 
 
 class Timings:
@@ -55,11 +56,11 @@ class Timings:
 
 
 def _jets(jet, xs, ys) -> np.ndarray:
-    """Stacked (6, n, 3) jet fields, one scalar jet call per point.  Only the
-    stencil jets take this path, because the benchmark counts jets by these calls."""
-    out = np.empty((len(xs), 6, 3), dtype=complex)
+    """phi, phi_x and phi_y (the rows the stencil checks read) as (3, n, 3), one scalar
+    jet call per point; only the stencil takes this path: the benchmark counts these calls."""
+    out = np.empty((len(xs), 3, 3), dtype=complex)
     for k, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
-        out[k] = jet(x, y)[2:]   # the six rows in one copy; a list of jets would hold 1 kB a point
+        out[k] = jet(x, y)[2:5]   # in one copy; a list of jets would hold 1 kB a point
     return out.transpose(1, 0, 2)
 
 
@@ -250,11 +251,11 @@ def check_maxima(family: Family, grid, h: float, k_field: MetricField) -> tuple:
         xa, ya = x[act], y[act]
         nbJ = _jets(family.jet, np.concatenate([xa + h, xa - h, xa, xa]),
                     np.concatenate([ya, ya, ya + h, ya - h]))
-        timer.lap("jets")
+        timer.lap("stencil")
 
         with np.errstate(divide="ignore", invalid="ignore"):
             nb_beta, nb_ok, nb_nx, nb_ny = (v.reshape(4, len(act)) for v in _angles(nbJ))
-            nbJ = nbJ.reshape(6, 4, len(act), 3)
+            nbJ = nbJ.reshape(3, 4, len(act), 3)
             angles_ok = centre_ok & nb_ok.all(axis=0)
             timer.lap("angle")
             Ja, Ea, Ga = J[:, act], E[act], G[act]

@@ -74,15 +74,18 @@ class PeriodMatrix:
         B = np.array(entries, dtype=complex)
         if B.ndim != 2 or B.shape[0] != B.shape[1]:
             raise ValueError(f"period matrix must be square, got shape {B.shape}")
-        if not all(map(cmath.isfinite, B.ravel().tolist())):
+        if not np.isfinite(B).all():
             raise ValueError("period matrix entries must be finite")
-        rows = B.tolist()  # Python complexes: numpy scalar arithmetic is several times slower
-        for j in range(1, len(rows)):
-            for i in range(j):
-                if abs(rows[i][j] - rows[j][i]) > SYMMETRY_TOL * max(1.0, abs(rows[i][j])):
-                    raise ValueError(f"period matrix must be symmetric: B[{i}, {j}] = "
-                                     f"{rows[i][j]} but B[{j}, {i}] = {rows[j][i]}")
-            B[j, :j] = B[:j, j]
+        if B.tobytes() != B.T.tobytes():   # else symmetric bit for bit already
+            D = B.T - B   # B[i, j] - B[j, i] at [j, i]; hypot rounds as abs() of a complex
+            gap = (np.hypot(D.real, D.imag)
+                   > SYMMETRY_TOL * np.maximum(1.0, np.hypot(B.real, B.imag)).T)
+            j, i = divmod(int(np.argmax(np.tril(gap, -1))), len(B))   # the first, row by row
+            if i < j:
+                raise ValueError(f"period matrix must be symmetric: B[{i}, {j}] = "
+                                 f"{B[i, j].item()} but B[{j}, {i}] = {B[j, i].item()}")
+            for j in range(1, len(B)):
+                B[j, :j] = B[:j, j]
         try:
             L = np.linalg.cholesky(B.imag)
         except np.linalg.LinAlgError:
@@ -115,9 +118,9 @@ def read_period_matrix(path) -> PeriodMatrix:
     complex entries written like ``re+imj`` (anything Python's complex()
     accepts).  Blank lines and '#' comments are skipped.
     """
-    with open(path) as fh:
-        lines = [ln.split("#")[0].strip() for ln in fh]
-    lines = [ln for ln in lines if ln]
+    with open(path) as fh:  # lines split on "\n" alone, as iterating the file would
+        text = fh.read()
+    lines = [s for ln in text.split("\n") if (s := ln.partition("#")[0].strip())]
     if not lines:
         raise ValueError(f"{path}: empty period-matrix file")
     try:
@@ -130,7 +133,10 @@ def read_period_matrix(path) -> PeriodMatrix:
         raise ValueError(f"{path}: expected {g} matrix rows, found {len(lines) - 1}")
     rows = []
     for ln in lines[1:]:
-        row = [parse_complex(tok, path) for tok in ln.split()]
+        try:
+            row = list(map(complex, ln.split()))
+        except ValueError:  # name the malformed token
+            row = [parse_complex(tok, path) for tok in ln.split()]
         if len(row) != g:
             raise ValueError(f"{path}: expected {g} entries per row, got {len(row)}")
         rows.append(row)

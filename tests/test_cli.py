@@ -97,8 +97,8 @@ def test_verify_json_out(tmp_path, capsys):
             assert c["name"].startswith(("beta", "christoffel", "gradient_identity",
                                          "minimality_im", "frame", "curvature"))
     timings = data["timings"]
-    assert set(timings) == {"jets", "metric", "residue", "angle", "christoffel", "frame",
-                            "curvature", "reduce", "total"}
+    assert set(timings) == {"jets", "stencil", "metric", "residue", "angle", "christoffel",
+                            "frame", "curvature", "reduce", "total"}
     assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
     assert sum(v for k, v in timings.items() if k != "total") <= timings["total"]
     assert "timings" not in capsys.readouterr().out
@@ -310,6 +310,15 @@ def test_a_refused_verify_leaves_an_earlier_json_report_as_it_was(tmp_path, caps
     assert (run(argv), *capsys.readouterr()) == (
         2, "", "error: no grid point outside the degeneracy tube\n")
     assert out_file.read_bytes() == before
+
+
+def test_a_refused_verify_leaves_no_new_json_report(tmp_path, capsys):
+    out_file = tmp_path / "new.json"
+    argv = ["verify", "--family", "spectral", "--a", "1", "--b", "0.5", "--q1", "1",
+            "--gamma-im", "-100", "--grid", "1x1", "--json-out", str(out_file)]
+    assert (run(argv), *capsys.readouterr()) == (
+        2, "", "error: no grid point outside the degeneracy tube\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sample_unwritable_path(tmp_path, capsys):

@@ -11,7 +11,7 @@ from mlsurf.report import GridSpec
 from mlsurf.spectral_curve import derive_constants
 from mlsurf.surface_families import (TUBE_RADIUS, SurfaceJet, cone_family, cone_family_jet,
                                      cone_jet_field, cone_metric_field, degeneracy_angle,
-                                     in_degeneracy_tube, spectral_family_jet,
+                                     in_degeneracy_tube, spectral_family, spectral_family_jet,
                                      spectral_jet_field, spectral_metric_field)
 
 
@@ -69,20 +69,27 @@ def _bits(a):
 def _with_sweep_points(xs, ys):
     """xs, ys followed by the points a sweep evaluates, where the sign of a zero
     decides bits: one full sweep.CHUNK block of a 64x64 grid in block order
-    (2 pi k / 64 from exact 0.0), and every pair of 0.0, -0.0, pi and -pi."""
-    grid, idx = GridSpec(64, 64), np.arange(sweep.CHUNK)
+    (2 pi k / 64 from exact 0.0), the block's stencil points (x +- h, y),
+    (x, y +- h) at h = 1e-4 as the sweep forms them, and every pair of 0.0,
+    -0.0, pi and -pi."""
+    grid, idx, h = GridSpec(64, 64), np.arange(sweep.CHUNK), 1e-4
+    bx, by = grid.xs()[idx % grid.nx], grid.ys()[idx // grid.nx]
     sx, sy = np.meshgrid([0.0, -0.0, math.pi, -math.pi], [0.0, -0.0, math.pi, -math.pi])
-    return (np.concatenate([xs, grid.xs()[idx % grid.nx], sx.ravel()]),
-            np.concatenate([ys, grid.ys()[idx // grid.nx], sy.ravel()]))
+    return (np.concatenate([xs, bx, bx + h, bx - h, bx, bx, sx.ravel()]),
+            np.concatenate([ys, by, by, by, by + h, by - h, sy.ravel()]))
+
+
+def _random_curve(rng):
+    b = rng.uniform(0.5, 2.0)
+    return derive_constants(rng.uniform(0.5, 2.0), b,
+                            (b + rng.uniform(0.3, 2.0)) * rng.choice([-1.0, 1.0]),
+                            rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0]))
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_spectral_jet_field_matches_the_scalar_jet_bit_for_bit(seed):
     rng = np.random.default_rng(seed)
-    b = rng.uniform(0.5, 2.0)
-    curve = derive_constants(rng.uniform(0.5, 2.0), b,
-                             (b + rng.uniform(0.3, 2.0)) * rng.choice([-1.0, 1.0]),
-                             rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0]))
+    curve = _random_curve(rng)
     xs, ys = _with_sweep_points(*rng.uniform(-50, 50, (2, 2000)))
     field = spectral_jet_field(curve, xs, ys)
     assert field.shape == (6, len(xs), 3)
@@ -99,6 +106,19 @@ def test_cone_jet_field_matches_the_scalar_jet_bit_for_bit(m):
         assert field.shape == (6, len(xs), 3)
         expected = _scalar_field(lambda x, y: cone_family_jet(m, n, x, y), xs, ys)
         assert np.array_equal(_bits(field), _bits(expected)), (m, n)
+
+
+@pytest.mark.parametrize("family", [
+    *(spectral_family(_random_curve(np.random.default_rng(seed))) for seed in range(5)),
+    *(cone_family(m, n) for m in range(1, 7) for n in range(1, 7))],
+    ids=lambda f: f.name + "-" + "-".join(f"{v:.3g}" for v in f.parameters.values()))
+def test_stencil_jets_are_the_field_rows_the_stencil_reads(family):
+    # the sweep's stencil (scalar jets) and its centres (the field) agree bit for bit,
+    # so evaluating the stencil by the field could not change a report
+    xs, ys = _with_sweep_points(*np.random.default_rng(7).uniform(-50, 50, (2, 200)))
+    stencil = sweep._jets(family.jet, xs, ys)
+    assert stencil.shape == (3, len(xs), 3)
+    assert np.array_equal(_bits(stencil), _bits(family.jets(xs, ys)[:3]))
 
 
 def test_cone_jet_field_rejects_bad_orders():

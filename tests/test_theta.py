@@ -206,6 +206,53 @@ def test_period_matrix_invariants():
         PeriodMatrix([[1j, 0]])
 
 
+def _symmetry_refusal(rows):
+    # the rule entry by entry, in Python complexes: the first pair (i < j) row by row
+    for j in range(1, len(rows)):
+        for i in range(j):
+            if abs(rows[i][j] - rows[j][i]) > theta.SYMMETRY_TOL * max(1.0, abs(rows[i][j])):
+                return (f"period matrix must be symmetric: B[{i}, {j}] = {rows[i][j]} "
+                        f"but B[{j}, {i}] = {rows[j][i]}")
+    return None
+
+
+def test_the_first_asymmetric_pair_is_reported_row_by_row():
+    rng = np.random.default_rng(21)
+    refused = 0
+    for _ in range(300):
+        g = int(rng.integers(2, 7))
+        X, A = rng.uniform(-1, 1, (g, g)), rng.normal(size=(g, g))
+        B = ((X + X.T) / 2 + 1j * (np.eye(g) + A @ A.T)) * 10.0 ** rng.uniform(-2, 13)
+        for _ in range(int(rng.integers(0, 4))):  # gaps below, near and above the bound
+            i, j = rng.integers(0, g, 2)
+            bound = theta.SYMMETRY_TOL * max(1.0, abs(B[j, i]))
+            B[i, j] += bound * rng.choice([0.5, 1.0 - 1e-9, 1.0 + 1e-9, 3.0]) * np.exp(1j * rng.uniform(0, 7))
+        expected = _symmetry_refusal(B.tolist())
+        if expected is None:
+            # kept, the lower triangle copied bit for bit from the upper
+            assert np.array_equal(PeriodMatrix(B).entries.view(np.uint64),
+                                  np.where(np.tri(g, k=-1, dtype=bool), B.T, B).view(np.uint64))
+        else:
+            refused += 1
+            with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+                PeriodMatrix(B)
+    assert 50 < refused < 250
+    # a gap in Im alone, and gaps whose hypot lies on either side of the bound 1e-12
+    # while np.abs rounds them to the other side
+    for gap, kept in ((0.1j, False), (complex(9.957711261644366e-13, 9.186873405685898e-14), False),
+                      (complex(4.1223496771102454e-13, 9.110775660701402e-13), True)):
+        rows = [[1j, gap], [0j, 1j]]
+        assert (_symmetry_refusal(rows) is None) == kept
+        if kept:
+            assert PeriodMatrix(rows).entries[1, 0] == gap
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(_symmetry_refusal(rows))}$"):
+                PeriodMatrix(rows)
+    # -0.0 below +0.0 is no gap; the lower entry takes the upper one's sign
+    B = PeriodMatrix([[1j, 0.0], [complex(-0.0, -0.0), 1j]])
+    assert math.copysign(1.0, B.entries[1, 0].real) == math.copysign(1.0, B.entries[1, 0].imag) == 1.0
+
+
 def test_default_radius_rule():
     B = PeriodMatrix([[1j]])
     # exp(-pi R^2) < 1e-14 needs R >= 3.21
