@@ -27,18 +27,21 @@ def _parse_grid(text: str) -> GridSpec:
 
 def _read_scenario(path: str) -> dict:
     out = {}
-    with open(path) as fh:
-        for raw in fh:
-            ln = raw.split("#")[0].strip()
-            if not ln:
-                continue
-            if "=" not in ln:
-                raise ValueError(f"{path}: expected 'key = value', got {ln!r}")
-            key, _, val = (s.strip() for s in ln.partition("="))
-            try:
-                out[key] = float(val)
-            except ValueError:
-                raise ValueError(f"{path}: {key} = {val!r} is not a number") from None
+    try:
+        with open(path) as fh:
+            for raw in fh:
+                ln = raw.split("#")[0].strip()
+                if not ln:
+                    continue
+                if "=" not in ln:
+                    raise ValueError(f"{path}: expected 'key = value', got {ln!r}")
+                key, _, val = (s.strip() for s in ln.partition("="))
+                try:
+                    out[key] = float(val)
+                except ValueError:
+                    raise ValueError(f"{path}: {key} = {val!r} is not a number") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return out
 
 

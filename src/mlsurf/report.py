@@ -31,14 +31,19 @@ _LIMITS = {
 }
 
 
+MAX_GRID_POINTS = 2**63 - 1   # the sweep numbers the points with int64 indices
+
+
 class GridSpec:
-    """nx by ny points of the period square [0, 2 pi)^2."""
+    """nx by ny points of the period square [0, 2 pi)^2, at most MAX_GRID_POINTS."""
 
     __slots__ = ("nx", "ny")
 
     def __init__(self, nx: int, ny: int):
         if nx < 1 or ny < 1:
             raise ValueError("grid must have at least one point per axis")
+        if nx * ny > MAX_GRID_POINTS:
+            raise ValueError(f"grid {nx}x{ny} has more than 2^63 - 1 points")
         self.nx, self.ny = nx, ny
 
     def xs(self) -> np.ndarray:
@@ -46,6 +51,12 @@ class GridSpec:
 
     def ys(self) -> np.ndarray:
         return 2.0 * math.pi * np.arange(self.ny) / self.ny
+
+    def points(self, idx: np.ndarray) -> tuple:
+        """x and y of the points with report-order indices idx: xs()[idx % nx] and
+        ys()[idx // nx] by the same operations, bit for bit, without either axis."""
+        return (2.0 * math.pi * (idx % self.nx) / self.nx,
+                2.0 * math.pi * (idx // self.nx) / self.ny)
 
     def to_dict(self) -> dict:
         period = [0.0, 2.0 * math.pi]

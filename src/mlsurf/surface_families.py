@@ -57,7 +57,8 @@ def _spectral_exp_terms(curve: ReducibleCurveData):
     with Aplus = (b - gamma)(Q + b)/(Q - gamma) and
     Aminus = (b + gamma)(Q - b)/(Q - gamma).  F stacks the factors
     [1, dx, dy, dx^2, dx dy, dy^2] (dx = i P, dy = i Q) that turn the terms
-    into the six jet fields.
+    into the six jet fields; F's rows dx and dy are returned again, for the scalar
+    jet's exponent.
     """
     a, b, gamma, d = curve.a, curve.b, curve.gamma, curve.d
     C = np.empty((3, 2), dtype=complex)
@@ -74,22 +75,24 @@ def _spectral_exp_terms(curve: ReducibleCurveData):
     F = np.array([np.ones_like(dx), dx, dy, dx * dx, dx * dy, dy * dy])
     for arr in (C, P, Q, F):
         arr.setflags(write=False)
-    return C, P, Q, F
+    return C, P, Q, F, F[1], F[2]
 
 
 def spectral_family_jet(curve: ReducibleCurveData, x: float, y: float) -> SurfaceJet:
-    """Jet of phi_i = alpha_i * psi_2(x, y, Q_i); derivatives are exact.  F[1] x + F[2] y
-    (dx = iP, dy = iQ) has the field's i (P x + Q y) as imaginary part and +-0 as real
-    part, so exp rounds both alike; M[..., 0] + M[..., 1] is the field's one addition."""
-    C, P, Q, F = _spectral_exp_terms(curve)
-    M = F * (C * np.exp(F[1] * x + F[2] * y))
-    return SurfaceJet(x, y, *(M[..., 0] + M[..., 1]))
+    """Jet of phi_i = alpha_i * psi_2(x, y, Q_i); derivatives are exact.  dx x + dy y
+    (the rows F[1] = iP, F[2] = iQ) has the field's i (P x + Q y) as imaginary part and
+    +-0 as real part, so exp rounds both alike; M[..., 0] + M[..., 1] is the field's one
+    addition."""
+    C, _, _, F, dx, dy = _spectral_exp_terms(curve)
+    M = F * (C * np.exp(dx * x + dy * y))
+    S = M[..., 0] + M[..., 1]
+    return SurfaceJet(x, y, S[0], S[1], S[2], S[3], S[4], S[5])
 
 
 def spectral_jet_field(curve: ReducibleCurveData, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """spectral_family_jet at the points (xs, ys) as one (6, n, 3) array, bit for bit: the
     scalar jet's sum over an axis of two is the one addition F[..., 0] T_0 + F[..., 1] T_1."""
-    C, P, Q, F = _spectral_exp_terms(curve)
+    C, P, Q, F, _, _ = _spectral_exp_terms(curve)
     T = C * np.exp(1j * (P * xs[:, None, None] + Q * ys[:, None, None]))
     J = np.empty((6, len(xs), 3), dtype=complex)
     for r, f in enumerate(F):
@@ -123,7 +126,8 @@ def cone_family_jet(m: int, n: int, x: float, y: float) -> SurfaceJet:
     phi = (sin(x) sqrt(m+n)/sqrt(2m+n) e^{pi i m y},
            cos(x) sqrt(m+n)/sqrt(m+2n) e^{pi i n y},
            sqrt(n cos^2 x/(m+2n) + m sin^2 x/(2m+n)) e^{-pi i (m+n) y})
-    as (W * u) * e, the (6, 3) amplitude rows u built from floats in _CONE_ROWS order.
+    as (W * u) * e, the (6, 3) amplitude rows u built from one flat sequence of floats
+    in _CONE_ROWS order (converting nested rows took numpy about a third of the call).
     """
     k1, k2, A, B, iq, W = _cone_terms(m, n)
     sx, cx = math.sin(x), math.cos(x)
@@ -131,9 +135,11 @@ def cone_family_jet(m: int, n: int, x: float, y: float) -> SurfaceJet:
     s = (B - A) * sx * cx
     rho_p = s / rho
     rho_pp = (B - A) * math.cos(2 * x) / rho - s * s / rho ** 3
-    u, u_p = (k1 * sx, k2 * cx, rho), (k1 * cx, -k2 * sx, rho_p)
-    u = np.array([u, u_p, u, (-k1 * sx, -k2 * cx, rho_pp), u_p, u])
-    return SurfaceJet(x, y, *(W * u * np.exp(iq * y)))
+    u1, u2, p1, p2 = k1 * sx, k2 * cx, k1 * cx, -k2 * sx   # u and u' of phi_1, phi_2
+    u = np.array([u1, u2, rho, p1, p2, rho_p, u1, u2, rho,
+                  -k1 * sx, -k2 * cx, rho_pp, p1, p2, rho_p, u1, u2, rho]).reshape(6, 3)
+    J = W * u * np.exp(iq * y)
+    return SurfaceJet(x, y, J[0], J[1], J[2], J[3], J[4], J[5])
 
 
 def cone_jet_field(m: int, n: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

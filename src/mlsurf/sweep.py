@@ -1,9 +1,12 @@
 """Chunked grid sweep: the per-point checks of diffgeo on stacked arrays.
 
 The sweep visits the grid in report order (y outer, x inner) in blocks of
-CHUNK points.  Per block it evaluates the batched (6, n, 3) jet field (Family.jets)
-and the degeneracy-tube mask at all centres at once, and outside the tube phi, phi_x
-and phi_y of the scalar point jets at the stencil points (x +- h, y), (x, y +- h).
+CHUNK points, each block's coordinates formed from its point indices
+(GridSpec.points), so no axis is held whatever the grid.  Per block it evaluates
+the batched (6, n, 3) jet field (Family.jets) and the degeneracy-tube mask at all
+centres at once, and outside the tube phi, phi_x and phi_y of the scalar point jets
+at the stencil points (x +- h, y), (x, y +- h): 4 Family.jet calls per point
+outside the tube and none inside, which the benchmark counts.
 Every check runs on them with the floating-point operations of its scalar oracle
 in diffgeo (np.vecdot for np.vdot, hypot for the abs of one complex number,
 math.remainder rebuilt from np.fmod), so each reduced maximum equals the oracles'
@@ -58,21 +61,22 @@ class Timings:
 def _jets(jet, xs, ys) -> np.ndarray:
     """phi, phi_x and phi_y (the rows the stencil checks read) as (3, n, 3), one scalar
     jet call per point; only the stencil takes this path: the benchmark counts these calls."""
-    out = np.empty((len(xs), 3, 3), dtype=complex)
+    out = np.empty((3, len(xs), 3), dtype=complex)
+    phi, phi_x, phi_y = out
     for k, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
-        out[k] = jet(x, y)[2:5]   # in one copy; a list of jets would hold 1 kB a point
-    return out.transpose(1, 0, 2)
+        j = jet(x, y)   # copied now: a list of jets would hold 1 kB a point
+        phi[k], phi_x[k], phi_y[k] = j[2], j[3], j[4]
+    return out
 
 
 def _blocks(family: Family, grid):
     """(x, y, tube mask, stacked centre jets) for each block of CHUNK grid
-    points; the mask is in_degeneracy_tube's, bit for bit."""
-    xs, ys = grid.xs(), grid.ys()
+    points; the mask is in_degeneracy_tube's, bit for bit.  Each block's
+    coordinates come from its indices (GridSpec.points), so no axis is held."""
     total = grid.nx * grid.ny
     c = family.curve
     for start in range(0, total, CHUNK):
-        idx = np.arange(start, min(start + CHUNK, total))
-        x, y = xs[idx % grid.nx], ys[idx // grid.nx]
+        x, y = grid.points(np.arange(start, min(start + CHUNK, total)))  # int64: total < 2^63
         tube = (np.zeros(len(x), dtype=bool) if c is None else
                 np.abs(_remainder(c.a * x - c.b * y - degeneracy_angle(c), math.pi)) < TUBE_RADIUS)
         yield x, y, tube, family.jets(x, y)   # held by the caller alone

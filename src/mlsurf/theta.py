@@ -118,8 +118,11 @@ def read_period_matrix(path) -> PeriodMatrix:
     complex entries written like ``re+imj`` (anything Python's complex()
     accepts).  Blank lines and '#' comments are skipped.
     """
-    with open(path) as fh:  # lines split on "\n" alone, as iterating the file would
-        text = fh.read()
+    try:
+        with open(path) as fh:  # lines split on "\n" alone, as iterating the file would
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     lines = [s for ln in text.split("\n") if (s := ln.partition("#")[0].strip())]
     if not lines:
         raise ValueError(f"{path}: empty period-matrix file")

@@ -607,12 +607,28 @@ def test_a_named_command_constructs_one_argparse_parser(monkeypatch, tmp_path, c
     ("4x4x4", "grid must look like 64x64, got '4x4x4'"),
     ("0x4", "grid must have at least one point per axis, got '0x4'"),
     ("4x0", "grid must have at least one point per axis, got '4x0'"),
+    # 2^63 points: beyond the sweep's int64 point indices
+    ("4611686018427387904x2", "grid 4611686018427387904x2 has more than 2^63 - 1 points, "
+                              "got '4611686018427387904x2'"),
 ])
 def test_bad_grid_names_its_cause(grid, reason, capsys):
     assert run(["verify", "--family", "cone", "--m", "1", "--n", "1", "--grid", grid]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err.endswith(
         f"\nmlsurf verify: error: argument --grid: {reason}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "spectral", "--scenario"],
+    ["curve-info", "--scenario"],
+    ["theta", "--z", "0", "--period-file"],
+], ids=["verify-scenario", "curve-info-scenario", "period-file"])
+def test_a_file_that_is_not_utf8_is_refused_with_its_path(argv, tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"\xff = 1\n")
+    assert (run(argv + [str(path)]), *capsys.readouterr()) == (2, "", (
+        f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n"))
 
 
 def test_theta_invalid_input_exits_2(tmp_path, capsys):

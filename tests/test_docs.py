@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import mlsurf
-from mlsurf import cli, sweep
+from mlsurf import cli, report, sweep
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -49,6 +49,14 @@ def test_readme_names_resolve(name):
 def test_readme_states_the_shipped_block_size():
     stated = re.findall(r"sweep\.CHUNK = (\d+)", README)
     assert stated and all(int(n) == sweep.CHUNK for n in stated)
+
+
+def test_readme_states_the_grid_bound():
+    stated = re.findall(r"report\.MAX_GRID_POINTS = (\d+)", README)
+    assert stated and all(int(n) == report.MAX_GRID_POINTS for n in stated)
+    report.GridSpec(report.MAX_GRID_POINTS, 1)
+    with pytest.raises(ValueError):
+        report.GridSpec(report.MAX_GRID_POINTS + 1, 1)
 
 
 def _cli_block_flags() -> list:

@@ -56,11 +56,12 @@ _ROOTS = ((0.0, 1), (1.0, 1), (-1.0, 1))
 @pytest.mark.parametrize("build, message", [
     (lambda: GridSpec(0, 1), "grid must have at least one point per axis"),
     (lambda: GridSpec(3, 0), "grid must have at least one point per axis"),
+    (lambda: GridSpec(2**62, 2), "grid 4611686018427387904x2 has more than 2^63 - 1 points"),
     (lambda: LatticeTruncation(0), "truncation radius must be >= 1, got 0"),
     (lambda: RationalOneForm((1.0,), ((0.0, 0), (1.0, 1))), "pole multiplicities must be positive"),
     (lambda: RationalOneForm((0.0, 0.0, 1.0), _ROOTS),
      "form has a pole at infinity: need deg(num) <= deg(den) - 2, got 2 > 3 - 2"),
-], ids=["grid-nx", "grid-ny", "radius", "multiplicity", "infinity"])
+], ids=["grid-nx", "grid-ny", "grid-points", "radius", "multiplicity", "infinity"])
 def test_validating_classes_keep_their_messages(build, message):
     with pytest.raises(ValueError) as refused:
         build()

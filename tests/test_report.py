@@ -2,6 +2,7 @@ import cmath
 import csv
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlsurf import report, sweep
+from mlsurf import report, surface_families, sweep
 from mlsurf.diffgeo import (angle_defect, beta_gradient_fd,
                             christoffel_b_defects, christoffel_solve, frame_and_connection,
                             frame_defects, gauss_curvature, gradient_identity_defects,
@@ -186,6 +187,58 @@ def test_a_partial_block_at_the_shipped_chunk_changes_nothing(monkeypatch):
     shipped = outputs()
     monkeypatch.setattr(sweep, "CHUNK", 256)
     assert outputs() == shipped
+
+
+@pytest.mark.parametrize("family", [TUBE_POINTS, cone_family(3, 2)], ids=["tube-points", "cone-3-2"])
+def test_verify_calls_the_scalar_jet_at_four_stencil_points_outside_the_tube(family, monkeypatch):
+    # the benchmark counts scalar jets by rebinding these module globals, as
+    # here: Family.jet must look them up at call time, and only the stencil
+    # calls them, once per stencil point of each point outside the tube
+    calls = {"spectral_family_jet": [], "cone_family_jet": []}
+    for name, seen in calls.items():
+        def counted(*args, _jet=getattr(surface_families, name), _seen=seen):
+            _seen.append(args[-2:])
+            return _jet(*args)
+        monkeypatch.setattr(surface_families, name, counted)
+    grid, h = GridSpec(16, 16), 1e-4
+    checks = verify(family, grid, h).checks
+    outside = [(x, y) for y in grid.ys().tolist() for x in grid.xs().tolist()
+               if family.curve is None or not in_degeneracy_tube(family.curve, x, y)]
+    tube_points = grid.nx * grid.ny - len(outside)
+    assert [c.excluded_points for c in checks if c.name == "beta_constant"] == [tube_points]
+    assert (tube_points > 0) == (family.curve is not None)
+    stencil = [p for x, y in outside for p in ((x + h, y), (x - h, y), (x, y + h), (x, y - h))]
+    name = "cone_family_jet" if family.curve is None else "spectral_family_jet"
+    assert len(calls[name]) == 4 * len(outside)
+    assert sorted(calls[name]) == sorted(stencil)
+    assert all(not seen for other, seen in calls.items() if other != name)
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (33, 17), (100, 37), (1, 4096), (4096, 1)])
+def test_grid_points_are_the_axes_entries_bit_for_bit(nx, ny):
+    grid, idx = GridSpec(nx, ny), np.arange(nx * ny)
+    x, y = grid.points(idx)
+    assert x.tobytes() == grid.xs()[idx % nx].tobytes()
+    assert y.tobytes() == grid.ys()[idx // nx].tobytes()
+
+
+@pytest.mark.parametrize("nx", [10**11, 2**63 - 1])
+def test_a_huge_grid_streams_its_first_piece_without_an_axis(nx):
+    # an axis of 10^11 doubles is 745 GiB, and np.arange(2^63 - 1) is empty
+    tracemalloc.start()
+    try:
+        piece = next(sample_rows(cone_family(1, 2), GridSpec(nx, 1), 1e-4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(piece) == sweep.CHUNK and peak < 8 * 2**20
+    cells = [line.split(",") for line in piece]
+    assert [float(c[0]) for c in cells] == [2.0 * math.pi * k / nx for k in range(sweep.CHUNK)]
+    assert {c[1] for c in cells} == {"0"}
+    # the last block's indices are still exact int64
+    last = range(nx - 1 - sweep.CHUNK, nx)
+    x, y = GridSpec(nx, 1).points(np.arange(last.start, last.stop))
+    assert x.tolist() == [2.0 * math.pi * k / nx for k in last] and not y.any()
 
 
 def test_a_block_inside_the_tube_skips_the_angle_stage(monkeypatch):

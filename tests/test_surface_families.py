@@ -129,7 +129,8 @@ def test_cone_jet_field_rejects_bad_orders():
 def _sweep_tube_mask(curve, xs, ys):
     # the sweep's vectorised mask over the product grid xs x ys, in report order
     family = cone_family(1, 2)._replace(curve=curve)
-    grid = SimpleNamespace(nx=len(xs), ny=len(ys), xs=lambda: xs, ys=lambda: ys)
+    grid = SimpleNamespace(nx=len(xs), ny=len(ys),
+                           points=lambda idx: (xs[idx % len(xs)], ys[idx // len(xs)]))
     return np.concatenate([tube for _, _, tube, _ in sweep._blocks(family, grid)])
 
 
