@@ -2,7 +2,6 @@
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -47,7 +46,7 @@ def _read_scenario(path: str) -> dict:
 
 def _spectral_curve_from_args(args):
     params = {"a": args.a, "b": args.b, "q1": args.q1, "gamma_im": args.gamma_im}
-    if args.scenario:
+    if args.scenario is not None:
         scen = _read_scenario(args.scenario)
         unknown = set(scen) - {"a", "b", "q1", "gamma_im"}
         if unknown:
@@ -81,21 +80,16 @@ def _step(h: float) -> float:
 
 def _cmd_verify(args) -> int:
     family, h = _family_from_args(args), _step(args.h)
-    # checked before the sweep (a file the check creates is removed at once), so a bad
-    # path prints no report; truncated after it, so a refused sweep leaves the path as it was
-    try:
-        if args.json_out:
-            new = not os.path.lexists(args.json_out)
-            open(args.json_out, "a").close()
-            if new:
-                os.remove(args.json_out)
-    except OSError as exc:
-        raise ValueError(f"cannot write {args.json_out}: {exc}") from None
     report = verify(family, args.grid, h, args.tol_profile)
+    # opened once the sweep has run, so a refused sweep leaves the path as it was,
+    # and before the report prints, so a bad path prints no report
+    if args.json_out is not None:
+        try:
+            with open(args.json_out, "w") as fh:
+                report.write_json(fh)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.json_out}: {exc}") from None
     print(report.format_text())
-    if args.json_out:
-        with open(args.json_out, "w") as fh:
-            report.write_json(fh)
     return 0 if report.overall else 1
 
 
@@ -132,7 +126,7 @@ def _parse_shift(text: str, genus: int) -> np.ndarray:
 def _cmd_theta(args) -> int:
     B = read_period_matrix(args.period_file)
     z = _parse_complex_vector(args.z)
-    m = _parse_shift(args.shift_m, B.genus) if args.shift_m else None
+    m = _parse_shift(args.shift_m, B.genus) if args.shift_m is not None else None
     trunc = LatticeTruncation(args.radius) if args.radius is not None else None
     val = riemann_theta(z, B, trunc)
     print(f"theta = {val.real:.17g}{val.imag:+.17g}j")

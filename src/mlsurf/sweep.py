@@ -236,23 +236,21 @@ def check_maxima(family: Family, grid, h: float, k_field: MetricField) -> tuple:
                 tube_points += int(tube.sum())
             if tube.all():  # no point outside the tube: no angle stage
                 continue
-            beta, accepted, nx, ny = _angles(J)
-            if beta_ref is None:
-                k = int(np.argmin(tube))
-                if not accepted[k]:
-                    raise ValueError("Lagrangian angle rejected at the reference point "
-                                     f"({x[k]}, {y[k]}), the first outside the degeneracy tube")
-                beta_ref = beta[k]
             # the angle checks run at the points outside the tube and fail
             # wherever the centre angle was rejected
             act = np.flatnonzero(~tube)
-            centre_ok, beta_a = accepted[act], beta[act]
+            xa, ya, Ja, Ea, Ga = x[act], y[act], J[:, act], E[act], G[act]
+            beta_a, centre_ok, nx, ny = _angles(Ja)
+            if beta_ref is None:
+                if not centre_ok[0]:
+                    raise ValueError("Lagrangian angle rejected at the reference point "
+                                     f"({xa[0]}, {ya[0]}), the first outside the degeneracy tube")
+                beta_ref = beta_a[0]
             fold("angle", ["beta_constant"],
                  [np.abs(_remainder(beta_a - beta_ref, family.beta_period))], centre_ok)
             if curve is not None:
                 fold("angle", ["beta_e2i_plus_one"], [_abs(np.exp(2j * beta_a) + 1.0)], centre_ok)
 
-        xa, ya = x[act], y[act]
         nbJ = _jets(family.jet, np.concatenate([xa + h, xa - h, xa, xa]),
                     np.concatenate([ya, ya, ya + h, ya - h]))
         timer.lap("stencil")
@@ -262,7 +260,6 @@ def check_maxima(family: Family, grid, h: float, k_field: MetricField) -> tuple:
             nbJ = nbJ.reshape(3, 4, len(act), 3)
             angles_ok = centre_ok & nb_ok.all(axis=0)
             timer.lap("angle")
-            Ja, Ea, Ga = J[:, act], E[act], G[act]
             if curve is None:
                 # math.log, as diffgeo.metric_from_jet: np.log rounds differently
                 fold("christoffel", ["metric_anisotropy"], [np.array(
@@ -270,7 +267,7 @@ def check_maxima(family: Family, grid, h: float, k_field: MetricField) -> tuple:
                      else -math.inf for e, g, c in zip(Ea.tolist(), Ga.tolist(), centre_ok)])])
             values, ok = _christoffel(Ja, Ea, Ga, nb_beta, h)
             fold("christoffel", CHRISTOFFEL_NAMES, values, ok & angles_ok)
-            values, ok = _frame(Ja, nx[act], ny[act], beta_a, nbJ, nb_nx, nb_ny, nb_beta, h)
+            values, ok = _frame(Ja, nx, ny, beta_a, nbJ, nb_nx, nb_ny, nb_beta, h)
             fold("frame", FRAME_NAMES, values, ok & angles_ok)
             if curve is not None:
                 K, pos = gauss_curvature_masked(k_field, xa, ya, h)

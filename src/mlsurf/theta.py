@@ -366,7 +366,7 @@ def quasi_periodicity_defect(z, m, B: PeriodMatrix, trunc: LatticeTruncation | N
 
     Returns |theta(z + Bm) - factor * theta(z)| / (1 + |theta(z)|).  theta_z,
     if given, is riemann_theta(z, B, trunc), already evaluated by the caller.
-    Pure test helper; vanishes to roundoff for an exact theta evaluation.
+    Printed by `mlsurf theta --shift-m`; vanishes to roundoff for an exact theta.
     """
     z = np.asarray(z, dtype=complex)
     m = np.asarray(m)

@@ -289,7 +289,7 @@ def test_sample_fd_profile(tmp_path, capsys):
 
 
 def test_verify_unwritable_json_out(tmp_path, capsys):
-    # the report file is opened before the sweep: one error line, no report
+    # the report file is opened after the sweep, before the report prints: one error line, no report
     out_file = tmp_path / "nope" / "x.json"
     code = run(["verify", *SPHERE, "--grid", "4x4", "--json-out", str(out_file)])
     assert code == 2
@@ -299,7 +299,7 @@ def test_verify_unwritable_json_out(tmp_path, capsys):
 
 
 def test_a_refused_verify_leaves_an_earlier_json_report_as_it_was(tmp_path, capsys):
-    # the path is checked before the sweep and truncated only once a report exists
+    # the path is opened only once a report exists
     out_file = tmp_path / "r.json"
     run(["verify", *SPHERE, "--grid", "4x4", "--json-out", str(out_file)])
     before = out_file.read_bytes()
@@ -319,6 +319,16 @@ def test_a_refused_verify_leaves_no_new_json_report(tmp_path, capsys):
     assert (run(argv), *capsys.readouterr()) == (
         2, "", "error: no grid point outside the degeneracy tube\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_refused_verify_leaves_no_target_behind_a_dangling_symlink(tmp_path, capsys):
+    link, target = tmp_path / "r.json", tmp_path / "target.json"
+    link.symlink_to(target)
+    argv = ["verify", "--family", "spectral", "--a", "1", "--b", "0.5", "--q1", "1",
+            "--gamma-im", "-100", "--grid", "1x1", "--json-out", str(link)]
+    assert (run(argv), *capsys.readouterr()) == (
+        2, "", "error: no grid point outside the degeneracy tube\n")
+    assert link.is_symlink() and not target.exists()
 
 
 def test_sample_unwritable_path(tmp_path, capsys):
@@ -414,6 +424,21 @@ def test_invalid_numbers_exit_2_with_one_line(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["verify", *SPHERE, "--grid", "2x2", "--json-out="], "error: cannot write : "),
+    (["theta", "--period-file", "PM", "--z", "0", "--shift-m="],
+     "error: --shift-m must be 1 comma-separated integers, got ''"),
+    (["curve-info", "--a", "1", "--b", "1", "--q1", "2", "--gamma-im", "1", "--scenario="],
+     "error: [Errno 2] No such file or directory: ''"),
+], ids=["json-out", "shift-m", "scenario"])
+def test_an_empty_flag_value_is_refused(argv, error, tmp_path, capsys):
+    pm = tmp_path / "pm.txt"
+    pm.write_text("1\n1j\n")
+    assert run([str(pm) if a == "PM" else a for a in argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1 and out.err.startswith(error)
 
 
 @pytest.mark.parametrize("grid", ["1x1", "2x1"])

@@ -8,7 +8,8 @@ import pytest
 import mlsurf
 from mlsurf import cli, report, sweep
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
 
 # a dotted name is documented code when it starts with the package, one of its
 # modules or a name the package exports (`Family.jets`)
@@ -57,6 +58,11 @@ def test_readme_states_the_grid_bound():
     report.GridSpec(report.MAX_GRID_POINTS, 1)
     with pytest.raises(ValueError):
         report.GridSpec(report.MAX_GRID_POINTS + 1, 1)
+
+
+def test_every_bench_record_the_readme_names_exists():
+    named = set(re.findall(r"BENCH_\d+\.json", README))
+    assert named and sorted(n for n in named if not (ROOT / n).is_file()) == []
 
 
 def _cli_block_flags() -> list:

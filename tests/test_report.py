@@ -446,6 +446,33 @@ def test_nan_jet_fails_verify(where):
     _assert_report_matches_oracle(family, grid)
 
 
+@pytest.mark.parametrize("chunk", [sweep.CHUNK, 1])
+def test_a_rejected_reference_angle_names_the_first_point_outside_the_tube(chunk, monkeypatch):
+    # the first block starts inside the tube and phi is doubled everywhere, so
+    # the reference point is rejected; the error names it, whatever the block size
+    family = spectral_family(derive_constants(1.0, 0.5, 1.0, -100.0))
+
+    def jet(x, y):
+        j = family.jet(x, y)
+        return j._replace(phi=2.0 * j.phi)
+
+    def jets(xs, ys):
+        J = family.jets(xs, ys)
+        J[0] *= 2.0
+        return J
+
+    grid = GridSpec(4, 4)
+    points = list(zip(*(v.tolist() for v in grid.points(np.arange(16)))))
+    k = next(k for k, p in enumerate(points) if not in_degeneracy_tube(family.curve, *p))
+    assert k > 0
+    monkeypatch.setattr(sweep, "CHUNK", chunk)
+    with pytest.raises(ValueError) as exc:
+        verify(family._replace(jet=jet, jets=jets), grid)
+    x, y = points[k]
+    assert str(exc.value) == ("Lagrangian angle rejected at the reference point "
+                              f"({x}, {y}), the first outside the degeneracy tube")
+
+
 def test_rejected_reference_angle_exits_verify():
     # the first point outside the tube fixes the reference angle; if its
     # angle is rejected the sweep cannot run
