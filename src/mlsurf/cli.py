@@ -61,6 +61,9 @@ def _spectral_curve_from_args(args):
 
 
 def _family_from_args(args) -> Family:
+    for key in ("m", "n") if args.family == "spectral" else ("a", "b", "q1", "gamma_im", "scenario"):
+        if getattr(args, key) is not None:
+            raise ValueError(f"--{key.replace('_', '-')} does not apply to --family {args.family}")
     if args.family == "spectral":
         return spectral_family(_spectral_curve_from_args(args))
     if args.m is None or args.n is None:

@@ -279,8 +279,8 @@ def residue_identity_defects(curve: ReducibleCurveData, jet: SurfaceJet) -> np.n
 def gauss_curvature_masked(field: MetricField, x, y, h: float = 1e-4) -> tuple:
     """gauss_curvature at scalars or arrays of points, with a validity mask.
 
-    Returns (K, ok): ok is False where E or G is not positive at one of the
-    five points the stencil visits, and K is meaningless there.
+    Returns (K, ok): ok is False where E or G is not positive at (x, y) or
+    (x +- h, y), and K is meaningless there.  Without G_x, G is also read at x +- 2h.
     """
     def eg(xx, yy):
         E = field.E(xx, yy)
@@ -295,31 +295,19 @@ def gauss_curvature_masked(field: MetricField, x, y, h: float = 1e-4) -> tuple:
             gx = (field.G(xx + h, yy) - field.G(xx - h, yy)) / (2.0 * h)
         return gx / np.sqrt(E * G), ok
 
-    def s_term(xx, yy):
-        E, G, ok = eg(xx, yy)
-        if field.E_y is not None:
-            ey = field.E_y(xx, yy)
-        else:
-            ey = (field.E(xx, yy + h) - field.E(xx, yy - h)) / (2.0 * h)
-        return ey / np.sqrt(E * G), ok
-
     with np.errstate(divide="ignore", invalid="ignore"):
         E, G, ok = eg(x, y)
         (pp, ok_pp), (pm, ok_pm) = p_term(x + h, y), p_term(x - h, y)
-        (sp, ok_sp), (sm, ok_sm) = s_term(x, y + h), s_term(x, y - h)
-        dp = (pp - pm) / (2.0 * h)
-        ds = (sp - sm) / (2.0 * h)
-        K = -(dp + ds) / (2.0 * np.sqrt(E * G))
-    return K, ok & ok_pp & ok_pm & ok_sp & ok_sm
+        K = -((pp - pm) / (2.0 * h)) / (2.0 * np.sqrt(E * G))
+    return K, ok & ok_pp & ok_pm
 
 
 def gauss_curvature(field: MetricField, x: float, y: float, h: float = 1e-4) -> float:
-    """K = -(1/(2 sqrt(EG))) (d/dx (G_x/sqrt(EG)) + d/dy (E_y/sqrt(EG))).
+    """K = -(1/(2 sqrt(EG))) d/dx (G_x/sqrt(EG)), which requires E independent of y.
 
-    The outer derivatives are central differences with step h; the inner
-    first derivatives G_x, E_y use the field's closed forms when registered
-    and nested central differences otherwise.  Raises where E or G is not
-    positive at a stencil point.
+    The outer derivative is a central difference with step h; G_x is the
+    field's closed form when registered and a nested central difference
+    otherwise.  Raises where E or G is not positive at a stencil point.
     """
     K, ok = gauss_curvature_masked(field, x, y, h)
     if not ok:

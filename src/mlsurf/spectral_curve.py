@@ -68,12 +68,12 @@ def residue_simple(form: RationalOneForm, pole: complex) -> complex:
     """Residue at a listed simple pole, by deflated evaluation.
 
     Res = scale * numerator(pole) / prod over the other roots of
-    (pole - root)^mult.  The pole must match a listed denominator root of
-    multiplicity one.
+    (pole - root)^mult.  The pole must be a listed denominator root of
+    multiplicity one, exactly: another root may lie within any tolerance.
     """
     pole = complex(pole)
     for k, (root, mult) in enumerate(form.denominator_roots):
-        if pole == root or abs(pole - root) <= 1e-12 * (1.0 + abs(pole)):
+        if pole == root:
             break
     else:
         raise ValueError(f"{pole} is not a listed denominator root")

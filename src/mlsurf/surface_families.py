@@ -29,16 +29,15 @@ class SurfaceJet(NamedTuple):
 
 
 class MetricField(NamedTuple):
-    """Closed-form diagonal metric E dx^2 + G dy^2 with optional first derivatives.
+    """Closed-form diagonal metric E(x) dx^2 + G(x, y) dy^2 with an optional G_x.
 
-    E, G, E_y, G_x are callables of (x, y), written in numpy ufuncs so that
-    they take scalars or arrays of points alike; E_y/G_x may be None, in which
-    case curvature falls back to nested finite differences.
+    E, G, G_x are callables of (x, y), written in numpy ufuncs so that they take
+    scalars or arrays of points alike; gauss_curvature needs E constant in y.
+    G_x may be None, in which case curvature falls back to nested differences.
     """
 
     E: object
     G: object
-    E_y: object = None
     G_x: object = None
 
     def without_derivatives(self) -> "MetricField":
@@ -175,7 +174,7 @@ def spectral_metric_field(curve: ReducibleCurveData) -> MetricField:
         f2x = d * a * (-np.sin(theta) + (gi / b) * np.cos(theta))
         return 2.0 * c * f_coefficients(curve, x, y)[1] * f2x
 
-    return MetricField(E=lambda x, y: E0, G=G, E_y=lambda x, y: 0.0, G_x=G_x)
+    return MetricField(E=lambda x, y: E0, G=G, G_x=G_x)
 
 
 def cone_metric_field(m: int, n: int) -> MetricField:
@@ -205,7 +204,7 @@ def cone_metric_field(m: int, n: int) -> MetricField:
         return (q[0] ** 2 * k1sq * s2 - q[1] ** 2 * k2sq * s2
                 + q[2] ** 2 * (B - A) * s2)
 
-    return MetricField(E=E, G=G, E_y=lambda x, y: 0.0, G_x=G_x)
+    return MetricField(E=E, G=G, G_x=G_x)
 
 
 class Family(NamedTuple):

@@ -3,10 +3,10 @@
 The sweep visits the grid in report order (y outer, x inner) in blocks of
 CHUNK points, each block's coordinates formed from its point indices
 (GridSpec.points), so no axis is held whatever the grid.  Per block it evaluates
-the batched (6, n, 3) jet field (Family.jets) and the degeneracy-tube mask at all
-centres at once, and outside the tube phi, phi_x and phi_y of the scalar point jets
-at the stencil points (x +- h, y), (x, y +- h): 4 Family.jet calls per point
-outside the tube and none inside, which the benchmark counts.
+the batched (6, n, 3) jet field (Family.jets), the metric E, G it induces and
+the degeneracy-tube mask at all centres at once, and outside the tube phi, phi_x
+and phi_y of the scalar point jets at the stencil points (x +- h, y), (x, y +- h):
+4 Family.jet calls per point outside the tube and none inside, which the benchmark counts.
 Every check runs on them with the floating-point operations of its scalar oracle
 in diffgeo (np.vecdot for np.vdot, hypot for the abs of one complex number,
 math.remainder rebuilt from np.fmod), so each reduced maximum equals the oracles'
@@ -70,8 +70,9 @@ def _jets(jet, xs, ys) -> np.ndarray:
 
 
 def _blocks(family: Family, grid):
-    """(x, y, tube mask, stacked centre jets) for each block of CHUNK grid
-    points; the mask is in_degeneracy_tube's, bit for bit.  Each block's
+    """(x, y, tube mask, stacked centre jets, E, G) for each block of CHUNK grid
+    points; the mask is in_degeneracy_tube's, bit for bit, and E, G are the
+    metric the jets induce (sum |phi_x|^2, sum |phi_y|^2).  Each block's
     coordinates come from its indices (GridSpec.points), so no axis is held."""
     total = grid.nx * grid.ny
     c = family.curve
@@ -79,7 +80,11 @@ def _blocks(family: Family, grid):
         x, y = grid.points(np.arange(start, min(start + CHUNK, total)))  # int64: total < 2^63
         tube = (np.zeros(len(x), dtype=bool) if c is None else
                 np.abs(_remainder(c.a * x - c.b * y - degeneracy_angle(c), math.pi)) < TUBE_RADIUS)
-        yield x, y, tube, family.jets(x, y)   # held by the caller alone
+        yield x, y, tube, *_with_metric(family.jets(x, y))   # the jets held by the caller alone
+
+
+def _with_metric(J) -> tuple:
+    return J, np.sum(np.abs(J[1]) ** 2, axis=-1), np.sum(np.abs(J[2]) ** 2, axis=-1)
 
 
 def _abs(z):
@@ -219,11 +224,9 @@ def check_maxima(family: Family, grid, h: float, k_field: MetricField) -> tuple:
                                       np.max(np.where(ok, v, np.inf), initial=-np.inf))
         timer.lap("reduce")
 
-    for x, y, tube, J in _blocks(family, grid):
+    for x, y, tube, J, E, G in _blocks(family, grid):
         timer.lap("jets")
         with np.errstate(divide="ignore", invalid="ignore"):
-            E = np.sum(np.abs(J[1]) ** 2, axis=-1)
-            G = np.sum(np.abs(J[2]) ** 2, axis=-1)
             fold("metric", GRAM_NAMES, map(_abs, (np.vecdot(J[0], J[0]) - 1.0, np.vecdot(J[1], J[0]),
                                                   np.vecdot(J[2], J[0]), np.vecdot(J[2], J[1]))))
             fold("metric", METRIC_NAMES, (np.abs(E - family.metric.E(x, y)),
@@ -281,10 +284,8 @@ def check_maxima(family: Family, grid, h: float, k_field: MetricField) -> tuple:
 def sample_blocks(family: Family, grid, h: float, k_field: MetricField):
     """Per block: x, y, phi, E, G, beta and K, and the masks where beta and K
     are defined (outside the tube; angle accepted; metric positive)."""
-    for x, y, tube, J in _blocks(family, grid):
+    for x, y, tube, J, E, G in _blocks(family, grid):
         with np.errstate(divide="ignore", invalid="ignore"):
-            E = np.sum(np.abs(J[1]) ** 2, axis=-1)
-            G = np.sum(np.abs(J[2]) ** 2, axis=-1)
             beta, ok, _, _ = _angles(J)
             K, pos = gauss_curvature_masked(k_field, x, y, h)
         phi = J[0].copy()

@@ -69,6 +69,24 @@ def test_verify_missing_parameters_exits_2(capsys):
     assert "missing" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "sample"])
+@pytest.mark.parametrize("family, own, other, flag", [
+    ("cone", ["--m", "1", "--n", "2"], ["--a", "1"], "--a"),
+    ("cone", ["--m", "1", "--n", "2"], ["--gamma-im", "-0.5"], "--gamma-im"),
+    ("cone", ["--m", "1", "--n", "2"], ["--scenario", "s.txt"], "--scenario"),
+    ("spectral", ["--a", "1", "--b", "1", "--q1", "2", "--gamma-im", "1"], ["--m", "1"], "--m"),
+    ("spectral", ["--a", "1", "--b", "1", "--q1", "2", "--gamma-im", "1"], ["--n", "2"], "--n"),
+])
+def test_a_flag_of_the_other_family_is_refused(command, family, own, other, flag, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [command, "--family", family, *own, *other, "--grid", "2x2"]
+    argv += ["--out", str(out)] if command == "sample" else ["--json-out", str(out)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {flag} does not apply to --family {family}\n"
+    assert not out.exists()
+
+
 def test_verify_unknown_flag_exits_2():
     assert run(["verify", "--family", "spectral", "--bogus", "1"]) == 2
 
@@ -775,10 +793,12 @@ def test_theta_invalid_input_exits_2(tmp_path, capsys):
 
 _VALUES = st.sampled_from(["1", "2", "-2", "0.5", "0", "-1", "1e200", "1e-300", "inf",
                            "nan", "abc", "", "0.3+200j", "1,2", "1e-4", "fd", "99"])
-# valid defaults come first, so drawn flags override them and reach the sweep
+# valid defaults come first, so drawn flags override them and reach the sweep;
+# a drawn flag of the other family is refused
+_FAMILY_DEFAULTS = {"spectral": ["--a", "1", "--b", "1", "--q1", "2", "--gamma-im", "1"],
+                    "cone": ["--m", "1", "--n", "2"], "other": []}
 _ACCEPTED = {
-    "verify": (["--a", "1", "--b", "1", "--q1", "2", "--gamma-im", "1", "--m", "1", "--n", "2"],
-               {"--a", "--b", "--q1", "--gamma-im", "--m", "--n", "--h", "--tol-profile"}),
+    "verify": ([], {"--a", "--b", "--q1", "--gamma-im", "--m", "--n", "--h", "--tol-profile"}),
     "curve-info": (["--a", "1", "--b", "1", "--q1", "2", "--gamma-im", "1"],
                    {"--a", "--b", "--q1", "--gamma-im"}),
     "theta": (["--z", "0.1,0.2j"], {"--z", "--radius", "--shift-m"}),
@@ -801,7 +821,7 @@ def test_main_never_raises(command, family, grid, flags):
             fh.write("2\n1j 0.2\n0.2 2j\n")
         argv = [command] + defaults
         if command in ("verify", "sample"):
-            argv += ["--family", family, "--grid", grid]
+            argv += ["--family", family, "--grid", grid, *_FAMILY_DEFAULTS[family]]
         argv += {"sample": ["--out", os.path.join(tmp, "s.csv")],
                  "theta": ["--period-file", pm]}.get(command, [])
         for flag, value in flags:

@@ -28,6 +28,28 @@ def test_residue_simple_hand_examples():
         assert abs(residue_simple(form, -a) - 1 / (2 * a * a)) < 1e-15
 
 
+def test_residue_simple_takes_the_root_it_is_given():
+    # roots 0, a and -a lie within 1e-12 of each other: each residue is its own root's
+    a = 1e-13
+    form = omega1_form(a)
+    assert residue_simple(form, 0.0) == -1 / (a * a)
+    assert abs(residue_simple(form, a) - 1 / (2 * a * a)) < 1e-15 / (a * a)
+    assert abs(residue_simple(form, -a) - 1 / (2 * a * a)) < 1e-15 / (a * a)
+    with pytest.raises(ValueError, match="not a listed"):
+        residue_simple(form, a / 2)
+
+
+@pytest.mark.parametrize("a, b, q1, gamma_im", [
+    (1.0, 1.0, 1.0000000000015, 1.0), (1.0, 0.001, 0.001000000001, 0.5)])
+def test_a_marked_point_near_the_gluing_coordinate_derives(a, b, q1, gamma_im):
+    # Q1 lies within 1e-12 (1 + |Q1|) of b but beyond the 1e-12 b of the
+    # degeneracy refusal: Res_Q1 Omega_2 is Q1's residue, not b's (-1/2)
+    curve = derive_constants(a, b, q1, gamma_im)
+    assert min(curve.res_Q) > 0
+    residues = [residue_simple(curve.omega2(), r) for r, _ in curve.omega2().denominator_roots]
+    assert abs(sum(residues)) < 1e-9 * max(map(abs, residues))
+
+
 def test_residue_simple_errors():
     form = omega1_form(1.0)
     with pytest.raises(ValueError, match="not a listed"):

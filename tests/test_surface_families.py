@@ -131,7 +131,7 @@ def _sweep_tube_mask(curve, xs, ys):
     family = cone_family(1, 2)._replace(curve=curve)
     grid = SimpleNamespace(nx=len(xs), ny=len(ys),
                            points=lambda idx: (xs[idx % len(xs)], ys[idx // len(xs)]))
-    return np.concatenate([tube for _, _, tube, _ in sweep._blocks(family, grid)])
+    return np.concatenate([tube for _, _, tube, *_ in sweep._blocks(family, grid)])
 
 
 def test_sweep_tube_mask_matches_in_degeneracy_tube():
@@ -337,7 +337,28 @@ def test_spectral_metric_field_matches_jets(sphere_curve):
         h = 1e-5
         gx_fd = (field.G(x + h, y) - field.G(x - h, y)) / (2 * h)
         assert abs(field.G_x(x, y) - gx_fd) < 1e-7
-        assert field.E_y(x, y) == 0.0
+
+
+def test_metric_E_does_not_depend_on_y():
+    # gauss_curvature drops the E_y term of the orthogonal-coordinates formula,
+    # so a family whose E varies with y must fail here
+    rng = np.random.default_rng(24)
+    families = [spectral_family(derive_constants(1.0, 1.0, 2.0, 1.0))]
+    for _ in range(10):
+        b = rng.uniform(0.5, 2.0)
+        families.append(spectral_family(derive_constants(
+            rng.uniform(0.5, 2.0), b, rng.uniform(1.01, 3.0) * b * rng.choice([-1.0, 1.0]),
+            rng.uniform(0.2, 2.0))))
+    families += [cone_family(m, n) for m in range(1, 5) for n in range(1, 5)]
+    x, y = GridSpec(nx=16, ny=16).points(np.arange(256))
+    for family in families:
+        E = family.metric.E
+        first_row = _bits(np.broadcast_to(E(x[:16], y[:16]), 16))
+        for shifted in (y, y + 1e-4, y - 3.7):
+            assert np.array_equal(_bits(np.broadcast_to(E(x, shifted), 256)),
+                                  np.tile(first_row, 16))
+        for xx, yy in zip(x[::37].tolist(), y[::37].tolist()):
+            assert _bits(E(xx, yy)) == _bits(E(xx, yy + 1e-4)) == _bits(E(xx, yy - 2.5))
 
 
 def test_cone_metric_field_matches_jets():
