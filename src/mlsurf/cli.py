@@ -48,7 +48,7 @@ def _spectral_curve_from_args(args):
     params = {"a": args.a, "b": args.b, "q1": args.q1, "gamma_im": args.gamma_im}
     if args.scenario is not None:
         scen = _read_scenario(args.scenario)
-        unknown = set(scen) - {"a", "b", "q1", "gamma_im"}
+        unknown = scen.keys() - params.keys()
         if unknown:
             raise ValueError(f"scenario has unknown keys: {sorted(unknown)}")
         for key, val in scen.items():

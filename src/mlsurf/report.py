@@ -46,15 +46,9 @@ class GridSpec:
             raise ValueError(f"grid {nx}x{ny} has more than 2^63 - 1 points")
         self.nx, self.ny = nx, ny
 
-    def xs(self) -> np.ndarray:
-        return 2.0 * math.pi * np.arange(self.nx) / self.nx
-
-    def ys(self) -> np.ndarray:
-        return 2.0 * math.pi * np.arange(self.ny) / self.ny
-
     def points(self, idx: np.ndarray) -> tuple:
-        """x and y of the points with report-order indices idx: xs()[idx % nx] and
-        ys()[idx // nx] by the same operations, bit for bit, without either axis."""
+        """x = 2 pi (idx % nx) / nx and y = 2 pi (idx // nx) / ny of the points with
+        report-order indices idx, rounded as the Python floats 2.0 * math.pi * k / n."""
         return (2.0 * math.pi * (idx % self.nx) / self.nx,
                 2.0 * math.pi * (idx // self.nx) / self.ny)
 

@@ -46,7 +46,7 @@ class MetricField(NamedTuple):
 
 @lru_cache(maxsize=64)
 def _spectral_exp_terms(curve: ReducibleCurveData):
-    """Coefficient, frequency and derivative-factor arrays (3 components x 2 terms each).
+    """Coefficient and derivative-factor arrays (3 components x 2 terms each).
 
     phi_i = alpha_i * psi_2(x, y, Q_i) collapses to
 
@@ -54,35 +54,29 @@ def _spectral_exp_terms(curve: ReducibleCurveData):
       + pre_i * Aminus_i * e^{i(-a x + (Q_i + b) y)}
 
     with Aplus = (b - gamma)(Q + b)/(Q - gamma) and
-    Aminus = (b + gamma)(Q - b)/(Q - gamma).  F stacks the factors
-    [1, dx, dy, dx^2, dx dy, dy^2] (dx = i P, dy = i Q) that turn the terms
-    into the six jet fields; F's rows dx and dy are returned again, for the scalar
-    jet's exponent.
+    Aminus = (b + gamma)(Q - b)/(Q - gamma).  The exponent is dx x + dy y with
+    dx = i (a, -a) and dy = i (Q_i - b, Q_i + b); F stacks the factors
+    [1, dx, dy, dx^2, dx dy, dy^2] that turn the terms into the six jet fields,
+    and its rows dx, dy are returned again for the exponent.
     """
     a, b, gamma, d = curve.a, curve.b, curve.gamma, curve.d
     C = np.empty((3, 2), dtype=complex)
-    P = np.empty((3, 2))
-    Q = np.empty((3, 2))
     for i, (alpha_i, Qi) in enumerate(zip(curve.alpha, curve.Q)):
         pre = alpha_i * d / (2.0 * b)
         C[i, 0] = pre * (b - gamma) * (Qi + b) / (Qi - gamma)
         C[i, 1] = pre * (b + gamma) * (Qi - b) / (Qi - gamma)
-        P[i] = (a, -a)
-        Q[i] = (Qi - b, Qi + b)
-    dx = 1j * P
-    dy = 1j * Q
+    dx = 1j * np.array([(a, -a)] * 3)
+    dy = 1j * np.array([(Qi - b, Qi + b) for Qi in curve.Q])
     F = np.array([np.ones_like(dx), dx, dy, dx * dx, dx * dy, dy * dy])
-    for arr in (C, P, Q, F):
+    for arr in (C, F):
         arr.setflags(write=False)
-    return C, P, Q, F, F[1], F[2]
+    return C, F, F[1], F[2]
 
 
 def spectral_family_jet(curve: ReducibleCurveData, x: float, y: float) -> SurfaceJet:
-    """Jet of phi_i = alpha_i * psi_2(x, y, Q_i); derivatives are exact.  dx x + dy y
-    (the rows F[1] = iP, F[2] = iQ) has the field's i (P x + Q y) as imaginary part and
-    +-0 as real part, so exp rounds both alike; M[..., 0] + M[..., 1] is the field's one
-    addition."""
-    C, _, _, F, dx, dy = _spectral_exp_terms(curve)
+    """Jet of phi_i = alpha_i * psi_2(x, y, Q_i); derivatives are exact.
+    M[..., 0] + M[..., 1] is the field's one addition."""
+    C, F, dx, dy = _spectral_exp_terms(curve)
     M = F * (C * np.exp(dx * x + dy * y))
     S = M[..., 0] + M[..., 1]
     return SurfaceJet(x, y, S[0], S[1], S[2], S[3], S[4], S[5])
@@ -90,9 +84,10 @@ def spectral_family_jet(curve: ReducibleCurveData, x: float, y: float) -> Surfac
 
 def spectral_jet_field(curve: ReducibleCurveData, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """spectral_family_jet at the points (xs, ys) as one (6, n, 3) array, bit for bit: the
-    scalar jet's sum over an axis of two is the one addition F[..., 0] T_0 + F[..., 1] T_1."""
-    C, P, Q, F, _, _ = _spectral_exp_terms(curve)
-    T = C * np.exp(1j * (P * xs[:, None, None] + Q * ys[:, None, None]))
+    same exponent dx x + dy y, and the scalar jet's sum over an axis of two is the one
+    addition F[..., 0] T_0 + F[..., 1] T_1."""
+    C, F, dx, dy = _spectral_exp_terms(curve)
+    T = C * np.exp(dx * xs[:, None, None] + dy * ys[:, None, None])
     J = np.empty((6, len(xs), 3), dtype=complex)
     for r, f in enumerate(F):
         np.add(f[:, 0] * T[..., 0], f[:, 1] * T[..., 1], out=J[r])

@@ -15,6 +15,10 @@ oracles call.  Each check group returns (values, ok) and one accumulator folds
 them into the maxima.  CHUNK bounds the memory a sweep holds whatever the grid
 size: at 1024 a 64x64 verify peaks 7.6 MB above an idle process, a sample
 4.0-4.3 MB (README, Performance).  The report does not depend on it.
+
+Floating-point policy: both sweeps compute each block under np.errstate(all="ignore")
+(not across a yield).  A check fails a non-finite value (inf where a point fails, NaN
+sticky) and the CSV prints it, so a numpy warning would tell nothing the output does not.
 """
 
 import math
@@ -69,22 +73,16 @@ def _jets(jet, xs, ys) -> np.ndarray:
     return out
 
 
-def _blocks(family: Family, grid):
-    """(x, y, tube mask, stacked centre jets, E, G) for each block of CHUNK grid
-    points; the mask is in_degeneracy_tube's, bit for bit, and E, G are the
-    metric the jets induce (sum |phi_x|^2, sum |phi_y|^2).  Each block's
-    coordinates come from its indices (GridSpec.points), so no axis is held."""
-    total = grid.nx * grid.ny
+def _block(family: Family, grid, start: int) -> tuple:
+    """(x, y, tube mask, stacked centre jets, E, G) of the at most CHUNK grid points from
+    index start: the mask is in_degeneracy_tube's bit for bit, E, G the metric the jets
+    induce (sum |phi_x|^2, sum |phi_y|^2), x, y from the indices (GridSpec.points)."""
+    x, y = grid.points(np.arange(start, min(start + CHUNK, grid.nx * grid.ny)))  # nx ny < 2^63
     c = family.curve
-    for start in range(0, total, CHUNK):
-        x, y = grid.points(np.arange(start, min(start + CHUNK, total)))  # int64: total < 2^63
-        tube = (np.zeros(len(x), dtype=bool) if c is None else
-                np.abs(_remainder(c.a * x - c.b * y - degeneracy_angle(c), math.pi)) < TUBE_RADIUS)
-        yield x, y, tube, *_with_metric(family.jets(x, y))   # the jets held by the caller alone
-
-
-def _with_metric(J) -> tuple:
-    return J, np.sum(np.abs(J[1]) ** 2, axis=-1), np.sum(np.abs(J[2]) ** 2, axis=-1)
+    tube = (np.zeros(len(x), dtype=bool) if c is None else
+            np.abs(_remainder(c.a * x - c.b * y - degeneracy_angle(c), math.pi)) < TUBE_RADIUS)
+    J = family.jets(x, y)
+    return x, y, tube, J, np.sum(np.abs(J[1]) ** 2, axis=-1), np.sum(np.abs(J[2]) ** 2, axis=-1)
 
 
 def _abs(z):
@@ -224,9 +222,10 @@ def check_maxima(family: Family, grid, h: float, k_field: MetricField) -> tuple:
                                       np.max(np.where(ok, v, np.inf), initial=-np.inf))
         timer.lap("reduce")
 
-    for x, y, tube, J, E, G in _blocks(family, grid):
-        timer.lap("jets")
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        for start in range(0, grid.nx * grid.ny, CHUNK):
+            x, y, tube, J, E, G = _block(family, grid, start)
+            timer.lap("jets")
             fold("metric", GRAM_NAMES, map(_abs, (np.vecdot(J[0], J[0]) - 1.0, np.vecdot(J[1], J[0]),
                                                   np.vecdot(J[2], J[0]), np.vecdot(J[2], J[1]))))
             fold("metric", METRIC_NAMES, (np.abs(E - family.metric.E(x, y)),
@@ -254,11 +253,10 @@ def check_maxima(family: Family, grid, h: float, k_field: MetricField) -> tuple:
             if curve is not None:
                 fold("angle", ["beta_e2i_plus_one"], [_abs(np.exp(2j * beta_a) + 1.0)], centre_ok)
 
-        nbJ = _jets(family.jet, np.concatenate([xa + h, xa - h, xa, xa]),
-                    np.concatenate([ya, ya, ya + h, ya - h]))
-        timer.lap("stencil")
+            nbJ = _jets(family.jet, np.concatenate([xa + h, xa - h, xa, xa]),
+                        np.concatenate([ya, ya, ya + h, ya - h]))
+            timer.lap("stencil")
 
-        with np.errstate(divide="ignore", invalid="ignore"):
             nb_beta, nb_ok, nb_nx, nb_ny = (v.reshape(4, len(act)) for v in _angles(nbJ))
             nbJ = nbJ.reshape(3, 4, len(act), 3)
             angles_ok = centre_ok & nb_ok.all(axis=0)
@@ -284,8 +282,9 @@ def check_maxima(family: Family, grid, h: float, k_field: MetricField) -> tuple:
 def sample_blocks(family: Family, grid, h: float, k_field: MetricField):
     """Per block: x, y, phi, E, G, beta and K, and the masks where beta and K
     are defined (outside the tube; angle accepted; metric positive)."""
-    for x, y, tube, J, E, G in _blocks(family, grid):
-        with np.errstate(divide="ignore", invalid="ignore"):
+    for start in range(0, grid.nx * grid.ny, CHUNK):
+        with np.errstate(all="ignore"):
+            x, y, tube, J, E, G = _block(family, grid, start)
             beta, ok, _, _ = _angles(J)
             K, pos = gauss_curvature_masked(k_field, x, y, h)
         phi = J[0].copy()

@@ -25,6 +25,7 @@ from mlsurf.spectral_curve import derive_constants
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+SPHERE = ["--family", "spectral", "--a", "1", "--b", "1", "--q1", "2", "--gamma-im", "1"]
 
 
 def run(argv):
@@ -124,15 +125,21 @@ def test_verify_json_out(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", [["verify"], ["sample", "--out", os.devnull],
                                      ["verify", "--json-out", "report.json"]])
-def test_worked_example_writes_nothing_to_stderr(command, tmp_path):
-    # 16x16 puts 32 points in the degeneracy tube, where G is nearly zero and
-    # the sweep masks what it computed; no numpy warning may reach the user.
+@pytest.mark.parametrize("surface, verify_code", [
+    (SPHERE, 0),
+    # the Christoffel checks overflow to inf and FAIL; sample has no check to fail
+    (["--family", "spectral", "--a", "1e150", "--b", "1", "--q1", "2", "--gamma-im", "1"], 1),
+], ids=["worked-example", "a-1e150"])
+def test_worked_example_writes_nothing_to_stderr(command, surface, verify_code, tmp_path):
+    # 16x16 puts 32 points of the worked example in the degeneracy tube, where G
+    # is nearly zero and the sweep masks what it computed; no numpy warning, from
+    # there or from an overflow, may reach the user.
     # A fresh interpreter is also the only place where --json-out imports json
     # itself: pytest has already imported it here
-    proc = subprocess.run([sys.executable, "-m", "mlsurf.cli", *command, *SPHERE,
+    proc = subprocess.run([sys.executable, "-m", "mlsurf.cli", *command, *surface,
                            "--grid", "16x16"], capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": SRC}, cwd=tmp_path)
-    assert proc.returncode == 0
+    assert proc.returncode == (verify_code if command[0] == "verify" else 0)
     assert proc.stderr == ""
     if "--json-out" in command:
         with open(tmp_path / "report.json") as fh:
@@ -407,9 +414,6 @@ def test_theta_shift_computes_the_smallest_eigenvalue_once(tmp_path, capsys, mon
     assert run(["theta", "--period-file", str(pm), "--z", "0.2+0.1j,0.3", "--shift-m", "1,0"]) == 0
     capsys.readouterr()
     assert calls == [[[1.0, 0.0], [0.0, 1.3]]]
-
-
-SPHERE = ["--family", "spectral", "--a", "1", "--b", "1", "--q1", "2", "--gamma-im", "1"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -791,7 +795,7 @@ def test_theta_invalid_input_exits_2(tmp_path, capsys):
                                          "B[0, 1] = (0.5+0j) but B[1, 0] = (0.2+0j)\n")
 
 
-_VALUES = st.sampled_from(["1", "2", "-2", "0.5", "0", "-1", "1e200", "1e-300", "inf",
+_VALUES = st.sampled_from(["1", "2", "-2", "0.5", "0", "-1", "1e150", "1e200", "1e-300", "inf",
                            "nan", "abc", "", "0.3+200j", "1,2", "1e-4", "fd", "99"])
 # valid defaults come first, so drawn flags override them and reach the sweep;
 # a drawn flag of the other family is refused

@@ -51,7 +51,7 @@ def _oracle_maxima(family, grid, h=1e-4, tol_profile="strict"):
     def in_tube(x, y):
         return curve is not None and in_degeneracy_tube(curve, x, y, TUBE_RADIUS)
 
-    points = [(float(x), float(y)) for y in grid.ys() for x in grid.xs()]
+    points = list(zip(*(c.tolist() for c in grid.points(np.arange(grid.nx * grid.ny)))))
     beta_ref = lagrangian_angle(family.jet(*next(p for p in points if not in_tube(*p))))
     angle_names = ["beta_constant", *_CHRISTOFFEL, *_FRAME]
     if curve is not None:
@@ -202,7 +202,8 @@ def test_verify_calls_the_scalar_jet_at_four_stencil_points_outside_the_tube(fam
         monkeypatch.setattr(surface_families, name, counted)
     grid, h = GridSpec(16, 16), 1e-4
     checks = verify(family, grid, h).checks
-    outside = [(x, y) for y in grid.ys().tolist() for x in grid.xs().tolist()
+    xs, ys = (c.tolist() for c in grid.points(np.arange(grid.nx * grid.ny)))
+    outside = [(x, y) for x, y in zip(xs, ys)
                if family.curve is None or not in_degeneracy_tube(family.curve, x, y)]
     tube_points = grid.nx * grid.ny - len(outside)
     assert [c.excluded_points for c in checks if c.name == "beta_constant"] == [tube_points]
@@ -216,10 +217,10 @@ def test_verify_calls_the_scalar_jet_at_four_stencil_points_outside_the_tube(fam
 
 @pytest.mark.parametrize("nx, ny", [(1, 1), (33, 17), (100, 37), (1, 4096), (4096, 1)])
 def test_grid_points_are_the_axes_entries_bit_for_bit(nx, ny):
-    grid, idx = GridSpec(nx, ny), np.arange(nx * ny)
-    x, y = grid.points(idx)
-    assert x.tobytes() == grid.xs()[idx % nx].tobytes()
-    assert y.tobytes() == grid.ys()[idx // nx].tobytes()
+    # against the Python floats 2 pi k / n, a formula written apart from GridSpec.points
+    x, y = GridSpec(nx, ny).points(np.arange(nx * ny))
+    assert x.tobytes() == np.array([2.0 * math.pi * (k % nx) / nx for k in range(nx * ny)]).tobytes()
+    assert y.tobytes() == np.array([2.0 * math.pi * (k // nx) / ny for k in range(nx * ny)]).tobytes()
 
 
 @pytest.mark.parametrize("nx", [10**11, 2**63 - 1])
@@ -347,7 +348,7 @@ def test_cone_orders_match_the_oracle(m, n):
 
 
 _GRID4 = GridSpec(4, 4)
-_X, _Y = float(_GRID4.xs()[1]), float(_GRID4.ys()[2])
+_X, _Y = (float(c[9]) for c in _GRID4.points(np.arange(16)))   # point 9: x index 1, y index 2
 
 
 _JET_FIELDS = ("phi", "phi_x", "phi_y", "phi_xx", "phi_xy", "phi_yy")
@@ -421,7 +422,7 @@ def test_nan_jet_fails_verify(where):
     # one grid point yields a NaN jet, visited before or after every finite one
     grid = GridSpec(4, 4)
     k = 0 if where == "first" else -1
-    bad = (float(grid.xs()[k]), float(grid.ys()[k]))
+    bad = tuple(float(c[k]) for c in grid.points(np.arange(16)))
 
     def jet(x, y):
         j = cone_family_jet(1, 2, x, y)

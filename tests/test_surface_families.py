@@ -73,7 +73,7 @@ def _with_sweep_points(xs, ys):
     (x, y +- h) at h = 1e-4 as the sweep forms them, and every pair of 0.0,
     -0.0, pi and -pi."""
     grid, idx, h = GridSpec(64, 64), np.arange(sweep.CHUNK), 1e-4
-    bx, by = grid.xs()[idx % grid.nx], grid.ys()[idx // grid.nx]
+    bx, by = grid.points(idx)
     sx, sy = np.meshgrid([0.0, -0.0, math.pi, -math.pi], [0.0, -0.0, math.pi, -math.pi])
     return (np.concatenate([xs, bx, bx + h, bx - h, bx, bx, sx.ravel()]),
             np.concatenate([ys, by, by, by, by + h, by - h, sy.ravel()]))
@@ -131,7 +131,8 @@ def _sweep_tube_mask(curve, xs, ys):
     family = cone_family(1, 2)._replace(curve=curve)
     grid = SimpleNamespace(nx=len(xs), ny=len(ys),
                            points=lambda idx: (xs[idx % len(xs)], ys[idx // len(xs)]))
-    return np.concatenate([tube for _, _, tube, *_ in sweep._blocks(family, grid)])
+    return np.concatenate([sweep._block(family, grid, start)[2]
+                           for start in range(0, grid.nx * grid.ny, sweep.CHUNK)])
 
 
 def test_sweep_tube_mask_matches_in_degeneracy_tube():
