@@ -35,6 +35,8 @@ def _read_scenario(path: str) -> dict:
                 if "=" not in ln:
                     raise ValueError(f"{path}: expected 'key = value', got {ln!r}")
                 key, _, val = (s.strip() for s in ln.partition("="))
+                if key in out:
+                    raise ValueError(f"{path}: {key} is given twice")
                 try:
                     out[key] = float(val)
                 except ValueError:

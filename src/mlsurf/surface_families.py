@@ -98,9 +98,12 @@ def spectral_jet_field(curve: ReducibleCurveData, xs: np.ndarray, ys: np.ndarray
 def _cone_terms(m: int, n: int):
     """Amplitude constants, iq for the y-frequencies q, and the factors
     [1, 1, iq, 1, iq, -q^2] that turn the amplitude rows (u, u', u, u'', u', u)
-    into the six jet fields."""
+    into the six jet fields.  Refuses orders below 1, and orders whose q^2 overflows."""
     if m < 1 or n < 1:
         raise ValueError(f"m, n must be positive integers, got {m}, {n}")
+    if m + n > _MAX_ORDER_SUM:   # an exact int-float comparison: m may exceed any float
+        raise ValueError(f"m + n must be at most about {_MAX_ORDER_SUM:.4g}, above which "
+                         f"(pi (m + n))^2 overflows a double, got m = {m}, n = {n}")
     q = np.array([math.pi * m, math.pi * n, -math.pi * (m + n)])
     iq = 1j * q
     W = np.array([np.ones(3), np.ones(3), iq, np.ones(3), iq, -(q * q)], dtype=complex)
@@ -112,6 +115,7 @@ def _cone_terms(m: int, n: int):
 
 # amplitude row (0: u, 1: u', 2: u'') under each jet field
 _CONE_ROWS = np.array([0, 1, 0, 2, 1, 0])
+_MAX_ORDER_SUM = math.sqrt(np.finfo(float).max) / math.pi   # largest m + n, (pi (m + n))^2 finite
 
 
 def cone_family_jet(m: int, n: int, x: float, y: float) -> SurfaceJet:
@@ -230,8 +234,7 @@ def spectral_family(curve: ReducibleCurveData) -> Family:
 
 def cone_family(m: int, n: int) -> Family:
     """The elementary cone surface of orders m, n >= 1."""
-    if m < 1 or n < 1:
-        raise ValueError(f"m, n must be positive integers, got {m}, {n}")
+    _cone_terms(m, n)   # refuses the orders before the metric overflows on them
     return Family("cone", {"m": m, "n": n}, lambda x, y: cone_family_jet(m, n, x, y),
                   lambda xs, ys: cone_jet_field(m, n, xs, ys), cone_metric_field(m, n),
                   2.0 * math.pi)

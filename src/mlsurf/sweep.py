@@ -4,10 +4,11 @@ The sweep visits the grid in report order (y outer, x inner) in blocks of
 CHUNK points, each block's coordinates formed from its point indices
 (GridSpec.points), so no axis is held whatever the grid.  Per block it evaluates
 the batched (6, n, 3) jet field (Family.jets), the metric E, G it induces and
-the degeneracy-tube mask at all centres at once, and outside the tube phi, phi_x
-and phi_y of the scalar point jets at the stencil points (x +- h, y), (x, y +- h):
+the degeneracy-tube mask at all centres at once.  Outside the tube it stacks the
+centres' phi, phi_x, phi_y and those of the scalar point jets at (x +- h, y), (x, y +- h)
+as one (3, 5, n, 3) array, centre first, and takes all its Lagrangian angles in one pass:
 4 Family.jet calls per point outside the tube and none inside, which the benchmark counts.
-Every check runs on them with the floating-point operations of its scalar oracle
+Every check runs with the floating-point operations of its scalar oracle
 in diffgeo (np.vecdot for np.vdot, hypot for the abs of one complex number,
 math.remainder rebuilt from np.fmod), so each reduced maximum equals the oracles'
 bit for bit.  The metric, residue and curvature checks call the closed forms the
@@ -130,21 +131,15 @@ def _accepts(f, m) -> bool:
 def _angles(J) -> tuple:
     """diffgeo.lagrangian_angle of stacked jets: (beta, accepted, |phi_x|, |phi_y|)."""
     nx, ny = _norm(J[1]), _norm(J[2])
-    det = np.linalg.det(np.stack([J[0], J[1] / nx[:, None], J[2] / ny[:, None]], axis=1))
+    det = np.linalg.det(np.stack([J[0], J[1] / nx[..., None], J[2] / ny[..., None]], axis=-2))
     ok = (nx != 0.0) & (ny != 0.0) & ~(np.abs(_abs(det) - 1.0) > UNITARITY_GATE)
     return np.angle(det), ok, nx, ny
 
 
-def _twisted_frames(J, nx, ny, beta):
-    """diffgeo._twisted_frame of stacked jets: (..., 3, 3)."""
-    tw = np.exp(-0.5j * beta)[..., None]
-    return np.stack([J[0], tw * J[1] / nx[..., None], tw * J[2] / ny[..., None]], axis=-2)
-
-
-def _christoffel(J, E, G, nb_beta, h: float) -> tuple:
-    """Christoffel, gradient-identity and minimality defects over stacked centre
-    jets, and where they hold: E and G nonzero and the basis (phi_x, phi_y,
-    phi) conditioned within CONDITION_LIMIT."""
+def _christoffel(J, E, G, beta_s, h: float) -> tuple:
+    """Christoffel, gradient-identity and minimality defects over stacked centre jets
+    and the stencil angles beta_s, and where they hold: E and G nonzero and the
+    basis (phi_x, phi_y, phi) conditioned within CONDITION_LIMIT."""
     basis = np.stack([J[1], J[2], J[0]], axis=-1)
     cond, ok = _stacked(np.linalg.cond, basis)
     ok &= (E != 0.0) & (G != 0.0) & np.isfinite(cond) & (cond <= CONDITION_LIMIT)
@@ -154,7 +149,7 @@ def _christoffel(J, E, G, nb_beta, h: float) -> tuple:
     v1y = 2.0 * np.vecdot(J[1], J[4]).real / E
     v2x = 2.0 * np.vecdot(J[2], J[4]).real / G
     v2y = 2.0 * np.vecdot(J[2], J[5]).real / G
-    bx, by = _remainder(nb_beta[0::2] - nb_beta[1::2], _TWO_PI) / (2.0 * h)
+    bx, by = _remainder(beta_s[0::2] - beta_s[1::2], _TWO_PI) / (2.0 * h)
     trace_x = sol[:, 0, 0] + sol[:, 1, 1]
     trace_y = sol[:, 0, 1] + sol[:, 1, 2]
     return (
@@ -168,14 +163,15 @@ def _christoffel(J, E, G, nb_beta, h: float) -> tuple:
     ), ok
 
 
-def _frame(J, nx, ny, beta, nbJ, nb_nx, nb_ny, nb_beta, h: float) -> tuple:
-    """Frame defects of diffgeo.frame_and_connection over stacked centre jets,
-    and where they hold: |phi_x| and |phi_y| at least MIN_STENCIL_NORM at
-    every neighbour and the frame invertible."""
-    Phi = _twisted_frames(J, nx, ny, beta)
-    xp, xm, yp, ym = _twisted_frames(nbJ, nb_nx, nb_ny, beta + _remainder(nb_beta - beta, _TWO_PI))
+def _frame(S, norm_x, norm_y, beta, h: float) -> tuple:
+    """Frame defects of diffgeo.frame_and_connection over the (3, 5, n, 3) centre and
+    stencil jets S, each slot twisted by its angle unwrapped to the centre's, and where they
+    hold: |phi_x|, |phi_y| >= MIN_STENCIL_NORM at every neighbour and the frame invertible."""
+    tw = np.exp(-0.5j * (beta[0] + _remainder(beta - beta[0], _TWO_PI)))[..., None]
+    Phi, xp, xm, yp, ym = np.stack(
+        [S[0], tw * S[1] / norm_x[..., None], tw * S[2] / norm_y[..., None]], axis=-2)
     inv, ok = _stacked(np.linalg.inv, Phi)
-    ok &= (~(nb_nx < MIN_STENCIL_NORM) & ~(nb_ny < MIN_STENCIL_NORM)).all(axis=0)
+    ok &= (~(norm_x[1:] < MIN_STENCIL_NORM) & ~(norm_y[1:] < MIN_STENCIL_NORM)).all(axis=0)
     A = (xp - xm) / (2.0 * h) @ inv
     B = (yp - ym) / (2.0 * h) @ inv
     eye = np.eye(3)
@@ -238,37 +234,33 @@ def check_maxima(family: Family, grid, h: float, k_field: MetricField) -> tuple:
                 tube_points += int(tube.sum())
             if tube.all():  # no point outside the tube: no angle stage
                 continue
-            # the angle checks run at the points outside the tube and fail
-            # wherever the centre angle was rejected
+            # phi, phi_x, phi_y at the points outside the tube (slot 0 of S) and at
+            # (x +- h, y), (x, y +- h) (slots 1-4), and their angles in one pass
             act = np.flatnonzero(~tube)
             xa, ya, Ja, Ea, Ga = x[act], y[act], J[:, act], E[act], G[act]
-            beta_a, centre_ok, nx, ny = _angles(Ja)
+            S = np.concatenate([Ja[:3], _jets(family.jet, np.concatenate([xa + h, xa - h, xa, xa]),
+                                              np.concatenate([ya, ya, ya + h, ya - h]))],
+                               axis=1).reshape(3, 5, len(act), 3)
+            timer.lap("stencil")
+            beta, ok, norm_x, norm_y = _angles(S)
+            centre_ok, angles_ok = ok[0], ok.all(axis=0)   # centre checks, then all five
             if beta_ref is None:
                 if not centre_ok[0]:
                     raise ValueError("Lagrangian angle rejected at the reference point "
                                      f"({xa[0]}, {ya[0]}), the first outside the degeneracy tube")
-                beta_ref = beta_a[0]
+                beta_ref = beta[0, 0]
             fold("angle", ["beta_constant"],
-                 [np.abs(_remainder(beta_a - beta_ref, family.beta_period))], centre_ok)
+                 [np.abs(_remainder(beta[0] - beta_ref, family.beta_period))], centre_ok)
             if curve is not None:
-                fold("angle", ["beta_e2i_plus_one"], [_abs(np.exp(2j * beta_a) + 1.0)], centre_ok)
-
-            nbJ = _jets(family.jet, np.concatenate([xa + h, xa - h, xa, xa]),
-                        np.concatenate([ya, ya, ya + h, ya - h]))
-            timer.lap("stencil")
-
-            nb_beta, nb_ok, nb_nx, nb_ny = (v.reshape(4, len(act)) for v in _angles(nbJ))
-            nbJ = nbJ.reshape(3, 4, len(act), 3)
-            angles_ok = centre_ok & nb_ok.all(axis=0)
-            timer.lap("angle")
+                fold("angle", ["beta_e2i_plus_one"], [_abs(np.exp(2j * beta[0]) + 1.0)], centre_ok)
             if curve is None:
                 # math.log, as diffgeo.metric_from_jet: np.log rounds differently
                 fold("christoffel", ["metric_anisotropy"], [np.array(
                     [abs(math.log(e / 2.0) - math.log(g / 2.0)) if c and e != 0.0 and g != 0.0
                      else -math.inf for e, g, c in zip(Ea.tolist(), Ga.tolist(), centre_ok)])])
-            values, ok = _christoffel(Ja, Ea, Ga, nb_beta, h)
+            values, ok = _christoffel(Ja, Ea, Ga, beta[1:], h)
             fold("christoffel", CHRISTOFFEL_NAMES, values, ok & angles_ok)
-            values, ok = _frame(Ja, nx, ny, beta_a, nbJ, nb_nx, nb_ny, nb_beta, h)
+            values, ok = _frame(S, norm_x, norm_y, beta, h)
             fold("frame", FRAME_NAMES, values, ok & angles_ok)
             if curve is not None:
                 K, pos = gauss_curvature_masked(k_field, xa, ya, h)

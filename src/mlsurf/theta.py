@@ -159,10 +159,12 @@ def default_radius(z, B: PeriodMatrix) -> int:
     g = B.genus
     tail = _TAIL_DIGITS * math.log(10.0)
     lin = 2.0 * math.pi * imz * g
-    root = (lin + math.sqrt(lin * lin + 4.0 * math.pi * lam * tail)) / (2.0 * math.pi * lam)
-    if not math.isfinite(root):
-        raise ValueError(f"|Im z| = {imz:g} is too large for an automatic radius; "
-                         "give one with --radius")
+    quad = 4.0 * math.pi * lam * tail
+    root = (lin + math.sqrt(lin * lin + quad)) / (2.0 * math.pi * lam)
+    if not math.isfinite(root):   # from Im z, or from lam_min where 4 pi lam_min tail overflows
+        cause = (f"|Im z| = {imz:g}" if math.isfinite(quad)
+                 else f"the smallest eigenvalue of Im B, {lam:g},")
+        raise ValueError(f"{cause} is too large for an automatic radius; give one with --radius")
     return max(1, math.ceil(root))
 
 

@@ -163,6 +163,11 @@ def test_scenario_file(tmp_path, capsys):
     assert run(["verify", "--family", "spectral", "--scenario", str(bad)]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err == f"error: {bad}: b = 'x' is not a number\n"
+    # a key given twice is refused, not read as its last value
+    bad.write_text("a = 1\nb = 1\nq1 = 2\ngamma_im = 1\na = 2\n")
+    assert run(["verify", "--family", "spectral", "--scenario", str(bad), "--grid", "8x8"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {bad}: a is given twice\n"
 
 
 CURVE_INFO = {  # the full text, pinned: every constant and both puncture expansions
@@ -463,6 +468,28 @@ def test_an_empty_flag_value_is_refused(argv, error, tmp_path, capsys):
     assert out.out == "" and out.err.count("\n") == 1 and out.err.startswith(error)
 
 
+_E160 = "1" + "0" * 160
+
+
+@pytest.mark.parametrize("command", ["verify", "sample"])
+@pytest.mark.parametrize("m, n", [(_E160, "1"), ("1", _E160), ("1" + "0" * 400, "1"),
+                                  ("426" + "0" * 151, "1")],
+                         ids=["m-1e160", "n-1e160", "m-1e400", "m-4.26e153"])
+def test_cone_orders_whose_frequencies_overflow_are_refused(command, m, n, tmp_path, capsys):
+    # refused once pi (m + n) passes sqrt(DBL_MAX) = 1.34e154, with one line naming m
+    # and n and no CSV written; m = 4.26e153 (n = 1) lies just inside the bound and runs
+    out = tmp_path / "s.csv"
+    code = run([command, "--family", "cone", "--m", m, "--n", n, "--grid", "4x4",
+                *(["--out", str(out)] if command == "sample" else [])])
+    got = capsys.readouterr()
+    if m.startswith("426"):
+        assert code in (0, 1) and got.err == "" and out.exists() == (command == "sample")
+        return
+    assert (code, got.out, out.exists()) == (2, "", False)
+    assert got.err == ("error: m + n must be at most about 4.268e+153, above which "
+                       f"(pi (m + n))^2 overflows a double, got m = {m}, n = {n}\n")
+
+
 @pytest.mark.parametrize("grid", ["1x1", "2x1"])
 def test_a_grid_inside_the_degeneracy_tube_exits_2_with_one_line(grid, capsys):
     # gamma_im = -100 puts a degeneracy line 0.005 from a x - b y = 0 (mod pi)
@@ -687,6 +714,12 @@ def test_theta_invalid_input_exits_2(tmp_path, capsys):
     assert run(["theta", "--period-file", str(pm), "--z", "1e300j"]) == 2
     assert capsys.readouterr().err == ("error: |Im z| = 1e+300 is too large for an automatic "
                                        "radius; give one with --radius\n")
+    # it overflows at Im z = 0 too, from the smallest eigenvalue of Im B: the line names it
+    pm_big = tmp_path / "pm_big.txt"
+    pm_big.write_text("1\n1e308j\n")
+    assert run(["theta", "--period-file", str(pm_big), "--z", "0"]) == 2
+    assert capsys.readouterr().err == ("error: the smallest eigenvalue of Im B, 1e+308, is too "
+                                       "large for an automatic radius; give one with --radius\n")
     # theta terms beyond double range: one line naming the overflow, no warning.
     # At 0.3+15.1j the largest term is just beyond it (exponent 716): the tail
     # bound of the small pass overflows first, and the floor pass reports the sum's

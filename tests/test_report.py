@@ -416,6 +416,27 @@ def test_failed_points_match_the_oracle(family, failed, kept):
     assert all(values[name] < 1e-6 for name in kept.split())
 
 
+def test_angles_on_the_seam_are_unwrapped_to_the_centre():
+    # every jet row times e^{i alpha} is the same surface in CP^2 and turns the angle by
+    # 3 alpha: the cone's beta_0 = pi/2 moves onto the seam +-pi, so a point and its
+    # stencil neighbours read angles on both sides of it.  The frame twist and the
+    # beta-gradient must unwrap them to the centre's angle, as the scalar oracles do
+    cone = cone_family(1, 2)
+    turn = cmath.exp(1j * (math.pi - math.pi / 2) / 3)
+
+    def jet(x, y):
+        j = cone.jet(x, y)
+        return j._replace(**{f: getattr(j, f) * turn for f in _JET_FIELDS})
+
+    # rows times turn in the scalar jet's order: numpy's complex product is not
+    # commutative bit for bit
+    family = cone._replace(jet=jet, jets=lambda xs, ys: cone.jets(xs, ys) * turn)
+    points = np.random.default_rng(26).uniform(0.0, 2.0 * math.pi, (200, 2))
+    betas = [lagrangian_angle(family.jet(x, y)) for x, y in points.tolist()]
+    assert min(betas) < -3.14 and max(betas) > 3.14
+    assert _assert_report_matches_oracle(family, GridSpec(16, 16)).overall
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("where", ["first", "last"])
 def test_nan_jet_fails_verify(where):
