@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 
-from .report import GridSpec, curve_info_text, sample_rows, verify, write_csv
+from .report import TOL_CURVATURE, GridSpec, curve_info_text, sample_rows, verify, write_csv
 from .spectral_curve import derive_constants
 from .surface_families import Family, cone_family, spectral_family
 from .theta import (LatticeTruncation, parse_complex, quasi_periodicity_defect,
@@ -148,7 +148,7 @@ _SURFACE = [("--family", dict(choices=["spectral", "cone"], required=True)), *_S
             ("--m", dict(type=int)), ("--n", dict(type=int)),
             ("--grid", dict(type=_parse_grid, default="64x64")),
             ("--h", dict(type=float, default=1e-4, help="finite-difference step")),
-            ("--tol-profile", dict(choices=["strict", "fd"], default="strict"))]
+            ("--tol-profile", dict(choices=list(TOL_CURVATURE), default="strict"))]
 # name: (help, the command's flags in help order, its handler)
 COMMANDS = {
     "verify": ("run the verification suite", [

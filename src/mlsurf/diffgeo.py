@@ -280,7 +280,7 @@ def gauss_curvature_masked(field: MetricField, x, y, h: float = 1e-4) -> tuple:
     """gauss_curvature at scalars or arrays of points, with a validity mask.
 
     Returns (K, ok): ok is False where E or G is not positive at (x, y) or
-    (x +- h, y), and K is meaningless there.  Without G_x, G is also read at x +- 2h.
+    (x +- h, y), and K is meaningless there.  G_x is read at x +- h.
     """
     def eg(xx, yy):
         E = field.E(xx, yy)
@@ -289,11 +289,7 @@ def gauss_curvature_masked(field: MetricField, x, y, h: float = 1e-4) -> tuple:
 
     def p_term(xx, yy):
         E, G, ok = eg(xx, yy)
-        if field.G_x is not None:
-            gx = field.G_x(xx, yy)
-        else:
-            gx = (field.G(xx + h, yy) - field.G(xx - h, yy)) / (2.0 * h)
-        return gx / np.sqrt(E * G), ok
+        return field.G_x(xx, yy) / np.sqrt(E * G), ok
 
     with np.errstate(divide="ignore", invalid="ignore"):
         E, G, ok = eg(x, y)
@@ -305,9 +301,8 @@ def gauss_curvature_masked(field: MetricField, x, y, h: float = 1e-4) -> tuple:
 def gauss_curvature(field: MetricField, x: float, y: float, h: float = 1e-4) -> float:
     """K = -(1/(2 sqrt(EG))) d/dx (G_x/sqrt(EG)), which requires E independent of y.
 
-    The outer derivative is a central difference with step h; G_x is the
-    field's closed form when registered and a nested central difference
-    otherwise.  Raises where E or G is not positive at a stencil point.
+    The outer derivative is a central difference with step h of the field's G_x.
+    Raises where E or G is not positive at a stencil point.
     """
     K, ok = gauss_curvature_masked(field, x, y, h)
     if not ok:

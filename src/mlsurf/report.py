@@ -126,16 +126,19 @@ class VerificationReport(NamedTuple):
         return "\n".join(lines)
 
 
-def _curvature_field(family: Family, tol_profile: str) -> MetricField:
+def _curvature_field(family: Family, tol_profile: str, h: float) -> MetricField:
     if tol_profile not in TOL_CURVATURE:
         raise ValueError(f"unknown tol profile {tol_profile!r}")
-    return family.metric if tol_profile == "strict" else family.metric.without_derivatives()
+    metric = family.metric
+    return metric if tol_profile == "strict" else metric._replace(
+        G_x=lambda x, y: (metric.G(x + h, y) - metric.G(x - h, y)) / (2.0 * h))
 
 
 def verify(family: Family, grid: GridSpec, h: float = 1e-4,
            tol_profile: str = "strict") -> VerificationReport:
     """Run the family's check suite over the grid."""
-    maxima, excluded, timings = check_maxima(family, grid, h, _curvature_field(family, tol_profile))
+    maxima, excluded, timings = check_maxima(family, grid, h,
+                                             _curvature_field(family, tol_profile, h))
     limits = {**_LIMITS, "curvature_K_minus_1": (TOL_CURVATURE[tol_profile], "upper")}
     checks = [CheckRecord(name, float(value), *limits[name], excluded.get(name, 0))
               for name, value in maxima.items()]
@@ -182,7 +185,7 @@ def sample_rows(family: Family, grid: GridSpec, h: float, tol_profile: str = "st
     """Yield the CSV text in sweep block order as lists of at most isqrt(nx * ny)
     lines (a square grid's row); beta and K are empty at excluded degenerate points.
     A block's distinct bit patterns are formatted once each (-0.0 and NaNs keep theirs)."""
-    k_field = _curvature_field(family, tol_profile)
+    k_field = _curvature_field(family, tol_profile, h)
     side = math.isqrt(grid.nx * grid.ny)
     for x, y, phi, E, G, beta, has_beta, K, has_K in sample_blocks(family, grid, h, k_field):
         cols = np.stack([x, y, *(p[:, i] for i in range(3) for p in (phi.real, phi.imag)),

@@ -29,19 +29,16 @@ class SurfaceJet(NamedTuple):
 
 
 class MetricField(NamedTuple):
-    """Closed-form diagonal metric E(x) dx^2 + G(x, y) dy^2 with an optional G_x.
+    """Diagonal metric E(x) dx^2 + G(x, y) dy^2 and the x-derivative G_x of G.
 
     E, G, G_x are callables of (x, y), written in numpy ufuncs so that they take
     scalars or arrays of points alike; gauss_curvature needs E constant in y.
-    G_x may be None, in which case curvature falls back to nested differences.
+    G_x is a closed form, or under the fd profile a central difference of G.
     """
 
     E: object
     G: object
-    G_x: object = None
-
-    def without_derivatives(self) -> "MetricField":
-        return MetricField(E=self.E, G=self.G)
+    G_x: object
 
 
 @lru_cache(maxsize=64)

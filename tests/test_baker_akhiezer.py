@@ -58,6 +58,10 @@ def test_pole_at_gamma_rejected(sphere_curve):
         ba_rational_eval(sphere_curve, 0.1, 0.2, 2, sphere_curve.gamma)
     with pytest.raises(ValueError, match="component"):
         ba_rational_eval(sphere_curve, 0.1, 0.2, 3, 0.0)
+    with pytest.raises(ValueError, match="^order must be >= 0$"):
+        ba_essential_singularity_coeffs(sphere_curve, 0.3, 1.1, "P1", -1)
+    with pytest.raises(ValueError, match="^puncture must be 'P1' or 'P2', got 'P3'$"):
+        ba_essential_singularity_coeffs(sphere_curve, 0.3, 1.1, "P3", 2)
 
 
 def test_single_pole_bounded_approach(sphere_curve):

@@ -68,6 +68,9 @@ def test_verify_missing_parameters_exits_2(capsys):
     code = run(["verify", "--family", "spectral", "--a", "1"])
     assert code == 2
     assert "missing" in capsys.readouterr().err
+    for orders in (["--m", "1"], ["--n", "2"], []):
+        assert run(["verify", "--family", "cone", *orders, "--grid", "2x2"]) == 2
+        assert capsys.readouterr() == ("", "error: cone family needs --m and --n\n")
 
 
 @pytest.mark.parametrize("command", ["verify", "sample"])
@@ -142,8 +145,13 @@ def test_worked_example_writes_nothing_to_stderr(command, surface, verify_code, 
     assert proc.returncode == (verify_code if command[0] == "verify" else 0)
     assert proc.stderr == ""
     if "--json-out" in command:
-        with open(tmp_path / "report.json") as fh:
-            names = [c["name"] for c in json.load(fh)["checks"]]
+        text = (tmp_path / "report.json").read_text()
+        checks = json.loads(text)["checks"]
+        names = [c["name"] for c in checks]
+        # Python's JSON: an infinite defect is the token Infinity, read back as inf
+        infinite = [c["name"] for c in checks if c["max_defect"] == math.inf]
+        assert text.count("Infinity") == len(infinite) == (7 if verify_code else 0)
+        assert all(n.startswith(("christoffel", "gradient", "minimality")) for n in infinite)
         check_lines = proc.stdout.splitlines()[2:-1]  # between the table header and "overall"
         assert names and names == [ln.split()[0] for ln in check_lines]
 
@@ -168,6 +176,11 @@ def test_scenario_file(tmp_path, capsys):
     assert run(["verify", "--family", "spectral", "--scenario", str(bad), "--grid", "8x8"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err == f"error: {bad}: a is given twice\n"
+    # a line without "=" is refused with the line it read
+    bad.write_text("a = 1\nb 1\n")
+    assert run(["verify", "--family", "spectral", "--scenario", str(bad), "--grid", "8x8"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {bad}: expected 'key = value', got 'b 1'\n"
 
 
 CURVE_INFO = {  # the full text, pinned: every constant and both puncture expansions
@@ -444,13 +457,15 @@ def test_theta_shift_computes_the_smallest_eigenvalue_once(tmp_path, capsys, mon
     ["curve-info", "--a", "1", "--b", "1", "--q1", "1e200", "--gamma-im", "1"],
     # Q1 lies within 1e-12 b of the gluing coordinate b
     ["curve-info", "--a", "1", "--b", "1", "--q1", "1.0000000000001", "--gamma-im", "1"],
+    ["verify", "--family", "spectral", "--a", "1", "--b", "1", "--q1", "0",
+     "--gamma-im", "1", "--grid", "4x4"],
 ], ids=["h-0", "h-nan", "h-negative", "h-inf", "sample-h-0", "h-1e5", "sample-h-1e5",
         "q1-inf", "gamma-im-1e200", "a-nan", "h-1e-300", "q1-1e308", "a-1e-300", "q1-1e200",
-        "q1-at-b"])
+        "q1-at-b", "q1-0"])
 def test_invalid_numbers_exit_2_with_one_line(argv, capsys):
     assert run(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ") and out.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, error", [

@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 from mlsurf import report, surface_families, sweep
 from mlsurf.diffgeo import (angle_defect, beta_gradient_fd,
                             christoffel_b_defects, christoffel_solve, frame_and_connection,
-                            frame_defects, gauss_curvature, gradient_identity_defects,
-                            gram_defects, lagrangian_angle, metric_from_jet,
-                            metric_gradients_from_jet, minimality_defects,
+                            frame_defects, gauss_curvature, gauss_curvature_masked,
+                            gradient_identity_defects, gram_defects, lagrangian_angle,
+                            metric_from_jet, metric_gradients_from_jet, minimality_defects,
                             residue_identity_defects)
-from mlsurf.report import CSV_HEADER, GridSpec, sample_rows, verify, write_csv
+from mlsurf.report import (CSV_HEADER, GridSpec, sample_rows, verify, verify_cone,
+                           verify_spectral, write_csv)
 from mlsurf.spectral_curve import derive_constants
 from mlsurf.surface_families import (TUBE_RADIUS, Family, cone_family, cone_family_jet,
                                      cone_jet_field, cone_metric_field, in_degeneracy_tube,
@@ -31,11 +32,20 @@ _FRAME = tuple("frame_" + n for n in ("unitarity", "det_unit", "A_antiherm", "B_
                                       "f_real", "h_real"))
 
 
+def _k_field(family, h, tol_profile):
+    """The metric the curvature check reads, built here rather than by the report:
+    under fd its G_x is the central difference of G with the step h."""
+    m = family.metric
+    if tol_profile == "strict":
+        return m
+    return m._replace(G_x=lambda x, y: (m.G(x + h, y) - m.G(x - h, y)) / (2.0 * h))
+
+
 def _oracle_maxima(family, grid, h=1e-4, tol_profile="strict"):
     """Every per-point check of the report, from the scalar diffgeo functions
     alone, point by point: (name -> NaN-sticky max, name -> excluded points)."""
     curve = family.curve
-    k_field = family.metric if tol_profile == "strict" else family.metric.without_derivatives()
+    k_field = _k_field(family, h, tol_profile)
     worst, excluded = {}, {}
 
     def see(names, compute):
@@ -139,6 +149,49 @@ _RESIDUES = [(" ".join(f"residue_identity_{k}" for k in range(1, 7)), 1e-9, "upp
              ("beta_e2i_plus_one", 1e-10, "upper")]
 _CURVE = [("curve_regularity", 1e-13, "upper"), ("curve_w2_P1_rel curve_w2_P2_rel", 1e-12, "upper"),
           ("curve_Q_sum", 1e-13, "upper"), ("curve_residues_positive", 0.0, "lower")]
+
+
+@pytest.mark.parametrize("family", [
+    spectral_family(derive_constants(1.0, 1.0, 2.0, 1.0)),
+    cone_family(1, 2),
+], ids=["worked-example", "cone-1-2"])
+def test_each_tol_profile_reads_curvature_by_its_own_route(family):
+    # K = -(d/dx (G_x / sqrt(EG))) / (2 sqrt(EG)), the outer derivative a central
+    # difference; fd differentiates G itself (G at x, x +- h and x +- 2h), strict
+    # reads the registered closed-form G_x.  Both are built here, bit for bit
+    h = 1e-4
+    x, y = np.random.default_rng(27).uniform(0.0, 2.0 * math.pi, (2, 64))
+    if family.curve is not None:
+        keep = [not in_degeneracy_tube(family.curve, *p) for p in zip(x.tolist(), y.tolist())]
+        x, y = x[keep], y[keep]
+    assert len(x) >= 20
+    metric = family.metric
+
+    def outer(gx_plus, gx_minus):
+        pp = gx_plus / np.sqrt(metric.E(x + h, y) * metric.G(x + h, y))
+        pm = gx_minus / np.sqrt(metric.E(x - h, y) * metric.G(x - h, y))
+        return -((pp - pm) / (2.0 * h)) / (2.0 * np.sqrt(metric.E(x, y) * metric.G(x, y)))
+
+    def g_diff(xx):
+        return (metric.G(xx + h, y) - metric.G(xx - h, y)) / (2.0 * h)
+
+    expected = {"fd": outer(g_diff(x + h), g_diff(x - h)),
+                "strict": outer(metric.G_x(x + h, y), metric.G_x(x - h, y))}
+    for profile, want in expected.items():
+        K, ok = gauss_curvature_masked(report._curvature_field(family, profile, h), x, y, h)
+        assert ok.all() and K.tobytes() == want.tobytes(), profile
+    assert (expected["fd"] != expected["strict"]).any()
+    with pytest.raises(ValueError, match="^unknown tol profile 'x'$"):
+        verify(family, GridSpec(2, 2), tol_profile="x")
+
+
+def test_the_family_shorthands_give_the_records_of_verify():
+    grid = GridSpec(8, 8)
+    curve = derive_constants(1.3, 0.7, 2.1, -0.9)
+    for short, full in ((verify_cone(3, 2, grid), verify(cone_family(3, 2), grid)),
+                        (verify_spectral(curve, grid), verify(spectral_family(curve), grid))):
+        assert (short.family, short.parameters) == (full.family, full.parameters)
+        assert [c.to_dict() for c in short.checks] == [c.to_dict() for c in full.checks]
 
 
 @pytest.mark.parametrize("family, tol_profile, groups", [
@@ -254,8 +307,7 @@ def test_a_block_inside_the_tube_skips_the_angle_stage(monkeypatch):
 
 
 def _csv_oracle(family, grid, h, tol_profile):
-    k_field = family.metric if tol_profile == "strict" else family.metric.without_derivatives()
-    return _csv_text(sweep.sample_blocks(family, grid, h, k_field))
+    return _csv_text(sweep.sample_blocks(family, grid, h, _k_field(family, h, tol_profile)))
 
 
 def _csv_text(blocks):

@@ -125,6 +125,8 @@ def test_derive_constants_rejects_bad_parameters():
         derive_constants(1.0, 1.0, -1.0, 1.0)  # |Q1| = b exactly
     with pytest.raises(ValueError, match="nonzero"):
         derive_constants(1.0, 1.0, 2.0, 0.0)
+    with pytest.raises(ValueError, match="^Q1 must be nonzero$"):
+        derive_constants(1.0, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="positive"):
         derive_constants(-1.0, 1.0, 2.0, 1.0)
     with pytest.raises(ValueError, match="positive"):

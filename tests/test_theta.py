@@ -130,6 +130,8 @@ def test_dimension_mismatch_rejected():
         riemann_theta(np.array([0.0]), B)
     with pytest.raises(ValueError):
         quasi_periodicity_defect(np.array([0.0, 0.0]), np.array([1]), B)
+    with pytest.raises(ValueError, match="^m must be an integer vector$"):
+        quasi_periodicity_defect(np.array([0.0, 0.0]), np.array([1.0, 0.0]), B)
 
 
 def test_truncation_cap():
@@ -511,6 +513,13 @@ def test_read_period_matrix_roundtrip(tmp_path):
     bad.write_text("2\n1j 0\n")
     with pytest.raises(ValueError, match="rows"):
         read_period_matrix(bad)
+    bad.write_text("2\n1j 0\n0 1j 0\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: expected 2 entries per row, got 3$"):
+        read_period_matrix(bad)
+    for text in ("", "\n  \n", "# only a comment\n"):
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: empty period-matrix file$"):
+            read_period_matrix(bad)
     bad.write_text("2\n1j 0\n0 0.1x\n")
     with pytest.raises(ValueError, match=re.escape(f"{bad}: malformed complex number '0.1x'")):
         read_period_matrix(bad)
