@@ -5,8 +5,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spectral_curve import (REGULARITY_TOL, W2_TOL, ReducibleCurveData,
-                             expansion_at_infinity, regularity_defect, residue_simple)
+from .spectral_curve import (ReducibleCurveData, expansion_at_infinity, regularity_defect,
+                             residue_simple)
 from .surface_families import Family, MetricField, cone_family, spectral_family
 from .sweep import (CHRISTOFFEL_NAMES, FRAME_NAMES, GRAM_NAMES, METRIC_NAMES,
                     RESIDUE_NAMES, check_maxima, sample_blocks)
@@ -19,6 +19,10 @@ TOL_IDENTITY = 1e-8
 TOL_FRAME = 1e-6
 TOL_CURVATURE = {"strict": 1e-4, "fd": 1e-3}
 TOL_RESIDUE_IDENTITY = 1e-9
+# the curve: residue cancellation at the gluing points, and the w^2 coefficient
+# at each puncture relative to the w one
+REGULARITY_TOL = 1e-13
+W2_TOL = 1e-12
 
 # (tolerance, kind) of each sweep check; curvature_K_minus_1 takes TOL_CURVATURE[profile]
 _LIMITS = {

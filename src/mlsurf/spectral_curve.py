@@ -16,15 +16,10 @@ computed by deflated products, never by contour quadrature.
 import math
 from typing import NamedTuple
 
-import numpy as np
-
-# residue cancellation at the gluing points must hold to this tolerance
-REGULARITY_TOL = 1e-13
-W2_TOL = 1e-12  # and the w^2 coefficient of Omega_2 at P2, relative to the w one, to this
-
 
 class RationalOneForm:
-    """scale * numerator(z) / prod (z - root)^mult * dz on one component.
+    """scale * numerator(z) / prod (z - root)^mult * dz on one component, with
+    real coefficients, roots and scale.
 
     numerator_coeffs are ascending; trailing zero coefficients are trimmed at
     construction.  deg(numerator) <= deg(denominator) - 2 is enforced so the
@@ -33,16 +28,16 @@ class RationalOneForm:
 
     __slots__ = ("numerator_coeffs", "denominator_roots", "scale")
 
-    def __init__(self, numerator_coeffs: tuple, denominator_roots: tuple, scale: complex = 1.0):
-        coeffs = tuple(complex(c) for c in numerator_coeffs)
+    def __init__(self, numerator_coeffs: tuple, denominator_roots: tuple, scale: float = 1.0):
+        coeffs = tuple(float(c) for c in numerator_coeffs)
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
-        roots = tuple((complex(r), int(m)) for r, m in denominator_roots)
+        roots = tuple((float(r), int(m)) for r, m in denominator_roots)
         if any(m < 1 for _, m in roots):
             raise ValueError("pole multiplicities must be positive")
         self.numerator_coeffs = coeffs
         self.denominator_roots = roots  # of (root, multiplicity)
-        self.scale = complex(scale)
+        self.scale = float(scale)
         if self.numerator_degree > self.denominator_degree - 2:
             raise ValueError(
                 "form has a pole at infinity: need deg(num) <= deg(den) - 2, "
@@ -57,21 +52,21 @@ class RationalOneForm:
     def denominator_degree(self) -> int:
         return sum(m for _, m in self.denominator_roots)
 
-    def numerator_at(self, z: complex) -> complex:
-        acc = 0.0 + 0.0j
+    def numerator_at(self, z: float) -> float:
+        acc = 0.0
         for c in reversed(self.numerator_coeffs):
             acc = acc * z + c
         return acc
 
 
-def residue_simple(form: RationalOneForm, pole: complex) -> complex:
+def residue_simple(form: RationalOneForm, pole: float) -> float:
     """Residue at a listed simple pole, by deflated evaluation.
 
     Res = scale * numerator(pole) / prod over the other roots of
     (pole - root)^mult.  The pole must be a listed denominator root of
     multiplicity one, exactly: another root may lie within any tolerance.
     """
-    pole = complex(pole)
+    pole = float(pole)
     for k, (root, mult) in enumerate(form.denominator_roots):
         if pole == root:
             break
@@ -79,7 +74,7 @@ def residue_simple(form: RationalOneForm, pole: complex) -> complex:
         raise ValueError(f"{pole} is not a listed denominator root")
     if mult != 1:
         raise ValueError(f"pole {root} has multiplicity {mult}; residue_simple needs 1")
-    den = 1.0 + 0.0j
+    den = 1.0
     for j, (r, m) in enumerate(form.denominator_roots):
         if j != k:
             den *= (root - r) ** m
@@ -95,13 +90,13 @@ def expansion_at_infinity(form: RationalOneForm) -> tuple:
     form to vanish at infinity in w; at s = 0 only the zero form does, and its
     q is 0.  The minimality condition on the second marked point is q = 0.
     """
-    *_, nxt, lead = (0j,) + form.numerator_coeffs
-    root_sum = 0j  # sum(-r) with multiplicity, in listed order: q's last bits depend on it
+    *_, nxt, lead = (0.0,) + form.numerator_coeffs
+    root_sum = 0.0  # sum(-r) with multiplicity, in listed order: q's last bits depend on it
     for root, mult in form.denominator_roots:
         for _ in range(mult):
             root_sum += -root
     shift = form.denominator_degree - form.numerator_degree - 2
-    g = [0j] * shift + [-form.scale * lead, -form.scale * (nxt - root_sum * lead), 0j]
+    g = [0.0] * shift + [-form.scale * lead, -form.scale * (nxt - root_sum * lead), 0.0]
     if g[0] != 0:
         raise ValueError("form does not vanish at infinity in w = 1/z")
     return g[1], g[2]
@@ -152,7 +147,7 @@ def _omega1(a: float) -> RationalOneForm:
     )
 
 
-def _omega2(b: float, Q: tuple, gamma_im: float, scale: complex) -> RationalOneForm:
+def _omega2(b: float, Q: tuple, gamma_im: float, scale: float) -> RationalOneForm:
     # numerator z^2 - gamma^2 = z^2 + gamma_im^2 for gamma = i*gamma_im
     return RationalOneForm(
         numerator_coeffs=(gamma_im * gamma_im, 0.0, 1.0),
@@ -167,7 +162,9 @@ def derive_constants(a: float, b: float, Q1: float, gamma_im: float) -> Reducibl
     Q2 = -Q1 (so Q1 + Q2 + Q3 = 0 and the w^2 expansion coefficient at the
     second puncture vanishes), Q3 from the gluing-regularity constraint, the
     scale c of Omega_2 from residue cancellation at z2 = b, d = a from the
-    normalization residue, and alpha_i = sqrt(Res_{Q_i} Omega_2).
+    normalization residue, and alpha_i = sqrt(Res_{Q_i} Omega_2).  Refuses only
+    parameters whose constants cannot be built; whether the built curve is
+    regular at the gluing points is `report.curve_checks`' claim.
     """
     a = float(a)
     b = float(b)
@@ -198,49 +195,27 @@ def derive_constants(a: float, b: float, Q1: float, gamma_im: float) -> Reducibl
 
         omega1 = _omega1(a)
         res_r = residue_simple(omega1, 0.0)
-        res_a = residue_simple(omega1, a)
-        res_ma = residue_simple(omega1, -a)
-
         unit = _omega2(b, (Q1, Q2, Q3), gamma_im, scale=1.0)
-        c = -res_a / residue_simple(unit, b)
-        if not np.isfinite(c):
+        c = -residue_simple(omega1, a) / residue_simple(unit, b)
+        if not math.isfinite(c):
             raise FloatingPointError(f"scale c of Omega_2 = {c} is not finite")
-        if abs(c.imag) > 1e-12 * (1.0 + abs(c)):
-            raise ValueError(f"scale c came out non-real: {c}")
-        c = c.real
 
         omega2 = _omega2(b, (Q1, Q2, Q3), gamma_im, scale=c)
         res_Q = []
         for i, q in enumerate((Q1, Q2, Q3), 1):
             r = residue_simple(omega2, q)
-            if not np.isfinite(r):
+            if not math.isfinite(r):
                 raise FloatingPointError(f"Res_Q{i} Omega_2 = {r} is not finite")
-            if abs(r.imag) > 1e-12 * (1.0 + abs(r)):
-                raise ValueError(f"Res_Q{i} Omega_2 came out non-real: {r}")
-            if not r.real > 0:
-                raise ValueError(f"Res_Q{i} Omega_2 = {r.real} must be positive")
-            res_Q.append(r.real)
+            if not r > 0:
+                raise ValueError(f"Res_Q{i} Omega_2 = {r} must be positive")
+            res_Q.append(r)
 
         # positive branch; d real is required by the reality conditions
-        d = math.sqrt(-1.0 / res_r.real)
-
-        c1, _ = expansion_at_infinity(omega1)
-        c2, q2 = expansion_at_infinity(omega2)
-
-        curve = ReducibleCurveData(
-            a=a, b=b, Q1=Q1, gamma_im=gamma_im, Q2=Q2, Q3=Q3, c=c, d=d,
-            alpha=tuple(math.sqrt(r) for r in res_Q),
-            res_Q=tuple(res_Q), res_r=res_r.real, c1_exp=float(c1.real), c2_exp=float(c2.real),
+        return ReducibleCurveData(
+            a=a, b=b, Q1=Q1, gamma_im=gamma_im, Q2=Q2, Q3=Q3, c=c, d=math.sqrt(-1.0 / res_r),
+            alpha=tuple(map(math.sqrt, res_Q)), res_Q=tuple(res_Q), res_r=res_r,
+            c1_exp=expansion_at_infinity(omega1)[0], c2_exp=expansion_at_infinity(omega2)[0],
         )
-
-        defect = regularity_defect(curve)
-        if defect > REGULARITY_TOL:
-            raise ValueError(f"gluing regularity defect {defect} exceeds {REGULARITY_TOL}")
-        if abs(q2) / max(abs(c2), 1e-300) > W2_TOL:
-            raise ValueError(f"w^2 coefficient of Omega_2 did not cancel: {q2}")
-        if abs(res_a + res_ma + res_r) > 1e-13:
-            raise ValueError("Omega_1 residues violate the residue theorem")
-        return curve
     except ArithmeticError as exc:  # e.g. a residue product beyond double range
         raise ValueError(f"cannot derive the curve constants of a = {a}, b = {b}, "
                          f"q1 = {Q1}, gamma_im = {gamma_im}: {exc}") from None
@@ -252,4 +227,4 @@ def regularity_defect(curve: ReducibleCurveData) -> float:
     omega2 = curve.omega2()
     d_plus = abs(residue_simple(omega1, curve.a) + residue_simple(omega2, curve.b))
     d_minus = abs(residue_simple(omega1, -curve.a) + residue_simple(omega2, -curve.b))
-    return float(max(d_plus, d_minus))
+    return max(d_plus, d_minus)

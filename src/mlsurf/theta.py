@@ -100,9 +100,6 @@ class PeriodMatrix:
     def min_im_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.entries.imag)[0])
 
-    def __repr__(self):
-        return f"PeriodMatrix(genus={self.genus})"
-
 
 def parse_complex(token: str, source) -> complex:
     try:  # a ValueError that names where the token came from

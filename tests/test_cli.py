@@ -245,6 +245,46 @@ def read_csv_rows(path):
     return header, rows
 
 
+# Omega_1's residues are 1/(2 a^2): at a = 0.003 their cancellation at the gluing
+# points rounds to 7.3e-12, above the absolute 1e-13 of curve_regularity
+SMALL_A = ["--a", "0.003", "--b", "1", "--q1", "2", "--gamma-im", "1"]
+
+
+def test_a_curve_that_fails_only_curve_regularity_is_built(tmp_path, capsys):
+    assert run(["curve-info", *SMALL_A]) == 0
+    out, err = capsys.readouterr()
+    assert "regularity(+a,+b) = 7.2759576141834259e-12\n" in out and err == ""
+    out_file = tmp_path / "small-a.csv"
+    assert run(["sample", "--family", "spectral", *SMALL_A, "--grid", "8x8",
+                "--out", str(out_file)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(read_csv_rows(out_file)[1]) == 64
+    assert run(["verify", "--family", "spectral", *SMALL_A, "--grid", "16x16"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert [ln.split()[0] for ln in out.splitlines()[2:-1] if ln.endswith("FAIL")] == [
+        "curve_regularity"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", *SPHERE, "--grid", "4x4"], 0),
+    (["verify", "--family", "spectral", *SMALL_A, "--grid", "4x4"], 1),
+    (["curve-info", "--a", "1", "--b", "1", "--q1", "0.5", "--gamma-im", "1"], 2),
+], ids=["pass", "fail", "invalid"])
+def test_the_module_entry_exits_with_the_code_of_main(argv, code, tmp_path):
+    proc = subprocess.run([sys.executable, "-m", "mlsurf.cli", *argv], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": SRC},
+                          cwd=tmp_path)
+    assert proc.returncode == code
+    if code == 2:
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: |Q1| = 0.5 must exceed b = 1.0; otherwise Res_Q3 "
+                               "Omega_2 < 0 and alpha_3 is imaginary\n")
+    else:
+        assert proc.stdout.endswith(("overall: PASS\n", "overall: FAIL\n")[code])
+        assert proc.stderr == ""
+
+
 def test_sample_sphere_csv(tmp_path, capsys):
     out_file = tmp_path / "sphere.csv"
     code = run(["sample", "--family", "spectral", "--a", "1", "--b", "1",

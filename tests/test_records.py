@@ -70,7 +70,10 @@ def test_validating_classes_keep_their_messages(build, message):
 
 def test_validating_classes_normalise_their_inputs():
     form = RationalOneForm((1, 0.0, 0.0), [(0, 1), (1, 1.0), (-1, 1)], scale=2)
-    assert form.numerator_coeffs == (1 + 0j,) and form.scale == 2 + 0j
-    assert form.denominator_roots == ((0j, 1), (1 + 0j, 1), (-1 + 0j, 1))
+    assert form.numerator_coeffs == (1.0,) and form.scale == 2.0
+    assert form.denominator_roots == ((0.0, 1), (1.0, 1), (-1.0, 1))
+    # 1 + 0j == 1.0, so equality alone would not see a complex coefficient
+    stored = [*form.numerator_coeffs, *(r for r, _ in form.denominator_roots), form.scale]
+    assert all(type(v) is float for v in stored)
     grid = GridSpec(2, 3)
     assert (grid.nx, grid.ny) == (2, 3) and LatticeTruncation(4).radius == 4

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import sympy
 
+from mlsurf.report import REGULARITY_TOL, curve_checks
 from mlsurf.spectral_curve import (RationalOneForm, derive_constants,
                                    expansion_at_infinity, regularity_defect,
                                    residue_simple)
@@ -21,6 +22,7 @@ def test_residue_simple_hand_examples():
     form = omega1_form(1.0)
     assert residue_simple(form, 0.0) == -1.0
     assert residue_simple(form, 1.0) == 0.5
+    assert type(residue_simple(form, 1)) is float
     for a in (0.5, 1.0, 1.7):
         form = omega1_form(a)
         # limit (z -+ a) f(z) = 1/(2a^2), equal at both points by symmetry
@@ -148,11 +150,11 @@ def test_derive_constants_rejects_bad_parameters():
         derive_constants(1.0, 2.0, -2.0000000000001, 1.0)
     assert str(info.value) == ("degenerate marked point: Q1 = -2.0000000000001 lies within 1e-12 b "
                                "of the gluing coordinate -b = -2.0")
-    # a scale that overflows to NaN, or a division by zero, names every input, not only the cause
-    for params, cause in (((1.0, 1.0, 1e308, 1.0), "scale c of Omega_2 = (nan+nanj) is not finite"),
-                          ((1e-300, 1.0, 2.0, 1.0), "complex division by zero"),
-                          ((1.0, 1.0, 2.0, 1e200), "scale c of Omega_2 = (nan+nanj) is not finite"),
-                          ((1.0, 1.0, 1e200, 1.0), "scale c of Omega_2 = (nan+nanj) is not finite")):
+    # a residue that overflows to NaN, or a division by zero, names every input, not only the cause
+    for params, cause in (((1.0, 1.0, 1e308, 1.0), "float division by zero"),
+                          ((1e-300, 1.0, 2.0, 1.0), "float division by zero"),
+                          ((1.0, 1.0, 2.0, 1e200), "Res_Q1 Omega_2 = nan is not finite"),
+                          ((1.0, 1.0, 1e200, 1.0), "float division by zero")):
         a, b, q1, gamma_im = params
         with pytest.raises(ValueError) as info:
             derive_constants(*params)
@@ -192,7 +194,7 @@ def test_expansion_omega1_hand_oracle():
     # -w dw / (1 - a^2 w^2) = (-w - a^2 w^3 - ...) dw
     for a in (1.0, 1.3):
         coeffs = expansion_at_infinity(omega1_form(a))
-        assert coeffs == (-1.0, 0.0)
+        assert coeffs == (-1.0, 0.0) and all(type(v) is float for v in coeffs)
         oracle = sympy_infinity_series(omega1_form(a))
         assert np.allclose(coeffs, oracle, atol=1e-12)
 
@@ -324,3 +326,39 @@ def test_random_parameter_sweep_invariants():
         coeffs = expansion_at_infinity(curve.omega2())
         assert abs(coeffs[1]) < 1e-12 * abs(coeffs[0])
         assert abs(curve.d - a) < 4e-16 * a and curve.d > 0
+
+
+def test_a_curve_beyond_the_absolute_regularity_tolerance_derives():
+    # Omega_1's residues are 1/(2 a^2), so the rounding of their cancellation
+    # grows like a^-2: the curve is built, and the report's curve_regularity FAILs it
+    curve = derive_constants(0.003, 1.0, 2.0, 1.0)
+    assert all(type(v) is float for v in (curve.c, curve.res_r, curve.c1_exp, *curve.res_Q))
+    defect = regularity_defect(curve)
+    assert defect > REGULARITY_TOL
+    record = curve_checks(curve)[0]
+    assert record.name == "curve_regularity" and record.value == defect and not record.passed
+
+
+_REFUSALS = ("parameters must be finite", "a must be positive", "b must be positive",
+             "gamma_im must be nonzero", "Q1 must be nonzero", "|Q1| = ",
+             "degenerate marked point", "Res_Q1 Omega_2 = ", "Res_Q2 Omega_2 = ",
+             "Res_Q3 Omega_2 = ")
+
+
+def test_derive_constants_refuses_only_what_it_cannot_build():
+    # a, b, |gamma_im| log-uniform in [1e-4, 1e4] and |Q1| = b (1 + 10^U(-10, 4)):
+    # each draw derives, or an input rule or a non-positive Res_Qi refuses it;
+    # no claim about the built curve refuses it, since the report checks those
+    rng = random.Random(7)
+    for _ in range(2000):
+        a, b, g = (10 ** rng.uniform(-4, 4) for _ in range(3))
+        q1 = b * (1 + 10 ** rng.uniform(-10, 4)) * rng.choice((-1, 1))
+        params = (a, b, q1, g * rng.choice((-1, 1)))
+        try:
+            curve = derive_constants(*params)
+        except ValueError as exc:
+            message = str(exc)
+            assert message.startswith(_REFUSALS), (params, message)
+            assert not message.startswith("Res_Q") or message.endswith("must be positive")
+        else:
+            assert min(curve.res_Q) > 0, params

@@ -36,6 +36,16 @@ SPECTRAL = [  # (a, b, q1, gamma_im)
     ("1e150", "1", "2", "1"),          # overflowing Christoffel values
     ("1e-13", "1", "2", "1"),          # below the stencil norm
 ]
+CURVES = [  # curve-info alone, and verify --grid 4x4 for those that derive
+    ("0.003", "1", "2", "1"),          # FAILs only the absolute curve_regularity tolerance
+    ("1e-150", "1", "2", "1"),
+    ("1", "1", "1e308", "1"),          # constants that overflow or divide by zero
+    ("1e-300", "1", "2", "1"),
+    ("1", "1", "2", "1e200"),
+    ("1", "1", "1e200", "1"),
+    ("1", "1", "0.5", "1"),            # input rules
+    ("1", "1", "1.0000000000001", "1"),
+]
 CONES = [(1, 1), (1, 2), (3, 2), (4, 4), (40, 40)]
 GRIDS = ["16x16", "33x17", "1x1", "7x64"]
 PROFILES = ["strict", "fd"]
@@ -59,8 +69,11 @@ def corpus() -> list:
                     rest = [*surface, "--grid", grid, "--tol-profile", profile, "--h", h]
                     calls.append(["verify", *rest, "--json-out", "report.json"])
                     calls.append(["sample", *rest, "--out", "surface.csv"])
-    for a, b, q1, g in SPECTRAL:
+    for a, b, q1, g in SPECTRAL + CURVES:
         calls.append(["curve-info", "--a", a, "--b", b, "--q1", q1, "--gamma-im", g])
+    for a, b, q1, g in CURVES[:2]:
+        calls.append(["verify", "--family", "spectral", "--a", a, "--b", b, "--q1", q1,
+                      "--gamma-im", g, "--grid", "4x4", "--json-out", "report.json"])
     for name, (_, z, shift) in PERIOD_FILES.items():
         calls.append(["theta", "--period-file", name, "--z", z])
         calls.append(["theta", "--period-file", name, "--z", z, "--shift-m", shift])
