@@ -19,7 +19,7 @@ from .report import (CheckRecord, GridSpec, VerificationReport, verify,
                      verify_cone, verify_spectral)
 from .spectral_curve import (RationalOneForm, ReducibleCurveData,
                              derive_constants, expansion_at_infinity,
-                             regularity_defect, residue_simple)
+                             gluing_defects, residue_simple)
 from .surface_families import (Family, MetricField, SurfaceJet, cone_family,
                                cone_family_jet, cone_jet_field, cone_metric_field,
                                degeneracy_angle, in_degeneracy_tube, spectral_family,

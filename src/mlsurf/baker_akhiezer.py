@@ -63,8 +63,6 @@ def ba_rational_eval(curve: ReducibleCurveData, x: float, y: float,
                      component: int, coord: complex) -> BARationalValue:
     """Evaluate the Baker-Akhiezer function at a point of the given component."""
     f2c, g2 = _f2_g2(curve, x, y)
-    if abs(f2c.imag) > 1e-12 * (1.0 + abs(f2c)):
-        raise ArithmeticError(f"f2 lost reality: {f2c}")
     coord = complex(coord)
     if component == 1:
         psi = cmath.exp(1j * x * coord) * curve.d

@@ -5,8 +5,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spectral_curve import (ReducibleCurveData, expansion_at_infinity, regularity_defect,
-                             residue_simple)
+from .spectral_curve import ReducibleCurveData, expansion_at_infinity, gluing_defects
 from .surface_families import Family, MetricField, cone_family, spectral_family
 from .sweep import (CHRISTOFFEL_NAMES, FRAME_NAMES, GRAM_NAMES, METRIC_NAMES,
                     RESIDUE_NAMES, check_maxima, sample_blocks)
@@ -169,7 +168,7 @@ def curve_checks(curve: ReducibleCurveData) -> list:
     c1, q1 = expansion_at_infinity(curve.omega1())
     c2, q2 = expansion_at_infinity(curve.omega2())
     return [
-        CheckRecord("curve_regularity", regularity_defect(curve), REGULARITY_TOL),
+        CheckRecord("curve_regularity", max(gluing_defects(curve)), REGULARITY_TOL),
         CheckRecord("curve_w2_P1_rel", abs(q1) / abs(c1), W2_TOL),
         CheckRecord("curve_w2_P2_rel", abs(q2) / abs(c2), W2_TOL),
         CheckRecord("curve_Q_sum", abs(curve.Q1 + curve.Q2 + curve.Q3), 1e-13),
@@ -213,9 +212,8 @@ def write_csv(path, blocks) -> None:
 
 def curve_info_text(curve: ReducibleCurveData) -> str:
     """Human-readable dump of every derived curve constant."""
-    omega1 = curve.omega1()
-    omega2 = curve.omega2()
-    _, q2 = expansion_at_infinity(omega2)
+    _, q2 = expansion_at_infinity(curve.omega2())
+    plus, minus = gluing_defects(curve)
     lines = [
         f"a        = {_fmt(curve.a)}",
         f"b        = {_fmt(curve.b)}",
@@ -235,7 +233,7 @@ def curve_info_text(curve: ReducibleCurveData) -> str:
         f"c1_exp   = {_fmt(curve.c1_exp)}",
         f"c2_exp   = {_fmt(curve.c2_exp)}",
         f"w2_coeff_P2      = {_fmt(abs(q2))}",
-        f"regularity(+a,+b) = {_fmt(abs(residue_simple(omega1, curve.a) + residue_simple(omega2, curve.b)))}",
-        f"regularity(-a,-b) = {_fmt(abs(residue_simple(omega1, -curve.a) + residue_simple(omega2, -curve.b)))}",
+        f"regularity(+a,+b) = {_fmt(plus)}",
+        f"regularity(-a,-b) = {_fmt(minus)}",
     ]
     return "\n".join(lines)

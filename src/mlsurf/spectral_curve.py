@@ -185,9 +185,6 @@ def derive_constants(a: float, b: float, Q1: float, gamma_im: float) -> Reducibl
             f"|Q1| = {abs(Q1)} must exceed b = {b}; otherwise Res_Q3 Omega_2 < 0 "
             "and alpha_3 is imaginary"
         )
-    if abs(Q1) - b < 1e-12 * b:  # Q2 = -Q1 is as near the other one; Q3 = 0 is near neither
-        raise ValueError(f"degenerate marked point: Q1 = {Q1} lies within 1e-12 b of the "
-                         f"gluing coordinate {'-b' if Q1 < 0 else 'b'} = {math.copysign(b, Q1)}")
 
     try:
         Q2 = -Q1
@@ -204,10 +201,8 @@ def derive_constants(a: float, b: float, Q1: float, gamma_im: float) -> Reducibl
         res_Q = []
         for i, q in enumerate((Q1, Q2, Q3), 1):
             r = residue_simple(omega2, q)
-            if not math.isfinite(r):
-                raise FloatingPointError(f"Res_Q{i} Omega_2 = {r} is not finite")
-            if not r > 0:
-                raise ValueError(f"Res_Q{i} Omega_2 = {r} must be positive")
+            if not 0.0 < r < math.inf:  # c > 0 makes r > 0: only underflow or overflow fails
+                raise FloatingPointError(f"Res_Q{i} Omega_2 = {r} is not a positive finite double")
             res_Q.append(r)
 
         # positive branch; d real is required by the reality conditions
@@ -221,10 +216,9 @@ def derive_constants(a: float, b: float, Q1: float, gamma_im: float) -> Reducibl
                          f"q1 = {Q1}, gamma_im = {gamma_im}: {exc}") from None
 
 
-def regularity_defect(curve: ReducibleCurveData) -> float:
-    """Max over the two gluing points of |Res Omega_1 + Res Omega_2|."""
+def gluing_defects(curve: ReducibleCurveData) -> tuple:
+    """|Res Omega_1 + Res Omega_2| at the gluing points (+a, +b) and (-a, -b)."""
     omega1 = curve.omega1()
     omega2 = curve.omega2()
-    d_plus = abs(residue_simple(omega1, curve.a) + residue_simple(omega2, curve.b))
-    d_minus = abs(residue_simple(omega1, -curve.a) + residue_simple(omega2, -curve.b))
-    return max(d_plus, d_minus)
+    return tuple(abs(residue_simple(omega1, s * curve.a) + residue_simple(omega2, s * curve.b))
+                 for s in (1.0, -1.0))

@@ -142,7 +142,7 @@ def _christoffel(J, E, G, beta_s, h: float) -> tuple:
     basis (phi_x, phi_y, phi) conditioned within CONDITION_LIMIT."""
     basis = np.stack([J[1], J[2], J[0]], axis=-1)
     cond, ok = _stacked(np.linalg.cond, basis)
-    ok &= (E != 0.0) & (G != 0.0) & np.isfinite(cond) & (cond <= CONDITION_LIMIT)
+    ok &= (E != 0.0) & (G != 0.0) & (cond <= CONDITION_LIMIT)
     sol = np.linalg.solve(np.where(ok[:, None, None], basis, np.eye(3)),
                           np.stack([J[3], J[4], J[5]], axis=-1))
     v1x = 2.0 * np.vecdot(J[1], J[3]).real / E

@@ -282,11 +282,12 @@ def riemann_theta(z, B: PeriodMatrix, trunc: LatticeTruncation | None = None) ->
     math.fsum on the real and imaginary parts, so either value is bit for
     bit the sum over the whole box.
     """
-    z = np.asarray(z, dtype=complex)
+    z = np.array(z, dtype=complex)
     if z.shape != (B.genus,):
         raise ValueError(f"z has shape {z.shape}, expected ({B.genus},)")
     if not all(map(cmath.isfinite, z.tolist())):
         raise ValueError("z must be finite")
+    z.real = np.fmod(z.real, 1.0)  # exact, signs kept: theta has period 1 in each Re z_j
     radius = default_radius(z, B) if trunc is None else trunc.radius
     L, g = B.im_cholesky, B.genus
     diag = L.diagonal().tolist()
@@ -367,12 +368,14 @@ def quasi_periodicity_defect(z, m, B: PeriodMatrix, trunc: LatticeTruncation | N
     if given, is riemann_theta(z, B, trunc), already evaluated by the caller.
     Printed by `mlsurf theta --shift-m`; vanishes to roundoff for an exact theta.
     """
-    z = np.asarray(z, dtype=complex)
+    z = np.array(z, dtype=complex)
     m = np.asarray(m)
     if z.shape != (B.genus,) or m.shape != (B.genus,):
         raise ValueError(f"z and m must have shape ({B.genus},)")
     if not np.issubdtype(m.dtype, np.integer):
         raise ValueError("m must be an integer vector")
+    # as in riemann_theta, and so before Bm is added; riemann_theta refuses a non-finite z
+    np.fmod(z.real, 1.0, out=z.real, where=np.isfinite(z.real))
     Bm = B.entries @ m
     lhs = riemann_theta(z + Bm, B, trunc)
     if theta_z is None:

@@ -495,17 +495,27 @@ def test_theta_shift_computes_the_smallest_eigenvalue_once(tmp_path, capsys, mon
     ["curve-info", "--a", "1e-300", "--b", "1", "--q1", "2", "--gamma-im", "1"],
     # the scale of Omega_2 comes out NaN
     ["curve-info", "--a", "1", "--b", "1", "--q1", "1e200", "--gamma-im", "1"],
-    # Q1 lies within 1e-12 b of the gluing coordinate b
-    ["curve-info", "--a", "1", "--b", "1", "--q1", "1.0000000000001", "--gamma-im", "1"],
     ["verify", "--family", "spectral", "--a", "1", "--b", "1", "--q1", "0",
      "--gamma-im", "1", "--grid", "4x4"],
 ], ids=["h-0", "h-nan", "h-negative", "h-inf", "sample-h-0", "h-1e5", "sample-h-1e5",
         "q1-inf", "gamma-im-1e200", "a-nan", "h-1e-300", "q1-1e308", "a-1e-300", "q1-1e200",
-        "q1-at-b", "q1-0"])
+        "q1-0"])
 def test_invalid_numbers_exit_2_with_one_line(argv, capsys):
     assert run(argv) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("b, q1", [("1", "1.0000000000001"), ("2", "-2.0000000000001")],
+                         ids=["q1-at-b", "q1-at-minus-b"])
+def test_a_marked_point_next_to_a_gluing_coordinate_is_reported(b, q1, capsys):
+    # Q1 within 1e-12 b of the gluing coordinate +-b builds, and its report passes
+    curve = ["--a", "1", "--b", b, "--q1", q1, "--gamma-im", "1"]
+    assert run(["curve-info", *curve]) == 0
+    assert capsys.readouterr().err == ""
+    assert run(["verify", "--family", "spectral", *curve, "--grid", "16x16"]) == 0
+    out = capsys.readouterr()
+    assert out.err == "" and out.out.endswith("overall: PASS\n")
 
 
 @pytest.mark.parametrize("argv, error", [

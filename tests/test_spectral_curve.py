@@ -8,7 +8,7 @@ import sympy
 
 from mlsurf.report import REGULARITY_TOL, curve_checks
 from mlsurf.spectral_curve import (RationalOneForm, derive_constants,
-                                   expansion_at_infinity, regularity_defect,
+                                   expansion_at_infinity, gluing_defects,
                                    residue_simple)
 
 
@@ -42,10 +42,14 @@ def test_residue_simple_takes_the_root_it_is_given():
 
 
 @pytest.mark.parametrize("a, b, q1, gamma_im", [
-    (1.0, 1.0, 1.0000000000015, 1.0), (1.0, 0.001, 0.001000000001, 0.5)])
+    (1.0, 1.0, 1.0000000000015, 1.0), (1.0, 0.001, 0.001000000001, 0.5),
+    (1.0, 1.0, 1.0000000000001, 1.0), (1.0, 2.0, -2.0000000000001, 1.0),
+    (1.0, 1.0, 1.0000000000000002, 1.0)])
 def test_a_marked_point_near_the_gluing_coordinate_derives(a, b, q1, gamma_im):
-    # Q1 lies within 1e-12 (1 + |Q1|) of b but beyond the 1e-12 b of the
-    # degeneracy refusal: Res_Q1 Omega_2 is Q1's residue, not b's (-1/2)
+    # Q1 lies within 1e-12 (1 + |Q1|) of +-b, down to one ulp above b:
+    # Res_Q1 Omega_2 is Q1's residue, not b's (-1/2), and every |Q1| > b gives
+    # positive residues; how well the surface is conditioned there is the
+    # report's judgement, not an input rule
     curve = derive_constants(a, b, q1, gamma_im)
     assert min(curve.res_Q) > 0
     residues = [residue_simple(curve.omega2(), r) for r, _ in curve.omega2().denominator_roots]
@@ -137,24 +141,20 @@ def test_derive_constants_rejects_bad_parameters():
                    (1.0, 1.0, 2.0, -math.inf)):
         with pytest.raises(ValueError, match="finite"):
             derive_constants(*params)
-    # gamma_im^2 underflows, so the residue at Q3 = 0 is 0: the message names the marked point
-    with pytest.raises(ValueError) as info:
-        derive_constants(1.0, 1.0, 2.0, 1e-200)
-    assert str(info.value) == "Res_Q3 Omega_2 = 0.0 must be positive"
-    # a marked point within 1e-12 b of a gluing coordinate names both, with their values
-    with pytest.raises(ValueError) as info:
-        derive_constants(1.0, 1.0, 1.0000000000001, 1.0)
-    assert str(info.value) == ("degenerate marked point: Q1 = 1.0000000000001 lies within 1e-12 b "
-                               "of the gluing coordinate b = 1.0")
-    with pytest.raises(ValueError) as info:
-        derive_constants(1.0, 2.0, -2.0000000000001, 1.0)
-    assert str(info.value) == ("degenerate marked point: Q1 = -2.0000000000001 lies within 1e-12 b "
-                               "of the gluing coordinate -b = -2.0")
-    # a residue that overflows to NaN, or a division by zero, names every input, not only the cause
+    # a residue or scale beyond double range, or a division by zero, names every input
+    # as well as the cause: gamma_im^2 and a^2 underflow to Res_Q3 = 0 and Res_Q1 = 0,
+    # a^-2 overflows c to inf, and b^2 and Q1^2 overflow it to inf / inf
     for params, cause in (((1.0, 1.0, 1e308, 1.0), "float division by zero"),
                           ((1e-300, 1.0, 2.0, 1.0), "float division by zero"),
-                          ((1.0, 1.0, 2.0, 1e200), "Res_Q1 Omega_2 = nan is not finite"),
-                          ((1.0, 1.0, 1e200, 1.0), "float division by zero")):
+                          ((1.0, 1.0, 2.0, 1e200),
+                           "Res_Q1 Omega_2 = nan is not a positive finite double"),
+                          ((1.0, 1.0, 1e200, 1.0), "float division by zero"),
+                          ((1.0, 1.0, 2.0, 1e-200),
+                           "Res_Q3 Omega_2 = 0.0 is not a positive finite double"),
+                          ((1e155, 1.0, 2.0, 1.0),
+                           "Res_Q1 Omega_2 = 0.0 is not a positive finite double"),
+                          ((1e-160, 1.0, 2.0, 1.0), "scale c of Omega_2 = inf is not finite"),
+                          ((1.0, 1e160, 3e160, 1.0), "scale c of Omega_2 = nan is not finite")):
         a, b, q1, gamma_im = params
         with pytest.raises(ValueError) as info:
             derive_constants(*params)
@@ -274,12 +274,13 @@ def test_expansion_forced_q2_breaks_minimality():
     assert np.allclose(coeffs, oracle, atol=1e-12)
 
 
-def test_regularity_defect_construction_and_perturbation():
+def test_gluing_defects_construction_and_perturbation():
     curve = derive_constants(1.0, 1.0, 2.0, 1.0)
-    assert regularity_defect(curve) < 1e-13
+    assert max(gluing_defects(curve)) < 1e-13
     perturbed = curve._replace(c=1.1 * curve.c)
-    res_b = residue_simple(curve.omega2(), curve.b)
-    assert abs(regularity_defect(perturbed) - 0.1 * abs(res_b)) < 1e-14
+    for sign, defect in zip((1.0, -1.0), gluing_defects(perturbed)):
+        res = residue_simple(curve.omega2(), sign * curve.b)
+        assert abs(defect - 0.1 * abs(res)) < 1e-14
 
 
 def frac_omega2_residue(b, Q, gamma_im_sq, c, at):
@@ -320,7 +321,7 @@ def test_random_parameter_sweep_invariants():
         Q1 = rng.uniform(1.01, 3.0) * b * rng.choice([-1.0, 1.0])
         G = rng.uniform(0.2, 2.0)
         curve = derive_constants(a, b, Q1, G)
-        assert regularity_defect(curve) < 1e-13
+        assert max(gluing_defects(curve)) < 1e-13
         assert all(r > 0 for r in curve.res_Q)
         assert abs(curve.Q1 + curve.Q2 + curve.Q3) == 0.0
         coeffs = expansion_at_infinity(curve.omega2())
@@ -333,7 +334,7 @@ def test_a_curve_beyond_the_absolute_regularity_tolerance_derives():
     # grows like a^-2: the curve is built, and the report's curve_regularity FAILs it
     curve = derive_constants(0.003, 1.0, 2.0, 1.0)
     assert all(type(v) is float for v in (curve.c, curve.res_r, curve.c1_exp, *curve.res_Q))
-    defect = regularity_defect(curve)
+    defect = max(gluing_defects(curve))
     assert defect > REGULARITY_TOL
     record = curve_checks(curve)[0]
     assert record.name == "curve_regularity" and record.value == defect and not record.passed
@@ -341,24 +342,21 @@ def test_a_curve_beyond_the_absolute_regularity_tolerance_derives():
 
 _REFUSALS = ("parameters must be finite", "a must be positive", "b must be positive",
              "gamma_im must be nonzero", "Q1 must be nonzero", "|Q1| = ",
-             "degenerate marked point", "Res_Q1 Omega_2 = ", "Res_Q2 Omega_2 = ",
-             "Res_Q3 Omega_2 = ")
+             "cannot derive the curve constants of ")
 
 
 def test_derive_constants_refuses_only_what_it_cannot_build():
-    # a, b, |gamma_im| log-uniform in [1e-4, 1e4] and |Q1| = b (1 + 10^U(-10, 4)):
-    # each draw derives, or an input rule or a non-positive Res_Qi refuses it;
-    # no claim about the built curve refuses it, since the report checks those
+    # a, b, |gamma_im| log-uniform in [1e-4, 1e4] and |Q1| = b (1 + 10^U(-16, 4)):
+    # each draw derives, or an input rule or a constant beyond double range refuses
+    # it; no claim about the built curve refuses it, since the report checks those
     rng = random.Random(7)
     for _ in range(2000):
         a, b, g = (10 ** rng.uniform(-4, 4) for _ in range(3))
-        q1 = b * (1 + 10 ** rng.uniform(-10, 4)) * rng.choice((-1, 1))
+        q1 = b * (1 + 10 ** rng.uniform(-16, 4)) * rng.choice((-1, 1))
         params = (a, b, q1, g * rng.choice((-1, 1)))
         try:
             curve = derive_constants(*params)
         except ValueError as exc:
-            message = str(exc)
-            assert message.startswith(_REFUSALS), (params, message)
-            assert not message.startswith("Res_Q") or message.endswith("must be positive")
+            assert str(exc).startswith(_REFUSALS), (params, str(exc))
         else:
             assert min(curve.res_Q) > 0, params

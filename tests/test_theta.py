@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -111,6 +112,33 @@ def test_quasi_periodicity_g2_perturbed_identity():
     z = rng.uniform(-1, 1, 2) + 1j * rng.uniform(-0.1, 0.1, 2)
     m = np.array([1, -1])
     assert quasi_periodicity_defect(z, m, B) < 1e-8
+
+
+def mp_theta_box(z, B, radius=8):
+    """theta(z) summed over the box |m|_inf <= radius at 400 digits, so that
+    2 pi (m, z) keeps about 90 digits after the point even at Re z = 1e300."""
+    with mp.workdps(400):
+        Bm = [[mpc(x) for x in row] for row in B.tolist()]
+        zm = [mpc(x) for x in z.tolist()]
+        total = mpc(0)
+        for m in itertools.product(range(-radius, radius + 1), repeat=len(zm)):
+            quad = sum(Bm[i][j] * mi * mj for i, mi in enumerate(m) for j, mj in enumerate(m))
+            total += mpexp(1j * mppi * quad + 2j * mppi * sum(mi * zi for mi, zi in zip(m, zm)))
+        return complex(total)
+
+
+@pytest.mark.parametrize("entries", [[[1j, 0.5j], [0.5j, 1j]],
+                                     [[0.3 + 1j, 0.1 + 0.5j], [0.1 + 0.5j, -0.2 + 1.2j]]],
+                         ids=["imaginary", "complex"])
+@pytest.mark.parametrize("z1", [1e300, 1e17, 1e16 + 0.1j, 1000.3, -7.25 + 0.2j])
+def test_theta_at_a_large_real_part_matches_the_oracle(z1, entries):
+    # every double above 2^53 is an integer and theta has period 1 in each z_j, so
+    # Re z is reduced modulo 1 exactly; an unreduced 2 pi m z loses the phase
+    B = PeriodMatrix(entries)
+    z = np.array([z1, 0.3 - 0.1j])
+    oracle = mp_theta_box(z, B.entries)
+    assert abs(riemann_theta(z, B) - oracle) <= 4e-16 * (1.0 + abs(oracle))
+    assert quasi_periodicity_defect(np.array([z1, -7.25 + 0.2j]), np.array([1, 0]), B) < 1e-13
 
 
 def test_truncation_monotonicity():
@@ -327,7 +355,9 @@ def test_omitted_box_terms_are_exact_zeros():
             R = radius or default_radius(w, B)
             if (2 * R + 1) ** g > 200_000:
                 continue
-            M, terms = _box_terms(w, B, R)
+            reduced = w.copy()   # riemann_theta sums at Re w reduced modulo 1, exactly
+            reduced.real = np.fmod(w.real, 1.0)
+            M, terms = _box_terms(reduced, B, R)
             kept_points, floor_value = _floor_points(w, B, R)
             rows = kept_points.tolist()
             kept = set(map(tuple, rows))

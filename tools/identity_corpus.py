@@ -44,7 +44,12 @@ CURVES = [  # curve-info alone, and verify --grid 4x4 for those that derive
     ("1", "1", "2", "1e200"),
     ("1", "1", "1e200", "1"),
     ("1", "1", "0.5", "1"),            # input rules
-    ("1", "1", "1.0000000000001", "1"),
+]
+EDGES = [  # curve-info and verify --grid 4x4
+    ("1", "1", "1.0000000000001", "1"),     # Q1 within 1e-12 b of the gluing coordinates
+    ("1", "2", "-2.0000000000001", "1"),
+    ("1", "1", "2", "1e-200"),              # residues that underflow to 0
+    ("1e155", "1", "2", "1"),
 ]
 CONES = [(1, 1), (1, 2), (3, 2), (4, 4), (40, 40)]
 GRIDS = ["16x16", "33x17", "1x1", "7x64"]
@@ -54,6 +59,7 @@ PERIOD_FILES = {  # name: (text, z, shift)
     "pm1.txt": ("1\n1j\n", "0.3+0.1j", "1"),
     "pm2.txt": ("2\n0.1+1j 0.2\n0.2 2j\n", "0.1,0.2-0.3j", "1,-1"),
     "pm3.txt": ("3\n1.2j 0.1 0.2j\n0.1 0.9j 0\n0.2j 0 1.5j\n", "0.1,0,0.2j", "0,1,2"),
+    "pm4.txt": ("2\n0.3+1j 0.1+0.5j\n0.1+0.5j -0.2+1.2j\n", "1e300,-7.25+0.2j", "1,0"),
 }
 
 
@@ -69,9 +75,9 @@ def corpus() -> list:
                     rest = [*surface, "--grid", grid, "--tol-profile", profile, "--h", h]
                     calls.append(["verify", *rest, "--json-out", "report.json"])
                     calls.append(["sample", *rest, "--out", "surface.csv"])
-    for a, b, q1, g in SPECTRAL + CURVES:
+    for a, b, q1, g in SPECTRAL + CURVES + EDGES:
         calls.append(["curve-info", "--a", a, "--b", b, "--q1", q1, "--gamma-im", g])
-    for a, b, q1, g in CURVES[:2]:
+    for a, b, q1, g in CURVES[:2] + EDGES:
         calls.append(["verify", "--family", "spectral", "--a", a, "--b", b, "--q1", q1,
                       "--gamma-im", g, "--grid", "4x4", "--json-out", "report.json"])
     for name, (_, z, shift) in PERIOD_FILES.items():
