@@ -11,7 +11,10 @@ as one (3, 5, n, 3) array, centre first, and takes all its Lagrangian angles in 
 Every check runs with the floating-point operations of its scalar oracle
 in diffgeo (np.vecdot for np.vdot, hypot for the abs of one complex number,
 math.remainder rebuilt from np.fmod), so each reduced maximum equals the oracles'
-bit for bit.  The metric, residue and curvature checks call the closed forms the
+bit for bit.  The Christoffel stage's condition gate keeps the oracle's mask
+(cond <= CONDITION_LIMIT, bit for bit) but not its values: Gershgorin bounds on the Gram
+matrix decide most points, and np.linalg.cond (an SVD) only those the bounds cannot
+certify.  The metric, residue and curvature checks call the closed forms the
 oracles call.  Each check group returns (values, ok) and one accumulator folds
 them into the maxima.  CHUNK bounds the memory a sweep holds whatever the grid
 size: at 1024 a 64x64 verify peaks 7.6 MB above an idle process, a sample
@@ -139,10 +142,37 @@ def _angles(J) -> tuple:
 def _christoffel(J, E, G, beta_s, h: float) -> tuple:
     """Christoffel, gradient-identity and minimality defects over stacked centre jets
     and the stencil angles beta_s, and where they hold: E and G nonzero and the
-    basis (phi_x, phi_y, phi) conditioned within CONDITION_LIMIT."""
+    basis (phi_x, phi_y, phi) conditioned within CONDITION_LIMIT.
+
+    The condition mask is np.linalg.cond(basis) <= CONDITION_LIMIT bit for bit, with the
+    SVD run only where Gershgorin's theorem cannot certify the point.  M = basis^H basis
+    is Hermitian with eigenvalues sigma_i^2, so cond^2 = lambda_max / lambda_min, and
+    every eigenvalue lies in [lo, hi], lo = min_i (M_ii - R_i), hi = max_i (M_ii + R_i),
+    R_i the sum of |M_ij| off the diagonal.  M's diagonal is (E, G, |phi|^2) and, on a
+    Lagrangian surface, its off-diagonal entries are Gram defects of about 1e-16, so the
+    bound is tight.  This route squares the condition number (at cond 1e8, lambda_min /
+    lambda_max is below the rounding of M's entries), so a margin on cond alone proves
+    nothing; the slack delta = 2^-44 tr(M) bounds the error of the computed M
+    (|M^_ij - M_ij| <= g sqrt(M_ii M_jj), so ||M^ - M||_2 <= 3 g tr(M), g a few units of
+    2^-53) and of lo and hi (a few roundings of size <= 2 tr(M)) with room to spare, and
+    tr(M) >= 2^-900 keeps every underflow far below delta.  A point with hi + delta finite
+    (so every entry of M is), lo - delta > 0 and hi + delta <= (lo - delta)
+    (CONDITION_LIMIT / 4)^2 has a true cond of at most CONDITION_LIMIT / 4, which numpy's
+    backward-stable SVD reads within CONDITION_LIMIT.  Every other point (NaN, inf,
+    overflow, underflow, cond near or above the limit) takes np.linalg.cond."""
     basis = np.stack([J[1], J[2], J[0]], axis=-1)
-    cond, ok = _stacked(np.linalg.cond, basis)
-    ok &= (E != 0.0) & (G != 0.0) & (cond <= CONDITION_LIMIT)
+    M = np.vecdot(basis[:, :, :, None], basis[:, :, None, :], axis=1)
+    d = M.diagonal(axis1=1, axis2=2).real
+    r = np.abs(M).sum(axis=2) - d   # at least the off-diagonal sum: |M_ii| >= d
+    tr = d.sum(axis=1)
+    lo, hi = (d - r).min(axis=1) - 2.0 ** -44 * tr, (d + r).max(axis=1) + 2.0 ** -44 * tr
+    ok = ((tr >= 2.0 ** -900) & np.isfinite(hi) & (lo > 0.0)
+          & (hi <= lo * (CONDITION_LIMIT / 4.0) ** 2))
+    rest = np.flatnonzero(~ok)
+    if len(rest):
+        cond, accepted = _stacked(np.linalg.cond, basis[rest])
+        ok[rest] = accepted & (cond <= CONDITION_LIMIT)
+    ok &= (E != 0.0) & (G != 0.0)
     sol = np.linalg.solve(np.where(ok[:, None, None], basis, np.eye(3)),
                           np.stack([J[3], J[4], J[5]], axis=-1))
     v1x = 2.0 * np.vecdot(J[1], J[3]).real / E
@@ -213,9 +243,9 @@ def check_maxima(family: Family, grid, h: float, k_field: MetricField) -> tuple:
     def fold(phase, names, values, ok=True):
         # NaN-sticky running max in which a point where ok is False counts as inf
         timer.lap(phase)
-        for name, v in zip(names, values):
-            maxima[name] = np.maximum(maxima.get(name, -np.inf),
-                                      np.max(np.where(ok, v, np.inf), initial=-np.inf))
+        block = np.max(np.where(ok, np.array(list(values)), np.inf), axis=-1, initial=-np.inf)
+        for name, v in zip(names, block):
+            maxima[name] = np.maximum(maxima.get(name, -np.inf), v)
         timer.lap("reduce")
 
     with np.errstate(all="ignore"):

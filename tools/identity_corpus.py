@@ -35,6 +35,10 @@ SPECTRAL = [  # (a, b, q1, gamma_im)
     ("0.8", "1.7", "-2.5", "0.4"),
     ("1e150", "1", "2", "1"),          # overflowing Christoffel values
     ("1e-13", "1", "2", "1"),          # below the stencil norm
+    ("1e-8", "1", "2", "1"),           # cond about 1/a: CONDITION_LIMIT runs through the
+    ("1.5e-8", "1", "2", "1"),         # grid, so SVD-accepted and SVD-rejected points
+    ("3e-8", "1", "2", "1"),           # share a block
+    ("3e-7", "1", "2", "1"),           # certified and SVD-decided points share a block
 ]
 CURVES = [  # curve-info alone, and verify --grid 4x4 for those that derive
     ("0.003", "1", "2", "1"),          # FAILs only the absolute curve_regularity tolerance
