@@ -27,8 +27,8 @@ from .spectral_curve import ReducibleCurveData
 class BARationalValue(NamedTuple):
     """Value of the rational-model function together with its building blocks.
 
-    f1 and f2 are stored as reals: both are real identically in (x, y) under
-    the reality conditions (checked to 1e-12 at construction).
+    f1 and f2 are reals, as the reality conditions make them identically in (x, y);
+    ba_rational_eval stores f1 = d and the real part of f2, and checks neither.
     """
 
     f1: float

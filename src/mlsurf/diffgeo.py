@@ -48,11 +48,12 @@ class MetricData(NamedTuple):
 
 
 def metric_from_jet(jet: SurfaceJet) -> MetricData:
+    """v1, v2 by np.log, the ufunc the sweep applies to a block (math.log differs by an ulp)."""
     E = float(np.sum(np.abs(jet.phi_x) ** 2))
     G = float(np.sum(np.abs(jet.phi_y) ** 2))
     if E == 0.0 or G == 0.0:
         raise ValueError("degenerate immersion point: a first derivative vanishes")
-    return MetricData(v1=math.log(E / 2.0), v2=math.log(G / 2.0), E=E, G=G)
+    return MetricData(v1=float(np.log(E / 2.0)), v2=float(np.log(G / 2.0)), E=E, G=G)
 
 
 def metric_gradients_from_jet(jet: SurfaceJet) -> dict:
@@ -224,23 +225,20 @@ def frame_and_connection(jet_field, x: float, y: float, h: float = 1e-4) -> Fram
 
 
 def frame_defects(fd: FrameData) -> dict:
-    """Residuals of every FrameData invariant, for reporting."""
-    eye = np.eye(3)
-    unitarity = float(np.max(np.abs(fd.Phi @ fd.Phi.conj().T - eye)))
-    det = np.linalg.det(fd.Phi)
-    out = {
-        "unitarity": unitarity,
-        "det_unit": float(abs(det - 1.0)),
+    """Residuals of every FrameData invariant, for reporting.  The pattern checks take
+    np.maximum, which keeps a NaN entry (Python's max drops a NaN that comes second)."""
+    return {
+        "unitarity": float(np.max(np.abs(fd.Phi @ fd.Phi.conj().T - np.eye(3)))),
+        "det_unit": float(abs(np.linalg.det(fd.Phi) - 1.0)),
         "A_antiherm": float(np.max(np.abs(fd.A + fd.A.conj().T))),
         "B_antiherm": float(np.max(np.abs(fd.B + fd.B.conj().T))),
         "A_trace": float(abs(np.trace(fd.A))),
         "B_trace": float(abs(np.trace(fd.B))),
-        "A_pattern": float(max(abs(fd.A[0, 2]), abs(fd.A[2, 0]))),
-        "B_pattern": float(max(abs(fd.B[0, 1]), abs(fd.B[1, 0]))),
+        "A_pattern": float(np.maximum(abs(fd.A[0, 2]), abs(fd.A[2, 0]))),
+        "B_pattern": float(np.maximum(abs(fd.B[0, 1]), abs(fd.B[1, 0]))),
         "f_real": float(abs(fd.A[1, 1].real)),
         "h_real": float(abs(fd.B[1, 1].real)),
     }
-    return out
 
 
 def beta_gradient_fd(jet_field, x: float, y: float, h: float = 1e-4) -> tuple:

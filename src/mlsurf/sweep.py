@@ -17,8 +17,7 @@ matrix decide most points, and np.linalg.cond (an SVD) only those the bounds can
 certify.  The metric, residue and curvature checks call the closed forms the
 oracles call.  Each check group returns (values, ok) and one accumulator folds
 them into the maxima.  CHUNK bounds the memory a sweep holds whatever the grid
-size: at 1024 a 64x64 verify peaks 7.6 MB above an idle process, a sample
-4.0-4.3 MB (README, Performance).  The report does not depend on it.
+size (README, Performance, gives the measured peaks); the report does not depend on it.
 
 Floating-point policy: both sweeps compute each block under np.errstate(all="ignore")
 (not across a yield).  A check fails a non-finite value (inf where a point fails, NaN
@@ -106,11 +105,6 @@ def _remainder(x, p: float):
     c = p - m
     tie = m - 2.0 * np.fmod(0.5 * (ax - m), p)
     return np.copysign(1.0, x) * np.where(m < c, m, np.where(m > c, -c, tie))
-
-
-def _py_max(a, b):
-    """Python's max(a, b) elementwise: a unless b > a."""
-    return np.where(b > a, b, a)
 
 
 def _stacked(f, a) -> tuple:
@@ -212,8 +206,8 @@ def _frame(S, norm_x, norm_y, beta, h: float) -> tuple:
         np.abs(B + np.conj(B).swapaxes(-1, -2)).max(axis=(1, 2)),
         _abs(np.trace(A, axis1=1, axis2=2)),
         _abs(np.trace(B, axis1=1, axis2=2)),
-        _py_max(_abs(A[:, 0, 2]), _abs(A[:, 2, 0])),
-        _py_max(_abs(B[:, 0, 1]), _abs(B[:, 1, 0])),
+        np.maximum(_abs(A[:, 0, 2]), _abs(A[:, 2, 0])),
+        np.maximum(_abs(B[:, 0, 1]), _abs(B[:, 1, 0])),
         np.abs(A[:, 1, 1].real),
         np.abs(B[:, 1, 1].real),
     ), ok
@@ -260,7 +254,7 @@ def check_maxima(family: Family, grid, h: float, k_field: MetricField) -> tuple:
                 fold("residue", RESIDUE_NAMES, residue_identity_defects(curve, SurfaceJet(x, y, *J)))
 
             if tube.any():
-                fold("angle", ["tube_G_bound"], [G[tube]])
+                fold("metric", ["tube_G_bound"], [G[tube]])
                 tube_points += int(tube.sum())
             if tube.all():  # no point outside the tube: no angle stage
                 continue
@@ -283,11 +277,10 @@ def check_maxima(family: Family, grid, h: float, k_field: MetricField) -> tuple:
                  [np.abs(_remainder(beta[0] - beta_ref, family.beta_period))], centre_ok)
             if curve is not None:
                 fold("angle", ["beta_e2i_plus_one"], [_abs(np.exp(2j * beta[0]) + 1.0)], centre_ok)
-            if curve is None:
-                # math.log, as diffgeo.metric_from_jet: np.log rounds differently
-                fold("christoffel", ["metric_anisotropy"], [np.array(
-                    [abs(math.log(e / 2.0) - math.log(g / 2.0)) if c and e != 0.0 and g != 0.0
-                     else -math.inf for e, g, c in zip(Ea.tolist(), Ga.tolist(), centre_ok)])])
+            if curve is None:   # -inf where the centre angle is rejected or E or G is 0
+                fold("metric", ["metric_anisotropy"], [np.where(
+                    centre_ok & (Ea != 0.0) & (Ga != 0.0),
+                    np.abs(np.log(Ea / 2.0) - np.log(Ga / 2.0)), -np.inf)])
             values, ok = _christoffel(Ja, Ea, Ga, beta[1:], h)
             fold("christoffel", CHRISTOFFEL_NAMES, values, ok & angles_ok)
             values, ok = _frame(S, norm_x, norm_y, beta, h)

@@ -7,7 +7,7 @@ import sympy
 
 from mlsurf.diffgeo import (angle_defect, beta_gradient_fd,
                             christoffel_b_defects, christoffel_residual,
-                            christoffel_solve, frame_and_connection,
+                            christoffel_solve, frame_and_connection, FrameData,
                             frame_defects, gauss_curvature, gauss_curvature_masked, gram_defects,
                             herm, lagrangian_angle, gradient_identity_defects,
                             metric_from_jet, metric_gradients_from_jet,
@@ -245,6 +245,28 @@ def test_frame_sphere(sphere_curve):
     expected_b = math.sqrt(2.0) * math.exp(md.v2 / 2) * cmath.exp(0.5j * fr.beta)
     assert abs(fr.B[0, 2] - expected_b) < 1e-6
     assert abs(fr.B[0, 1]) < 1e-6
+
+
+@pytest.mark.parametrize("matrix, entry", [("A", (2, 0)), ("B", (1, 0))])
+def test_frame_defects_keep_a_nan_in_the_second_pattern_entry(matrix, entry):
+    # Python's max(0.0, nan) is 0.0: the pattern check would PASS the NaN
+    M = np.zeros((3, 3), dtype=complex)
+    M[entry] = math.nan
+    zero = np.zeros((3, 3), dtype=complex)
+    fd = FrameData(np.eye(3, dtype=complex), 0.0, *((M, zero) if matrix == "A" else (zero, M)))
+    d = frame_defects(fd)
+    assert [k for k, v in d.items() if math.isnan(v)] == [f"{matrix}_antiherm", f"{matrix}_pattern"]
+
+
+def test_metric_from_jet_logs_as_the_sweep_does():
+    # v1, v2 by np.log on one double equal np.log over a block bit for bit, so the
+    # sweep's metric_anisotropy is the oracle's; math.log differs by an ulp on some
+    xs, ys = np.random.default_rng(31).uniform(0.0, 2.0 * math.pi, (2, 2000))
+    jets = [cone_family_jet(3, 2, x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+    E = np.array([float(np.sum(np.abs(j.phi_x) ** 2)) for j in jets])
+    G = np.array([float(np.sum(np.abs(j.phi_y) ** 2)) for j in jets])
+    v = np.array([metric_from_jet(j)[:2] for j in jets])
+    assert v.tobytes() == np.stack([np.log(E / 2.0), np.log(G / 2.0)], axis=1).tobytes()
 
 
 def test_frame_consistency_reconstruction(sphere_curve):

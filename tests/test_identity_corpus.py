@@ -1,0 +1,51 @@
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "identity_corpus.py"
+
+
+def _corpus_size() -> int:
+    spec = importlib.util.spec_from_file_location("identity_corpus", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return len(module.corpus())
+
+
+def _checkout(root: Path, main_body: str) -> str:
+    """A source tree whose mlsurf.cli.main is main_body: enough for the corpus to run."""
+    pkg = root / "src" / "mlsurf"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "cli.py").write_text(f"def main(argv):\n    {main_body}\n")
+    return str(root)
+
+
+def _compare(old: str, new: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(TOOL), old, new], capture_output=True, text=True)
+
+
+def test_two_checkouts_that_print_the_same_lines_are_identical(tmp_path):
+    body = "print(*argv); return 0"
+    run = _compare(_checkout(tmp_path / "old", body), _checkout(tmp_path / "new", body))
+    assert (run.returncode, run.stdout) == (0, f"identical: {_corpus_size()} calls\n")
+
+
+def test_the_first_differing_call_is_printed_from_each_side(tmp_path):
+    # the exit code differs on every theta call; the first one is named, once per side
+    old = _checkout(tmp_path / "old", "print(*argv); return 0")
+    new = _checkout(tmp_path / "new", "print(*argv); return int(argv[0] == 'theta')")
+    run = _compare(old, new)
+    lines = run.stdout.splitlines()
+    assert run.returncode == 1 and len(lines) == 2
+    first = "theta --period-file pm1.txt --z 0.3+0.1j "
+    assert lines[0].startswith(f"{old}: {first}0 ") and lines[1].startswith(f"{new}: {first}1 ")
+
+
+def test_a_checkout_whose_corpus_fails_exits_2(tmp_path):
+    old = _checkout(tmp_path / "old", "print(*argv); return 0")
+    new = _checkout(tmp_path / "new", "raise RuntimeError('broken')")
+    run = _compare(old, new)
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr.startswith(f"{new}: the corpus exited 1\n") and "broken" in run.stderr

@@ -520,6 +520,33 @@ def test_nan_jet_fails_verify(where):
     _assert_report_matches_oracle(family, grid)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("row, dx, dy, check, other", [
+    ("phi_y", 1, 0, "frame_A_pattern", "frame_B_pattern"),
+    ("phi_x", 0, 1, "frame_B_pattern", "frame_A_pattern"),
+], ids=["phi_y-at-x+h", "phi_x-at-y+h"])
+def test_a_nan_in_one_stencil_jet_fails_its_pattern_check(row, dx, dy, check, other):
+    # the NaN passes the angle and stencil-norm gates and twists the neighbour's frame
+    # rows 1 and 2 to NaN, so the lower pattern entry of A (or B), the second argument of
+    # the pattern's max, is NaN: Python's max(x, nan) is x and would PASS the point
+    family, grid, h = spectral_family(derive_constants(1.0, 1.0, 2.0, 1.0)), GridSpec(16, 16), 1e-4
+    points = list(zip(*(c.tolist() for c in grid.points(np.arange(256)))))
+    x0, y0 = next(p for p in points[100:] if not in_degeneracy_tube(family.curve, *p))
+    bad = (x0 + h if dx else x0, y0 + h if dy else y0)
+
+    def jet(x, y):
+        j = family.jet(x, y)
+        if (x, y) == bad:
+            j = j._replace(**{row: getattr(j, row).copy()})
+            getattr(j, row)[0] = math.nan
+        return j
+
+    checks = {c.name: c for c in
+              _assert_report_matches_oracle(family._replace(jet=jet), grid, h).checks}
+    assert math.isnan(checks[check].value) and not checks[check].passed
+    assert checks[other].passed   # the other derivative's stencil is finite
+
+
 @pytest.mark.parametrize("chunk", [sweep.CHUNK, 1])
 def test_a_rejected_reference_angle_names_the_first_point_outside_the_tube(chunk, monkeypatch):
     # the first block starts inside the tube and phi is doubled everywhere, so

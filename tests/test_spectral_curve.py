@@ -340,6 +340,18 @@ def test_a_curve_beyond_the_absolute_regularity_tolerance_derives():
     assert record.name == "curve_regularity" and record.value == defect and not record.passed
 
 
+@pytest.mark.parametrize("change, name, value", [
+    (lambda c: {"Q3": 0.5}, "curve_Q_sum", 0.5),
+    (lambda c: {"res_Q": (*c.res_Q[:2], -1e-3)}, "curve_residues_positive", -1e-3),
+], ids=["Q3", "res_Q3"])
+def test_curve_checks_read_every_marked_point_and_residue(change, name, value):
+    # the worked example has Q3 = 0, so a Q sum without Q3 would read 0 here, and a
+    # residue check taking the max of the residues would PASS a negative third one
+    curve = derive_constants(1.0, 1.0, 2.0, 1.0)
+    record = {c.name: c for c in curve_checks(curve._replace(**change(curve)))}[name]
+    assert record.value == value and not record.passed
+
+
 _REFUSALS = ("parameters must be finite", "a must be positive", "b must be positive",
              "gamma_im must be nonzero", "Q1 must be nonzero", "|Q1| = ",
              "cannot derive the curve constants of ")

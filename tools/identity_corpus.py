@@ -1,17 +1,20 @@
 """Run a fixed corpus of mlsurf command lines in process and print a digest per call.
 
 Usage: python tools/identity_corpus.py CHECKOUT
+       python tools/identity_corpus.py OLD NEW
 
 CHECKOUT is the root of an mlsurf source tree; its `src/mlsurf` is imported.
 Each call prints one line: the argv, the exit code, and the sha256 of stdout,
 of stderr, of the `--json-out` document without its `timings`, and of the CSV
 ("-" where the call writes no file).  Two checkouts that print the same lines
 give byte-identical reports, CSVs and messages on the whole corpus, so a
-refactor that must not change any output is checked by comparing
+refactor that must not change any output is checked by
 
-    python tools/identity_corpus.py OLD > old.txt
-    python tools/identity_corpus.py NEW > new.txt
-    cmp old.txt new.txt
+    python tools/identity_corpus.py OLD NEW
+
+which runs the corpus once per checkout, each in its own interpreter, and
+prints `identical: N calls` (exit 0) or the first line that differs, as each
+side printed it (exit 1); a checkout whose corpus run fails exits 2.
 
 The calls run in a temporary directory with relative file names, so no line
 depends on where the corpus ran.
@@ -22,6 +25,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -116,7 +120,26 @@ def _without_timings(path: Path) -> str:
     return json.dumps(doc, indent=2)
 
 
+def compare(old: str, new: str) -> int:
+    """Run the corpus on both checkouts, each in a fresh interpreter, and compare the lines."""
+    lines = []
+    for checkout in (old, new):
+        run = subprocess.run([sys.executable, __file__, checkout], capture_output=True, text=True)
+        if run.returncode:
+            print(f"{checkout}: the corpus exited {run.returncode}\n{run.stderr}", file=sys.stderr)
+            return 2
+        lines.append(run.stdout.splitlines())   # one per call of this file's corpus
+    for a, b in zip(*lines):
+        if a != b:
+            print(f"{old}: {a}\n{new}: {b}")
+            return 1
+    print(f"identical: {len(lines[0])} calls")
+    return 0
+
+
 def main(argv: list) -> int:
+    if len(argv) == 2:
+        return compare(*argv)
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
