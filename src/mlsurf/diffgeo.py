@@ -111,10 +111,12 @@ class ChristoffelData(NamedTuple):
 def christoffel_solve(jet: SurfaceJet) -> ChristoffelData:
     """Solve the three 3x3 systems phi_ss = G^1 phi_x + G^2 phi_y + b phi.
 
-    Requires (phi_x, phi_y, phi) linearly independent; the basis condition
+    Requires (phi_x, phi_y, phi) finite and linearly independent; the basis condition
     number is rejected above 1e8.
     """
     basis = np.column_stack([jet.phi_x, jet.phi_y, jet.phi])
+    if not np.isfinite(basis).all():
+        raise ValueError("moving basis is not finite")
     cond = np.linalg.cond(basis)
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise ValueError(f"moving basis ill-conditioned: cond = {cond:.3e}")

@@ -107,24 +107,6 @@ def _remainder(x, p: float):
     return np.copysign(1.0, x) * np.where(m < c, m, np.where(m > c, -c, tie))
 
 
-def _stacked(f, a) -> tuple:
-    """(f over a stack of matrices, mask of the matrices f accepts); f raises
-    LinAlgError for a whole stack when one matrix fails."""
-    try:
-        return f(a), np.ones(len(a), dtype=bool)
-    except np.linalg.LinAlgError:
-        ok = np.array([_accepts(f, m) for m in a], dtype=bool)
-        return f(np.where(ok[:, None, None], a, np.eye(3))), ok
-
-
-def _accepts(f, m) -> bool:
-    try:
-        f(m)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def _angles(J) -> tuple:
     """diffgeo.lagrangian_angle of stacked jets: (beta, accepted, |phi_x|, |phi_y|)."""
     nx, ny = _norm(J[1]), _norm(J[2])
@@ -152,8 +134,8 @@ def _christoffel(J, E, G, beta_s, h: float) -> tuple:
     tr(M) >= 2^-900 keeps every underflow far below delta.  A point with hi + delta finite
     (so every entry of M is), lo - delta > 0 and hi + delta <= (lo - delta)
     (CONDITION_LIMIT / 4)^2 has a true cond of at most CONDITION_LIMIT / 4, which numpy's
-    backward-stable SVD reads within CONDITION_LIMIT.  Every other point (NaN, inf,
-    overflow, underflow, cond near or above the limit) takes np.linalg.cond."""
+    backward-stable SVD reads within CONDITION_LIMIT.  A non-finite basis fails; every
+    other point (overflow, underflow, cond near or above the limit) takes np.linalg.cond."""
     basis = np.stack([J[1], J[2], J[0]], axis=-1)
     M = np.vecdot(basis[:, :, :, None], basis[:, :, None, :], axis=1)
     d = M.diagonal(axis1=1, axis2=2).real
@@ -163,9 +145,9 @@ def _christoffel(J, E, G, beta_s, h: float) -> tuple:
     ok = ((tr >= 2.0 ** -900) & np.isfinite(hi) & (lo > 0.0)
           & (hi <= lo * (CONDITION_LIMIT / 4.0) ** 2))
     rest = np.flatnonzero(~ok)
+    rest = rest[np.isfinite(basis[rest]).all(axis=(1, 2))]
     if len(rest):
-        cond, accepted = _stacked(np.linalg.cond, basis[rest])
-        ok[rest] = accepted & (cond <= CONDITION_LIMIT)
+        ok[rest] = np.linalg.cond(basis[rest]) <= CONDITION_LIMIT
     ok &= (E != 0.0) & (G != 0.0)
     sol = np.linalg.solve(np.where(ok[:, None, None], basis, np.eye(3)),
                           np.stack([J[3], J[4], J[5]], axis=-1))
@@ -187,15 +169,18 @@ def _christoffel(J, E, G, beta_s, h: float) -> tuple:
     ), ok
 
 
-def _frame(S, norm_x, norm_y, beta, h: float) -> tuple:
+def _frame(S, norm_x, norm_y, beta, centre_ok, h: float) -> tuple:
     """Frame defects of diffgeo.frame_and_connection over the (3, 5, n, 3) centre and
     stencil jets S, each slot twisted by its angle unwrapped to the centre's, and where they
-    hold: |phi_x|, |phi_y| >= MIN_STENCIL_NORM at every neighbour and the frame invertible."""
+    hold: |phi_x|, |phi_y| >= MIN_STENCIL_NORM at every neighbour.  Phi is inverted where
+    the centre angle is accepted with a finite det (|det Phi| within UNITARITY_GATE of 1, so
+    LU meets no zero pivot); elsewhere every value fails or is NaN whatever the inverse."""
     tw = np.exp(-0.5j * (beta[0] + _remainder(beta - beta[0], _TWO_PI)))[..., None]
     Phi, xp, xm, yp, ym = np.stack(
         [S[0], tw * S[1] / norm_x[..., None], tw * S[2] / norm_y[..., None]], axis=-2)
-    inv, ok = _stacked(np.linalg.inv, Phi)
-    ok &= (~(norm_x[1:] < MIN_STENCIL_NORM) & ~(norm_y[1:] < MIN_STENCIL_NORM)).all(axis=0)
+    regular = (centre_ok & np.isfinite(beta[0]))[:, None, None]
+    inv = np.linalg.inv(np.where(regular, Phi, np.eye(3)))
+    ok = (~(norm_x[1:] < MIN_STENCIL_NORM) & ~(norm_y[1:] < MIN_STENCIL_NORM)).all(axis=0)
     A = (xp - xm) / (2.0 * h) @ inv
     B = (yp - ym) / (2.0 * h) @ inv
     eye = np.eye(3)
@@ -283,7 +268,7 @@ def check_maxima(family: Family, grid, h: float, k_field: MetricField) -> tuple:
                     np.abs(np.log(Ea / 2.0) - np.log(Ga / 2.0)), -np.inf)])
             values, ok = _christoffel(Ja, Ea, Ga, beta[1:], h)
             fold("christoffel", CHRISTOFFEL_NAMES, values, ok & angles_ok)
-            values, ok = _frame(S, norm_x, norm_y, beta, h)
+            values, ok = _frame(S, norm_x, norm_y, beta, centre_ok, h)
             fold("frame", FRAME_NAMES, values, ok & angles_ok)
             if curve is not None:
                 K, pos = gauss_curvature_masked(k_field, xa, ya, h)

@@ -175,6 +175,17 @@ def test_christoffel_ill_conditioned(sphere_curve):
         christoffel_solve(bad)
 
 
+def test_christoffel_refuses_a_non_finite_basis_before_lapack(capfd):
+    # an SVD of this basis makes LAPACK write a DLASCL illegal-value line to fd 1
+    jet = cone_family_jet(1, 2, 0.3, 1.1)
+    phi = jet.phi.copy()
+    phi[1] = math.inf
+    with pytest.raises(ValueError) as exc:
+        christoffel_solve(jet._replace(phi=phi))
+    assert capfd.readouterr() == ("", "")
+    assert str(exc.value) == "moving basis is not finite"
+
+
 def test_gradient_identity_both_families(sphere_curve):
     rng = np.random.default_rng(4)
     jet_field = lambda x, y: sphere_jet(sphere_curve, x, y)

@@ -43,6 +43,20 @@ def test_the_first_differing_call_is_printed_from_each_side(tmp_path):
     assert lines[0].startswith(f"{old}: {first}0 ") and lines[1].startswith(f"{new}: {first}1 ")
 
 
+def test_a_write_to_file_descriptor_1_enters_the_calls_stdout_digest(tmp_path):
+    # a C library writes to fd 1 past sys.stdout; the write is part of what the call printed
+    old = _checkout(tmp_path / "old", "print(*argv); return 0")
+    new = _checkout(tmp_path / "new", "import os; print(*argv); "
+                    "argv[0] == 'theta' and os.write(1, b'stray\\n'); return 0")
+    run = _compare(old, new)
+    lines = run.stdout.splitlines()
+    assert run.returncode == 1 and len(lines) == 2
+    first = "theta --period-file pm1.txt --z 0.3+0.1j 0 "
+    assert lines[0].startswith(f"{old}: {first}") and lines[1].startswith(f"{new}: {first}")
+    (out_old, *rest_old), (out_new, *rest_new) = (ln.split()[-4:] for ln in lines)
+    assert out_old != out_new and rest_old == rest_new
+
+
 def test_a_checkout_whose_corpus_fails_exits_2(tmp_path):
     old = _checkout(tmp_path / "old", "print(*argv); return 0")
     new = _checkout(tmp_path / "new", "raise RuntimeError('broken')")

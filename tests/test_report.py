@@ -430,42 +430,98 @@ def _metric_negative_at(family, point):
     return family._replace(metric=metric)
 
 
-@pytest.mark.parametrize("family, failed, kept", [
+# the scalar oracles run outside np.errstate and warn where a jet is not finite
+_ORACLE_WARNS = pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+
+
+@pytest.mark.parametrize("family, failed, nan, kept", [
     # |det| = 2 at a grid point: every angle check fails there
     (_jet_scaled_at(cone_family(1, 2), (_X, _Y), phi=2.0),
-     "beta_constant christoffel_b11 frame_unitarity", "metric_E_closed_form"),
+     "beta_constant christoffel_b11 frame_unitarity", "", "metric_E_closed_form"),
     # |det| = 2 at a stencil point: its angle is rejected
     (_jet_scaled_at(cone_family(1, 2), (_X + 1e-4, _Y), phi=2.0),
-     "christoffel_b11 frame_unitarity", "beta_constant"),
+     "christoffel_b11 frame_unitarity", "", "beta_constant"),
     # |phi_x| < 1e-8 at a stencil point; its angle stands
     (_jet_scaled_at(cone_family(1, 2), (_X, _Y - 1e-4), phi_x=1e-9),
-     "frame_unitarity frame_B_trace", "christoffel_b11 gradient_identity_y"),
+     "frame_unitarity frame_B_trace", "", "christoffel_b11 gradient_identity_y"),
     # cond(phi_x, phi_y, phi) ~ 1e9 at a grid point; its angle stands
     (_jet_scaled_at(cone_family(1, 2), (_X, _Y), phi_y=1e-9),
-     "christoffel_b11 minimality_im_y", "beta_constant frame_unitarity"),
+     "christoffel_b11 minimality_im_y", "", "beta_constant frame_unitarity"),
     # G < 0 at a curvature stencil point
     (_metric_negative_at(spectral_family(derive_constants(1.0, 1.0, 2.0, 1.0)), (_X + 1e-4, _Y)),
-     "curvature_K_minus_1", "frame_unitarity metric_G_closed_form"),
+     "curvature_K_minus_1", "", "frame_unitarity metric_G_closed_form"),
     # |det| = 2 at a spectral grid point: K = 1 is an angle check too
     (_jet_scaled_at(spectral_family(derive_constants(1.0, 1.0, 2.0, 1.0)), (_X, _Y), phi=2.0),
-     "beta_constant beta_e2i_plus_one curvature_K_minus_1 frame_unitarity", "metric_G_closed_form"),
+     "beta_constant beta_e2i_plus_one curvature_K_minus_1 frame_unitarity", "",
+     "metric_G_closed_form"),
     # |det| = 2 and a large |phi_x| at a grid point: no anisotropy is read there
     (_jet_scaled_at(cone_family(1, 2), (_X, _Y), phi=2.0, phi_x=1e3),
-     "beta_constant christoffel_b11 frame_unitarity", "metric_G_closed_form"),
+     "beta_constant christoffel_b11 frame_unitarity", "", "metric_G_closed_form"),
     # phi = 0 at a grid point: det 0 rejects the angle, the basis and the frame are singular
     (_jet_scaled_at(cone_family(1, 2), (_X, _Y), phi=0.0),
-     "beta_constant christoffel_b11 frame_unitarity", "metric_E_closed_form metric_G_closed_form"),
+     "beta_constant christoffel_b11 frame_unitarity", "",
+     "metric_E_closed_form metric_G_closed_form"),
     # phi_y = 0 at a grid point: G = 0 rejects the angle; no anisotropy is read there
     (_jet_scaled_at(cone_family(1, 2), (_X, _Y), phi_y=0.0),
-     "beta_constant christoffel_b11 frame_unitarity", "metric_E_closed_form gram_norm"),
+     "beta_constant christoffel_b11 frame_unitarity", "", "metric_E_closed_form gram_norm"),
+    # phi = inf, then NaN, at a grid point: the det is NaN, which passes the angle gate, so
+    # the frame values are NaN; the non-finite basis fails the Christoffel checks
+    *(pytest.param(_jet_scaled_at(cone_family(1, 2), (_X, _Y), phi=scale),
+                   "christoffel_b11 gradient_identity_x",
+                   "beta_constant frame_unitarity frame_A_trace",
+                   "metric_E_closed_form gram_phix_phiy", marks=_ORACLE_WARNS)
+      for scale in (math.inf, math.nan)),
+    # |phi_x| = inf at a stencil point: its angle stands and its frame and gradient are NaN
+    pytest.param(_jet_scaled_at(cone_family(1, 2), (_X + 1e-4, _Y), phi_x=math.inf),
+                 "", "gradient_identity_x frame_A_trace frame_A_pattern",
+                 "christoffel_b11 frame_unitarity gradient_identity_y", marks=_ORACLE_WARNS),
 ], ids=["centre-angle", "neighbour-angle", "neighbour-degenerate", "ill-conditioned",
         "metric-not-positive", "centre-angle-spectral", "centre-angle-anisotropy",
-        "singular-basis", "vanishing-derivative"])
-def test_failed_points_match_the_oracle(family, failed, kept):
+        "singular-basis", "vanishing-derivative", "centre-inf", "centre-nan",
+        "neighbour-inf"])
+def test_failed_points_match_the_oracle(family, failed, nan, kept, capfd):
     report = _assert_report_matches_oracle(family, _GRID4)
     values = {c.name: c.value for c in report.checks}
     assert all(values[name] == math.inf for name in failed.split())
+    assert all(math.isnan(values[name]) for name in nan.split())
     assert all(values[name] < 1e-6 for name in kept.split())
+    assert capfd.readouterr() == ("", "")   # neither the sweep nor an oracle lets LAPACK write
+
+
+@pytest.mark.parametrize("scale", [0.0, math.nan], ids=["singular-basis", "nan-basis"])
+def test_verify_hands_lapack_only_stacked_matrices(scale, monkeypatch):
+    # one inv and at most one cond per block, each on an (n, 3, 3) stack: the sweep decides
+    # by mask which matrices LAPACK sees and never retries a block matrix by matrix
+    shapes = {"inv": [], "cond": []}
+
+    def spy(name):
+        f = getattr(np.linalg, name)
+
+        def call(a, *args, **kwargs):
+            shapes[name].append(np.shape(a))
+            return f(a, *args, **kwargs)
+        return call
+    for name in shapes:
+        monkeypatch.setattr(np.linalg, name, spy(name))
+    monkeypatch.setattr(sweep, "CHUNK", 4)   # four blocks of the 4x4 grid
+    verify(_jet_scaled_at(cone_family(1, 2), (_X, _Y), phi=scale), _GRID4)
+    assert all(len(s) == 3 and s[1:] == (3, 3) for s in shapes["inv"] + shapes["cond"])
+    assert len(shapes["inv"]) == 4 and len(shapes["cond"]) <= 4
+
+
+def test_a_nan_frame_whose_lu_meets_a_zero_pivot_fails_without_raising():
+    # phi = (0, NaN, 0) at a grid point: the det is NaN, so the centre angle stands, and the
+    # NaN twist leaves the frame's first column (0, NaN, NaN), where LU meets a zero pivot
+    # (the oracle's inv raises); the sweep inverts no frame whose det is not finite
+    cone = cone_family(1, 2)
+
+    def jets(xs, ys):
+        J = cone.jets(xs, ys)
+        J[0, (xs == _X) & (ys == _Y)] = [0.0, math.nan, 0.0]
+        return J
+    checks = {c.name: c for c in verify(cone._replace(jets=jets), _GRID4).checks}
+    assert not any(checks[name].passed for name in _FRAME)
+    assert math.isnan(checks["frame_unitarity"].value)
 
 
 def test_angles_on_the_seam_are_unwrapped_to_the_centre():

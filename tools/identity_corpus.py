@@ -6,9 +6,11 @@ Usage: python tools/identity_corpus.py CHECKOUT
 CHECKOUT is the root of an mlsurf source tree; its `src/mlsurf` is imported.
 Each call prints one line: the argv, the exit code, and the sha256 of stdout,
 of stderr, of the `--json-out` document without its `timings`, and of the CSV
-("-" where the call writes no file).  Two checkouts that print the same lines
-give byte-identical reports, CSVs and messages on the whole corpus, so a
-refactor that must not change any output is checked by
+("-" where the call writes no file).  Stdout and stderr are file descriptors 1
+and 2, captured per call, so what a C library writes there (a LAPACK message,
+say) enters that call's digest as it would reach a user.  Two checkouts that
+print the same lines give byte-identical reports, CSVs and messages on the
+whole corpus, so a refactor that must not change any output is checked by
 
     python tools/identity_corpus.py OLD NEW
 
@@ -20,9 +22,7 @@ The calls run in a temporary directory with relative file names, so no line
 depends on where the corpus ran.
 """
 
-import contextlib
 import hashlib
-import io
 import json
 import os
 import subprocess
@@ -120,6 +120,28 @@ def _without_timings(path: Path) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _run(main, call: list) -> tuple:
+    """(exit code, stdout bytes, stderr bytes) of main(call), with file descriptors 1
+    and 2 sent to temporary files for the call."""
+    saved = os.dup(1), os.dup(2)
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os.dup2(out.fileno(), 1)
+        os.dup2(err.fileno(), 2)
+        try:
+            code = main(list(call))
+        finally:
+            sys.stdout.flush()
+            sys.stderr.flush()
+            for fd, old in zip((1, 2), saved):
+                os.dup2(old, fd)
+                os.close(old)
+        out.seek(0)
+        err.seek(0)
+        return code, out.read(), err.read()
+
+
 def compare(old: str, new: str) -> int:
     """Run the corpus on both checkouts, each in a fresh interpreter, and compare the lines."""
     lines = []
@@ -157,13 +179,10 @@ def main(argv: list) -> int:
             for name, (text, _, _) in PERIOD_FILES.items():
                 Path(name).write_text(text)
             for call in calls:
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = cli.main(list(call))
+                code, out, err = _run(cli.main, call)
                 doc = _take("report.json", _without_timings)
                 csv = _take("surface.csv", Path.read_bytes)
-                print(" ".join(call), code,
-                      *map(_digest, (out.getvalue(), err.getvalue(), doc, csv)))
+                print(" ".join(call), code, *map(_digest, (out, err, doc, csv)))
         finally:
             os.chdir(home)
     print(f"{len(calls)} calls", file=sys.stderr)
