@@ -10,9 +10,8 @@ from .baker_akhiezer import (BARationalValue, ba_conjugation_defect,
                              ba_essential_singularity_coeffs, ba_rational_eval,
                              consistency_defect, f_coefficients)
 from .diffgeo import (ChristoffelData, FrameData, MetricData,
-                      christoffel_b_defects, christoffel_residual,
-                      christoffel_solve, frame_and_connection, frame_defects,
-                      gauss_curvature, gram_defects, herm, lagrangian_angle,
+                      christoffel_b_defects, christoffel_solve, frame_and_connection,
+                      frame_defects, gauss_curvature, gram_defects, herm, lagrangian_angle,
                       gradient_identity_defects, metric_from_jet, minimality_defects,
                       residue_identity_defects)
 from .report import (CheckRecord, GridSpec, VerificationReport, verify,

@@ -129,17 +129,6 @@ def christoffel_solve(jet: SurfaceJet) -> ChristoffelData:
     )
 
 
-def christoffel_residual(jet: SurfaceJet, ch: ChristoffelData) -> float:
-    """Componentwise backward error of the solved linear systems."""
-    res = 0.0
-    for rhs, g1, g2, b in ((jet.phi_xx, ch.G111, ch.G112, ch.b11),
-                           (jet.phi_xy, ch.G121, ch.G122, ch.b12),
-                           (jet.phi_yy, ch.G221, ch.G222, ch.b22)):
-        res = max(res, float(np.max(np.abs(
-            rhs - g1 * jet.phi_x - g2 * jet.phi_y - b * jet.phi))))
-    return res
-
-
 def christoffel_b_defects(ch: ChristoffelData, metric: MetricData) -> np.ndarray:
     """Relative defects of b11 = -2e^{v1}, b12 = 0, b22 = -2e^{v2}.
 
@@ -228,10 +217,12 @@ def frame_and_connection(jet_field, x: float, y: float, h: float = 1e-4) -> Fram
 
 def frame_defects(fd: FrameData) -> dict:
     """Residuals of every FrameData invariant, for reporting.  The pattern checks take
-    np.maximum, which keeps a NaN entry (Python's max drops a NaN that comes second)."""
+    np.maximum, which keeps a NaN entry (Python's max drops a NaN that comes second), and
+    det_unit is NaN wherever Phi holds a NaN (LU may meet a zero pivot there and read det 0)."""
     return {
         "unitarity": float(np.max(np.abs(fd.Phi @ fd.Phi.conj().T - np.eye(3)))),
-        "det_unit": float(abs(np.linalg.det(fd.Phi) - 1.0)),
+        "det_unit": (math.nan if np.isnan(fd.Phi).any()
+                     else float(abs(np.linalg.det(fd.Phi) - 1.0))),
         "A_antiherm": float(np.max(np.abs(fd.A + fd.A.conj().T))),
         "B_antiherm": float(np.max(np.abs(fd.B + fd.B.conj().T))),
         "A_trace": float(abs(np.trace(fd.A))),

@@ -196,7 +196,6 @@ def sample_rows(family: Family, grid: GridSpec, h: float, tol_profile: str = "st
         bits, cell = np.unique(cols.view(np.uint64), return_inverse=True)
         # the floats come one at a time from a memoryview; .tolist() would hold them all
         text = np.array([*map("%.17g".__mod__, memoryview(bits.view(float))), ""], dtype=object)
-        cell = cell.reshape(cols.shape)   # numpy 1.x returns it flat
         cell[~has_beta, 10] = cell[~has_K, 11] = len(bits)   # the "" of excluded cells
         del cols, bits
         for s in range(0, len(x), side):   # lines are held a piece, not a block, at a time

@@ -174,7 +174,8 @@ def _frame(S, norm_x, norm_y, beta, centre_ok, h: float) -> tuple:
     stencil jets S, each slot twisted by its angle unwrapped to the centre's, and where they
     hold: |phi_x|, |phi_y| >= MIN_STENCIL_NORM at every neighbour.  Phi is inverted where
     the centre angle is accepted with a finite det (|det Phi| within UNITARITY_GATE of 1, so
-    LU meets no zero pivot); elsewhere every value fails or is NaN whatever the inverse."""
+    LU meets no zero pivot); elsewhere every value fails or is NaN whatever the inverse.
+    det_unit is NaN wherever Phi holds a NaN, where LU may meet a zero pivot and read det 0."""
     tw = np.exp(-0.5j * (beta[0] + _remainder(beta - beta[0], _TWO_PI)))[..., None]
     Phi, xp, xm, yp, ym = np.stack(
         [S[0], tw * S[1] / norm_x[..., None], tw * S[2] / norm_y[..., None]], axis=-2)
@@ -186,7 +187,7 @@ def _frame(S, norm_x, norm_y, beta, centre_ok, h: float) -> tuple:
     eye = np.eye(3)
     return (
         np.abs(Phi @ np.conj(Phi).swapaxes(-1, -2) - eye).max(axis=(1, 2)),
-        _abs(np.linalg.det(Phi) - 1.0),
+        np.where(np.isnan(Phi).any(axis=(1, 2)), np.nan, _abs(np.linalg.det(Phi) - 1.0)),
         np.abs(A + np.conj(A).swapaxes(-1, -2)).max(axis=(1, 2)),
         np.abs(B + np.conj(B).swapaxes(-1, -2)).max(axis=(1, 2)),
         _abs(np.trace(A, axis1=1, axis2=2)),

@@ -133,10 +133,7 @@ def read_period_matrix(path) -> PeriodMatrix:
         raise ValueError(f"{path}: expected {g} matrix rows, found {len(lines) - 1}")
     rows = []
     for ln in lines[1:]:
-        try:
-            row = list(map(complex, ln.split()))
-        except ValueError:  # name the malformed token
-            row = [parse_complex(tok, path) for tok in ln.split()]
+        row = [parse_complex(tok, path) for tok in ln.split()]
         if len(row) != g:
             raise ValueError(f"{path}: expected {g} entries per row, got {len(row)}")
         rows.append(row)

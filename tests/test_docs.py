@@ -52,6 +52,12 @@ def test_readme_states_the_shipped_block_size():
     assert stated and all(int(n) == sweep.CHUNK for n in stated)
 
 
+def test_readme_states_the_numpy_floor():
+    stated = re.findall(r"`numpy>=([\d.]+)`", README)
+    required = re.findall(r'"numpy>=([\d.]+)"', (ROOT / "pyproject.toml").read_text())
+    assert stated and len(required) == 1 and set(stated) == set(required)
+
+
 def test_readme_states_the_grid_bound():
     stated = re.findall(r"report\.MAX_GRID_POINTS = (\d+)", README)
     assert stated and all(int(n) == report.MAX_GRID_POINTS for n in stated)

@@ -19,7 +19,9 @@ prints `identical: N calls` (exit 0) or the first line that differs, as each
 side printed it (exit 1); a checkout whose corpus run fails exits 2.
 
 The calls run in a temporary directory with relative file names, so no line
-depends on where the corpus ran.
+depends on where the corpus ran.  The scenario and period-matrix files they
+read, valid and malformed, are written there first, so the corpus reaches the
+input layer as well as the sweep.
 """
 
 import hashlib
@@ -52,6 +54,11 @@ CURVES = [  # curve-info alone, and verify --grid 4x4 for those that derive
     ("1", "1", "2", "1e200"),
     ("1", "1", "1e200", "1"),
     ("1", "1", "0.5", "1"),            # input rules
+    ("-1", "1", "2", "1"),
+    ("1", "0", "2", "1"),
+    ("1", "1", "0", "1"),
+    ("1", "1", "2", "0"),
+    ("inf", "1", "2", "1"),
 ]
 EDGES = [  # curve-info and verify --grid 4x4
     ("1", "1", "1.0000000000001", "1"),     # Q1 within 1e-12 b of the gluing coordinates
@@ -69,6 +76,45 @@ PERIOD_FILES = {  # name: (text, z, shift)
     "pm3.txt": ("3\n1.2j 0.1 0.2j\n0.1 0.9j 0\n0.2j 0 1.5j\n", "0.1,0,0.2j", "0,1,2"),
     "pm4.txt": ("2\n0.3+1j 0.1+0.5j\n0.1+0.5j -0.2+1.2j\n", "1e300,-7.25+0.2j", "1,0"),
 }
+SCENARIOS = {  # name: bytes; each is read by curve-info and verify --family spectral
+    "ok.scn": b"a = 1\nb = 1\nq1 = 2\ngamma_im = 1\n",
+    "crlf.scn": b"# a comment line\r\na = 1.3  # inline\r\n\r\nb = 0.7\r\nq1 = 2.1\r\n"
+                b"gamma_im = -0.9\r\n",
+    "no_equals.scn": b"a = 1\nb 1\n",
+    "twice.scn": b"a = 1\nb = 1\na = 2\n",
+    "word.scn": b"a = 1\nb = one\n",
+    "unknown.scn": b"a = 1\nb = 1\nq1 = 2\ngamma_im = 1\nc = 3\nd = 4\n",
+    "missing.scn": b"a = 1\nq1 = 2\n",
+    "latin1.scn": b"a = 1\n# caf\xe9\nb = 1\n",
+}
+BAD_PERIOD_FILES = {  # name: bytes; each is refused whatever z
+    "empty.txt": b"# nothing but a comment\n\n",
+    "genus.txt": b"two\n1j 0\n0 1j\n",
+    "rows.txt": b"2\n1j 0\n",
+    "entries.txt": b"2\n1j 0\n0\n",
+    "token.txt": b"2\n1j 0\n0 1jj\n",
+    "nonfinite.txt": b"2\n1j nan\nnan 1j\n",
+    "asymmetric.txt": b"2\n1j 0.5\n0.25 1j\n",
+    "indefinite.txt": b"2\n1j 0\n0 -1j\n",
+    "latin1.txt": b"1\n1j # caf\xe9\n",
+}
+RADIUS_FILES = {  # name: bytes; period files of the --radius calls
+    "thin.txt": b"1\n1e-14j\n",        # Im B so small that the lattice ball outgrows the box
+    "thinner.txt": b"1\n1e-40j\n",
+    "near.txt": b"2\n1j 0.1\n0.1000000000001 1j\n",   # symmetric within SYMMETRY_TOL
+}
+REFUSED = [  # surface flags the CLI refuses before any sweep
+    ["--family", "cone", "--m", "1", "--n", "2", "--grid", "4y4"],
+    ["--family", "cone", "--m", "1", "--n", "2", "--grid", "0x4"],
+    ["--family", "cone", "--m", "1", "--n", "2", "--grid", "4294967296x4294967296"],
+    ["--family", "cone", "--m", "1"],
+    ["--family", "cone", "--m", "0", "--n", "1"],
+    ["--family", "cone", "--m", str(10**154), "--n", "1"],   # (pi (m + n))^2 overflows
+    ["--family", "cone", "--m", "1", "--n", "2", "--a", "1"],
+    ["--family", "spectral", "--a", "1", "--b", "1", "--q1", "2", "--gamma-im", "1", "--m", "1"],
+    *(["--family", "cone", "--m", "1", "--n", "2", "--grid", "4x4", "--h", h]
+      for h in ("0.1", "1e-16", "nan")),
+]
 
 
 def corpus() -> list:
@@ -88,9 +134,39 @@ def corpus() -> list:
     for a, b, q1, g in CURVES[:2] + EDGES:
         calls.append(["verify", "--family", "spectral", "--a", a, "--b", b, "--q1", q1,
                       "--gamma-im", g, "--grid", "4x4", "--json-out", "report.json"])
+    for name in [*SCENARIOS, "absent.scn"]:
+        calls.append(["curve-info", "--scenario", name])
+        calls.append(["verify", "--family", "spectral", "--scenario", name, "--grid", "4x4",
+                      "--json-out", "report.json"])
+    calls += [["curve-info", "--scenario", "ok.scn", "--a", "1.3", "--gamma-im", "-0.9"],
+              ["curve-info", "--scenario", "missing.scn", "--b", "1", "--gamma-im", "1"],
+              ["sample", "--family", "spectral", "--scenario", "crlf.scn", "--q1", "2.5",
+               "--grid", "4x4", "--out", "surface.csv"],
+              ["verify", "--family", "cone", "--m", "1", "--n", "2", "--scenario", "ok.scn"]]
+    for surface in REFUSED:
+        calls += [["verify", *surface], ["sample", *surface, "--out", "surface.csv"]]
+    surface = ["--family", "cone", "--m", "1", "--n", "2", "--grid", "4x4"]
+    calls += [["verify", *surface, "--json-out", "."], ["sample", *surface, "--out", "."]]
     for name, (_, z, shift) in PERIOD_FILES.items():
         calls.append(["theta", "--period-file", name, "--z", z])
         calls.append(["theta", "--period-file", name, "--z", z, "--shift-m", shift])
+    for name in [*BAD_PERIOD_FILES, "absent.txt"]:
+        calls.append(["theta", "--period-file", name, "--z", "0.1"])
+    for name, z, radius in [("pm2.txt", "0.1,0.2-0.3j", "3"), ("pm1.txt", "0.3+0.1j", "0"),
+                            ("thin.txt", "0", "3000000"),          # the box count refuses
+                            ("thin.txt", "0", "1000000000"),       # the ball bound refuses
+                            ("thinner.txt", "0", "1000000000000000"),
+                            ("thinner.txt", "0", "10000000000000000000000"),
+                            ("pm1.txt", "200j", "1"),      # the Babai term overflows
+                            ("pm2.txt", "0,1e300j", "3"),  # so does Im z . (Im B)^-1 Im z
+                            ("near.txt", "0.1,0.2j", "2")]:
+        calls.append(["theta", "--period-file", name, "--z", z, "--radius", radius])
+    calls.append(["theta", "--period-file", "pm2.txt", "--z", "0.1,0.2-0.3j", "--radius", "2",
+                  "--shift-m", "1,-1"])
+    for z in ["0.1", "nan,0", "0.1,1+", "0,1e300j"]:   # the last too far off for a radius
+        calls.append(["theta", "--period-file", "pm2.txt", "--z", z])
+    for shift in ["1", "1,x", "1,99999999999999999999"]:
+        calls.append(["theta", "--period-file", "pm2.txt", "--z", "0", "--shift-m", shift])
     calls += [[command, "--family", "cone", "--m", "1", "--n", "2", "--tol-profile", "x"]
               for command in ("verify", "sample")]   # argparse lists the profile choices
     calls += [[command, "--help"] for command in ("verify", "sample", "curve-info", "theta")]
@@ -178,6 +254,8 @@ def main(argv: list) -> int:
         try:
             for name, (text, _, _) in PERIOD_FILES.items():
                 Path(name).write_text(text)
+            for name, data in {**SCENARIOS, **BAD_PERIOD_FILES, **RADIUS_FILES}.items():
+                Path(name).write_bytes(data)
             for call in calls:
                 code, out, err = _run(cli.main, call)
                 doc = _take("report.json", _without_timings)
