@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 
-from .report import TOL_CURVATURE, GridSpec, curve_info_text, sample_rows, verify, write_csv
+from .report import GridSpec, curve_info_text, sample_rows, verify, write_csv
 from .spectral_curve import derive_constants
 from .surface_families import Family, cone_family, spectral_family
 from .theta import (LatticeTruncation, parse_complex, quasi_periodicity_defect,
@@ -52,7 +52,7 @@ def _spectral_curve_from_args(args):
         scen = _read_scenario(args.scenario)
         unknown = scen.keys() - params.keys()
         if unknown:
-            raise ValueError(f"scenario has unknown keys: {sorted(unknown)}")
+            raise ValueError(f"{args.scenario}: scenario has unknown keys: {sorted(unknown)}")
         for key, val in scen.items():
             if params[key] is None:
                 params[key] = val
@@ -85,7 +85,7 @@ def _step(h: float) -> float:
 
 def _cmd_verify(args) -> int:
     family, h = _family_from_args(args), _step(args.h)
-    report = verify(family, args.grid, h, args.tol_profile)
+    report = verify(family, args.grid, h)
     # opened once the sweep has run, so a refused sweep leaves the path as it was,
     # and before the report prints, so a bad path prints no report
     if args.json_out is not None:
@@ -99,7 +99,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    rows = sample_rows(_family_from_args(args), args.grid, _step(args.h), args.tol_profile)
+    rows = sample_rows(_family_from_args(args), args.grid, _step(args.h))
     try:
         write_csv(args.out, rows)
     except OSError as exc:
@@ -112,8 +112,13 @@ def _cmd_curve_info(args) -> int:
     return 0
 
 
-def _parse_complex_vector(text: str) -> np.ndarray:
-    return np.array([parse_complex(tok, "--z") for tok in text.split(",") if tok.strip()])
+def _parse_complex_vector(text: str, genus: int) -> np.ndarray:
+    z = np.array([parse_complex(tok, "--z") for tok in text.split(",") if tok.strip()])
+    if z.shape != (genus,):
+        raise ValueError(f"--z must be {genus} comma-separated complex numbers, got {text!r}")
+    if not np.isfinite(z).all():
+        raise ValueError(f"--z entries must be finite, got {text!r}")
+    return z
 
 
 def _parse_shift(text: str, genus: int) -> np.ndarray:
@@ -130,8 +135,8 @@ def _parse_shift(text: str, genus: int) -> np.ndarray:
 
 def _cmd_theta(args) -> int:
     B = read_period_matrix(args.period_file)
-    z = _parse_complex_vector(args.z)
     m = _parse_shift(args.shift_m, B.genus) if args.shift_m is not None else None
+    z = _parse_complex_vector(args.z, B.genus)
     trunc = LatticeTruncation(args.radius) if args.radius is not None else None
     val = riemann_theta(z, B, trunc)
     print(f"theta = {val.real:.17g}{val.imag:+.17g}j")
@@ -148,7 +153,7 @@ _SURFACE = [("--family", dict(choices=["spectral", "cone"], required=True)), *_S
             ("--m", dict(type=int)), ("--n", dict(type=int)),
             ("--grid", dict(type=_parse_grid, default="64x64")),
             ("--h", dict(type=float, default=1e-4, help="finite-difference step")),
-            ("--tol-profile", dict(choices=list(TOL_CURVATURE), default="strict"))]
+            ("--tol-profile", dict(choices=["strict"], default="strict"))]   # for argv naming it
 # name: (help, the command's flags in help order, its handler)
 COMMANDS = {
     "verify": ("run the verification suite", [

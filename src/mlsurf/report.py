@@ -6,7 +6,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .spectral_curve import ReducibleCurveData, expansion_at_infinity, gluing_defects
-from .surface_families import Family, MetricField, cone_family, spectral_family
+from .surface_families import Family, cone_family, spectral_family
 from .sweep import (CHRISTOFFEL_NAMES, FRAME_NAMES, GRAM_NAMES, METRIC_NAMES,
                     RESIDUE_NAMES, check_maxima, sample_blocks)
 
@@ -16,20 +16,20 @@ TUBE_G_TOL = 1e-3
 TOL_ANALYTIC = 1e-10
 TOL_IDENTITY = 1e-8
 TOL_FRAME = 1e-6
-TOL_CURVATURE = {"strict": 1e-4, "fd": 1e-3}
+TOL_CURVATURE = 1e-4
 TOL_RESIDUE_IDENTITY = 1e-9
 # the curve: residue cancellation at the gluing points, and the w^2 coefficient
 # at each puncture relative to the w one
 REGULARITY_TOL = 1e-13
 W2_TOL = 1e-12
 
-# (tolerance, kind) of each sweep check; curvature_K_minus_1 takes TOL_CURVATURE[profile]
+# (tolerance, kind) of each sweep check
 _LIMITS = {
     **dict.fromkeys(GRAM_NAMES + METRIC_NAMES + ("beta_e2i_plus_one",), (TOL_ANALYTIC, "upper")),
     **dict.fromkeys(RESIDUE_NAMES, (TOL_RESIDUE_IDENTITY, "upper")),
     **dict.fromkeys(("beta_constant",) + CHRISTOFFEL_NAMES, (TOL_IDENTITY, "upper")),
     **dict.fromkeys(FRAME_NAMES, (TOL_FRAME, "upper")),
-    "metric_anisotropy": (0.1, "lower"),
+    "metric_anisotropy": (0.1, "lower"), "curvature_K_minus_1": (TOL_CURVATURE, "upper"),
     "tube_G_bound": (TUBE_G_TOL, "upper"),
 }
 
@@ -92,7 +92,6 @@ class VerificationReport(NamedTuple):
     parameters: dict
     grid: GridSpec
     h: float
-    tol_profile: str
     checks: list
     timings: dict   # seconds per sweep phase
 
@@ -102,8 +101,7 @@ class VerificationReport(NamedTuple):
 
     def to_dict(self) -> dict:
         return {"family": self.family, "parameters": self.parameters,
-                "grid": self.grid.to_dict(), "h": self.h,
-                "tol_profile": self.tol_profile,
+                "grid": self.grid.to_dict(), "h": self.h, "tol_profile": "strict",  # one profile
                 "checks": [c.to_dict() for c in self.checks],
                 "overall": self.overall, "timings": self.timings}
 
@@ -116,7 +114,7 @@ class VerificationReport(NamedTuple):
         pars = " ".join(f"{k}={v}" for k, v in self.parameters.items())
         lines = [
             f"family={self.family} {pars} grid={self.grid.nx}x{self.grid.ny} "
-            f"h={self.h:g} profile={self.tol_profile}",
+            f"h={self.h:g} profile=strict",
             f"  {'check':<28} {'value':>12} {'tolerance':>10} {'excl':>5}  status",
         ]
         for c in self.checks:
@@ -129,38 +127,25 @@ class VerificationReport(NamedTuple):
         return "\n".join(lines)
 
 
-def _curvature_field(family: Family, tol_profile: str, h: float) -> MetricField:
-    if tol_profile not in TOL_CURVATURE:
-        raise ValueError(f"unknown tol profile {tol_profile!r}")
-    metric = family.metric
-    return metric if tol_profile == "strict" else metric._replace(
-        G_x=lambda x, y: (metric.G(x + h, y) - metric.G(x - h, y)) / (2.0 * h))
-
-
-def verify(family: Family, grid: GridSpec, h: float = 1e-4,
-           tol_profile: str = "strict") -> VerificationReport:
+def verify(family: Family, grid: GridSpec, h: float = 1e-4) -> VerificationReport:
     """Run the family's check suite over the grid."""
-    maxima, excluded, timings = check_maxima(family, grid, h,
-                                             _curvature_field(family, tol_profile, h))
-    limits = {**_LIMITS, "curvature_K_minus_1": (TOL_CURVATURE[tol_profile], "upper")}
-    checks = [CheckRecord(name, float(value), *limits[name], excluded.get(name, 0))
+    maxima, excluded, timings = check_maxima(family, grid, h)
+    checks = [CheckRecord(name, float(value), *_LIMITS[name], excluded.get(name, 0))
               for name, value in maxima.items()]
     if family.curve is not None:
         checks += curve_checks(family.curve)
-    return VerificationReport(family.name, family.parameters, grid, h, tol_profile, checks,
-                              timings)
+    return VerificationReport(family.name, family.parameters, grid, h, checks, timings)
 
 
-def verify_spectral(curve: ReducibleCurveData, grid: GridSpec, h: float = 1e-4,
-                    tol_profile: str = "strict") -> VerificationReport:
+def verify_spectral(curve: ReducibleCurveData, grid: GridSpec,
+                    h: float = 1e-4) -> VerificationReport:
     """Run the full spectral-family check suite over the grid."""
-    return verify(spectral_family(curve), grid, h, tol_profile)
+    return verify(spectral_family(curve), grid, h)
 
 
-def verify_cone(m: int, n: int, grid: GridSpec, h: float = 1e-4,
-                tol_profile: str = "strict") -> VerificationReport:
+def verify_cone(m: int, n: int, grid: GridSpec, h: float = 1e-4) -> VerificationReport:
     """Run the cone-family check suite over the grid."""
-    return verify(cone_family(m, n), grid, h, tol_profile)
+    return verify(cone_family(m, n), grid, h)
 
 
 def curve_checks(curve: ReducibleCurveData) -> list:
@@ -184,13 +169,12 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def sample_rows(family: Family, grid: GridSpec, h: float, tol_profile: str = "strict"):
+def sample_rows(family: Family, grid: GridSpec, h: float):
     """Yield the CSV text in sweep block order as lists of at most isqrt(nx * ny)
     lines (a square grid's row); beta and K are empty at excluded degenerate points.
     A block's distinct bit patterns are formatted once each (-0.0 and NaNs keep theirs)."""
-    k_field = _curvature_field(family, tol_profile, h)
     side = math.isqrt(grid.nx * grid.ny)
-    for x, y, phi, E, G, beta, has_beta, K, has_K in sample_blocks(family, grid, h, k_field):
+    for x, y, phi, E, G, beta, has_beta, K, has_K in sample_blocks(family, grid, h):
         cols = np.stack([x, y, *(p[:, i] for i in range(3) for p in (phi.real, phi.imag)),
                          E, G, beta, K], axis=1)
         bits, cell = np.unique(cols.view(np.uint64), return_inverse=True)

@@ -33,7 +33,6 @@ class MetricField(NamedTuple):
 
     E, G, G_x are callables of (x, y), written in numpy ufuncs so that they take
     scalars or arrays of points alike; gauss_curvature needs E constant in y.
-    G_x is a closed form, or under the fd profile a central difference of G.
     """
 
     E: object

@@ -31,7 +31,7 @@ import numpy as np
 
 from .diffgeo import (CONDITION_LIMIT, MIN_STENCIL_NORM, UNITARITY_GATE,
                       gauss_curvature_masked, residue_identity_defects)
-from .surface_families import TUBE_RADIUS, Family, MetricField, SurfaceJet, degeneracy_angle
+from .surface_families import TUBE_RADIUS, Family, SurfaceJet, degeneracy_angle
 
 CHUNK = 1024   # the block size the README's measured table picks
 _TWO_PI = 2.0 * math.pi
@@ -199,7 +199,7 @@ def _frame(S, norm_x, norm_y, beta, centre_ok, h: float) -> tuple:
     ), ok
 
 
-def check_maxima(family: Family, grid, h: float, k_field: MetricField) -> tuple:
+def check_maxima(family: Family, grid, h: float) -> tuple:
     """Masked max of every per-point check over the grid.
 
     Returns (maxima, excluded, timings): check name -> max defect (NaN
@@ -272,7 +272,7 @@ def check_maxima(family: Family, grid, h: float, k_field: MetricField) -> tuple:
             values, ok = _frame(S, norm_x, norm_y, beta, centre_ok, h)
             fold("frame", FRAME_NAMES, values, ok & angles_ok)
             if curve is not None:
-                K, pos = gauss_curvature_masked(k_field, xa, ya, h)
+                K, pos = gauss_curvature_masked(family.metric, xa, ya, h)
                 fold("curvature", ["curvature_K_minus_1"], [np.abs(K - 1.0)], pos & centre_ok)
 
     if beta_ref is None:
@@ -280,14 +280,14 @@ def check_maxima(family: Family, grid, h: float, k_field: MetricField) -> tuple:
     return maxima, dict.fromkeys(outside, tube_points), timer.to_dict()
 
 
-def sample_blocks(family: Family, grid, h: float, k_field: MetricField):
+def sample_blocks(family: Family, grid, h: float):
     """Per block: x, y, phi, E, G, beta and K, and the masks where beta and K
     are defined (outside the tube; angle accepted; metric positive)."""
     for start in range(0, grid.nx * grid.ny, CHUNK):
         with np.errstate(all="ignore"):
             x, y, tube, J, E, G = _block(family, grid, start)
             beta, ok, _, _ = _angles(J)
-            K, pos = gauss_curvature_masked(k_field, x, y, h)
+            K, pos = gauss_curvature_masked(family.metric, x, y, h)
         phi = J[0].copy()
         del J   # freed before the caller formats the block's rows
         yield x, y, phi, E, G, beta, ~tube & ok, K, ~tube & pos

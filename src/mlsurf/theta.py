@@ -137,7 +137,10 @@ def read_period_matrix(path) -> PeriodMatrix:
         if len(row) != g:
             raise ValueError(f"{path}: expected {g} entries per row, got {len(row)}")
         rows.append(row)
-    return PeriodMatrix(rows)
+    try:
+        return PeriodMatrix(rows)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def default_radius(z, B: PeriodMatrix) -> int:

@@ -93,7 +93,7 @@ def test_criterion_02_metric_reproduction(sphere):
 
 def test_criterion_03_curvature_reproduction(sphere):
     field, h = spectral_metric_field(sphere), 1e-4
-    fd_field = field._replace(  # the fd profile: G_x is the central difference of G
+    fd_field = field._replace(  # K without the closed-form G_x: a central difference of G
         G_x=lambda x, y: (field.G(x + h, y) - field.G(x - h, y)) / (2.0 * h))
     worst_analytic = 0.0
     worst_fd = 0.0

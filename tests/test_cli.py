@@ -100,6 +100,30 @@ def test_verify_bad_grid_exits_2():
                 "--q1", "2", "--gamma-im", "1", "--grid", "banana"]) == 2
 
 
+@pytest.mark.parametrize("command", ["verify", "sample"])
+def test_strict_is_the_one_tol_profile(command, tmp_path, capsys, monkeypatch):
+    # --tol-profile strict changes nothing, the reports still name the profile,
+    # and fd is refused by argparse with one error line
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--family", "cone", "--m", "1", "--n", "2", "--grid", "4x4",
+            *(["--json-out", "r.json"] if command == "verify" else ["--out", "s.csv"])]
+    written = "r.json" if command == "verify" else "s.csv"
+    outputs = []
+    for extra in ([], ["--tol-profile", "strict"]):
+        assert run([*argv, *extra]) == 0
+        doc = (tmp_path / written).read_text()
+        outputs.append((capsys.readouterr(), doc.split('"timings"')[0]))
+    assert outputs[0] == outputs[1]
+    if command == "verify":
+        assert " profile=strict\n" in outputs[0][0].out
+        assert json.loads((tmp_path / written).read_text())["tol_profile"] == "strict"
+    assert run([*argv, "--tol-profile", "fd"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.splitlines()[-1] == (
+        f"mlsurf {command}: error: argument --tol-profile: invalid choice: 'fd' "
+        "(choose from 'strict')")
+
+
 def test_verify_json_out(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     code = run(["verify", "--family", "spectral", "--a", "1", "--b", "1",
@@ -166,7 +190,8 @@ def test_scenario_file(tmp_path, capsys):
     bad = tmp_path / "bad.scenario"
     bad.write_text("a = 1\nwhat = 3\n")
     assert run(["verify", "--family", "spectral", "--scenario", str(bad)]) == 2
-    capsys.readouterr()
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {bad}: scenario has unknown keys: ['what']\n"
     bad.write_text("a = 1\nb = x\n")
     assert run(["verify", "--family", "spectral", "--scenario", str(bad)]) == 2
     out = capsys.readouterr()
@@ -356,19 +381,6 @@ def test_sample_degenerate_rows_have_empty_k(tmp_path, capsys):
     filled = [row for row in rows if row[11] != ""]
     for row in filled[::37]:
         assert abs(float(row[11]) - 1.0) < 1e-4
-
-
-def test_sample_fd_profile(tmp_path, capsys):
-    out_file = tmp_path / "fd.csv"
-    code = run(["sample", "--family", "spectral", "--a", "1", "--b", "1",
-                "--q1", "2", "--gamma-im", "1", "--grid", "4x4",
-                "--tol-profile", "fd", "--out", str(out_file)])
-    assert code == 0
-    _, rows = read_csv_rows(out_file)
-    for row in rows:
-        if row[11]:
-            assert abs(float(row[11]) - 1.0) < 1e-3
-    capsys.readouterr()
 
 
 def test_verify_unwritable_json_out(tmp_path, capsys):
@@ -640,7 +652,7 @@ def _parse(parser, argv):
 
 _VALID = {
     "verify": ["--family", "cone", "--m", "1", "--n", "2", "--json-out", "r.json", "--h", "1e-3"],
-    "sample": [*SPHERE, "--grid", "8x4", "--out", "s.csv", "--tol-profile", "fd"],
+    "sample": [*SPHERE, "--grid", "8x4", "--out", "s.csv", "--tol-profile", "strict"],
     "curve-info": ["--a", "1", "--b", "1", "--q1", "2", "--gamma-im", "1", "--scenario", "s"],
     "theta": ["--period-file", "pm.txt", "--z", "0.1", "--radius", "3", "--shift-m", "1"],
 }
@@ -801,17 +813,28 @@ def test_theta_invalid_input_exits_2(tmp_path, capsys):
     for pmz, z, r in ((pm2, "0.1+1e300j,0", "3"), (pmi, "1e308j,0", "2")):
         assert run(["theta", "--period-file", str(pmz), "--z", z, "--radius", r]) == 2
         assert capsys.readouterr().err == "error: overflow encountered in Im z . (Im B)^-1 Im z\n"
-    # a non-finite z or period-matrix entry: one line, never a NaN value
+    # a non-finite z or period-matrix entry: one line naming the flag or the file,
+    # never a NaN value
     for z, extra in (("nan,0", []), ("nanj,0", []), ("nanj,0", ["--radius", "3"]),
                      ("infj,0", [])):
         assert run(["theta", "--period-file", str(pm2), "--z", z, *extra]) == 2
-        assert capsys.readouterr().err == "error: z must be finite\n"
+        assert capsys.readouterr().err == f"error: --z entries must be finite, got {z!r}\n"
     for rows in ("1j nan\n0.1 1j\n", "1j 0.1\n0.1 infj\n"):
         pm2.write_text("2\n" + rows)
         assert run(["theta", "--period-file", str(pm2), "--z", "0,0"]) == 2
-        assert capsys.readouterr().err == "error: period matrix entries must be finite\n"
-    # a malformed --shift-m: one line naming it, before theta(z) is printed
+        assert capsys.readouterr().err == f"error: {pm2}: period matrix entries must be finite\n"
     pm2.write_text("2\n1j 0.1\n0.1 1j\n")
+    # a --z of the wrong length names the flag and the genus, before any series
+    for z in ("0.1", "0.1,0.2,0.3", ","):
+        assert run(["theta", "--period-file", str(pm2), "--z", z]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: --z must be 2 comma-separated complex numbers, got {z!r}\n"
+    # with --shift-m malformed too, the shift is the one named
+    assert run(["theta", "--period-file", str(pm2), "--z", "0", "--shift-m", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --shift-m must be 2 comma-separated integers, got '1'\n")
+    # a malformed --shift-m: one line naming it, before theta(z) is printed
     for shift in ("1,x", "1", "1,2,3", "1.5,0", "1e400,0", ","):
         assert run(["theta", "--period-file", str(pm2), "--z", "0.1,0.2", "--shift-m", shift]) == 2
         out = capsys.readouterr()
@@ -889,8 +912,12 @@ def test_theta_invalid_input_exits_2(tmp_path, capsys):
     pm2.write_text("2\n1j 0.5\n0.2 1j\n")
     assert run(["theta", "--period-file", str(pm2), "--z", "0,0"]) == 2
     out = capsys.readouterr()
-    assert out.out == "" and out.err == ("error: period matrix must be symmetric: "
+    assert out.out == "" and out.err == (f"error: {pm2}: period matrix must be symmetric: "
                                          "B[0, 1] = (0.5+0j) but B[1, 0] = (0.2+0j)\n")
+    # Im B not positive definite
+    pm2.write_text("2\n1j 0\n0 -1j\n")
+    assert run(["theta", "--period-file", str(pm2), "--z", "0,0"]) == 2
+    assert capsys.readouterr().err == f"error: {pm2}: Im(B) must be positive definite\n"
 
 
 _VALUES = st.sampled_from(["1", "2", "-2", "0.5", "0", "-1", "1e150", "1e200", "1e-300", "inf",

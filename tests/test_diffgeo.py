@@ -340,7 +340,7 @@ def test_residue_identities_random_curves():
 
 
 def _fd_field(field, h):
-    """The field with G_x replaced by the central difference of G, as the fd profile reads it."""
+    """The field with G_x replaced by the central difference of G: K without the hand-derived G_x."""
     return field._replace(G_x=lambda x, y: (field.G(x + h, y) - field.G(x - h, y)) / (2.0 * h))
 
 
@@ -393,7 +393,7 @@ def _sympy_cone_K(m, n):
 def test_cone_curvature_matches_sympy(m, n):
     # the only metric with a varying E; the scalar oracle shares the masked
     # code, so the reference is sympy's.  Measured at h = 1e-4 on these
-    # points: error / max|K| at most 1.4e-8 (strict) and 2.9e-8 (fd)
+    # points: error / max|K| at most 1.4e-8 (closed-form G_x) and 2.9e-8 (_fd_field)
     exact = _sympy_cone_K(m, n)
     xs = 2 * math.pi * np.arange(32) / 32
     ys = np.random.default_rng(m * 10 + n).uniform(-3.0, 3.0, 32)

@@ -71,16 +71,31 @@ def test_every_bench_record_the_readme_names_exists():
     assert named and sorted(n for n in named if not (ROOT / n).is_file()) == []
 
 
-def _cli_block_flags() -> list:
-    """(command, flag) for each --flag of README's CLI usage block, a
-    continuation line counting for the `mlsurf <command>` line above it."""
+def _cli_block_lines() -> list:
+    """(command, line) for each line of README's CLI usage block, a continuation
+    line counting for the `mlsurf <command>` line above it."""
     block = re.search(r"## CLI\n\n```\n(.*?)```", README, re.S).group(1)
-    pairs, command = [], None
+    lines, command = [], None
     for line in block.splitlines():
         if line.startswith("mlsurf "):
             command = line.split()[1]
-        pairs += [(command, flag) for flag in re.findall(r"(?<![\w-])--?[a-z][\w-]*", line)]
-    return sorted(set(pairs))
+        lines.append((command, line))
+    return lines
+
+
+def _cli_block_flags() -> list:
+    """(command, flag) for each --flag of README's CLI usage block."""
+    return sorted({(command, flag) for command, line in _cli_block_lines()
+                   for flag in re.findall(r"(?<![\w-])--?[a-z][\w-]*", line)})
+
+
+def _cli_block_choices() -> list:
+    """(command, flag, values) for each `--flag a|b` of the usage block whose flag has
+    choices, values split on "|": one value is an example, more a choice list."""
+    return [(command, flag, values.split("|"))
+            for command, line in _cli_block_lines()
+            for flag, values in re.findall(r"(?<![\w-])(--[a-z][\w-]*)[ =]([\w|]+)", line)
+            if dict(cli.COMMANDS[command][1]).get(flag, {}).get("choices")]
 
 
 def test_the_cli_block_scan_covers_every_command():
@@ -92,6 +107,16 @@ def test_the_cli_block_scan_covers_every_command():
 @pytest.mark.parametrize("command, flag", _cli_block_flags())
 def test_readme_cli_flags_are_options_of_their_command(command, flag):
     assert flag in {"-h", "--help"} | {f for f, _ in cli.COMMANDS[command][1]}
+
+
+def test_readme_cli_choice_lists_are_the_parsers_choices():
+    found = _cli_block_choices()
+    assert ("verify", "--family", ["spectral"]) in found   # the scan reads example values
+    assert any(flag == "--tol-profile" for _, flag, _ in found)
+    for command, flag, values in found:
+        choices = dict(cli.COMMANDS[command][1])[flag]["choices"]
+        assert set(values) <= set(choices), (command, flag)
+        assert len(values) == 1 or values == list(choices), (command, flag)
 
 
 def test_the_library_layout_table_lists_every_module_once():

@@ -6,11 +6,11 @@ from pathlib import Path
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "identity_corpus.py"
 
 
-def _corpus_size() -> int:
+def _corpus() -> list:
     spec = importlib.util.spec_from_file_location("identity_corpus", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return len(module.corpus())
+    return module.corpus()
 
 
 def _checkout(root: Path, main_body: str) -> str:
@@ -29,18 +29,23 @@ def _compare(old: str, new: str) -> subprocess.CompletedProcess:
 def test_two_checkouts_that_print_the_same_lines_are_identical(tmp_path):
     body = "print(*argv); return 0"
     run = _compare(_checkout(tmp_path / "old", body), _checkout(tmp_path / "new", body))
-    assert (run.returncode, run.stdout) == (0, f"identical: {_corpus_size()} calls\n")
+    assert (run.returncode, run.stdout) == (0, f"identical: {len(_corpus())} calls\n")
 
 
 def test_the_first_differing_call_is_printed_from_each_side(tmp_path):
-    # the exit code differs on every theta call; the first one is named, once per side
+    # the exit code differs on every theta call: the first is named, once per side, then
+    # each later one in corpus order, and a last line counts them
     old = _checkout(tmp_path / "old", "print(*argv); return 0")
     new = _checkout(tmp_path / "new", "print(*argv); return int(argv[0] == 'theta')")
     run = _compare(old, new)
     lines = run.stdout.splitlines()
-    assert run.returncode == 1 and len(lines) == 2
-    first = "theta --period-file pm1.txt --z 0.3+0.1j "
-    assert lines[0].startswith(f"{old}: {first}0 ") and lines[1].startswith(f"{new}: {first}1 ")
+    calls = _corpus()
+    theta = [" ".join(call) for call in calls if call[0] == "theta"]
+    assert run.returncode == 1 and len(lines) == 2 * len(theta) + 1
+    assert theta[0] == "theta --period-file pm1.txt --z 0.3+0.1j"
+    for call, a, b in zip(theta, lines[0::2], lines[1::2]):
+        assert a.startswith(f"{old}: {call} 0 ") and b.startswith(f"{new}: {call} 1 ")
+    assert lines[-1] == f"differ: {len(theta)} of {len(calls)} calls"
 
 
 def test_a_write_to_file_descriptor_1_enters_the_calls_stdout_digest(tmp_path):
@@ -50,11 +55,12 @@ def test_a_write_to_file_descriptor_1_enters_the_calls_stdout_digest(tmp_path):
                     "argv[0] == 'theta' and os.write(1, b'stray\\n'); return 0")
     run = _compare(old, new)
     lines = run.stdout.splitlines()
-    assert run.returncode == 1 and len(lines) == 2
-    first = "theta --period-file pm1.txt --z 0.3+0.1j 0 "
-    assert lines[0].startswith(f"{old}: {first}") and lines[1].startswith(f"{new}: {first}")
-    (out_old, *rest_old), (out_new, *rest_new) = (ln.split()[-4:] for ln in lines)
-    assert out_old != out_new and rest_old == rest_new
+    theta = [" ".join(call) for call in _corpus() if call[0] == "theta"]
+    assert run.returncode == 1 and len(lines) == 2 * len(theta) + 1
+    for call, a, b in zip(theta, lines[0::2], lines[1::2]):
+        assert a.startswith(f"{old}: {call} 0 ") and b.startswith(f"{new}: {call} 0 ")
+        (out_old, *rest_old), (out_new, *rest_new) = (ln.split()[-4:] for ln in (a, b))
+        assert out_old != out_new and rest_old == rest_new
 
 
 def test_a_checkout_whose_corpus_fails_exits_2(tmp_path):

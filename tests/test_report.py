@@ -32,20 +32,10 @@ _FRAME = tuple("frame_" + n for n in ("unitarity", "det_unit", "A_antiherm", "B_
                                       "f_real", "h_real"))
 
 
-def _k_field(family, h, tol_profile):
-    """The metric the curvature check reads, built here rather than by the report:
-    under fd its G_x is the central difference of G with the step h."""
-    m = family.metric
-    if tol_profile == "strict":
-        return m
-    return m._replace(G_x=lambda x, y: (m.G(x + h, y) - m.G(x - h, y)) / (2.0 * h))
-
-
-def _oracle_maxima(family, grid, h=1e-4, tol_profile="strict"):
+def _oracle_maxima(family, grid, h=1e-4):
     """Every per-point check of the report, from the scalar diffgeo functions
     alone, point by point: (name -> NaN-sticky max, name -> excluded points)."""
     curve = family.curve
-    k_field = _k_field(family, h, tol_profile)
     worst, excluded = {}, {}
 
     def see(names, compute):
@@ -94,7 +84,7 @@ def _oracle_maxima(family, grid, h=1e-4, tol_profile="strict"):
                 see(["metric_anisotropy"], lambda: [abs(md.v1 - md.v2)])
         else:
             see(["beta_e2i_plus_one"], lambda: [abs(cmath.exp(2j * beta) + 1.0)])
-            see(["curvature_K_minus_1"], lambda: [abs(gauss_curvature(k_field, x, y, h) - 1.0)])
+            see(["curvature_K_minus_1"], lambda: [abs(gauss_curvature(family.metric, x, y, h) - 1.0)])
 
         def christoffel():  # fails where E or G is 0: metric_from_jet raises
             ch = christoffel_solve(jet)
@@ -108,9 +98,9 @@ def _oracle_maxima(family, grid, h=1e-4, tol_profile="strict"):
     return worst, excluded
 
 
-def _assert_report_matches_oracle(family, grid, h=1e-4, tol_profile="strict"):
-    expected, excluded = _oracle_maxima(family, grid, h, tol_profile)
-    report = verify(family, grid, h, tol_profile)
+def _assert_report_matches_oracle(family, grid, h=1e-4):
+    expected, excluded = _oracle_maxima(family, grid, h)
+    report = verify(family, grid, h)
     got = {c.name: c for c in report.checks if not c.name.startswith("curve_")}
     assert list(got) == [n for n in got if n in expected] and set(got) == set(expected)
     for name, value in expected.items():
@@ -155,10 +145,9 @@ _CURVE = [("curve_regularity", 1e-13, "upper"), ("curve_w2_P1_rel curve_w2_P2_re
     spectral_family(derive_constants(1.0, 1.0, 2.0, 1.0)),
     cone_family(1, 2),
 ], ids=["worked-example", "cone-1-2"])
-def test_each_tol_profile_reads_curvature_by_its_own_route(family):
+def test_curvature_reads_the_closed_form_G_x(family):
     # K = -(d/dx (G_x / sqrt(EG))) / (2 sqrt(EG)), the outer derivative a central
-    # difference; fd differentiates G itself (G at x, x +- h and x +- 2h), strict
-    # reads the registered closed-form G_x.  Both are built here, bit for bit
+    # difference of the registered closed-form G_x, built here bit for bit
     h = 1e-4
     x, y = np.random.default_rng(27).uniform(0.0, 2.0 * math.pi, (2, 64))
     if family.curve is not None:
@@ -167,22 +156,13 @@ def test_each_tol_profile_reads_curvature_by_its_own_route(family):
     assert len(x) >= 20
     metric = family.metric
 
-    def outer(gx_plus, gx_minus):
-        pp = gx_plus / np.sqrt(metric.E(x + h, y) * metric.G(x + h, y))
-        pm = gx_minus / np.sqrt(metric.E(x - h, y) * metric.G(x - h, y))
-        return -((pp - pm) / (2.0 * h)) / (2.0 * np.sqrt(metric.E(x, y) * metric.G(x, y)))
+    def p_term(xx):
+        return metric.G_x(xx, y) / np.sqrt(metric.E(xx, y) * metric.G(xx, y))
 
-    def g_diff(xx):
-        return (metric.G(xx + h, y) - metric.G(xx - h, y)) / (2.0 * h)
-
-    expected = {"fd": outer(g_diff(x + h), g_diff(x - h)),
-                "strict": outer(metric.G_x(x + h, y), metric.G_x(x - h, y))}
-    for profile, want in expected.items():
-        K, ok = gauss_curvature_masked(report._curvature_field(family, profile, h), x, y, h)
-        assert ok.all() and K.tobytes() == want.tobytes(), profile
-    assert (expected["fd"] != expected["strict"]).any()
-    with pytest.raises(ValueError, match="^unknown tol profile 'x'$"):
-        verify(family, GridSpec(2, 2), tol_profile="x")
+    want = -((p_term(x + h) - p_term(x - h)) / (2.0 * h)) / (
+        2.0 * np.sqrt(metric.E(x, y) * metric.G(x, y)))
+    K, ok = gauss_curvature_masked(metric, x, y, h)
+    assert ok.all() and K.tobytes() == want.tobytes()
 
 
 def test_the_family_shorthands_give_the_records_of_verify():
@@ -194,17 +174,15 @@ def test_the_family_shorthands_give_the_records_of_verify():
         assert [c.to_dict() for c in short.checks] == [c.to_dict() for c in full.checks]
 
 
-@pytest.mark.parametrize("family, tol_profile, groups", [
-    (TUBE_POINTS, "strict", [_HEAD, *_RESIDUES, *_ANGLE, ("curvature_K_minus_1", 1e-4, "upper"),
-                             ("tube_G_bound", 1e-3, "upper"), *_CURVE]),
-    (TUBE_POINTS, "fd", [_HEAD, *_RESIDUES, *_ANGLE, ("curvature_K_minus_1", 1e-3, "upper"),
-                         ("tube_G_bound", 1e-3, "upper"), *_CURVE]),
-    (cone_family(1, 2), "strict", [_HEAD, *_ANGLE, ("metric_anisotropy", 0.1, "lower")]),
-], ids=["tube-points-strict", "tube-points-fd", "cone-1-2"])
-def test_report_check_order(family, tol_profile, groups):
+@pytest.mark.parametrize("family, groups", [
+    (TUBE_POINTS, [_HEAD, *_RESIDUES, *_ANGLE, ("curvature_K_minus_1", 1e-4, "upper"),
+                   ("tube_G_bound", 1e-3, "upper"), *_CURVE]),
+    (cone_family(1, 2), [_HEAD, *_ANGLE, ("metric_anisotropy", 0.1, "lower")]),
+], ids=["tube-points-strict", "cone-1-2"])
+def test_report_check_order(family, groups):
     # the text and JSON reports list the checks in this order, each with its
     # tolerance and kind
-    report = verify(family, GridSpec(16, 16), 1e-4, tol_profile)
+    report = verify(family, GridSpec(16, 16), 1e-4)
     assert [(c.name, c.tolerance, c.kind) for c in report.checks] == [
         (name, tol, kind) for names, tol, kind in groups for name in names.split()]
 
@@ -214,9 +192,9 @@ def test_chunk_size_does_not_change_the_output(chunk, monkeypatch):
     def outputs():
         grid = GridSpec(16, 16)
         return ([c.to_dict() for c in verify(TUBE_POINTS, grid).checks],
-                [c.to_dict() for c in verify(cone_family(1, 2), grid, tol_profile="fd").checks],
+                [c.to_dict() for c in verify(cone_family(1, 2), grid).checks],
                 "".join(map("".join, sample_rows(TUBE_POINTS, grid, 1e-4))),
-                "".join(map("".join, sample_rows(cone_family(2, 1), GridSpec(5, 3), 1e-4, "fd"))))
+                "".join(map("".join, sample_rows(cone_family(2, 1), GridSpec(5, 3), 1e-4))))
 
     expected = outputs()
     monkeypatch.setattr(sweep, "CHUNK", chunk)
@@ -306,8 +284,8 @@ def test_a_block_inside_the_tube_skips_the_angle_stage(monkeypatch):
     assert [c.to_dict() for c in _assert_report_matches_oracle(family, grid).checks] == shipped
 
 
-def _csv_oracle(family, grid, h, tol_profile):
-    return _csv_text(sweep.sample_blocks(family, grid, h, _k_field(family, h, tol_profile)))
+def _csv_oracle(family, grid, h):
+    return _csv_text(sweep.sample_blocks(family, grid, h))
 
 
 def _csv_text(blocks):
@@ -323,15 +301,15 @@ def _csv_text(blocks):
     return buf.getvalue().encode()
 
 
-@pytest.mark.parametrize("family, grid, tol_profile", [
-    (TUBE_POINTS, GridSpec(16, 16), "strict"),
-    (cone_family(2, 1), GridSpec(5, 3), "fd"),
-    (spectral_family(derive_constants(1.0, 1.0, 2.0, 1.0)), GridSpec(1, 1), "strict"),
-], ids=["tube-points", "cone-2-1-fd", "one-point"])
-def test_csv_matches_the_csv_writer_oracle(family, grid, tol_profile, tmp_path):
+@pytest.mark.parametrize("family, grid", [
+    (TUBE_POINTS, GridSpec(16, 16)),
+    (cone_family(2, 1), GridSpec(5, 3)),
+    (spectral_family(derive_constants(1.0, 1.0, 2.0, 1.0)), GridSpec(1, 1)),
+], ids=["tube-points", "cone-2-1", "one-point"])
+def test_csv_matches_the_csv_writer_oracle(family, grid, tmp_path):
     path = tmp_path / "s.csv"
-    write_csv(path, sample_rows(family, grid, 1e-4, tol_profile))
-    expected = _csv_oracle(family, grid, 1e-4, tol_profile)
+    write_csv(path, sample_rows(family, grid, 1e-4))
+    expected = _csv_oracle(family, grid, 1e-4)
     assert path.read_bytes() == expected
     if family is TUBE_POINTS:   # rows inside the tube end in empty beta and K cells
         assert b",,\r\n" in expected

@@ -123,5 +123,5 @@ def test_well_conditioned_bases_skip_the_svd(svd_calls):
     ids=["worked-example", "tube-example", "cone-1-2", "cone-3-2", "cone-4-4"])
 def test_verify_certifies_every_point_without_the_svd(make, svd_calls):
     family = make()
-    sweep.check_maxima(family, GridSpec(16, 16), 1e-4, family.metric)
+    sweep.check_maxima(family, GridSpec(16, 16), 1e-4)
     assert svd_calls == []
