@@ -169,17 +169,113 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
+# The candidate characters of a %.17g text in print order: sign, the "0.000" of
+# -4 <= X < 0, 17 digits each followed by a possible point, "e+123", a separator.
+_G17_ROW = np.frombuffer(b"-0.000" + b"0." * 16 + b"0e+000,", np.uint8)
+_G17_TABLES = None
+
+
+def _g17_tables() -> tuple:
+    """(power, digits, keep), built on first use.  power[270 + p], -270 <= p <= 300,
+    is (hi, lo, hi1, hi2): hi + lo = 10^p to 2^-106, from exact integer ratios (the
+    fractions module would import decimal), and hi = hi1 + hi2 in halves.  digits[i]
+    is the 4 ASCII digits of i as one uint32.  keep[(c * 17 + L - 1) * 2 + negative]
+    picks from _G17_ROW for L significant digits and c = X + 4 (-4 <= X < 17), 21
+    (e±XX) or 22 (e±XXX)."""
+    global _G17_TABLES
+    if _G17_TABLES is None:
+        power = []
+        for p in range(-270, 301):
+            num, den = (10**p, 1) if p >= 0 else (1, 10**-p)
+            hi = num / den   # int / int rounds correctly
+            n, d = hi.as_integer_ratio()
+            power.append((hi, (num * d - n * den) / (den * d)))
+        power = np.array(power)
+        d = np.arange(48, 58, dtype=np.uint8)   # "0".."9"
+        digits = np.stack(np.meshgrid(d, d, d, d, indexing="ij"), -1).view(np.uint32)
+        key, at = np.arange(23 * 17 * 2), np.arange(17)
+        c, L = key // 34, key // 2 % 17 + 1
+        x, lead = np.where(c < 21, c - 4, np.where(c == 21, 17, 100)), c < 4
+        point = np.where(lead, 0, np.where(c < 21, x + 1, 1))   # digits before the point
+        keep = np.zeros((len(key), len(_G17_ROW)), bool)
+        keep[:, 0], keep[:, 1:3] = key % 2, lead[:, None]
+        keep[:, 3:6] = at[:3] < np.where(lead, -x - 1, 0)[:, None]
+        keep[:, 6:39:2] = at < np.maximum(L, point)[:, None]
+        keep[:, 7:39:2] = at[:16] == np.where(L > point, point - 1, -1)[:, None]
+        keep[:, 39:44], keep[:, 44] = (c >= 21)[:, None], True
+        keep[:, 41] &= c == 22
+        _G17_TABLES = (np.column_stack([power, *_veltkamp(power[:, 0])]), digits.ravel(), keep)
+    return _G17_TABLES
+
+
+def _veltkamp(a):
+    """a = hi + lo in halves of at most 26 bits, whose products are exact."""
+    c = 134217729.0 * a   # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _g17(values) -> list:
+    """"%.17g" % v for each float64 v of values, 2048 at a time.  Where 1e-280 <= |v| <=
+    1e280, h + r = |v| 10^(16 - X), X = floor(log10 |v|), to 5e-15 (Dekker's exact
+    product by hi, plus |v| lo), rounds half-even to 17 digits, which lay out as C's %g.
+    % prints the rest: zeros, non-finite values, the far range and fractions within
+    2^-40 of 1/2, exact ties among them."""
+    power, digits, keeps = _g17_tables()
+
+    def scaled(a, x):
+        b, b_lo, b1, b2 = power[286 - x].T
+        h, (a1, a2) = a * b, _veltkamp(a)
+        return h, ((a1 * b1 - h) + a1 * b2 + a2 * b1) + a2 * b2 + a * b_lo
+
+    texts = []
+    for s in range(0, len(values), 2048):
+        v = values[s:s + 2048]
+        a = np.abs(v)
+        fast = (a >= 1e-280) & (a <= 1e280)
+        a[~fast] = 1.0
+        x = np.floor(np.log10(a)).astype(np.int64)
+        h, r = scaled(a, x)
+        # log10 is one off next to a power of ten: then h + r is outside [1e16, 1e17)
+        off = ((h - 1e17) + r >= 0).astype(np.int64) - ((h - 1e16) + r < 0)
+        redo = np.flatnonzero(off)
+        x[redo] += off[redo]
+        h[redo], r[redo] = scaled(a[redo], x[redo])
+        whole = np.floor(r)
+        frac = r - whole
+        n = h.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+        carry = n == 10**17
+        n[carry], x[carry] = 10**16, x[carry] + 1
+        groups = np.empty((len(n), 5), np.int64)   # 1 + 4 x 4 digits
+        for j in range(4, 0, -1):
+            n, groups[:, j] = np.divmod(n, 10000)
+        groups[:, 0] = n
+        row = np.empty((len(n), len(_G17_ROW)), np.uint8)
+        row[:] = _G17_ROW
+        row[:, 6:39:2] = dig = digits[groups].view(np.uint8)[:, 3:]
+        row[:, 40] = np.where(x < 0, 45, 43)   # "-", "+"
+        row[:, 41:44] = digits[np.abs(x)].view(np.uint8).reshape(-1, 4)[:, 1:]
+        L = 17 - np.argmax(dig[:, ::-1] != 48, axis=1)
+        c = np.where((x >= -4) & (x < 17), x + 4, 21 + (np.abs(x) >= 100))
+        keep = keeps[(c * 17 + L - 1) * 2 + (v < 0)]
+        text = np.compress(keep.ravel(), row.ravel()).tobytes().decode().split(",")[:-1]
+        for i in np.flatnonzero(~fast | (np.abs(frac - 0.5) < 2.0**-40)).tolist():
+            text[i] = "%.17g" % v[i]
+        texts += text
+    return texts
+
+
 def sample_rows(family: Family, grid: GridSpec, h: float):
     """Yield the CSV text in sweep block order as lists of at most isqrt(nx * ny)
     lines (a square grid's row); beta and K are empty at excluded degenerate points.
-    A block's distinct bit patterns are formatted once each (-0.0 and NaNs keep theirs)."""
+    A block's distinct bit patterns are formatted once each (-0.0 and NaNs keep theirs),
+    by _g17, a numpy pass per 2048 of them that prints the text of "%.17g" % v."""
     side = math.isqrt(grid.nx * grid.ny)
     for x, y, phi, E, G, beta, has_beta, K, has_K in sample_blocks(family, grid, h):
         cols = np.stack([x, y, *(p[:, i] for i in range(3) for p in (phi.real, phi.imag)),
                          E, G, beta, K], axis=1)
         bits, cell = np.unique(cols.view(np.uint64), return_inverse=True)
-        # the floats come one at a time from a memoryview; .tolist() would hold them all
-        text = np.array([*map("%.17g".__mod__, memoryview(bits.view(float))), ""], dtype=object)
+        text = np.array([*_g17(bits.view(float)), ""], dtype=object)
         cell[~has_beta, 10] = cell[~has_K, 11] = len(bits)   # the "" of excluded cells
         del cols, bits
         for s in range(0, len(x), side):   # lines are held a piece, not a block, at a time

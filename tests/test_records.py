@@ -28,6 +28,21 @@ def test_importing_the_cli_generates_no_dataclass_code(module):
     assert proc.stdout == "False\n"
 
 
+# numpy.ma: a bare np.unique(x), without return_inverse, calls np.ma.is_masked and
+# imports it, which raises a fresh sample process's peak memory by about 3 MB;
+# fractions imports decimal; the CSV text needs neither
+@pytest.mark.parametrize("module", ["numpy.ma", "fractions", "decimal"])
+def test_sample_leaves_modules_unimported(module, tmp_path):
+    code = ("import sys; sys.path.insert(0, %r); from mlsurf import cli; "
+            "cli.main(['sample', '--family', 'spectral', '--a', '1e-3', '--b', '1', '--q1', '2', "
+            "'--gamma-im', '1', '--grid', '8x8', '--out', %r]); print(%r in sys.modules)"
+            % (SRC, str(tmp_path / "s.csv"), module))
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def _records():
     curve = derive_constants(1.0, 1.0, 2.0, 1.0)
     family = spectral_family(curve)

@@ -355,6 +355,55 @@ def test_every_field_of_a_block_keeps_its_own_text(monkeypatch, tmp_path):
         f"0,-0,{tenth},-0,0,{tenth},nan,nan,{tenth},{tenth},,{tenth}")
 
 
+def _assert_g17(values):
+    values = np.asarray(values, dtype=float)
+    assert report._g17(values) == ["%.17g" % v for v in values.tolist()]
+
+
+def _from_bits(*bits):
+    return np.array(bits, dtype=np.uint64).view(float)
+
+
+_POWERS = np.array([float(f"1e{k}") for k in range(-323, 309)])
+
+
+@pytest.mark.parametrize("values", [
+    # zeros, NaNs (-NaN and a payload NaN print "nan"), infinities, the smallest and
+    # largest subnormals, DBL_MAX
+    [0.0, -0.0, -np.float64(math.nan), *_from_bits(0x7FF8_0000_0000_0001), math.inf,
+     -math.inf, *_from_bits(1, 0x000F_FFFF_FFFF_FFFF, 0x800F_FFFF_FFFF_FFFF), 5e-324,
+     -5e-324, 1.7976931348623157e308, -1.7976931348623157e308],
+    # every power of ten the doubles hold and both of its neighbours
+    np.concatenate([_POWERS, np.nextafter(_POWERS, 0), np.nextafter(_POWERS, math.inf),
+                    -_POWERS]),
+    # 2^53 and its ulps; 99999999999999999.0 rounds to 1e+17
+    [2.0**53 - 1, 2.0**53, 2.0**53 + 2, -(2.0**53 + 2), 99999999999999999.0, 1e17 - 16],
+    # the fixed/exponent switches at X = -5 | -4 and 16 | 17, and both ends of the
+    # fast range 1e-280 <= |v| <= 1e280
+    [9.99999999999999e-6, np.nextafter(1e-4, 0), 1e-4, 0.00012345, -0.00099999999999999,
+     np.nextafter(1e17, 0), 12345678901234567.0, np.nextafter(1e-280, 0), 1e-280,
+     np.nextafter(1e-280, 1), np.nextafter(1e280, 0), 1e280, np.nextafter(1e280, math.inf),
+     -1e280, 1e-300, 1e300, 1.25e-5, 3.0000000000000004e16],
+    # exact ties at 17 digits: (2j + 1) 2^-17 in [1, 2), printed by the fallback
+    1.0 + (2 * np.arange(2**16) + 1) * 2.0**-17,
+], ids=["specials", "powers-of-ten", "2^53", "switches", "ties"])
+def test_g17_prints_the_text_of_percent_17g(values):
+    _assert_g17(values)
+
+
+def test_an_exact_tie_takes_the_fallback():
+    # 1 + 2^-17 = 1.00000762939453125: half-even to 17 digits ends in 2, not 3
+    assert report._g17(np.array([1.0 + 2.0**-17])) == ["1.0000076293945312"]
+    _assert_g17([1.0 + 3 * 2.0**-17, 2.5, 0.5, 1.5e-300, 2.0**-1074 * 3])
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5000),
+       st.lists(st.floats(), max_size=50))
+@settings(max_examples=60, deadline=None)
+def test_g17_matches_percent_17g_on_any_bit_pattern(patterns, floats):
+    _assert_g17(np.concatenate([_from_bits(*patterns), floats]))
+
+
 _SIGN = st.sampled_from([-1.0, 1.0])
 
 

@@ -47,7 +47,7 @@ SPECTRAL = [  # (a, b, q1, gamma_im)
     ("3e-8", "1", "2", "1"),           # share a block
     ("3e-7", "1", "2", "1"),           # certified and SVD-decided points share a block
 ]
-CURVES = [  # curve-info alone, and verify --grid 4x4 for those that derive
+CURVES = [  # curve-info alone, and verify and sample --grid 4x4 for those that derive
     ("0.003", "1", "2", "1"),          # FAILs only the absolute curve_regularity tolerance
     ("1e-150", "1", "2", "1"),
     ("1", "1", "1e308", "1"),          # constants that overflow or divide by zero
@@ -61,7 +61,7 @@ CURVES = [  # curve-info alone, and verify --grid 4x4 for those that derive
     ("1", "1", "2", "0"),
     ("inf", "1", "2", "1"),
 ]
-EDGES = [  # curve-info and verify --grid 4x4
+EDGES = [  # curve-info, and verify and sample --grid 4x4
     ("1", "1", "1.0000000000001", "1"),     # Q1 within 1e-12 b of the gluing coordinates
     ("1", "2", "-2.0000000000001", "1"),
     ("1", "1", "2", "1e-200"),              # residues that underflow to 0
@@ -131,8 +131,10 @@ def corpus() -> list:
     for a, b, q1, g in SPECTRAL + CURVES + EDGES:
         calls.append(["curve-info", "--a", a, "--b", b, "--q1", q1, "--gamma-im", g])
     for a, b, q1, g in CURVES[:2] + EDGES:
-        calls.append(["verify", "--family", "spectral", "--a", a, "--b", b, "--q1", q1,
-                      "--gamma-im", g, "--grid", "4x4", "--json-out", "report.json"])
+        surface = ["--family", "spectral", "--a", a, "--b", b, "--q1", q1, "--gamma-im", g,
+                   "--grid", "4x4"]
+        calls += [["verify", *surface, "--json-out", "report.json"],
+                  ["sample", *surface, "--out", "surface.csv"]]
     for name in [*SCENARIOS, "absent.scn"]:
         calls.append(["curve-info", "--scenario", name])
         calls.append(["verify", "--family", "spectral", "--scenario", name, "--grid", "4x4",
