@@ -66,6 +66,33 @@ def metric_gradients_from_jet(jet: SurfaceJet) -> dict:
     return {"v1x": Ex / md.E, "v1y": Ey / md.E, "v2x": Gx / md.G, "v2y": Gy / md.G}
 
 
+# Closed-form 3x3 kernels, shared by these oracles and the sweep.  A matrix is given by its
+# rows m[0], m[1], m[2], each an array (..., 3): a (3, 3) array, or (3, n, 3) for n matrices.
+def _cross(u, v):
+    i, j = [1, 2, 0], [2, 0, 1]
+    return u[..., i] * v[..., j] - u[..., j] * v[..., i]
+
+
+def _det3(m):
+    """det by cofactor expansion, m[0] . (m[1] x m[2]) summed left to right; NaN wherever a
+    matrix holds a NaN (0 * NaN is NaN), where LAPACK's LU may read 0."""
+    a, b, c = m
+    x = _cross(b, c)
+    return a[..., 0] * x[..., 0] + a[..., 1] * x[..., 1] + a[..., 2] * x[..., 2]
+
+
+def _inv3(m):
+    """Inverse as the adjugate over _det3: the cofactor rows are b x c, c x a, a x b.
+    Non-finite where the det is 0; it never raises."""
+    a, b, c = m
+    return np.swapaxes([_cross(b, c), _cross(c, a), _cross(a, b)], 0, -1) / _det3(m)[..., None]
+
+
+def _mul3(p, q):
+    """The products p q: row i is p_i0 q[0] + p_i1 q[1] + p_i2 q[2], summed left to right."""
+    return p[..., 0, None] * q[0] + p[..., 1, None] * q[1] + p[..., 2, None] * q[2]
+
+
 def lagrangian_angle(jet: SurfaceJet) -> float:
     """beta = arg det of the unitary frame (phi, phi_x/|phi_x|, phi_y/|phi_y|).
 
@@ -76,8 +103,7 @@ def lagrangian_angle(jet: SurfaceJet) -> float:
     ny = np.linalg.norm(jet.phi_y)
     if nx == 0.0 or ny == 0.0:
         raise ValueError("degenerate immersion point: a first derivative vanishes")
-    frame = np.array([jet.phi, jet.phi_x / nx, jet.phi_y / ny])
-    det = np.linalg.det(frame)
+    det = _det3((jet.phi, jet.phi_x / nx, jet.phi_y / ny))
     if abs(abs(det) - 1.0) > UNITARITY_GATE:
         raise ValueError(f"frame determinant off the unit circle: |det| = {abs(det)}")
     return float(np.angle(det))
@@ -209,20 +235,18 @@ def frame_and_connection(jet_field, x: float, y: float, h: float = 1e-4) -> Fram
 
     xp, xm, yp, ym = (frame_at(j, b) for j, b in zip(*_neighbours(jet_field, x, y, h)))
     Phi = _twisted_frame(center, beta_c)
-    inv = np.linalg.inv(Phi)
-    A = (xp - xm) / (2.0 * h) @ inv
-    B = (yp - ym) / (2.0 * h) @ inv
+    inv = _inv3(Phi)
+    A = _mul3((xp - xm) / (2.0 * h), inv)
+    B = _mul3((yp - ym) / (2.0 * h), inv)
     return FrameData(Phi=Phi, beta=beta_c, A=A, B=B)
 
 
 def frame_defects(fd: FrameData) -> dict:
     """Residuals of every FrameData invariant, for reporting.  The pattern checks take
-    np.maximum, which keeps a NaN entry (Python's max drops a NaN that comes second), and
-    det_unit is NaN wherever Phi holds a NaN (LU may meet a zero pivot there and read det 0)."""
+    np.maximum, which keeps a NaN entry (Python's max drops a NaN that comes second)."""
     return {
-        "unitarity": float(np.max(np.abs(fd.Phi @ fd.Phi.conj().T - np.eye(3)))),
-        "det_unit": (math.nan if np.isnan(fd.Phi).any()
-                     else float(abs(np.linalg.det(fd.Phi) - 1.0))),
+        "unitarity": float(np.max(np.abs(_mul3(fd.Phi, fd.Phi.conj().T) - np.eye(3)))),
+        "det_unit": float(abs(_det3(fd.Phi) - 1.0)),
         "A_antiherm": float(np.max(np.abs(fd.A + fd.A.conj().T))),
         "B_antiherm": float(np.max(np.abs(fd.B + fd.B.conj().T))),
         "A_trace": float(abs(np.trace(fd.A))),

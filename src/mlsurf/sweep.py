@@ -14,9 +14,9 @@ math.remainder rebuilt from np.fmod), so each reduced maximum equals the oracles
 bit for bit.  The Christoffel stage's condition gate keeps the oracle's mask
 (cond <= CONDITION_LIMIT, bit for bit) but not its values: Gershgorin bounds on the Gram
 matrix decide most points, and np.linalg.cond (an SVD) only those the bounds cannot
-certify.  The metric, residue and curvature checks call the closed forms the
-oracles call.  Each check group returns (values, ok) and one accumulator folds
-them into the maxima.  CHUNK bounds the memory a sweep holds whatever the grid
+certify.  The metric, residue and curvature checks, and the angle and frame stages' 3x3 det,
+inverse and products (diffgeo's closed-form kernels, not LAPACK), call the code the oracles
+call.  Each check group returns (values, ok) and one accumulator folds them into the maxima.  CHUNK bounds the memory a sweep holds whatever the grid
 size (README, Performance, gives the measured peaks); the report does not depend on it.
 
 Floating-point policy: both sweeps compute each block under np.errstate(all="ignore")
@@ -29,7 +29,7 @@ import time
 
 import numpy as np
 
-from .diffgeo import (CONDITION_LIMIT, MIN_STENCIL_NORM, UNITARITY_GATE,
+from .diffgeo import (CONDITION_LIMIT, MIN_STENCIL_NORM, UNITARITY_GATE, _det3, _inv3, _mul3,
                       gauss_curvature_masked, residue_identity_defects)
 from .surface_families import TUBE_RADIUS, Family, SurfaceJet, degeneracy_angle
 
@@ -76,15 +76,16 @@ def _jets(jet, xs, ys) -> np.ndarray:
     return out
 
 
-def _block(family: Family, grid, start: int) -> tuple:
+def _block(family: Family, grid, start: int, *order) -> tuple:
     """(x, y, tube mask, stacked centre jets, E, G) of the at most CHUNK grid points from
     index start: the mask is in_degeneracy_tube's bit for bit, E, G the metric the jets
-    induce (sum |phi_x|^2, sum |phi_y|^2), x, y from the indices (GridSpec.points)."""
+    induce (sum |phi_x|^2, sum |phi_y|^2), x, y from the indices (GridSpec.points).
+    order, if given, is passed to Family.jets (1: the rows phi, phi_x, phi_y alone)."""
     x, y = grid.points(np.arange(start, min(start + CHUNK, grid.nx * grid.ny)))  # nx ny < 2^63
     c = family.curve
     tube = (np.zeros(len(x), dtype=bool) if c is None else
             np.abs(_remainder(c.a * x - c.b * y - degeneracy_angle(c), math.pi)) < TUBE_RADIUS)
-    J = family.jets(x, y)
+    J = family.jets(x, y, *order)
     return x, y, tube, J, np.sum(np.abs(J[1]) ** 2, axis=-1), np.sum(np.abs(J[2]) ** 2, axis=-1)
 
 
@@ -110,7 +111,7 @@ def _remainder(x, p: float):
 def _angles(J) -> tuple:
     """diffgeo.lagrangian_angle of stacked jets: (beta, accepted, |phi_x|, |phi_y|)."""
     nx, ny = _norm(J[1]), _norm(J[2])
-    det = np.linalg.det(np.stack([J[0], J[1] / nx[..., None], J[2] / ny[..., None]], axis=-2))
+    det = _det3((J[0], J[1] / nx[..., None], J[2] / ny[..., None]))
     ok = (nx != 0.0) & (ny != 0.0) & ~(np.abs(_abs(det) - 1.0) > UNITARITY_GATE)
     return np.angle(det), ok, nx, ny
 
@@ -169,33 +170,31 @@ def _christoffel(J, E, G, beta_s, h: float) -> tuple:
     ), ok
 
 
-def _frame(S, norm_x, norm_y, beta, centre_ok, h: float) -> tuple:
+def _frame(S, norm_x, norm_y, beta, h: float) -> tuple:
     """Frame defects of diffgeo.frame_and_connection over the (3, 5, n, 3) centre and
     stencil jets S, each slot twisted by its angle unwrapped to the centre's, and where they
-    hold: |phi_x|, |phi_y| >= MIN_STENCIL_NORM at every neighbour.  Phi is inverted where
-    the centre angle is accepted with a finite det (|det Phi| within UNITARITY_GATE of 1, so
-    LU meets no zero pivot); elsewhere every value fails or is NaN whatever the inverse.
-    det_unit is NaN wherever Phi holds a NaN, where LU may meet a zero pivot and read det 0."""
+    hold: |phi_x|, |phi_y| >= MIN_STENCIL_NORM at every neighbour.  The five frames are
+    (3, n, 3) stacks of rows, the layout of diffgeo's 3x3 kernels.  Where the centre angle
+    is rejected every value fails, and where it is NaN every value is NaN, whatever the
+    inverse, which is non-finite but never raises where Phi is singular."""
     tw = np.exp(-0.5j * (beta[0] + _remainder(beta - beta[0], _TWO_PI)))[..., None]
     Phi, xp, xm, yp, ym = np.stack(
-        [S[0], tw * S[1] / norm_x[..., None], tw * S[2] / norm_y[..., None]], axis=-2)
-    regular = (centre_ok & np.isfinite(beta[0]))[:, None, None]
-    inv = np.linalg.inv(np.where(regular, Phi, np.eye(3)))
+        [S[0], tw * S[1] / norm_x[..., None], tw * S[2] / norm_y[..., None]], axis=1)
+    inv = _inv3(Phi)
     ok = (~(norm_x[1:] < MIN_STENCIL_NORM) & ~(norm_y[1:] < MIN_STENCIL_NORM)).all(axis=0)
-    A = (xp - xm) / (2.0 * h) @ inv
-    B = (yp - ym) / (2.0 * h) @ inv
-    eye = np.eye(3)
+    A = _mul3((xp - xm) / (2.0 * h), inv)
+    B = _mul3((yp - ym) / (2.0 * h), inv)
     return (
-        np.abs(Phi @ np.conj(Phi).swapaxes(-1, -2) - eye).max(axis=(1, 2)),
-        np.where(np.isnan(Phi).any(axis=(1, 2)), np.nan, _abs(np.linalg.det(Phi) - 1.0)),
-        np.abs(A + np.conj(A).swapaxes(-1, -2)).max(axis=(1, 2)),
-        np.abs(B + np.conj(B).swapaxes(-1, -2)).max(axis=(1, 2)),
-        _abs(np.trace(A, axis1=1, axis2=2)),
-        _abs(np.trace(B, axis1=1, axis2=2)),
-        np.maximum(_abs(A[:, 0, 2]), _abs(A[:, 2, 0])),
-        np.maximum(_abs(B[:, 0, 1]), _abs(B[:, 1, 0])),
-        np.abs(A[:, 1, 1].real),
-        np.abs(B[:, 1, 1].real),
+        np.abs(_mul3(Phi, np.conj(Phi).swapaxes(0, -1)) - np.eye(3)[:, None]).max(axis=(0, 2)),
+        _abs(_det3(Phi) - 1.0),
+        np.abs(A + np.conj(A).swapaxes(0, -1)).max(axis=(0, 2)),
+        np.abs(B + np.conj(B).swapaxes(0, -1)).max(axis=(0, 2)),
+        _abs(np.trace(A, axis1=0, axis2=2)),
+        _abs(np.trace(B, axis1=0, axis2=2)),
+        np.maximum(_abs(A[0, :, 2]), _abs(A[2, :, 0])),
+        np.maximum(_abs(B[0, :, 1]), _abs(B[1, :, 0])),
+        np.abs(A[1, :, 1].real),
+        np.abs(B[1, :, 1].real),
     ), ok
 
 
@@ -269,7 +268,7 @@ def check_maxima(family: Family, grid, h: float) -> tuple:
                     np.abs(np.log(Ea / 2.0) - np.log(Ga / 2.0)), -np.inf)])
             values, ok = _christoffel(Ja, Ea, Ga, beta[1:], h)
             fold("christoffel", CHRISTOFFEL_NAMES, values, ok & angles_ok)
-            values, ok = _frame(S, norm_x, norm_y, beta, centre_ok, h)
+            values, ok = _frame(S, norm_x, norm_y, beta, h)
             fold("frame", FRAME_NAMES, values, ok & angles_ok)
             if curve is not None:
                 K, pos = gauss_curvature_masked(family.metric, xa, ya, h)
@@ -282,10 +281,10 @@ def check_maxima(family: Family, grid, h: float) -> tuple:
 
 def sample_blocks(family: Family, grid, h: float):
     """Per block: x, y, phi, E, G, beta and K, and the masks where beta and K
-    are defined (outside the tube; angle accepted; metric positive)."""
+    are defined (outside the tube; angle accepted; metric positive), from the order-1 jets."""
     for start in range(0, grid.nx * grid.ny, CHUNK):
         with np.errstate(all="ignore"):
-            x, y, tube, J, E, G = _block(family, grid, start)
+            x, y, tube, J, E, G = _block(family, grid, start, 1)
             beta, ok, _, _ = _angles(J)
             K, pos = gauss_curvature_masked(family.metric, x, y, h)
         phi = J[0].copy()

@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -69,3 +71,62 @@ def test_a_checkout_whose_corpus_fails_exits_2(tmp_path):
     run = _compare(old, new)
     assert run.returncode == 2 and run.stdout == ""
     assert run.stderr.startswith(f"{new}: the corpus exited 1\n") and "broken" in run.stderr
+
+
+
+_REPORTING_CLI = """import json
+
+SAME, MOVED = json.loads(%r), json.loads(%r)
+
+
+def main(argv):
+    print(*argv)
+    out = MOVED if argv[2:5] == ["cone", "--m", "1"] else SAME
+    if argv[-2:] == ["--json-out", "report.json"]:
+        with open("report.json", "w") as fh:
+            json.dump({"checks": out["checks"], "overall": False, "timings": {}}, fh)
+    if argv[-2:] == ["--out", "surface.csv"]:
+        with open("surface.csv", "w") as fh:
+            fh.write(out["csv"])
+    return 0
+"""
+_SAME = {"checks": [{"name": "a", "max_defect": 1e-12, "passed": True},
+                    {"name": "b", "max_defect": 1e-7, "passed": True},
+                    {"name": "c", "max_defect": math.nan, "passed": False}],
+         "csv": "x,beta,K\n0,0.5,1.0\n1,1.0,\n"}
+
+
+def _reporting_checkout(root: Path, moved: dict) -> str:
+    """A source tree whose cli writes a report and a CSV: those of moved on the calls of
+    the cones (1, n), and _SAME on every other call."""
+    pkg = root / "src" / "mlsurf"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "cli.py").write_text(_REPORTING_CLI % (json.dumps(_SAME), json.dumps(moved)))
+    return str(root)
+
+
+def test_each_differing_call_says_which_checks_and_csv_columns_moved(tmp_path):
+    # on the cones (1, n), check a moves by an ulp, check b moves and FAILs, the NaN of
+    # check c stays; in the CSV, one beta moves by 2^-52 and an empty K cell is filled
+    checks = [{**_SAME["checks"][0], "max_defect": 1.0000000000000002e-12},
+              {"name": "b", "max_defect": 2e-6, "passed": False}, _SAME["checks"][2]]
+    old = _reporting_checkout(tmp_path / "old", _SAME)
+    new = _reporting_checkout(tmp_path / "new", {"checks": checks,
+                                                  "csv": "x,beta,K\n0,0.5,1.0\n1,1.0000000000000002,0.25\n"})
+    run = _compare(old, new)
+    calls = [call for call in _corpus()
+             if call[2:5] == ["cone", "--m", "1"] and call[-1] in ("report.json", "surface.csv")]
+    verify = sum(call[0] == "verify" for call in calls)
+    assert run.returncode == 1 and 0 < verify < len(calls)
+    expected = []
+    for call in calls:
+        expected += [f"{old}: {' '.join(call)} 0", f"{new}: {' '.join(call)} 0"]
+        expected += (["    a: 1e-12 -> 1.0000000000000002e-12",
+                      "    b: 1e-07 -> 2e-06, passed True -> False"] if call[0] == "verify"
+                     else ["    csv beta: 1 cells, largest relative move 2.22e-16",
+                           "    csv K: 1 cells, largest relative move inf"])
+    got = [" ".join(ln.split()[:-4]) if ln.startswith((old, new)) else ln
+           for ln in run.stdout.splitlines()]
+    assert got == expected + [f"differ: {len(calls)} of {len(_corpus())} calls",
+                              f"verdict changes: {verify}"]

@@ -29,18 +29,25 @@ def test_importing_the_cli_generates_no_dataclass_code(module):
 
 
 # numpy.ma: a bare np.unique(x), without return_inverse, calls np.ma.is_masked and
-# imports it, which raises a fresh sample process's peak memory by about 3 MB;
-# fractions imports decimal; the CSV text needs neither
-@pytest.mark.parametrize("module", ["numpy.ma", "fractions", "decimal"])
-def test_sample_leaves_modules_unimported(module, tmp_path):
+# imports it, which raises a fresh process's peak memory by about 3 MB; fractions
+# imports decimal; neither the CSV text nor the report needs them
+_LEAN = [(command, module) for command in ("sample", "verify")
+         for module in ("numpy.ma", "fractions", "decimal")]
+
+
+@pytest.mark.parametrize("command, module", _LEAN,
+                         ids=[m if c == "sample" else f"{c}-{m}" for c, m in _LEAN])
+def test_sample_leaves_modules_unimported(command, module, tmp_path):
+    out = ["--out", str(tmp_path / "s.csv")] if command == "sample" else [
+        "--json-out", str(tmp_path / "r.json")]
+    argv = [command, "--family", "spectral", "--a", "1e-3", "--b", "1", "--q1", "2",
+            "--gamma-im", "1", "--grid", "8x8", *out]
     code = ("import sys; sys.path.insert(0, %r); from mlsurf import cli; "
-            "cli.main(['sample', '--family', 'spectral', '--a', '1e-3', '--b', '1', '--q1', '2', "
-            "'--gamma-im', '1', '--grid', '8x8', '--out', %r]); print(%r in sys.modules)"
-            % (SRC, str(tmp_path / "s.csv"), module))
+            "cli.main(%r); print(%r in sys.modules)" % (SRC, argv, module))
     proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout.splitlines()[-1] == "False"   # verify prints its report first
 
 
 def _records():

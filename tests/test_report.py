@@ -491,13 +491,17 @@ _ORACLE_WARNS = pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning"
     # phi_y = 0 at a grid point: G = 0 rejects the angle; no anisotropy is read there
     (_jet_scaled_at(cone_family(1, 2), (_X, _Y), phi_y=0.0),
      "beta_constant christoffel_b11 frame_unitarity", "", "metric_E_closed_form gram_norm"),
-    # phi = inf, then NaN, at a grid point: the det is NaN, which passes the angle gate, so
-    # the frame values are NaN; the non-finite basis fails the Christoffel checks
-    *(pytest.param(_jet_scaled_at(cone_family(1, 2), (_X, _Y), phi=scale),
-                   "christoffel_b11 gradient_identity_x",
-                   "beta_constant frame_unitarity frame_A_trace",
-                   "metric_E_closed_form gram_phix_phiy", marks=_ORACLE_WARNS)
-      for scale in (math.inf, math.nan)),
+    # phi = inf at a grid point: the cofactor det is not finite, which the angle gate
+    # rejects, so every angle check fails there
+    pytest.param(_jet_scaled_at(cone_family(1, 2), (_X, _Y), phi=math.inf),
+                 "christoffel_b11 gradient_identity_x beta_constant frame_unitarity frame_A_trace",
+                 "", "metric_E_closed_form gram_phix_phiy", marks=_ORACLE_WARNS),
+    # phi = NaN at a grid point: the det is NaN, which passes the angle gate, so the frame
+    # values are NaN; the non-finite basis fails the Christoffel checks
+    pytest.param(_jet_scaled_at(cone_family(1, 2), (_X, _Y), phi=math.nan),
+                 "christoffel_b11 gradient_identity_x",
+                 "beta_constant frame_unitarity frame_A_trace",
+                 "metric_E_closed_form gram_phix_phiy", marks=_ORACLE_WARNS),
     # |phi_x| = inf at a stencil point: its angle stands and its frame and gradient are NaN
     pytest.param(_jet_scaled_at(cone_family(1, 2), (_X + 1e-4, _Y), phi_x=math.inf),
                  "", "gradient_identity_x frame_A_trace frame_A_pattern",
@@ -517,9 +521,10 @@ def test_failed_points_match_the_oracle(family, failed, nan, kept, capfd):
 
 @pytest.mark.parametrize("scale", [0.0, math.nan], ids=["singular-basis", "nan-basis"])
 def test_verify_hands_lapack_only_stacked_matrices(scale, monkeypatch):
-    # one inv and at most one cond per block, each on an (n, 3, 3) stack: the sweep decides
-    # by mask which matrices LAPACK sees and never retries a block matrix by matrix
-    shapes = {"inv": [], "cond": []}
+    # at most one cond per block, on an (n, 3, 3) stack: the sweep decides by mask which
+    # matrices LAPACK sees and never retries a block matrix by matrix; the frame's det and
+    # inverse are diffgeo's closed-form kernels, so LAPACK's det and inv are never called
+    shapes = {"det": [], "inv": [], "cond": []}
 
     def spy(name):
         f = getattr(np.linalg, name)
@@ -532,14 +537,14 @@ def test_verify_hands_lapack_only_stacked_matrices(scale, monkeypatch):
         monkeypatch.setattr(np.linalg, name, spy(name))
     monkeypatch.setattr(sweep, "CHUNK", 4)   # four blocks of the 4x4 grid
     verify(_jet_scaled_at(cone_family(1, 2), (_X, _Y), phi=scale), _GRID4)
-    assert all(len(s) == 3 and s[1:] == (3, 3) for s in shapes["inv"] + shapes["cond"])
-    assert len(shapes["inv"]) == 4 and len(shapes["cond"]) <= 4
+    assert all(len(s) == 3 and s[1:] == (3, 3) for s in shapes["cond"])
+    assert shapes["det"] == shapes["inv"] == [] and len(shapes["cond"]) <= 4
 
 
 def test_a_nan_frame_whose_lu_meets_a_zero_pivot_fails_without_raising():
     # phi = (0, NaN, 0) at a grid point: the det is NaN, so the centre angle stands, and the
-    # NaN twist leaves the frame's first column (0, NaN, NaN), where LU meets a zero pivot
-    # (the oracle's inv raises); the sweep inverts no frame whose det is not finite
+    # NaN twist leaves the frame's first column (0, NaN, NaN), where LAPACK's LU would meet
+    # a zero pivot; the closed-form inverse of such a frame is NaN and never raises
     cone = cone_family(1, 2)
 
     def jets(xs, ys):

@@ -1,23 +1,31 @@
 """Run a fixed corpus of mlsurf command lines in process and print a digest per call.
 
-Usage: python tools/identity_corpus.py CHECKOUT
+Usage: python tools/identity_corpus.py [--keep DIR] CHECKOUT
        python tools/identity_corpus.py OLD NEW
 
 CHECKOUT is the root of an mlsurf source tree; its `src/mlsurf` is imported.
 Each call prints one line: the argv, the exit code, and the sha256 of stdout,
 of stderr, of the `--json-out` document without its `timings`, and of the CSV
-("-" where the call writes no file).  Stdout and stderr are file descriptors 1
-and 2, captured per call, so what a C library writes there (a LAPACK message,
-say) enters that call's digest as it would reach a user.  Two checkouts that
-print the same lines give byte-identical reports, CSVs and messages on the
-whole corpus, so a refactor that must not change any output is checked by
+("-" where the call writes no file); with --keep, the report and the CSV of
+call k are also saved as DIR/k.json and DIR/k.csv.  Stdout and stderr are file
+descriptors 1 and 2, captured per call, so what a C library writes there (a
+LAPACK message, say) enters that call's digest as it would reach a user.  Two
+checkouts that print the same lines give byte-identical reports, CSVs and
+messages on the whole corpus, so a refactor that must not change any output is
+checked by
 
     python tools/identity_corpus.py OLD NEW
 
 which runs the corpus once per checkout, each in its own interpreter, and
 prints `identical: N calls` (exit 0), or every pair of lines that differ, as
 each side printed them, then `differ: K of N calls` (exit 1); a checkout whose
-corpus run fails exits 2.
+corpus run fails exits 2.  Under each pair it says what moved, as old -> new:
+every check whose max_defect or passed changed, and every CSV column that
+changed, with the number of its cells that did and their largest relative
+move (inf where a cell was empty or not finite on one side, or was 0).  Where
+a differing call wrote a report on either side, a last line counts the calls
+whose verdicts changed (any check's passed, the overall, or the report's
+presence): `verdict changes: V`.
 
 The calls run in a temporary directory with relative file names, so no line
 depends on where the corpus ran.  The scenario and period-matrix files they
@@ -27,6 +35,7 @@ input layer as well as the sweep.
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -222,28 +231,92 @@ def _run(main, call: list) -> tuple:
         return code, out.read(), err.read()
 
 
+def _relative(u: str, v: str) -> float:
+    """|v - u| / |u| of two CSV cells; inf unless both are finite numbers and u is not 0."""
+    try:
+        x, y = float(u), float(v)
+    except ValueError:   # an empty cell
+        return math.inf
+    return abs(y - x) / abs(x) if math.isfinite(x) and math.isfinite(y) and x else math.inf
+
+
+def _csv_moves(old: str, new: str) -> list:
+    a, b = ([row.split(",") for row in text.splitlines()] for text in (old, new))
+    if len(a) != len(b) or a[0] != b[0]:
+        return [f"csv: {len(a) - 1} rows of {a[0]} -> {len(b) - 1} rows of {b[0]}"]
+    moves = []
+    for j, name in enumerate(a[0]):
+        cells = [(r[j], s[j]) for r, s in zip(a[1:], b[1:]) if r[j] != s[j]]
+        if cells:
+            worst = max(_relative(u, v) for u, v in cells)
+            moves.append(f"csv {name}: {len(cells)} cells, largest relative move {worst:.3g}")
+    return moves
+
+
+def _check_moves(old: dict, new: dict) -> list:
+    a, b = ({c["name"]: (c["max_defect"], c["passed"]) for c in doc["checks"]} for doc in (old, new))
+    moves = []
+    for name in [*a, *(n for n in b if n not in a)]:
+        (u, p), (v, q) = a.get(name, (None, None)), b.get(name, (None, None))
+        if not (u == v or u != u and v != v):   # NaN reads as unmoved NaN
+            moves.append(f"{name}: {u!r} -> {v!r}" + (f", passed {p} -> {q}" if p != q else ""))
+        elif p != q:
+            moves.append(f"{name}: passed {p} -> {q}")
+    return moves
+
+
+def _verdict(doc):
+    return doc and (doc["overall"], [(c["name"], c["passed"]) for c in doc["checks"]])
+
+
 def compare(old: str, new: str) -> int:
-    """Run the corpus on both checkouts, each in a fresh interpreter, and compare the lines."""
+    """Run the corpus on both checkouts, each in a fresh interpreter, and compare the lines
+    and, under each pair that differs, the reports and CSVs the two calls wrote."""
     lines = []
-    for checkout in (old, new):
-        run = subprocess.run([sys.executable, __file__, checkout], capture_output=True, text=True)
-        if run.returncode:
-            print(f"{checkout}: the corpus exited {run.returncode}\n{run.stderr}", file=sys.stderr)
-            return 2
-        lines.append(run.stdout.splitlines())   # one per call of this file's corpus
-    differ = [(a, b) for a, b in zip(*lines) if a != b]
-    for a, b in differ:
-        print(f"{old}: {a}\n{new}: {b}")
+    with tempfile.TemporaryDirectory() as tmp:
+        keep = [os.path.join(tmp, side) for side in ("old", "new")]
+        for checkout, path in zip((old, new), keep):
+            os.mkdir(path)
+            run = subprocess.run([sys.executable, __file__, "--keep", path, checkout],
+                                 capture_output=True, text=True)
+            if run.returncode:
+                print(f"{checkout}: the corpus exited {run.returncode}\n{run.stderr}",
+                      file=sys.stderr)
+                return 2
+            lines.append(run.stdout.splitlines())   # one per call of this file's corpus
+        differ = [k for k, (a, b) in enumerate(zip(*lines)) if a != b]
+        reports, verdicts = False, 0
+        for k in differ:
+            print(f"{old}: {lines[0][k]}\n{new}: {lines[1][k]}")
+            docs, csvs = ([_take(os.path.join(path, f"{k}{ext}"), Path.read_text) for path in keep]
+                          for ext in (".json", ".csv"))
+            docs = [doc and json.loads(doc) for doc in docs]
+            moves = []
+            if None not in docs:
+                moves += _check_moves(*docs)
+            if None not in csvs:
+                moves += _csv_moves(*csvs)
+            moves += [f"{what} written by {(old, new)[pair[0] is None]} alone"
+                      for what, pair in (("report", docs), ("CSV", csvs)) if pair.count(None) == 1]
+            for move in moves:
+                print(f"    {move}")
+            reports |= docs != [None, None]
+            verdicts += _verdict(docs[0]) != _verdict(docs[1])
     if differ:
         print(f"differ: {len(differ)} of {len(lines[0])} calls")
+        if reports:
+            print(f"verdict changes: {verdicts}")
         return 1
     print(f"identical: {len(lines[0])} calls")
     return 0
 
 
 def main(argv: list) -> int:
-    if len(argv) == 2:
+    if len(argv) == 2 and argv[0] != "--keep":
         return compare(*argv)
+    keep = os.path.abspath(argv[1]) if len(argv) == 3 and argv[0] == "--keep" else None
+    if keep is not None:
+        argv = argv[2:]
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
@@ -262,11 +335,15 @@ def main(argv: list) -> int:
                 Path(name).write_text(text)
             for name, data in {**SCENARIOS, **BAD_PERIOD_FILES, **RADIUS_FILES}.items():
                 Path(name).write_bytes(data)
-            for call in calls:
+            for k, call in enumerate(calls):
                 code, out, err = _run(cli.main, call)
                 doc = _take("report.json", _without_timings)
                 csv = _take("surface.csv", Path.read_bytes)
                 print(" ".join(call), code, *map(_digest, (out, err, doc, csv)))
+                if keep and doc is not None:
+                    Path(keep, f"{k}.json").write_text(doc)
+                if keep and csv is not None:
+                    Path(keep, f"{k}.csv").write_bytes(csv)
         finally:
             os.chdir(home)
     print(f"{len(calls)} calls", file=sys.stderr)
