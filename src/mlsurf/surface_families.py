@@ -78,15 +78,14 @@ def spectral_family_jet(curve: ReducibleCurveData, x: float, y: float) -> Surfac
     return SurfaceJet(x, y, S[0], S[1], S[2], S[3], S[4], S[5])
 
 
-def spectral_jet_field(curve: ReducibleCurveData, xs: np.ndarray, ys: np.ndarray,
-                       order: int = 2) -> np.ndarray:
+def spectral_jet_field(curve: ReducibleCurveData, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """spectral_family_jet at the points (xs, ys) as one (6, n, 3) array, bit for bit: the
     same exponent dx x + dy y, and the scalar jet's sum over an axis of two is the one
-    addition F[..., 0] T_0 + F[..., 1] T_1.  Order 1 gives the first 3 rows alone."""
+    addition F[..., 0] T_0 + F[..., 1] T_1."""
     C, F, dx, dy = _spectral_exp_terms(curve)
     T = C * np.exp(dx * xs[:, None, None] + dy * ys[:, None, None])
-    J = np.empty((3 * order, len(xs), 3), dtype=complex)
-    for r, f in enumerate(F[:3 * order]):
+    J = np.empty((6, len(xs), 3), dtype=complex)
+    for r, f in enumerate(F):
         np.add(f[:, 0] * T[..., 0], f[:, 1] * T[..., 1], out=J[r])
     return J
 
@@ -137,23 +136,21 @@ def cone_family_jet(m: int, n: int, x: float, y: float) -> SurfaceJet:
     return SurfaceJet(x, y, J[0], J[1], J[2], J[3], J[4], J[5])
 
 
-def cone_jet_field(m: int, n: int, xs: np.ndarray, ys: np.ndarray, order: int = 2) -> np.ndarray:
+def cone_jet_field(m: int, n: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """cone_family_jet at every point as one (6, n, 3) array, bit for bit where
     np.sin and np.cos round as math.sin and math.cos (a test checks it);
     float_power rounds as Python's rho ** 3, the array power rho ** 3 does not.
-    Field r is (W[r] * u) * e without W[r] where it is 1: (1+0j) * (u+0j) is u+0j.
-    Order 1 gives the first 3 rows alone, and forms no u''."""
+    Field r is (W[r] * u) * e without W[r] where it is 1: (1+0j) * (u+0j) is u+0j."""
     k1, k2, A, B, iq, W = _cone_terms(m, n)
     sx, cx = np.sin(xs), np.cos(xs)
     rho = np.sqrt(A * cx * cx + B * sx * sx)
     s = (B - A) * sx * cx
-    u = [np.stack(row, axis=-1) for row in ((k1 * sx, k2 * cx, rho), (k1 * cx, -k2 * sx, s / rho))]
-    if order == 2:
-        rho_pp = (B - A) * np.cos(2 * xs) / rho - s * s / np.float_power(rho, 3)
-        u.append(np.stack((-k1 * sx, -k2 * cx, rho_pp), axis=-1))
+    rho_pp = (B - A) * np.cos(2 * xs) / rho - s * s / np.float_power(rho, 3)
+    u = [np.stack(row, axis=-1) for row in (
+        (k1 * sx, k2 * cx, rho), (k1 * cx, -k2 * sx, s / rho), (-k1 * sx, -k2 * cx, rho_pp))]
     e = np.exp(iq * ys[:, None])
-    J = np.empty((3 * order, len(xs), 3), dtype=complex)
-    for r, k in enumerate(_CONE_ROWS[:3 * order]):
+    J = np.empty((6, len(xs), 3), dtype=complex)
+    for r, k in enumerate(_CONE_ROWS):
         np.multiply(u[k] if r in (0, 1, 3) else W[r] * u[k], e, out=J[r])
     return J
 
@@ -216,7 +213,7 @@ class Family(NamedTuple):
     name: str
     parameters: dict
     jet: object                     # (x, y) -> SurfaceJet
-    jets: object                    # (xs, ys, order=2) -> (3 order, n, 3) array of the same jets
+    jets: object                    # (xs, ys) -> (6, n, 3) array of the same jets
     metric: MetricField
     beta_period: float
     curve: ReducibleCurveData | None = None
@@ -227,7 +224,7 @@ def spectral_family(curve: ReducibleCurveData) -> Family:
     return Family("spectral", {"a": curve.a, "b": curve.b, "q1": curve.Q1,
                                "gamma_im": curve.gamma_im},
                   lambda x, y: spectral_family_jet(curve, x, y),
-                  lambda xs, ys, order=2: spectral_jet_field(curve, xs, ys, order),
+                  lambda xs, ys: spectral_jet_field(curve, xs, ys),
                   spectral_metric_field(curve), math.pi, curve)
 
 
@@ -235,8 +232,8 @@ def cone_family(m: int, n: int) -> Family:
     """The elementary cone surface of orders m, n >= 1."""
     _cone_terms(m, n)   # refuses the orders before the metric overflows on them
     return Family("cone", {"m": m, "n": n}, lambda x, y: cone_family_jet(m, n, x, y),
-                  lambda xs, ys, order=2: cone_jet_field(m, n, xs, ys, order),
-                  cone_metric_field(m, n), 2.0 * math.pi)
+                  lambda xs, ys: cone_jet_field(m, n, xs, ys), cone_metric_field(m, n),
+                  2.0 * math.pi)
 
 
 def degeneracy_angle(curve: ReducibleCurveData) -> float:

@@ -16,8 +16,9 @@ bit for bit.  The Christoffel stage's condition gate keeps the oracle's mask
 matrix decide most points, and np.linalg.cond (an SVD) only those the bounds cannot
 certify.  The metric, residue and curvature checks, and the angle and frame stages' 3x3 det,
 inverse and products (diffgeo's closed-form kernels, not LAPACK), call the code the oracles
-call.  Each check group returns (values, ok) and one accumulator folds them into the maxima.  CHUNK bounds the memory a sweep holds whatever the grid
-size (README, Performance, gives the measured peaks); the report does not depend on it.
+call.  Each check group returns (values, ok) and one accumulator folds them into the
+maxima.  CHUNK bounds the memory a sweep holds whatever the grid size (README,
+Performance, gives the measured peaks); the report does not depend on it.
 
 Floating-point policy: both sweeps compute each block under np.errstate(all="ignore")
 (not across a yield).  A check fails a non-finite value (inf where a point fails, NaN
@@ -76,16 +77,15 @@ def _jets(jet, xs, ys) -> np.ndarray:
     return out
 
 
-def _block(family: Family, grid, start: int, *order) -> tuple:
+def _block(family: Family, grid, start: int) -> tuple:
     """(x, y, tube mask, stacked centre jets, E, G) of the at most CHUNK grid points from
     index start: the mask is in_degeneracy_tube's bit for bit, E, G the metric the jets
-    induce (sum |phi_x|^2, sum |phi_y|^2), x, y from the indices (GridSpec.points).
-    order, if given, is passed to Family.jets (1: the rows phi, phi_x, phi_y alone)."""
+    induce (sum |phi_x|^2, sum |phi_y|^2), x, y from the indices (GridSpec.points)."""
     x, y = grid.points(np.arange(start, min(start + CHUNK, grid.nx * grid.ny)))  # nx ny < 2^63
     c = family.curve
     tube = (np.zeros(len(x), dtype=bool) if c is None else
             np.abs(_remainder(c.a * x - c.b * y - degeneracy_angle(c), math.pi)) < TUBE_RADIUS)
-    J = family.jets(x, y, *order)
+    J = family.jets(x, y)
     return x, y, tube, J, np.sum(np.abs(J[1]) ** 2, axis=-1), np.sum(np.abs(J[2]) ** 2, axis=-1)
 
 
@@ -281,10 +281,10 @@ def check_maxima(family: Family, grid, h: float) -> tuple:
 
 def sample_blocks(family: Family, grid, h: float):
     """Per block: x, y, phi, E, G, beta and K, and the masks where beta and K
-    are defined (outside the tube; angle accepted; metric positive), from the order-1 jets."""
+    are defined (outside the tube; angle accepted; metric positive)."""
     for start in range(0, grid.nx * grid.ny, CHUNK):
         with np.errstate(all="ignore"):
-            x, y, tube, J, E, G = _block(family, grid, start, 1)
+            x, y, tube, J, E, G = _block(family, grid, start)
             beta, ok, _, _ = _angles(J)
             K, pos = gauss_curvature_masked(family.metric, x, y, h)
         phi = J[0].copy()

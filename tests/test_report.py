@@ -105,8 +105,7 @@ def _assert_report_matches_oracle(family, grid, h=1e-4):
     assert list(got) == [n for n in got if n in expected] and set(got) == set(expected)
     for name, value in expected.items():
         v = got[name].value
-        assert v == value or abs(v - value) <= 1e-13 * abs(value) \
-            or (math.isnan(v) and math.isnan(value)), (name, v, value)
+        assert v == value or (math.isnan(v) and math.isnan(value)), (name, v, value)
         assert got[name].excluded_points == excluded.get(name, 0), name
     return report
 
@@ -491,8 +490,8 @@ _ORACLE_WARNS = pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning"
     # phi_y = 0 at a grid point: G = 0 rejects the angle; no anisotropy is read there
     (_jet_scaled_at(cone_family(1, 2), (_X, _Y), phi_y=0.0),
      "beta_constant christoffel_b11 frame_unitarity", "", "metric_E_closed_form gram_norm"),
-    # phi = inf at a grid point: the cofactor det is not finite, which the angle gate
-    # rejects, so every angle check fails there
+    # phi = inf at a grid point: the cofactor det is NaN + inf j, whose infinite modulus
+    # the angle gate rejects, so every angle check fails there
     pytest.param(_jet_scaled_at(cone_family(1, 2), (_X, _Y), phi=math.inf),
                  "christoffel_b11 gradient_identity_x beta_constant frame_unitarity frame_A_trace",
                  "", "metric_E_closed_form gram_phix_phiy", marks=_ORACLE_WARNS),

@@ -121,18 +121,6 @@ def test_stencil_jets_are_the_field_rows_the_stencil_reads(family):
     assert np.array_equal(_bits(stencil), _bits(family.jets(xs, ys)[:3]))
 
 
-@pytest.mark.parametrize("family", [
-    *(spectral_family(_random_curve(np.random.default_rng(seed))) for seed in range(3)),
-    *(cone_family(m, n) for m, n in ((1, 1), (1, 2), (3, 2), (4, 4)))],
-    ids=lambda f: f.name + "-" + "-".join(f"{v:.3g}" for v in f.parameters.values()))
-def test_order_1_jets_are_the_first_rows_of_order_2(family):
-    # sample evaluates only phi, phi_x and phi_y; they must be verify's bit for bit
-    xs, ys = _with_sweep_points(*np.random.default_rng(8).uniform(-50, 50, (2, 200)))
-    first = family.jets(xs, ys, 1)
-    assert first.shape == (3, len(xs), 3)
-    assert np.array_equal(_bits(first), _bits(family.jets(xs, ys)[:3]))
-
-
 def test_cone_jet_field_rejects_bad_orders():
     with pytest.raises(ValueError):
         cone_jet_field(0, 1, np.zeros(1), np.zeros(1))
