@@ -23,15 +23,23 @@ TOL_RESIDUE_IDENTITY = 1e-9
 REGULARITY_TOL = 1e-13
 W2_TOL = 1e-12
 
-# (tolerance, kind) of each sweep check
-_LIMITS = {
-    **dict.fromkeys(GRAM_NAMES + METRIC_NAMES + ("beta_e2i_plus_one",), (TOL_ANALYTIC, "upper")),
-    **dict.fromkeys(RESIDUE_NAMES, (TOL_RESIDUE_IDENTITY, "upper")),
-    **dict.fromkeys(("beta_constant",) + CHRISTOFFEL_NAMES, (TOL_IDENTITY, "upper")),
-    **dict.fromkeys(FRAME_NAMES, (TOL_FRAME, "upper")),
-    "metric_anisotropy": (0.1, "lower"), "curvature_K_minus_1": (TOL_CURVATURE, "upper"),
-    "tube_G_bound": (TUBE_G_TOL, "upper"),
-}
+# Every check in report order: (names, tolerance, kind, points read, families).  Points:
+# "grid" all, "outside" the degeneracy tube (its points reported as excluded), "tube" its
+# points alone (only where there are some), "curve" none.  README's Checks table has the claims.
+CHECKS = (
+    (GRAM_NAMES + METRIC_NAMES, TOL_ANALYTIC, "upper", "grid", ("spectral", "cone")),
+    (RESIDUE_NAMES, TOL_RESIDUE_IDENTITY, "upper", "grid", ("spectral",)),
+    (("beta_e2i_plus_one",), TOL_ANALYTIC, "upper", "outside", ("spectral",)),
+    (("beta_constant",) + CHRISTOFFEL_NAMES, TOL_IDENTITY, "upper", "outside", ("spectral", "cone")),
+    (FRAME_NAMES, TOL_FRAME, "upper", "outside", ("spectral", "cone")),
+    (("metric_anisotropy",), 0.1, "lower", "outside", ("cone",)),
+    (("curvature_K_minus_1",), TOL_CURVATURE, "upper", "outside", ("spectral",)),
+    (("tube_G_bound",), TUBE_G_TOL, "upper", "tube", ("spectral",)),
+    (("curve_regularity",), REGULARITY_TOL, "upper", "curve", ("spectral",)),
+    (("curve_w2_P1_rel", "curve_w2_P2_rel"), W2_TOL, "upper", "curve", ("spectral",)),
+    (("curve_Q_sum",), 1e-13, "upper", "curve", ("spectral",)),
+    (("curve_residues_positive",), 0.0, "lower", "curve", ("spectral",)),
+)
 
 
 MAX_GRID_POINTS = 2**63 - 1   # the sweep numbers the points with int64 indices
@@ -63,8 +71,8 @@ class GridSpec:
 class CheckRecord(NamedTuple):
     """One verified identity: measured value against its pinned tolerance.
 
-    kind "upper" passes when value <= tolerance (defect checks); kind "lower"
-    passes when value > tolerance (nondegeneracy checks).
+    Only a finite value passes: kind "upper" when value <= tolerance (defect
+    checks), kind "lower" when value > tolerance (nondegeneracy checks).
     """
 
     name: str
@@ -75,7 +83,7 @@ class CheckRecord(NamedTuple):
 
     @property
     def passed(self) -> bool:
-        if math.isnan(self.value):
+        if not math.isfinite(self.value):
             return False
         if self.kind == "lower":
             return self.value > self.tolerance
@@ -129,10 +137,9 @@ class VerificationReport(NamedTuple):
 
 def verify(family: Family, grid: GridSpec, h: float = 1e-4) -> VerificationReport:
     """Run the family's check suite over the grid."""
-    maxima, excluded, timings = check_maxima(family, grid, h)
-    checks = [CheckRecord(name, float(value), *_LIMITS[name], excluded.get(name, 0))
-              for name, value in maxima.items()]
-    if family.curve is not None:
+    maxima, tube_points, timings = check_maxima(family, grid, h)
+    checks = _records(maxima, family.name, tube_points, ("grid", "outside", "tube"))
+    if family.curve is not None:   # the curve rows close the table
         checks += curve_checks(family.curve)
     return VerificationReport(family.name, family.parameters, grid, h, checks, timings)
 
@@ -152,13 +159,22 @@ def curve_checks(curve: ReducibleCurveData) -> list:
     """Curve-level records: regularity, puncture expansions, residue signs."""
     c1, q1 = expansion_at_infinity(curve.omega1())
     c2, q2 = expansion_at_infinity(curve.omega2())
-    return [
-        CheckRecord("curve_regularity", max(gluing_defects(curve)), REGULARITY_TOL),
-        CheckRecord("curve_w2_P1_rel", abs(q1) / abs(c1), W2_TOL),
-        CheckRecord("curve_w2_P2_rel", abs(q2) / abs(c2), W2_TOL),
-        CheckRecord("curve_Q_sum", abs(curve.Q1 + curve.Q2 + curve.Q3), 1e-13),
-        CheckRecord("curve_residues_positive", min(curve.res_Q), 0.0, kind="lower"),
-    ]
+    return _records({"curve_regularity": max(gluing_defects(curve)),
+                     "curve_w2_P1_rel": abs(q1) / abs(c1), "curve_w2_P2_rel": abs(q2) / abs(c2),
+                     "curve_Q_sum": abs(curve.Q1 + curve.Q2 + curve.Q3),
+                     "curve_residues_positive": min(curve.res_Q)}, "spectral", 0, ("curve",))
+
+
+def _records(values: dict, family: str, tube_points: int, points: tuple) -> list:
+    """Records of family's CHECKS rows reading points, in table order; values holds their checks."""
+    rows = [(name, tolerance, kind, tube_points if read == "outside" else 0)
+            for names, tolerance, kind, read, families in CHECKS
+            if family in families and read in points and (read != "tube" or tube_points)
+            for name in names]
+    if set(values) != {row[0] for row in rows}:
+        raise ValueError("checks not in both the sweep and report.CHECKS: "
+                         + ", ".join(sorted(set(values) ^ {row[0] for row in rows})))
+    return [CheckRecord(name, float(values[name]), *rest) for name, *rest in rows]
 
 
 CSV_HEADER = ["x", "y", "re_phi1", "im_phi1", "re_phi2", "im_phi2",

@@ -201,23 +201,17 @@ def _frame(S, norm_x, norm_y, beta, h: float) -> tuple:
 def check_maxima(family: Family, grid, h: float) -> tuple:
     """Masked max of every per-point check over the grid.
 
-    Returns (maxima, excluded, timings): check name -> max defect (NaN
-    sticky, inf where a point failed the check) in report order, each check
-    that skips the tube -> tube points excluded, and seconds per phase.  Tube
-    points feed "tube_G_bound" instead, last and only if there are any.
+    Returns (maxima, tube_points, timings): check name -> max defect (NaN
+    sticky, inf where a point failed the check), the number of grid points in
+    the degeneracy tube, and seconds per phase.  The checks from the angle on
+    read only the points outside the tube; tube points feed "tube_G_bound",
+    present only if there are any.  report.CHECKS orders the checks.
     Raises ValueError when the first point outside the tube has a rejected
     angle (it fixes the reference angle) or no point lies outside the tube.
     """
     curve = family.curve
     timer = Timings()
-    # check names in report order; all but the metric and residue ones skip the tube
-    angle = ("beta_constant",) + CHRISTOFFEL_NAMES + FRAME_NAMES
-    outside = (angle + ("metric_anisotropy",) if curve is None
-               else ("beta_e2i_plus_one",) + angle + ("curvature_K_minus_1",))
-    maxima = dict.fromkeys(GRAM_NAMES + METRIC_NAMES + (() if curve is None else RESIDUE_NAMES)
-                           + outside, -np.inf)
-    tube_points = 0
-    beta_ref = None
+    maxima, tube_points, beta_ref = {}, 0, None
 
     def fold(phase, names, values, ok=True):
         # NaN-sticky running max in which a point where ok is False counts as inf
@@ -276,7 +270,7 @@ def check_maxima(family: Family, grid, h: float) -> tuple:
 
     if beta_ref is None:
         raise ValueError("no grid point outside the degeneracy tube")
-    return maxima, dict.fromkeys(outside, tube_points), timer.to_dict()
+    return maxima, tube_points, timer.to_dict()
 
 
 def sample_blocks(family: Family, grid, h: float):

@@ -123,3 +123,23 @@ def test_the_library_layout_table_lists_every_module_once():
     table = re.search(r"## Library layout\n\n(.*?)\n\n", README, re.S).group(1)
     rows = re.findall(r"^\| `mlsurf\.(\w+)` \|", table, re.M)
     assert sorted(rows) == sorted(m.name for m in pkgutil.iter_modules(mlsurf.__path__))
+
+
+def _checks_table() -> list:
+    """(name, tolerance, kind, points, families) of each row of README's Checks table; a
+    tolerance written as `report.NAME` = value must be the value of that constant."""
+    table = re.search(r"\n(\| check \|.*?)\n\n", README, re.S).group(1)
+    rows = []
+    for line in table.splitlines()[2:]:
+        name, tolerance, kind, points, families = line.strip("| ").split(" | ")[:5]
+        constant, value = re.fullmatch(r"(?:`report\.(\w+)` = )?([\d.e-]+)", tolerance).groups()
+        assert constant is None or getattr(report, constant) == float(value), line
+        rows.append((name.strip("`"), float(value), kind, points, tuple(families.split(", "))))
+    return rows
+
+
+def test_the_readme_checks_table_is_the_catalogue():
+    rows = _checks_table()
+    assert len(rows) == 39 and ("tube_G_bound", 1e-3, "upper", "tube", ("spectral",)) in rows
+    assert rows == [(name, tolerance, kind, points, families)
+                    for names, tolerance, kind, points, families in report.CHECKS for name in names]

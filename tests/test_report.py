@@ -186,6 +186,51 @@ def test_report_check_order(family, groups):
         (name, tol, kind) for names, tol, kind in groups for name in names.split()]
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("kind, tolerance", [("upper", 1e-10), ("lower", 0.1)])
+def test_a_non_finite_value_never_passes(value, kind, tolerance):
+    # a check passes only on a finite value within tolerance: inf > 0.1 and -inf <= 1e-10
+    # would pass on the comparison alone
+    record = report.CheckRecord("x", value, tolerance, kind)
+    assert not record.passed and not record.to_dict()["passed"]
+
+
+def _sweep_names(family_name, tube_points):
+    """The table's per-point check names of a family, with tube_G_bound iff there are tube points."""
+    return {name for names, _, _, read, families in report.CHECKS
+            if family_name in families and read != "curve" and (read != "tube" or tube_points)
+            for name in names}
+
+
+@pytest.mark.parametrize("family, grid, has_tube_points", [
+    (spectral_family(derive_constants(1.0, 1.0, 2.0, 1.0)), GridSpec(16, 16), True),
+    (spectral_family(derive_constants(1.0, 1.0, 2.0, 1.0)), GridSpec(7, 7), False),
+    (TUBE_POINTS, GridSpec(16, 16), True),
+    (cone_family(1, 2), GridSpec(16, 16), False),
+    (cone_family(3, 2), GridSpec(16, 16), False),
+], ids=["worked-example", "worked-example-7x7", "tube-points", "cone-1-2", "cone-3-2"])
+def test_the_catalogue_and_the_sweep_name_the_same_checks(family, grid, has_tube_points):
+    maxima, tube_points, _ = sweep.check_maxima(family, grid, 1e-4)
+    assert set(maxima) == _sweep_names(family.name, tube_points)
+    assert ("tube_G_bound" in maxima) == (tube_points > 0) == has_tube_points
+
+
+@pytest.mark.parametrize("edit", [
+    lambda maxima: maxima.update(new_check=0.0),
+    lambda maxima: maxima.pop("frame_B_trace"),
+], ids=["folded-not-in-table", "row-not-folded"])
+@pytest.mark.parametrize("family", [TUBE_POINTS, cone_family(1, 2)], ids=["tube-points", "cone-1-2"])
+def test_verify_refuses_a_fold_that_differs_from_the_catalogue(edit, family, monkeypatch):
+    def check_maxima(*args):
+        maxima, tube_points, timings = sweep.check_maxima(*args)
+        edit(maxima)
+        return maxima, tube_points, timings
+
+    monkeypatch.setattr(report, "check_maxima", check_maxima)
+    with pytest.raises(ValueError, match="frame_B_trace|new_check"):
+        verify(family, GridSpec(8, 8))
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 256, sweep.CHUNK])
 def test_chunk_size_does_not_change_the_output(chunk, monkeypatch):
     def outputs():
