@@ -93,6 +93,34 @@ def _mul3(p, q):
     return p[..., 0, None] * q[0] + p[..., 1, None] * q[1] + p[..., 2, None] * q[2]
 
 
+def _solve3(m, r):
+    """The rows of x with m x = r, r given by its rows (..., k), by Gaussian elimination with
+    partial pivoting: each pivot is the first entry of largest |re| + |im| (LAPACK's choice),
+    which is backward stable (Higham, ch. 9), as Cramer's rule is not.  Non-finite where m
+    is singular or not finite: a zero pivot divides by 0, and 0 * pivot, NaN where a pivot
+    is infinite (it would divide to a finite 0), is added to every row.  It never raises."""
+    def key(v):
+        return np.abs(v[..., :1].real) + np.abs(v[..., :1].imag)
+
+    def eliminate(p, v):
+        return v[..., 1:] - v[..., :1] / p[..., :1] * p[..., 1:]
+
+    a, b, c = np.concatenate([m, r], axis=-1)
+    ka, kb, kc = key(a), key(b), key(c)
+    take_b, take_c = kb > ka, kc > np.maximum(ka, kb)
+    p = np.where(take_c, c, np.where(take_b, b, a))
+    u = eliminate(p, np.where(take_b | take_c, a, b))
+    w = eliminate(p, np.where(take_c, b, c))
+    take_w = key(w) > key(u)
+    q = np.where(take_w, w, u)
+    s = eliminate(q, np.where(take_w, u, w))
+    nan_if_inf = 0.0 * p[..., :1] + 0.0 * q[..., :1] + 0.0 * s[..., :1]
+    x2 = s[..., 1:] / s[..., :1] + nan_if_inf
+    x1 = (q[..., 2:] - q[..., 1:2] * x2) / q[..., :1] + nan_if_inf
+    x0 = (p[..., 3:] - p[..., 1:2] * x1 - p[..., 2:3] * x2) / p[..., :1] + nan_if_inf
+    return np.stack([x0, x1, x2])
+
+
 def lagrangian_angle(jet: SurfaceJet) -> float:
     """beta = arg det of the unitary frame (phi, phi_x/|phi_x|, phi_y/|phi_y|).
 
@@ -146,8 +174,7 @@ def christoffel_solve(jet: SurfaceJet) -> ChristoffelData:
     cond = np.linalg.cond(basis)
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise ValueError(f"moving basis ill-conditioned: cond = {cond:.3e}")
-    rhs = np.column_stack([jet.phi_xx, jet.phi_xy, jet.phi_yy])
-    sol = np.linalg.solve(basis, rhs)
+    sol = _solve3(basis, np.column_stack([jet.phi_xx, jet.phi_xy, jet.phi_yy]))
     return ChristoffelData(
         G111=sol[0, 0], G112=sol[1, 0], b11=sol[2, 0],
         G121=sol[0, 1], G122=sol[1, 1], b12=sol[2, 1],

@@ -296,6 +296,7 @@ def sample_rows(family: Family, grid: GridSpec, h: float):
         del cols, bits
         for s in range(0, len(x), side):   # lines are held a piece, not a block, at a time
             yield [",".join(row) + "\r\n" for row in text[cell[s:s + side]].tolist()]
+        del text, cell   # freed before the next block is swept
 
 
 def write_csv(path, blocks) -> None:

@@ -14,11 +14,11 @@ math.remainder rebuilt from np.fmod), so each reduced maximum equals the oracles
 bit for bit.  The Christoffel stage's condition gate keeps the oracle's mask
 (cond <= CONDITION_LIMIT, bit for bit) but not its values: Gershgorin bounds on the Gram
 matrix decide most points, and np.linalg.cond (an SVD) only those the bounds cannot
-certify.  The metric, residue and curvature checks, and the angle and frame stages' 3x3 det,
-inverse and products (diffgeo's closed-form kernels, not LAPACK), call the code the oracles
-call.  Each check group returns (values, ok) and one accumulator folds them into the
-maxima.  CHUNK bounds the memory a sweep holds whatever the grid size (README,
-Performance, gives the measured peaks); the report does not depend on it.
+certify.  The metric, residue and curvature checks, the angle and frame stages' 3x3 det,
+inverse and products and the Christoffel solve (diffgeo's closed-form kernels, not LAPACK)
+call the code the oracles call.  Each check group returns (values, ok) and one accumulator
+folds them into the maxima.  CHUNK bounds the memory a sweep holds whatever the grid size
+(README, Performance, gives the measured peaks); the report does not depend on it.
 
 Floating-point policy: both sweeps compute each block under np.errstate(all="ignore")
 (not across a yield).  A check fails a non-finite value (inf where a point fails, NaN
@@ -31,7 +31,7 @@ import time
 import numpy as np
 
 from .diffgeo import (CONDITION_LIMIT, MIN_STENCIL_NORM, UNITARITY_GATE, _det3, _inv3, _mul3,
-                      gauss_curvature_masked, residue_identity_defects)
+                      _solve3, gauss_curvature_masked, residue_identity_defects)
 from .surface_families import TUBE_RADIUS, Family, SurfaceJet, degeneracy_angle
 
 CHUNK = 1024   # the block size the README's measured table picks
@@ -150,19 +150,19 @@ def _christoffel(J, E, G, beta_s, h: float) -> tuple:
     if len(rest):
         ok[rest] = np.linalg.cond(basis[rest]) <= CONDITION_LIMIT
     ok &= (E != 0.0) & (G != 0.0)
-    sol = np.linalg.solve(np.where(ok[:, None, None], basis, np.eye(3)),
-                          np.stack([J[3], J[4], J[5]], axis=-1))
+    # the right-hand sides phi_xx, phi_xy, phi_yy as rows: row i holds their i-th components
+    sol = _solve3(basis.swapaxes(0, 1), J[3:].transpose(2, 1, 0))
     v1x = 2.0 * np.vecdot(J[1], J[3]).real / E
     v1y = 2.0 * np.vecdot(J[1], J[4]).real / E
     v2x = 2.0 * np.vecdot(J[2], J[4]).real / G
     v2y = 2.0 * np.vecdot(J[2], J[5]).real / G
     bx, by = _remainder(beta_s[0::2] - beta_s[1::2], _TWO_PI) / (2.0 * h)
-    trace_x = sol[:, 0, 0] + sol[:, 1, 1]
-    trace_y = sol[:, 0, 1] + sol[:, 1, 2]
+    trace_x = sol[0, :, 0] + sol[1, :, 1]
+    trace_y = sol[0, :, 1] + sol[1, :, 2]
     return (
-        _abs(sol[:, 2, 0] + E) / E,
-        _abs(sol[:, 2, 1]) / np.sqrt(E * G),
-        _abs(sol[:, 2, 2] + G) / G,
+        _abs(sol[2, :, 0] + E) / E,
+        _abs(sol[2, :, 1]) / np.sqrt(E * G),
+        _abs(sol[2, :, 2] + G) / G,
         _abs(trace_x - (0.5 * (v1x + v2x) + 1j * bx)),
         _abs(trace_y - (0.5 * (v1y + v2y) + 1j * by)),
         np.abs(trace_x.imag),

@@ -317,6 +317,31 @@ def test_a_huge_grid_streams_its_first_piece_without_an_axis(nx):
     assert x.tolist() == [2.0 * math.pi * k / nx for k in last] and not y.any()
 
 
+@pytest.mark.parametrize("family", [
+    cone_family(1, 2), spectral_family(derive_constants(1.0, 1.0, 2.0, 1.0))],
+    ids=["cone-1-2", "worked-example"])
+def test_sample_rows_frees_a_blocks_text_before_sweeping_the_next(family, monkeypatch):
+    # what sample_rows still holds when it asks sample_blocks for the next block: the
+    # loop's block arrays (about 125 KiB of a 1024-point block), not its text table and
+    # cell indices (about 400 KiB more)
+    list(sample_rows(family, GridSpec(4, 4), 1e-4))   # _g17's tables are built once
+    held, blocks = [], report.sample_blocks
+
+    def spy(*args):
+        for block in blocks(*args):
+            yield block
+            held.append(tracemalloc.get_traced_memory()[0] - start)
+    monkeypatch.setattr(report, "sample_blocks", spy)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for _ in sample_rows(family, GridSpec(64, 48), 1e-4):
+            pass
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 3 and max(held) < 256 * 1024, held
+
+
 def test_a_block_inside_the_tube_skips_the_angle_stage(monkeypatch):
     # a degeneracy line passes 0.005 from the origin: at CHUNK 1 the first
     # block is all tube and the second fixes the reference angle
@@ -567,8 +592,9 @@ def test_failed_points_match_the_oracle(family, failed, nan, kept, capfd):
 def test_verify_hands_lapack_only_stacked_matrices(scale, monkeypatch):
     # at most one cond per block, on an (n, 3, 3) stack: the sweep decides by mask which
     # matrices LAPACK sees and never retries a block matrix by matrix; the frame's det and
-    # inverse are diffgeo's closed-form kernels, so LAPACK's det and inv are never called
-    shapes = {"det": [], "inv": [], "cond": []}
+    # inverse and the Christoffel solve are diffgeo's closed-form kernels, so LAPACK's det,
+    # inv and solve are never called
+    shapes = {"det": [], "inv": [], "solve": [], "cond": []}
 
     def spy(name):
         f = getattr(np.linalg, name)
@@ -582,7 +608,7 @@ def test_verify_hands_lapack_only_stacked_matrices(scale, monkeypatch):
     monkeypatch.setattr(sweep, "CHUNK", 4)   # four blocks of the 4x4 grid
     verify(_jet_scaled_at(cone_family(1, 2), (_X, _Y), phi=scale), _GRID4)
     assert all(len(s) == 3 and s[1:] == (3, 3) for s in shapes["cond"])
-    assert shapes["det"] == shapes["inv"] == [] and len(shapes["cond"]) <= 4
+    assert shapes["det"] == shapes["inv"] == shapes["solve"] == [] and len(shapes["cond"]) <= 4
 
 
 def test_a_nan_frame_whose_lu_meets_a_zero_pivot_fails_without_raising():

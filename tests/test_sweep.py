@@ -1,11 +1,14 @@
-"""The Christoffel stage's condition gate: sweep._christoffel's mask against the SVD."""
+"""The Christoffel stage: sweep._christoffel's condition mask against the SVD, and its
+solve, which needs no LAPACK."""
+
+import warnings
 
 import numpy as np
 import pytest
 
 from mlsurf import sweep
 from mlsurf.diffgeo import CONDITION_LIMIT
-from mlsurf.report import GridSpec
+from mlsurf.report import GridSpec, verify
 from mlsurf.spectral_curve import derive_constants
 from mlsurf.surface_families import cone_family, spectral_family
 
@@ -125,3 +128,47 @@ def test_verify_certifies_every_point_without_the_svd(make, svd_calls):
     family = make()
     sweep.check_maxima(family, GridSpec(16, 16), 1e-4)
     assert svd_calls == []
+
+
+def test_a_singular_and_a_nan_basis_in_one_block_fail_without_a_warning(monkeypatch, capfd):
+    # phi = 0 at grid point 9 (a singular basis) and phi = NaN at point 6, in the one block
+    # of a 4x4 grid: the solve runs on every basis, raises nothing, warns nothing, and the
+    # mask fails those two points alone
+    cone = cone_family(1, 2)
+
+    def jets(xs, ys):
+        J = cone.jets(xs, ys)
+        J[0, 9], J[0, 6] = 0.0, np.nan
+        return J
+    masks, christoffel = [], sweep._christoffel
+
+    def spy(*args):
+        values, ok = christoffel(*args)
+        masks.append(ok)
+        return values, ok
+    monkeypatch.setattr(sweep, "_christoffel", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        maxima, _, _ = sweep.check_maxima(cone._replace(jets=jets), GridSpec(4, 4), 1e-4)
+    assert capfd.readouterr() == ("", "")
+    assert len(masks) == 1 and np.flatnonzero(~masks[0]).tolist() == [6, 9]
+    assert maxima["christoffel_b11"] == maxima["minimality_im_y"] == np.inf
+
+
+@pytest.mark.parametrize("make, failed", [
+    (lambda: spectral_family(derive_constants(1.0, 1.0, 2.0, 1.0)), []),
+    (lambda: cone_family(3, 2), ["frame_B_trace"])],   # m + n >= 4: a known FAIL
+    ids=["worked-example", "cone-3-2"])
+def test_verify_of_a_bench_surface_calls_no_lapack(make, failed, monkeypatch):
+    # every point is certified (no cond) and the solve is diffgeo._solve3: with each
+    # np.linalg function raising, verify gives the report it gives with LAPACK at hand
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg called")
+    report = verify(make(), GridSpec(16, 16))
+    for name in dir(np.linalg):
+        if callable(getattr(np.linalg, name)) and not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    with pytest.raises(AssertionError):
+        np.linalg.solve(np.eye(3), np.ones(3))
+    assert verify(make(), GridSpec(16, 16)).checks == report.checks
+    assert [c.name for c in report.checks if not c.passed] == failed
