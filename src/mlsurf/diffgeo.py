@@ -1,7 +1,11 @@
 """Differential-geometric identity checks on surface jets.
 
-Everything here is a pure per-point computation producing defect numbers;
-the conventions are fixed once:
+Everything here is a pure computation producing defect numbers, written once: each
+defect function takes one point or a stack of n points (a SurfaceJet whose fields are
+(n, 3) arrays) and gives a number or an (n,) array in each slot, with the same bits for
+a point alone as in a stack.  The scalar oracles (lagrangian_angle, christoffel_solve,
+frame_and_connection, beta_gradient_fd, gauss_curvature) step through one point and
+raise where the sweep masks.  The conventions are fixed once:
 
   * Hermitian product <u, w> = sum_i u_i * conj(w_i) (second slot conjugated).
   * Metric notation |phi_x|^2 = 2 e^{v1}, |phi_y|^2 = 2 e^{v2}; E and G are
@@ -23,21 +27,18 @@ from .surface_families import MetricField, SurfaceJet
 CONDITION_LIMIT = 1e8
 UNITARITY_GATE = 1e-6
 MIN_STENCIL_NORM = 1e-8  # |phi_x| and |phi_y| at a frame stencil point
+_TWO_PI = 2.0 * math.pi
 
 
-def herm(u, w) -> complex:
-    """Hermitian product conjugating the second slot."""
-    return complex(np.vdot(w, u))
+def herm(u, w):
+    """Hermitian product conjugating the second slot, of two vectors or row by row."""
+    return np.vecdot(w, u)
 
 
 def gram_defects(jet: SurfaceJet) -> np.ndarray:
     """(|<phi,phi>-1|, |<phi,phi_x>|, |<phi,phi_y>|, |<phi_x,phi_y>|)."""
-    return np.array([
-        abs(herm(jet.phi, jet.phi) - 1.0),
-        abs(herm(jet.phi, jet.phi_x)),
-        abs(herm(jet.phi, jet.phi_y)),
-        abs(herm(jet.phi_x, jet.phi_y)),
-    ])
+    p, px, py = jet.phi, jet.phi_x, jet.phi_y
+    return _abs(np.array([herm(p, p) - 1.0, herm(p, px), herm(p, py), herm(px, py)]))
 
 
 class MetricData(NamedTuple):
@@ -56,18 +57,37 @@ def metric_from_jet(jet: SurfaceJet) -> MetricData:
     return MetricData(v1=float(np.log(E / 2.0)), v2=float(np.log(G / 2.0)), E=E, G=G)
 
 
-def metric_gradients_from_jet(jet: SurfaceJet) -> dict:
-    """Analytic v1/v2 gradients via E_x = 2 Re<phi_xx, phi_x> etc."""
-    md = metric_from_jet(jet)
-    Ex = 2.0 * herm(jet.phi_xx, jet.phi_x).real
-    Ey = 2.0 * herm(jet.phi_xy, jet.phi_x).real
-    Gx = 2.0 * herm(jet.phi_xy, jet.phi_y).real
-    Gy = 2.0 * herm(jet.phi_yy, jet.phi_y).real
-    return {"v1x": Ex / md.E, "v1y": Ey / md.E, "v2x": Gx / md.G, "v2y": Gy / md.G}
+def metric_gradients_from_jet(jet: SurfaceJet, E, G) -> dict:
+    """Analytic v1/v2 gradients via E_x = 2 Re<phi_xx, phi_x> etc., given E and G."""
+    return {"v1x": 2.0 * herm(jet.phi_xx, jet.phi_x).real / E,
+            "v1y": 2.0 * herm(jet.phi_xy, jet.phi_x).real / E,
+            "v2x": 2.0 * herm(jet.phi_xy, jet.phi_y).real / G,
+            "v2y": 2.0 * herm(jet.phi_yy, jet.phi_y).real / G}
 
 
-# Closed-form 3x3 kernels, shared by these oracles and the sweep.  A matrix is given by its
-# rows m[0], m[1], m[2], each an array (..., 3): a (3, 3) array, or (3, n, 3) for n matrices.
+# Elementwise shims (Python's abs, np.linalg.norm and math.remainder on arrays) and closed-form
+# 3x3 kernels, shared by the oracles and the sweep.  A matrix is given by its rows m[0], m[1],
+# m[2], each an array (..., 3): a (3, 3) array, or (3, n, 3) for n matrices.
+def _abs(z):
+    """abs() of each complex number as Python computes it (np.abs rounds differently)."""
+    return np.hypot(z.real, z.imag)
+
+
+def _norm(v):
+    """np.linalg.norm of each row, bit for bit (norm(axis=-1) rounds differently)."""
+    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+
+
+def _remainder(x, p: float):
+    """math.remainder(x, p) elementwise, bit for bit (np.remainder differs); NaN where x is
+    infinite, where math.remainder raises."""
+    ax = np.abs(x)
+    m = np.fmod(ax, p)
+    c = p - m
+    tie = m - 2.0 * np.fmod(0.5 * (ax - m), p)
+    return np.copysign(1.0, x) * np.where(m < c, m, np.where(m > c, -c, tie))
+
+
 def _cross(u, v):
     i, j = [1, 2, 0], [2, 0, 1]
     return u[..., i] * v[..., j] - u[..., j] * v[..., i]
@@ -121,23 +141,32 @@ def _solve3(m, r):
     return np.stack([x0, x1, x2])
 
 
+def _angles(J) -> tuple:
+    """(beta, accepted, |phi_x|, |phi_y|) of the rows J = (phi, phi_x, phi_y), each (..., 3):
+    beta = arg det of the frame (phi, phi_x/|phi_x|, phi_y/|phi_y|), accepted where both
+    norms are nonzero and |det| lies within UNITARITY_GATE of the unit circle."""
+    nx, ny = _norm(J[1]), _norm(J[2])
+    det = _det3((J[0], J[1] / nx[..., None], J[2] / ny[..., None]))
+    ok = (nx != 0.0) & (ny != 0.0) & ~(np.abs(_abs(det) - 1.0) > UNITARITY_GATE)
+    return np.angle(det), ok, nx, ny
+
+
 def lagrangian_angle(jet: SurfaceJet) -> float:
     """beta = arg det of the unitary frame (phi, phi_x/|phi_x|, phi_y/|phi_y|).
 
     Raises when |det| strays from the unit circle by more than 1e-6, which
     signals a non-Lagrangian jet or a degenerate point.
     """
-    nx = np.linalg.norm(jet.phi_x)
-    ny = np.linalg.norm(jet.phi_y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        beta, ok, nx, ny = _angles((jet.phi, jet.phi_x, jet.phi_y))
     if nx == 0.0 or ny == 0.0:
         raise ValueError("degenerate immersion point: a first derivative vanishes")
-    det = _det3((jet.phi, jet.phi_x / nx, jet.phi_y / ny))
-    if abs(abs(det) - 1.0) > UNITARITY_GATE:
-        raise ValueError(f"frame determinant off the unit circle: |det| = {abs(det)}")
-    return float(np.angle(det))
+    if not ok:
+        raise ValueError("frame determinant off the unit circle")
+    return float(beta)
 
 
-def angle_defect(beta: float, beta_ref: float, period: float) -> float:
+def angle_defect(beta, beta_ref: float, period: float):
     """Distance from beta - beta_ref to the nearest multiple of period.
 
     The period is pi where the frame's derivative rows reverse orientation
@@ -145,7 +174,7 @@ def angle_defect(beta: float, beta_ref: float, period: float) -> float:
     quantity the construction pins down) is insensitive to that flip.
     Elsewhere it is 2 pi.
     """
-    return abs(math.remainder(beta - beta_ref, period))
+    return np.abs(_remainder(beta - beta_ref, period))
 
 
 class ChristoffelData(NamedTuple):
@@ -174,43 +203,44 @@ def christoffel_solve(jet: SurfaceJet) -> ChristoffelData:
     cond = np.linalg.cond(basis)
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise ValueError(f"moving basis ill-conditioned: cond = {cond:.3e}")
-    sol = _solve3(basis, np.column_stack([jet.phi_xx, jet.phi_xy, jet.phi_yy]))
+    return christoffel_data(jet)
+
+
+def christoffel_data(jet: SurfaceJet) -> ChristoffelData:
+    """christoffel_solve without its gate, at one point or a stack: non-finite where the
+    basis is singular or not finite, and it never raises."""
+    # the basis and the right-hand sides phi_xx, phi_xy, phi_yy as rows: row i holds their
+    # i-th components; solution row 0 holds the coefficients of phi_x, 1 of phi_y, 2 of phi
+    g1, g2, b = _solve3(np.swapaxes([jet.phi_x, jet.phi_y, jet.phi], 0, -1),
+                        np.swapaxes([jet.phi_xx, jet.phi_xy, jet.phi_yy], 0, -1))
     return ChristoffelData(
-        G111=sol[0, 0], G112=sol[1, 0], b11=sol[2, 0],
-        G121=sol[0, 1], G122=sol[1, 1], b12=sol[2, 1],
-        G221=sol[0, 2], G222=sol[1, 2], b22=sol[2, 2],
+        G111=g1[..., 0], G112=g2[..., 0], b11=b[..., 0],
+        G121=g1[..., 1], G122=g2[..., 1], b12=b[..., 1],
+        G221=g1[..., 2], G222=g2[..., 2], b22=b[..., 2],
     )
 
 
-def christoffel_b_defects(ch: ChristoffelData, metric: MetricData) -> np.ndarray:
-    """Relative defects of b11 = -2e^{v1}, b12 = 0, b22 = -2e^{v2}.
+def christoffel_b_defects(ch: ChristoffelData, E, G) -> np.ndarray:
+    """Relative defects of b11 = -2e^{v1} = -E, b12 = 0, b22 = -2e^{v2} = -G.
 
     b12 is scaled by sqrt(E*G), the natural symmetric magnitude of the other
     two targets.
     """
-    return np.array([
-        abs(ch.b11 + metric.E) / metric.E,
-        abs(ch.b12) / math.sqrt(metric.E * metric.G),
-        abs(ch.b22 + metric.G) / metric.G,
-    ])
+    return np.array([_abs(ch.b11 + E) / E, _abs(ch.b12) / np.sqrt(E * G), _abs(ch.b22 + G) / G])
 
 
-def gradient_identity_defects(ch: ChristoffelData, metric_grads: dict, beta_grads: tuple) -> np.ndarray:
+def gradient_identity_defects(ch: ChristoffelData, metric_grads: dict, beta_grads) -> np.ndarray:
     """Defects of G111 + G122 = (v1x + v2x)/2 + i beta_x and the y analogue."""
     bx, by = beta_grads
-    d1 = abs(ch.G111 + ch.G122
-             - (0.5 * (metric_grads["v1x"] + metric_grads["v2x"]) + 1j * bx))
-    d2 = abs(ch.G121 + ch.G222
-             - (0.5 * (metric_grads["v1y"] + metric_grads["v2y"]) + 1j * by))
-    return np.array([d1, d2])
+    return _abs(np.array([
+        ch.G111 + ch.G122 - (0.5 * (metric_grads["v1x"] + metric_grads["v2x"]) + 1j * bx),
+        ch.G121 + ch.G222 - (0.5 * (metric_grads["v1y"] + metric_grads["v2y"]) + 1j * by),
+    ]))
 
 
 def minimality_defects(ch: ChristoffelData) -> np.ndarray:
     """(|Im(G111 + G122)|, |Im(G121 + G222)|); both vanish iff minimal."""
-    return np.array([
-        abs((ch.G111 + ch.G122).imag),
-        abs((ch.G121 + ch.G222).imag),
-    ])
+    return np.abs(np.array([(ch.G111 + ch.G122).imag, (ch.G121 + ch.G222).imag]))
 
 
 class FrameData(NamedTuple):
@@ -220,14 +250,24 @@ class FrameData(NamedTuple):
     B: np.ndarray
 
 
-def _twisted_frame(jet: SurfaceJet, beta: float) -> np.ndarray:
-    """SU(3) frame: rows phi, e^{-i beta/2} phi_x/|phi_x|, e^{-i beta/2} phi_y/|phi_y|."""
-    tw = np.exp(-0.5j * beta)
-    return np.array([
-        jet.phi,
-        tw * jet.phi_x / np.linalg.norm(jet.phi_x),
-        tw * jet.phi_y / np.linalg.norm(jet.phi_y),
-    ])
+def _twisted_frame(J, beta) -> np.ndarray:
+    """SU(3) frames of the rows J = (phi, phi_x, phi_y), each (..., 3), and their angles
+    beta (...): rows phi, e^{-i beta/2} phi_x/|phi_x|, e^{-i beta/2} phi_y/|phi_y|."""
+    tw = np.exp(-0.5j * beta)[..., None]
+    return np.stack([J[0], tw * J[1] / _norm(J[1])[..., None], tw * J[2] / _norm(J[2])[..., None]])
+
+
+def _frame_data(S, beta, h: float) -> FrameData:
+    """FrameData from the rows S = (phi, phi_x, phi_y), each (5, ..., 3), at the centre and
+    at (x + h, y), (x - h, y), (x, y + h), (x, y - h), and their angles beta (5, ...).
+    Each angle is unwrapped to the nearest value of the centre's, so the half-angle twist
+    stays continuous; A and B are central differences over 2h.  The inverse is non-finite
+    where Phi is singular, and it never raises."""
+    Phi, xp, xm, yp, ym = np.swapaxes(
+        _twisted_frame(S, beta[0] + _remainder(beta - beta[0], _TWO_PI)), 0, 1)
+    inv = _inv3(Phi)
+    return FrameData(Phi, beta[0], _mul3((xp - xm) / (2.0 * h), inv),
+                     _mul3((yp - ym) / (2.0 * h), inv))
 
 
 def _neighbours(jet_field, x: float, y: float, h: float) -> tuple:
@@ -245,44 +285,44 @@ def _neighbours(jet_field, x: float, y: float, h: float) -> tuple:
 
 def frame_and_connection(jet_field, x: float, y: float, h: float = 1e-4) -> FrameData:
     """Scalar oracle: the frame Phi at (x, y) and A = Phi_x Phi^-1,
-    B = Phi_y Phi^-1 by central differences with step h.
-
-    The neighbour angles are unwrapped to the nearest value of the centre
-    angle so the half-angle twist stays continuous.
-    """
+    B = Phi_y Phi^-1 by central differences with step h (_frame_data)."""
     center = jet_field(x, y)
     beta_c = lagrangian_angle(center)
-
-    def frame_at(j, b):
-        if np.linalg.norm(j.phi_y) < MIN_STENCIL_NORM or np.linalg.norm(j.phi_x) < MIN_STENCIL_NORM:
+    jets, betas = _neighbours(jet_field, x, y, h)
+    for j, b in zip(jets, betas):
+        if _norm(j.phi_y) < MIN_STENCIL_NORM or _norm(j.phi_x) < MIN_STENCIL_NORM:
             raise ValueError("stencil crosses a degenerate point")
         if b is None:
             raise ValueError("stencil angle off the unit circle")
-        return _twisted_frame(j, beta_c + math.remainder(b - beta_c, 2.0 * math.pi))
-
-    xp, xm, yp, ym = (frame_at(j, b) for j, b in zip(*_neighbours(jet_field, x, y, h)))
-    Phi = _twisted_frame(center, beta_c)
-    inv = _inv3(Phi)
-    A = _mul3((xp - xm) / (2.0 * h), inv)
-    B = _mul3((yp - ym) / (2.0 * h), inv)
-    return FrameData(Phi=Phi, beta=beta_c, A=A, B=B)
+    S = np.swapaxes([(j.phi, j.phi_x, j.phi_y) for j in (center, *jets)], 0, 1)
+    return _frame_data(S, np.array([beta_c, *betas]), h)
 
 
 def frame_defects(fd: FrameData) -> dict:
     """Residuals of every FrameData invariant, for reporting.  The pattern checks take
     np.maximum, which keeps a NaN entry (Python's max drops a NaN that comes second)."""
+    A, B = fd.A, fd.B
+    U = _mul3(fd.Phi, np.conj(fd.Phi).swapaxes(0, -1))
+    for k in range(3):
+        U[k][..., k] -= 1.0   # Phi Phi^H - I
     return {
-        "unitarity": float(np.max(np.abs(_mul3(fd.Phi, fd.Phi.conj().T) - np.eye(3)))),
-        "det_unit": float(abs(_det3(fd.Phi) - 1.0)),
-        "A_antiherm": float(np.max(np.abs(fd.A + fd.A.conj().T))),
-        "B_antiherm": float(np.max(np.abs(fd.B + fd.B.conj().T))),
-        "A_trace": float(abs(np.trace(fd.A))),
-        "B_trace": float(abs(np.trace(fd.B))),
-        "A_pattern": float(np.maximum(abs(fd.A[0, 2]), abs(fd.A[2, 0]))),
-        "B_pattern": float(np.maximum(abs(fd.B[0, 1]), abs(fd.B[1, 0]))),
-        "f_real": float(abs(fd.A[1, 1].real)),
-        "h_real": float(abs(fd.B[1, 1].real)),
+        "unitarity": np.abs(U).max(axis=(0, -1)),
+        "det_unit": _abs(_det3(fd.Phi) - 1.0),
+        "A_antiherm": np.abs(A + np.conj(A).swapaxes(0, -1)).max(axis=(0, -1)),
+        "B_antiherm": np.abs(B + np.conj(B).swapaxes(0, -1)).max(axis=(0, -1)),
+        "A_trace": _abs(np.trace(A, axis1=0, axis2=-1)),
+        "B_trace": _abs(np.trace(B, axis1=0, axis2=-1)),
+        "A_pattern": np.maximum(_abs(A[0][..., 2]), _abs(A[2][..., 0])),
+        "B_pattern": np.maximum(_abs(B[0][..., 1]), _abs(B[1][..., 0])),
+        "f_real": np.abs(A[1][..., 1].real),
+        "h_real": np.abs(B[1][..., 1].real),
     }
+
+
+def beta_gradient(betas, h: float):
+    """(beta_x, beta_y) by central differences of the angles (4, ...) at (x + h, y),
+    (x - h, y), (x, y + h), (x, y - h), each difference unwrapped mod 2 pi."""
+    return _remainder(betas[0::2] - betas[1::2], _TWO_PI) / (2.0 * h)
 
 
 def beta_gradient_fd(jet_field, x: float, y: float, h: float = 1e-4) -> tuple:
@@ -290,9 +330,7 @@ def beta_gradient_fd(jet_field, x: float, y: float, h: float = 1e-4) -> tuple:
     _, betas = _neighbours(jet_field, x, y, h)
     if None in betas:
         raise ValueError("stencil angle off the unit circle")
-    bxp, bxm, byp, bym = betas
-    return (math.remainder(bxp - bxm, 2.0 * math.pi) / (2.0 * h),
-            math.remainder(byp - bym, 2.0 * math.pi) / (2.0 * h))
+    return tuple(beta_gradient(np.array(betas), h))
 
 
 def residue_identity_defects(curve: ReducibleCurveData, jet: SurfaceJet) -> np.ndarray:

@@ -1,24 +1,25 @@
 """Chunked grid sweep: the per-point checks of diffgeo on stacked arrays.
 
-The sweep visits the grid in report order (y outer, x inner) in blocks of
-CHUNK points, each block's coordinates formed from its point indices
-(GridSpec.points), so no axis is held whatever the grid.  Per block it evaluates
-the batched (6, n, 3) jet field (Family.jets), the metric E, G it induces and
-the degeneracy-tube mask at all centres at once.  Outside the tube it stacks the
-centres' phi, phi_x, phi_y and those of the scalar point jets at (x +- h, y), (x, y +- h)
-as one (3, 5, n, 3) array, centre first, and takes all its Lagrangian angles in one pass:
+Every check formula lives in diffgeo, whose defect functions take one point or a stack
+(gram_defects, residue_identity_defects, christoffel_b_defects,
+gradient_identity_defects, minimality_defects, frame_defects, angle_defect and the angle
+and frame stages they read); the scalar oracles there call the same functions on one
+point, so each reduced maximum equals the oracles' bit for bit.  What the sweep owns is
+how points reach them.  It visits the grid in report order (y outer, x inner) in blocks
+of CHUNK points, each block's coordinates formed from its point indices
+(GridSpec.points), so no axis is held whatever the grid.  Per block it evaluates the
+batched (6, n, 3) jet field (Family.jets), the metric E, G it induces and the
+degeneracy-tube mask at all centres at once.  Outside the tube it stacks the centres'
+phi, phi_x, phi_y and those of the scalar point jets at (x +- h, y), (x, y +- h) as one
+(3, 5, n, 3) array, centre first, and takes all its Lagrangian angles in one pass:
 4 Family.jet calls per point outside the tube and none inside, which the benchmark counts.
-Every check runs with the floating-point operations of its scalar oracle
-in diffgeo (np.vecdot for np.vdot, hypot for the abs of one complex number,
-math.remainder rebuilt from np.fmod), so each reduced maximum equals the oracles'
-bit for bit.  The Christoffel stage's condition gate keeps the oracle's mask
-(cond <= CONDITION_LIMIT, bit for bit) but not its values: Gershgorin bounds on the Gram
-matrix decide most points, and np.linalg.cond (an SVD) only those the bounds cannot
-certify.  The metric, residue and curvature checks, the angle and frame stages' 3x3 det,
-inverse and products and the Christoffel solve (diffgeo's closed-form kernels, not LAPACK)
-call the code the oracles call.  Each check group returns (values, ok) and one accumulator
-folds them into the maxima.  CHUNK bounds the memory a sweep holds whatever the grid size
-(README, Performance, gives the measured peaks); the report does not depend on it.
+The Christoffel stage's condition gate keeps the oracle's mask (cond <= CONDITION_LIMIT,
+bit for bit) but not its route: Gershgorin bounds on the Gram matrix decide most points,
+and np.linalg.cond (an SVD) only those the bounds cannot certify.  Where the oracles
+raise, the sweep masks: each check group gives (values, ok) and one accumulator folds
+them into the maxima, a point where ok is False counting as inf.  CHUNK bounds the memory
+a sweep holds whatever the grid size (README, Performance, gives the measured peaks); the
+report does not depend on it.
 
 Floating-point policy: both sweeps compute each block under np.errstate(all="ignore")
 (not across a yield).  A check fails a non-finite value (inf where a point fails, NaN
@@ -30,12 +31,14 @@ import time
 
 import numpy as np
 
-from .diffgeo import (CONDITION_LIMIT, MIN_STENCIL_NORM, UNITARITY_GATE, _det3, _inv3, _mul3,
-                      _solve3, gauss_curvature_masked, residue_identity_defects)
+from .diffgeo import (CONDITION_LIMIT, MIN_STENCIL_NORM, _abs, _angles, _frame_data, _remainder,
+                      angle_defect, beta_gradient, christoffel_b_defects, christoffel_data,
+                      frame_defects, gauss_curvature_masked, gradient_identity_defects,
+                      gram_defects, metric_gradients_from_jet, minimality_defects,
+                      residue_identity_defects)
 from .surface_families import TUBE_RADIUS, Family, SurfaceJet, degeneracy_angle
 
 CHUNK = 1024   # the block size the README's measured table picks
-_TWO_PI = 2.0 * math.pi
 
 GRAM_NAMES = ("gram_norm", "gram_phi_phix", "gram_phi_phiy", "gram_phix_phiy")
 METRIC_NAMES = ("metric_E_closed_form", "metric_G_closed_form")
@@ -89,34 +92,7 @@ def _block(family: Family, grid, start: int) -> tuple:
     return x, y, tube, J, np.sum(np.abs(J[1]) ** 2, axis=-1), np.sum(np.abs(J[2]) ** 2, axis=-1)
 
 
-def _abs(z):
-    """abs() of each complex number as Python computes it (np.abs rounds differently)."""
-    return np.hypot(z.real, z.imag)
-
-
-def _norm(v):
-    """np.linalg.norm of each row, bit for bit (norm(axis=-1) rounds differently)."""
-    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
-
-
-def _remainder(x, p: float):
-    """math.remainder(x, p) elementwise, bit for bit (np.remainder differs)."""
-    ax = np.abs(x)
-    m = np.fmod(ax, p)
-    c = p - m
-    tie = m - 2.0 * np.fmod(0.5 * (ax - m), p)
-    return np.copysign(1.0, x) * np.where(m < c, m, np.where(m > c, -c, tie))
-
-
-def _angles(J) -> tuple:
-    """diffgeo.lagrangian_angle of stacked jets: (beta, accepted, |phi_x|, |phi_y|)."""
-    nx, ny = _norm(J[1]), _norm(J[2])
-    det = _det3((J[0], J[1] / nx[..., None], J[2] / ny[..., None]))
-    ok = (nx != 0.0) & (ny != 0.0) & ~(np.abs(_abs(det) - 1.0) > UNITARITY_GATE)
-    return np.angle(det), ok, nx, ny
-
-
-def _christoffel(J, E, G, beta_s, h: float) -> tuple:
+def _christoffel(jet: SurfaceJet, E, G, beta_s, h: float) -> tuple:
     """Christoffel, gradient-identity and minimality defects over stacked centre jets
     and the stencil angles beta_s, and where they hold: E and G nonzero and the
     basis (phi_x, phi_y, phi) conditioned within CONDITION_LIMIT.
@@ -137,7 +113,7 @@ def _christoffel(J, E, G, beta_s, h: float) -> tuple:
     (CONDITION_LIMIT / 4)^2 has a true cond of at most CONDITION_LIMIT / 4, which numpy's
     backward-stable SVD reads within CONDITION_LIMIT.  A non-finite basis fails; every
     other point (overflow, underflow, cond near or above the limit) takes np.linalg.cond."""
-    basis = np.stack([J[1], J[2], J[0]], axis=-1)
+    basis = np.stack([jet.phi_x, jet.phi_y, jet.phi], axis=-1)
     M = np.vecdot(basis[:, :, :, None], basis[:, :, None, :], axis=1)
     d = M.diagonal(axis1=1, axis2=2).real
     r = np.abs(M).sum(axis=2) - d   # at least the off-diagonal sum: |M_ii| >= d
@@ -150,52 +126,11 @@ def _christoffel(J, E, G, beta_s, h: float) -> tuple:
     if len(rest):
         ok[rest] = np.linalg.cond(basis[rest]) <= CONDITION_LIMIT
     ok &= (E != 0.0) & (G != 0.0)
-    # the right-hand sides phi_xx, phi_xy, phi_yy as rows: row i holds their i-th components
-    sol = _solve3(basis.swapaxes(0, 1), J[3:].transpose(2, 1, 0))
-    v1x = 2.0 * np.vecdot(J[1], J[3]).real / E
-    v1y = 2.0 * np.vecdot(J[1], J[4]).real / E
-    v2x = 2.0 * np.vecdot(J[2], J[4]).real / G
-    v2y = 2.0 * np.vecdot(J[2], J[5]).real / G
-    bx, by = _remainder(beta_s[0::2] - beta_s[1::2], _TWO_PI) / (2.0 * h)
-    trace_x = sol[0, :, 0] + sol[1, :, 1]
-    trace_y = sol[0, :, 1] + sol[1, :, 2]
-    return (
-        _abs(sol[2, :, 0] + E) / E,
-        _abs(sol[2, :, 1]) / np.sqrt(E * G),
-        _abs(sol[2, :, 2] + G) / G,
-        _abs(trace_x - (0.5 * (v1x + v2x) + 1j * bx)),
-        _abs(trace_y - (0.5 * (v1y + v2y) + 1j * by)),
-        np.abs(trace_x.imag),
-        np.abs(trace_y.imag),
-    ), ok
-
-
-def _frame(S, norm_x, norm_y, beta, h: float) -> tuple:
-    """Frame defects of diffgeo.frame_and_connection over the (3, 5, n, 3) centre and
-    stencil jets S, each slot twisted by its angle unwrapped to the centre's, and where they
-    hold: |phi_x|, |phi_y| >= MIN_STENCIL_NORM at every neighbour.  The five frames are
-    (3, n, 3) stacks of rows, the layout of diffgeo's 3x3 kernels.  Where the centre angle
-    is rejected every value fails, and where it is NaN every value is NaN, whatever the
-    inverse, which is non-finite but never raises where Phi is singular."""
-    tw = np.exp(-0.5j * (beta[0] + _remainder(beta - beta[0], _TWO_PI)))[..., None]
-    Phi, xp, xm, yp, ym = np.stack(
-        [S[0], tw * S[1] / norm_x[..., None], tw * S[2] / norm_y[..., None]], axis=1)
-    inv = _inv3(Phi)
-    ok = (~(norm_x[1:] < MIN_STENCIL_NORM) & ~(norm_y[1:] < MIN_STENCIL_NORM)).all(axis=0)
-    A = _mul3((xp - xm) / (2.0 * h), inv)
-    B = _mul3((yp - ym) / (2.0 * h), inv)
-    return (
-        np.abs(_mul3(Phi, np.conj(Phi).swapaxes(0, -1)) - np.eye(3)[:, None]).max(axis=(0, 2)),
-        _abs(_det3(Phi) - 1.0),
-        np.abs(A + np.conj(A).swapaxes(0, -1)).max(axis=(0, 2)),
-        np.abs(B + np.conj(B).swapaxes(0, -1)).max(axis=(0, 2)),
-        _abs(np.trace(A, axis1=0, axis2=2)),
-        _abs(np.trace(B, axis1=0, axis2=2)),
-        np.maximum(_abs(A[0, :, 2]), _abs(A[2, :, 0])),
-        np.maximum(_abs(B[0, :, 1]), _abs(B[1, :, 0])),
-        np.abs(A[1, :, 1].real),
-        np.abs(B[1, :, 1].real),
-    ), ok
+    ch = christoffel_data(jet)
+    return (*christoffel_b_defects(ch, E, G),
+            *gradient_identity_defects(ch, metric_gradients_from_jet(jet, E, G),
+                                       beta_gradient(beta_s, h)),
+            *minimality_defects(ch)), ok
 
 
 def check_maxima(family: Family, grid, h: float) -> tuple:
@@ -225,12 +160,12 @@ def check_maxima(family: Family, grid, h: float) -> tuple:
         for start in range(0, grid.nx * grid.ny, CHUNK):
             x, y, tube, J, E, G = _block(family, grid, start)
             timer.lap("jets")
-            fold("metric", GRAM_NAMES, map(_abs, (np.vecdot(J[0], J[0]) - 1.0, np.vecdot(J[1], J[0]),
-                                                  np.vecdot(J[2], J[0]), np.vecdot(J[2], J[1]))))
+            jet = SurfaceJet(x, y, *J)
+            fold("metric", GRAM_NAMES, gram_defects(jet))
             fold("metric", METRIC_NAMES, (np.abs(E - family.metric.E(x, y)),
                                           np.abs(G - family.metric.G(x, y))))
             if curve is not None:
-                fold("residue", RESIDUE_NAMES, residue_identity_defects(curve, SurfaceJet(x, y, *J)))
+                fold("residue", RESIDUE_NAMES, residue_identity_defects(curve, jet))
 
             if tube.any():
                 fold("metric", ["tube_G_bound"], [G[tube]])
@@ -253,17 +188,19 @@ def check_maxima(family: Family, grid, h: float) -> tuple:
                                      f"({xa[0]}, {ya[0]}), the first outside the degeneracy tube")
                 beta_ref = beta[0, 0]
             fold("angle", ["beta_constant"],
-                 [np.abs(_remainder(beta[0] - beta_ref, family.beta_period))], centre_ok)
+                 [angle_defect(beta[0], beta_ref, family.beta_period)], centre_ok)
             if curve is not None:
                 fold("angle", ["beta_e2i_plus_one"], [_abs(np.exp(2j * beta[0]) + 1.0)], centre_ok)
             if curve is None:   # -inf where the centre angle is rejected or E or G is 0
                 fold("metric", ["metric_anisotropy"], [np.where(
                     centre_ok & (Ea != 0.0) & (Ga != 0.0),
                     np.abs(np.log(Ea / 2.0) - np.log(Ga / 2.0)), -np.inf)])
-            values, ok = _christoffel(Ja, Ea, Ga, beta[1:], h)
+            values, ok = _christoffel(SurfaceJet(xa, ya, *Ja), Ea, Ga, beta[1:], h)
             fold("christoffel", CHRISTOFFEL_NAMES, values, ok & angles_ok)
-            values, ok = _frame(S, norm_x, norm_y, beta, h)
-            fold("frame", FRAME_NAMES, values, ok & angles_ok)
+            # the stencil frames fail where |phi_x| or |phi_y| < MIN_STENCIL_NORM at a neighbour
+            ok = (~(norm_x[1:] < MIN_STENCIL_NORM) & ~(norm_y[1:] < MIN_STENCIL_NORM)).all(axis=0)
+            fold("frame", FRAME_NAMES, frame_defects(_frame_data(S, beta, h)).values(),
+                 ok & angles_ok)
             if curve is not None:
                 K, pos = gauss_curvature_masked(family.metric, xa, ya, h)
                 fold("curvature", ["curvature_K_minus_1"], [np.abs(K - 1.0)], pos & centre_ok)

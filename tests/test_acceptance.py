@@ -167,8 +167,8 @@ def test_criterion_06_minimality_criteria(sphere):
                 jet = jet_field(x, y)
                 ch = christoffel_solve(jet)
                 md = metric_from_jet(jet)
-                worst_b = max(worst_b, float(np.max(christoffel_b_defects(ch, md))))
-                grads = metric_gradients_from_jet(jet)
+                worst_b = max(worst_b, float(np.max(christoffel_b_defects(ch, md.E, md.G))))
+                grads = metric_gradients_from_jet(jet, md.E, md.G)
                 bgrads = beta_gradient_fd(jet_field, x, y)
                 worst_grad = max(worst_grad,
                                   float(np.max(gradient_identity_defects(ch, grads, bgrads))))

@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 import sympy
 
-from mlsurf.diffgeo import (angle_defect, beta_gradient_fd, christoffel_b_defects,
-                            christoffel_solve, frame_and_connection, FrameData,
+from mlsurf.diffgeo import (angle_defect, beta_gradient, beta_gradient_fd, christoffel_b_defects,
+                            christoffel_data, christoffel_solve, frame_and_connection, FrameData,
                             frame_defects, gauss_curvature, gauss_curvature_masked, gram_defects,
                             herm, lagrangian_angle, gradient_identity_defects,
                             metric_from_jet, metric_gradients_from_jet,
-                            minimality_defects, residue_identity_defects, _twisted_frame)
+                            minimality_defects, residue_identity_defects, _angles, _frame_data,
+                            _twisted_frame)
 from mlsurf.spectral_curve import derive_constants
-from mlsurf.surface_families import (MetricField, SurfaceJet, cone_family_jet, cone_metric_field,
-                                     in_degeneracy_tube, spectral_family_jet,
-                                     spectral_metric_field)
+from mlsurf.surface_families import (MetricField, SurfaceJet, cone_family, cone_family_jet,
+                                     cone_metric_field, in_degeneracy_tube, spectral_family,
+                                     spectral_family_jet, spectral_metric_field)
 
 
 @pytest.fixture(scope="module")
@@ -145,7 +146,7 @@ def test_christoffel_sphere_invariants(sphere_curve):
         jet = sphere_jet(sphere_curve, x, y)
         ch = christoffel_solve(jet)
         md = metric_from_jet(jet)
-        b_def = christoffel_b_defects(ch, md)
+        b_def = christoffel_b_defects(ch, md.E, md.G)
         assert b_def[0] < 1e-9   # b11 = -2 e^{v1} = -E
         assert b_def[1] < 1e-10  # b12 = 0
         assert b_def[2] < 1e-8   # b22 = -2 e^{v2} = -G
@@ -184,6 +185,11 @@ def test_christoffel_refuses_a_non_finite_basis_before_lapack(capfd):
     assert str(exc.value) == "moving basis is not finite"
 
 
+def _metric_grads(jet):
+    md = metric_from_jet(jet)
+    return metric_gradients_from_jet(jet, md.E, md.G)
+
+
 def test_gradient_identity_both_families(sphere_curve):
     rng = np.random.default_rng(4)
     jet_field = lambda x, y: sphere_jet(sphere_curve, x, y)
@@ -192,21 +198,21 @@ def test_gradient_identity_both_families(sphere_curve):
         if in_degeneracy_tube(sphere_curve, x, y, 5e-2):
             continue
         jet = jet_field(x, y)
-        d = gradient_identity_defects(christoffel_solve(jet), metric_gradients_from_jet(jet),
+        d = gradient_identity_defects(christoffel_solve(jet), _metric_grads(jet),
                            beta_gradient_fd(jet_field, x, y))
         assert np.max(d) < 1e-8
     cone_field = lambda x, y: cone_family_jet(1, 2, x, y)
     for _ in range(15):
         x, y = rng.uniform(-6, 6, 2)
         jet = cone_field(x, y)
-        d = gradient_identity_defects(christoffel_solve(jet), metric_gradients_from_jet(jet),
+        d = gradient_identity_defects(christoffel_solve(jet), _metric_grads(jet),
                            beta_gradient_fd(cone_field, x, y))
         assert np.max(d) < 1e-8
 
 
 def test_gradient_identity_negative_control(sphere_curve):
     jet = phase_deformed_jet(sphere_jet(sphere_curve, 0.3, 1.1), 0.4)
-    d = gradient_identity_defects(christoffel_solve(jet), metric_gradients_from_jet(jet),
+    d = gradient_identity_defects(christoffel_solve(jet), _metric_grads(jet),
                        (0.0, 0.0))
     assert np.max(d) > 1e-2
 
@@ -273,7 +279,7 @@ def test_frame_defects_read_nan_wherever_the_frame_holds_a_nan():
     # LU meets a zero pivot, where det returns 0; the neighbours' twist makes A and B NaN
     jet = cone_family_jet(1, 2, 0.3, 1.1)._replace(phi=np.array([0.0, math.nan, 0.0]))
     beta = lagrangian_angle(jet)
-    Phi = _twisted_frame(jet, beta)
+    Phi = _twisted_frame((jet.phi, jet.phi_x, jet.phi_y), beta)
     assert np.linalg.det(Phi) == 0.0
     nan = np.full((3, 3), complex(math.nan, math.nan))
     d = frame_defects(FrameData(Phi, beta, nan, nan))
@@ -427,6 +433,73 @@ def test_degeneracy_tube_bound(sphere_curve):
 def test_gradient_identity_synthetic_violation(sphere_curve):
     jet = sphere_jet(sphere_curve, 0.3, 1.1)
     broken = jet._replace(phi_y=jet.phi_y + 0.3 * jet.phi)
-    d = gradient_identity_defects(christoffel_solve(broken), metric_gradients_from_jet(broken),
+    d = gradient_identity_defects(christoffel_solve(broken), _metric_grads(broken),
                        (0.0, 0.0))
     assert np.max(d) > 1e-2
+
+
+def _same(stacked, alone):
+    a, b = np.asarray(stacked), np.asarray(alone)
+    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+# NaN and inf entries at some points of the stack: (row of the jet, point, component)
+_NON_FINITE = [(0, 1, 0, math.nan), (1, 2, 1, math.inf), (2, 3, 2, complex(0, -math.inf)),
+               (3, 4, 0, math.nan), (5, 5, 1, -math.inf), (4, 6, 2, complex(math.nan, 1.0))]
+
+
+@pytest.mark.parametrize("make", [lambda: spectral_family(derive_constants(1.0, 1.0, 2.0, 1.0)),
+                                  lambda: cone_family(3, 2)], ids=["worked-example", "cone-3-2"])
+def test_each_defect_function_reads_one_point_as_it_does_in_a_stack(make):
+    # the oracles pass one point, the sweep a stack: the same bits either way, NaN and inf
+    # included; a zero phi at point 7 makes its basis and frame singular
+    family, h, n = make(), 1e-4, 12
+    rng = np.random.default_rng(3903)
+    xs, ys = rng.uniform(-3.0, 3.0, (2, n))
+    J = family.jets(xs, ys)
+    for row, k, c, v in _NON_FINITE:
+        J[row, k, c] = v
+    J[0, 7] = 0.0
+    # rows phi, phi_x, phi_y at the centres and at (x +- h, y), (x, y +- h): (3, 5, n, 3)
+    S = np.stack([J[:3]] + [family.jets(xs + dx, ys + dy)[:3]
+                            for dx, dy in ((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h))], axis=1)
+    S[1, 3, 8, 0] = math.nan
+    with np.errstate(all="ignore"):
+        stack = SurfaceJet(xs, ys, *J)
+        E, G = np.sum(np.abs(J[1]) ** 2, axis=-1), np.sum(np.abs(J[2]) ** 2, axis=-1)
+        angles, beta_s = _angles(J), _angles(S)[0]
+        ch = christoffel_data(stack)
+        grads = metric_gradients_from_jet(stack, E, G)
+        bgrad = beta_gradient(beta_s[1:], h)
+        fd = _frame_data(S, beta_s, h)
+        stacked = [gram_defects(stack), christoffel_b_defects(ch, E, G),
+                   gradient_identity_defects(ch, grads, bgrad), minimality_defects(ch),
+                   angle_defect(angles[0], 0.3, family.beta_period), *frame_defects(fd).values()]
+        if family.curve is not None:
+            stacked.append(residue_identity_defects(family.curve, stack))
+        for k in range(n):
+            jet = SurfaceJet(xs[k], ys[k], *J[:, k])
+            for a, b in zip(angles, _angles((jet.phi, jet.phi_x, jet.phi_y))):
+                _same(a[k], b)
+            ch_k = christoffel_data(jet)
+            for a, b in zip(ch, ch_k):
+                _same(a[k], b)
+            grads_k = metric_gradients_from_jet(jet, E[k], G[k])
+            for name in grads:
+                _same(grads[name][k], grads_k[name])
+            _same(bgrad[:, k], beta_gradient(beta_s[1:, k], h))
+            fd_k = _frame_data(S[:, :, k], beta_s[:, k], h)
+            _same(fd.Phi[:, k], fd_k.Phi)
+            _same(fd.beta[k], fd_k.beta)
+            _same(fd.A[:, k], fd_k.A)
+            _same(fd.B[:, k], fd_k.B)
+            alone = [gram_defects(jet), christoffel_b_defects(ch_k, E[k], G[k]),
+                     gradient_identity_defects(ch_k, grads_k, beta_gradient(beta_s[1:, k], h)),
+                     minimality_defects(ch_k), angle_defect(angles[0][k], 0.3, family.beta_period),
+                     *frame_defects(fd_k).values()]
+            if family.curve is not None:
+                alone.append(residue_identity_defects(family.curve, jet))
+            for a, b in zip(stacked, alone, strict=True):
+                _same(a[..., k], b)
+    # every defect reads a non-finite value at some point of the stack
+    assert not any(np.isfinite(v).all() for v in stacked)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from mpmath import matrix, mp, mpc
 
-from mlsurf.diffgeo import UNITARITY_GATE, _det3, _inv3, _mul3, _solve3
+from mlsurf.diffgeo import UNITARITY_GATE, _abs, _det3, _inv3, _mul3, _norm, _remainder, _solve3
 
 # the kernels take a matrix as its rows: a stack M of shape (n, 3, 3) is passed as
 # M.swapaxes(0, 1), shape (3, n, 3), and _inv3, _mul3 and _solve3 return that layout
@@ -50,6 +50,64 @@ def test_one_matrix_reads_as_it_does_in_a_stack():
         assert np.array_equal(_det3(m), _det3(_rows(M))[k])
         assert np.array_equal(_inv3(m), _inv3(_rows(M))[:, k])
         assert np.array_equal(_mul3(m, m), _mul3(_rows(M), _rows(M))[:, k])
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+@pytest.mark.parametrize("p", [math.pi, 2.0 * math.pi, 2.0, 1e-3])
+def test_remainder_is_math_remainder_bit_for_bit(p):
+    # ties at +-p/2 and at odd multiples of 1/2 (exact for p = 2), signed zeros, multiples
+    # of p, and log-uniform |x| from 1e-300 to 1e300 of either sign
+    rng = np.random.default_rng(39)
+    k = np.arange(-8, 9)
+    x = np.concatenate([[0.0, -0.0, p, -p, 0.5 * p, -0.5 * p, 1.5 * p, -2.5 * p],
+                        (k + 0.5) * p, k * p, np.nextafter(0.5 * p, [0.0, np.inf]),
+                        [1.0, 3.0, -5.0, 7.0],
+                        rng.choice([-1.0, 1.0], 2000) * 10.0 ** rng.uniform(-300, 300, 2000)])
+    got = _remainder(x, p)
+    for xi, gi in zip(x.tolist(), got):
+        assert _bits(gi) == _bits(math.remainder(xi, p)), xi
+        assert _bits(_remainder(xi, p)) == _bits(gi), xi   # one number reads as in an array
+
+
+@pytest.mark.parametrize("x", [math.nan, -math.nan, math.inf, -math.inf],
+                         ids=["nan", "-nan", "inf", "-inf"])
+def test_remainder_of_a_non_finite_number_is_nan(x):
+    # math.remainder returns NaN for NaN and raises for +-inf; a check reads NaN for both
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(_remainder(x, math.pi))
+        assert math.isnan(_remainder(np.array([x, 1.0]), math.pi)[0])
+    if math.isnan(x):
+        assert math.isnan(math.remainder(x, math.pi))
+    else:
+        with pytest.raises(ValueError):
+            math.remainder(x, math.pi)
+
+
+def _complex_rows(rng, n):
+    v = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    v = v * 10.0 ** rng.uniform(-150, 150, size=(n, 1))
+    v[:4] = [[0, 0, 0], [math.nan, 1, 0], [math.inf, 1j, 0], [complex(0, -math.inf), math.nan, 2]]
+    v[4] = [-0.0, complex(0.0, -0.0), 1e-320]
+    return v
+
+
+def test_norm_is_linalg_norm_of_each_row_bit_for_bit():
+    V = _complex_rows(np.random.default_rng(3901), 2000)
+    got = _norm(V)
+    for v, g in zip(V, got):
+        assert _bits(g) == _bits(np.linalg.norm(v))
+        assert _bits(_norm(v)) == _bits(g)
+
+
+def test_abs_is_python_abs_bit_for_bit():
+    z = _complex_rows(np.random.default_rng(3902), 2000).ravel()
+    got = _abs(z)
+    for zi, g in zip(z.tolist(), got):
+        assert _bits(g) == _bits(abs(zi)), zi
+        assert _bits(_abs(np.complex128(zi))) == _bits(g), zi
 
 
 _ENTRIES = [(i, j) for i in range(3) for j in range(3)]

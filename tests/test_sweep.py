@@ -10,7 +10,7 @@ from mlsurf import sweep
 from mlsurf.diffgeo import CONDITION_LIMIT
 from mlsurf.report import GridSpec, verify
 from mlsurf.spectral_curve import derive_constants
-from mlsurf.surface_families import cone_family, spectral_family
+from mlsurf.surface_families import SurfaceJet, cone_family, spectral_family
 
 _RNG = np.random.default_rng(20301)
 
@@ -53,7 +53,8 @@ def _mask(basis):
     J[3:] = _RNG.normal(size=(3, n, 3))
     with np.errstate(all="ignore"):
         E, G = (np.sum(np.abs(J[k]) ** 2, axis=-1) for k in (1, 2))
-        _, ok = sweep._christoffel(J, E, G, _RNG.normal(size=(4, n)), 1e-4)
+        jet = SurfaceJet(None, None, *J)
+        _, ok = sweep._christoffel(jet, E, G, _RNG.normal(size=(4, n)), 1e-4)
         return ok, _oracle(basis, E, G)
 
 
