@@ -1,11 +1,12 @@
 """Differential-geometric identity checks on surface jets.
 
 Everything here is a pure computation producing defect numbers, written once: each
-defect function takes one point or a stack of n points (a SurfaceJet whose fields are
-(n, 3) arrays) and gives a number or an (n,) array in each slot, with the same bits for
-a point alone as in a stack.  The scalar oracles (lagrangian_angle, christoffel_solve,
-frame_and_connection, beta_gradient_fd, gauss_curvature) step through one point and
-raise where the sweep masks.  The conventions are fixed once:
+defect function and stage (metric_data, _angles, _stencil, christoffel_data, _frame_data,
+gauss_curvature_masked) takes one point or a stack of n points (a SurfaceJet whose fields
+are (n, 3) arrays), gives the same bits for a point alone as in a stack, and never
+raises: a stage returns the masks the sweep folds.  Each scalar oracle is its stage on
+one point plus a raise where a mask fails (christoffel_solve gates by np.linalg.cond, the
+sweep by Gershgorin bounds with that fallback).  The conventions are fixed once:
 
   * Hermitian product <u, w> = sum_i u_i * conj(w_i) (second slot conjugated).
   * Metric notation |phi_x|^2 = 2 e^{v1}, |phi_y|^2 = 2 e^{v2}; E and G are
@@ -22,7 +23,7 @@ import numpy as np
 
 from .baker_akhiezer import f_coefficients
 from .spectral_curve import ReducibleCurveData
-from .surface_families import MetricField, SurfaceJet
+from .surface_families import MetricField, SurfaceJet, _remainder
 
 CONDITION_LIMIT = 1e8
 UNITARITY_GATE = 1e-6
@@ -48,13 +49,19 @@ class MetricData(NamedTuple):
     G: float
 
 
+def metric_data(jet: SurfaceJet) -> tuple:
+    """(MetricData, where E and G are nonzero) at one point or a stack; v1, v2 by np.log."""
+    E, G = np.sum(np.abs(jet.phi_x) ** 2, axis=-1), np.sum(np.abs(jet.phi_y) ** 2, axis=-1)
+    return MetricData(np.log(E / 2.0), np.log(G / 2.0), E, G), (E != 0.0) & (G != 0.0)
+
+
 def metric_from_jet(jet: SurfaceJet) -> MetricData:
-    """v1, v2 by np.log, the ufunc the sweep applies to a block (math.log differs by an ulp)."""
-    E = float(np.sum(np.abs(jet.phi_x) ** 2))
-    G = float(np.sum(np.abs(jet.phi_y) ** 2))
-    if E == 0.0 or G == 0.0:
+    """metric_data at one point, as floats; raises where E or G is 0."""
+    with np.errstate(divide="ignore"):
+        md, ok = metric_data(jet)
+    if not ok:
         raise ValueError("degenerate immersion point: a first derivative vanishes")
-    return MetricData(v1=float(np.log(E / 2.0)), v2=float(np.log(G / 2.0)), E=E, G=G)
+    return MetricData(*map(float, md))
 
 
 def metric_gradients_from_jet(jet: SurfaceJet, E, G) -> dict:
@@ -65,9 +72,9 @@ def metric_gradients_from_jet(jet: SurfaceJet, E, G) -> dict:
             "v2y": 2.0 * herm(jet.phi_yy, jet.phi_y).real / G}
 
 
-# Elementwise shims (Python's abs, np.linalg.norm and math.remainder on arrays) and closed-form
-# 3x3 kernels, shared by the oracles and the sweep.  A matrix is given by its rows m[0], m[1],
-# m[2], each an array (..., 3): a (3, 3) array, or (3, n, 3) for n matrices.
+# Elementwise shims (Python's abs and np.linalg.norm on arrays) and closed-form 3x3 kernels,
+# shared by the oracles and the sweep.  A matrix is given by its rows m[0], m[1], m[2],
+# each an array (..., 3): a (3, 3) array, or (3, n, 3) for n matrices.
 def _abs(z):
     """abs() of each complex number as Python computes it (np.abs rounds differently)."""
     return np.hypot(z.real, z.imag)
@@ -76,16 +83,6 @@ def _abs(z):
 def _norm(v):
     """np.linalg.norm of each row, bit for bit (norm(axis=-1) rounds differently)."""
     return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
-
-
-def _remainder(x, p: float):
-    """math.remainder(x, p) elementwise, bit for bit (np.remainder differs); NaN where x is
-    infinite, where math.remainder raises."""
-    ax = np.abs(x)
-    m = np.fmod(ax, p)
-    c = p - m
-    tie = m - 2.0 * np.fmod(0.5 * (ax - m), p)
-    return np.copysign(1.0, x) * np.where(m < c, m, np.where(m > c, -c, tie))
 
 
 def _cross(u, v):
@@ -146,7 +143,8 @@ def _angles(J) -> tuple:
     beta = arg det of the frame (phi, phi_x/|phi_x|, phi_y/|phi_y|), accepted where both
     norms are nonzero and |det| lies within UNITARITY_GATE of the unit circle."""
     nx, ny = _norm(J[1]), _norm(J[2])
-    det = _det3((J[0], J[1] / nx[..., None], J[2] / ny[..., None]))
+    with np.errstate(divide="ignore", invalid="ignore"):   # a zero norm is rejected
+        det = _det3((J[0], J[1] / nx[..., None], J[2] / ny[..., None]))
     ok = (nx != 0.0) & (ny != 0.0) & ~(np.abs(_abs(det) - 1.0) > UNITARITY_GATE)
     return np.angle(det), ok, nx, ny
 
@@ -157,8 +155,7 @@ def lagrangian_angle(jet: SurfaceJet) -> float:
     Raises when |det| strays from the unit circle by more than 1e-6, which
     signals a non-Lagrangian jet or a degenerate point.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        beta, ok, nx, ny = _angles((jet.phi, jet.phi_x, jet.phi_y))
+    beta, ok, nx, ny = _angles((jet.phi, jet.phi_x, jet.phi_y))
     if nx == 0.0 or ny == 0.0:
         raise ValueError("degenerate immersion point: a first derivative vanishes")
     if not ok:
@@ -270,32 +267,34 @@ def _frame_data(S, beta, h: float) -> FrameData:
                      _mul3((yp - ym) / (2.0 * h), inv))
 
 
-def _neighbours(jet_field, x: float, y: float, h: float) -> tuple:
-    """Jets at (x + h, y), (x - h, y), (x, y + h), (x, y - h) and their
-    Lagrangian angles; an angle is None where lagrangian_angle rejected the jet."""
-    jets = tuple(jet_field(xx, yy) for xx, yy in ((x + h, y), (x - h, y), (x, y + h), (x, y - h)))
-    betas = []
-    for j in jets:
-        try:
-            betas.append(lagrangian_angle(j))
-        except ValueError:
-            betas.append(None)
-    return jets, betas
+def _stencil(S) -> tuple:
+    """(beta, centre_ok, angles_ok, frame_ok) of the rows S = (phi, phi_x, phi_y), each
+    (k, ..., 3), at a centre (slot 0) and its neighbours: their angles, where the centre's
+    is accepted, where all are, and where also no neighbour's |phi_x| or |phi_y| is below
+    MIN_STENCIL_NORM."""
+    beta, ok, nx, ny = _angles(S)
+    wide = (~(nx[1:] < MIN_STENCIL_NORM) & ~(ny[1:] < MIN_STENCIL_NORM)).all(axis=0)
+    return beta, ok[0], ok.all(axis=0), ok.all(axis=0) & wide
+
+
+def _stencil_at(jet_field, x: float, y: float, h: float, first: int = 0) -> tuple:
+    """(S, *_stencil(S)): the rows S of the jets at (x, y), (x +- h, y), (x, y +- h) from first."""
+    points = ((x, y), (x + h, y), (x - h, y), (x, y + h), (x, y - h))[first:]
+    S = np.swapaxes([(j.phi, j.phi_x, j.phi_y) for j in map(jet_field, *zip(*points))], 0, 1)
+    return (S, *_stencil(S))
 
 
 def frame_and_connection(jet_field, x: float, y: float, h: float = 1e-4) -> FrameData:
-    """Scalar oracle: the frame Phi at (x, y) and A = Phi_x Phi^-1,
-    B = Phi_y Phi^-1 by central differences with step h (_frame_data)."""
-    center = jet_field(x, y)
-    beta_c = lagrangian_angle(center)
-    jets, betas = _neighbours(jet_field, x, y, h)
-    for j, b in zip(jets, betas):
-        if _norm(j.phi_y) < MIN_STENCIL_NORM or _norm(j.phi_x) < MIN_STENCIL_NORM:
-            raise ValueError("stencil crosses a degenerate point")
-        if b is None:
-            raise ValueError("stencil angle off the unit circle")
-    S = np.swapaxes([(j.phi, j.phi_x, j.phi_y) for j in (center, *jets)], 0, 1)
-    return _frame_data(S, np.array([beta_c, *betas]), h)
+    """Scalar oracle: the frame Phi at (x, y) and A = Phi_x Phi^-1, B = Phi_y Phi^-1 by
+    central differences with step h: _frame_data where each _stencil mask holds."""
+    S, beta, centre_ok, angles_ok, frame_ok = _stencil_at(jet_field, x, y, h)
+    if not centre_ok:
+        raise ValueError("Lagrangian angle rejected at the stencil centre")
+    if not angles_ok:
+        raise ValueError("Lagrangian angle rejected at a stencil neighbour")
+    if not frame_ok:
+        raise ValueError("stencil crosses a degenerate point")
+    return _frame_data(S, beta, h)
 
 
 def frame_defects(fd: FrameData) -> dict:
@@ -327,10 +326,10 @@ def beta_gradient(betas, h: float):
 
 def beta_gradient_fd(jet_field, x: float, y: float, h: float = 1e-4) -> tuple:
     """Scalar oracle: central-difference gradient of the Lagrangian angle, unwrapped mod 2 pi."""
-    _, betas = _neighbours(jet_field, x, y, h)
-    if None in betas:
-        raise ValueError("stencil angle off the unit circle")
-    return tuple(beta_gradient(np.array(betas), h))
+    _, beta, _, angles_ok, _ = _stencil_at(jet_field, x, y, h, first=1)
+    if not angles_ok:
+        raise ValueError("Lagrangian angle rejected at a stencil neighbour")
+    return tuple(beta_gradient(beta, h))
 
 
 def residue_identity_defects(curve: ReducibleCurveData, jet: SurfaceJet) -> np.ndarray:

@@ -296,7 +296,7 @@ def sample_rows(family: Family, grid: GridSpec, h: float):
         del cols, bits
         for s in range(0, len(x), side):   # lines are held a piece, not a block, at a time
             yield [",".join(row) + "\r\n" for row in text[cell[s:s + side]].tolist()]
-        del text, cell   # freed before the next block is swept
+        del x, y, phi, E, G, beta, has_beta, K, has_K, text, cell   # freed before the next block
 
 
 def write_csv(path, blocks) -> None:

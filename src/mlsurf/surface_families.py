@@ -249,8 +249,22 @@ def degeneracy_angle(curve: ReducibleCurveData) -> float:
 TUBE_RADIUS = 1e-2  # half-width, in a*x - b*y, of the tube the angle checks exclude
 
 
+def _remainder(x, p: float):
+    """math.remainder(x, p) elementwise, bit for bit (np.remainder differs); NaN where x is
+    infinite, where math.remainder raises."""
+    ax = np.abs(x)
+    m = np.fmod(ax, p)
+    c = p - m
+    tie = m - 2.0 * np.fmod(0.5 * (ax - m), p)
+    return np.copysign(1.0, x) * np.where(m < c, m, np.where(m > c, -c, tie))
+
+
+def tube_mask(curve: ReducibleCurveData, x, y, radius: float = TUBE_RADIUS):
+    """Where a*x - b*y is within radius of a degeneracy line (mod pi), at points or arrays."""
+    return np.abs(_remainder(curve.a * x - curve.b * y - degeneracy_angle(curve), math.pi)) < radius
+
+
 def in_degeneracy_tube(curve: ReducibleCurveData, x: float, y: float,
                        radius: float = TUBE_RADIUS) -> bool:
-    """Whether a*x - b*y is within radius of a degeneracy line (mod pi)."""
-    theta = curve.a * x - curve.b * y
-    return abs(math.remainder(theta - degeneracy_angle(curve), math.pi)) < radius
+    """tube_mask at one point."""
+    return bool(tube_mask(curve, x, y, radius))

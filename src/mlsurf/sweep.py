@@ -1,15 +1,15 @@
 """Chunked grid sweep: the per-point checks of diffgeo on stacked arrays.
 
-Every check formula lives in diffgeo, whose defect functions take one point or a stack
-(gram_defects, residue_identity_defects, christoffel_b_defects,
-gradient_identity_defects, minimality_defects, frame_defects, angle_defect and the angle
-and frame stages they read); the scalar oracles there call the same functions on one
-point, so each reduced maximum equals the oracles' bit for bit.  What the sweep owns is
-how points reach them.  It visits the grid in report order (y outer, x inner) in blocks
-of CHUNK points, each block's coordinates formed from its point indices
+The defect formulas and the metric, tube and stencil rules live in diffgeo and
+surface_families as stages that take one point or a stack and return masks; each scalar
+oracle is its stage on one point plus a raise, so each reduced maximum equals the
+oracles' bit for bit.  The sweep forms only |E - E_closed| and |G - G_closed| against the
+family's closed-form metric, |e^{2i beta} + 1|, |v1 - v2|, |K - 1| and G on tube points,
+and owns how points reach the stages.  It visits the grid in report order (y outer, x
+inner) in blocks of CHUNK points, each block's coordinates formed from its point indices
 (GridSpec.points), so no axis is held whatever the grid.  Per block it evaluates the
-batched (6, n, 3) jet field (Family.jets), the metric E, G it induces and the
-degeneracy-tube mask at all centres at once.  Outside the tube it stacks the centres'
+batched (6, n, 3) jet field (Family.jets), its metric (metric_data) and the tube mask
+(tube_mask) at all centres at once.  Outside the tube it stacks the centres'
 phi, phi_x, phi_y and those of the scalar point jets at (x +- h, y), (x, y +- h) as one
 (3, 5, n, 3) array, centre first, and takes all its Lagrangian angles in one pass:
 4 Family.jet calls per point outside the tube and none inside, which the benchmark counts.
@@ -26,17 +26,16 @@ Floating-point policy: both sweeps compute each block under np.errstate(all="ign
 sticky) and the CSV prints it, so a numpy warning would tell nothing the output does not.
 """
 
-import math
 import time
 
 import numpy as np
 
-from .diffgeo import (CONDITION_LIMIT, MIN_STENCIL_NORM, _abs, _angles, _frame_data, _remainder,
-                      angle_defect, beta_gradient, christoffel_b_defects, christoffel_data,
-                      frame_defects, gauss_curvature_masked, gradient_identity_defects,
-                      gram_defects, metric_gradients_from_jet, minimality_defects,
+from .diffgeo import (CONDITION_LIMIT, _abs, _angles, _frame_data, _stencil, angle_defect,
+                      beta_gradient, christoffel_b_defects, christoffel_data, frame_defects,
+                      gauss_curvature_masked, gradient_identity_defects, gram_defects,
+                      metric_data, metric_gradients_from_jet, minimality_defects,
                       residue_identity_defects)
-from .surface_families import TUBE_RADIUS, Family, SurfaceJet, degeneracy_angle
+from .surface_families import Family, SurfaceJet, tube_mask
 
 CHUNK = 1024   # the block size the README's measured table picks
 
@@ -81,15 +80,12 @@ def _jets(jet, xs, ys) -> np.ndarray:
 
 
 def _block(family: Family, grid, start: int) -> tuple:
-    """(x, y, tube mask, stacked centre jets, E, G) of the at most CHUNK grid points from
-    index start: the mask is in_degeneracy_tube's bit for bit, E, G the metric the jets
-    induce (sum |phi_x|^2, sum |phi_y|^2), x, y from the indices (GridSpec.points)."""
+    """(x, y, tube mask, stacked centre jets, MetricData, where E and G are nonzero) of the
+    at most CHUNK grid points from index start, x, y from the indices (GridSpec.points)."""
     x, y = grid.points(np.arange(start, min(start + CHUNK, grid.nx * grid.ny)))  # nx ny < 2^63
-    c = family.curve
-    tube = (np.zeros(len(x), dtype=bool) if c is None else
-            np.abs(_remainder(c.a * x - c.b * y - degeneracy_angle(c), math.pi)) < TUBE_RADIUS)
+    tube = np.zeros(len(x), dtype=bool) if family.curve is None else tube_mask(family.curve, x, y)
     J = family.jets(x, y)
-    return x, y, tube, J, np.sum(np.abs(J[1]) ** 2, axis=-1), np.sum(np.abs(J[2]) ** 2, axis=-1)
+    return x, y, tube, J, *metric_data(SurfaceJet(x, y, *J))
 
 
 def _christoffel(jet: SurfaceJet, E, G, beta_s, h: float) -> tuple:
@@ -158,30 +154,29 @@ def check_maxima(family: Family, grid, h: float) -> tuple:
 
     with np.errstate(all="ignore"):
         for start in range(0, grid.nx * grid.ny, CHUNK):
-            x, y, tube, J, E, G = _block(family, grid, start)
+            x, y, tube, J, md, metric_ok = _block(family, grid, start)
             timer.lap("jets")
             jet = SurfaceJet(x, y, *J)
             fold("metric", GRAM_NAMES, gram_defects(jet))
-            fold("metric", METRIC_NAMES, (np.abs(E - family.metric.E(x, y)),
-                                          np.abs(G - family.metric.G(x, y))))
+            fold("metric", METRIC_NAMES, (np.abs(md.E - family.metric.E(x, y)),
+                                          np.abs(md.G - family.metric.G(x, y))))
             if curve is not None:
                 fold("residue", RESIDUE_NAMES, residue_identity_defects(curve, jet))
 
             if tube.any():
-                fold("metric", ["tube_G_bound"], [G[tube]])
+                fold("metric", ["tube_G_bound"], [md.G[tube]])
                 tube_points += int(tube.sum())
             if tube.all():  # no point outside the tube: no angle stage
                 continue
             # phi, phi_x, phi_y at the points outside the tube (slot 0 of S) and at
             # (x +- h, y), (x, y +- h) (slots 1-4), and their angles in one pass
             act = np.flatnonzero(~tube)
-            xa, ya, Ja, Ea, Ga = x[act], y[act], J[:, act], E[act], G[act]
+            xa, ya, Ja = x[act], y[act], J[:, act]
             S = np.concatenate([Ja[:3], _jets(family.jet, np.concatenate([xa + h, xa - h, xa, xa]),
                                               np.concatenate([ya, ya, ya + h, ya - h]))],
                                axis=1).reshape(3, 5, len(act), 3)
             timer.lap("stencil")
-            beta, ok, norm_x, norm_y = _angles(S)
-            centre_ok, angles_ok = ok[0], ok.all(axis=0)   # centre checks, then all five
+            beta, centre_ok, angles_ok, frame_ok = _stencil(S)
             if beta_ref is None:
                 if not centre_ok[0]:
                     raise ValueError("Lagrangian angle rejected at the reference point "
@@ -193,14 +188,10 @@ def check_maxima(family: Family, grid, h: float) -> tuple:
                 fold("angle", ["beta_e2i_plus_one"], [_abs(np.exp(2j * beta[0]) + 1.0)], centre_ok)
             if curve is None:   # -inf where the centre angle is rejected or E or G is 0
                 fold("metric", ["metric_anisotropy"], [np.where(
-                    centre_ok & (Ea != 0.0) & (Ga != 0.0),
-                    np.abs(np.log(Ea / 2.0) - np.log(Ga / 2.0)), -np.inf)])
-            values, ok = _christoffel(SurfaceJet(xa, ya, *Ja), Ea, Ga, beta[1:], h)
+                    centre_ok & metric_ok[act], np.abs(md.v1 - md.v2)[act], -np.inf)])
+            values, ok = _christoffel(SurfaceJet(xa, ya, *Ja), md.E[act], md.G[act], beta[1:], h)
             fold("christoffel", CHRISTOFFEL_NAMES, values, ok & angles_ok)
-            # the stencil frames fail where |phi_x| or |phi_y| < MIN_STENCIL_NORM at a neighbour
-            ok = (~(norm_x[1:] < MIN_STENCIL_NORM) & ~(norm_y[1:] < MIN_STENCIL_NORM)).all(axis=0)
-            fold("frame", FRAME_NAMES, frame_defects(_frame_data(S, beta, h)).values(),
-                 ok & angles_ok)
+            fold("frame", FRAME_NAMES, frame_defects(_frame_data(S, beta, h)).values(), frame_ok)
             if curve is not None:
                 K, pos = gauss_curvature_masked(family.metric, xa, ya, h)
                 fold("curvature", ["curvature_K_minus_1"], [np.abs(K - 1.0)], pos & centre_ok)
@@ -211,13 +202,14 @@ def check_maxima(family: Family, grid, h: float) -> tuple:
 
 
 def sample_blocks(family: Family, grid, h: float):
-    """Per block: x, y, phi, E, G, beta and K, and the masks where beta and K
-    are defined (outside the tube; angle accepted; metric positive)."""
-    for start in range(0, grid.nx * grid.ny, CHUNK):
-        with np.errstate(all="ignore"):
-            x, y, tube, J, E, G = _block(family, grid, start)
-            beta, ok, _, _ = _angles(J)
-            K, pos = gauss_curvature_masked(family.metric, x, y, h)
-        phi = J[0].copy()
-        del J   # freed before the caller formats the block's rows
-        yield x, y, phi, E, G, beta, ~tube & ok, K, ~tube & pos
+    """Per block (_sample_block, so none is held between blocks): x, y, phi, E, G, beta, K and
+    the masks where beta and K are defined (outside the tube; angle accepted; metric positive)."""
+    return (_sample_block(family, grid, h, start) for start in range(0, grid.nx * grid.ny, CHUNK))
+
+
+def _sample_block(family: Family, grid, h: float, start: int) -> tuple:
+    with np.errstate(all="ignore"):
+        x, y, tube, J, md, _ = _block(family, grid, start)
+        beta, ok, _, _ = _angles(J)
+        K, pos = gauss_curvature_masked(family.metric, x, y, h)
+    return x, y, J[0].copy(), md.E, md.G, beta, ~tube & ok, K, ~tube & pos   # a copy: J is freed

@@ -9,13 +9,14 @@ from mlsurf.diffgeo import (angle_defect, beta_gradient, beta_gradient_fd, chris
                             christoffel_data, christoffel_solve, frame_and_connection, FrameData,
                             frame_defects, gauss_curvature, gauss_curvature_masked, gram_defects,
                             herm, lagrangian_angle, gradient_identity_defects,
-                            metric_from_jet, metric_gradients_from_jet,
+                            metric_data, metric_from_jet, metric_gradients_from_jet,
                             minimality_defects, residue_identity_defects, _angles, _frame_data,
-                            _twisted_frame)
+                            _stencil, _twisted_frame)
 from mlsurf.spectral_curve import derive_constants
 from mlsurf.surface_families import (MetricField, SurfaceJet, cone_family, cone_family_jet,
-                                     cone_metric_field, in_degeneracy_tube, spectral_family,
-                                     spectral_family_jet, spectral_metric_field)
+                                     cone_metric_field, degeneracy_angle, in_degeneracy_tube,
+                                     spectral_family, spectral_family_jet, spectral_metric_field,
+                                     tube_mask)
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +97,17 @@ def test_metric_degenerate_point_rejected(sphere_curve):
     jet = sphere_jet(sphere_curve, 0.3, 1.1)
     zero = jet._replace(phi_y=np.zeros(3, dtype=complex))
     with pytest.raises(ValueError, match="degenerate"):
+        metric_from_jet(zero)
+
+
+@pytest.mark.parametrize("row", ["phi_x", "phi_y"])
+def test_metric_from_jet_refuses_a_zero_E_and_a_zero_G_alone(sphere_curve, row):
+    jet = sphere_jet(sphere_curve, 0.3, 1.1)
+    zero = jet._replace(**{row: np.zeros(3, dtype=complex)})
+    with np.errstate(divide="ignore"):
+        md, ok = metric_data(zero)
+    assert not ok and (md.E == 0.0) == (row == "phi_x") and (md.G == 0.0) == (row == "phi_y")
+    with pytest.raises(ValueError, match="a first derivative vanishes"):
         metric_from_jet(zero)
 
 
@@ -456,18 +468,28 @@ def test_each_defect_function_reads_one_point_as_it_does_in_a_stack(make):
     family, h, n = make(), 1e-4, 12
     rng = np.random.default_rng(3903)
     xs, ys = rng.uniform(-3.0, 3.0, (2, n))
+    if family.curve is not None:   # point 11 on a degeneracy line, inside the tube
+        xs[11] = (degeneracy_angle(family.curve) + family.curve.b * ys[11]) / family.curve.a
     J = family.jets(xs, ys)
     for row, k, c, v in _NON_FINITE:
         J[row, k, c] = v
     J[0, 7] = 0.0
+    J[2, 9] = 0.0   # G = 0 at point 9
     # rows phi, phi_x, phi_y at the centres and at (x +- h, y), (x, y +- h): (3, 5, n, 3)
     S = np.stack([J[:3]] + [family.jets(xs + dx, ys + dy)[:3]
                             for dx, dy in ((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h))], axis=1)
     S[1, 3, 8, 0] = math.nan
+    S[0, 4, 6] *= 2.0     # the angle at (x, y - h) of point 6 rejected
+    S[2, 2, 10] *= 1e-10  # phi_y at (x - h, y) of point 10 below MIN_STENCIL_NORM
     with np.errstate(all="ignore"):
         stack = SurfaceJet(xs, ys, *J)
-        E, G = np.sum(np.abs(J[1]) ** 2, axis=-1), np.sum(np.abs(J[2]) ** 2, axis=-1)
-        angles, beta_s = _angles(J), _angles(S)[0]
+        md, metric_ok = metric_data(stack)
+        E, G = md.E, md.G
+        angles, stencil = _angles(J), _stencil(S)
+        beta_s = stencil[0]
+        if family.curve is not None:
+            tube = tube_mask(family.curve, xs, ys)
+            assert tube[11] and not tube[:11].any()
         ch = christoffel_data(stack)
         grads = metric_gradients_from_jet(stack, E, G)
         bgrad = beta_gradient(beta_s[1:], h)
@@ -479,8 +501,15 @@ def test_each_defect_function_reads_one_point_as_it_does_in_a_stack(make):
             stacked.append(residue_identity_defects(family.curve, stack))
         for k in range(n):
             jet = SurfaceJet(xs[k], ys[k], *J[:, k])
+            md_k, metric_ok_k = metric_data(jet)
+            for a, b in zip((*md, metric_ok), (*md_k, metric_ok_k), strict=True):
+                _same(a[k], b)
+            if family.curve is not None:
+                _same(tube[k], tube_mask(family.curve, xs[k], ys[k]))
             for a, b in zip(angles, _angles((jet.phi, jet.phi_x, jet.phi_y))):
                 _same(a[k], b)
+            for a, b in zip(stencil, _stencil(S[:, :, k]), strict=True):
+                _same(a[..., k], b)
             ch_k = christoffel_data(jet)
             for a, b in zip(ch, ch_k):
                 _same(a[k], b)
@@ -501,5 +530,9 @@ def test_each_defect_function_reads_one_point_as_it_does_in_a_stack(make):
                 alone.append(residue_identity_defects(family.curve, jet))
             for a, b in zip(stacked, alone, strict=True):
                 _same(a[..., k], b)
-    # every defect reads a non-finite value at some point of the stack
+    # every defect reads a non-finite value at some point of the stack, and each mask of a
+    # stage fails at some point where the masks before it hold
     assert not any(np.isfinite(v).all() for v in stacked)
+    centre_ok, angles_ok, frame_ok = stencil[1:]
+    assert metric_ok.any() and not metric_ok[9]
+    assert centre_ok[6] and not angles_ok[6] and angles_ok[10] and not frame_ok[10]

@@ -322,15 +322,16 @@ def test_a_huge_grid_streams_its_first_piece_without_an_axis(nx):
     cone_family(1, 2), spectral_family(derive_constants(1.0, 1.0, 2.0, 1.0))],
     ids=["cone-1-2", "worked-example"])
 def test_sample_rows_frees_a_blocks_text_before_sweeping_the_next(family, monkeypatch):
-    # what sample_rows still holds when it asks sample_blocks for the next block: the
-    # loop's block arrays (about 125 KiB of a 1024-point block), not its text table and
-    # cell indices (about 400 KiB more)
+    # what sample_rows and sample_blocks still hold when the next block is asked for: no
+    # block's arrays (about 125 KiB of a 1024-point block), text table or cell indices
+    # (about 400 KiB more)
     list(sample_rows(family, GridSpec(4, 4), 1e-4))   # _g17's tables are built once
     held, blocks = [], report.sample_blocks
 
     def spy(*args):
         for block in blocks(*args):
             yield block
+            del block
             held.append(tracemalloc.get_traced_memory()[0] - start)
     monkeypatch.setattr(report, "sample_blocks", spy)
     tracemalloc.start()
@@ -340,7 +341,7 @@ def test_sample_rows_frees_a_blocks_text_before_sweeping_the_next(family, monkey
             pass
     finally:
         tracemalloc.stop()
-    assert len(held) == 3 and max(held) < 256 * 1024, held
+    assert len(held) == 3 and max(held) < 32 * 1024, held
 
 
 def test_a_block_inside_the_tube_skips_the_angle_stage(monkeypatch):
@@ -709,6 +710,39 @@ def test_a_nan_in_one_stencil_jet_fails_its_pattern_check(row, dx, dy, check, ot
               _assert_report_matches_oracle(family._replace(jet=jet, jets=jets), grid, h).checks}
     assert math.isnan(checks[check].value) and not checks[check].passed
     assert checks[other].passed   # the other derivative's stencil is finite
+
+
+@pytest.mark.parametrize("where, row, scale, reason", [
+    ("centre", "phi", 2.0, "rejected at the stencil centre"),
+    ("x+h", "phi_x", 1e-9, "stencil crosses a degenerate point"),
+    ("y-h", "phi", 2.0, "rejected at a stencil neighbour"),
+], ids=["centre-angle", "neighbour-norm", "neighbour-angle"])
+def test_each_frame_refusal_of_the_oracle_is_an_inf_of_the_sweep(where, row, scale, reason):
+    # one jet of the stencil around a grid point is scaled: phi doubled moves |det| off the
+    # unit circle, phi_x * 1e-9 keeps the angle but falls below MIN_STENCIL_NORM; the
+    # oracle refuses for that reason and the sweep reads inf on every frame check
+    cone, grid, h = cone_family(1, 2), GridSpec(4, 4), 1e-4
+    x0, y0 = (float(c[5]) for c in grid.points(np.arange(16)))
+    bad = {"centre": (x0, y0), "x+h": (x0 + h, y0), "y-h": (x0, y0 - h)}[where]
+
+    def jet(x, y):
+        j = cone.jet(x, y)
+        return j._replace(**{row: scale * getattr(j, row)}) if (x, y) == bad else j
+
+    def jets(xs, ys):
+        J = cone.jets(xs, ys)
+        J[{"phi": 0, "phi_x": 1}[row], (xs == bad[0]) & (ys == bad[1])] *= scale
+        return J
+
+    family = cone._replace(jet=jet, jets=jets)
+    with pytest.raises(ValueError, match=reason):
+        frame_and_connection(family.jet, x0, y0, h)
+    if where == "y-h":
+        with pytest.raises(ValueError, match=reason):
+            beta_gradient_fd(family.jet, x0, y0, h)
+    checks = {c.name: c for c in _assert_report_matches_oracle(family, grid, h).checks}
+    assert all(checks[name].value == math.inf for name in _FRAME)
+    assert checks["gram_norm"].passed or where == "centre"
 
 
 @pytest.mark.parametrize("chunk", [sweep.CHUNK, 1])
