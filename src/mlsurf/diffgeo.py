@@ -1,12 +1,12 @@
 """Differential-geometric identity checks on surface jets.
 
 Everything here is a pure computation producing defect numbers, written once: each
-defect function and stage (metric_data, _angles, _stencil, christoffel_data, _frame_data,
-gauss_curvature_masked) takes one point or a stack of n points (a SurfaceJet whose fields
-are (n, 3) arrays), gives the same bits for a point alone as in a stack, and never
-raises: a stage returns the masks the sweep folds.  Each scalar oracle is its stage on
-one point plus a raise where a mask fails (christoffel_solve gates by np.linalg.cond, the
-sweep by Gershgorin bounds with that fallback).  The conventions are fixed once:
+defect function and stage (metric_data, _angles, _stencil, basis_conditioned,
+christoffel_data, _frame_data, gauss_curvature_masked) takes one point or a stack of n
+points (a SurfaceJet whose fields are (n, 3) arrays), gives the same bits for a point
+alone as in a stack, and never raises: a stage returns the masks the sweep folds.  Each
+scalar oracle is its stage on one point plus a raise where a mask fails.  The
+conventions are fixed once:
 
   * Hermitian product <u, w> = sum_i u_i * conj(w_i) (second slot conjugated).
   * Metric notation |phi_x|^2 = 2 e^{v1}, |phi_y|^2 = 2 e^{v2}; E and G are
@@ -188,18 +188,50 @@ class ChristoffelData(NamedTuple):
     b22: complex
 
 
-def christoffel_solve(jet: SurfaceJet) -> ChristoffelData:
-    """Solve the three 3x3 systems phi_ss = G^1 phi_x + G^2 phi_y + b phi.
+def basis_conditioned(jet: SurfaceJet):
+    """Where the moving basis (phi_x, phi_y, phi) is finite and np.linalg.cond(basis) <=
+    CONDITION_LIMIT, bit for bit, at one point or a stack, with the SVD run only on the
+    finite bases Gershgorin's theorem cannot certify.  It warns of nothing, and only that
+    SVD can raise (LinAlgError, where it does not converge).
 
-    Requires (phi_x, phi_y, phi) finite and linearly independent; the basis condition
-    number is rejected above 1e8.
-    """
-    basis = np.column_stack([jet.phi_x, jet.phi_y, jet.phi])
-    if not np.isfinite(basis).all():
-        raise ValueError("moving basis is not finite")
-    cond = np.linalg.cond(basis)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise ValueError(f"moving basis ill-conditioned: cond = {cond:.3e}")
+    M = basis^H basis is Hermitian with eigenvalues sigma_i^2, so cond^2 = lambda_max /
+    lambda_min, and every eigenvalue lies in [lo, hi], lo = min_i (M_ii - R_i), hi = max_i
+    (M_ii + R_i), R_i the sum of |M_ij| off the diagonal.  M's diagonal is (E, G, |phi|^2)
+    and, on a Lagrangian surface, its off-diagonal entries are Gram defects of about 1e-16,
+    so the bound is tight.  This route squares the condition number (at cond 1e8,
+    lambda_min / lambda_max is below the rounding of M's entries), so a margin on cond
+    alone proves nothing; the slack delta = 2^-44 tr(M) bounds the error of the computed M
+    (|M^_ij - M_ij| <= g sqrt(M_ii M_jj), so ||M^ - M||_2 <= 3 g tr(M), g a few units of
+    2^-53) and of lo and hi (a few roundings of size <= 2 tr(M)) with room to spare, and
+    tr(M) >= 2^-900 keeps every underflow far below delta.  A point with hi + delta finite
+    (so every entry of M is), lo - delta > 0 and hi + delta <= (lo - delta)
+    (CONDITION_LIMIT / 4)^2 has a true cond of at most CONDITION_LIMIT / 4, which numpy's
+    backward-stable SVD reads within CONDITION_LIMIT.  A non-finite basis fails; every
+    other point (overflow, underflow, cond near or above the limit) takes np.linalg.cond."""
+    basis = np.stack([jet.phi_x, jet.phi_y, jet.phi], axis=-1)
+    shape, basis = basis.shape[:-2], basis.reshape(-1, 3, 3)
+    with np.errstate(all="ignore"):
+        M = np.vecdot(basis[:, :, :, None], basis[:, :, None, :], axis=1)
+        d = M.diagonal(axis1=1, axis2=2).real
+        r = np.abs(M).sum(axis=2) - d   # at least the off-diagonal sum: |M_ii| >= d
+        tr = d.sum(axis=1)
+        lo, hi = (d - r).min(axis=1) - 2.0 ** -44 * tr, (d + r).max(axis=1) + 2.0 ** -44 * tr
+        ok = ((tr >= 2.0 ** -900) & np.isfinite(hi) & (lo > 0.0)
+              & (hi <= lo * (CONDITION_LIMIT / 4.0) ** 2))
+        rest = np.flatnonzero(~ok)
+        rest = rest[np.isfinite(basis[rest]).all(axis=(1, 2))]
+        if len(rest):
+            ok[rest] = np.linalg.cond(basis[rest]) <= CONDITION_LIMIT
+    return ok.reshape(shape)
+
+
+def christoffel_solve(jet: SurfaceJet) -> ChristoffelData:
+    """Scalar oracle: the three 3x3 systems phi_ss = G^1 phi_x + G^2 phi_y + b phi solved
+    (christoffel_data) where basis_conditioned holds."""
+    if not basis_conditioned(jet):
+        if not np.isfinite([jet.phi_x, jet.phi_y, jet.phi]).all():
+            raise ValueError("moving basis is not finite")
+        raise ValueError(f"moving basis ill-conditioned: cond > {CONDITION_LIMIT:g}")
     return christoffel_data(jet)
 
 

@@ -1,25 +1,23 @@
 """Chunked grid sweep: the per-point checks of diffgeo on stacked arrays.
 
-The defect formulas and the metric, tube and stencil rules live in diffgeo and
-surface_families as stages that take one point or a stack and return masks; each scalar
-oracle is its stage on one point plus a raise, so each reduced maximum equals the
-oracles' bit for bit.  The sweep forms only |E - E_closed| and |G - G_closed| against the
-family's closed-form metric, |e^{2i beta} + 1|, |v1 - v2|, |K - 1| and G on tube points,
-and owns how points reach the stages.  It visits the grid in report order (y outer, x
-inner) in blocks of CHUNK points, each block's coordinates formed from its point indices
-(GridSpec.points), so no axis is held whatever the grid.  Per block it evaluates the
-batched (6, n, 3) jet field (Family.jets), its metric (metric_data) and the tube mask
-(tube_mask) at all centres at once.  Outside the tube it stacks the centres'
-phi, phi_x, phi_y and those of the scalar point jets at (x +- h, y), (x, y +- h) as one
-(3, 5, n, 3) array, centre first, and takes all its Lagrangian angles in one pass:
-4 Family.jet calls per point outside the tube and none inside, which the benchmark counts.
-The Christoffel stage's condition gate keeps the oracle's mask (cond <= CONDITION_LIMIT,
-bit for bit) but not its route: Gershgorin bounds on the Gram matrix decide most points,
-and np.linalg.cond (an SVD) only those the bounds cannot certify.  Where the oracles
-raise, the sweep masks: each check group gives (values, ok) and one accumulator folds
-them into the maxima, a point where ok is False counting as inf.  CHUNK bounds the memory
-a sweep holds whatever the grid size (README, Performance, gives the measured peaks); the
-report does not depend on it.
+The defect formulas and the metric, tube, stencil and basis-condition rules live in
+diffgeo and surface_families as stages that take one point or a stack and return masks;
+each scalar oracle is its stage on one point plus a raise, so each reduced maximum equals
+the oracles' bit for bit.  The sweep holds the blocks, the stencil stacking and the fold,
+and no rule of its own: it forms only |E - E_closed| and |G - G_closed| against the
+family's closed-form metric, |e^{2i beta} + 1|, |v1 - v2|, |K - 1| and G on tube points.
+It visits the grid in report order (y outer, x inner) in blocks of CHUNK points, each
+block's coordinates formed from its point indices (GridSpec.points), so no axis is held
+whatever the grid.  Per block it evaluates the batched (6, n, 3) jet field (Family.jets),
+its metric (metric_data) and the tube mask (tube_mask) at all centres at once.  Outside
+the tube it stacks the centres' phi, phi_x, phi_y and those of the scalar point jets at
+(x +- h, y), (x, y +- h) as one (3, 5, n, 3) array, centre first, and takes all its
+Lagrangian angles in one pass: 4 Family.jet calls per point outside the tube and none
+inside, which the benchmark counts.  Where the oracles raise, the sweep masks: each check
+group gives (values, ok), the Christoffel group's ok being basis_conditioned and the
+metric and stencil masks, and one accumulator folds them into the maxima, a point where
+ok is False counting as inf.  CHUNK bounds the memory a sweep holds whatever the grid
+size (README, Performance, gives the measured peaks); the report does not depend on it.
 
 Floating-point policy: both sweeps compute each block under np.errstate(all="ignore")
 (not across a yield).  A check fails a non-finite value (inf where a point fails, NaN
@@ -30,7 +28,7 @@ import time
 
 import numpy as np
 
-from .diffgeo import (CONDITION_LIMIT, _abs, _angles, _frame_data, _stencil, angle_defect,
+from .diffgeo import (_abs, _angles, _frame_data, _stencil, angle_defect, basis_conditioned,
                       beta_gradient, christoffel_b_defects, christoffel_data, frame_defects,
                       gauss_curvature_masked, gradient_identity_defects, gram_defects,
                       metric_data, metric_gradients_from_jet, minimality_defects,
@@ -86,47 +84,6 @@ def _block(family: Family, grid, start: int) -> tuple:
     tube = np.zeros(len(x), dtype=bool) if family.curve is None else tube_mask(family.curve, x, y)
     J = family.jets(x, y)
     return x, y, tube, J, *metric_data(SurfaceJet(x, y, *J))
-
-
-def _christoffel(jet: SurfaceJet, E, G, beta_s, h: float) -> tuple:
-    """Christoffel, gradient-identity and minimality defects over stacked centre jets
-    and the stencil angles beta_s, and where they hold: E and G nonzero and the
-    basis (phi_x, phi_y, phi) conditioned within CONDITION_LIMIT.
-
-    The condition mask is np.linalg.cond(basis) <= CONDITION_LIMIT bit for bit, with the
-    SVD run only where Gershgorin's theorem cannot certify the point.  M = basis^H basis
-    is Hermitian with eigenvalues sigma_i^2, so cond^2 = lambda_max / lambda_min, and
-    every eigenvalue lies in [lo, hi], lo = min_i (M_ii - R_i), hi = max_i (M_ii + R_i),
-    R_i the sum of |M_ij| off the diagonal.  M's diagonal is (E, G, |phi|^2) and, on a
-    Lagrangian surface, its off-diagonal entries are Gram defects of about 1e-16, so the
-    bound is tight.  This route squares the condition number (at cond 1e8, lambda_min /
-    lambda_max is below the rounding of M's entries), so a margin on cond alone proves
-    nothing; the slack delta = 2^-44 tr(M) bounds the error of the computed M
-    (|M^_ij - M_ij| <= g sqrt(M_ii M_jj), so ||M^ - M||_2 <= 3 g tr(M), g a few units of
-    2^-53) and of lo and hi (a few roundings of size <= 2 tr(M)) with room to spare, and
-    tr(M) >= 2^-900 keeps every underflow far below delta.  A point with hi + delta finite
-    (so every entry of M is), lo - delta > 0 and hi + delta <= (lo - delta)
-    (CONDITION_LIMIT / 4)^2 has a true cond of at most CONDITION_LIMIT / 4, which numpy's
-    backward-stable SVD reads within CONDITION_LIMIT.  A non-finite basis fails; every
-    other point (overflow, underflow, cond near or above the limit) takes np.linalg.cond."""
-    basis = np.stack([jet.phi_x, jet.phi_y, jet.phi], axis=-1)
-    M = np.vecdot(basis[:, :, :, None], basis[:, :, None, :], axis=1)
-    d = M.diagonal(axis1=1, axis2=2).real
-    r = np.abs(M).sum(axis=2) - d   # at least the off-diagonal sum: |M_ii| >= d
-    tr = d.sum(axis=1)
-    lo, hi = (d - r).min(axis=1) - 2.0 ** -44 * tr, (d + r).max(axis=1) + 2.0 ** -44 * tr
-    ok = ((tr >= 2.0 ** -900) & np.isfinite(hi) & (lo > 0.0)
-          & (hi <= lo * (CONDITION_LIMIT / 4.0) ** 2))
-    rest = np.flatnonzero(~ok)
-    rest = rest[np.isfinite(basis[rest]).all(axis=(1, 2))]
-    if len(rest):
-        ok[rest] = np.linalg.cond(basis[rest]) <= CONDITION_LIMIT
-    ok &= (E != 0.0) & (G != 0.0)
-    ch = christoffel_data(jet)
-    return (*christoffel_b_defects(ch, E, G),
-            *gradient_identity_defects(ch, metric_gradients_from_jet(jet, E, G),
-                                       beta_gradient(beta_s, h)),
-            *minimality_defects(ch)), ok
 
 
 def check_maxima(family: Family, grid, h: float) -> tuple:
@@ -189,8 +146,13 @@ def check_maxima(family: Family, grid, h: float) -> tuple:
             if curve is None:   # -inf where the centre angle is rejected or E or G is 0
                 fold("metric", ["metric_anisotropy"], [np.where(
                     centre_ok & metric_ok[act], np.abs(md.v1 - md.v2)[act], -np.inf)])
-            values, ok = _christoffel(SurfaceJet(xa, ya, *Ja), md.E[act], md.G[act], beta[1:], h)
-            fold("christoffel", CHRISTOFFEL_NAMES, values, ok & angles_ok)
+            ja, Ea, Ga = SurfaceJet(xa, ya, *Ja), md.E[act], md.G[act]
+            ch = christoffel_data(ja)
+            fold("christoffel", CHRISTOFFEL_NAMES, (
+                *christoffel_b_defects(ch, Ea, Ga),
+                *gradient_identity_defects(ch, metric_gradients_from_jet(ja, Ea, Ga),
+                                           beta_gradient(beta[1:], h)),
+                *minimality_defects(ch)), basis_conditioned(ja) & metric_ok[act] & angles_ok)
             fold("frame", FRAME_NAMES, frame_defects(_frame_data(S, beta, h)).values(), frame_ok)
             if curve is not None:
                 K, pos = gauss_curvature_masked(family.metric, xa, ya, h)

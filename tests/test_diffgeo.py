@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 import sympy
 
-from mlsurf.diffgeo import (angle_defect, beta_gradient, beta_gradient_fd, christoffel_b_defects,
-                            christoffel_data, christoffel_solve, frame_and_connection, FrameData,
+from mlsurf.diffgeo import (angle_defect, basis_conditioned, beta_gradient, beta_gradient_fd,
+                            christoffel_b_defects, christoffel_data, christoffel_solve,
+                            frame_and_connection, FrameData,
                             frame_defects, gauss_curvature, gauss_curvature_masked, gram_defects,
                             herm, lagrangian_angle, gradient_identity_defects,
                             metric_data, metric_from_jet, metric_gradients_from_jet,
@@ -450,6 +451,44 @@ def test_gradient_identity_synthetic_violation(sphere_curve):
     assert np.max(d) > 1e-2
 
 
+def test_christoffel_defects_of_random_jets_match_the_formulas_written_out():
+    # on a surface every defect is 0 up to rounding, so a wrong scale or sign in a formula
+    # only rescales noise; random complex jets have b12 != 0, E != G and, with random beta
+    # gradients, defects of order 1, which the formulas below must give to rtol 1e-10
+    rng = np.random.default_rng(4101)
+    for _ in range(20):
+        jet = SurfaceJet(0.0, 0.0, *(rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))))
+        bx, by = rng.normal(size=2)
+        # columns: the xx, xy, yy equations; rows: the coefficients of phi_x, phi_y, phi
+        (G111, G121, G221), (G112, G122, G222), (b11, b12, b22) = np.linalg.solve(
+            np.column_stack([jet.phi_x, jet.phi_y, jet.phi]),
+            np.column_stack([jet.phi_xx, jet.phi_xy, jet.phi_yy]))
+        E, G = np.vdot(jet.phi_x, jet.phi_x).real, np.vdot(jet.phi_y, jet.phi_y).real
+        v1x = 2.0 * np.vdot(jet.phi_x, jet.phi_xx).real / E   # E_x = 2 Re<phi_xx, phi_x>
+        v1y = 2.0 * np.vdot(jet.phi_x, jet.phi_xy).real / E
+        v2x = 2.0 * np.vdot(jet.phi_y, jet.phi_xy).real / G
+        v2y = 2.0 * np.vdot(jet.phi_y, jet.phi_yy).real / G
+        ch = christoffel_solve(jet)
+        np.testing.assert_allclose(
+            christoffel_b_defects(ch, E, G),
+            [abs(b11 + E) / E, abs(b12) / math.sqrt(E * G), abs(b22 + G) / G], rtol=1e-10)
+        np.testing.assert_allclose(
+            gradient_identity_defects(ch, metric_gradients_from_jet(jet, E, G), (bx, by)),
+            [abs(G111 + G122 - ((v1x + v2x) / 2 + 1j * bx)),
+             abs(G121 + G222 - ((v1y + v2y) / 2 + 1j * by))], rtol=1e-10)
+        assert abs(b12) > 1e-3 and abs(E - G) > 1e-3 * E
+
+
+def test_beta_gradient_is_the_unwrapped_difference_over_2h_bit_for_bit():
+    rng = np.random.default_rng(4102)
+    betas = rng.uniform(-math.pi, math.pi, size=(4, 500))
+    for h in (1e-4, 0.37, 3.0):
+        expected = [[math.remainder(bp - bm, 2.0 * math.pi) / (2.0 * h)
+                     for bp, bm in zip(betas[2 * k].tolist(), betas[2 * k + 1].tolist())]
+                    for k in range(2)]
+        assert beta_gradient(betas, h).tolist() == expected
+
+
 def _same(stacked, alone):
     a, b = np.asarray(stacked), np.asarray(alone)
     assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
@@ -490,7 +529,7 @@ def test_each_defect_function_reads_one_point_as_it_does_in_a_stack(make):
         if family.curve is not None:
             tube = tube_mask(family.curve, xs, ys)
             assert tube[11] and not tube[:11].any()
-        ch = christoffel_data(stack)
+        conditioned, ch = basis_conditioned(stack), christoffel_data(stack)
         grads = metric_gradients_from_jet(stack, E, G)
         bgrad = beta_gradient(beta_s[1:], h)
         fd = _frame_data(S, beta_s, h)
@@ -510,6 +549,7 @@ def test_each_defect_function_reads_one_point_as_it_does_in_a_stack(make):
                 _same(a[k], b)
             for a, b in zip(stencil, _stencil(S[:, :, k]), strict=True):
                 _same(a[..., k], b)
+            _same(conditioned[k], basis_conditioned(jet))
             ch_k = christoffel_data(jet)
             for a, b in zip(ch, ch_k):
                 _same(a[k], b)
@@ -535,4 +575,5 @@ def test_each_defect_function_reads_one_point_as_it_does_in_a_stack(make):
     assert not any(np.isfinite(v).all() for v in stacked)
     centre_ok, angles_ok, frame_ok = stencil[1:]
     assert metric_ok.any() and not metric_ok[9]
+    assert conditioned[0] and not conditioned[[1, 2, 3, 7, 9]].any()   # NaN, inf, singular
     assert centre_ok[6] and not angles_ok[6] and angles_ok[10] and not frame_ok[10]

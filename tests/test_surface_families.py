@@ -135,6 +135,12 @@ def _sweep_tube_mask(curve, xs, ys):
                            for start in range(0, grid.nx * grid.ny, sweep.CHUNK)])
 
 
+def _in_tube(curve, x, y):
+    # the tube written out at one point: |a x - b y - theta*| mod pi below TUBE_RADIUS
+    theta = math.atan2(-curve.b, curve.gamma_im) % math.pi
+    return abs(math.remainder(curve.a * x - curve.b * y - theta, math.pi)) < TUBE_RADIUS
+
+
 def test_sweep_tube_mask_matches_in_degeneracy_tube():
     r = TUBE_RADIUS
     # a stand-in curve with theta* = 0 and a x - b y = x, so x = +-r lies exactly on the edge
@@ -151,10 +157,13 @@ def test_sweep_tube_mask_matches_in_degeneracy_tube():
     near = np.concatenate([near, *(np.nextafter(near, d) for d in (-np.inf, np.inf))])
     for c, xs, ys in [(flat, edges, np.array([0.0, 1.5, -40.0])),
                       (curve, near, np.array([y0])),
-                      (curve, rng.uniform(-50, 50, 400), rng.uniform(-50, 50, 5))]:
+                      (curve, rng.uniform(-50, 50, 400), rng.uniform(-50, 50, 5)),
+                      (derive_constants(0.8, 1.6, -3.1, 0.4), rng.uniform(-50, 50, 4000),
+                       rng.uniform(-50, 50, 5))]:
         mask = _sweep_tube_mask(c, xs, ys)
         expected = [in_degeneracy_tube(c, x, y) for y in ys.tolist() for x in xs.tolist()]
-        assert mask.tolist() == expected
+        assert mask.tolist() == expected == [_in_tube(c, x, y) for y in ys.tolist()
+                                             for x in xs.tolist()]
         assert 0 < mask.sum() < len(mask)
     assert _sweep_tube_mask(flat, edges, np.zeros(1)).tolist() == [False, False] + [True] * 2 \
         + [False] * 2 + [True] * 2

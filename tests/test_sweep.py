@@ -1,5 +1,5 @@
-"""The Christoffel stage: sweep._christoffel's condition mask against the SVD, and its
-solve, which needs no LAPACK."""
+"""The Christoffel gate: diffgeo.basis_conditioned against the SVD, one np.linalg.cond per
+matrix, and the sweep's Christoffel checks, which need no LAPACK."""
 
 import warnings
 
@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from mlsurf import sweep
-from mlsurf.diffgeo import CONDITION_LIMIT
+from mlsurf.diffgeo import CONDITION_LIMIT, basis_conditioned
 from mlsurf.report import GridSpec, verify
 from mlsurf.spectral_curve import derive_constants
-from mlsurf.surface_families import SurfaceJet, cone_family, spectral_family
+from mlsurf.surface_families import SurfaceJet, cone_family, spectral_family, tube_mask
 
 _RNG = np.random.default_rng(20301)
 
@@ -20,15 +20,16 @@ def _unitary(n):
     return np.linalg.qr(z)[0]
 
 
-def _oracle(basis, E, G):
-    """(cond(basis) <= CONDITION_LIMIT) & (E != 0) & (G != 0), one np.linalg.cond per
-    matrix, a matrix whose SVD does not converge rejected."""
+def _oracle(basis):
+    """cond(basis) <= CONDITION_LIMIT, one np.linalg.cond per matrix, a matrix whose SVD
+    does not converge rejected."""
     def conditioned(m):
         try:
             return bool(np.linalg.cond(m) <= CONDITION_LIMIT)
         except np.linalg.LinAlgError:
             return False
-    return np.array([conditioned(m) for m in basis], dtype=bool) & (E != 0.0) & (G != 0.0)
+    with np.errstate(all="ignore"):
+        return np.array([conditioned(m) for m in basis], dtype=bool)
 
 
 @pytest.fixture
@@ -46,16 +47,10 @@ def svd_calls(monkeypatch):
 
 
 def _mask(basis):
-    """_christoffel's ok for stacked bases (columns phi_x, phi_y, phi), and the oracle's."""
-    n = len(basis)
-    J = np.empty((6, n, 3), dtype=complex)
-    J[1], J[2], J[0] = basis[:, :, 0], basis[:, :, 1], basis[:, :, 2]
-    J[3:] = _RNG.normal(size=(3, n, 3))
-    with np.errstate(all="ignore"):
-        E, G = (np.sum(np.abs(J[k]) ** 2, axis=-1) for k in (1, 2))
-        jet = SurfaceJet(None, None, *J)
-        _, ok = sweep._christoffel(jet, E, G, _RNG.normal(size=(4, n)), 1e-4)
-        return ok, _oracle(basis, E, G)
+    """basis_conditioned for stacked bases (columns phi_x, phi_y, phi), and the oracle's."""
+    phi_x, phi_y, phi = np.moveaxis(basis, -1, 0)
+    jet = SurfaceJet(None, None, phi, phi_x, phi_y, None, None, None)
+    return basis_conditioned(jet), _oracle(basis)
 
 
 def _equal_norm_columns(c, n):
@@ -120,34 +115,49 @@ def test_well_conditioned_bases_skip_the_svd(svd_calls):
     assert svd_calls == [1]   # the gate sent only the ill-conditioned basis to the SVD
 
 
-@pytest.mark.parametrize("make", [
+_SURFACES = pytest.mark.parametrize("make", [
     lambda: spectral_family(derive_constants(1.0, 1.0, 2.0, 1.0)),
     lambda: spectral_family(derive_constants(1.3, 0.7, 2.1, -0.9)),
     lambda: cone_family(1, 2), lambda: cone_family(3, 2), lambda: cone_family(4, 4)],
     ids=["worked-example", "tube-example", "cone-1-2", "cone-3-2", "cone-4-4"])
+
+
+@_SURFACES
 def test_verify_certifies_every_point_without_the_svd(make, svd_calls):
     family = make()
     sweep.check_maxima(family, GridSpec(16, 16), 1e-4)
     assert svd_calls == []
 
 
+@_SURFACES
+def test_the_gate_on_every_point_of_a_surface_is_the_svd(make):
+    # every grid point, tube points (G near 0) included, against the SVD matrix by matrix;
+    # every point outside the tube is conditioned
+    family = make()
+    x, y = GridSpec(16, 16).points(np.arange(256))
+    J = family.jets(x, y)
+    ok = basis_conditioned(SurfaceJet(x, y, *J))
+    np.testing.assert_array_equal(ok, _oracle(np.stack([J[1], J[2], J[0]], axis=-1)))
+    tube = np.zeros(256, dtype=bool) if family.curve is None else tube_mask(family.curve, x, y)
+    assert ok[~tube].all()
+
+
 def test_a_singular_and_a_nan_basis_in_one_block_fail_without_a_warning(monkeypatch, capfd):
     # phi = 0 at grid point 9 (a singular basis) and phi = NaN at point 6, in the one block
     # of a 4x4 grid: the solve runs on every basis, raises nothing, warns nothing, and the
-    # mask fails those two points alone
+    # condition gate fails those two points alone
     cone = cone_family(1, 2)
 
     def jets(xs, ys):
         J = cone.jets(xs, ys)
         J[0, 9], J[0, 6] = 0.0, np.nan
         return J
-    masks, christoffel = [], sweep._christoffel
+    masks = []
 
-    def spy(*args):
-        values, ok = christoffel(*args)
-        masks.append(ok)
-        return values, ok
-    monkeypatch.setattr(sweep, "_christoffel", spy)
+    def spy(jet):
+        masks.append(basis_conditioned(jet))
+        return masks[-1]
+    monkeypatch.setattr(sweep, "basis_conditioned", spy)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         maxima, _, _ = sweep.check_maxima(cone._replace(jets=jets), GridSpec(4, 4), 1e-4)
