@@ -40,6 +40,30 @@ class MetricField(NamedTuple):
     G_x: object
 
 
+MEMO_SIZE = 4096   # entries per _Factors table (README, Performance, gives the measurement)
+
+
+class _Factors(dict):
+    """Read-only factors v -> make(v) of one coordinate, for the family a scalar jet last
+    evaluated.  A zero keys as (v, sign): 0.0 == -0.0 and both hash alike.  A full table
+    is cleared, not evicted: the sweep visits x innermost, so an LRU smaller than a row
+    would miss on every call."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def at(self, v: float) -> np.ndarray:
+        key = v if v else (v, math.copysign(1.0, v))
+        f = self.get(key)
+        if f is None:
+            if len(self) >= MEMO_SIZE:
+                self.clear()
+            f = self[key] = self.make(v)
+            f.setflags(write=False)
+        return f
+
+
 @lru_cache(maxsize=64)
 def _spectral_exp_terms(curve: ReducibleCurveData):
     """Coefficient and derivative-factor arrays (3 components x 2 terms each).
@@ -69,11 +93,25 @@ def _spectral_exp_terms(curve: ReducibleCurveData):
     return C, F, F[1], F[2]
 
 
+def _spectral_factors(curve: ReducibleCurveData) -> tuple:
+    """The memo slot of one curve: the curve, C and F, and the tables of dx x and dy y."""
+    C, F, dx, dy = _spectral_exp_terms(curve)
+    return curve, C, F, _Factors(lambda x: dx * x), _Factors(lambda y: dy * y)
+
+
+_spectral_memo = (None,)   # _spectral_factors of the curve last evaluated
+
+
 def spectral_family_jet(curve: ReducibleCurveData, x: float, y: float) -> SurfaceJet:
     """Jet of phi_i = alpha_i * psi_2(x, y, Q_i); derivatives are exact.
-    M[..., 0] + M[..., 1] is the field's one addition."""
-    C, F, dx, dy = _spectral_exp_terms(curve)
-    M = F * (C * np.exp(dx * x + dy * y))
+    The exponent dx x + dy y adds the memoized halves (_Factors) of the curve last
+    evaluated, compared by identity; M[..., 0] + M[..., 1] is the field's one addition."""
+    global _spectral_memo
+    memo = _spectral_memo
+    if memo[0] is not curve:
+        memo = _spectral_memo = _spectral_factors(curve)
+    _, C, F, dx_x, dy_y = memo
+    M = F * (C * np.exp(dx_x.at(x) + dy_y.at(y)))
     S = M[..., 0] + M[..., 1]
     return SurfaceJet(x, y, S[0], S[1], S[2], S[3], S[4], S[5])
 
@@ -114,25 +152,43 @@ _CONE_ROWS = np.array([0, 1, 0, 2, 1, 0])
 _MAX_ORDER_SUM = math.sqrt(np.finfo(float).max) / math.pi   # largest m + n, (pi (m + n))^2 finite
 
 
+def _cone_factors(m: int, n: int) -> tuple:
+    """The memo slot of the cone (m, n): (m, n) and the tables of W * u(x) and e^{i q y}."""
+    k1, k2, A, B, iq, W = _cone_terms(m, n)
+
+    def amplitudes(x):
+        # the (6, 3) amplitude rows u built from one flat sequence of floats in _CONE_ROWS
+        # order (converting nested rows took numpy about a third of the call)
+        sx, cx = math.sin(x), math.cos(x)
+        rho = math.sqrt(A * cx * cx + B * sx * sx)  # >= min(A, B) > 0
+        s = (B - A) * sx * cx
+        rho_p = s / rho
+        rho_pp = (B - A) * math.cos(2 * x) / rho - s * s / rho ** 3
+        u1, u2, p1, p2 = k1 * sx, k2 * cx, k1 * cx, -k2 * sx   # u and u' of phi_1, phi_2
+        return W * np.array([u1, u2, rho, p1, p2, rho_p, u1, u2, rho, -k1 * sx, -k2 * cx,
+                             rho_pp, p1, p2, rho_p, u1, u2, rho]).reshape(6, 3)
+
+    return (m, n), _Factors(amplitudes), _Factors(lambda y: np.exp(iq * y))
+
+
+_cone_memo = (None,)   # _cone_factors of the cone last evaluated
+
+
 def cone_family_jet(m: int, n: int, x: float, y: float) -> SurfaceJet:
     """Jet of the elementary family
 
     phi = (sin(x) sqrt(m+n)/sqrt(2m+n) e^{pi i m y},
            cos(x) sqrt(m+n)/sqrt(m+2n) e^{pi i n y},
            sqrt(n cos^2 x/(m+2n) + m sin^2 x/(2m+n)) e^{-pi i (m+n) y})
-    as (W * u) * e, the (6, 3) amplitude rows u built from one flat sequence of floats
-    in _CONE_ROWS order (converting nested rows took numpy about a third of the call).
+    as (W * u) * e, the product of the memoized W * u(x) and e = e^{i q y} (_Factors) of
+    the orders last evaluated.
     """
-    k1, k2, A, B, iq, W = _cone_terms(m, n)
-    sx, cx = math.sin(x), math.cos(x)
-    rho = math.sqrt(A * cx * cx + B * sx * sx)  # >= min(A, B) > 0
-    s = (B - A) * sx * cx
-    rho_p = s / rho
-    rho_pp = (B - A) * math.cos(2 * x) / rho - s * s / rho ** 3
-    u1, u2, p1, p2 = k1 * sx, k2 * cx, k1 * cx, -k2 * sx   # u and u' of phi_1, phi_2
-    u = np.array([u1, u2, rho, p1, p2, rho_p, u1, u2, rho,
-                  -k1 * sx, -k2 * cx, rho_pp, p1, p2, rho_p, u1, u2, rho]).reshape(6, 3)
-    J = W * u * np.exp(iq * y)
+    global _cone_memo
+    memo = _cone_memo
+    if memo[0] != (m, n):
+        memo = _cone_memo = _cone_factors(m, n)
+    _, Wu, e = memo
+    J = Wu.at(x) * e.at(y)
     return SurfaceJet(x, y, J[0], J[1], J[2], J[3], J[4], J[5])
 
 

@@ -13,8 +13,10 @@ its metric (metric_data) and the tube mask (tube_mask) at all centres at once.  
 the tube it stacks the centres' phi, phi_x, phi_y and those of the scalar point jets at
 (x +- h, y), (x, y +- h) as one (3, 5, n, 3) array, centre first, and takes all its
 Lagrangian angles in one pass: 4 Family.jet calls per point outside the tube and none
-inside, which the benchmark counts.  Where the oracles raise, the sweep masks: each check
-group gives (values, ok), the Christoffel group's ok being basis_conditioned and the
+inside, which the benchmark counts; a stencil point shares its x with its row and its y
+with its column, so those calls mostly combine factors of one coordinate that the scalar
+jets memoize (surface_families._Factors).  Where the oracles raise, the sweep masks: each
+check group gives (values, ok), the Christoffel group's ok being basis_conditioned and the
 metric and stencil masks, and one accumulator folds them into the maxima, a point where
 ok is False counting as inf.  CHUNK bounds the memory a sweep holds whatever the grid
 size (README, Performance, gives the measured peaks); the report does not depend on it.

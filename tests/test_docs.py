@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import mlsurf
-from mlsurf import cli, report, sweep
+from mlsurf import cli, report, surface_families, sweep
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
@@ -50,6 +50,11 @@ def test_readme_names_resolve(name):
 def test_readme_states_the_shipped_block_size():
     stated = re.findall(r"sweep\.CHUNK = (\d+)", README)
     assert stated and all(int(n) == sweep.CHUNK for n in stated)
+
+
+def test_readme_states_the_memo_bound():
+    stated = re.findall(r"surface_families\.MEMO_SIZE = (\d+)", README)
+    assert stated and all(int(n) == surface_families.MEMO_SIZE for n in stated)
 
 
 def test_readme_states_the_numpy_floor():

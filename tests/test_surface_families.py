@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mlsurf import sweep
+from mlsurf import surface_families, sweep
 from mlsurf.baker_akhiezer import ba_rational_eval
 from mlsurf.report import GridSpec
 from mlsurf.spectral_curve import derive_constants
@@ -119,6 +119,75 @@ def test_stencil_jets_are_the_field_rows_the_stencil_reads(family):
     stencil = sweep._jets(family.jet, xs, ys)
     assert stencil.shape == (3, len(xs), 3)
     assert np.array_equal(_bits(stencil), _bits(family.jets(xs, ys)[:3]))
+
+
+_WORKED = derive_constants(1.0, 1.0, 2.0, 1.0)
+_MEMO_FAMILIES = pytest.mark.parametrize("family", [spectral_family(_WORKED), cone_family(3, 2)],
+                                         ids=["worked-example", "cone-3-2"])
+
+
+def _rows(jet):
+    return np.array([getattr(jet, f) for f in _JET_FIELDS])
+
+
+def _forget_both_families():
+    # one scalar jet of two other families: the memo then holds neither family above
+    cone_family_jet(1, 1, 0.5, 0.5)
+    spectral_family_jet(derive_constants(1.3, 0.7, 2.1, -0.9), 0.5, 0.5)
+
+
+@_MEMO_FAMILIES
+@pytest.mark.parametrize("order", ["forward", "reversed"])
+def test_scalar_jets_tell_the_zeros_apart_in_either_order(family, order):
+    # 0.0 == -0.0 and both hash alike, yet math.sin(-0.0) is -0.0: a memo keyed by value
+    # would hand the second zero the factor of the first
+    points = [(x, y) for x in (0.0, -0.0, 0.7) for y in (0.0, -0.0, 0.3)]
+    if order == "reversed":
+        points.reverse()
+    _forget_both_families()
+    xs, ys = np.array(points).T
+    assert np.array_equal(_bits(_scalar_field(family.jet, xs, ys)), _bits(family.jets(xs, ys)))
+
+
+@pytest.mark.parametrize("pair", [
+    (cone_family(3, 2), cone_family(1, 2)),
+    (spectral_family(_WORKED), spectral_family(derive_constants(1.3, 0.7, 2.1, -0.9))),
+    (spectral_family(_WORKED), spectral_family(derive_constants(1.0, 1.0, 2.0, 1.0)))],
+    ids=["two-cone-orders", "two-curves", "two-equal-curves"])
+def test_jets_alternating_between_two_families_are_each_its_own_field(pair):
+    # each point twice (a miss, then a hit), each time in both families in turn
+    xs, ys = np.random.default_rng(42).uniform(-50, 50, (2, 20))
+    fields = [family.jets(xs, ys) for family in pair]
+    for _ in range(2):
+        for k, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
+            for family, field in zip(pair, fields):
+                assert np.array_equal(_bits(_rows(family.jet(x, y))), _bits(field[:, k]))
+
+
+@_MEMO_FAMILIES
+def test_writing_into_a_returned_row_changes_no_later_jet(family):
+    expected = family.jets(np.array([0.7]), np.array([0.3]))[:, 0]
+    for _ in range(3):
+        jet = family.jet(0.7, 0.3)
+        assert np.array_equal(_bits(_rows(jet)), _bits(expected))
+        for f in _JET_FIELDS:
+            getattr(jet, f)[:] = 0
+
+
+@_MEMO_FAMILIES
+def test_a_stencil_row_wider_than_the_memo_keeps_every_bit_and_the_bound(family):
+    # one grid row's stencil holds 3 nx distinct x values, more than MEMO_SIZE: the x table
+    # is cleared on the way, and every jet is still the field's
+    nx, h = surface_families.MEMO_SIZE // 2, 1e-4
+    x, y = GridSpec(nx, 7).points(np.arange(3 * nx, 4 * nx))
+    xs, ys = np.concatenate([x + h, x - h, x, x]), np.concatenate([y, y, y + h, y - h])
+    assert len(set(xs.tolist())) == 3 * nx > surface_families.MEMO_SIZE
+    stencil = sweep._jets(family.jet, xs, ys)
+    assert np.array_equal(_bits(stencil), _bits(family.jets(xs, ys)[:3]))
+    memo = surface_families._cone_memo if family.curve is None else surface_families._spectral_memo
+    tables = [t for t in memo if isinstance(t, dict)]
+    assert len(tables) == 2 and all(len(t) <= surface_families.MEMO_SIZE for t in tables)
+    assert not any(f.flags.writeable for t in tables for f in t.values())
 
 
 def test_cone_jet_field_rejects_bad_orders():

@@ -78,6 +78,7 @@ EDGES = [  # curve-info, and verify and sample --grid 4x4
 ]
 CONES = [(1, 1), (1, 2), (3, 2), (4, 4), (40, 40)]
 GRIDS = ["16x16", "33x17", "1x1", "7x64"]
+WIDE = "1500x3"   # a row's stencil has 4,500 distinct x values: a scalar jet memo clears
 STEPS = ["1e-4", "1e-3"]
 PERIOD_FILES = {  # name: (text, z, shift)
     "pm1.txt": ("1\n1j\n", "0.3+0.1j", "1"),
@@ -137,6 +138,9 @@ def corpus() -> list:
                 rest = [*surface, "--grid", grid, "--tol-profile", "strict", "--h", h]
                 calls.append(["verify", *rest, "--json-out", "report.json"])
                 calls.append(["sample", *rest, "--out", "surface.csv"])
+    for surface in (surfaces[0], ["--family", "cone", "--m", "3", "--n", "2"]):
+        calls += [["verify", *surface, "--grid", WIDE, "--json-out", "report.json"],
+                  ["sample", *surface, "--grid", WIDE, "--out", "surface.csv"]]
     for a, b, q1, g in SPECTRAL + CURVES + EDGES:
         calls.append(["curve-info", "--a", a, "--b", b, "--q1", q1, "--gamma-im", g])
     for a, b, q1, g in CURVES[:2] + EDGES:
