@@ -6,9 +6,8 @@ side: every Gram, frame, Christoffel, residue-identity, metric and curvature
 claim is turned into a grid-scale defect check.
 """
 
-from .baker_akhiezer import (BARationalValue, ba_conjugation_defect,
-                             ba_essential_singularity_coeffs, ba_rational_eval,
-                             consistency_defect, f_coefficients)
+from .baker_akhiezer import (ba_conjugation_defect, ba_essential_singularity_coeffs,
+                             ba_rational_eval, consistency_defect, f_coefficients)
 from .diffgeo import (ChristoffelData, FrameData, MetricData,
                       christoffel_b_defects, christoffel_solve, frame_and_connection,
                       frame_defects, gauss_curvature, gram_defects, herm, lagrangian_angle,
@@ -18,7 +17,7 @@ from .report import (CheckRecord, GridSpec, VerificationReport, verify,
                      verify_cone, verify_spectral)
 from .spectral_curve import (RationalOneForm, ReducibleCurveData,
                              derive_constants, expansion_at_infinity,
-                             gluing_defects, residue_simple)
+                             gluing_defects, residue)
 from .surface_families import (Family, MetricField, SurfaceJet, cone_family,
                                cone_family_jet, cone_jet_field, cone_metric_field,
                                degeneracy_angle, in_degeneracy_tube, spectral_family,

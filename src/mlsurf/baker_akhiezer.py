@@ -17,24 +17,10 @@ coefficients at the punctures come out real.
 """
 
 import cmath
-from typing import NamedTuple
 
 import numpy as np
 
 from .spectral_curve import ReducibleCurveData
-
-
-class BARationalValue(NamedTuple):
-    """Value of the rational-model function together with its building blocks.
-
-    f1 and f2 are reals, as the reality conditions make them identically in (x, y);
-    ba_rational_eval stores f1 = d and the real part of f2, and checks neither.
-    """
-
-    f1: float
-    f2: float
-    g2: complex
-    psi: complex
 
 
 def _f2_g2(curve: ReducibleCurveData, x, y) -> tuple:
@@ -60,27 +46,25 @@ def f_coefficients(curve: ReducibleCurveData, x, y) -> tuple:
 
 
 def ba_rational_eval(curve: ReducibleCurveData, x: float, y: float,
-                     component: int, coord: complex) -> BARationalValue:
-    """Evaluate the Baker-Akhiezer function at a point of the given component."""
-    f2c, g2 = _f2_g2(curve, x, y)
+                     component: int, coord: complex) -> complex:
+    """psi at the point coord of the given component."""
     coord = complex(coord)
     if component == 1:
-        psi = cmath.exp(1j * x * coord) * curve.d
-    elif component == 2:
+        return cmath.exp(1j * x * coord) * curve.d
+    if component == 2:
         if coord == curve.gamma:
             raise ValueError(f"psi_2 has its pole at coord = gamma = {curve.gamma}")
-        psi = cmath.exp(1j * y * coord) * (f2c + g2 / (coord - curve.gamma))
-    else:
-        raise ValueError(f"component must be 1 or 2, got {component}")
-    return BARationalValue(f1=curve.d, f2=f2c.real, g2=g2, psi=psi)
+        f2c, g2 = _f2_g2(curve, x, y)
+        return cmath.exp(1j * y * coord) * (f2c + g2 / (coord - curve.gamma))
+    raise ValueError(f"component must be 1 or 2, got {component}")
 
 
 def consistency_defect(curve: ReducibleCurveData, x: float, y: float) -> float:
     """Max gluing defect max(|psi1(a) - psi2(b)|, |psi1(-a) - psi2(-b)|)."""
-    p1p = ba_rational_eval(curve, x, y, 1, curve.a).psi
-    p2p = ba_rational_eval(curve, x, y, 2, curve.b).psi
-    p1m = ba_rational_eval(curve, x, y, 1, -curve.a).psi
-    p2m = ba_rational_eval(curve, x, y, 2, -curve.b).psi
+    p1p = ba_rational_eval(curve, x, y, 1, curve.a)
+    p2p = ba_rational_eval(curve, x, y, 2, curve.b)
+    p1m = ba_rational_eval(curve, x, y, 1, -curve.a)
+    p2m = ba_rational_eval(curve, x, y, 2, -curve.b)
     return float(max(abs(p1p - p2p), abs(p1m - p2m)))
 
 
@@ -94,8 +78,8 @@ def ba_conjugation_defect(curve: ReducibleCurveData, x: float, y: float,
     """
     coord = complex(coord)
     tau_coord = -coord.conjugate()
-    lhs = ba_rational_eval(curve, x, y, component, tau_coord).psi
-    rhs = ba_rational_eval(curve, x, y, component, coord).psi.conjugate()
+    lhs = ba_rational_eval(curve, x, y, component, tau_coord)
+    rhs = ba_rational_eval(curve, x, y, component, coord).conjugate()
     return float(abs(lhs - rhs))
 
 

@@ -17,89 +17,44 @@ import math
 from typing import NamedTuple
 
 
-class RationalOneForm:
-    """scale * numerator(z) / prod (z - root)^mult * dz on one component, with
-    real coefficients, roots and scale.
-
-    numerator_coeffs are ascending; trailing zero coefficients are trimmed at
-    construction.  deg(numerator) <= deg(denominator) - 2 is enforced so the
-    form is regular at infinity.
+class RationalOneForm(NamedTuple):
+    """scale * numerator(z) / prod (z - root) * dz on one component, with
+    ascending real numerator coefficients and simple real poles, indexed as
+    listed.  Contract: deg(numerator) = len(roots) - 3, as in both forms of the
+    curve, so the form vanishes to first order at infinity.
     """
 
-    __slots__ = ("numerator_coeffs", "denominator_roots", "scale")
-
-    def __init__(self, numerator_coeffs: tuple, denominator_roots: tuple, scale: float = 1.0):
-        coeffs = tuple(float(c) for c in numerator_coeffs)
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        roots = tuple((float(r), int(m)) for r, m in denominator_roots)
-        if any(m < 1 for _, m in roots):
-            raise ValueError("pole multiplicities must be positive")
-        self.numerator_coeffs = coeffs
-        self.denominator_roots = roots  # of (root, multiplicity)
-        self.scale = float(scale)
-        if self.numerator_degree > self.denominator_degree - 2:
-            raise ValueError(
-                "form has a pole at infinity: need deg(num) <= deg(den) - 2, "
-                f"got {self.numerator_degree} > {self.denominator_degree} - 2"
-            )
-
-    @property
-    def numerator_degree(self) -> int:
-        return len(self.numerator_coeffs) - 1
-
-    @property
-    def denominator_degree(self) -> int:
-        return sum(m for _, m in self.denominator_roots)
-
-    def numerator_at(self, z: float) -> float:
-        acc = 0.0
-        for c in reversed(self.numerator_coeffs):
-            acc = acc * z + c
-        return acc
+    numerator: tuple
+    roots: tuple
+    scale: float
 
 
-def residue_simple(form: RationalOneForm, pole: float) -> float:
-    """Residue at a listed simple pole, by deflated evaluation.
-
-    Res = scale * numerator(pole) / prod over the other roots of
-    (pole - root)^mult.  The pole must be a listed denominator root of
-    multiplicity one, exactly: another root may lie within any tolerance.
-    """
-    pole = float(pole)
-    for k, (root, mult) in enumerate(form.denominator_roots):
-        if pole == root:
-            break
-    else:
-        raise ValueError(f"{pole} is not a listed denominator root")
-    if mult != 1:
-        raise ValueError(f"pole {root} has multiplicity {mult}; residue_simple needs 1")
+def residue(form: RationalOneForm, k: int) -> float:
+    """Residue at the simple pole roots[k], by deflated evaluation:
+    scale * numerator(roots[k]) / prod over the other roots of (roots[k] - root)."""
+    pole = form.roots[k]
+    num = 0.0
+    for c in reversed(form.numerator):
+        num = num * pole + c
     den = 1.0
-    for j, (r, m) in enumerate(form.denominator_roots):
+    for j, r in enumerate(form.roots):
         if j != k:
-            den *= (root - r) ** m
-    return form.scale * form.numerator_at(root) / den
+            den *= pole - r
+    return form.scale * num / den
 
 
 def expansion_at_infinity(form: RationalOneForm) -> tuple:
     """(c, q) of Omega = (c w + q w^2 + ...) dw in w = 1/z.
 
-    In w, Omega = -scale w^s RN(w) / prod (1 - r w)^mult dw with RN the reversed
-    numerator and s = deg(den) - deg(num) - 2 >= 0, so its coefficients at w^s
-    and w^(s+1) are -scale lead and -scale (next - sum(-r) lead).  Requires the
-    form to vanish at infinity in w; at s = 0 only the zero form does, and its
-    q is 0.  The minimality condition on the second marked point is q = 0.
+    In w, Omega = -scale w RN(w) / prod (1 - r w) dw with RN the reversed
+    numerator, so c = -scale lead and q = -scale (next - sum(-r) lead).
+    The minimality condition on the second marked point is q = 0.
     """
-    *_, nxt, lead = (0.0,) + form.numerator_coeffs
-    root_sum = 0.0  # sum(-r) with multiplicity, in listed order: q's last bits depend on it
-    for root, mult in form.denominator_roots:
-        for _ in range(mult):
-            root_sum += -root
-    shift = form.denominator_degree - form.numerator_degree - 2
-    g = [0.0] * shift + [-form.scale * lead, -form.scale * (nxt - root_sum * lead), 0.0]
-    if g[0] != 0:
-        raise ValueError("form does not vanish at infinity in w = 1/z")
-    return g[1], g[2]
+    *_, nxt, lead = (0.0,) + form.numerator
+    root_sum = 0.0  # sum(-r) in listed order: q's last bits depend on it
+    for root in form.roots:
+        root_sum += -root
+    return -form.scale * lead, -form.scale * (nxt - root_sum * lead)
 
 
 class ReducibleCurveData(NamedTuple):
@@ -140,20 +95,13 @@ class ReducibleCurveData(NamedTuple):
 
 
 def _omega1(a: float) -> RationalOneForm:
-    return RationalOneForm(
-        numerator_coeffs=(1.0,),
-        denominator_roots=((0.0, 1), (a, 1), (-a, 1)),
-        scale=1.0,
-    )
+    return RationalOneForm(numerator=(1.0,), roots=(0.0, a, -a), scale=1.0)
 
 
 def _omega2(b: float, Q: tuple, gamma_im: float, scale: float) -> RationalOneForm:
     # numerator z^2 - gamma^2 = z^2 + gamma_im^2 for gamma = i*gamma_im
-    return RationalOneForm(
-        numerator_coeffs=(gamma_im * gamma_im, 0.0, 1.0),
-        denominator_roots=((Q[0], 1), (Q[1], 1), (Q[2], 1), (b, 1), (-b, 1)),
-        scale=scale,
-    )
+    return RationalOneForm(numerator=(gamma_im * gamma_im, 0.0, 1.0),
+                           roots=(Q[0], Q[1], Q[2], b, -b), scale=scale)
 
 
 def derive_constants(a: float, b: float, Q1: float, gamma_im: float) -> ReducibleCurveData:
@@ -191,16 +139,16 @@ def derive_constants(a: float, b: float, Q1: float, gamma_im: float) -> Reducibl
         Q3 = -b * b * (Q1 + Q2) / (b * b + Q1 * Q2)  # evaluates to exactly 0
 
         omega1 = _omega1(a)
-        res_r = residue_simple(omega1, 0.0)
+        res_r = residue(omega1, 0)
         unit = _omega2(b, (Q1, Q2, Q3), gamma_im, scale=1.0)
-        c = -residue_simple(omega1, a) / residue_simple(unit, b)
+        c = -residue(omega1, 1) / residue(unit, 3)
         if not math.isfinite(c):
             raise FloatingPointError(f"scale c of Omega_2 = {c} is not finite")
 
         omega2 = _omega2(b, (Q1, Q2, Q3), gamma_im, scale=c)
         res_Q = []
-        for i, q in enumerate((Q1, Q2, Q3), 1):
-            r = residue_simple(omega2, q)
+        for i in (1, 2, 3):
+            r = residue(omega2, i - 1)
             if not 0.0 < r < math.inf:  # c > 0 makes r > 0: only underflow or overflow fails
                 raise FloatingPointError(f"Res_Q{i} Omega_2 = {r} is not a positive finite double")
             res_Q.append(r)
@@ -220,5 +168,4 @@ def gluing_defects(curve: ReducibleCurveData) -> tuple:
     """|Res Omega_1 + Res Omega_2| at the gluing points (+a, +b) and (-a, -b)."""
     omega1 = curve.omega1()
     omega2 = curve.omega2()
-    return tuple(abs(residue_simple(omega1, s * curve.a) + residue_simple(omega2, s * curve.b))
-                 for s in (1.0, -1.0))
+    return tuple(abs(residue(omega1, k) + residue(omega2, k + 2)) for k in (1, 2))

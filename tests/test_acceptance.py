@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy
 
 from mlsurf.baker_akhiezer import (ba_conjugation_defect,
                                    ba_essential_singularity_coeffs,
@@ -22,8 +23,7 @@ from mlsurf.diffgeo import (angle_defect, beta_gradient_fd,
                             gradient_identity_defects, metric_from_jet,
                             metric_gradients_from_jet, minimality_defects,
                             residue_identity_defects)
-from mlsurf.spectral_curve import (RationalOneForm, derive_constants,
-                                   expansion_at_infinity, residue_simple)
+from mlsurf.spectral_curve import derive_constants, expansion_at_infinity
 from mlsurf.surface_families import (cone_family_jet, in_degeneracy_tube,
                                      spectral_family_jet, spectral_metric_field)
 from mlsurf.theta import LatticeTruncation, PeriodMatrix, riemann_theta, \
@@ -136,17 +136,17 @@ def test_criterion_05_puncture_expansion_conditions():
             coeffs = expansion_at_infinity(form)
             worst = max(worst, abs(coeffs[1]) / abs(coeffs[0]))
     assert worst < 1e-12
-    # negative control: forcing Q2 = +Q1 produces a double pole and a w^2 term
-    a, b, Q1, G = 1.0, 1.0, 2.0, 1.0
+    # negative control, in exact arithmetic: forcing Q2 = +Q1 produces a double pole
+    # and a w^2 term; c from regularity at z2 = b, Q3 from the gluing constraint
+    z, w = sympy.symbols("z w")
+    a, b, Q1, G = map(sympy.Integer, (1, 1, 2, 1))
     Q3 = -b * b * (2 * Q1) / (b * b + Q1 * Q1)
-    unit = RationalOneForm(numerator_coeffs=(G * G, 0.0, 1.0),
-                           denominator_roots=((Q1, 2), (Q3, 1), (b, 1), (-b, 1)))
-    c = -(1.0 / (2 * a * a)) / residue_simple(unit, b)
-    forced = expansion_at_infinity(
-        RationalOneForm(numerator_coeffs=(G * G, 0.0, 1.0),
-                        denominator_roots=((Q1, 2), (Q3, 1), (b, 1), (-b, 1)),
-                        scale=c))
-    ratio = abs(forced[1]) / abs(forced[0])
+    unit = (z ** 2 + G ** 2) / ((z - Q1) ** 2 * (z - Q3) * (z ** 2 - b ** 2))
+    c = -1 / (2 * a * a) / sympy.residue(unit, z, b)
+    series = sympy.series(-c * unit.subs(z, 1 / w) / w ** 2, w, 0, 3).removeO()
+    c_exp, q = (series.coeff(w, k) for k in (1, 2))
+    assert c_exp == -c and q == -c * (2 * Q1 + Q3)
+    ratio = float(abs(q / c_exp))
     assert ratio > 1e-2
     done(5, f"w^2 coefficient < {worst:.2e} relative on valid curves; "
             f"forced Q2=+Q1 control gives {ratio:.2f}")
@@ -285,7 +285,7 @@ def test_criterion_11_constant_discrepancy_resolution(sphere):
         x, y = rng.uniform(-8.0, 8.0, 2)
         brute = sum(
             sphere.res_Q[i]
-            * abs(ba_rational_eval(sphere, x, y, 2, sphere.Q[i]).psi) ** 2
+            * abs(ba_rational_eval(sphere, x, y, 2, sphere.Q[i])) ** 2
             for i in range(2))
         worst = max(worst, abs(brute - (5.0 + 3.0 * math.sin(2 * (x - y))) / 8.0))
     assert worst < 1e-12

@@ -4,10 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from mlsurf.baker_akhiezer import ba_rational_eval
 from mlsurf.diffgeo import christoffel_solve, frame_and_connection, metric_from_jet
 from mlsurf.report import GridSpec, verify
-from mlsurf.spectral_curve import RationalOneForm, derive_constants
+from mlsurf.spectral_curve import derive_constants
 from mlsurf.surface_families import _spectral_exp_terms, spectral_family, spectral_family_jet
 from mlsurf.theta import LatticeTruncation
 
@@ -58,7 +57,7 @@ def _records():
     family = spectral_family(curve)
     jet = spectral_family_jet(curve, 0.3, 0.7)
     report = verify(family, GridSpec(1, 1))
-    return [jet, family.metric, family, curve, ba_rational_eval(curve, 0.3, 0.7, 2, 2.0),
+    return [jet, family.metric, family, curve, curve.omega2(),
             metric_from_jet(jet), christoffel_solve(jet), frame_and_connection(family.jet, 0.3, 0.7),
             report.checks[0], report]
 
@@ -75,18 +74,12 @@ def test_equal_curves_share_the_cached_exponential_terms():
     assert _spectral_exp_terms(derive_constants(*p)) is _spectral_exp_terms(derive_constants(*p))
 
 
-_ROOTS = ((0.0, 1), (1.0, 1), (-1.0, 1))
-
-
 @pytest.mark.parametrize("build, message", [
     (lambda: GridSpec(0, 1), "grid must have at least one point per axis"),
     (lambda: GridSpec(3, 0), "grid must have at least one point per axis"),
     (lambda: GridSpec(2**62, 2), "grid 4611686018427387904x2 has more than 2^63 - 1 points"),
     (lambda: LatticeTruncation(0), "truncation radius must be >= 1, got 0"),
-    (lambda: RationalOneForm((1.0,), ((0.0, 0), (1.0, 1))), "pole multiplicities must be positive"),
-    (lambda: RationalOneForm((0.0, 0.0, 1.0), _ROOTS),
-     "form has a pole at infinity: need deg(num) <= deg(den) - 2, got 2 > 3 - 2"),
-], ids=["grid-nx", "grid-ny", "grid-points", "radius", "multiplicity", "infinity"])
+], ids=["grid-nx", "grid-ny", "grid-points", "radius"])
 def test_validating_classes_keep_their_messages(build, message):
     with pytest.raises(ValueError) as refused:
         build()
@@ -94,11 +87,5 @@ def test_validating_classes_keep_their_messages(build, message):
 
 
 def test_validating_classes_normalise_their_inputs():
-    form = RationalOneForm((1, 0.0, 0.0), [(0, 1), (1, 1.0), (-1, 1)], scale=2)
-    assert form.numerator_coeffs == (1.0,) and form.scale == 2.0
-    assert form.denominator_roots == ((0.0, 1), (1.0, 1), (-1.0, 1))
-    # 1 + 0j == 1.0, so equality alone would not see a complex coefficient
-    stored = [*form.numerator_coeffs, *(r for r, _ in form.denominator_roots), form.scale]
-    assert all(type(v) is float for v in stored)
     grid = GridSpec(2, 3)
     assert (grid.nx, grid.ny) == (2, 3) and LatticeTruncation(4).radius == 4

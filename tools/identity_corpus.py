@@ -143,6 +143,9 @@ def corpus() -> list:
                   ["sample", *surface, "--grid", WIDE, "--out", "surface.csv"]]
     for a, b, q1, g in SPECTRAL + CURVES + EDGES:
         calls.append(["curve-info", "--a", a, "--b", b, "--q1", q1, "--gamma-im", g])
+    for a, b, q1, g in SPECTRAL:   # Q1 -> -Q1: Q1 and Q2 trade places in Omega_2's poles
+        q1 = q1[1:] if q1.startswith("-") else "-" + q1
+        calls.append(["curve-info", "--a", a, "--b", b, "--q1", q1, "--gamma-im", g])
     for a, b, q1, g in CURVES[:2] + EDGES:
         surface = ["--family", "spectral", "--a", a, "--b", b, "--q1", q1, "--gamma-im", g,
                    "--grid", "4x4"]
