@@ -66,7 +66,8 @@ class _Factors(dict):
 
 @lru_cache(maxsize=64)
 def _spectral_exp_terms(curve: ReducibleCurveData):
-    """Coefficient and derivative-factor arrays (3 components x 2 terms each).
+    """The coefficient rows K (6 jet fields x 3 components x 2 terms) and the exponent
+    rates dx (2 terms) and dy (3 components x 2 terms).
 
     phi_i = alpha_i * psi_2(x, y, Q_i) collapses to
 
@@ -74,10 +75,11 @@ def _spectral_exp_terms(curve: ReducibleCurveData):
       + pre_i * Aminus_i * e^{i(-a x + (Q_i + b) y)}
 
     with Aplus = (b - gamma)(Q + b)/(Q - gamma) and
-    Aminus = (b + gamma)(Q - b)/(Q - gamma).  The exponent is dx x + dy y with
-    dx = i (a, -a) and dy = i (Q_i - b, Q_i + b); F stacks the factors
-    [1, dx, dy, dx^2, dx dy, dy^2] that turn the terms into the six jet fields,
-    and its rows dx, dy are returned again for the exponent.
+    Aminus = (b + gamma)(Q - b)/(Q - gamma): each term is C e^{dx x} e^{dy y}, an x-factor
+    times a y-factor, with C = pre (Aplus, Aminus), dx = i (a, -a) (the same for every
+    component) and dy = i (Q_i - b, Q_i + b).  K stacks C times the factors
+    [1, dx, dy, dx^2, dx dy, dy^2] that turn the terms into the six jet fields; its phi
+    row is C itself, with no product by 1.
     """
     a, b, gamma, d = curve.a, curve.b, curve.gamma, curve.d
     C = np.empty((3, 2), dtype=complex)
@@ -85,18 +87,19 @@ def _spectral_exp_terms(curve: ReducibleCurveData):
         pre = alpha_i * d / (2.0 * b)
         C[i, 0] = pre * (b - gamma) * (Qi + b) / (Qi - gamma)
         C[i, 1] = pre * (b + gamma) * (Qi - b) / (Qi - gamma)
-    dx = 1j * np.array([(a, -a)] * 3)
+    dx = 1j * np.array([a, -a])
     dy = 1j * np.array([(Qi - b, Qi + b) for Qi in curve.Q])
-    F = np.array([np.ones_like(dx), dx, dy, dx * dx, dx * dy, dy * dy])
-    for arr in (C, F):
+    K = np.array([C, dx * C, dy * C, (dx * dx) * C, (dx * dy) * C, (dy * dy) * C])
+    for arr in (K, dx, dy):
         arr.setflags(write=False)
-    return C, F, F[1], F[2]
+    return K, dx, dy
 
 
 def _spectral_factors(curve: ReducibleCurveData) -> tuple:
-    """The memo slot of one curve: the curve, C and F, and the tables of dx x and dy y."""
-    C, F, dx, dy = _spectral_exp_terms(curve)
-    return curve, C, F, _Factors(lambda x: dx * x), _Factors(lambda y: dy * y)
+    """The memo slot of one curve: the curve, the table of the x-factors K e^{dx x},
+    shape (6, 3, 2), and the table of the y-factors e^{dy y}, shape (3, 2)."""
+    K, dx, dy = _spectral_exp_terms(curve)
+    return curve, _Factors(lambda x: K * np.exp(dx * x)), _Factors(lambda y: np.exp(dy * y))
 
 
 _spectral_memo = (None,)   # _spectral_factors of the curve last evaluated
@@ -104,27 +107,29 @@ _spectral_memo = (None,)   # _spectral_factors of the curve last evaluated
 
 def spectral_family_jet(curve: ReducibleCurveData, x: float, y: float) -> SurfaceJet:
     """Jet of phi_i = alpha_i * psi_2(x, y, Q_i); derivatives are exact.
-    The exponent dx x + dy y adds the memoized halves (_Factors) of the curve last
-    evaluated, compared by identity; M[..., 0] + M[..., 1] is the field's one addition."""
+    M = (K e^{dx x}) e^{dy y}, the product of the memoized x- and y-factors (_Factors) of
+    the curve last evaluated, compared by identity; M[..., 0] + M[..., 1] sums the terms."""
     global _spectral_memo
     memo = _spectral_memo
     if memo[0] is not curve:
         memo = _spectral_memo = _spectral_factors(curve)
-    _, C, F, dx_x, dy_y = memo
-    M = F * (C * np.exp(dx_x.at(x) + dy_y.at(y)))
+    _, X, E = memo
+    M = X.at(x) * E.at(y)
     S = M[..., 0] + M[..., 1]
     return SurfaceJet(x, y, S[0], S[1], S[2], S[3], S[4], S[5])
 
 
 def spectral_jet_field(curve: ReducibleCurveData, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """spectral_family_jet at the points (xs, ys) as one (6, n, 3) array, bit for bit: the
-    same exponent dx x + dy y, and the scalar jet's sum over an axis of two is the one
-    addition F[..., 0] T_0 + F[..., 1] T_1."""
-    C, F, dx, dy = _spectral_exp_terms(curve)
-    T = C * np.exp(dx * xs[:, None, None] + dy * ys[:, None, None])
+    same factors e^{dx x} and E = e^{dy y} in the same association, field r being
+    (K_0 e^{dx_0 x}) E_0 + (K_1 e^{dx_1 x}) E_1 for its rows K_0, K_1 of the two terms.
+    The points run along the last axis, so each product is a run over all of them."""
+    K, dx, dy = _spectral_exp_terms(curve)
+    ex = np.exp(dx[:, None] * xs)                 # (2, n)
+    E = np.exp(dy.T[:, :, None] * ys)             # (2, 3, n)
     J = np.empty((6, len(xs), 3), dtype=complex)
-    for r, f in enumerate(F):
-        np.add(f[:, 0] * T[..., 0], f[:, 1] * T[..., 1], out=J[r])
+    for r, k in enumerate(K.transpose(0, 2, 1)[..., None]):
+        np.add((k[0] * ex[0]) * E[0], (k[1] * ex[1]) * E[1], out=J[r].T)
     return J
 
 

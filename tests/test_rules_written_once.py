@@ -1,6 +1,7 @@
 """The metric, tube, stencil and basis-condition rules are each written once, in a stage of
-diffgeo or surface_families that the sweep and the scalar oracles both call; these tests
-read the source of src/mlsurf and fail when a second copy of one comes back."""
+diffgeo or surface_families that the sweep and the scalar oracles both call, and every
+transcendental of a scalar jet is taken once per coordinate value, in a factor maker; these
+tests read the source of src/mlsurf and fail when a second copy of one comes back."""
 
 import ast
 from pathlib import Path
@@ -48,6 +49,11 @@ def _functions_comparing(tree, name: str, kind=ast.Compare) -> set:
     return found
 
 
+def _function(tree, name: str) -> ast.FunctionDef:
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
 def test_the_guards_see_the_twins_they_look_for():
     twin = ast.parse("def f(v):\n    return math.remainder(v, p) < MIN_STENCIL_NORM\n"
                      "g = lambda v: MIN_STENCIL_NORM > v\n"
@@ -55,6 +61,8 @@ def test_the_guards_see_the_twins_they_look_for():
     assert {"math.remainder", "np.linalg", "np.linalg.cond"} <= _names(twin)
     assert _functions_comparing(twin, "MIN_STENCIL_NORM") == {"f", "<lambda>"}
     assert _functions_comparing(twin, "np.linalg.cond", ast.Attribute) == {"k"}
+    jet = ast.parse("def jet(x, y):\n    return np.exp(x) * math.cos(y)\n")
+    assert _TRANSCENDENTALS & _names(_function(jet, "jet")) == {"np.exp", "math"}
 
 
 def test_no_module_calls_math_remainder():
@@ -86,3 +94,13 @@ def test_the_sweep_reads_the_stages_not_their_parts(name):
     # belong to metric_data, tube_mask, _stencil and basis_conditioned; in_degeneracy_tube
     # is the tube rule at one point only
     assert name not in _names(MODULES["sweep.py"])
+
+
+_TRANSCENDENTALS = {"np.exp", "np.sin", "np.cos", "exp", "sin", "cos", "math"}
+
+
+@pytest.mark.parametrize("name", ["spectral_family_jet", "cone_family_jet"])
+def test_a_scalar_jet_is_a_product_of_memoized_factors(name):
+    # np.exp, np.sin, np.cos and math.* belong in the one-coordinate factor makers
+    # (_spectral_factors, _cone_factors), which run once per new x or y value
+    assert _TRANSCENDENTALS & _names(_function(MODULES["surface_families.py"], name)) == set()

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import mpmath
 
 from mlsurf import surface_families, sweep
 from mlsurf.baker_akhiezer import ba_rational_eval
@@ -302,6 +303,70 @@ def test_spectral_jet_consistent_with_ba_eval(sphere_curve):
         for i, q in enumerate(sphere_curve.Q):
             psi = ba_rational_eval(sphere_curve, x, y, 2, q)
             assert abs(jet.phi[i] - sphere_curve.alpha[i] * psi) < 1e-13
+
+
+def _log_uniform_curve(rng):
+    """a, b, |gamma_im| log-uniform in [1e-2, 1e2] and |Q1| = b (1 + 10^U(-3, 2))."""
+    b = 10 ** rng.uniform(-2, 2)
+    return derive_constants(10 ** rng.uniform(-2, 2), b,
+                            b * (1 + 10 ** rng.uniform(-3, 2)) * rng.choice((-1, 1)),
+                            10 ** rng.uniform(-2, 2) * rng.choice((-1, 1)))
+
+
+def _reference_points(rng):
+    """A 4x4 grid's points, their stencil points at h = 1e-4 and 1e-3, every pair of 0.0
+    and -0.0, and 12 points with log-uniform |x|, |y| in [1e-3, 1e3] of either sign."""
+    gx, gy = GridSpec(4, 4).points(np.arange(16))
+    xs, ys = [gx], [gy]
+    for h in (1e-4, 1e-3):
+        xs += [gx + h, gx - h, gx, gx]
+        ys += [gy, gy, gy + h, gy - h]
+    sx, sy = np.meshgrid([0.0, -0.0], [0.0, -0.0])
+    far = rng.choice((-1.0, 1.0), (2, 12)) * 10 ** rng.uniform(-3, 3, (2, 12))
+    return np.concatenate([*xs, sx.ravel(), far[0]]), np.concatenate([*ys, sy.ravel(), far[1]])
+
+
+def _closed_form_jet(curve, x, y):
+    """The six rows of pre_i (A+ e^{i(a x + (Q_i - b) y)} + A- e^{i(-a x + (Q_i + b) y)})
+    and their exact derivatives in 40 digits from the curve's float constants; with them
+    the sum |term+| + |term-| of each entry and the largest |p x| + |q y| of a term."""
+    mpf = mpmath.mpf
+    with mpmath.mp.workdps(40):
+        a, b, d, g = mpf(curve.a), mpf(curve.b), mpf(curve.d), mpmath.mpc(0, curve.gamma_im)
+        x, y = mpf(x), mpf(y)
+        rows, scale, phase = np.empty((6, 3), complex), np.empty((6, 3)), 0.0
+        for i, (alpha, Q) in enumerate(zip(map(mpf, curve.alpha), map(mpf, curve.Q))):
+            pre = alpha * d / (2 * b)
+            terms = []
+            for A, p, q in ((pre * (b - g) * (Q + b) / (Q - g), 1j * a, 1j * (Q - b)),
+                            (pre * (b + g) * (Q - b) / (Q - g), -1j * a, 1j * (Q + b))):
+                e = A * mpmath.exp(p * x + q * y)
+                terms.append([f * e for f in (1, p, q, p * p, p * q, q * q)])
+                phase = max(phase, float(abs(p * x) + abs(q * y)))
+            for r, (plus, minus) in enumerate(zip(*terms)):
+                rows[r, i] = complex(plus + minus)
+                scale[r, i] = float(abs(plus) + abs(minus))
+    return rows, scale, phase
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_spectral_jets_match_the_closed_form_in_40_digits(seed):
+    # every row of the scalar jet and of the field against the closed form, each entry
+    # within 4 eps (1 + |p x| + |q y|) of its terms' scale: rounding the phase costs eps
+    # per unit of it.  Measured with these curves and points on seeds 4400-4439: at most
+    # 3.01 eps (1 + phase), and 2.98 with one exponential of the summed phase
+    rng = np.random.default_rng(4400 + seed)
+    eps = np.finfo(float).eps
+    for _ in range(2):
+        curve = _log_uniform_curve(rng)
+        xs, ys = _reference_points(rng)
+        field = spectral_jet_field(curve, xs, ys)
+        for n, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
+            rows, scale, phase = _closed_form_jet(curve, x, y)
+            bound = 4 * eps * (1 + phase) * scale
+            jet = _rows(spectral_family_jet(curve, x, y))
+            assert np.all(np.abs(jet - rows) <= bound), (curve, x, y)
+            assert np.all(np.abs(field[:, n] - rows) <= bound), (curve, x, y)
 
 
 def test_cone_third_component_m1_n1():
