@@ -152,26 +152,28 @@ def _cone_terms(m: int, n: int):
             n / (m + 2 * n), m / (2 * m + n), iq, W)
 
 
-# amplitude row (0: u, 1: u', 2: u'') under each jet field
-_CONE_ROWS = np.array([0, 1, 0, 2, 1, 0])
 _MAX_ORDER_SUM = math.sqrt(np.finfo(float).max) / math.pi   # largest m + n, (pi (m + n))^2 finite
 
 
+def _cone_rows(k1, k2, A, B, x, sin, cos, sqrt, power):
+    """The rows u = (k1 sin x, k2 cos x, rho = sqrt(A cos^2 x + B sin^2 x)), u' and u'' at x,
+    from math's sin, cos, sqrt and power on a float or numpy's on an array."""
+    sx, cx = sin(x), cos(x)
+    rho = sqrt(A * cx * cx + B * sx * sx)  # >= min(A, B) > 0
+    s = (B - A) * sx * cx
+    rho_pp = (B - A) * cos(2 * x) / rho - s * s / power(rho, 3)
+    return (k1 * sx, k2 * cx, rho), (k1 * cx, -k2 * sx, s / rho), (-k1 * sx, -k2 * cx, rho_pp)
+
+
 def _cone_factors(m: int, n: int) -> tuple:
-    """The memo slot of the cone (m, n): (m, n) and the tables of W * u(x) and e^{i q y}."""
+    """The memo slot of the cone (m, n): (m, n) and the tables of W * u(x), u from _cone_rows
+    with math's functions, and e^{i q y}."""
     k1, k2, A, B, iq, W = _cone_terms(m, n)
 
     def amplitudes(x):
-        # the (6, 3) amplitude rows u built from one flat sequence of floats in _CONE_ROWS
-        # order (converting nested rows took numpy about a third of the call)
-        sx, cx = math.sin(x), math.cos(x)
-        rho = math.sqrt(A * cx * cx + B * sx * sx)  # >= min(A, B) > 0
-        s = (B - A) * sx * cx
-        rho_p = s / rho
-        rho_pp = (B - A) * math.cos(2 * x) / rho - s * s / rho ** 3
-        u1, u2, p1, p2 = k1 * sx, k2 * cx, k1 * cx, -k2 * sx   # u and u' of phi_1, phi_2
-        return W * np.array([u1, u2, rho, p1, p2, rho_p, u1, u2, rho, -k1 * sx, -k2 * cx,
-                             rho_pp, p1, p2, rho_p, u1, u2, rho]).reshape(6, 3)
+        # one flat sequence of floats in field order: nested rows took numpy a third of the call
+        u, up, upp = _cone_rows(k1, k2, A, B, x, math.sin, math.cos, math.sqrt, math.pow)
+        return W * np.array([*u, *up, *u, *upp, *up, *u]).reshape(6, 3)
 
     return (m, n), _Factors(amplitudes), _Factors(lambda y: np.exp(iq * y))
 
@@ -198,21 +200,16 @@ def cone_family_jet(m: int, n: int, x: float, y: float) -> SurfaceJet:
 
 
 def cone_jet_field(m: int, n: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """cone_family_jet at every point as one (6, n, 3) array, bit for bit where
-    np.sin and np.cos round as math.sin and math.cos (a test checks it);
-    float_power rounds as Python's rho ** 3, the array power rho ** 3 does not.
-    Field r is (W[r] * u) * e without W[r] where it is 1: (1+0j) * (u+0j) is u+0j."""
+    """cone_family_jet at every point as one (6, n, 3) array, u from _cone_rows with numpy's
+    functions: bit for bit where np.sin, np.cos and np.float_power round as math's (a test
+    checks it).  Field r is (W[r] * u) * e without W[r] where it is 1: (1+0j) * (u+0j) is u+0j."""
     k1, k2, A, B, iq, W = _cone_terms(m, n)
-    sx, cx = np.sin(xs), np.cos(xs)
-    rho = np.sqrt(A * cx * cx + B * sx * sx)
-    s = (B - A) * sx * cx
-    rho_pp = (B - A) * np.cos(2 * xs) / rho - s * s / np.float_power(rho, 3)
-    u = [np.stack(row, axis=-1) for row in (
-        (k1 * sx, k2 * cx, rho), (k1 * cx, -k2 * sx, s / rho), (-k1 * sx, -k2 * cx, rho_pp))]
+    u, up, upp = (np.stack(row, axis=-1) for row in
+                  _cone_rows(k1, k2, A, B, xs, np.sin, np.cos, np.sqrt, np.float_power))
     e = np.exp(iq * ys[:, None])
     J = np.empty((6, len(xs), 3), dtype=complex)
-    for r, k in enumerate(_CONE_ROWS):
-        np.multiply(u[k] if r in (0, 1, 3) else W[r] * u[k], e, out=J[r])
+    for r, a in enumerate((u, up, u, upp, up, u)):
+        np.multiply(a if r in (0, 1, 3) else W[r] * a, e, out=J[r])
     return J
 
 

@@ -1,6 +1,7 @@
 """The metric, tube, stencil and basis-condition rules are each written once, in a stage of
-diffgeo or surface_families that the sweep and the scalar oracles both call, and every
-transcendental of a scalar jet is taken once per coordinate value, in a factor maker; these
+diffgeo or surface_families that the sweep and the scalar oracles both call, every
+transcendental of a scalar jet is taken once per coordinate value, in a factor maker, and
+the cone's amplitude rows are written once, in the function both cone jets call; these
 tests read the source of src/mlsurf and fail when a second copy of one comes back."""
 
 import ast
@@ -54,6 +55,27 @@ def _function(tree, name: str) -> ast.FunctionDef:
                 if isinstance(node, ast.FunctionDef) and node.name == name)
 
 
+def _outermost_functions(tree, found) -> set:
+    """The top-level function (or <module>) around each node of tree for which found holds."""
+    return {stmt.name if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) else "<module>"
+            for stmt in tree.body for node in ast.walk(stmt) if found(node)}
+
+
+def _sin_or_cos_of_x(node) -> bool:
+    """A call of sin or cos, bare or under a module, whose arguments read x or xs."""
+    return (isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("sin", "cos")
+            and any({"x", "xs"} & _names(arg) for arg in node.args))
+
+
+def _cone_radicand(node) -> bool:
+    """A sum of a term reading A and a term reading B, as A cos^2 x + B sin^2 x."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
+        return False
+    left, right = _names(node.left), _names(node.right)
+    return "A" in left and "B" in right or "B" in left and "A" in right
+
+
 def test_the_guards_see_the_twins_they_look_for():
     twin = ast.parse("def f(v):\n    return math.remainder(v, p) < MIN_STENCIL_NORM\n"
                      "g = lambda v: MIN_STENCIL_NORM > v\n"
@@ -63,6 +85,11 @@ def test_the_guards_see_the_twins_they_look_for():
     assert _functions_comparing(twin, "np.linalg.cond", ast.Attribute) == {"k"}
     jet = ast.parse("def jet(x, y):\n    return np.exp(x) * math.cos(y)\n")
     assert _TRANSCENDENTALS & _names(_function(jet, "jet")) == {"np.exp", "math"}
+    field = ast.parse("def field(xs):\n    def rho():\n        return np.sqrt(B * s * s + A * c)\n"
+                      "    return rho, math.cos(2 * xs), rows(xs, np.sin, np.cos(theta))\n"
+                      "def metric(x):\n    return (B - A) * np.sin(2 * theta) + c\n")
+    assert _outermost_functions(field, _sin_or_cos_of_x) == {"field"}
+    assert _outermost_functions(field, _cone_radicand) == {"field"}
 
 
 def test_no_module_calls_math_remainder():
@@ -104,3 +131,12 @@ def test_a_scalar_jet_is_a_product_of_memoized_factors(name):
     # np.exp, np.sin, np.cos and math.* belong in the one-coordinate factor makers
     # (_spectral_factors, _cone_factors), which run once per new x or y value
     assert _TRANSCENDENTALS & _names(_function(MODULES["surface_families.py"], name)) == set()
+
+
+@pytest.mark.parametrize("found", [_sin_or_cos_of_x, _cone_radicand])
+def test_the_cone_amplitude_rows_are_written_in_one_function(found):
+    # cone_family_jet's factor maker and cone_jet_field both call _cone_rows, passing it
+    # math's or numpy's functions; cone_metric_field keeps its own sin, cos and A, B on
+    # purpose, as the independent claim the metric checks compare the jets against
+    assert _outermost_functions(MODULES["surface_families.py"], found) == {
+        "_cone_rows", "cone_metric_field"}

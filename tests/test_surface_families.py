@@ -1,10 +1,12 @@
 import cmath
 import math
+from functools import cache
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import mpmath
+import sympy
 
 from mlsurf import surface_families, sweep
 from mlsurf.baker_akhiezer import ba_rational_eval
@@ -67,13 +69,13 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-def _with_sweep_points(xs, ys):
+def _with_sweep_points(xs, ys, grid=GridSpec(64, 64)):
     """xs, ys followed by the points a sweep evaluates, where the sign of a zero
-    decides bits: one full sweep.CHUNK block of a 64x64 grid in block order
-    (2 pi k / 64 from exact 0.0), the block's stencil points (x +- h, y),
-    (x, y +- h) at h = 1e-4 as the sweep forms them, and every pair of 0.0,
-    -0.0, pi and -pi."""
-    grid, idx, h = GridSpec(64, 64), np.arange(sweep.CHUNK), 1e-4
+    decides bits: the first full sweep.CHUNK block of grid in block order
+    (2 pi k / nx from exact 0.0; 64 distinct x on the default 64x64 grid, 1,024 on
+    a 4096-wide one), the block's stencil points (x +- h, y), (x, y +- h) at
+    h = 1e-4 as the sweep forms them, and every pair of 0.0, -0.0, pi and -pi."""
+    idx, h = np.arange(sweep.CHUNK), 1e-4
     bx, by = grid.points(idx)
     sx, sy = np.meshgrid([0.0, -0.0, math.pi, -math.pi], [0.0, -0.0, math.pi, -math.pi])
     return (np.concatenate([xs, bx, bx + h, bx - h, bx, bx, sx.ravel()]),
@@ -98,15 +100,19 @@ def test_spectral_jet_field_matches_the_scalar_jet_bit_for_bit(seed):
     assert np.array_equal(_bits(field), _bits(expected))
 
 
-@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("m", [*range(1, 7), 40])
 def test_cone_jet_field_matches_the_scalar_jet_bit_for_bit(m):
+    # both jets evaluate _cone_rows, so this pins numpy's sin, cos and float_power to
+    # math's on the machine that runs it; (40, 40) is the identity corpus's largest order
     rng = np.random.default_rng(100 + m)
-    for n in range(1, 7):
-        xs, ys = _with_sweep_points(*rng.uniform(-50, 50, (2, 500)))
-        field = cone_jet_field(m, n, xs, ys)
-        assert field.shape == (6, len(xs), 3)
-        expected = _scalar_field(lambda x, y: cone_family_jet(m, n, x, y), xs, ys)
-        assert np.array_equal(_bits(field), _bits(expected)), (m, n)
+    for n in ([40] if m == 40 else range(1, 7)):
+        random = rng.uniform(-50, 50, (2, 500))
+        for grid in (GridSpec(64, 64), GridSpec(4096, 16)):
+            xs, ys = _with_sweep_points(*random, grid)
+            field = cone_jet_field(m, n, xs, ys)
+            assert field.shape == (6, len(xs), 3)
+            expected = _scalar_field(lambda x, y: cone_family_jet(m, n, x, y), xs, ys)
+            assert np.array_equal(_bits(field), _bits(expected)), (m, n, grid.nx)
 
 
 @pytest.mark.parametrize("family", [
@@ -367,6 +373,57 @@ def test_spectral_jets_match_the_closed_form_in_40_digits(seed):
             jet = _rows(spectral_family_jet(curve, x, y))
             assert np.all(np.abs(jet - rows) <= bound), (curve, x, y)
             assert np.all(np.abs(field[:, n] - rows) <= bound), (curve, x, y)
+
+
+@cache
+def _sympy_cone_rows(m, n):
+    """phi as cone_family_jet's docstring writes it and its derivatives to order 2, by
+    sympy, as one mpmath function of (x, y) giving the six jet rows' 18 entries in order."""
+    x, y = sympy.symbols("x y", real=True)
+    s, c, k = sympy.sin(x), sympy.cos(x), sympy.sqrt(m + n)
+    e = lambda p: sympy.exp(sympy.pi * sympy.I * p * y)
+    phi = (s * k / sympy.sqrt(2 * m + n) * e(m),
+           c * k / sympy.sqrt(m + 2 * n) * e(n),
+           sympy.sqrt(n * c ** 2 / (m + 2 * n) + m * s ** 2 / (2 * m + n)) * e(-(m + n)))
+    rows = [phi, *([sympy.diff(f, *v) for f in phi]
+                   for v in ((x,), (y,), (x, x), (x, y), (y, y)))]
+    return sympy.lambdify((x, y), [f for row in rows for f in row], "mpmath", cse=True)
+
+
+def _cone_reference_points(rng):
+    """40 points in [-50, 50]^2, a 16x16 grid's points and their stencil points at h = 1e-4
+    and 1e-3, x in {+-0.0, +-pi/2, +-pi} against y in {0.0, -0.0, 1.0}, and 12 points with
+    log-uniform |x|, |y| in [1e-3, 1e3] of either sign."""
+    gx, gy = GridSpec(16, 16).points(np.arange(256))
+    xs, ys = [rng.uniform(-50, 50, 40), gx], [rng.uniform(-50, 50, 40), gy]
+    for h in (1e-4, 1e-3):
+        xs += [gx + h, gx - h, gx, gx]
+        ys += [gy, gy, gy + h, gy - h]
+    sx, sy = np.meshgrid([0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi],
+                         [0.0, -0.0, 1.0])
+    far = rng.choice((-1.0, 1.0), (2, 12)) * 10 ** rng.uniform(-3, 3, (2, 12))
+    return np.concatenate([*xs, sx.ravel(), far[0]]), np.concatenate([*ys, sy.ravel(), far[1]])
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (3, 2), (4, 4), (40, 40)])
+def test_cone_jets_match_sympy_in_40_digits(m, n):
+    # every row of the scalar jet and of the field against sympy's derivatives of phi, each
+    # row within 3 eps (1 + pi (m + n) |y|) of its largest entry: rounding q y in the phase
+    # e^{i q y} costs eps per unit of it.  Measured with these orders and points on 20
+    # seeds per order, 46000 + 20 (100 m + n) + s for s < 20: at most 1.80
+    rng = np.random.default_rng(4500 + 100 * m + n)
+    eps = np.finfo(float).eps
+    exact = _sympy_cone_rows(m, n)
+    xs, ys = _cone_reference_points(rng)
+    field = cone_jet_field(m, n, xs, ys)
+    with mpmath.mp.workdps(40):
+        for k, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
+            rows = np.array([complex(v) for v in exact(mpmath.mpf(x), mpmath.mpf(y))])
+            rows = rows.reshape(6, 3)
+            bound = (3 * eps * (1 + math.pi * (m + n) * abs(y))
+                     * np.max(np.abs(rows), axis=1, keepdims=True))
+            assert np.all(np.abs(_rows(cone_family_jet(m, n, x, y)) - rows) <= bound), (x, y)
+            assert np.all(np.abs(field[:, k] - rows) <= bound), (x, y)
 
 
 def test_cone_third_component_m1_n1():
