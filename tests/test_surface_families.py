@@ -106,9 +106,9 @@ def test_cone_jet_field_matches_the_scalar_jet_bit_for_bit(m):
     # math's on the machine that runs it; (40, 40) is the identity corpus's largest order
     rng = np.random.default_rng(100 + m)
     for n in ([40] if m == 40 else range(1, 7)):
-        random = rng.uniform(-50, 50, (2, 500))
+        drawn = rng.uniform(-50, 50, (2, 500))
         for grid in (GridSpec(64, 64), GridSpec(4096, 16)):
-            xs, ys = _with_sweep_points(*random, grid)
+            xs, ys = _with_sweep_points(*drawn, grid)
             field = cone_jet_field(m, n, xs, ys)
             assert field.shape == (6, len(xs), 3)
             expected = _scalar_field(lambda x, y: cone_family_jet(m, n, x, y), xs, ys)
@@ -411,19 +411,18 @@ def test_cone_jets_match_sympy_in_40_digits(m, n):
     # row within 3 eps (1 + pi (m + n) |y|) of its largest entry: rounding q y in the phase
     # e^{i q y} costs eps per unit of it.  Measured with these orders and points on 20
     # seeds per order, 46000 + 20 (100 m + n) + s for s < 20: at most 1.80
-    rng = np.random.default_rng(4500 + 100 * m + n)
-    eps = np.finfo(float).eps
     exact = _sympy_cone_rows(m, n)
-    xs, ys = _cone_reference_points(rng)
-    field = cone_jet_field(m, n, xs, ys)
+    xs, ys = _cone_reference_points(np.random.default_rng(4500 + 100 * m + n))
     with mpmath.mp.workdps(40):
-        for k, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
-            rows = np.array([complex(v) for v in exact(mpmath.mpf(x), mpmath.mpf(y))])
-            rows = rows.reshape(6, 3)
-            bound = (3 * eps * (1 + math.pi * (m + n) * abs(y))
-                     * np.max(np.abs(rows), axis=1, keepdims=True))
-            assert np.all(np.abs(_rows(cone_family_jet(m, n, x, y)) - rows) <= bound), (x, y)
-            assert np.all(np.abs(field[:, k] - rows) <= bound), (x, y)
+        rows = np.array([[complex(v) for v in exact(mpmath.mpf(x), mpmath.mpf(y))]
+                         for x, y in zip(xs.tolist(), ys.tolist())]).reshape(-1, 6, 3)
+    rows = rows.transpose(1, 0, 2)                                  # (6, n, 3) as a field
+    bound = (3 * np.finfo(float).eps * (1 + math.pi * (m + n) * np.abs(ys))[:, None]
+             * np.max(np.abs(rows), axis=2, keepdims=True))
+    for jets in (_scalar_field(lambda x, y: cone_family_jet(m, n, x, y), xs, ys),
+                 cone_jet_field(m, n, xs, ys)):
+        bad = np.any(np.abs(jets - rows) > bound, axis=(0, 2))
+        assert not bad.any(), list(zip(xs[bad], ys[bad]))[:5]
 
 
 def test_cone_third_component_m1_n1():
