@@ -5,7 +5,8 @@ defect function and stage (metric_data, _angles, _stencil, basis_conditioned,
 christoffel_data, _frame_data, gauss_curvature_masked) takes one point or a stack of n
 points (a SurfaceJet whose fields are (n, 3) arrays), gives the same bits for a point
 alone as in a stack, and never raises: a stage returns the masks the sweep folds.  Each
-scalar oracle is its stage on one point plus a raise where a mask fails.  The
+scalar oracle is its stage on one point plus a raise where a mask fails; the sweep and the
+stencil oracles lay out their five points by _stencil_rows, from _jets' rows.  The
 conventions are fixed once:
 
   * Hermitian product <u, w> = sum_i u_i * conj(w_i) (second slot conjugated).
@@ -16,6 +17,7 @@ conventions are fixed once:
     k-th basis direction in the (i, j) equation.
 """
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -309,17 +311,30 @@ def _stencil(S) -> tuple:
     return beta, ok[0], ok.all(axis=0), ok.all(axis=0) & wide
 
 
-def _stencil_at(jet_field, x: float, y: float, h: float, first: int = 0) -> tuple:
-    """(S, *_stencil(S)): the rows S of the jets at (x, y), (x +- h, y), (x, y +- h) from first."""
-    points = ((x, y), (x + h, y), (x - h, y), (x, y + h), (x, y - h))[first:]
-    S = np.swapaxes([(j.phi, j.phi_x, j.phi_y) for j in map(jet_field, *zip(*points))], 0, 1)
-    return (S, *_stencil(S))
+def _jets(jet, xs, ys) -> np.ndarray:
+    """phi, phi_x and phi_y (the rows the stencil checks read) as (3, n, 3), one scalar
+    jet call per point; only the stencil takes this path: the benchmark counts these calls."""
+    out = np.empty((3, len(xs), 3), dtype=complex)
+    phi, phi_x, phi_y = out
+    for k, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
+        j = jet(x, y)   # copied now: a list of jets would hold 1 kB a point
+        phi[k], phi_x[k], phi_y[k] = j[2], j[3], j[4]
+    return out
+
+
+def _stencil_rows(centre, rows_at, x, y, h: float) -> np.ndarray:
+    """The rows S = (phi, phi_x, phi_y) as (3, 5, n, 3): centre's (3, n, 3) at the n points
+    (x, y) in slot 0, then rows_at(xs, ys) at (x + h, y), (x - h, y), (x, y + h), (x, y - h)."""
+    xs, ys = np.concatenate([x + h, x - h, x, x]), np.concatenate([y, y, y + h, y - h])
+    return np.concatenate([centre, rows_at(xs, ys)], axis=1).reshape(3, 5, len(x), 3)
 
 
 def frame_and_connection(jet_field, x: float, y: float, h: float = 1e-4) -> FrameData:
     """Scalar oracle: the frame Phi at (x, y) and A = Phi_x Phi^-1, B = Phi_y Phi^-1 by
     central differences with step h: _frame_data where each _stencil mask holds."""
-    S, beta, centre_ok, angles_ok, frame_ok = _stencil_at(jet_field, x, y, h)
+    xs, ys, rows = np.array([x]), np.array([y]), functools.partial(_jets, jet_field)
+    S = _stencil_rows(rows(xs, ys), rows, xs, ys, h)[:, :, 0]
+    beta, centre_ok, angles_ok, frame_ok = _stencil(S)
     if not centre_ok:
         raise ValueError("Lagrangian angle rejected at the stencil centre")
     if not angles_ok:
@@ -358,8 +373,9 @@ def beta_gradient(betas, h: float):
 
 def beta_gradient_fd(jet_field, x: float, y: float, h: float = 1e-4) -> tuple:
     """Scalar oracle: central-difference gradient of the Lagrangian angle, unwrapped mod 2 pi."""
-    _, beta, _, angles_ok, _ = _stencil_at(jet_field, x, y, h, first=1)
-    if not angles_ok:
+    xs, ys, rows = np.array([x]), np.array([y]), functools.partial(_jets, jet_field)
+    beta, ok, _, _ = _angles(_stencil_rows(rows(xs, ys), rows, xs, ys, h)[:, 1:, 0])
+    if not ok.all():
         raise ValueError("Lagrangian angle rejected at a stencil neighbour")
     return tuple(beta_gradient(beta, h))
 

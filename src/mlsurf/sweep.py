@@ -3,24 +3,23 @@
 The defect formulas and the metric, tube, stencil and basis-condition rules live in
 diffgeo and surface_families as stages that take one point or a stack and return masks;
 each scalar oracle is its stage on one point plus a raise, so each reduced maximum equals
-the oracles' bit for bit.  The sweep holds the blocks, the stencil stacking and the fold,
-and no rule of its own: it forms only |E - E_closed| and |G - G_closed| against the
+the oracles' bit for bit.  The sweep holds the blocks and the fold, and no rule or
+stencil point of its own: it forms only |E - E_closed| and |G - G_closed| against the
 family's closed-form metric, |e^{2i beta} + 1|, |v1 - v2|, |K - 1| and G on tube points.
 It visits the grid in report order (y outer, x inner) in blocks of CHUNK points, each
 block's coordinates formed from its point indices (GridSpec.points), so no axis is held
 whatever the grid.  Per block it evaluates the batched (6, n, 3) jet field (Family.jets),
 its metric (metric_data) and the tube mask (tube_mask) at all centres at once.  Outside
-the tube it stacks the centres' phi, phi_x, phi_y and those of the scalar point jets at
-(x +- h, y), (x, y +- h) as one (3, 5, n, 3) array, centre first, and takes all its
-Lagrangian angles in one pass: 4 Family.jet calls per point outside the tube and none
-inside, which the benchmark counts; a stencil point shares its x with its row and its y
-with its column, so most of those calls are one product of an x-factor and a y-factor
-that the scalar jets memoize (surface_families._Factors).  Where the oracles raise, the
-sweep masks: each check group gives (values, ok), the Christoffel group's ok being
-basis_conditioned and the metric and stencil masks, and one accumulator folds them into
-the maxima, a point where ok is False counting as inf.  CHUNK bounds the memory a sweep
-holds whatever the grid size (README, Performance, gives the measured peaks); the report
-does not depend on it.
+the tube diffgeo._stencil_rows, which builds the scalar oracles' stencil too, stacks the
+centres' phi, phi_x, phi_y with the neighbours' rows from one row source, the scalar jets
+read by diffgeo._jets, and _stencil takes all five angles in one pass: 4 Family.jet calls
+per point outside the tube and none inside, which the benchmark counts, most of them one
+product of a memoized x- and y-factor (surface_families._Factors).  Where the oracles
+raise, the sweep masks: each check group gives (values, ok), the Christoffel group's ok
+being basis_conditioned and the metric and stencil masks, and one accumulator folds them
+into the maxima, a point where ok is False counting as inf.  CHUNK bounds the memory a
+sweep holds whatever the grid size (README, Performance, gives the measured peaks); the
+report does not depend on it.
 
 Floating-point policy: both sweeps compute each block under np.errstate(all="ignore")
 (not across a yield).  A check fails a non-finite value (inf where a point fails, NaN
@@ -31,10 +30,10 @@ import time
 
 import numpy as np
 
-from .diffgeo import (_abs, _angles, _frame_data, _stencil, angle_defect, basis_conditioned,
-                      beta_gradient, christoffel_b_defects, christoffel_data, frame_defects,
-                      gauss_curvature_masked, gradient_identity_defects, gram_defects,
-                      metric_data, metric_gradients_from_jet, minimality_defects,
+from .diffgeo import (_abs, _angles, _frame_data, _jets, _stencil, _stencil_rows, angle_defect,
+                      basis_conditioned, beta_gradient, christoffel_b_defects, christoffel_data,
+                      frame_defects, gauss_curvature_masked, gradient_identity_defects,
+                      gram_defects, metric_data, metric_gradients_from_jet, minimality_defects,
                       residue_identity_defects)
 from .surface_families import Family, SurfaceJet, tube_mask
 
@@ -67,17 +66,6 @@ class Timings:
 
     def to_dict(self) -> dict:
         return {**self.seconds, "total": time.perf_counter() - self._start}
-
-
-def _jets(jet, xs, ys) -> np.ndarray:
-    """phi, phi_x and phi_y (the rows the stencil checks read) as (3, n, 3), one scalar
-    jet call per point; only the stencil takes this path: the benchmark counts these calls."""
-    out = np.empty((3, len(xs), 3), dtype=complex)
-    phi, phi_x, phi_y = out
-    for k, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
-        j = jet(x, y)   # copied now: a list of jets would hold 1 kB a point
-        phi[k], phi_x[k], phi_y[k] = j[2], j[3], j[4]
-    return out
 
 
 def _block(family: Family, grid, start: int) -> tuple:
@@ -128,13 +116,9 @@ def check_maxima(family: Family, grid, h: float) -> tuple:
                 tube_points += int(tube.sum())
             if tube.all():  # no point outside the tube: no angle stage
                 continue
-            # phi, phi_x, phi_y at the points outside the tube (slot 0 of S) and at
-            # (x +- h, y), (x, y +- h) (slots 1-4), and their angles in one pass
-            act = np.flatnonzero(~tube)
+            act = np.flatnonzero(~tube)   # the stencil of the points outside the tube
             xa, ya, Ja = x[act], y[act], J[:, act]
-            S = np.concatenate([Ja[:3], _jets(family.jet, np.concatenate([xa + h, xa - h, xa, xa]),
-                                              np.concatenate([ya, ya, ya + h, ya - h]))],
-                               axis=1).reshape(3, 5, len(act), 3)
+            S = _stencil_rows(Ja[:3], lambda xs, ys: _jets(family.jet, xs, ys), xa, ya, h)
             timer.lap("stencil")
             beta, centre_ok, angles_ok, frame_ok = _stencil(S)
             if beta_ref is None:

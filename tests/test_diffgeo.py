@@ -335,6 +335,42 @@ def test_frame_degenerate_stencil(sphere_curve):
         frame_and_connection(jet_field, x, 0.0, h=1e-4)
 
 
+_CENTRE_REJECTED = "Lagrangian angle rejected at the stencil centre"
+_NEIGHBOUR_REJECTED = "Lagrangian angle rejected at a stencil neighbour"
+
+
+@pytest.mark.parametrize("slot", range(5), ids=["centre", "x+h", "x-h", "y+h", "y-h"])
+@pytest.mark.parametrize("scale, refusals", [
+    (0.0, (_CENTRE_REJECTED, _NEIGHBOUR_REJECTED)),
+    (1e-9, (None, "stencil crosses a degenerate point"))], ids=["zero", "scaled"])
+def test_the_oracles_refuse_a_broken_stencil_point_by_its_slot(slot, scale, refusals):
+    # phi_x * 0 at one stencil point rejects its angle; phi_x * 1e-9 keeps the angle but puts
+    # |phi_x| below MIN_STENCIL_NORM, which only a neighbour is held to.  beta_gradient_fd
+    # reads the four neighbours' angles alone, so it refuses only a rejected neighbour
+    x0, y0, h = 0.3, 1.1, 1e-4
+    bad = ((x0, y0), (x0 + h, y0), (x0 - h, y0), (x0, y0 + h), (x0, y0 - h))[slot]
+
+    def jet_field(x, y):
+        j = cone_family_jet(1, 2, x, y)
+        return j._replace(phi_x=scale * j.phi_x) if (x, y) == bad else j
+
+    refusal = refusals[slot > 0]
+    if refusal is None:
+        assert isinstance(frame_and_connection(jet_field, x0, y0, h), FrameData)
+    else:
+        with pytest.raises(ValueError) as exc:
+            frame_and_connection(jet_field, x0, y0, h)
+        assert str(exc.value) == refusal
+    if refusal == _NEIGHBOUR_REJECTED:
+        with pytest.raises(ValueError) as exc:
+            beta_gradient_fd(jet_field, x0, y0, h)
+        assert str(exc.value) == _NEIGHBOUR_REJECTED
+    else:
+        gradient = beta_gradient_fd(jet_field, x0, y0, h)
+        clean = beta_gradient_fd(lambda x, y: cone_family_jet(1, 2, x, y), x0, y0, h)
+        assert gradient == clean if slot == 0 else np.allclose(gradient, clean, atol=1e-6)
+
+
 def test_residue_identities_sphere_and_metric(sphere_curve):
     rng = np.random.default_rng(6)
     for _ in range(100):

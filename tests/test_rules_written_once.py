@@ -1,8 +1,9 @@
 """The metric, tube, stencil and basis-condition rules are each written once, in a stage of
 diffgeo or surface_families that the sweep and the scalar oracles both call, every
 transcendental of a scalar jet is taken once per coordinate value, in a factor maker, and
-the cone's amplitude rows are written once, in the function both cone jets call; these
-tests read the source of src/mlsurf and fail when a second copy of one comes back."""
+the cone's amplitude rows are written once, in the function both cone jets call, and the
+angle stencil's points and its scalar-jet rows are each formed in one diffgeo function;
+these tests read the source of src/mlsurf and fail when a second copy of one comes back."""
 
 import ast
 from pathlib import Path
@@ -76,6 +77,31 @@ def _cone_radicand(node) -> bool:
     return "A" in left and "B" in right or "B" in left and "A" in right
 
 
+def _plus_or_minus_h(node) -> bool:
+    """A sum or difference with the name h as one operand, as x + h or y - h."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
+            and any(isinstance(o, ast.Name) and o.id == "h" for o in (node.left, node.right)))
+
+
+def _is_jet(node) -> bool:
+    return getattr(node, "id", getattr(node, "attr", None)) in ("jet", "jet_field")
+
+
+def _calls_a_scalar_jet(node) -> bool:
+    """A call of jet, jet_field or family.jet, or a map of one over points; passing a jet on,
+    as in _jets(family.jet, xs, ys), is no call of it."""
+    if not isinstance(node, ast.Call):
+        return False
+    return _is_jet(node.func) or getattr(node.func, "id", None) == "map" and any(
+        map(_is_jet, node.args))
+
+
+def _scalar_jets_in_a_loop(node) -> bool:
+    """A loop or comprehension that calls a scalar jet."""
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+    return isinstance(node, loops) and any(map(_calls_a_scalar_jet, ast.walk(node)))
+
+
 def test_the_guards_see_the_twins_they_look_for():
     twin = ast.parse("def f(v):\n    return math.remainder(v, p) < MIN_STENCIL_NORM\n"
                      "g = lambda v: MIN_STENCIL_NORM > v\n"
@@ -90,6 +116,14 @@ def test_the_guards_see_the_twins_they_look_for():
                       "def metric(x):\n    return (B - A) * np.sin(2 * theta) + c\n")
     assert _outermost_functions(field, _sin_or_cos_of_x) == {"field"}
     assert _outermost_functions(field, _cone_radicand) == {"field"}
+    stencil = ast.parse("def rows(jet_field, x, y, h):\n"
+                        "    pts = ((x, y), (x + h, y), (h - x, y))\n"
+                        "    return [j.phi for j in map(jet_field, *zip(*pts))]\n"
+                        "def scalar(family, xs):\n    for x in xs:\n        yield family.jet(x, 0)\n"
+                        "def passed(family, h):\n    for b in blocks:\n"
+                        "        rows(lambda xs, ys: _jets(family.jet, xs, ys), b, 2 * h)\n")
+    assert _outermost_functions(stencil, _plus_or_minus_h) == {"rows"}
+    assert _outermost_functions(stencil, _scalar_jets_in_a_loop) == {"rows", "scalar"}
 
 
 def test_no_module_calls_math_remainder():
@@ -140,3 +174,25 @@ def test_the_cone_amplitude_rows_are_written_in_one_function(found):
     # purpose, as the independent claim the metric checks compare the jets against
     assert _outermost_functions(MODULES["surface_families.py"], found) == {
         "_cone_rows", "cone_metric_field"}
+
+
+def test_the_sweep_forms_no_stencil_point():
+    # the neighbours (x +- h, y), (x, y +- h) belong to diffgeo._stencil_rows, which the
+    # sweep calls with its row source
+    assert _outermost_functions(MODULES["sweep.py"], _plus_or_minus_h) == set()
+
+
+def test_the_angle_stencil_points_are_formed_in_one_function():
+    # check_maxima, frame_and_connection and beta_gradient_fd all call _stencil_rows;
+    # gauss_curvature_masked's (x +- h, y) metric stencil is a rule of its own
+    assert _outermost_functions(MODULES["diffgeo.py"], _plus_or_minus_h) == {
+        "_stencil_rows", "gauss_curvature_masked"}
+
+
+def test_stencil_rows_are_read_off_scalar_jets_in_one_function():
+    # diffgeo._jets is the one row source of the scalar jets, for the sweep and the oracles
+    defined = [f"{m}:{node.name}" for m, tree in MODULES.items() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "_jets"]
+    assert defined == ["diffgeo.py:_jets"]
+    assert {f"{m}:{fn}" for m, tree in MODULES.items()
+            for fn in _outermost_functions(tree, _scalar_jets_in_a_loop)} == {"diffgeo.py:_jets"}

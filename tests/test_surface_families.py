@@ -8,7 +8,7 @@ import pytest
 import mpmath
 import sympy
 
-from mlsurf import surface_families, sweep
+from mlsurf import diffgeo, surface_families, sweep
 from mlsurf.baker_akhiezer import ba_rational_eval
 from mlsurf.report import GridSpec
 from mlsurf.spectral_curve import derive_constants
@@ -123,7 +123,7 @@ def test_stencil_jets_are_the_field_rows_the_stencil_reads(family):
     # the sweep's stencil (scalar jets) and its centres (the field) agree bit for bit,
     # so evaluating the stencil by the field could not change a report
     xs, ys = _with_sweep_points(*np.random.default_rng(7).uniform(-50, 50, (2, 200)))
-    stencil = sweep._jets(family.jet, xs, ys)
+    stencil = diffgeo._jets(family.jet, xs, ys)
     assert stencil.shape == (3, len(xs), 3)
     assert np.array_equal(_bits(stencil), _bits(family.jets(xs, ys)[:3]))
 
@@ -189,7 +189,7 @@ def test_a_stencil_row_wider_than_the_memo_keeps_every_bit_and_the_bound(family)
     x, y = GridSpec(nx, 7).points(np.arange(3 * nx, 4 * nx))
     xs, ys = np.concatenate([x + h, x - h, x, x]), np.concatenate([y, y, y + h, y - h])
     assert len(set(xs.tolist())) == 3 * nx > surface_families.MEMO_SIZE
-    stencil = sweep._jets(family.jet, xs, ys)
+    stencil = diffgeo._jets(family.jet, xs, ys)
     assert np.array_equal(_bits(stencil), _bits(family.jets(xs, ys)[:3]))
     memo = surface_families._cone_memo if family.curve is None else surface_families._spectral_memo
     tables = [t for t in memo if isinstance(t, dict)]

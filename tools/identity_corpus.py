@@ -33,6 +33,7 @@ read, valid and malformed, are written there first, so the corpus reaches the
 input layer as well as the sweep.
 """
 
+import contextlib
 import hashlib
 import json
 import math
@@ -194,6 +195,35 @@ def corpus() -> list:
     return calls
 
 
+def load_cli(checkout: str):
+    """mlsurf.cli imported from CHECKOUT's src/, with --help wrapped at 80 columns; None,
+    and a line on stderr, where another mlsurf was imported."""
+    src = Path(checkout).resolve() / "src"
+    sys.path.insert(0, str(src))
+    from mlsurf import cli
+    if Path(cli.__file__).resolve().parent != src / "mlsurf":
+        print(f"imported {cli.__file__}, not the checkout's", file=sys.stderr)
+        return None
+    os.environ["COLUMNS"] = "80"   # argparse wraps --help to the terminal width
+    return cli
+
+
+@contextlib.contextmanager
+def corpus_directory():
+    """Work in a temporary directory that holds the files the corpus reads."""
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, (text, _, _) in PERIOD_FILES.items():
+                Path(name).write_text(text)
+            for name, data in {**SCENARIOS, **BAD_PERIOD_FILES, **RADIUS_FILES}.items():
+                Path(name).write_bytes(data)
+            yield
+        finally:
+            os.chdir(home)
+
+
 def _digest(data) -> str:
     if data is None:
         return "-"
@@ -216,7 +246,7 @@ def _without_timings(path: Path) -> str:
     return json.dumps(doc, indent=2)
 
 
-def _run(main, call: list) -> tuple:
+def run_call(main, call: list) -> tuple:
     """(exit code, stdout bytes, stderr bytes) of main(call), with file descriptors 1
     and 2 sent to temporary files for the call."""
     saved = os.dup(1), os.dup(2)
@@ -327,32 +357,20 @@ def main(argv: list) -> int:
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    src = Path(argv[0]).resolve() / "src"
-    sys.path.insert(0, str(src))
-    from mlsurf import cli
-    if Path(cli.__file__).resolve().parent != src / "mlsurf":
-        print(f"imported {cli.__file__}, not the checkout's", file=sys.stderr)
+    cli = load_cli(argv[0])
+    if cli is None:
         return 2
-    os.environ["COLUMNS"] = "80"   # argparse wraps --help to the terminal width
-    calls, home = corpus(), os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)
-        try:
-            for name, (text, _, _) in PERIOD_FILES.items():
-                Path(name).write_text(text)
-            for name, data in {**SCENARIOS, **BAD_PERIOD_FILES, **RADIUS_FILES}.items():
-                Path(name).write_bytes(data)
-            for k, call in enumerate(calls):
-                code, out, err = _run(cli.main, call)
-                doc = _take("report.json", _without_timings)
-                csv = _take("surface.csv", Path.read_bytes)
-                print(" ".join(call), code, *map(_digest, (out, err, doc, csv)))
-                if keep and doc is not None:
-                    Path(keep, f"{k}.json").write_text(doc)
-                if keep and csv is not None:
-                    Path(keep, f"{k}.csv").write_bytes(csv)
-        finally:
-            os.chdir(home)
+    calls = corpus()
+    with corpus_directory():
+        for k, call in enumerate(calls):
+            code, out, err = run_call(cli.main, call)
+            doc = _take("report.json", _without_timings)
+            csv = _take("surface.csv", Path.read_bytes)
+            print(" ".join(call), code, *map(_digest, (out, err, doc, csv)))
+            if keep and doc is not None:
+                Path(keep, f"{k}.json").write_text(doc)
+            if keep and csv is not None:
+                Path(keep, f"{k}.csv").write_bytes(csv)
     print(f"{len(calls)} calls", file=sys.stderr)
     return 0
 
