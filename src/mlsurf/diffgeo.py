@@ -1,13 +1,11 @@
 """Differential-geometric identity checks on surface jets.
 
-Everything here is a pure computation producing defect numbers, written once: each
-defect function and stage (metric_data, _angles, _stencil, basis_conditioned,
+Each defect function and stage (metric_data, _angles, _stencil, basis_conditioned,
 christoffel_data, _frame_data, gauss_curvature_masked) takes one point or a stack of n
 points (a SurfaceJet whose fields are (n, 3) arrays), gives the same bits for a point
-alone as in a stack, and never raises: a stage returns the masks the sweep folds.  Each
-scalar oracle is its stage on one point plus a raise where a mask fails; the sweep and the
-stencil oracles lay out their five points by _stencil_rows, from _jets' rows.  The
-conventions are fixed once:
+alone as in a stack, and never raises: it returns the masks the sweep folds.  Each scalar
+oracle is its stage on one point plus a raise where a mask fails.  _stencil_rows lays out
+the five stencil points for the sweep and the oracles alike.  The conventions:
 
   * Hermitian product <u, w> = sum_i u_i * conj(w_i) (second slot conjugated).
   * Metric notation |phi_x|^2 = 2 e^{v1}, |phi_y|^2 = 2 e^{v2}; E and G are
@@ -313,7 +311,7 @@ def _stencil(S) -> tuple:
 
 def _jets(jet, xs, ys) -> np.ndarray:
     """phi, phi_x and phi_y (the rows the stencil checks read) as (3, n, 3), one scalar
-    jet call per point; only the stencil takes this path: the benchmark counts these calls."""
+    jet call per point."""
     out = np.empty((3, len(xs), 3), dtype=complex)
     phi, phi_x, phi_y = out
     for k, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):

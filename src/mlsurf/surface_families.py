@@ -40,7 +40,7 @@ class MetricField(NamedTuple):
     G_x: object
 
 
-MEMO_SIZE = 4096   # entries per _Factors table (README, Performance, gives the measurement)
+MEMO_SIZE = 4096   # entries per _Factors table; BENCH_42.json's memo_bound (CHANGES.md, issue 42)
 
 
 class _Factors(dict):

@@ -1,25 +1,16 @@
 """Chunked grid sweep: the per-point checks of diffgeo on stacked arrays.
 
-The defect formulas and the metric, tube, stencil and basis-condition rules live in
-diffgeo and surface_families as stages that take one point or a stack and return masks;
-each scalar oracle is its stage on one point plus a raise, so each reduced maximum equals
-the oracles' bit for bit.  The sweep holds the blocks and the fold, and no rule or
-stencil point of its own: it forms only |E - E_closed| and |G - G_closed| against the
-family's closed-form metric, |e^{2i beta} + 1|, |v1 - v2|, |K - 1| and G on tube points.
 It visits the grid in report order (y outer, x inner) in blocks of CHUNK points, each
 block's coordinates formed from its point indices (GridSpec.points), so no axis is held
-whatever the grid.  Per block it evaluates the batched (6, n, 3) jet field (Family.jets),
-its metric (metric_data) and the tube mask (tube_mask) at all centres at once.  Outside
-the tube diffgeo._stencil_rows, which builds the scalar oracles' stencil too, stacks the
-centres' phi, phi_x, phi_y with the neighbours' rows from one row source, the scalar jets
-read by diffgeo._jets, and _stencil takes all five angles in one pass: 4 Family.jet calls
-per point outside the tube and none inside, which the benchmark counts, most of them one
-product of a memoized x- and y-factor (surface_families._Factors).  Where the oracles
-raise, the sweep masks: each check group gives (values, ok), the Christoffel group's ok
-being basis_conditioned and the metric and stencil masks, and one accumulator folds them
-into the maxima, a point where ok is False counting as inf.  CHUNK bounds the memory a
-sweep holds whatever the grid size (README, Performance, gives the measured peaks); the
-report does not depend on it.
+whatever the grid.  Per block it evaluates the jet field (Family.jets), its metric
+(metric_data) and the tube mask (tube_mask) at all centres at once; outside the tube
+diffgeo._stencil_rows stacks the centres' phi, phi_x, phi_y with the four neighbours'
+rows, read off Family.jet by diffgeo._jets, and _stencil takes all five angles in one pass.
+Each check group calls diffgeo's stages, which return masks where the scalar oracles
+raise, and gives (values, ok); one accumulator folds them into the maxima, a point where
+ok is False counting as inf.  The sweep forms only |E - E_closed|, |G - G_closed|,
+|e^{2i beta} + 1|, |v1 - v2|, |K - 1| and G on tube points.  The report does not depend
+on CHUNK, which bounds the memory a sweep holds (measured in BENCH_38.json).
 
 Floating-point policy: both sweeps compute each block under np.errstate(all="ignore")
 (not across a yield).  A check fails a non-finite value (inf where a point fails, NaN
@@ -37,7 +28,7 @@ from .diffgeo import (_abs, _angles, _frame_data, _jets, _stencil, _stencil_rows
                       residue_identity_defects)
 from .surface_families import Family, SurfaceJet, tube_mask
 
-CHUNK = 1024   # the block size the README's measured table picks
+CHUNK = 1024   # picked from BENCH_17.json's chunk_table (CHANGES.md, issue 17)
 
 GRAM_NAMES = ("gram_norm", "gram_phi_phix", "gram_phi_phiy", "gram_phix_phiy")
 METRIC_NAMES = ("metric_E_closed_form", "metric_G_closed_form")

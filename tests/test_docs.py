@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -15,6 +16,29 @@ README = (ROOT / "README.md").read_text()
 # modules or a name the package exports (`Family.jets`)
 HEADS = ({"mlsurf"} | {m.name for m in pkgutil.iter_modules(mlsurf.__path__)}
          | {n for n in vars(mlsurf) if not n.startswith("_")})
+
+
+README_MAX_LINES = 450
+
+
+def test_readme_stays_within_its_length_bound():
+    assert len(README.splitlines()) <= README_MAX_LINES
+
+
+def _library_exports() -> list:
+    """The names of the Library section's "`mlsurf` exports exactly these names" sentence."""
+    section = re.search(r"\n## Library\n(.*?)\n## ", README, re.S).group(1)
+    listed = re.search(r"`mlsurf` exports exactly these names[^:]*:(.*?)\.\s", section, re.S)
+    return re.findall(r"`(\w+)`", listed.group(1))
+
+
+def test_the_package_exports_the_library_sections_names():
+    exported = {n for n, v in vars(mlsurf).items()
+                if not n.startswith("_") and not inspect.ismodule(v)}
+    listed = _library_exports()
+    assert "verify" in listed and len(listed) == len(set(listed))
+    assert exported == set(listed)
+    assert mlsurf.__version__   # bench/run.py records it
 
 
 def _documented_names() -> list:

@@ -223,8 +223,8 @@ def test_solve3_is_as_accurate_as_lapack_up_to_the_condition_limit():
     # solution of the same float systems: the largest forward error of each decade is at
     # most 4x LAPACK's, and every normwise backward error (Rigal-Gaches, per right-hand
     # side, residual in 40 digits) is at most 8 eps.  The adjugate (Cramer's rule) misses
-    # the first bound from cond 1e3 and the second from 1e4 (README, Performance, has the
-    # table)
+    # the first bound from cond 1e3 and the second from 1e4 (BENCH_38.json's accuracy has
+    # the table)
     eps, rng = np.finfo(float).eps, np.random.default_rng(38)
     for k in range(9):
         M, R = _conditioned(rng, 10.0 ** k, 60), _random(rng, 60)

@@ -6,7 +6,9 @@ CHECKOUT is the root of an mlsurf source tree.  The corpus of tools/identity_cor
 runs in process, as that tool runs it, under a sys.setprofile hook that records the code
 of every Python call; the functions of CHECKOUT/src/mlsurf are listed with ast (every
 def, nested ones too; no lambda), and each whose code never ran is printed as
-module.qualified_name, one a line, module by module in source order.  It exits 0 after
+module.qualified_name, one a line, module by module in source order; then one line on
+stderr gives the number of outermost unreached functions (a def nested in an unreached
+one counts within it) and their total source lines, def to end.  It exits 0 after
 a run and 2 where the checkout's mlsurf could not be imported.  Only the stdlib is used.
 """
 
@@ -17,9 +19,8 @@ from pathlib import Path
 import identity_corpus
 
 
-def functions(src: Path) -> list:
-    """(module.qualified_name, path, first line, name) of every def under src: the first
-    line is a decorator's where there is one, as in the function's code object."""
+def _defs(src: Path) -> list:
+    """(module.qualified_name, path, node) of every def under src, nested ones too."""
     found = []
 
     def visit(node, path, prefix):
@@ -27,8 +28,7 @@ def functions(src: Path) -> list:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 name = f"{prefix}.{child.name}"
                 if not isinstance(child, ast.ClassDef):
-                    first = min([child.lineno, *(d.lineno for d in child.decorator_list)])
-                    found.append((name, path, first, child.name))
+                    found.append((name, path, child))
                 visit(child, path, name)
             else:
                 visit(child, path, prefix)
@@ -38,9 +38,20 @@ def functions(src: Path) -> list:
     return found
 
 
+def _first_line(node) -> int:
+    """A def's first line: its first decorator's where there is one, as in its code object."""
+    return min([node.lineno, *(d.lineno for d in node.decorator_list)])
+
+
+def functions(src: Path) -> list:
+    """(module.qualified_name, path, first line, name) of every def under src."""
+    return [(name, path, _first_line(node), node.name) for name, path, node in _defs(src)]
+
+
 def unreached(checkout: str):
-    """The functions of functions(CHECKOUT/src/mlsurf) that no corpus call runs; None where
-    the checkout's mlsurf could not be imported."""
+    """(name, source lines) of each function of functions(CHECKOUT/src/mlsurf) that no
+    corpus call runs, its lines counted from the def to its end; None where the checkout's
+    mlsurf could not be imported."""
     cli = identity_corpus.load_cli(checkout)
     if cli is None:
         return None
@@ -59,18 +70,23 @@ def unreached(checkout: str):
             sys.setprofile(None)
     ran = {(str(Path(c.co_filename).resolve()), c.co_firstlineno, c.co_name) for c in codes}
     src = Path(cli.__file__).resolve().parent
-    return [name for name, *key in functions(src) if tuple(key) not in ran]
+    return [(name, node.end_lineno - node.lineno + 1) for name, path, node in _defs(src)
+            if (path, _first_line(node), node.name) not in ran]
 
 
 def main(argv: list) -> int:
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    names = unreached(argv[0])
-    if names is None:
+    found = unreached(argv[0])
+    if found is None:
         return 2
-    for name in names:
+    for name, _ in found:
         print(name)
+    outermost = [(name, lines) for name, lines in found
+                 if not any(name.startswith(f"{other}.") for other, _ in found)]
+    print(f"{len(outermost)} unreached functions, {sum(n for _, n in outermost)} source lines",
+          file=sys.stderr)
     return 0
 
 
