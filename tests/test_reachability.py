@@ -10,17 +10,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TOOLS = ROOT / "tools"
 
-_BA = ("a Baker-Akhiezer claim of the paper (gluing, conjugation symmetry, the essential "
-       "singularity) that tests/test_baker_akhiezer.py checks and no report does; ROADMAP "
-       "item 4 decides whether it becomes a check or moves to tests/")
 _PINNED = ("named in bench/run.py's LAYER_FUNCTIONS, whose traced runs read its stats; it "
            "moves to tests/ (ROADMAP item 22) once a benchmark change drops the name")
 ALLOWED = {
-    "baker_akhiezer._f2_g2": "f2 and g2 of psi_2, read only by the two claims below",
-    "baker_akhiezer.ba_rational_eval": _BA,
-    "baker_akhiezer.consistency_defect": _BA,
-    "baker_akhiezer.ba_conjugation_defect": _BA,
-    "baker_akhiezer.ba_essential_singularity_coeffs": _BA,
     "cli.main_entry": "the console script of pyproject.toml; the corpus calls cli.main",
     "diffgeo.metric_from_jet": _PINNED,
     "diffgeo.lagrangian_angle": _PINNED,

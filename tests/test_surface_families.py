@@ -9,13 +9,13 @@ import mpmath
 import sympy
 
 from mlsurf import diffgeo, surface_families, sweep
-from mlsurf.baker_akhiezer import ba_rational_eval
 from mlsurf.report import GridSpec
 from mlsurf.spectral_curve import derive_constants
 from mlsurf.surface_families import (TUBE_RADIUS, SurfaceJet, cone_family, cone_family_jet,
                                      cone_jet_field, cone_metric_field, degeneracy_angle,
                                      in_degeneracy_tube, spectral_family, spectral_family_jet,
                                      spectral_jet_field, spectral_metric_field)
+from reference import ba_rational_eval
 
 
 @pytest.fixture(scope="module")

@@ -70,6 +70,7 @@ CURVES = [  # curve-info alone, and verify and sample --grid 4x4 for those that 
     ("1", "1", "0", "1"),
     ("1", "1", "2", "0"),
     ("inf", "1", "2", "1"),
+    ("1e-160", "1", "2", "1"),         # the scale c of Omega_2 overflows
 ]
 EDGES = [  # curve-info, and verify and sample --grid 4x4
     ("1", "1", "1.0000000000001", "1"),     # Q1 within 1e-12 b of the gluing coordinates
