@@ -7,10 +7,9 @@ claim is turned into a grid-scale defect check.  The package exports the names
 of README's Library section; everything else is imported from its module.
 """
 
-from .report import (CheckRecord, GridSpec, VerificationReport, verify,
-                     verify_cone, verify_spectral)
+from .report import CheckRecord, GridSpec, VerificationReport, verify
 from .spectral_curve import ReducibleCurveData, derive_constants
 from .surface_families import Family, SurfaceJet, cone_family, spectral_family
-from .theta import LatticeTruncation, PeriodMatrix, read_period_matrix, riemann_theta
+from .theta import PeriodMatrix, read_period_matrix, riemann_theta
 
 __version__ = "0.1.0"

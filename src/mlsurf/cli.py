@@ -9,8 +9,7 @@ import numpy as np
 from .report import GridSpec, curve_info_text, sample_rows, verify, write_csv
 from .spectral_curve import derive_constants
 from .surface_families import Family, cone_family, spectral_family
-from .theta import (LatticeTruncation, parse_complex, quasi_periodicity_defect,
-                    read_period_matrix, riemann_theta)
+from .theta import parse_complex, quasi_periodicity_defect, read_period_matrix, riemann_theta
 
 
 def _parse_grid(text: str) -> GridSpec:
@@ -137,11 +136,10 @@ def _cmd_theta(args) -> int:
     B = read_period_matrix(args.period_file)
     m = _parse_shift(args.shift_m, B.genus) if args.shift_m is not None else None
     z = _parse_complex_vector(args.z, B.genus)
-    trunc = LatticeTruncation(args.radius) if args.radius is not None else None
-    val = riemann_theta(z, B, trunc)
+    val = riemann_theta(z, B, args.radius)
     print(f"theta = {val.real:.17g}{val.imag:+.17g}j")
     if m is not None:
-        defect = quasi_periodicity_defect(z, m, B, trunc, val)
+        defect = quasi_periodicity_defect(z, m, B, args.radius, val)
         print(f"quasi_periodicity_defect = {defect:.17g}")
     return 0
 

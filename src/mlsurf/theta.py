@@ -43,21 +43,6 @@ SPREAD = 100.0
 SYMMETRY_TOL = 1e-12
 
 
-class TruncationCapError(ValueError):
-    """The points kept from the summation box may exceed DEFAULT_TERM_CAP."""
-
-
-class LatticeTruncation:
-    """Summation box |m|_inf <= radius; DEFAULT_TERM_CAP bounds the points kept from it."""
-
-    __slots__ = ("radius",)
-
-    def __init__(self, radius: int):
-        if radius < 1:
-            raise ValueError(f"truncation radius must be >= 1, got {radius}")
-        self.radius = radius
-
-
 class PeriodMatrix:
     """Complex g x g period matrix, symmetric with positive definite Im part.
 
@@ -261,16 +246,17 @@ def _terms(z: np.ndarray, B: PeriodMatrix, M: np.ndarray) -> tuple[list, list]:
     return terms.real.tolist(), terms.imag.tolist()
 
 
-def riemann_theta(z, B: PeriodMatrix, trunc: LatticeTruncation | None = None) -> complex:
+def riemann_theta(z, B: PeriodMatrix, radius: int | None = None) -> complex:
     """Evaluate theta(z) = sum_m exp(pi*i*(B m, m) + 2*pi*i*(m, z)).
 
-    z is a finite complex vector of length B.genus.  When trunc is None the
-    radius is chosen by default_radius.  With Im(B) = L L^T and v = L^{-1} Im z
+    z is a finite complex vector of length B.genus.  The sum is over the box
+    |m|_inf <= radius, an int >= 1; when radius is None it is chosen by
+    default_radius.  With Im(B) = L L^T and v = L^{-1} Im z
     the real exponent of the m-th term is pi*(|v|^2 - |L^T m + v|^2), so the
     terms above any level lie in an ellipsoid |L^T m + v|^2 <= budget, listed
     by _ellipsoid_points.  The floor ellipsoid has budget |v|^2 -
     EXPONENT_FLOOR/pi: every term outside it is exactly 0.0.  Before any
-    point is listed, TruncationCapError is raised when it may hold more than
+    point is listed, ValueError is raised when it may hold more than
     DEFAULT_TERM_CAP points, and FloatingPointError when the term at the
     Babai point (each coordinate, last to first, rounded and clipped to the
     box) is clearly beyond double range.  With q = |L^T m + v|^2 there, an
@@ -288,7 +274,10 @@ def riemann_theta(z, B: PeriodMatrix, trunc: LatticeTruncation | None = None) ->
     if not all(map(cmath.isfinite, z.tolist())):
         raise ValueError("z must be finite")
     z.real = np.fmod(z.real, 1.0)  # exact, signs kept: theta has period 1 in each Re z_j
-    radius = default_radius(z, B) if trunc is None else trunc.radius
+    if radius is None:
+        radius = default_radius(z, B)
+    elif radius < 1:
+        raise ValueError(f"truncation radius must be >= 1, got {radius}")
     L, g = B.im_cholesky, B.genus
     diag = L.diagonal().tolist()
     # a term beyond double range raises FloatingPointError (an ArithmeticError)
@@ -318,8 +307,8 @@ def riemann_theta(z, B: PeriodMatrix, trunc: LatticeTruncation | None = None) ->
             except OverflowError:
                 pass
         if kept > DEFAULT_TERM_CAP:
-            raise TruncationCapError(f"radius {_short(radius)} needs {_short(kept, digits)} terms "
-                                     f"(cap {DEFAULT_TERM_CAP})")
+            raise ValueError(f"radius {_short(radius)} needs {_short(kept, digits)} terms "
+                             f"(cap {DEFAULT_TERM_CAP})")
         U = L.T.tolist()
         m = [0] * g
         q = 0.0
@@ -360,12 +349,12 @@ def riemann_theta(z, B: PeriodMatrix, trunc: LatticeTruncation | None = None) ->
     return complex(math.fsum(re), math.fsum(im))
 
 
-def quasi_periodicity_defect(z, m, B: PeriodMatrix, trunc: LatticeTruncation | None = None,
+def quasi_periodicity_defect(z, m, B: PeriodMatrix, radius: int | None = None,
                              theta_z: complex | None = None) -> float:
     """Relative defect of theta(z + B m) = exp(-pi*i*(B m, m) - 2*pi*i*(m, z)) theta(z).
 
     Returns |theta(z + Bm) - factor * theta(z)| / (1 + |theta(z)|).  theta_z,
-    if given, is riemann_theta(z, B, trunc), already evaluated by the caller.
+    if given, is riemann_theta(z, B, radius), already evaluated by the caller.
     Printed by `mlsurf theta --shift-m`; vanishes to roundoff for an exact theta.
     """
     z = np.array(z, dtype=complex)
@@ -377,9 +366,9 @@ def quasi_periodicity_defect(z, m, B: PeriodMatrix, trunc: LatticeTruncation | N
     # as in riemann_theta, and so before Bm is added; riemann_theta refuses a non-finite z
     np.fmod(z.real, 1.0, out=z.real, where=np.isfinite(z.real))
     Bm = B.entries @ m
-    lhs = riemann_theta(z + Bm, B, trunc)
+    lhs = riemann_theta(z + Bm, B, radius)
     if theta_z is None:
-        theta_z = riemann_theta(z, B, trunc)
+        theta_z = riemann_theta(z, B, radius)
     with np.errstate(over="raise", invalid="raise"):
         factor = np.exp(-1j * math.pi * (Bm @ m) - 2j * math.pi * (m @ z))
         return float(abs(lhs - factor * theta_z) / (1.0 + abs(theta_z)))

@@ -5,13 +5,14 @@ psi_2 = e^{i y z2} (f2 + g2 / (z2 - gamma)), with f2 and g2 complex.  The progra
 psi only through baker_akhiezer.f_coefficients (the real f2) and the jets of
 surface_families; these evaluators give the tests psi itself: its value on either
 component, the gluing and conjugation defects, and the expansion at the punctures.
+The seeded curve samplers random_curve and _log_uniform_curve are shared by the tests too.
 """
 
 import cmath
 
 import numpy as np
 
-from mlsurf.spectral_curve import ReducibleCurveData
+from mlsurf.spectral_curve import ReducibleCurveData, derive_constants
 
 
 def _f2_g2(curve: ReducibleCurveData, x, y) -> tuple:
@@ -85,3 +86,19 @@ def ba_essential_singularity_coeffs(curve: ReducibleCurveData, x: float, y: floa
     else:
         raise ValueError(f"puncture must be 'P1' or 'P2', got {puncture!r}")
     return out
+
+
+def random_curve(rng):
+    """a, b uniform in [0.5, 2], gamma_im in [0.2, 2] and |Q1| = b U(1.01, 3)."""
+    b = rng.uniform(0.5, 2.0)
+    return derive_constants(rng.uniform(0.5, 2.0), b,
+                            rng.uniform(1.01, 3.0) * b * rng.choice([-1.0, 1.0]),
+                            rng.uniform(0.2, 2.0))
+
+
+def _log_uniform_curve(rng):
+    """a, b, |gamma_im| log-uniform in [1e-2, 1e2] and |Q1| = b (1 + 10^U(-3, 2))."""
+    b = 10 ** rng.uniform(-2, 2)
+    return derive_constants(10 ** rng.uniform(-2, 2), b,
+                            b * (1 + 10 ** rng.uniform(-3, 2)) * rng.choice((-1, 1)),
+                            10 ** rng.uniform(-2, 2) * rng.choice((-1, 1)))

@@ -5,21 +5,9 @@ import numpy as np
 import pytest
 
 from mlsurf.baker_akhiezer import f_coefficients
-from mlsurf.spectral_curve import derive_constants
-from reference import (_f2_g2, ba_conjugation_defect, ba_essential_singularity_coeffs,
-                       ba_rational_eval, consistency_defect)
-
-
-@pytest.fixture(scope="module")
-def sphere_curve():
-    return derive_constants(1.0, 1.0, 2.0, 1.0)
-
-
-def random_curve(rng):
-    b = rng.uniform(0.5, 2.0)
-    return derive_constants(rng.uniform(0.5, 2.0), b,
-                            rng.uniform(1.01, 3.0) * b * rng.choice([-1.0, 1.0]),
-                            rng.uniform(0.2, 2.0))
+from reference import (_f2_g2, _log_uniform_curve, ba_conjugation_defect,
+                       ba_essential_singularity_coeffs, ba_rational_eval, consistency_defect,
+                       random_curve)
 
 
 def test_normalization_point(sphere_curve):
@@ -38,14 +26,6 @@ def test_f2_hand_oracle(sphere_curve):
         assert f1 == 1.0
         assert abs(f2 - (math.cos(x - y) + math.sin(x - y))) < 1e-14
     assert f_coefficients(sphere_curve, 0.0, 0.0)[1] == 1.0
-
-
-def _log_uniform_curve(rng):
-    """a, b, |gamma_im| log-uniform in [1e-2, 1e2] and |Q1| = b (1 + 10^U(-3, 2))."""
-    b = 10 ** rng.uniform(-2, 2)
-    return derive_constants(10 ** rng.uniform(-2, 2), b,
-                            b * (1 + 10 ** rng.uniform(-3, 2)) * rng.choice((-1, 1)),
-                            10 ** rng.uniform(-2, 2) * rng.choice((-1, 1)))
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -18,22 +18,11 @@ from mlsurf.surface_families import (MetricField, SurfaceJet, cone_family, cone_
                                      cone_metric_field, degeneracy_angle, in_degeneracy_tube,
                                      spectral_family, spectral_family_jet, spectral_metric_field,
                                      tube_mask)
-
-
-@pytest.fixture(scope="module")
-def sphere_curve():
-    return derive_constants(1.0, 1.0, 2.0, 1.0)
+from reference import random_curve
 
 
 def sphere_jet(curve, x, y):
     return spectral_family_jet(curve, x, y)
-
-
-def random_curve(rng):
-    b = rng.uniform(0.5, 2.0)
-    return derive_constants(rng.uniform(0.5, 2.0), b,
-                            rng.uniform(1.01, 3.0) * b * rng.choice([-1.0, 1.0]),
-                            rng.uniform(0.2, 2.0))
 
 
 def phase_deformed_jet(jet, lam):

@@ -8,7 +8,6 @@ from mlsurf.diffgeo import christoffel_solve, frame_and_connection, metric_from_
 from mlsurf.report import GridSpec, verify
 from mlsurf.spectral_curve import derive_constants
 from mlsurf.surface_families import _spectral_exp_terms, spectral_family, spectral_family_jet
-from mlsurf.theta import LatticeTruncation
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -78,8 +77,7 @@ def test_equal_curves_share_the_cached_exponential_terms():
     (lambda: GridSpec(0, 1), "grid must have at least one point per axis"),
     (lambda: GridSpec(3, 0), "grid must have at least one point per axis"),
     (lambda: GridSpec(2**62, 2), "grid 4611686018427387904x2 has more than 2^63 - 1 points"),
-    (lambda: LatticeTruncation(0), "truncation radius must be >= 1, got 0"),
-], ids=["grid-nx", "grid-ny", "grid-points", "radius"])
+], ids=["grid-nx", "grid-ny", "grid-points"])
 def test_validating_classes_keep_their_messages(build, message):
     with pytest.raises(ValueError) as refused:
         build()
@@ -88,4 +86,4 @@ def test_validating_classes_keep_their_messages(build, message):
 
 def test_validating_classes_normalise_their_inputs():
     grid = GridSpec(2, 3)
-    assert (grid.nx, grid.ny) == (2, 3) and LatticeTruncation(4).radius == 4
+    assert (grid.nx, grid.ny) == (2, 3)

@@ -15,12 +15,7 @@ from mlsurf.surface_families import (TUBE_RADIUS, SurfaceJet, cone_family, cone_
                                      cone_jet_field, cone_metric_field, degeneracy_angle,
                                      in_degeneracy_tube, spectral_family, spectral_family_jet,
                                      spectral_jet_field, spectral_metric_field)
-from reference import ba_rational_eval
-
-
-@pytest.fixture(scope="module")
-def sphere_curve():
-    return derive_constants(1.0, 1.0, 2.0, 1.0)
+from reference import _log_uniform_curve, ba_rational_eval
 
 
 def fd_jet(evaluator, x: float, y: float, h: float) -> SurfaceJet:
@@ -309,14 +304,6 @@ def test_spectral_jet_consistent_with_ba_eval(sphere_curve):
         for i, q in enumerate(sphere_curve.Q):
             psi = ba_rational_eval(sphere_curve, x, y, 2, q)
             assert abs(jet.phi[i] - sphere_curve.alpha[i] * psi) < 1e-13
-
-
-def _log_uniform_curve(rng):
-    """a, b, |gamma_im| log-uniform in [1e-2, 1e2] and |Q1| = b (1 + 10^U(-3, 2))."""
-    b = 10 ** rng.uniform(-2, 2)
-    return derive_constants(10 ** rng.uniform(-2, 2), b,
-                            b * (1 + 10 ** rng.uniform(-3, 2)) * rng.choice((-1, 1)),
-                            10 ** rng.uniform(-2, 2) * rng.choice((-1, 1)))
 
 
 def _reference_points(rng):

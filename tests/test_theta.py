@@ -11,8 +11,7 @@ from mpmath import exp as mpexp
 from mpmath import pi as mppi
 
 from mlsurf import theta
-from mlsurf.theta import (LatticeTruncation, PeriodMatrix, TruncationCapError,
-                          default_radius, quasi_periodicity_defect,
+from mlsurf.theta import (PeriodMatrix, default_radius, quasi_periodicity_defect,
                           read_period_matrix, riemann_theta)
 
 mp.dps = 40
@@ -39,7 +38,7 @@ def rng_period_matrix(rng, g):
 
 def test_theta_value_g1_matches_extended_precision_oracle():
     B = PeriodMatrix([[1j]])
-    val = riemann_theta(np.array([0.0]), B, LatticeTruncation(8))
+    val = riemann_theta(np.array([0.0]), B, 8)
     oracle = mp_theta_g1(0, 1j)
     assert abs(complex(oracle) - THETA_0_I) < 1e-16
     assert abs(val - THETA_0_I) < 1e-12 * abs(THETA_0_I)
@@ -48,7 +47,7 @@ def test_theta_value_g1_matches_extended_precision_oracle():
 def test_theta_complex_argument_matches_oracle():
     B = PeriodMatrix([[2j]])
     z = 0.3 + 0.1j
-    val = riemann_theta(np.array([z]), B, LatticeTruncation(10))
+    val = riemann_theta(np.array([z]), B, 10)
     oracle = complex(mp_theta_g1(z, 2j))
     # frozen from the 40-digit oracle
     assert abs(oracle - (0.9986104439069187 - 0.0023816175764664588j)) < 1e-15
@@ -98,11 +97,11 @@ def test_quasi_periodicity_g1_example():
     B = PeriodMatrix([[2j]])
     z = np.array([0.3 + 0.1j])
     m = np.array([1])
-    assert quasi_periodicity_defect(z, m, B, LatticeTruncation(10)) < 1e-10
+    assert quasi_periodicity_defect(z, m, B, 10) < 1e-10
     # independent oracle at R = 14: both sides separately
-    lhs = riemann_theta(z + B.entries @ m, B, LatticeTruncation(14))
+    lhs = riemann_theta(z + B.entries @ m, B, 14)
     factor = np.exp(-1j * np.pi * (B.entries @ m) @ m - 2j * np.pi * (m @ z))
-    rhs = factor * riemann_theta(z, B, LatticeTruncation(14))
+    rhs = factor * riemann_theta(z, B, 14)
     assert abs(lhs - rhs) < 1e-12 * (1.0 + abs(rhs))
 
 
@@ -144,7 +143,7 @@ def test_theta_at_a_large_real_part_matches_the_oracle(z1, entries):
 def test_truncation_monotonicity():
     B = PeriodMatrix([[1j]])
     z = np.array([0.1 + 0.05j])
-    vals = {R: riemann_theta(z, B, LatticeTruncation(R)) for R in (1, 2, 3, 5, 6, 7)}
+    vals = {R: riemann_theta(z, B, R) for R in (1, 2, 3, 5, 6, 7)}
     d1 = abs(vals[1] - vals[5])
     d2 = abs(vals[2] - vals[6])
     d3 = abs(vals[3] - vals[7])
@@ -165,10 +164,23 @@ def test_dimension_mismatch_rejected():
 def test_truncation_cap():
     # Im B = 1e-4 I: the floor ellipsoid covers the whole box of 201^3 points
     B = PeriodMatrix(1e-4j * np.eye(3))
-    with pytest.raises(TruncationCapError):
-        riemann_theta(np.zeros(3), B, LatticeTruncation(radius=100))
-    with pytest.raises(ValueError):
-        LatticeTruncation(0)
+    with pytest.raises(ValueError, match=r"^radius 100 needs \d+ terms \(cap 4000000\)$"):
+        riemann_theta(np.zeros(3), B, 100)
+    with pytest.raises(ValueError, match="^truncation radius must be >= 1, got 0$"):
+        riemann_theta(np.zeros(3), B, 0)
+
+
+@pytest.mark.parametrize("radius", [0, -2])
+@pytest.mark.parametrize("evaluate", [
+    lambda B, radius: riemann_theta(np.zeros(2), B, radius),
+    lambda B, radius: quasi_periodicity_defect(np.zeros(2), np.array([1, -1]), B, radius),
+], ids=["riemann_theta", "quasi_periodicity_defect"])
+def test_a_radius_below_one_is_refused_with_its_message(evaluate, radius):
+    B = PeriodMatrix(1j * np.eye(2))
+    with pytest.raises(ValueError) as refused:
+        evaluate(B, radius)
+    assert str(refused.value) == f"truncation radius must be >= 1, got {radius}"
+    assert math.isfinite(abs(evaluate(B, 1)))   # the smallest radius is summed
 
 
 @given(g=st.integers(1, 4), data=st.data())
@@ -184,8 +196,8 @@ def test_cap_bound_covers_the_listed_points(g, data):
     radius = data.draw(st.integers(1, {1: 400, 2: 40, 3: 16, 4: 9}[g]))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(theta, "DEFAULT_TERM_CAP", 0)
-        with pytest.raises(TruncationCapError) as refused:
-            riemann_theta(z, B, LatticeTruncation(radius))
+        with pytest.raises(ValueError, match=r"^radius \d+ needs \d+ terms \(cap 0\)$") as refused:
+            riemann_theta(z, B, radius)
     bound = int(re.search(r"needs (\d+) terms", str(refused.value)).group(1))
     M, _ = _floor_points(z, B, radius)
     assert len(M) <= bound <= (2 * radius + 1) ** g
@@ -201,7 +213,7 @@ def _floor_points(z, B, radius):
         patch.setattr(theta, "SPREAD", math.inf)
         patch.setattr(theta, "_ellipsoid_points",
                       lambda *args: listed.append(points(*args)) or listed[-1])
-        value = riemann_theta(z, B, LatticeTruncation(radius))
+        value = riemann_theta(z, B, radius)
     [M] = listed
     return M, value
 
@@ -213,13 +225,13 @@ def test_cap_admits_a_box_whose_ellipsoid_fits(monkeypatch):
     B = PeriodMatrix([[0.1 + 3j, 0.2 + 0.3j], [0.2 + 0.3j, -0.3 + 3.2j]])
     z = np.array([0.3 + 0.2j, -0.1 + 0.4j])
     assert (2 * 30 + 1) ** 2 > 1000
-    value = riemann_theta(z, B, LatticeTruncation(30))
+    value = riemann_theta(z, B, 30)
     _, terms = _box_terms(z, B, 30)
     full = complex(math.fsum(terms.real), math.fsum(terms.imag))
     assert (value.real.hex(), value.imag.hex()) == (full.real.hex(), full.imag.hex())
     # Im B = 0.5 I keeps about 1,500 points: refused with the bound, not the box
-    with pytest.raises(TruncationCapError, match=r"radius 30 needs 1\d{3} terms \(cap 1000\)"):
-        riemann_theta(z, PeriodMatrix(0.5j * np.eye(2)), LatticeTruncation(30))
+    with pytest.raises(ValueError, match=r"radius 30 needs 1\d{3} terms \(cap 1000\)"):
+        riemann_theta(z, PeriodMatrix(0.5j * np.eye(2)), 30)
 
 
 def test_period_matrix_invariants():
@@ -294,11 +306,11 @@ def test_default_radius_rule():
 def test_riemann_theta_deterministic_and_order_independent():
     B = PeriodMatrix([[0.2 + 1.1j, 0.1], [0.1, -0.3 + 0.9j]])
     z = np.array([0.4 + 0.02j, -0.7 + 0.05j])
-    v1 = riemann_theta(z, B, LatticeTruncation(6))
-    v2 = riemann_theta(z, B, LatticeTruncation(6))
+    v1 = riemann_theta(z, B, 6)
+    v2 = riemann_theta(z, B, 6)
     assert v1 == v2
     # widening the box only adds terms below roundoff once converged
-    v3 = riemann_theta(z, B, LatticeTruncation(12))
+    v3 = riemann_theta(z, B, 12)
     assert abs(v1 - v3) < 1e-13 * (1 + abs(v3))
 
 
@@ -315,7 +327,7 @@ def test_lattice_order_does_not_change_theta(monkeypatch):
             cases.append((z, rng.integers(-1, 2, g), rng_period_matrix(rng, g)))
 
     def values():
-        return [(riemann_theta(z, B), quasi_periodicity_defect(z, m, B, LatticeTruncation(6)))
+        return [(riemann_theta(z, B), quasi_periodicity_defect(z, m, B, 6))
                 for z, m, B in cases]
 
     expected = values()
@@ -350,7 +362,6 @@ def test_omitted_box_terms_are_exact_zeros():
         z = rng.uniform(-0.5, 0.5, g) + 1j * rng.uniform(-0.3, 0.3, g)
         m = rng.integers(-1, 2, g)
         radius = (None, 3, 5)[k % 3]
-        trunc = LatticeTruncation(radius) if radius else None
         for w in (z, z + B.entries @ m):
             R = radius or default_radius(w, B)
             if (2 * R + 1) ** g > 200_000:
@@ -367,7 +378,7 @@ def test_omitted_box_terms_are_exact_zeros():
             assert np.all(terms[out] == 0.0)
             omitted += int(out.sum())
             full = complex(math.fsum(terms.real), math.fsum(terms.imag))
-            for value in (floor_value, riemann_theta(w, B, trunc)):
+            for value in (floor_value, riemann_theta(w, B, radius)):
                 assert (value.real.hex(), value.imag.hex()) == (full.real.hex(), full.imag.hex())
     assert omitted > 0
 
@@ -455,13 +466,12 @@ def test_small_pass_is_certified_or_falls_back(monkeypatch):
         # exactly 0.0, which is never certified
         real_B = PeriodMatrix(1j * B.entries.imag)
         radius = (None, 5)[k % 2]
-        trunc = LatticeTruncation(radius) if radius else None
         for w, P in ((z, B), (z + B.entries @ rng.integers(-1, 2, g), B), (1j * z.imag, real_B)):
             R = radius or default_radius(w, P)
             if (2 * R + 1) ** g > 200_000:
                 continue
             passes.clear()
-            value = riemann_theta(w, P, trunc)
+            value = riemann_theta(w, P, radius)
             _, terms = _box_terms(w, P, R)
             full = complex(math.fsum(terms.real), math.fsum(terms.imag))
             assert (value.real.hex(), value.imag.hex()) == (full.real.hex(), full.imag.hex())
@@ -473,8 +483,8 @@ def test_small_pass_is_certified_or_falls_back(monkeypatch):
     assert certified in seen and skipped in seen and any(map(fell_back, real_valued))
     # the cap is checked before any pass
     passes.clear()
-    with pytest.raises(TruncationCapError, match="cap 4000000"):
-        riemann_theta(np.zeros(3), PeriodMatrix(1e-4j * np.eye(3)), LatticeTruncation(100))
+    with pytest.raises(ValueError, match="cap 4000000"):
+        riemann_theta(np.zeros(3), PeriodMatrix(1e-4j * np.eye(3)), 100)
     assert passes == []
 
 
@@ -502,7 +512,7 @@ def test_a_certified_small_sum_is_the_full_box_sum(monkeypatch):
         for spread in (1.0, 5.0, 10.0, 20.0, 40.0):
             monkeypatch.setattr(theta, "SPREAD", spread)
             refused.clear()
-            value = riemann_theta(z, B, LatticeTruncation(R))
+            value = riemann_theta(z, B, R)
             assert (value.real.hex(), value.imag.hex()) == (full.real.hex(), full.imag.hex())
             outcomes.add(any(refused))
     assert outcomes == {True, False}
@@ -522,7 +532,7 @@ def test_non_finite_input_rejected():
     B = PeriodMatrix([[1j, 0.1], [0.1, 1j]])
     for z in ([np.nan, 0.0], [complex(0.0, np.nan), 0.0], [0.0, complex(0.0, np.inf)]):
         with pytest.raises(ValueError, match="z must be finite"):
-            riemann_theta(np.array(z), B, LatticeTruncation(3))
+            riemann_theta(np.array(z), B, 3)
         with pytest.raises(ValueError, match="z must be finite"):
             riemann_theta(np.array(z), B)
     for bad in (np.nan, complex(0.0, np.inf)):

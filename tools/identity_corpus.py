@@ -180,8 +180,9 @@ def corpus() -> list:
                             ("pm2.txt", "0,1e300j", "3"),  # so does Im z . (Im B)^-1 Im z
                             ("near.txt", "0.1,0.2j", "2")]:
         calls.append(["theta", "--period-file", name, "--z", z, "--radius", radius])
-    calls.append(["theta", "--period-file", "pm2.txt", "--z", "0.1,0.2-0.3j", "--radius", "2",
-                  "--shift-m", "1,-1"])
+    for radius in ("2", "0"):   # 0 is refused after the shift is parsed
+        calls.append(["theta", "--period-file", "pm2.txt", "--z", "0.1,0.2-0.3j",
+                      "--radius", radius, "--shift-m", "1,-1"])
     for z in ["0.1", "nan,0", "0.1,1+", "0,1e300j"]:   # the last too far off for a radius
         calls.append(["theta", "--period-file", "pm2.txt", "--z", z])
     for shift in ["1", "1,x", "1,99999999999999999999"]:
