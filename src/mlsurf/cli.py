@@ -1,4 +1,4 @@
-"""Command-line interface: mlsurf <verify|sample|curve-info|theta> [flags]."""
+"""Command-line interface: mlsurf <verify|sample|theta> [flags]."""
 
 import argparse
 import math
@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 
-from .report import GridSpec, curve_info_text, sample_rows, verify, write_csv
+from .report import GridSpec, sample_rows, verify, write_csv
 from .spectral_curve import derive_constants
 from .surface_families import Family, cone_family, spectral_family
 from .theta import parse_complex, quasi_periodicity_defect, read_period_matrix, riemann_theta
@@ -45,7 +45,14 @@ def _read_scenario(path: str) -> dict:
     return out
 
 
-def _spectral_curve_from_args(args):
+def _family_from_args(args) -> Family:
+    for key in ("m", "n") if args.family == "spectral" else ("a", "b", "q1", "gamma_im", "scenario"):
+        if getattr(args, key) is not None:
+            raise ValueError(f"--{key.replace('_', '-')} does not apply to --family {args.family}")
+    if args.family == "cone":
+        if args.m is None or args.n is None:
+            raise ValueError("cone family needs --m and --n")
+        return cone_family(args.m, args.n)
     params = {"a": args.a, "b": args.b, "q1": args.q1, "gamma_im": args.gamma_im}
     if args.scenario is not None:
         scen = _read_scenario(args.scenario)
@@ -58,18 +65,7 @@ def _spectral_curve_from_args(args):
     missing = [k for k, v in params.items() if v is None]
     if missing:
         raise ValueError(f"missing spectral parameters: {', '.join(missing)}")
-    return derive_constants(params["a"], params["b"], params["q1"], params["gamma_im"])
-
-
-def _family_from_args(args) -> Family:
-    for key in ("m", "n") if args.family == "spectral" else ("a", "b", "q1", "gamma_im", "scenario"):
-        if getattr(args, key) is not None:
-            raise ValueError(f"--{key.replace('_', '-')} does not apply to --family {args.family}")
-    if args.family == "spectral":
-        return spectral_family(_spectral_curve_from_args(args))
-    if args.m is None or args.n is None:
-        raise ValueError("cone family needs --m and --n")
-    return cone_family(args.m, args.n)
+    return spectral_family(derive_constants(*params.values()))
 
 
 def _step(h: float) -> float:
@@ -103,11 +99,6 @@ def _cmd_sample(args) -> int:
         write_csv(args.out, rows)
     except OSError as exc:
         raise ValueError(f"cannot write {args.out}: {exc}") from None
-    return 0
-
-
-def _cmd_curve_info(args) -> int:
-    print(curve_info_text(_spectral_curve_from_args(args)))
     return 0
 
 
@@ -145,9 +136,9 @@ def _cmd_theta(args) -> int:
 
 
 _FLOAT = dict(type=float)
-_SPECTRAL = [("--a", _FLOAT), ("--b", _FLOAT), ("--q1", _FLOAT), ("--gamma-im", _FLOAT),
-             ("--scenario", dict(help="key = value file with a, b, q1, gamma_im"))]
-_SURFACE = [("--family", dict(choices=["spectral", "cone"], required=True)), *_SPECTRAL,
+_SURFACE = [("--family", dict(choices=["spectral", "cone"], required=True)),
+            ("--a", _FLOAT), ("--b", _FLOAT), ("--q1", _FLOAT), ("--gamma-im", _FLOAT),
+            ("--scenario", dict(help="key = value file with a, b, q1, gamma_im")),
             ("--m", dict(type=int)), ("--n", dict(type=int)),
             ("--grid", dict(type=_parse_grid, default="64x64")),
             ("--h", dict(type=float, default=1e-4, help="finite-difference step")),
@@ -158,7 +149,6 @@ COMMANDS = {
         *_SURFACE, ("--json-out", dict(help="write machine-readable report"))], _cmd_verify),
     "sample": ("sample the surface to CSV", [
         *_SURFACE, ("--out", dict(required=True, help="CSV output path"))], _cmd_sample),
-    "curve-info": ("dump derived curve constants", _SPECTRAL, _cmd_curve_info),
     "theta": ("evaluate the Riemann theta function", [
         ("--period-file", dict(
             required=True, help="text file: genus line, then g rows of g complex entries")),

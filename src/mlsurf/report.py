@@ -1,6 +1,7 @@
 """Grid-scale verification runs, report records and CSV sampling."""
 
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -51,11 +52,13 @@ class GridSpec:
     __slots__ = ("nx", "ny")
 
     def __init__(self, nx: int, ny: int):
+        if any(isinstance(n, bool) or not isinstance(n, numbers.Integral) for n in (nx, ny)):
+            raise ValueError(f"grid sizes must be integers, got {nx!r} and {ny!r}")
+        self.nx, self.ny = nx, ny = int(nx), int(ny)   # numpy ints wrap in nx * ny and fail json
         if nx < 1 or ny < 1:
             raise ValueError("grid must have at least one point per axis")
         if nx * ny > MAX_GRID_POINTS:
             raise ValueError(f"grid {nx}x{ny} has more than 2^63 - 1 points")
-        self.nx, self.ny = nx, ny
 
     def points(self, idx: np.ndarray) -> tuple:
         """x = 2 pi (idx % nx) / nx and y = 2 pi (idx // nx) / ny of the points with
@@ -102,6 +105,7 @@ class VerificationReport(NamedTuple):
     h: float
     checks: list
     timings: dict   # seconds per sweep phase
+    curve: ReducibleCurveData | None = None   # the spectral family's curve
 
     @property
     def overall(self) -> bool:
@@ -111,7 +115,8 @@ class VerificationReport(NamedTuple):
         return {"family": self.family, "parameters": self.parameters,
                 "grid": self.grid.to_dict(), "h": self.h, "tol_profile": "strict",  # one profile
                 "checks": [c.to_dict() for c in self.checks],
-                "overall": self.overall, "timings": self.timings}
+                "overall": self.overall, "timings": self.timings,
+                **({} if self.curve is None else {"curve": self.curve._asdict()})}
 
     def write_json(self, fh) -> None:
         import json  # here, not at the top: only verify --json-out pays for it
@@ -141,7 +146,8 @@ def verify(family: Family, grid: GridSpec, h: float = 1e-4) -> VerificationRepor
     checks = _records(maxima, family.name, tube_points, ("grid", "outside", "tube"))
     if family.curve is not None:   # the curve rows close the table
         checks += curve_checks(family.curve)
-    return VerificationReport(family.name, family.parameters, grid, h, checks, timings)
+    return VerificationReport(family.name, family.parameters, grid, h, checks, timings,
+                              family.curve)
 
 
 def verify_spectral(curve: ReducibleCurveData, grid: GridSpec,
@@ -179,10 +185,6 @@ def _records(values: dict, family: str, tube_points: int, points: tuple) -> list
 
 CSV_HEADER = ["x", "y", "re_phi1", "im_phi1", "re_phi2", "im_phi2",
               "re_phi3", "im_phi3", "E", "G", "beta", "K"]
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
 
 
 # The candidate characters of a %.17g text in print order: sign, the "0.000" of
@@ -304,32 +306,3 @@ def write_csv(path, blocks) -> None:
         fh.write(",".join(CSV_HEADER) + "\r\n")
         for lines in blocks:   # one write per piece: the text layer's cost is per call
             fh.write("".join(lines))
-
-
-def curve_info_text(curve: ReducibleCurveData) -> str:
-    """Human-readable dump of every derived curve constant."""
-    _, q2 = expansion_at_infinity(curve.omega2())
-    plus, minus = gluing_defects(curve)
-    lines = [
-        f"a        = {_fmt(curve.a)}",
-        f"b        = {_fmt(curve.b)}",
-        f"Q1       = {_fmt(curve.Q1)}",
-        f"Q2       = {_fmt(curve.Q2)}",
-        f"Q3       = {_fmt(curve.Q3)}",
-        f"gamma    = {_fmt(curve.gamma_im)}j",
-        f"c        = {_fmt(curve.c)}",
-        f"d        = {_fmt(curve.d)}",
-    ]
-    for i in range(3):
-        lines.append(f"alpha_{i + 1}  = {_fmt(curve.alpha[i])}")
-    for i in range(3):
-        lines.append(f"Res_Q{i + 1}   = {_fmt(curve.res_Q[i])}")
-    lines += [
-        f"Res_r    = {_fmt(curve.res_r)}",
-        f"c1_exp   = {_fmt(curve.c1_exp)}",
-        f"c2_exp   = {_fmt(curve.c2_exp)}",
-        f"w2_coeff_P2      = {_fmt(abs(q2))}",
-        f"regularity(+a,+b) = {_fmt(plus)}",
-        f"regularity(-a,-b) = {_fmt(minus)}",
-    ]
-    return "\n".join(lines)

@@ -22,6 +22,7 @@ _ellipsoid_points only lists the points of a given ellipsoid.
 import cmath
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -276,7 +277,9 @@ def riemann_theta(z, B: PeriodMatrix, radius: int | None = None) -> complex:
     z.real = np.fmod(z.real, 1.0)  # exact, signs kept: theta has period 1 in each Re z_j
     if radius is None:
         radius = default_radius(z, B)
-    elif radius < 1:
+    elif isinstance(radius, bool) or not isinstance(radius, numbers.Integral):
+        raise ValueError(f"truncation radius must be an integer, got {radius!r}")
+    elif (radius := int(radius)) < 1:   # as an int: a numpy integer overflows the box count
         raise ValueError(f"truncation radius must be >= 1, got {radius}")
     L, g = B.im_cholesky, B.genus
     diag = L.diagonal().tolist()

@@ -28,6 +28,12 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 SPHERE = ["--family", "spectral", "--a", "1", "--b", "1", "--q1", "2", "--gamma-im", "1"]
 
 
+def one_point(*flags, json_out=os.devnull) -> list:
+    """verify of the spectral flags on the one grid point (0, 0), its report written to
+    json_out: the cheapest command that derives a curve, or is refused one."""
+    return ["verify", "--family", "spectral", *flags, "--grid", "1x1", "--json-out", str(json_out)]
+
+
 def run(argv):
     return main(argv)
 
@@ -208,58 +214,31 @@ def test_scenario_file(tmp_path, capsys):
     assert out.out == "" and out.err == f"error: {bad}: expected 'key = value', got 'b 1'\n"
 
 
-CURVE_INFO = {  # the full text, pinned: every constant and both puncture expansions
-    ("1", "1", "2", "1"): """\
-a        = 1
-b        = 1
-Q1       = 2
-Q2       = -2
-Q3       = 0
-gamma    = 1j
-c        = 1.5
-d        = 1
-alpha_1  = 0.55901699437494745
-alpha_2  = 0.55901699437494745
-alpha_3  = 0.61237243569579447
-Res_Q1   = 0.3125
-Res_Q2   = 0.3125
-Res_Q3   = 0.375
-Res_r    = -1
-c1_exp   = -1
-c2_exp   = -1.5
-w2_coeff_P2      = 0
-regularity(+a,+b) = 0
-regularity(-a,-b) = 0
-""",
-    ("1.3", "0.7", "2.1", "-0.9"): """\
-a        = 1.3
-b        = 0.69999999999999996
-Q1       = 2.1000000000000001
-Q2       = -2.1000000000000001
-Q3       = 0
-gamma    = -0.90000000000000002j
-c        = 0.87428311333636743
-d        = 1.3
-alpha_1  = 0.3633155368759467
-alpha_2  = 0.3633155368759467
-alpha_3  = 0.5724680057963466
-Res_Q1   = 0.13199817933545741
-Res_Q2   = 0.13199817933545741
-Res_Q3   = 0.32771961766044594
-Res_r    = -0.59171597633136086
-c1_exp   = -1
-c2_exp   = -0.87428311333636743
-w2_coeff_P2      = 0
-regularity(+a,+b) = 0
-regularity(-a,-b) = 0
-""",
+CURVE_INFO = {  # a spectral report's curve block, pinned: every derived constant
+    ("1", "1", "2", "1"): {
+        "a": 1.0, "b": 1.0, "Q1": 2.0, "gamma_im": 1.0, "Q2": -2.0, "Q3": 0.0, "c": 1.5, "d": 1.0,
+        "alpha": [0.55901699437494745, 0.55901699437494745, 0.61237243569579447],
+        "res_Q": [0.3125, 0.3125, 0.375], "res_r": -1.0, "c1_exp": -1.0, "c2_exp": -1.5},
+    ("1.3", "0.7", "2.1", "-0.9"): {
+        "a": 1.3, "b": 0.69999999999999996, "Q1": 2.1000000000000001,
+        "gamma_im": -0.90000000000000002, "Q2": -2.1000000000000001, "Q3": 0.0,
+        "c": 0.87428311333636743, "d": 1.3,
+        "alpha": [0.3633155368759467, 0.3633155368759467, 0.5724680057963466],
+        "res_Q": [0.13199817933545741, 0.13199817933545741, 0.32771961766044594],
+        "res_r": -0.59171597633136086, "c1_exp": -1.0, "c2_exp": -0.87428311333636743},
 }
 
 
-def test_curve_info(capsys):
-    for (a, b, q1, gamma_im), text in CURVE_INFO.items():
-        code = run(["curve-info", "--a", a, "--b", b, "--q1", q1, "--gamma-im", gamma_im])
-        assert (code, *capsys.readouterr()) == (0, text, "")
+def test_curve_info(tmp_path, capsys):
+    # the curve rows read the w^2 coefficient at P2 and both gluing sums: 0 on these curves
+    path = tmp_path / "report.json"
+    for (a, b, q1, gamma_im), curve in CURVE_INFO.items():
+        argv = one_point("--a", a, "--b", b, "--q1", q1, "--gamma-im", gamma_im, json_out=path)
+        assert (run(argv), capsys.readouterr().err) == (0, "")
+        doc = json.loads(path.read_text())
+        assert list(doc["curve"].items()) == list(curve.items())
+        rows = {c["name"]: c["max_defect"] for c in doc["checks"]}
+        assert rows["curve_w2_P2_rel"] == rows["curve_regularity"] == 0.0
 
 
 def read_csv_rows(path):
@@ -276,25 +255,28 @@ SMALL_A = ["--a", "0.003", "--b", "1", "--q1", "2", "--gamma-im", "1"]
 
 
 def test_a_curve_that_fails_only_curve_regularity_is_built(tmp_path, capsys):
-    assert run(["curve-info", *SMALL_A]) == 0
-    out, err = capsys.readouterr()
-    assert "regularity(+a,+b) = 7.2759576141834259e-12\n" in out and err == ""
     out_file = tmp_path / "small-a.csv"
     assert run(["sample", "--family", "spectral", *SMALL_A, "--grid", "8x8",
                 "--out", str(out_file)]) == 0
     assert capsys.readouterr().err == ""
     assert len(read_csv_rows(out_file)[1]) == 64
-    assert run(["verify", "--family", "spectral", *SMALL_A, "--grid", "16x16"]) == 1
+    report = tmp_path / "small-a.json"
+    assert run(["verify", "--family", "spectral", *SMALL_A, "--grid", "16x16",
+                "--json-out", str(report)]) == 1
     out, err = capsys.readouterr()
     assert err == ""
     assert [ln.split()[0] for ln in out.splitlines()[2:-1] if ln.endswith("FAIL")] == [
         "curve_regularity"]
+    doc = json.loads(report.read_text())
+    assert doc["curve"]["a"] == 0.003
+    assert [c["max_defect"] for c in doc["checks"] if c["name"] == "curve_regularity"] == [
+        7.2759576141834259e-12]
 
 
 @pytest.mark.parametrize("argv, code", [
     (["verify", *SPHERE, "--grid", "4x4"], 0),
     (["verify", "--family", "spectral", *SMALL_A, "--grid", "4x4"], 1),
-    (["curve-info", "--a", "1", "--b", "1", "--q1", "0.5", "--gamma-im", "1"], 2),
+    (one_point("--a", "1", "--b", "1", "--q1", "0.5", "--gamma-im", "1"), 2),
 ], ids=["pass", "fail", "invalid"])
 def test_the_module_entry_exits_with_the_code_of_main(argv, code, tmp_path):
     proc = subprocess.run([sys.executable, "-m", "mlsurf.cli", *argv], capture_output=True,
@@ -499,14 +481,14 @@ def test_theta_shift_computes_the_smallest_eigenvalue_once(tmp_path, capsys, mon
      "--gamma-im", "1", "--grid", "4x4"],
     ["verify", "--family", "spectral", "--a", "1", "--b", "1", "--q1", "2",
      "--gamma-im", "1e200", "--grid", "4x4"],
-    ["curve-info", "--a", "nan", "--b", "1", "--q1", "2", "--gamma-im", "1"],
+    one_point("--a", "nan", "--b", "1", "--q1", "2", "--gamma-im", "1"),
     # x +- h rounds to x, so every frame check would compare 0 with 0 and pass
     ["verify", *SPHERE, "--grid", "8x8", "--h", "1e-300"],
     # derive_constants overflows or divides by zero: the message names the inputs
-    ["curve-info", "--a", "1", "--b", "1", "--q1", "1e308", "--gamma-im", "1"],
-    ["curve-info", "--a", "1e-300", "--b", "1", "--q1", "2", "--gamma-im", "1"],
+    one_point("--a", "1", "--b", "1", "--q1", "1e308", "--gamma-im", "1"),
+    one_point("--a", "1e-300", "--b", "1", "--q1", "2", "--gamma-im", "1"),
     # the scale of Omega_2 comes out NaN
-    ["curve-info", "--a", "1", "--b", "1", "--q1", "1e200", "--gamma-im", "1"],
+    one_point("--a", "1", "--b", "1", "--q1", "1e200", "--gamma-im", "1"),
     ["verify", "--family", "spectral", "--a", "1", "--b", "1", "--q1", "0",
      "--gamma-im", "1", "--grid", "4x4"],
 ], ids=["h-0", "h-nan", "h-negative", "h-inf", "sample-h-0", "h-1e5", "sample-h-1e5",
@@ -520,21 +502,22 @@ def test_invalid_numbers_exit_2_with_one_line(argv, capsys):
 
 @pytest.mark.parametrize("b, q1", [("1", "1.0000000000001"), ("2", "-2.0000000000001")],
                          ids=["q1-at-b", "q1-at-minus-b"])
-def test_a_marked_point_next_to_a_gluing_coordinate_is_reported(b, q1, capsys):
+def test_a_marked_point_next_to_a_gluing_coordinate_is_reported(b, q1, tmp_path, capsys):
     # Q1 within 1e-12 b of the gluing coordinate +-b builds, and its report passes
     curve = ["--a", "1", "--b", b, "--q1", q1, "--gamma-im", "1"]
-    assert run(["curve-info", *curve]) == 0
-    assert capsys.readouterr().err == ""
-    assert run(["verify", "--family", "spectral", *curve, "--grid", "16x16"]) == 0
+    report = tmp_path / "report.json"
+    assert run(["verify", "--family", "spectral", *curve, "--grid", "16x16",
+                "--json-out", str(report)]) == 0
     out = capsys.readouterr()
     assert out.err == "" and out.out.endswith("overall: PASS\n")
+    assert json.loads(report.read_text())["curve"]["Q1"] == float(q1)
 
 
 @pytest.mark.parametrize("argv, error", [
     (["verify", *SPHERE, "--grid", "2x2", "--json-out="], "error: cannot write : "),
     (["theta", "--period-file", "PM", "--z", "0", "--shift-m="],
      "error: --shift-m must be 1 comma-separated integers, got ''"),
-    (["curve-info", "--a", "1", "--b", "1", "--q1", "2", "--gamma-im", "1", "--scenario="],
+    (one_point("--a", "1", "--b", "1", "--q1", "2", "--gamma-im", "1", "--scenario="),
      "error: [Errno 2] No such file or directory: ''"),
 ], ids=["json-out", "shift-m", "scenario"])
 def test_an_empty_flag_value_is_refused(argv, error, tmp_path, capsys):
@@ -587,7 +570,7 @@ def test_a_value_that_starts_with_a_minus_sign(flag, value, rest, tmp_path, caps
     pm = tmp_path / "pm.txt"
     pm.write_text("2\n1j 0.1\n0.1 1.3j\n")
     head = (["theta", "--period-file", str(pm)] if flag in ("--z", "--shift-m") else
-            ["curve-info", "--a", "1", "--b", "1", "--q1", "2", "--gamma-im", "1"])
+            one_point("--a", "1", "--b", "1", "--q1", "2", "--gamma-im", "1"))
     outputs = []
     for spelling in ([flag, value], [f"{flag}={value}"]):
         code = run(head + rest + spelling)
@@ -653,7 +636,6 @@ def _parse(parser, argv):
 _VALID = {
     "verify": ["--family", "cone", "--m", "1", "--n", "2", "--json-out", "r.json", "--h", "1e-3"],
     "sample": [*SPHERE, "--grid", "8x4", "--out", "s.csv", "--tol-profile", "strict"],
-    "curve-info": ["--a", "1", "--b", "1", "--q1", "2", "--gamma-im", "1", "--scenario", "s"],
     "theta": ["--period-file", "pm.txt", "--z", "0.1", "--radius", "3", "--shift-m", "1"],
 }
 
@@ -666,8 +648,6 @@ def test_one_command_parser_parses_as_the_full_parser(command, monkeypatch):
     # unrecognized arguments are reported by the command's own parser, not the root's
     unrecognized = {"--bogus 1": [*_VALID[command], "--bogus", "1"],
                     "extra": [*_VALID[command], "extra"]}
-    if command == "curve-info":  # it has no --family, so the flag is unrecognized
-        unrecognized["--family=x"] = ["--family=x"]
     for rest in (["--help"], _VALID[command], ["--family=x"], []):
         if rest in unrecognized.values():
             continue
@@ -682,7 +662,7 @@ def test_one_command_parser_parses_as_the_full_parser(command, monkeypatch):
     assert _parse(only, ["--help"])[2].startswith(f"usage: mlsurf {command} [-h]")
 
 
-ROOT_USAGE = "usage: mlsurf [-h] {verify,sample,curve-info,theta} ...\n"
+ROOT_USAGE = "usage: mlsurf [-h] {verify,sample,theta} ...\n"
 
 
 def test_root_usage_and_errors_are_unchanged(monkeypatch, capsys):
@@ -693,17 +673,16 @@ def test_root_usage_and_errors_are_unchanged(monkeypatch, capsys):
     assert run(["bogus"]) == 2
     assert capsys.readouterr().err == (
         ROOT_USAGE + "mlsurf: error: argument command: invalid choice: 'bogus' "
-        "(choose from 'verify', 'sample', 'curve-info', 'theta')\n")
+        "(choose from 'verify', 'sample', 'theta')\n")
     assert run(["-h"]) == 0
     assert capsys.readouterr().out == ROOT_USAGE + """
 Construct minimal Lagrangian surfaces in CP^2 from spectral data and verify
 the geometric identities on a grid.
 
 positional arguments:
-  {verify,sample,curve-info,theta}
+  {verify,sample,theta}
     verify              run the verification suite
     sample              sample the surface to CSV
-    curve-info          dump derived curve constants
     theta               evaluate the Riemann theta function
 
 options:
@@ -725,7 +704,7 @@ def test_main_builds_one_parser_per_call(monkeypatch, capsys):
         return build_parser(command)
 
     monkeypatch.setattr(cli, "build_parser", spy)
-    cases = [(["curve-info", *SPHERE[2:]], "curve-info"), (["theta", "--help"], "theta"),
+    cases = [(one_point(*SPHERE[2:]), "verify"), (["theta", "--help"], "theta"),
              (["verify", "--bogus"], "verify"), (["sample"], "sample"), ([], None),
              (["-h"], None), (["bogus"], None), (["-h", "theta"], None)]
     for argv, command in cases:
@@ -771,9 +750,9 @@ def test_bad_grid_names_its_cause(grid, reason, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["verify", "--family", "spectral", "--scenario"],
-    ["curve-info", "--scenario"],
+    ["verify", "--family", "spectral", "--grid", "1x1", "--json-out", os.devnull, "--scenario"],
     ["theta", "--z", "0", "--period-file"],
-], ids=["verify-scenario", "curve-info-scenario", "period-file"])
+], ids=["verify-scenario", "verify-json-out-scenario", "period-file"])
 def test_a_file_that_is_not_utf8_is_refused_with_its_path(argv, tmp_path, capsys):
     path = tmp_path / "latin1.txt"
     path.write_bytes(b"\xff = 1\n")
@@ -928,8 +907,6 @@ _FAMILY_DEFAULTS = {"spectral": ["--a", "1", "--b", "1", "--q1", "2", "--gamma-i
                     "cone": ["--m", "1", "--n", "2"], "other": []}
 _ACCEPTED = {
     "verify": ([], {"--a", "--b", "--q1", "--gamma-im", "--m", "--n", "--h", "--tol-profile"}),
-    "curve-info": (["--a", "1", "--b", "1", "--q1", "2", "--gamma-im", "1"],
-                   {"--a", "--b", "--q1", "--gamma-im"}),
     "theta": (["--z", "0.1,0.2j"], {"--z", "--radius", "--shift-m"}),
 }
 _ACCEPTED["sample"] = _ACCEPTED["verify"]

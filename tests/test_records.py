@@ -1,13 +1,17 @@
+import io
+import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mlsurf.diffgeo import christoffel_solve, frame_and_connection, metric_from_jet
 from mlsurf.report import GridSpec, verify
 from mlsurf.spectral_curve import derive_constants
-from mlsurf.surface_families import _spectral_exp_terms, spectral_family, spectral_family_jet
+from mlsurf.surface_families import (_spectral_exp_terms, cone_family, spectral_family,
+                                     spectral_family_jet)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -77,7 +81,12 @@ def test_equal_curves_share_the_cached_exponential_terms():
     (lambda: GridSpec(0, 1), "grid must have at least one point per axis"),
     (lambda: GridSpec(3, 0), "grid must have at least one point per axis"),
     (lambda: GridSpec(2**62, 2), "grid 4611686018427387904x2 has more than 2^63 - 1 points"),
-], ids=["grid-nx", "grid-ny", "grid-points"])
+    # a float size would reach the sweep's range() and raise TypeError there
+    (lambda: GridSpec(2.5, 2), "grid sizes must be integers, got 2.5 and 2"),
+    (lambda: GridSpec(2.0, 2), "grid sizes must be integers, got 2.0 and 2"),
+    # a bool is an int, and the report would read "nx": true
+    (lambda: GridSpec(True, 3), "grid sizes must be integers, got True and 3"),
+], ids=["grid-nx", "grid-ny", "grid-points", "grid-float", "grid-whole-float", "grid-bool"])
 def test_validating_classes_keep_their_messages(build, message):
     with pytest.raises(ValueError) as refused:
         build()
@@ -87,3 +96,9 @@ def test_validating_classes_keep_their_messages(build, message):
 def test_validating_classes_normalise_their_inputs():
     grid = GridSpec(2, 3)
     assert (grid.nx, grid.ny) == (2, 3)
+    # a numpy integer size is kept as an int, which json can write
+    grid = GridSpec(np.int64(4), 4)
+    assert type(grid.nx) is int and grid.nx == 4
+    out = io.StringIO()
+    verify(cone_family(1, 2), grid).write_json(out)
+    assert json.loads(out.getvalue())["grid"]["nx"] == 4

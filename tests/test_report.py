@@ -1,6 +1,7 @@
 import cmath
 import csv
 import io
+import json
 import math
 import tracemalloc
 import warnings
@@ -23,6 +24,7 @@ from mlsurf.spectral_curve import derive_constants
 from mlsurf.surface_families import (TUBE_RADIUS, Family, cone_family, cone_family_jet,
                                      cone_jet_field, cone_metric_field, in_degeneracy_tube,
                                      spectral_family)
+from reference import _log_uniform_curve
 
 _GRAM = ("gram_norm", "gram_phi_phix", "gram_phi_phiy", "gram_phix_phiy")
 _CHRISTOFFEL = ("christoffel_b11", "christoffel_b12", "christoffel_b22",
@@ -172,6 +174,42 @@ def test_the_family_shorthands_give_the_records_of_verify():
                         (verify_spectral(curve, grid), verify(spectral_family(curve), grid))):
         assert (short.family, short.parameters) == (full.family, full.parameters)
         assert [c.to_dict() for c in short.checks] == [c.to_dict() for c in full.checks]
+
+
+def _bits(value):
+    """The float.hex of a number, or of each entry of a list or tuple: -0.0 is not 0.0."""
+    return [v.hex() for v in value] if isinstance(value, (list, tuple)) else value.hex()
+
+
+_REPORT_KEYS = ["family", "parameters", "grid", "h", "tol_profile", "checks", "overall",
+                "timings"]
+
+
+@pytest.mark.parametrize("family", [
+    spectral_family(derive_constants(1.0, 1.0, 2.0, 1.0)),
+    spectral_family(_log_uniform_curve(np.random.default_rng(5100))),
+    cone_family(1, 2),
+], ids=["worked-example", "log-uniform", "cone-1-2"])
+def test_a_spectral_report_carries_its_curve_and_a_cone_report_none(family):
+    report = verify(family, GridSpec(4, 4))
+    out = io.StringIO()
+    report.write_json(out)
+    doc = json.loads(out.getvalue())
+    assert report.curve is family.curve
+    if family.curve is None:
+        assert list(doc) == _REPORT_KEYS
+    else:   # every constant read back bit for bit, its tuples as lists
+        assert list(doc) == [*_REPORT_KEYS, "curve"]
+        want = family.curve._asdict()
+        assert list(doc["curve"]) == list(want)
+        assert {k: _bits(v) for k, v in doc["curve"].items()} == {
+            k: _bits(v) for k, v in want.items()}
+        assert all(type(doc["curve"][k]) is list for k in ("alpha", "res_Q"))
+    # the curve adds its block and nothing else: the rest of the document and the text
+    # report are those of the same report without it
+    bare = report._replace(curve=None)
+    assert {k: v for k, v in doc.items() if k != "curve"} == json.loads(json.dumps(bare.to_dict()))
+    assert report.format_text() == bare.format_text()
 
 
 @pytest.mark.parametrize("family, groups", [

@@ -183,6 +183,26 @@ def test_a_radius_below_one_is_refused_with_its_message(evaluate, radius):
     assert math.isfinite(abs(evaluate(B, 1)))   # the smallest radius is summed
 
 
+@pytest.mark.parametrize("radius", [2.5, 2.0, True], ids=["float", "whole-float", "bool"])
+@pytest.mark.parametrize("evaluate", [
+    lambda B, radius: riemann_theta(np.zeros(2), B, radius),
+    lambda B, radius: quasi_periodicity_defect(np.zeros(2), np.array([1, -1]), B, radius),
+], ids=["riemann_theta", "quasi_periodicity_defect"])
+def test_a_radius_that_is_not_an_integer_is_refused(evaluate, radius):
+    # 2.5 would sum a box of its own (4.3532 where radius 2 gives 1.1803) and True radius 1
+    B = PeriodMatrix(1j * np.eye(2))
+    with pytest.raises(ValueError) as refused:
+        evaluate(B, radius)
+    assert str(refused.value) == f"truncation radius must be an integer, got {radius!r}"
+
+
+def test_a_numpy_integer_radius_is_summed_as_the_int():
+    B = PeriodMatrix(1j * np.eye(2))
+    z = np.array([0.1 + 0.2j, 0.3])
+    for radius in (2, 2**62):   # 2 R + 1 overflows an int64 at 2^62
+        assert riemann_theta(z, B, np.int64(radius)) == riemann_theta(z, B, radius)
+
+
 @given(g=st.integers(1, 4), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_cap_bound_covers_the_listed_points(g, data):

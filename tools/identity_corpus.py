@@ -57,7 +57,7 @@ SPECTRAL = [  # (a, b, q1, gamma_im)
     ("3e-8", "1", "2", "1"),           # share a block
     ("3e-7", "1", "2", "1"),           # certified and SVD-decided points share a block
 ]
-CURVES = [  # curve-info alone, and verify and sample --grid 4x4 for those that derive
+CURVES = [  # verify --grid 1x1, and verify and sample --grid 4x4 for those that derive
     ("0.003", "1", "2", "1"),          # FAILs only the absolute curve_regularity tolerance
     ("1e-150", "1", "2", "1"),
     ("1", "1", "1e308", "1"),          # constants that overflow or divide by zero
@@ -72,7 +72,7 @@ CURVES = [  # curve-info alone, and verify and sample --grid 4x4 for those that 
     ("inf", "1", "2", "1"),
     ("1e-160", "1", "2", "1"),         # the scale c of Omega_2 overflows
 ]
-EDGES = [  # curve-info, and verify and sample --grid 4x4
+EDGES = [  # verify --grid 1x1, and verify and sample --grid 4x4
     ("1", "1", "1.0000000000001", "1"),     # Q1 within 1e-12 b of the gluing coordinates
     ("1", "2", "-2.0000000000001", "1"),
     ("1", "1", "2", "1e-200"),              # residues that underflow to 0
@@ -88,7 +88,7 @@ PERIOD_FILES = {  # name: (text, z, shift)
     "pm3.txt": ("3\n1.2j 0.1 0.2j\n0.1 0.9j 0\n0.2j 0 1.5j\n", "0.1,0,0.2j", "0,1,2"),
     "pm4.txt": ("2\n0.3+1j 0.1+0.5j\n0.1+0.5j -0.2+1.2j\n", "1e300,-7.25+0.2j", "1,0"),
 }
-SCENARIOS = {  # name: bytes; each is read by curve-info and verify --family spectral
+SCENARIOS = {  # name: bytes; each is read by verify --family spectral at 1x1 and 4x4
     "ok.scn": b"a = 1\nb = 1\nq1 = 2\ngamma_im = 1\n",
     "crlf.scn": b"# a comment line\r\na = 1.3  # inline\r\n\r\nb = 0.7\r\nq1 = 2.1\r\n"
                 b"gamma_im = -0.9\r\n",
@@ -129,6 +129,13 @@ REFUSED = [  # surface flags the CLI refuses before any sweep
 ]
 
 
+def _curve(*flags) -> list:
+    """A spectral verify at 1x1 whose report holds the curve constants of flags: the
+    sweep is one point, so the call digests what derive_constants builds or refuses
+    (a curve whose one point lies in the degeneracy tube exits 2 without a report)."""
+    return ["verify", "--family", "spectral", *flags, "--grid", "1x1", "--json-out", "report.json"]
+
+
 def corpus() -> list:
     calls = []
     surfaces = [["--family", "spectral", "--a", a, "--b", b, "--q1", q1, "--gamma-im", g]
@@ -144,21 +151,21 @@ def corpus() -> list:
         calls += [["verify", *surface, "--grid", WIDE, "--json-out", "report.json"],
                   ["sample", *surface, "--grid", WIDE, "--out", "surface.csv"]]
     for a, b, q1, g in SPECTRAL + CURVES + EDGES:
-        calls.append(["curve-info", "--a", a, "--b", b, "--q1", q1, "--gamma-im", g])
+        calls.append(_curve("--a", a, "--b", b, "--q1", q1, "--gamma-im", g))
     for a, b, q1, g in SPECTRAL:   # Q1 -> -Q1: Q1 and Q2 trade places in Omega_2's poles
         q1 = q1[1:] if q1.startswith("-") else "-" + q1
-        calls.append(["curve-info", "--a", a, "--b", b, "--q1", q1, "--gamma-im", g])
+        calls.append(_curve("--a", a, "--b", b, "--q1", q1, "--gamma-im", g))
     for a, b, q1, g in CURVES[:2] + EDGES:
         surface = ["--family", "spectral", "--a", a, "--b", b, "--q1", q1, "--gamma-im", g,
                    "--grid", "4x4"]
         calls += [["verify", *surface, "--json-out", "report.json"],
                   ["sample", *surface, "--out", "surface.csv"]]
     for name in [*SCENARIOS, "absent.scn"]:
-        calls.append(["curve-info", "--scenario", name])
+        calls.append(_curve("--scenario", name))
         calls.append(["verify", "--family", "spectral", "--scenario", name, "--grid", "4x4",
                       "--json-out", "report.json"])
-    calls += [["curve-info", "--scenario", "ok.scn", "--a", "1.3", "--gamma-im", "-0.9"],
-              ["curve-info", "--scenario", "missing.scn", "--b", "1", "--gamma-im", "1"],
+    calls += [_curve("--scenario", "ok.scn", "--a", "1.3", "--gamma-im", "-0.9"),
+              _curve("--scenario", "missing.scn", "--b", "1", "--gamma-im", "1"),
               ["sample", "--family", "spectral", "--scenario", "crlf.scn", "--q1", "2.5",
                "--grid", "4x4", "--out", "surface.csv"],
               ["verify", "--family", "cone", "--m", "1", "--n", "2", "--scenario", "ok.scn"]]
@@ -192,7 +199,7 @@ def corpus() -> list:
     for profile in ("x", "fd"):
         calls += [["verify", *surface, "--tol-profile", profile],
                   ["sample", *surface, "--tol-profile", profile, "--out", "surface.csv"]]
-    calls += [[command, "--help"] for command in ("verify", "sample", "curve-info", "theta")]
+    calls += [[command, "--help"] for command in ("verify", "sample", "theta")]
     calls.append(["--help"])
     return calls
 
