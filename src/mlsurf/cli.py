@@ -23,30 +23,8 @@ def _parse_grid(text: str) -> GridSpec:
         raise argparse.ArgumentTypeError(f"{exc}, got {text!r}") from None
 
 
-def _read_scenario(path: str) -> dict:
-    out = {}
-    try:
-        with open(path) as fh:
-            for raw in fh:
-                ln = raw.split("#")[0].strip()
-                if not ln:
-                    continue
-                if "=" not in ln:
-                    raise ValueError(f"{path}: expected 'key = value', got {ln!r}")
-                key, _, val = (s.strip() for s in ln.partition("="))
-                if key in out:
-                    raise ValueError(f"{path}: {key} is given twice")
-                try:
-                    out[key] = float(val)
-                except ValueError:
-                    raise ValueError(f"{path}: {key} = {val!r} is not a number") from None
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return out
-
-
 def _family_from_args(args) -> Family:
-    for key in ("m", "n") if args.family == "spectral" else ("a", "b", "q1", "gamma_im", "scenario"):
+    for key in ("m", "n") if args.family == "spectral" else ("a", "b", "q1", "gamma_im"):
         if getattr(args, key) is not None:
             raise ValueError(f"--{key.replace('_', '-')} does not apply to --family {args.family}")
     if args.family == "cone":
@@ -54,14 +32,6 @@ def _family_from_args(args) -> Family:
             raise ValueError("cone family needs --m and --n")
         return cone_family(args.m, args.n)
     params = {"a": args.a, "b": args.b, "q1": args.q1, "gamma_im": args.gamma_im}
-    if args.scenario is not None:
-        scen = _read_scenario(args.scenario)
-        unknown = scen.keys() - params.keys()
-        if unknown:
-            raise ValueError(f"{args.scenario}: scenario has unknown keys: {sorted(unknown)}")
-        for key, val in scen.items():
-            if params[key] is None:
-                params[key] = val
     missing = [k for k, v in params.items() if v is None]
     if missing:
         raise ValueError(f"missing spectral parameters: {', '.join(missing)}")
@@ -138,7 +108,6 @@ def _cmd_theta(args) -> int:
 _FLOAT = dict(type=float)
 _SURFACE = [("--family", dict(choices=["spectral", "cone"], required=True)),
             ("--a", _FLOAT), ("--b", _FLOAT), ("--q1", _FLOAT), ("--gamma-im", _FLOAT),
-            ("--scenario", dict(help="key = value file with a, b, q1, gamma_im")),
             ("--m", dict(type=int)), ("--n", dict(type=int)),
             ("--grid", dict(type=_parse_grid, default="64x64")),
             ("--h", dict(type=float, default=1e-4, help="finite-difference step")),

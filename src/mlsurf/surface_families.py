@@ -8,6 +8,7 @@ differences exist only as a cross-check.
 """
 
 import math
+import numbers
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -288,6 +289,10 @@ def spectral_family(curve: ReducibleCurveData) -> Family:
 
 def cone_family(m: int, n: int) -> Family:
     """The elementary cone surface of orders m, n >= 1."""
+    # before the lru_cache of _cone_terms, where True would find the entry of 1
+    if any(isinstance(k, bool) or not isinstance(k, numbers.Integral) for k in (m, n)):
+        raise ValueError(f"m, n must be positive integers, got {m}, {n}")
+    m, n = int(m), int(n)   # a numpy int fails json
     _cone_terms(m, n)   # refuses the orders before the metric overflows on them
     return Family("cone", {"m": m, "n": n}, lambda x, y: cone_family_jet(m, n, x, y),
                   lambda xs, ys: cone_jet_field(m, n, xs, ys), cone_metric_field(m, n),

@@ -83,7 +83,7 @@ def test_verify_missing_parameters_exits_2(capsys):
 @pytest.mark.parametrize("family, own, other, flag", [
     ("cone", ["--m", "1", "--n", "2"], ["--a", "1"], "--a"),
     ("cone", ["--m", "1", "--n", "2"], ["--gamma-im", "-0.5"], "--gamma-im"),
-    ("cone", ["--m", "1", "--n", "2"], ["--scenario", "s.txt"], "--scenario"),
+    ("cone", ["--m", "1", "--n", "2"], ["--q1", "2"], "--q1"),
     ("spectral", ["--a", "1", "--b", "1", "--q1", "2", "--gamma-im", "1"], ["--m", "1"], "--m"),
     ("spectral", ["--a", "1", "--b", "1", "--q1", "2", "--gamma-im", "1"], ["--n", "2"], "--n"),
 ])
@@ -99,6 +99,20 @@ def test_a_flag_of_the_other_family_is_refused(command, family, own, other, flag
 
 def test_verify_unknown_flag_exits_2():
     assert run(["verify", "--family", "spectral", "--bogus", "1"]) == 2
+
+
+@pytest.mark.parametrize("command", [["verify"], ["sample", "--out", "s.csv"]],
+                         ids=["verify", "sample"])
+def test_a_spectral_surface_is_given_by_its_four_flags_alone(command, tmp_path, monkeypatch,
+                                                             capsys):
+    # no file of key = value lines is read in their place
+    monkeypatch.chdir(tmp_path)
+    Path("ok.scn").write_text("a = 1\nb = 1\nq1 = 2\ngamma_im = 1\n")
+    assert run([*command, "--family", "spectral", "--scenario", "ok.scn"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.endswith(
+        f"\nmlsurf {command[0]}: error: unrecognized arguments: --scenario ok.scn\n")
+    assert not Path("s.csv").exists()
 
 
 def test_verify_bad_grid_exits_2():
@@ -184,34 +198,6 @@ def test_worked_example_writes_nothing_to_stderr(command, surface, verify_code, 
         assert all(n.startswith(("christoffel", "gradient", "minimality")) for n in infinite)
         check_lines = proc.stdout.splitlines()[2:-1]  # between the table header and "overall"
         assert names and names == [ln.split()[0] for ln in check_lines]
-
-
-def test_scenario_file(tmp_path, capsys):
-    scen = tmp_path / "sphere.scenario"
-    scen.write_text("# worked example\na = 1\nb = 1\nq1 = 2\ngamma_im = 1\n")
-    code = run(["verify", "--family", "spectral", "--scenario", str(scen),
-                "--grid", "8x8"])
-    assert code == 0
-    capsys.readouterr()
-    bad = tmp_path / "bad.scenario"
-    bad.write_text("a = 1\nwhat = 3\n")
-    assert run(["verify", "--family", "spectral", "--scenario", str(bad)]) == 2
-    out = capsys.readouterr()
-    assert out.out == "" and out.err == f"error: {bad}: scenario has unknown keys: ['what']\n"
-    bad.write_text("a = 1\nb = x\n")
-    assert run(["verify", "--family", "spectral", "--scenario", str(bad)]) == 2
-    out = capsys.readouterr()
-    assert out.out == "" and out.err == f"error: {bad}: b = 'x' is not a number\n"
-    # a key given twice is refused, not read as its last value
-    bad.write_text("a = 1\nb = 1\nq1 = 2\ngamma_im = 1\na = 2\n")
-    assert run(["verify", "--family", "spectral", "--scenario", str(bad), "--grid", "8x8"]) == 2
-    out = capsys.readouterr()
-    assert out.out == "" and out.err == f"error: {bad}: a is given twice\n"
-    # a line without "=" is refused with the line it read
-    bad.write_text("a = 1\nb 1\n")
-    assert run(["verify", "--family", "spectral", "--scenario", str(bad), "--grid", "8x8"]) == 2
-    out = capsys.readouterr()
-    assert out.out == "" and out.err == f"error: {bad}: expected 'key = value', got 'b 1'\n"
 
 
 CURVE_INFO = {  # a spectral report's curve block, pinned: every derived constant
@@ -517,9 +503,7 @@ def test_a_marked_point_next_to_a_gluing_coordinate_is_reported(b, q1, tmp_path,
     (["verify", *SPHERE, "--grid", "2x2", "--json-out="], "error: cannot write : "),
     (["theta", "--period-file", "PM", "--z", "0", "--shift-m="],
      "error: --shift-m must be 1 comma-separated integers, got ''"),
-    (one_point("--a", "1", "--b", "1", "--q1", "2", "--gamma-im", "1", "--scenario="),
-     "error: [Errno 2] No such file or directory: ''"),
-], ids=["json-out", "shift-m", "scenario"])
+], ids=["json-out", "shift-m"])
 def test_an_empty_flag_value_is_refused(argv, error, tmp_path, capsys):
     pm = tmp_path / "pm.txt"
     pm.write_text("1\n1j\n")
@@ -748,11 +732,7 @@ def test_bad_grid_names_its_cause(grid, reason, capsys):
         f"\nmlsurf verify: error: argument --grid: {reason}\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--family", "spectral", "--scenario"],
-    ["verify", "--family", "spectral", "--grid", "1x1", "--json-out", os.devnull, "--scenario"],
-    ["theta", "--z", "0", "--period-file"],
-], ids=["verify-scenario", "verify-json-out-scenario", "period-file"])
+@pytest.mark.parametrize("argv", [["theta", "--z", "0", "--period-file"]], ids=["period-file"])
 def test_a_file_that_is_not_utf8_is_refused_with_its_path(argv, tmp_path, capsys):
     path = tmp_path / "latin1.txt"
     path.write_bytes(b"\xff = 1\n")

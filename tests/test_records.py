@@ -86,7 +86,12 @@ def test_equal_curves_share_the_cached_exponential_terms():
     (lambda: GridSpec(2.0, 2), "grid sizes must be integers, got 2.0 and 2"),
     # a bool is an int, and the report would read "nx": true
     (lambda: GridSpec(True, 3), "grid sizes must be integers, got True and 3"),
-], ids=["grid-nx", "grid-ny", "grid-points", "grid-float", "grid-whole-float", "grid-bool"])
+    # cone orders alike: 2.5 would build a surface and report m=2.5
+    (lambda: cone_family(2.5, 1), "m, n must be positive integers, got 2.5, 1"),
+    (lambda: cone_family(2.0, 1), "m, n must be positive integers, got 2.0, 1"),
+    (lambda: cone_family(1, True), "m, n must be positive integers, got 1, True"),
+], ids=["grid-nx", "grid-ny", "grid-points", "grid-float", "grid-whole-float", "grid-bool",
+        "cone-float", "cone-whole-float", "cone-bool"])
 def test_validating_classes_keep_their_messages(build, message):
     with pytest.raises(ValueError) as refused:
         build()
@@ -102,3 +107,10 @@ def test_validating_classes_normalise_their_inputs():
     out = io.StringIO()
     verify(cone_family(1, 2), grid).write_json(out)
     assert json.loads(out.getvalue())["grid"]["nx"] == 4
+    # a numpy integer order likewise, with the report of the int order
+    family = cone_family(np.int64(2), 1)
+    assert [type(v) for v in family.parameters.values()] == [int, int]
+    report, out = verify(family, GridSpec(4, 4)), io.StringIO()
+    report.write_json(out)
+    assert report.format_text() == verify(cone_family(2, 1), GridSpec(4, 4)).format_text()
+    assert json.loads(out.getvalue())["parameters"] == {"m": 2, "n": 1}

@@ -28,9 +28,9 @@ whose verdicts changed (any check's passed, the overall, or the report's
 presence): `verdict changes: V`.
 
 The calls run in a temporary directory with relative file names, so no line
-depends on where the corpus ran.  The scenario and period-matrix files they
-read, valid and malformed, are written there first, so the corpus reaches the
-input layer as well as the sweep.
+depends on where the corpus ran.  The period-matrix files they read, valid
+and malformed, are written there first, so the corpus reaches the input layer
+as well as the sweep.
 """
 
 import contextlib
@@ -87,17 +87,6 @@ PERIOD_FILES = {  # name: (text, z, shift)
     "pm2.txt": ("2\n0.1+1j 0.2\n0.2 2j\n", "0.1,0.2-0.3j", "1,-1"),
     "pm3.txt": ("3\n1.2j 0.1 0.2j\n0.1 0.9j 0\n0.2j 0 1.5j\n", "0.1,0,0.2j", "0,1,2"),
     "pm4.txt": ("2\n0.3+1j 0.1+0.5j\n0.1+0.5j -0.2+1.2j\n", "1e300,-7.25+0.2j", "1,0"),
-}
-SCENARIOS = {  # name: bytes; each is read by verify --family spectral at 1x1 and 4x4
-    "ok.scn": b"a = 1\nb = 1\nq1 = 2\ngamma_im = 1\n",
-    "crlf.scn": b"# a comment line\r\na = 1.3  # inline\r\n\r\nb = 0.7\r\nq1 = 2.1\r\n"
-                b"gamma_im = -0.9\r\n",
-    "no_equals.scn": b"a = 1\nb 1\n",
-    "twice.scn": b"a = 1\nb = 1\na = 2\n",
-    "word.scn": b"a = 1\nb = one\n",
-    "unknown.scn": b"a = 1\nb = 1\nq1 = 2\ngamma_im = 1\nc = 3\nd = 4\n",
-    "missing.scn": b"a = 1\nq1 = 2\n",
-    "latin1.scn": b"a = 1\n# caf\xe9\nb = 1\n",
 }
 BAD_PERIOD_FILES = {  # name: bytes; each is refused whatever z
     "empty.txt": b"# nothing but a comment\n\n",
@@ -160,15 +149,6 @@ def corpus() -> list:
                    "--grid", "4x4"]
         calls += [["verify", *surface, "--json-out", "report.json"],
                   ["sample", *surface, "--out", "surface.csv"]]
-    for name in [*SCENARIOS, "absent.scn"]:
-        calls.append(_curve("--scenario", name))
-        calls.append(["verify", "--family", "spectral", "--scenario", name, "--grid", "4x4",
-                      "--json-out", "report.json"])
-    calls += [_curve("--scenario", "ok.scn", "--a", "1.3", "--gamma-im", "-0.9"),
-              _curve("--scenario", "missing.scn", "--b", "1", "--gamma-im", "1"),
-              ["sample", "--family", "spectral", "--scenario", "crlf.scn", "--q1", "2.5",
-               "--grid", "4x4", "--out", "surface.csv"],
-              ["verify", "--family", "cone", "--m", "1", "--n", "2", "--scenario", "ok.scn"]]
     for surface in REFUSED:
         calls += [["verify", *surface], ["sample", *surface, "--out", "surface.csv"]]
     surface = ["--family", "cone", "--m", "1", "--n", "2", "--grid", "4x4"]
@@ -226,7 +206,7 @@ def corpus_directory():
         try:
             for name, (text, _, _) in PERIOD_FILES.items():
                 Path(name).write_text(text)
-            for name, data in {**SCENARIOS, **BAD_PERIOD_FILES, **RADIUS_FILES}.items():
+            for name, data in {**BAD_PERIOD_FILES, **RADIUS_FILES}.items():
                 Path(name).write_bytes(data)
             yield
         finally:
