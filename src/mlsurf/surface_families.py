@@ -45,8 +45,8 @@ MEMO_SIZE = 4096   # entries per _Factors table; BENCH_42.json's memo_bound (CHA
 
 
 class _Factors(dict):
-    """Read-only factors v -> make(v) of one coordinate, for the family a scalar jet last
-    evaluated.  A zero keys as (v, sign): 0.0 == -0.0 and both hash alike.  A full table
+    """Read-only factors v -> make(v) of one coordinate, for the curve spectral_family_jet
+    last evaluated.  A zero keys as (v, sign): 0.0 == -0.0 and both hash alike.  A full table
     is cleared, not evicted: the sweep visits x innermost, so an LRU smaller than a row
     would miss on every call."""
 
@@ -166,37 +166,18 @@ def _cone_rows(k1, k2, A, B, x, sin, cos, sqrt, power):
     return (k1 * sx, k2 * cx, rho), (k1 * cx, -k2 * sx, s / rho), (-k1 * sx, -k2 * cx, rho_pp)
 
 
-def _cone_factors(m: int, n: int) -> tuple:
-    """The memo slot of the cone (m, n): (m, n) and the tables of W * u(x), u from _cone_rows
-    with math's functions, and e^{i q y}."""
-    k1, k2, A, B, iq, W = _cone_terms(m, n)
-
-    def amplitudes(x):
-        # one flat sequence of floats in field order: nested rows took numpy a third of the call
-        u, up, upp = _cone_rows(k1, k2, A, B, x, math.sin, math.cos, math.sqrt, math.pow)
-        return W * np.array([*u, *up, *u, *upp, *up, *u]).reshape(6, 3)
-
-    return (m, n), _Factors(amplitudes), _Factors(lambda y: np.exp(iq * y))
-
-
-_cone_memo = (None,)   # _cone_factors of the cone last evaluated
-
-
 def cone_family_jet(m: int, n: int, x: float, y: float) -> SurfaceJet:
     """Jet of the elementary family
 
     phi = (sin(x) sqrt(m+n)/sqrt(2m+n) e^{pi i m y},
            cos(x) sqrt(m+n)/sqrt(m+2n) e^{pi i n y},
            sqrt(n cos^2 x/(m+2n) + m sin^2 x/(2m+n)) e^{-pi i (m+n) y})
-    as (W * u) * e, the product of the memoized W * u(x) and e = e^{i q y} (_Factors) of
-    the orders last evaluated.
+    as (W * u) * e^{i q y}, u from _cone_rows with math's functions.
     """
-    global _cone_memo
-    memo = _cone_memo
-    if memo[0] != (m, n):
-        memo = _cone_memo = _cone_factors(m, n)
-    _, Wu, e = memo
-    J = Wu.at(x) * e.at(y)
+    k1, k2, A, B, iq, W = _cone_terms(m, n)
+    u, up, upp = _cone_rows(k1, k2, A, B, x, math.sin, math.cos, math.sqrt, math.pow)
+    # one flat sequence of floats in field order: nested rows took numpy a third of the call
+    J = (W * np.array([*u, *up, *u, *upp, *up, *u]).reshape(6, 3)) * np.exp(iq * y)
     return SurfaceJet(x, y, J[0], J[1], J[2], J[3], J[4], J[5])
 
 

@@ -5,7 +5,8 @@ block's coordinates formed from its point indices (GridSpec.points), so no axis 
 whatever the grid.  Per block it evaluates the jet field (Family.jets), its metric
 (metric_data) and the tube mask (tube_mask) at all centres at once; outside the tube
 diffgeo._stencil_rows stacks the centres' phi, phi_x, phi_y with the four neighbours'
-rows, read off Family.jet by diffgeo._jets, and _stencil takes all five angles in one pass.
+rows (a cone's from Family.jets, the spectral family's off Family.jet by diffgeo._jets),
+and _stencil takes all five angles in one pass.
 Each check group calls diffgeo's stages, which return masks where the scalar oracles
 raise, and gives (values, ok); one accumulator folds them into the maxima, a point where
 ok is False counting as inf.  The sweep forms only |E - E_closed|, |G - G_closed|,
@@ -82,6 +83,12 @@ def check_maxima(family: Family, grid, h: float) -> tuple:
     curve = family.curve
     timer = Timings()
     maxima, tube_points, beta_ref = {}, 0, None
+    # the stencil's four neighbours: a cone reads its field; the spectral family keeps its
+    # scalar jets, which the benchmark counts (bench/test_bench_smoke.py's
+    # test_counts_repeat_exactly asserts jets_per_point > 1.0 on verify-spectral) until
+    # ROADMAP item 1b swaps it too
+    rows_at = ((lambda xs, ys: family.jets(xs, ys)[:3]) if curve is None
+               else (lambda xs, ys: _jets(family.jet, xs, ys)))
 
     def fold(phase, names, values, ok=True):
         # NaN-sticky running max in which a point where ok is False counts as inf
@@ -109,7 +116,7 @@ def check_maxima(family: Family, grid, h: float) -> tuple:
                 continue
             act = np.flatnonzero(~tube)   # the stencil of the points outside the tube
             xa, ya, Ja = x[act], y[act], J[:, act]
-            S = _stencil_rows(Ja[:3], lambda xs, ys: _jets(family.jet, xs, ys), xa, ya, h)
+            S = _stencil_rows(Ja[:3], rows_at, xa, ya, h)
             timer.lap("stencil")
             beta, centre_ok, angles_ok, frame_ok = _stencil(S)
             if beta_ref is None:

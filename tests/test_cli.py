@@ -79,14 +79,19 @@ def test_verify_missing_parameters_exits_2(capsys):
         assert capsys.readouterr() == ("", "error: cone family needs --m and --n\n")
 
 
-@pytest.mark.parametrize("command", ["verify", "sample"])
-@pytest.mark.parametrize("family, own, other, flag", [
+_OTHER_FAMILY_FLAGS = [
     ("cone", ["--m", "1", "--n", "2"], ["--a", "1"], "--a"),
     ("cone", ["--m", "1", "--n", "2"], ["--gamma-im", "-0.5"], "--gamma-im"),
     ("cone", ["--m", "1", "--n", "2"], ["--q1", "2"], "--q1"),
     ("spectral", ["--a", "1", "--b", "1", "--q1", "2", "--gamma-im", "1"], ["--m", "1"], "--m"),
     ("spectral", ["--a", "1", "--b", "1", "--q1", "2", "--gamma-im", "1"], ["--n", "2"], "--n"),
-])
+]
+
+
+# each case named by family, flag and command, so that deleting one renames no other
+@pytest.mark.parametrize("command, family, own, other, flag", [
+    pytest.param(command, *case, id=f"{case[0]}-{case[3][2:]}-{command}")
+    for case in _OTHER_FAMILY_FLAGS for command in ("verify", "sample")])
 def test_a_flag_of_the_other_family_is_refused(command, family, own, other, flag, tmp_path, capsys):
     out = tmp_path / "out"
     argv = [command, "--family", family, *own, *other, "--grid", "2x2"]

@@ -23,6 +23,7 @@ ALLOWED = {
     "report.verify_spectral": _PINNED,
     "report.verify_cone": _PINNED,
     "surface_families.in_degeneracy_tube": _PINNED,
+    "surface_families.cone_family_jet": _PINNED,
 }
 
 

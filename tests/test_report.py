@@ -305,14 +305,15 @@ def test_a_partial_block_at_the_shipped_chunk_changes_nothing(monkeypatch):
 
 @pytest.mark.parametrize("family", [TUBE_POINTS, cone_family(3, 2)], ids=["tube-points", "cone-3-2"])
 def test_verify_calls_the_scalar_jet_at_four_stencil_points_outside_the_tube(family, monkeypatch):
-    # the benchmark counts scalar jets by rebinding these module globals, as
-    # here: Family.jet must look them up at call time, and only the stencil
-    # calls them, once per stencil point of each point outside the tube
-    calls = {"spectral_family_jet": [], "cone_family_jet": []}
+    # the benchmark counts scalar jets by rebinding these module globals, as here:
+    # Family.jet and Family.jets must look them up at call time.  The spectral stencil
+    # calls its scalar jet once per stencil point of each point outside the tube; a cone
+    # makes no scalar call, its field reading each point and the point's stencil
+    calls = {"spectral_family_jet": [], "cone_family_jet": [], "cone_jet_field": []}
     for name, seen in calls.items():
-        def counted(*args, _jet=getattr(surface_families, name), _seen=seen):
+        def counted(*args, _f=getattr(surface_families, name), _seen=seen):
             _seen.append(args[-2:])
-            return _jet(*args)
+            return _f(*args)
         monkeypatch.setattr(surface_families, name, counted)
     grid, h = GridSpec(16, 16), 1e-4
     checks = verify(family, grid, h).checks
@@ -323,10 +324,15 @@ def test_verify_calls_the_scalar_jet_at_four_stencil_points_outside_the_tube(fam
     assert [c.excluded_points for c in checks if c.name == "beta_constant"] == [tube_points]
     assert (tube_points > 0) == (family.curve is not None)
     stencil = [p for x, y in outside for p in ((x + h, y), (x - h, y), (x, y + h), (x, y - h))]
-    name = "cone_family_jet" if family.curve is None else "spectral_family_jet"
-    assert len(calls[name]) == 4 * len(outside)
-    assert sorted(calls[name]) == sorted(stencil)
-    assert all(not seen for other, seen in calls.items() if other != name)
+    if family.curve is None:
+        assert calls["spectral_family_jet"] == calls["cone_family_jet"] == []
+        read = [p for fx, fy in calls["cone_jet_field"] for p in zip(fx.tolist(), fy.tolist())]
+        assert len(read) == 5 * len(outside)
+        assert sorted(read) == sorted(outside + stencil)
+    else:
+        assert len(calls["spectral_family_jet"]) == 4 * len(outside)
+        assert sorted(calls["spectral_family_jet"]) == sorted(stencil)
+        assert calls["cone_family_jet"] == calls["cone_jet_field"] == []
 
 
 @pytest.mark.parametrize("nx, ny", [(1, 1), (33, 17), (100, 37), (1, 4096), (4096, 1)])

@@ -160,16 +160,17 @@ def test_the_sweep_reads_the_stages_not_their_parts(name):
 _TRANSCENDENTALS = {"np.exp", "np.sin", "np.cos", "exp", "sin", "cos", "math"}
 
 
-@pytest.mark.parametrize("name", ["spectral_family_jet", "cone_family_jet"])
+@pytest.mark.parametrize("name", ["spectral_family_jet"])
 def test_a_scalar_jet_is_a_product_of_memoized_factors(name):
-    # np.exp, np.sin, np.cos and math.* belong in the one-coordinate factor makers
-    # (_spectral_factors, _cone_factors), which run once per new x or y value
+    # np.exp, np.sin, np.cos and math.* belong in the one-coordinate factor maker
+    # (_spectral_factors), which runs once per new x or y value; cone_family_jet, off the
+    # sweep's path, evaluates _cone_rows at its one point
     assert _TRANSCENDENTALS & _names(_function(MODULES["surface_families.py"], name)) == set()
 
 
 @pytest.mark.parametrize("found", [_sin_or_cos_of_x, _cone_radicand])
 def test_the_cone_amplitude_rows_are_written_in_one_function(found):
-    # cone_family_jet's factor maker and cone_jet_field both call _cone_rows, passing it
+    # cone_family_jet and cone_jet_field both call _cone_rows, passing it
     # math's or numpy's functions; cone_metric_field keeps its own sin, cos and A, B on
     # purpose, as the independent claim the metric checks compare the jets against
     assert _outermost_functions(MODULES["surface_families.py"], found) == {

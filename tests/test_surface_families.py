@@ -115,8 +115,9 @@ def test_cone_jet_field_matches_the_scalar_jet_bit_for_bit(m):
     *(cone_family(m, n) for m in range(1, 7) for n in range(1, 7))],
     ids=lambda f: f.name + "-" + "-".join(f"{v:.3g}" for v in f.parameters.values()))
 def test_stencil_jets_are_the_field_rows_the_stencil_reads(family):
-    # the sweep's stencil (scalar jets) and its centres (the field) agree bit for bit,
-    # so evaluating the stencil by the field could not change a report
+    # the scalar jets and the field agree bit for bit on the stencil's rows, so the row
+    # source the sweep gives the stencil (a cone's field, the spectral family's scalar
+    # jets until ROADMAP item 1b) cannot change a report
     xs, ys = _with_sweep_points(*np.random.default_rng(7).uniform(-50, 50, (2, 200)))
     stencil = diffgeo._jets(family.jet, xs, ys)
     assert stencil.shape == (3, len(xs), 3)
@@ -132,9 +133,8 @@ def _rows(jet):
     return np.array([getattr(jet, f) for f in _JET_FIELDS])
 
 
-def _forget_both_families():
-    # one scalar jet of two other families: the memo then holds neither family above
-    cone_family_jet(1, 1, 0.5, 0.5)
+def _forget_the_curve():
+    # one scalar jet of another curve: the spectral memo then holds no family above
     spectral_family_jet(derive_constants(1.3, 0.7, 2.1, -0.9), 0.5, 0.5)
 
 
@@ -146,7 +146,7 @@ def test_scalar_jets_tell_the_zeros_apart_in_either_order(family, order):
     points = [(x, y) for x in (0.0, -0.0, 0.7) for y in (0.0, -0.0, 0.3)]
     if order == "reversed":
         points.reverse()
-    _forget_both_families()
+    _forget_the_curve()
     xs, ys = np.array(points).T
     assert np.array_equal(_bits(_scalar_field(family.jet, xs, ys)), _bits(family.jets(xs, ys)))
 
@@ -176,7 +176,7 @@ def test_writing_into_a_returned_row_changes_no_later_jet(family):
             getattr(jet, f)[:] = 0
 
 
-@_MEMO_FAMILIES
+@pytest.mark.parametrize("family", [spectral_family(_WORKED)], ids=["worked-example"])
 def test_a_stencil_row_wider_than_the_memo_keeps_every_bit_and_the_bound(family):
     # one grid row's stencil holds 3 nx distinct x values, more than MEMO_SIZE: the x table
     # is cleared on the way, and every jet is still the field's
@@ -186,8 +186,7 @@ def test_a_stencil_row_wider_than_the_memo_keeps_every_bit_and_the_bound(family)
     assert len(set(xs.tolist())) == 3 * nx > surface_families.MEMO_SIZE
     stencil = diffgeo._jets(family.jet, xs, ys)
     assert np.array_equal(_bits(stencil), _bits(family.jets(xs, ys)[:3]))
-    memo = surface_families._cone_memo if family.curve is None else surface_families._spectral_memo
-    tables = [t for t in memo if isinstance(t, dict)]
+    tables = [t for t in surface_families._spectral_memo if isinstance(t, dict)]
     assert len(tables) == 2 and all(len(t) <= surface_families.MEMO_SIZE for t in tables)
     assert not any(f.flags.writeable for t in tables for f in t.values())
 
