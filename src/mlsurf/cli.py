@@ -110,12 +110,12 @@ _SURFACE = [("--family", dict(choices=["spectral", "cone"], required=True)),
             ("--a", _FLOAT), ("--b", _FLOAT), ("--q1", _FLOAT), ("--gamma-im", _FLOAT),
             ("--m", dict(type=int)), ("--n", dict(type=int)),
             ("--grid", dict(type=_parse_grid, default="64x64")),
-            ("--h", dict(type=float, default=1e-4, help="finite-difference step")),
-            ("--tol-profile", dict(choices=["strict"], default="strict"))]   # for argv naming it
+            ("--h", dict(type=float, default=1e-4, help="finite-difference step"))]
 # name: (help, the command's flags in help order, its handler)
 COMMANDS = {
-    "verify": ("run the verification suite", [
-        *_SURFACE, ("--json-out", dict(help="write machine-readable report"))], _cmd_verify),
+    "verify": ("run the verification suite", [   # --tol-profile: for argv naming it
+        *_SURFACE, ("--tol-profile", dict(choices=["strict"], default="strict")),
+        ("--json-out", dict(help="write machine-readable report"))], _cmd_verify),
     "sample": ("sample the surface to CSV", [
         *_SURFACE, ("--out", dict(required=True, help="CSV output path"))], _cmd_sample),
     "theta": ("evaluate the Riemann theta function", [
@@ -129,7 +129,7 @@ COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of `command` alone, or with no command the root parser of them all."""
+    """The parser of `command` alone, or with no command the root parser of their names."""
     if command:
         parser = argparse.ArgumentParser(prog=f"mlsurf {command}", allow_abbrev=False)
         for flag, kwargs in COMMANDS[command][1]:
@@ -140,10 +140,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Construct minimal Lagrangian surfaces in CP^2 from spectral "
                     "data and verify the geometric identities on a grid.")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, flags, _) in COMMANDS.items():
-        sub = subs.add_parser(name, help=help_text, allow_abbrev=False)
-        for flag, kwargs in flags:
-            sub.add_argument(flag, **kwargs)
+    for name, (help_text, _, _) in COMMANDS.items():
+        subs.add_parser(name, help=help_text, add_help=False)
     return parser
 
 
@@ -169,7 +167,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed the diagnostic
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return COMMANDS[command or args.command][2](args)  # or the one the root parser matched
+        return COMMANDS[command][2](args)
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -127,25 +127,30 @@ def test_verify_bad_grid_exits_2():
 
 @pytest.mark.parametrize("command", ["verify", "sample"])
 def test_strict_is_the_one_tol_profile(command, tmp_path, capsys, monkeypatch):
-    # --tol-profile strict changes nothing, the reports still name the profile,
-    # and fd is refused by argparse with one error line
+    # verify: --tol-profile strict changes nothing, the reports still name the profile,
+    # and fd is refused by argparse with one error line; sample has no such flag
     monkeypatch.chdir(tmp_path)
-    argv = [command, "--family", "cone", "--m", "1", "--n", "2", "--grid", "4x4",
-            *(["--json-out", "r.json"] if command == "verify" else ["--out", "s.csv"])]
-    written = "r.json" if command == "verify" else "s.csv"
+    surface = [command, "--family", "cone", "--m", "1", "--n", "2", "--grid", "4x4"]
+    if command == "sample":
+        assert run([*surface, "--out", "s.csv", "--tol-profile", "strict"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and not (tmp_path / "s.csv").exists()
+        assert out.err.splitlines()[-1] == (
+            "mlsurf sample: error: unrecognized arguments: --tol-profile strict")
+        return
+    argv = [*surface, "--json-out", "r.json"]
     outputs = []
     for extra in ([], ["--tol-profile", "strict"]):
         assert run([*argv, *extra]) == 0
-        doc = (tmp_path / written).read_text()
+        doc = (tmp_path / "r.json").read_text()
         outputs.append((capsys.readouterr(), doc.split('"timings"')[0]))
     assert outputs[0] == outputs[1]
-    if command == "verify":
-        assert " profile=strict\n" in outputs[0][0].out
-        assert json.loads((tmp_path / written).read_text())["tol_profile"] == "strict"
+    assert " profile=strict\n" in outputs[0][0].out
+    assert json.loads((tmp_path / "r.json").read_text())["tol_profile"] == "strict"
     assert run([*argv, "--tol-profile", "fd"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err.splitlines()[-1] == (
-        f"mlsurf {command}: error: argument --tol-profile: invalid choice: 'fd' "
+        "mlsurf verify: error: argument --tol-profile: invalid choice: 'fd' "
         "(choose from 'strict')")
 
 
@@ -615,8 +620,7 @@ def _parse(parser, argv):
     with contextlib.redirect_stdout(io.StringIO()) as out, \
             contextlib.redirect_stderr(io.StringIO()) as err:
         try:
-            fields = {k: (v.nx, v.ny) if isinstance(v, GridSpec) else v
-                      for k, v in vars(parser.parse_args(argv)).items()}
+            fields = vars(parser.parse_args(argv))
         except SystemExit as exc:
             code = exc.code
     return code, fields, out.getvalue(), err.getvalue()
@@ -624,7 +628,7 @@ def _parse(parser, argv):
 
 _VALID = {
     "verify": ["--family", "cone", "--m", "1", "--n", "2", "--json-out", "r.json", "--h", "1e-3"],
-    "sample": [*SPHERE, "--grid", "8x4", "--out", "s.csv", "--tol-profile", "strict"],
+    "sample": [*SPHERE, "--grid", "8x4", "--out", "s.csv"],
     "theta": ["--period-file", "pm.txt", "--z", "0.1", "--radius", "3", "--shift-m", "1"],
 }
 
@@ -637,18 +641,23 @@ def test_one_command_parser_parses_as_the_full_parser(command, monkeypatch):
     # unrecognized arguments are reported by the command's own parser, not the root's
     unrecognized = {"--bogus 1": [*_VALID[command], "--bogus", "1"],
                     "extra": [*_VALID[command], "extra"]}
-    for rest in (["--help"], _VALID[command], ["--family=x"], []):
-        if rest in unrecognized.values():
-            continue
-        code, fields, out, err = _parse(cli.build_parser(None), [command, *rest])
-        if fields is not None:
-            assert fields.pop("command") == command
-        assert _parse(only, rest) == (code, fields, out, err)
     for extras, rest in unrecognized.items():
         assert _parse(only, rest) == (2, None, "", only.format_usage() + (
             f"mlsurf {command}: error: unrecognized arguments: {extras}\n"))
     assert _parse(only, _VALID[command])[0] is None
     assert _parse(only, ["--help"])[2].startswith(f"usage: mlsurf {command} [-h]")
+
+
+def test_each_flag_is_declared_once_by_the_parser_of_its_command():
+    # the root parser only names the commands: a command's flags are its own parser's
+    subs, = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subs.choices) == list(cli.COMMANDS)
+    for name, sub in subs.choices.items():
+        assert sub._actions == []   # not even -h: `mlsurf -x verify -h` is refused
+        assert [a.option_strings for a in cli.build_parser(name)._actions] == [
+            ["-h", "--help"], *([flag] for flag, _ in cli.COMMANDS[name][1])]
+    assert [name for name, (_, flags, _) in cli.COMMANDS.items()
+            if "--tol-profile" in dict(flags)] == ["verify"]
 
 
 ROOT_USAGE = "usage: mlsurf [-h] {verify,sample,theta} ...\n"
@@ -894,7 +903,7 @@ _ACCEPTED = {
     "verify": ([], {"--a", "--b", "--q1", "--gamma-im", "--m", "--n", "--h", "--tol-profile"}),
     "theta": (["--z", "0.1,0.2j"], {"--z", "--radius", "--shift-m"}),
 }
-_ACCEPTED["sample"] = _ACCEPTED["verify"]
+_ACCEPTED["sample"] = ([], _ACCEPTED["verify"][1] - {"--tol-profile"})
 _FLAGS = ["--a", "--b", "--q1", "--gamma-im", "--m", "--n", "--h", "--tol-profile",
           "--z", "--radius", "--shift-m", "--bogus"]
 

@@ -133,9 +133,10 @@ def corpus() -> list:
     for surface in surfaces:
         for grid in GRIDS:
             for h in STEPS:
-                rest = [*surface, "--grid", grid, "--tol-profile", "strict", "--h", h]
-                calls.append(["verify", *rest, "--json-out", "report.json"])
-                calls.append(["sample", *rest, "--out", "surface.csv"])
+                at = [*surface, "--grid", grid]
+                calls.append(["verify", *at, "--tol-profile", "strict", "--h", h,
+                              "--json-out", "report.json"])
+                calls.append(["sample", *at, "--h", h, "--out", "surface.csv"])
     for surface in (surfaces[0], ["--family", "cone", "--m", "3", "--n", "2"]):
         calls += [["verify", *surface, "--grid", WIDE, "--json-out", "report.json"],
                   ["sample", *surface, "--grid", WIDE, "--out", "surface.csv"]]
@@ -174,7 +175,8 @@ def corpus() -> list:
         calls.append(["theta", "--period-file", "pm2.txt", "--z", z])
     for shift in ["1", "1,x", "1,99999999999999999999"]:
         calls.append(["theta", "--period-file", "pm2.txt", "--z", "0", "--shift-m", shift])
-    # argparse lists the profile choices; fd, the retired second profile, is refused too
+    # argparse lists verify's profile choices, and fd, the retired second profile, is refused
+    # too; sample has no --tol-profile
     surface = ["--family", "cone", "--m", "1", "--n", "2"]
     for profile in ("x", "fd"):
         calls += [["verify", *surface, "--tol-profile", profile],
