@@ -97,10 +97,10 @@ def _cmd_theta(args) -> int:
     B = read_period_matrix(args.period_file)
     m = _parse_shift(args.shift_m, B.genus) if args.shift_m is not None else None
     z = _parse_complex_vector(args.z, B.genus)
-    val = riemann_theta(z, B, args.radius)
+    val = riemann_theta(z, B)
     print(f"theta = {val.real:.17g}{val.imag:+.17g}j")
     if m is not None:
-        defect = quasi_periodicity_defect(z, m, B, args.radius, val)
+        defect = quasi_periodicity_defect(z, m, B, theta_z=val)
         print(f"quasi_periodicity_defect = {defect:.17g}")
     return 0
 
@@ -122,7 +122,6 @@ COMMANDS = {
         ("--period-file", dict(
             required=True, help="text file: genus line, then g rows of g complex entries")),
         ("--z", dict(required=True, help="comma-separated complex entries, e.g. 0.1+0.2j,0.3j")),
-        ("--radius", dict(type=int, help="lattice truncation |m|_inf <= R")),
         ("--shift-m", dict(help="integer vector: also print the quasi-periodicity defect"))],
         _cmd_theta),
 }

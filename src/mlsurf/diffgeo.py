@@ -401,7 +401,7 @@ def residue_identity_defects(curve: ReducibleCurveData, jet: SurfaceJet) -> np.n
     return np.abs(sums)
 
 
-def gauss_curvature_masked(field: MetricField, x, y, h: float = 1e-4) -> tuple:
+def gauss_curvature_masked(field: MetricField, x, y, h: float) -> tuple:
     """gauss_curvature at scalars or arrays of points, with a validity mask.
 
     Returns (K, ok): ok is False where E or G is not positive at (x, y) or

@@ -1,5 +1,6 @@
 """Grid-scale verification runs, report records and CSV sampling."""
 
+import functools
 import math
 import numbers
 from typing import NamedTuple
@@ -150,15 +151,14 @@ def verify(family: Family, grid: GridSpec, h: float = 1e-4) -> VerificationRepor
                               family.curve)
 
 
-def verify_spectral(curve: ReducibleCurveData, grid: GridSpec,
-                    h: float = 1e-4) -> VerificationReport:
+def verify_spectral(curve: ReducibleCurveData, grid: GridSpec) -> VerificationReport:
     """Run the full spectral-family check suite over the grid."""
-    return verify(spectral_family(curve), grid, h)
+    return verify(spectral_family(curve), grid)
 
 
-def verify_cone(m: int, n: int, grid: GridSpec, h: float = 1e-4) -> VerificationReport:
+def verify_cone(m: int, n: int, grid: GridSpec) -> VerificationReport:
     """Run the cone-family check suite over the grid."""
-    return verify(cone_family(m, n), grid, h)
+    return verify(cone_family(m, n), grid)
 
 
 def curve_checks(curve: ReducibleCurveData) -> list:
@@ -190,9 +190,9 @@ CSV_HEADER = ["x", "y", "re_phi1", "im_phi1", "re_phi2", "im_phi2",
 # The candidate characters of a %.17g text in print order: sign, the "0.000" of
 # -4 <= X < 0, 17 digits each followed by a possible point, "e+123", a separator.
 _G17_ROW = np.frombuffer(b"-0.000" + b"0." * 16 + b"0e+000,", np.uint8)
-_G17_TABLES = None
 
 
+@functools.cache
 def _g17_tables() -> tuple:
     """(power, digits, keep), built on first use.  power[270 + p], -270 <= p <= 300,
     is (hi, lo, hi1, hi2): hi + lo = 10^p to 2^-106, from exact integer ratios (the
@@ -200,30 +200,27 @@ def _g17_tables() -> tuple:
     is the 4 ASCII digits of i as one uint32.  keep[(c * 17 + L - 1) * 2 + negative]
     picks from _G17_ROW for L significant digits and c = X + 4 (-4 <= X < 17), 21
     (e±XX) or 22 (e±XXX)."""
-    global _G17_TABLES
-    if _G17_TABLES is None:
-        power = []
-        for p in range(-270, 301):
-            num, den = (10**p, 1) if p >= 0 else (1, 10**-p)
-            hi = num / den   # int / int rounds correctly
-            n, d = hi.as_integer_ratio()
-            power.append((hi, (num * d - n * den) / (den * d)))
-        power = np.array(power)
-        d = np.arange(48, 58, dtype=np.uint8)   # "0".."9"
-        digits = np.stack(np.meshgrid(d, d, d, d, indexing="ij"), -1).view(np.uint32)
-        key, at = np.arange(23 * 17 * 2), np.arange(17)
-        c, L = key // 34, key // 2 % 17 + 1
-        x, lead = np.where(c < 21, c - 4, np.where(c == 21, 17, 100)), c < 4
-        point = np.where(lead, 0, np.where(c < 21, x + 1, 1))   # digits before the point
-        keep = np.zeros((len(key), len(_G17_ROW)), bool)
-        keep[:, 0], keep[:, 1:3] = key % 2, lead[:, None]
-        keep[:, 3:6] = at[:3] < np.where(lead, -x - 1, 0)[:, None]
-        keep[:, 6:39:2] = at < np.maximum(L, point)[:, None]
-        keep[:, 7:39:2] = at[:16] == np.where(L > point, point - 1, -1)[:, None]
-        keep[:, 39:44], keep[:, 44] = (c >= 21)[:, None], True
-        keep[:, 41] &= c == 22
-        _G17_TABLES = (np.column_stack([power, *_veltkamp(power[:, 0])]), digits.ravel(), keep)
-    return _G17_TABLES
+    power = []
+    for p in range(-270, 301):
+        num, den = (10**p, 1) if p >= 0 else (1, 10**-p)
+        hi = num / den   # int / int rounds correctly
+        n, d = hi.as_integer_ratio()
+        power.append((hi, (num * d - n * den) / (den * d)))
+    power = np.array(power)
+    d = np.arange(48, 58, dtype=np.uint8)   # "0".."9"
+    digits = np.stack(np.meshgrid(d, d, d, d, indexing="ij"), -1).view(np.uint32)
+    key, at = np.arange(23 * 17 * 2), np.arange(17)
+    c, L = key // 34, key // 2 % 17 + 1
+    x, lead = np.where(c < 21, c - 4, np.where(c == 21, 17, 100)), c < 4
+    point = np.where(lead, 0, np.where(c < 21, x + 1, 1))   # digits before the point
+    keep = np.zeros((len(key), len(_G17_ROW)), bool)
+    keep[:, 0], keep[:, 1:3] = key % 2, lead[:, None]
+    keep[:, 3:6] = at[:3] < np.where(lead, -x - 1, 0)[:, None]
+    keep[:, 6:39:2] = at < np.maximum(L, point)[:, None]
+    keep[:, 7:39:2] = at[:16] == np.where(L > point, point - 1, -1)[:, None]
+    keep[:, 39:44], keep[:, 44] = (c >= 21)[:, None], True
+    keep[:, 41] &= c == 22
+    return (np.column_stack([power, *_veltkamp(power[:, 0])]), digits.ravel(), keep)
 
 
 def _veltkamp(a):

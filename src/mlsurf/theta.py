@@ -147,7 +147,7 @@ def default_radius(z, B: PeriodMatrix) -> int:
     if not math.isfinite(root):   # from Im z, or from lam_min where 4 pi lam_min tail overflows
         cause = (f"|Im z| = {imz:g}" if math.isfinite(quad)
                  else f"the smallest eigenvalue of Im B, {lam:g},")
-        raise ValueError(f"{cause} is too large for an automatic radius; give one with --radius")
+        raise ValueError(f"{cause} is too large for an automatic radius")
     return max(1, math.ceil(root))
 
 
@@ -368,8 +368,10 @@ def quasi_periodicity_defect(z, m, B: PeriodMatrix, radius: int | None = None,
         raise ValueError("m must be an integer vector")
     # as in riemann_theta, and so before Bm is added; riemann_theta refuses a non-finite z
     np.fmod(z.real, 1.0, out=z.real, where=np.isfinite(z.real))
-    Bm = B.entries @ m
-    lhs = riemann_theta(z + Bm, B, radius)
+    with np.errstate(over="raise", invalid="raise"):   # B m or z + B m beyond double range
+        Bm = B.entries @ m
+        shifted = z + Bm
+    lhs = riemann_theta(shifted, B, radius)
     if theta_z is None:
         theta_z = riemann_theta(z, B, radius)
     with np.errstate(over="raise", invalid="raise"):

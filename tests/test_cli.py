@@ -9,7 +9,6 @@ import re
 import subprocess
 import sys
 import tempfile
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -414,7 +413,7 @@ def test_sample_unwritable_path(tmp_path, capsys):
 def test_theta_subcommand(tmp_path, capsys):
     pm = tmp_path / "pm.txt"
     pm.write_text("1\n1j\n")
-    code = run(["theta", "--period-file", str(pm), "--z", "0", "--radius", "8"])
+    code = run(["theta", "--period-file", str(pm), "--z", "0"])
     out = capsys.readouterr().out
     assert code == 0
     val = float(out.split("=")[1].strip().replace("j", "").rsplit("+", 1)[0])
@@ -600,11 +599,11 @@ def test_step_floor_is_checked_before_the_output_is_opened(tmp_path, capsys):
 @pytest.mark.parametrize("argv, error", [
     (["theta", "--period-file", "pm.txt", "--z", "0", "--h", "1e-3"],
      "mlsurf theta: error: unrecognized arguments: --h 1e-3"),
-    (["theta", "--period-file", "pm.txt", "--z", "0", "--rad", "3"],
-     "mlsurf theta: error: unrecognized arguments: --rad 3"),
+    (["theta", "--period-file", "pm.txt", "--z", "0", "--shift", "1"],
+     "mlsurf theta: error: unrecognized arguments: --shift 1"),
     (["verify", "--fam", "cone", "--m", "1", "--n", "1", "--grid", "2x2"],
      "mlsurf verify: error: the following arguments are required: --family"),
-], ids=["theta-h-is-not-help", "theta-rad", "verify-fam"])
+], ids=["theta-h-is-not-help", "theta-shift", "verify-fam"])
 def test_abbreviated_flags_exit_2(argv, error, tmp_path, monkeypatch, capsys):
     # argparse would expand --h to --help in theta and exit 0 with the usage
     monkeypatch.chdir(tmp_path)
@@ -612,6 +611,16 @@ def test_abbreviated_flags_exit_2(argv, error, tmp_path, monkeypatch, capsys):
     assert run(argv) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err.endswith("\n" + error + "\n")
+
+
+def test_theta_takes_no_radius(tmp_path, monkeypatch, capsys):
+    # the CLI always sums the automatic radius's box; the library's radius argument stays
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pm.txt").write_text("1\n1j\n")
+    assert run(["theta", "--period-file", "pm.txt", "--z", "0", "--radius", "3"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.endswith(
+        "\nmlsurf theta: error: unrecognized arguments: --radius 3\n")
 
 
 def _parse(parser, argv):
@@ -629,7 +638,7 @@ def _parse(parser, argv):
 _VALID = {
     "verify": ["--family", "cone", "--m", "1", "--n", "2", "--json-out", "r.json", "--h", "1e-3"],
     "sample": [*SPHERE, "--grid", "8x4", "--out", "s.csv"],
-    "theta": ["--period-file", "pm.txt", "--z", "0.1", "--radius", "3", "--shift-m", "1"],
+    "theta": ["--period-file", "pm.txt", "--z", "0.1", "--shift-m", "1"],
 }
 
 
@@ -689,8 +698,7 @@ options:
     # a named command's parser reports its own unrecognized arguments
     assert run(["theta", "--period-file", "pm.txt", "--z", "0", "extra"]) == 2
     assert capsys.readouterr().err == (
-        "usage: mlsurf theta [-h] --period-file PERIOD_FILE --z Z [--radius RADIUS]\n"
-        "                    [--shift-m SHIFT_M]\n"
+        "usage: mlsurf theta [-h] --period-file PERIOD_FILE --z Z [--shift-m SHIFT_M]\n"
         "mlsurf theta: error: unrecognized arguments: extra\n")
 
 
@@ -758,18 +766,16 @@ def test_a_file_that_is_not_utf8_is_refused_with_its_path(argv, tmp_path, capsys
 def test_theta_invalid_input_exits_2(tmp_path, capsys):
     pm = tmp_path / "pm.txt"
     pm.write_text("1\n1j\n")
-    assert run(["theta", "--period-file", str(pm), "--z", "0", "--radius", "0"]) == 2
-    assert "must be >= 1" in capsys.readouterr().err
-    # the automatic radius overflows: one line naming Im z and the way out
+    # the automatic radius overflows: one line naming Im z
     assert run(["theta", "--period-file", str(pm), "--z", "1e300j"]) == 2
     assert capsys.readouterr().err == ("error: |Im z| = 1e+300 is too large for an automatic "
-                                       "radius; give one with --radius\n")
+                                       "radius\n")
     # it overflows at Im z = 0 too, from the smallest eigenvalue of Im B: the line names it
     pm_big = tmp_path / "pm_big.txt"
     pm_big.write_text("1\n1e308j\n")
     assert run(["theta", "--period-file", str(pm_big), "--z", "0"]) == 2
     assert capsys.readouterr().err == ("error: the smallest eigenvalue of Im B, 1e+308, is too "
-                                       "large for an automatic radius; give one with --radius\n")
+                                       "large for an automatic radius\n")
     # theta terms beyond double range: one line naming the overflow, no warning.
     # At 0.3+15.1j the largest term is just beyond it (exponent 716): the tail
     # bound of the small pass overflows first, and the floor pass reports the sum's
@@ -777,20 +783,18 @@ def test_theta_invalid_input_exits_2(tmp_path, capsys):
         assert run(["theta", "--period-file", str(pm), "--z", z, *extra]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "overflow" in err
-    # Im z . Y^{-1} Im z beyond double range, with an explicit radius: one line naming it,
-    # also where each entry of v = L^-1 Im z is finite (1e308 squared overflows)
+    # Im z . Y^{-1} Im z beyond double range where the automatic radius is finite, as
+    # a small Im B allows: one line naming it (tests/test_theta.py has explicit radii)
+    pm_thin = tmp_path / "pm_thin.txt"
+    pm_thin.write_text("1\n1e-10j\n")
+    assert run(["theta", "--period-file", str(pm_thin), "--z", "1e150j"]) == 2
+    assert capsys.readouterr() == ("", "error: overflow encountered in Im z . (Im B)^-1 Im z\n")
     pm2 = tmp_path / "pm2.txt"
-    pmi = tmp_path / "pmi.txt"
     pm2.write_text("2\n1j 0.1\n0.1 1j\n")
-    pmi.write_text("2\n1j 0\n0 1j\n")
-    for pmz, z, r in ((pm2, "0.1+1e300j,0", "3"), (pmi, "1e308j,0", "2")):
-        assert run(["theta", "--period-file", str(pmz), "--z", z, "--radius", r]) == 2
-        assert capsys.readouterr().err == "error: overflow encountered in Im z . (Im B)^-1 Im z\n"
     # a non-finite z or period-matrix entry: one line naming the flag or the file,
     # never a NaN value
-    for z, extra in (("nan,0", []), ("nanj,0", []), ("nanj,0", ["--radius", "3"]),
-                     ("infj,0", [])):
-        assert run(["theta", "--period-file", str(pm2), "--z", z, *extra]) == 2
+    for z in ("nan,0", "nanj,0", "infj,0"):
+        assert run(["theta", "--period-file", str(pm2), "--z", z]) == 2
         assert capsys.readouterr().err == f"error: --z entries must be finite, got {z!r}\n"
     for rows in ("1j nan\n0.1 1j\n", "1j 0.1\n0.1 infj\n"):
         pm2.write_text("2\n" + rows)
@@ -824,6 +828,14 @@ def test_theta_invalid_input_exits_2(tmp_path, capsys):
     assert run(["theta", "--period-file", str(pm2), "--z", "0.1,0.2",
                 "--shift-m", "0,-9223372036854775808"]) == 2
     assert capsys.readouterr().err.startswith("error: radius ")
+    # a shift whose B m overflows: one line naming it, after theta(z) and with no warning
+    pm_far = tmp_path / "pm_far.txt"
+    pm_far.write_text("2\n1e300j 0\n0 1j\n")
+    assert run(["theta", "--period-file", str(pm_far), "--z", "1j,1j",
+                "--shift-m", "-9223372036854775808,0"]) == 2
+    out = capsys.readouterr()
+    assert out.out.startswith("theta = ") and out.out.count("\n") == 1
+    assert out.err == "error: overflow encountered in matmul\n"
     # a valid shift beyond the term cap still prints theta(z) first: Im B = 0.02 I
     # keeps about 14 M points around z + Bm, against 47^3 in the box of theta(z)
     pm3 = tmp_path / "pm3.txt"
@@ -842,26 +854,6 @@ def test_theta_invalid_input_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: radius \d+ needs \d\.\d{3}e\+\d+ terms \(cap 4000000\)\n", err)
         assert len(err) < 80
-    # a 4,000-digit radius prints as short as the bound
-    assert run(["theta", "--period-file", str(tmp_path / "pm342.txt"), "--z", ",".join(["0"] * 342),
-                "--radius", str(10**3999)]) == 2
-    err = capsys.readouterr().err
-    assert err == "error: radius 1.000e+3999 needs 8.959e+1367760 terms (cap 4000000)\n"
-    assert len(err) < 80
-    # the refusal is decided and printed from logarithms, not from a million-digit power:
-    # it takes about as long as with a 21-digit radius, whose box count is formed exactly
-    argv = ["theta", "--period-file", str(tmp_path / "pm342.txt"), "--z", ",".join(["0"] * 342)]
-
-    def best_of_three(radius):
-        times = []
-        for _ in range(3):
-            start = time.perf_counter()
-            assert run([*argv, "--radius", radius]) == 2
-            times.append(time.perf_counter() - start)
-        return min(times)
-
-    assert best_of_three(str(10**3999)) < 3.0 * best_of_three(str(10**20))
-    assert "needs 8.959e+6942 terms" in capsys.readouterr().err
     # a shift whose box exceeds the cap but whose ellipsoid does not, with a term
     # beyond double range: the overflow is raised before any point is listed
     tracemalloc.start()
@@ -901,11 +893,11 @@ _FAMILY_DEFAULTS = {"spectral": ["--a", "1", "--b", "1", "--q1", "2", "--gamma-i
                     "cone": ["--m", "1", "--n", "2"], "other": []}
 _ACCEPTED = {
     "verify": ([], {"--a", "--b", "--q1", "--gamma-im", "--m", "--n", "--h", "--tol-profile"}),
-    "theta": (["--z", "0.1,0.2j"], {"--z", "--radius", "--shift-m"}),
+    "theta": (["--z", "0.1,0.2j"], {"--z", "--shift-m"}),
 }
 _ACCEPTED["sample"] = ([], _ACCEPTED["verify"][1] - {"--tol-profile"})
 _FLAGS = ["--a", "--b", "--q1", "--gamma-im", "--m", "--n", "--h", "--tol-profile",
-          "--z", "--radius", "--shift-m", "--bogus"]
+          "--z", "--shift-m", "--bogus"]
 
 
 @given(command=st.sampled_from(sorted(_ACCEPTED)),

@@ -197,3 +197,11 @@ def test_stencil_rows_are_read_off_scalar_jets_in_one_function():
     assert defined == ["diffgeo.py:_jets"]
     assert {f"{m}:{fn}" for m, tree in MODULES.items()
             for fn in _outermost_functions(tree, _scalar_jets_in_a_loop)} == {"diffgeo.py:_jets"}
+
+
+def test_the_spectral_memo_is_the_one_module_global_src_assigns():
+    # every other cache of src/ (the lru_cache on _spectral_exp_terms and _cone_terms,
+    # report._g17_tables, PeriodMatrix.min_im_eigenvalue) is a decorator on a pure function
+    where = {f"{m}:{fn}" for m, tree in MODULES.items()
+             for fn in _outermost_functions(tree, lambda node: isinstance(node, ast.Global))}
+    assert where == {"surface_families.py:spectral_family_jet"}

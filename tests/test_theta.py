@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -168,6 +169,49 @@ def test_truncation_cap():
         riemann_theta(np.zeros(3), B, 100)
     with pytest.raises(ValueError, match="^truncation radius must be >= 1, got 0$"):
         riemann_theta(np.zeros(3), B, 0)
+
+
+def test_im_z_beyond_double_range_is_refused_with_one_message():
+    # Im z . Y^{-1} Im z overflows, also where each entry of v = L^-1 Im z is finite
+    # (1e308 squared overflows); a radius is given, as the automatic one refuses first
+    for entries, z, radius in (([[1j, 0.1], [0.1, 1j]], [0.1 + 1e300j, 0], 3),
+                               (1j * np.eye(2), [1e308j, 0], 2)):
+        with pytest.raises(FloatingPointError) as refused:
+            riemann_theta(np.array(z), PeriodMatrix(entries), radius)
+        assert str(refused.value) == "overflow encountered in Im z . (Im B)^-1 Im z"
+
+
+def test_a_4000_digit_radius_is_refused_from_logarithms():
+    # the refusal prints as short as the bound, and is decided and printed from logarithms,
+    # not from a million-digit power: it takes about as long as with a 21-digit radius,
+    # whose box count is formed exactly
+    B, z = PeriodMatrix(1j * np.eye(342)), np.zeros(342)
+
+    def best_of_three(radius):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            with pytest.raises(ValueError) as refused:
+                riemann_theta(z, B, radius)
+            times.append(time.perf_counter() - start)
+        return min(times), str(refused.value)
+
+    (slow, message), (fast, fast_message) = best_of_three(10**3999), best_of_three(10**20)
+    assert message == "radius 1.000e+3999 needs 8.959e+1367760 terms (cap 4000000)"
+    assert "needs 8.959e+6942 terms" in fast_message
+    assert slow < 3.0 * fast
+
+
+@pytest.mark.parametrize("entries, z, m, step", [
+    ([[1e300j, 0], [0, 1j]], [1j, 1j], [-2**63, 0], "matmul"),   # B m overflows
+    ([[1e300j]], [0], [2**63 - 1], "matmul"),
+    ([[1e300j]], [1e308j], [10**8], "add"),                      # B m is finite, z + B m is not
+], ids=["matmul-g2", "matmul-g1", "add"])
+def test_a_shift_beyond_double_range_is_refused_without_a_warning(entries, z, m, step):
+    # one message naming the overflow, as numpy words it, and no RuntimeWarning
+    with pytest.raises(FloatingPointError) as refused:
+        quasi_periodicity_defect(np.array(z), np.array(m, dtype=np.int64), PeriodMatrix(entries), 3)
+    assert str(refused.value) == f"overflow encountered in {step}"
 
 
 @pytest.mark.parametrize("radius", [0, -2])

@@ -99,10 +99,11 @@ BAD_PERIOD_FILES = {  # name: bytes; each is refused whatever z
     "indefinite.txt": b"2\n1j 0\n0 -1j\n",
     "latin1.txt": b"1\n1j # caf\xe9\n",
 }
-RADIUS_FILES = {  # name: bytes; period files of the --radius calls
-    "thin.txt": b"1\n1e-14j\n",        # Im B so small that the lattice ball outgrows the box
+EDGE_PERIOD_FILES = {  # name: bytes; period files at the limits of the sum
+    "thin.txt": b"1\n1e-14j\n",        # Im B so small that the box outgrows the term cap
     "thinner.txt": b"1\n1e-40j\n",
     "near.txt": b"2\n1j 0.1\n0.1000000000001 1j\n",   # symmetric within SYMMETRY_TOL
+    "far.txt": b"2\n1e300j 0\n0 1j\n",   # B m overflows for a large shift
 }
 REFUSED = [  # surface flags the CLI refuses before any sweep
     ["--family", "cone", "--m", "1", "--n", "2", "--grid", "4y4"],
@@ -159,18 +160,15 @@ def corpus() -> list:
         calls.append(["theta", "--period-file", name, "--z", z, "--shift-m", shift])
     for name in [*BAD_PERIOD_FILES, "absent.txt"]:
         calls.append(["theta", "--period-file", name, "--z", "0.1"])
-    for name, z, radius in [("pm2.txt", "0.1,0.2-0.3j", "3"), ("pm1.txt", "0.3+0.1j", "0"),
-                            ("thin.txt", "0", "3000000"),          # the box count refuses
-                            ("thin.txt", "0", "1000000000"),       # the ball bound refuses
-                            ("thinner.txt", "0", "1000000000000000"),
-                            ("thinner.txt", "0", "10000000000000000000000"),
-                            ("pm1.txt", "200j", "1"),      # the Babai term overflows
-                            ("pm2.txt", "0,1e300j", "3"),  # so does Im z . (Im B)^-1 Im z
-                            ("near.txt", "0.1,0.2j", "2")]:
-        calls.append(["theta", "--period-file", name, "--z", z, "--radius", radius])
-    for radius in ("2", "0"):   # 0 is refused after the shift is parsed
-        calls.append(["theta", "--period-file", "pm2.txt", "--z", "0.1,0.2-0.3j",
-                      "--radius", radius, "--shift-m", "1,-1"])
+    for name, z, extra in [("thin.txt", "0", []),          # the box count refuses
+                           ("thin.txt", "1j", []),         # the ball bound refuses
+                           ("thinner.txt", "0", []),       # a radius printed as 3.204e+20
+                           ("pm1.txt", "200j", []),        # the Babai term overflows
+                           ("thin.txt", "1e150j", []),     # so does Im z . (Im B)^-1 Im z
+                           ("near.txt", "0.1,0.2j", []),
+                           ("near.txt", "0.1,0.2j", ["--shift-m", "1,-1"]),
+                           ("far.txt", "1j,1j", ["--shift-m", "-9223372036854775808,0"])]:
+        calls.append(["theta", "--period-file", name, "--z", z, *extra])
     for z in ["0.1", "nan,0", "0.1,1+", "0,1e300j"]:   # the last too far off for a radius
         calls.append(["theta", "--period-file", "pm2.txt", "--z", z])
     for shift in ["1", "1,x", "1,99999999999999999999"]:
@@ -208,7 +206,7 @@ def corpus_directory():
         try:
             for name, (text, _, _) in PERIOD_FILES.items():
                 Path(name).write_text(text)
-            for name, data in {**BAD_PERIOD_FILES, **RADIUS_FILES}.items():
+            for name, data in {**BAD_PERIOD_FILES, **EDGE_PERIOD_FILES}.items():
                 Path(name).write_bytes(data)
             yield
         finally:
