@@ -136,62 +136,53 @@ def spectral_jet_field(curve: ReducibleCurveData, xs: np.ndarray, ys: np.ndarray
 
 @lru_cache(maxsize=64)
 def _cone_terms(m: int, n: int):
-    """Amplitude constants, iq for the y-frequencies q, and the factors
-    [1, 1, iq, 1, iq, -q^2] that turn the amplitude rows (u, u', u, u'', u', u)
-    into the six jet fields.  Refuses orders below 1, and orders whose q^2 overflows."""
+    """Amplitude constants and iq for the y-frequencies q.  Refuses orders below 1, and
+    orders whose q^2 overflows."""
     if m < 1 or n < 1:
         raise ValueError(f"m, n must be positive integers, got {m}, {n}")
     if m + n > _MAX_ORDER_SUM:   # an exact int-float comparison: m may exceed any float
         raise ValueError(f"m + n must be at most about {_MAX_ORDER_SUM:.4g}, above which "
                          f"(pi (m + n))^2 overflows a double, got m = {m}, n = {n}")
-    q = np.array([math.pi * m, math.pi * n, -math.pi * (m + n)])
-    iq = 1j * q
-    W = np.array([np.ones(3), np.ones(3), iq, np.ones(3), iq, -(q * q)], dtype=complex)
+    iq = 1j * np.array([math.pi * m, math.pi * n, -math.pi * (m + n)])
     iq.setflags(write=False)
-    W.setflags(write=False)
     return (math.sqrt((m + n) / (2 * m + n)), math.sqrt((m + n) / (m + 2 * n)),
-            n / (m + 2 * n), m / (2 * m + n), iq, W)
+            n / (m + 2 * n), m / (2 * m + n), iq)
 
 
 _MAX_ORDER_SUM = math.sqrt(np.finfo(float).max) / math.pi   # largest m + n, (pi (m + n))^2 finite
 
 
-def _cone_rows(k1, k2, A, B, x, sin, cos, sqrt, power):
-    """The rows u = (k1 sin x, k2 cos x, rho = sqrt(A cos^2 x + B sin^2 x)), u' and u'' at x,
-    from math's sin, cos, sqrt and power on a float or numpy's on an array."""
-    sx, cx = sin(x), cos(x)
-    rho = sqrt(A * cx * cx + B * sx * sx)  # >= min(A, B) > 0
+def _cone_rows(k1, k2, A, B, x):
+    """The rows u = (k1 sin x, k2 cos x, rho = sqrt(A cos^2 x + B sin^2 x)), u' and u'' at
+    the points x."""
+    sx, cx = np.sin(x), np.cos(x)
+    rho = np.sqrt(A * cx * cx + B * sx * sx)  # >= min(A, B) > 0
     s = (B - A) * sx * cx
-    rho_pp = (B - A) * cos(2 * x) / rho - s * s / power(rho, 3)
+    rho_pp = (B - A) * np.cos(2 * x) / rho - s * s / np.float_power(rho, 3)
     return (k1 * sx, k2 * cx, rho), (k1 * cx, -k2 * sx, s / rho), (-k1 * sx, -k2 * cx, rho_pp)
 
 
 def cone_family_jet(m: int, n: int, x: float, y: float) -> SurfaceJet:
-    """Jet of the elementary family
-
-    phi = (sin(x) sqrt(m+n)/sqrt(2m+n) e^{pi i m y},
-           cos(x) sqrt(m+n)/sqrt(m+2n) e^{pi i n y},
-           sqrt(n cos^2 x/(m+2n) + m sin^2 x/(2m+n)) e^{-pi i (m+n) y})
-    as (W * u) * e^{i q y}, u from _cone_rows with math's functions.
-    """
-    k1, k2, A, B, iq, W = _cone_terms(m, n)
-    u, up, upp = _cone_rows(k1, k2, A, B, x, math.sin, math.cos, math.sqrt, math.pow)
-    # one flat sequence of floats in field order: nested rows took numpy a third of the call
-    J = (W * np.array([*u, *up, *u, *upp, *up, *u]).reshape(6, 3)) * np.exp(iq * y)
+    """cone_jet_field at the one point (x, y)."""
+    J = cone_jet_field(m, n, np.array([x]), np.array([y]))[:, 0]
     return SurfaceJet(x, y, J[0], J[1], J[2], J[3], J[4], J[5])
 
 
 def cone_jet_field(m: int, n: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """cone_family_jet at every point as one (6, n, 3) array, u from _cone_rows with numpy's
-    functions: bit for bit where np.sin, np.cos and np.float_power round as math's (a test
-    checks it).  Field r is (W[r] * u) * e without W[r] where it is 1: (1+0j) * (u+0j) is u+0j."""
-    k1, k2, A, B, iq, W = _cone_terms(m, n)
-    u, up, upp = (np.stack(row, axis=-1) for row in
-                  _cone_rows(k1, k2, A, B, xs, np.sin, np.cos, np.sqrt, np.float_power))
+    """Jets of the elementary family
+
+    phi = (sin(x) sqrt(m+n)/sqrt(2m+n) e^{pi i m y},
+           cos(x) sqrt(m+n)/sqrt(m+2n) e^{pi i n y},
+           sqrt(n cos^2 x/(m+2n) + m sin^2 x/(2m+n)) e^{-pi i (m+n) y})
+
+    at the points (xs, ys) as one (6, n, 3) array: the rows
+    (u, u', iq u, u'', iq u', (iq)^2 u) e^{i q y}, u from _cone_rows."""
+    k1, k2, A, B, iq = _cone_terms(m, n)
+    u, up, upp = (np.stack(row, axis=-1) for row in _cone_rows(k1, k2, A, B, xs))
     e = np.exp(iq * ys[:, None])
     J = np.empty((6, len(xs), 3), dtype=complex)
-    for r, a in enumerate((u, up, u, upp, up, u)):
-        np.multiply(a if r in (0, 1, 3) else W[r] * a, e, out=J[r])
+    for r, a in enumerate((u, up, iq * u, upp, iq * up, (iq * iq) * u)):
+        np.multiply(a, e, out=J[r])
     return J
 
 
