@@ -1,7 +1,6 @@
 """Command-line interface: mlsurf <verify|sample|theta> [flags]."""
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -38,19 +37,8 @@ def _family_from_args(args) -> Family:
     return spectral_family(derive_constants(*params.values()))
 
 
-def _step(h: float) -> float:
-    # above 1e-2, h^2 pi^2 / 6 >> TOL_FRAME; from 1e5 the frame checks compare 0 with 0
-    if not (math.isfinite(h) and 0 < h <= 1e-2):
-        raise ValueError(f"--h must be finite, positive and at most 0.01, got {h}")
-    # doubles near 2 pi are 2^-50 apart; a smaller step rounds x ± h to x or next to it
-    if h < 2 * math.pi * 2.0**-52:
-        raise ValueError(f"--h must be at least 2 pi 2^-52 (about 1.4e-15), got {h}")
-    return h
-
-
 def _cmd_verify(args) -> int:
-    family, h = _family_from_args(args), _step(args.h)
-    report = verify(family, args.grid, h)
+    report = verify(_family_from_args(args), args.grid)
     # opened once the sweep has run, so a refused sweep leaves the path as it was,
     # and before the report prints, so a bad path prints no report
     if args.json_out is not None:
@@ -64,7 +52,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    rows = sample_rows(_family_from_args(args), args.grid, _step(args.h))
+    rows = sample_rows(_family_from_args(args), args.grid)
     try:
         write_csv(args.out, rows)
     except OSError as exc:
@@ -109,8 +97,7 @@ _FLOAT = dict(type=float)
 _SURFACE = [("--family", dict(choices=["spectral", "cone"], required=True)),
             ("--a", _FLOAT), ("--b", _FLOAT), ("--q1", _FLOAT), ("--gamma-im", _FLOAT),
             ("--m", dict(type=int)), ("--n", dict(type=int)),
-            ("--grid", dict(type=_parse_grid, default="64x64")),
-            ("--h", dict(type=float, default=1e-4, help="finite-difference step"))]
+            ("--grid", dict(type=_parse_grid, default="64x64"))]
 # name: (help, the command's flags in help order, its handler)
 COMMANDS = {
     "verify": ("run the verification suite", [   # --tol-profile: for argv naming it

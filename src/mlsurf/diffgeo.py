@@ -28,6 +28,7 @@ from .surface_families import MetricField, SurfaceJet, _remainder
 CONDITION_LIMIT = 1e8
 UNITARITY_GATE = 1e-6
 MIN_STENCIL_NORM = 1e-8  # |phi_x| and |phi_y| at a frame stencil point
+STEP = 1e-4   # the central-difference step; report's TOL_FRAME and TOL_CURVATURE assume it
 _TWO_PI = 2.0 * math.pi
 
 
@@ -327,7 +328,7 @@ def _stencil_rows(centre, rows_at, x, y, h: float) -> np.ndarray:
     return np.concatenate([centre, rows_at(xs, ys)], axis=1).reshape(3, 5, len(x), 3)
 
 
-def frame_and_connection(jet_field, x: float, y: float, h: float = 1e-4) -> FrameData:
+def frame_and_connection(jet_field, x: float, y: float, h: float = STEP) -> FrameData:
     """Scalar oracle: the frame Phi at (x, y) and A = Phi_x Phi^-1, B = Phi_y Phi^-1 by
     central differences with step h: _frame_data where each _stencil mask holds."""
     xs, ys, rows = np.array([x]), np.array([y]), functools.partial(_jets, jet_field)
@@ -369,7 +370,7 @@ def beta_gradient(betas, h: float):
     return _remainder(betas[0::2] - betas[1::2], _TWO_PI) / (2.0 * h)
 
 
-def beta_gradient_fd(jet_field, x: float, y: float, h: float = 1e-4) -> tuple:
+def beta_gradient_fd(jet_field, x: float, y: float, h: float = STEP) -> tuple:
     """Scalar oracle: central-difference gradient of the Lagrangian angle, unwrapped mod 2 pi."""
     xs, ys, rows = np.array([x]), np.array([y]), functools.partial(_jets, jet_field)
     beta, ok, _, _ = _angles(_stencil_rows(rows(xs, ys), rows, xs, ys, h)[:, 1:, 0])
@@ -423,7 +424,7 @@ def gauss_curvature_masked(field: MetricField, x, y, h: float) -> tuple:
     return K, ok & ok_pp & ok_pm
 
 
-def gauss_curvature(field: MetricField, x: float, y: float, h: float = 1e-4) -> float:
+def gauss_curvature(field: MetricField, x: float, y: float, h: float = STEP) -> float:
     """K = -(1/(2 sqrt(EG))) d/dx (G_x/sqrt(EG)), which requires E independent of y.
 
     The outer derivative is a central difference with step h of the field's G_x.

@@ -7,6 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .diffgeo import STEP
 from .spectral_curve import ReducibleCurveData, expansion_at_infinity, gluing_defects
 from .surface_families import Family, cone_family, spectral_family
 from .sweep import (CHRISTOFFEL_NAMES, FRAME_NAMES, GRAM_NAMES, METRIC_NAMES,
@@ -103,7 +104,6 @@ class VerificationReport(NamedTuple):
     family: str
     parameters: dict
     grid: GridSpec
-    h: float
     checks: list
     timings: dict   # seconds per sweep phase
     curve: ReducibleCurveData | None = None   # the spectral family's curve
@@ -114,7 +114,7 @@ class VerificationReport(NamedTuple):
 
     def to_dict(self) -> dict:
         return {"family": self.family, "parameters": self.parameters,
-                "grid": self.grid.to_dict(), "h": self.h, "tol_profile": "strict",  # one profile
+                "grid": self.grid.to_dict(), "h": STEP, "tol_profile": "strict",  # one profile
                 "checks": [c.to_dict() for c in self.checks],
                 "overall": self.overall, "timings": self.timings,
                 **({} if self.curve is None else {"curve": self.curve._asdict()})}
@@ -128,7 +128,7 @@ class VerificationReport(NamedTuple):
         pars = " ".join(f"{k}={v}" for k, v in self.parameters.items())
         lines = [
             f"family={self.family} {pars} grid={self.grid.nx}x{self.grid.ny} "
-            f"h={self.h:g} profile=strict",
+            f"h={STEP:g} profile=strict",
             f"  {'check':<28} {'value':>12} {'tolerance':>10} {'excl':>5}  status",
         ]
         for c in self.checks:
@@ -141,14 +141,13 @@ class VerificationReport(NamedTuple):
         return "\n".join(lines)
 
 
-def verify(family: Family, grid: GridSpec, h: float = 1e-4) -> VerificationReport:
+def verify(family: Family, grid: GridSpec) -> VerificationReport:
     """Run the family's check suite over the grid."""
-    maxima, tube_points, timings = check_maxima(family, grid, h)
+    maxima, tube_points, timings = check_maxima(family, grid)
     checks = _records(maxima, family.name, tube_points, ("grid", "outside", "tube"))
     if family.curve is not None:   # the curve rows close the table
         checks += curve_checks(family.curve)
-    return VerificationReport(family.name, family.parameters, grid, h, checks, timings,
-                              family.curve)
+    return VerificationReport(family.name, family.parameters, grid, checks, timings, family.curve)
 
 
 def verify_spectral(curve: ReducibleCurveData, grid: GridSpec) -> VerificationReport:
@@ -280,13 +279,13 @@ def _g17(values) -> list:
     return texts
 
 
-def sample_rows(family: Family, grid: GridSpec, h: float):
+def sample_rows(family: Family, grid: GridSpec):
     """Yield the CSV text in sweep block order as lists of at most isqrt(nx * ny)
     lines (a square grid's row); beta and K are empty at excluded degenerate points.
     A block's distinct bit patterns are formatted once each (-0.0 and NaNs keep theirs),
     by _g17, a numpy pass per 2048 of them that prints the text of "%.17g" % v."""
     side = math.isqrt(grid.nx * grid.ny)
-    for x, y, phi, E, G, beta, has_beta, K, has_K in sample_blocks(family, grid, h):
+    for x, y, phi, E, G, beta, has_beta, K, has_K in sample_blocks(family, grid):
         cols = np.stack([x, y, *(p[:, i] for i in range(3) for p in (phi.real, phi.imag)),
                          E, G, beta, K], axis=1)
         bits, cell = np.unique(cols.view(np.uint64), return_inverse=True)

@@ -22,11 +22,11 @@ import time
 
 import numpy as np
 
-from .diffgeo import (_abs, _angles, _frame_data, _jets, _stencil, _stencil_rows, angle_defect,
-                      basis_conditioned, beta_gradient, christoffel_b_defects, christoffel_data,
-                      frame_defects, gauss_curvature_masked, gradient_identity_defects,
-                      gram_defects, metric_data, metric_gradients_from_jet, minimality_defects,
-                      residue_identity_defects)
+from .diffgeo import (STEP, _abs, _angles, _frame_data, _jets, _stencil, _stencil_rows,
+                      angle_defect, basis_conditioned, beta_gradient, christoffel_b_defects,
+                      christoffel_data, frame_defects, gauss_curvature_masked,
+                      gradient_identity_defects, gram_defects, metric_data,
+                      metric_gradients_from_jet, minimality_defects, residue_identity_defects)
 from .surface_families import Family, SurfaceJet, tube_mask
 
 CHUNK = 1024   # picked from BENCH_17.json's chunk_table (CHANGES.md, issue 17)
@@ -69,7 +69,7 @@ def _block(family: Family, grid, start: int) -> tuple:
     return x, y, tube, J, *metric_data(SurfaceJet(x, y, *J))
 
 
-def check_maxima(family: Family, grid, h: float) -> tuple:
+def check_maxima(family: Family, grid) -> tuple:
     """Masked max of every per-point check over the grid.
 
     Returns (maxima, tube_points, timings): check name -> max defect (NaN
@@ -116,7 +116,7 @@ def check_maxima(family: Family, grid, h: float) -> tuple:
                 continue
             act = np.flatnonzero(~tube)   # the stencil of the points outside the tube
             xa, ya, Ja = x[act], y[act], J[:, act]
-            S = _stencil_rows(Ja[:3], rows_at, xa, ya, h)
+            S = _stencil_rows(Ja[:3], rows_at, xa, ya, STEP)
             timer.lap("stencil")
             beta, centre_ok, angles_ok, frame_ok = _stencil(S)
             if beta_ref is None:
@@ -136,11 +136,11 @@ def check_maxima(family: Family, grid, h: float) -> tuple:
             fold("christoffel", CHRISTOFFEL_NAMES, (
                 *christoffel_b_defects(ch, Ea, Ga),
                 *gradient_identity_defects(ch, metric_gradients_from_jet(ja, Ea, Ga),
-                                           beta_gradient(beta[1:], h)),
+                                           beta_gradient(beta[1:], STEP)),
                 *minimality_defects(ch)), basis_conditioned(ja) & metric_ok[act] & angles_ok)
-            fold("frame", FRAME_NAMES, frame_defects(_frame_data(S, beta, h)).values(), frame_ok)
+            fold("frame", FRAME_NAMES, frame_defects(_frame_data(S, beta, STEP)).values(), frame_ok)
             if curve is not None:
-                K, pos = gauss_curvature_masked(family.metric, xa, ya, h)
+                K, pos = gauss_curvature_masked(family.metric, xa, ya, STEP)
                 fold("curvature", ["curvature_K_minus_1"], [np.abs(K - 1.0)], pos & centre_ok)
 
     if beta_ref is None:
@@ -148,15 +148,15 @@ def check_maxima(family: Family, grid, h: float) -> tuple:
     return maxima, tube_points, timer.to_dict()
 
 
-def sample_blocks(family: Family, grid, h: float):
+def sample_blocks(family: Family, grid):
     """Per block (_sample_block, so none is held between blocks): x, y, phi, E, G, beta, K and
     the masks where beta and K are defined (outside the tube; angle accepted; metric positive)."""
-    return (_sample_block(family, grid, h, start) for start in range(0, grid.nx * grid.ny, CHUNK))
+    return (_sample_block(family, grid, start) for start in range(0, grid.nx * grid.ny, CHUNK))
 
 
-def _sample_block(family: Family, grid, h: float, start: int) -> tuple:
+def _sample_block(family: Family, grid, start: int) -> tuple:
     with np.errstate(all="ignore"):
         x, y, tube, J, md, _ = _block(family, grid, start)
         beta, ok, _, _ = _angles(J)
-        K, pos = gauss_curvature_masked(family.metric, x, y, h)
+        K, pos = gauss_curvature_masked(family.metric, x, y, STEP)
     return x, y, J[0].copy(), md.E, md.G, beta, ~tube & ok, K, ~tube & pos   # a copy: J is freed

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlsurf import cli
+from mlsurf import cli, diffgeo
 from mlsurf.cli import main
 from mlsurf.report import GridSpec, verify_spectral
 from mlsurf.spectral_curve import derive_constants
@@ -162,6 +162,7 @@ def test_verify_json_out(tmp_path, capsys):
     data = json.loads(out_file.read_text())
     assert data["overall"] is True
     assert data["family"] == "spectral"
+    assert data["h"] == diffgeo.STEP == 1e-4   # the one step the tolerance tiers assume
     names = {c["name"] for c in data["checks"]}
     assert {"gram_norm", "beta_e2i_plus_one", "curvature_K_minus_1",
             "curve_regularity"} <= names
@@ -176,7 +177,8 @@ def test_verify_json_out(tmp_path, capsys):
                             "frame", "curvature", "reduce", "total"}
     assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
     assert sum(v for k, v in timings.items() if k != "total") <= timings["total"]
-    assert "timings" not in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert "timings" not in text and " h=0.0001 " in text.splitlines()[0]
 
 
 @pytest.mark.parametrize("command", [["verify"], ["sample", "--out", os.devnull],
@@ -464,21 +466,11 @@ def test_theta_shift_computes_the_smallest_eigenvalue_once(tmp_path, capsys, mon
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", *SPHERE, "--grid", "4x4", "--h", "0"],
-    ["verify", *SPHERE, "--grid", "4x4", "--h", "nan"],
-    ["verify", *SPHERE, "--grid", "4x4", "--h=-1e-4"],
-    ["verify", "--family", "cone", "--m", "1", "--n", "1", "--grid", "4x4", "--h", "inf"],
-    ["sample", *SPHERE, "--grid", "4x4", "--h", "0", "--out", os.devnull],
-    # a huge step makes every difference quotient 0, so the frame checks would pass
-    ["verify", "--family", "cone", "--m", "9", "--n", "7", "--grid", "4x4", "--h", "1e5"],
-    ["sample", *SPHERE, "--grid", "4x4", "--h", "1e5", "--out", os.devnull],
     ["verify", "--family", "spectral", "--a", "1", "--b", "1", "--q1", "inf",
      "--gamma-im", "1", "--grid", "4x4"],
     ["verify", "--family", "spectral", "--a", "1", "--b", "1", "--q1", "2",
      "--gamma-im", "1e200", "--grid", "4x4"],
     one_point("--a", "nan", "--b", "1", "--q1", "2", "--gamma-im", "1"),
-    # x +- h rounds to x, so every frame check would compare 0 with 0 and pass
-    ["verify", *SPHERE, "--grid", "8x8", "--h", "1e-300"],
     # derive_constants overflows or divides by zero: the message names the inputs
     one_point("--a", "1", "--b", "1", "--q1", "1e308", "--gamma-im", "1"),
     one_point("--a", "1e-300", "--b", "1", "--q1", "2", "--gamma-im", "1"),
@@ -486,9 +478,7 @@ def test_theta_shift_computes_the_smallest_eigenvalue_once(tmp_path, capsys, mon
     one_point("--a", "1", "--b", "1", "--q1", "1e200", "--gamma-im", "1"),
     ["verify", "--family", "spectral", "--a", "1", "--b", "1", "--q1", "0",
      "--gamma-im", "1", "--grid", "4x4"],
-], ids=["h-0", "h-nan", "h-negative", "h-inf", "sample-h-0", "h-1e5", "sample-h-1e5",
-        "q1-inf", "gamma-im-1e200", "a-nan", "h-1e-300", "q1-1e308", "a-1e-300", "q1-1e200",
-        "q1-0"])
+], ids=["q1-inf", "gamma-im-1e200", "a-nan", "q1-1e308", "a-1e-300", "q1-1e200", "q1-0"])
 def test_invalid_numbers_exit_2_with_one_line(argv, capsys):
     assert run(argv) == 2
     out = capsys.readouterr()
@@ -578,39 +568,27 @@ def test_a_value_that_starts_with_a_minus_sign(flag, value, rest, tmp_path, caps
     assert f"argument {flag}: expected one argument" in capsys.readouterr().err
 
 
-def test_step_bound_is_checked_before_the_output_is_opened(tmp_path, capsys):
-    out = tmp_path / "s.csv"
-    argv = ["sample", *SPHERE, "--grid", "2x2", "--out", str(out), "--h"]
-    assert run(argv + ["0.0100001"]) == 2
-    assert capsys.readouterr().err.count("\n") == 1 and not out.exists()
-    assert run(argv + ["1e-2"]) == 0 and out.exists()
-
-
-def test_step_floor_is_checked_before_the_output_is_opened(tmp_path, capsys):
-    out = tmp_path / "s.csv"
-    argv = ["sample", *SPHERE, "--grid", "2x2", "--out", str(out), "--h"]
-    assert run(argv + ["1.3e-15"]) == 2
-    assert capsys.readouterr().err == ("error: --h must be at least 2 pi 2^-52 "
-                                       "(about 1.4e-15), got 1.3e-15\n")
-    assert not out.exists()
-    assert run(argv + [repr(2 * math.pi * 2.0**-52)]) == 0 and out.exists()
-
-
 @pytest.mark.parametrize("argv, error", [
     (["theta", "--period-file", "pm.txt", "--z", "0", "--h", "1e-3"],
      "mlsurf theta: error: unrecognized arguments: --h 1e-3"),
+    (["verify", *SPHERE, "--grid", "2x2", "--json-out", "r.json", "--h", "1e-3"],
+     "mlsurf verify: error: unrecognized arguments: --h 1e-3"),
+    (["sample", *SPHERE, "--grid", "2x2", "--out", "s.csv", "--h", "1e-3"],
+     "mlsurf sample: error: unrecognized arguments: --h 1e-3"),
     (["theta", "--period-file", "pm.txt", "--z", "0", "--shift", "1"],
      "mlsurf theta: error: unrecognized arguments: --shift 1"),
     (["verify", "--fam", "cone", "--m", "1", "--n", "1", "--grid", "2x2"],
      "mlsurf verify: error: the following arguments are required: --family"),
-], ids=["theta-h-is-not-help", "theta-shift", "verify-fam"])
+], ids=["theta-h-is-not-help", "verify-h-is-not-help", "sample-h-is-not-help", "theta-shift",
+        "verify-fam"])
 def test_abbreviated_flags_exit_2(argv, error, tmp_path, monkeypatch, capsys):
-    # argparse would expand --h to --help in theta and exit 0 with the usage
+    # argparse would expand --h to --help and exit 0 with the usage; no command takes a step
     monkeypatch.chdir(tmp_path)
     (tmp_path / "pm.txt").write_text("1\n1j\n")
     assert run(argv) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err.endswith("\n" + error + "\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["pm.txt"]
 
 
 def test_theta_takes_no_radius(tmp_path, monkeypatch, capsys):
@@ -636,7 +614,7 @@ def _parse(parser, argv):
 
 
 _VALID = {
-    "verify": ["--family", "cone", "--m", "1", "--n", "2", "--json-out", "r.json", "--h", "1e-3"],
+    "verify": ["--family", "cone", "--m", "1", "--n", "2", "--json-out", "r.json"],
     "sample": [*SPHERE, "--grid", "8x4", "--out", "s.csv"],
     "theta": ["--period-file", "pm.txt", "--z", "0.1", "--shift-m", "1"],
 }
@@ -892,11 +870,11 @@ _VALUES = st.sampled_from(["1", "2", "-2", "0.5", "0", "-1", "1e150", "1e200", "
 _FAMILY_DEFAULTS = {"spectral": ["--a", "1", "--b", "1", "--q1", "2", "--gamma-im", "1"],
                     "cone": ["--m", "1", "--n", "2"], "other": []}
 _ACCEPTED = {
-    "verify": ([], {"--a", "--b", "--q1", "--gamma-im", "--m", "--n", "--h", "--tol-profile"}),
+    "verify": ([], {"--a", "--b", "--q1", "--gamma-im", "--m", "--n", "--tol-profile"}),
     "theta": (["--z", "0.1,0.2j"], {"--z", "--shift-m"}),
 }
 _ACCEPTED["sample"] = ([], _ACCEPTED["verify"][1] - {"--tol-profile"})
-_FLAGS = ["--a", "--b", "--q1", "--gamma-im", "--m", "--n", "--h", "--tol-profile",
+_FLAGS = ["--a", "--b", "--q1", "--gamma-im", "--m", "--n", "--tol-profile",
           "--z", "--shift-m", "--bogus"]
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlsurf import report, surface_families, sweep
-from mlsurf.diffgeo import (angle_defect, beta_gradient_fd,
+from mlsurf.diffgeo import (STEP, angle_defect, beta_gradient_fd,
                             christoffel_b_defects, christoffel_solve, frame_and_connection,
                             frame_defects, gauss_curvature, gauss_curvature_masked,
                             gradient_identity_defects, gram_defects, lagrangian_angle,
@@ -34,7 +34,7 @@ _FRAME = tuple("frame_" + n for n in ("unitarity", "det_unit", "A_antiherm", "B_
                                       "f_real", "h_real"))
 
 
-def _oracle_maxima(family, grid, h=1e-4):
+def _oracle_maxima(family, grid):
     """Every per-point check of the report, from the scalar diffgeo functions
     alone, point by point: (name -> NaN-sticky max, name -> excluded points)."""
     curve = family.curve
@@ -86,24 +86,24 @@ def _oracle_maxima(family, grid, h=1e-4):
                 see(["metric_anisotropy"], lambda: [abs(md.v1 - md.v2)])
         else:
             see(["beta_e2i_plus_one"], lambda: [abs(cmath.exp(2j * beta) + 1.0)])
-            see(["curvature_K_minus_1"], lambda: [abs(gauss_curvature(family.metric, x, y, h) - 1.0)])
+            see(["curvature_K_minus_1"], lambda: [abs(gauss_curvature(family.metric, x, y) - 1.0)])
 
         def christoffel():  # fails where E or G is 0: metric_from_jet raises
             ch = christoffel_solve(jet)
             md = metric_from_jet(jet)
             return [*christoffel_b_defects(ch, md.E, md.G),
                     *gradient_identity_defects(ch, metric_gradients_from_jet(jet, md.E, md.G),
-                                               beta_gradient_fd(family.jet, x, y, h)),
+                                               beta_gradient_fd(family.jet, x, y)),
                     *minimality_defects(ch)]
 
         see(_CHRISTOFFEL, christoffel)
-        see(_FRAME, lambda: frame_defects(frame_and_connection(family.jet, x, y, h)).values())
+        see(_FRAME, lambda: frame_defects(frame_and_connection(family.jet, x, y)).values())
     return worst, excluded
 
 
-def _assert_report_matches_oracle(family, grid, h=1e-4):
-    expected, excluded = _oracle_maxima(family, grid, h)
-    report = verify(family, grid, h)
+def _assert_report_matches_oracle(family, grid):
+    expected, excluded = _oracle_maxima(family, grid)
+    report = verify(family, grid)
     got = {c.name: c for c in report.checks if not c.name.startswith("curve_")}
     assert list(got) == [n for n in got if n in expected] and set(got) == set(expected)
     for name, value in expected.items():
@@ -220,7 +220,7 @@ def test_a_spectral_report_carries_its_curve_and_a_cone_report_none(family):
 def test_report_check_order(family, groups):
     # the text and JSON reports list the checks in this order, each with its
     # tolerance and kind
-    report = verify(family, GridSpec(16, 16), 1e-4)
+    report = verify(family, GridSpec(16, 16))
     assert [(c.name, c.tolerance, c.kind) for c in report.checks] == [
         (name, tol, kind) for names, tol, kind in groups for name in names.split()]
 
@@ -249,7 +249,7 @@ def _sweep_names(family_name, tube_points):
     (cone_family(3, 2), GridSpec(16, 16), False),
 ], ids=["worked-example", "worked-example-7x7", "tube-points", "cone-1-2", "cone-3-2"])
 def test_the_catalogue_and_the_sweep_name_the_same_checks(family, grid, has_tube_points):
-    maxima, tube_points, _ = sweep.check_maxima(family, grid, 1e-4)
+    maxima, tube_points, _ = sweep.check_maxima(family, grid)
     assert set(maxima) == _sweep_names(family.name, tube_points)
     assert ("tube_G_bound" in maxima) == (tube_points > 0) == has_tube_points
 
@@ -276,8 +276,8 @@ def test_chunk_size_does_not_change_the_output(chunk, monkeypatch):
         grid = GridSpec(16, 16)
         return ([c.to_dict() for c in verify(TUBE_POINTS, grid).checks],
                 [c.to_dict() for c in verify(cone_family(1, 2), grid).checks],
-                "".join(map("".join, sample_rows(TUBE_POINTS, grid, 1e-4))),
-                "".join(map("".join, sample_rows(cone_family(2, 1), GridSpec(5, 3), 1e-4))))
+                "".join(map("".join, sample_rows(TUBE_POINTS, grid))),
+                "".join(map("".join, sample_rows(cone_family(2, 1), GridSpec(5, 3)))))
 
     expected = outputs()
     monkeypatch.setattr(sweep, "CHUNK", chunk)
@@ -292,7 +292,7 @@ def test_a_partial_block_at_the_shipped_chunk_changes_nothing(monkeypatch):
     assert sweep.CHUNK < side * side < 2 * sweep.CHUNK
 
     def outputs():
-        pieces = [list(sample_rows(f, grid, 1e-4)) for f in (TUBE_POINTS, cone_family(3, 2))]
+        pieces = [list(sample_rows(f, grid)) for f in (TUBE_POINTS, cone_family(3, 2))]
         assert all(0 < len(p) <= side for ps in pieces for p in ps)
         return ([c.to_dict() for c in verify(TUBE_POINTS, grid).checks],
                 [c.to_dict() for c in verify(cone_family(3, 2), grid).checks],
@@ -315,8 +315,8 @@ def test_verify_calls_the_scalar_jet_at_four_stencil_points_outside_the_tube(fam
             _seen.append(args[-2:])
             return _f(*args)
         monkeypatch.setattr(surface_families, name, counted)
-    grid, h = GridSpec(16, 16), 1e-4
-    checks = verify(family, grid, h).checks
+    grid, h = GridSpec(16, 16), STEP
+    checks = verify(family, grid).checks
     xs, ys = (c.tolist() for c in grid.points(np.arange(grid.nx * grid.ny)))
     outside = [(x, y) for x, y in zip(xs, ys)
                if family.curve is None or not in_degeneracy_tube(family.curve, x, y)]
@@ -348,7 +348,7 @@ def test_a_huge_grid_streams_its_first_piece_without_an_axis(nx):
     # an axis of 10^11 doubles is 745 GiB, and np.arange(2^63 - 1) is empty
     tracemalloc.start()
     try:
-        piece = next(sample_rows(cone_family(1, 2), GridSpec(nx, 1), 1e-4))
+        piece = next(sample_rows(cone_family(1, 2), GridSpec(nx, 1)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -369,7 +369,7 @@ def test_sample_rows_frees_a_blocks_text_before_sweeping_the_next(family, monkey
     # what sample_rows and sample_blocks still hold when the next block is asked for: no
     # block's arrays (about 125 KiB of a 1024-point block), text table or cell indices
     # (about 400 KiB more)
-    list(sample_rows(family, GridSpec(4, 4), 1e-4))   # _g17's tables are built once
+    list(sample_rows(family, GridSpec(4, 4)))   # _g17's tables are built once
     held, blocks = [], report.sample_blocks
 
     def spy(*args):
@@ -381,7 +381,7 @@ def test_sample_rows_frees_a_blocks_text_before_sweeping_the_next(family, monkey
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        for _ in sample_rows(family, GridSpec(64, 48), 1e-4):
+        for _ in sample_rows(family, GridSpec(64, 48)):
             pass
     finally:
         tracemalloc.stop()
@@ -399,8 +399,8 @@ def test_a_block_inside_the_tube_skips_the_angle_stage(monkeypatch):
     assert [c.to_dict() for c in _assert_report_matches_oracle(family, grid).checks] == shipped
 
 
-def _csv_oracle(family, grid, h):
-    return _csv_text(sweep.sample_blocks(family, grid, h))
+def _csv_oracle(family, grid):
+    return _csv_text(sweep.sample_blocks(family, grid))
 
 
 def _csv_text(blocks):
@@ -423,8 +423,8 @@ def _csv_text(blocks):
 ], ids=["tube-points", "cone-2-1", "one-point"])
 def test_csv_matches_the_csv_writer_oracle(family, grid, tmp_path):
     path = tmp_path / "s.csv"
-    write_csv(path, sample_rows(family, grid, 1e-4))
-    expected = _csv_oracle(family, grid, 1e-4)
+    write_csv(path, sample_rows(family, grid))
+    expected = _csv_oracle(family, grid)
     assert path.read_bytes() == expected
     if family is TUBE_POINTS:   # rows inside the tube end in empty beta and K cells
         assert b",,\r\n" in expected
@@ -459,7 +459,7 @@ def test_every_field_of_a_block_keeps_its_own_text(monkeypatch, tmp_path):
     ]
     monkeypatch.setattr(report, "sample_blocks", lambda *args: iter(blocks))
     grid = GridSpec(2, 3)
-    pieces = list(sample_rows(cone_family(1, 2), grid, 1e-4))
+    pieces = list(sample_rows(cone_family(1, 2), grid))
     assert [len(p) for p in pieces] == [2, 1, 2]   # at most isqrt(2 * 3) lines each
     path = tmp_path / "s.csv"
     write_csv(path, pieces)
@@ -537,7 +537,7 @@ def test_valid_spectral_parameters_pass(a, b, q_gap, gamma, q_sign, gamma_sign):
 @settings(max_examples=12, deadline=None)
 def test_cone_orders_match_the_oracle(m, n):
     report = _assert_report_matches_oracle(cone_family(m, n), GridSpec(8, 8))
-    # m + n >= 4 fails frame_B_trace at the default h (the known cone-frame-fd defect)
+    # m + n >= 4 fails frame_B_trace at STEP (the known cone-frame-fd defect)
     assert report.overall or m + n >= 4
 
 
@@ -581,16 +581,16 @@ _ORACLE_WARNS = pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning"
     (_jet_scaled_at(cone_family(1, 2), (_X, _Y), phi=2.0),
      "beta_constant christoffel_b11 frame_unitarity", "", "metric_E_closed_form"),
     # |det| = 2 at a stencil point: its angle is rejected
-    (_jet_scaled_at(cone_family(1, 2), (_X + 1e-4, _Y), phi=2.0),
+    (_jet_scaled_at(cone_family(1, 2), (_X + STEP, _Y), phi=2.0),
      "christoffel_b11 frame_unitarity", "", "beta_constant"),
     # |phi_x| < 1e-8 at a stencil point; its angle stands
-    (_jet_scaled_at(cone_family(1, 2), (_X, _Y - 1e-4), phi_x=1e-9),
+    (_jet_scaled_at(cone_family(1, 2), (_X, _Y - STEP), phi_x=1e-9),
      "frame_unitarity frame_B_trace", "", "christoffel_b11 gradient_identity_y"),
     # cond(phi_x, phi_y, phi) ~ 1e9 at a grid point; its angle stands
     (_jet_scaled_at(cone_family(1, 2), (_X, _Y), phi_y=1e-9),
      "christoffel_b11 minimality_im_y", "", "beta_constant frame_unitarity"),
     # G < 0 at a curvature stencil point
-    (_metric_negative_at(spectral_family(derive_constants(1.0, 1.0, 2.0, 1.0)), (_X + 1e-4, _Y)),
+    (_metric_negative_at(spectral_family(derive_constants(1.0, 1.0, 2.0, 1.0)), (_X + STEP, _Y)),
      "curvature_K_minus_1", "", "frame_unitarity metric_G_closed_form"),
     # |det| = 2 at a spectral grid point: K = 1 is an angle check too
     (_jet_scaled_at(spectral_family(derive_constants(1.0, 1.0, 2.0, 1.0)), (_X, _Y), phi=2.0),
@@ -618,7 +618,7 @@ _ORACLE_WARNS = pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning"
                  "beta_constant frame_unitarity frame_A_trace",
                  "metric_E_closed_form gram_phix_phiy", marks=_ORACLE_WARNS),
     # |phi_x| = inf at a stencil point: its angle stands and its frame and gradient are NaN
-    pytest.param(_jet_scaled_at(cone_family(1, 2), (_X + 1e-4, _Y), phi_x=math.inf),
+    pytest.param(_jet_scaled_at(cone_family(1, 2), (_X + STEP, _Y), phi_x=math.inf),
                  "", "gradient_identity_x frame_A_trace frame_A_pattern",
                  "christoffel_b11 frame_unitarity gradient_identity_y", marks=_ORACLE_WARNS),
 ], ids=["centre-angle", "neighbour-angle", "neighbour-degenerate", "ill-conditioned",
@@ -733,7 +733,7 @@ def test_a_nan_in_one_stencil_jet_fails_its_pattern_check(row, dx, dy, check, ot
     # the NaN passes the angle and stencil-norm gates and twists the neighbour's frame
     # rows 1 and 2 to NaN, so the lower pattern entry of A (or B), the second argument of
     # the pattern's max, is NaN: Python's max(x, nan) is x and would PASS the point
-    family, grid, h = spectral_family(derive_constants(1.0, 1.0, 2.0, 1.0)), GridSpec(16, 16), 1e-4
+    family, grid, h = spectral_family(derive_constants(1.0, 1.0, 2.0, 1.0)), GridSpec(16, 16), STEP
     points = list(zip(*(c.tolist() for c in grid.points(np.arange(256)))))
     x0, y0 = next(p for p in points[100:] if not in_degeneracy_tube(family.curve, *p))
     bad = (x0 + h if dx else x0, y0 + h if dy else y0)
@@ -751,7 +751,7 @@ def test_a_nan_in_one_stencil_jet_fails_its_pattern_check(row, dx, dy, check, ot
         return J
 
     checks = {c.name: c for c in
-              _assert_report_matches_oracle(family._replace(jet=jet, jets=jets), grid, h).checks}
+              _assert_report_matches_oracle(family._replace(jet=jet, jets=jets), grid).checks}
     assert math.isnan(checks[check].value) and not checks[check].passed
     assert checks[other].passed   # the other derivative's stencil is finite
 
@@ -765,7 +765,7 @@ def test_each_frame_refusal_of_the_oracle_is_an_inf_of_the_sweep(where, row, sca
     # one jet of the stencil around a grid point is scaled: phi doubled moves |det| off the
     # unit circle, phi_x * 1e-9 keeps the angle but falls below MIN_STENCIL_NORM; the
     # oracle refuses for that reason and the sweep reads inf on every frame check
-    cone, grid, h = cone_family(1, 2), GridSpec(4, 4), 1e-4
+    cone, grid, h = cone_family(1, 2), GridSpec(4, 4), STEP
     x0, y0 = (float(c[5]) for c in grid.points(np.arange(16)))
     bad = {"centre": (x0, y0), "x+h": (x0 + h, y0), "y-h": (x0, y0 - h)}[where]
 
@@ -784,7 +784,7 @@ def test_each_frame_refusal_of_the_oracle_is_an_inf_of_the_sweep(where, row, sca
     if where == "y-h":
         with pytest.raises(ValueError, match=reason):
             beta_gradient_fd(family.jet, x0, y0, h)
-    checks = {c.name: c for c in _assert_report_matches_oracle(family, grid, h).checks}
+    checks = {c.name: c for c in _assert_report_matches_oracle(family, grid).checks}
     assert all(checks[name].value == math.inf for name in _FRAME)
     assert checks["gram_norm"].passed or where == "centre"
 

@@ -78,9 +78,11 @@ def _cone_radicand(node) -> bool:
 
 
 def _plus_or_minus_h(node) -> bool:
-    """A sum or difference with the name h as one operand, as x + h or y - h."""
+    """A sum or difference with the name h or diffgeo's STEP as one operand, as x + h or
+    y - STEP."""
     return (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
-            and any(isinstance(o, ast.Name) and o.id == "h" for o in (node.left, node.right)))
+            and any(isinstance(o, ast.Name) and o.id in ("h", "STEP")
+                    for o in (node.left, node.right)))
 
 
 def _is_jet(node) -> bool:
@@ -121,8 +123,9 @@ def test_the_guards_see_the_twins_they_look_for():
                         "    return [j.phi for j in map(jet_field, *zip(*pts))]\n"
                         "def scalar(family, xs):\n    for x in xs:\n        yield family.jet(x, 0)\n"
                         "def passed(family, h):\n    for b in blocks:\n"
-                        "        rows(lambda xs, ys: _jets(family.jet, xs, ys), b, 2 * h)\n")
-    assert _outermost_functions(stencil, _plus_or_minus_h) == {"rows"}
+                        "        rows(lambda xs, ys: _jets(family.jet, xs, ys), b, 2 * h)\n"
+                        "def swept(xs, ys):\n    return rows_at(xs + STEP, ys)\n")
+    assert _outermost_functions(stencil, _plus_or_minus_h) == {"rows", "swept"}
     assert _outermost_functions(stencil, _scalar_jets_in_a_loop) == {"rows", "scalar"}
 
 
@@ -179,7 +182,7 @@ def test_the_cone_amplitude_rows_are_written_in_one_function(found):
 
 def test_the_sweep_forms_no_stencil_point():
     # the neighbours (x +- h, y), (x, y +- h) belong to diffgeo._stencil_rows, which the
-    # sweep calls with its row source
+    # sweep calls with its row source and h = diffgeo.STEP
     assert _outermost_functions(MODULES["sweep.py"], _plus_or_minus_h) == set()
 
 

@@ -125,7 +125,7 @@ _SURFACES = pytest.mark.parametrize("make", [
 @_SURFACES
 def test_verify_certifies_every_point_without_the_svd(make, svd_calls):
     family = make()
-    sweep.check_maxima(family, GridSpec(16, 16), 1e-4)
+    sweep.check_maxima(family, GridSpec(16, 16))
     assert svd_calls == []
 
 
@@ -160,7 +160,7 @@ def test_a_singular_and_a_nan_basis_in_one_block_fail_without_a_warning(monkeypa
     monkeypatch.setattr(sweep, "basis_conditioned", spy)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        maxima, _, _ = sweep.check_maxima(cone._replace(jets=jets), GridSpec(4, 4), 1e-4)
+        maxima, _, _ = sweep.check_maxima(cone._replace(jets=jets), GridSpec(4, 4))
     assert capfd.readouterr() == ("", "")
     assert len(masks) == 1 and np.flatnonzero(~masks[0]).tolist() == [6, 9]
     assert maxima["christoffel_b11"] == maxima["minimality_im_y"] == np.inf
