@@ -22,7 +22,6 @@ _ellipsoid_points only lists the points of a given ellipsoid.
 import cmath
 import functools
 import math
-import numbers
 
 import numpy as np
 
@@ -48,12 +47,12 @@ class PeriodMatrix:
     """Complex g x g period matrix, symmetric with positive definite Im part.
 
     The stored matrix is symmetrized exactly from the upper triangle, so
-    B[i, j] == B[j, i] bit for bit.  Construction fails if an entry is not
-    finite, if |B[i, j] - B[j, i]| > SYMMETRY_TOL * max(1, |B[i, j]|) (the
-    series would see (B + B^T)/2, not the given matrix) or if Im(B) is not
-    positive definite; im_cholesky is the lower Cholesky factor L of
-    Im(B) = L L^T.  No Siegel reduction is attempted; callers are expected to
-    supply well-conditioned matrices.
+    B[i, j] == B[j, i] bit for bit, with Re B reduced modulo 2 by np.fmod
+    (exact: each term of theta has period 2 in each Re B[i, j]).  Construction
+    fails if an entry is not finite, if |B[i, j] - B[j, i]| > SYMMETRY_TOL *
+    max(1, |B[i, j]|) (the series would see (B + B^T)/2, not the given matrix)
+    or if Im(B) is not positive definite; im_cholesky is the lower Cholesky
+    factor L of Im(B) = L L^T.  No Siegel reduction is attempted.
     """
 
     def __init__(self, entries):
@@ -72,6 +71,7 @@ class PeriodMatrix:
                                  f"{B[i, j].item()} but B[{j}, {i}] = {B[j, i].item()}")
             for j in range(1, len(B)):
                 B[j, :j] = B[:j, j]
+        B.real = np.fmod(B.real, 2.0)  # after the check, whose messages quote the input
         try:
             L = np.linalg.cholesky(B.imag)
         except np.linalg.LinAlgError:
@@ -247,12 +247,12 @@ def _terms(z: np.ndarray, B: PeriodMatrix, M: np.ndarray) -> tuple[list, list]:
     return terms.real.tolist(), terms.imag.tolist()
 
 
-def riemann_theta(z, B: PeriodMatrix, radius: int | None = None) -> complex:
+def riemann_theta(z, B: PeriodMatrix) -> complex:
     """Evaluate theta(z) = sum_m exp(pi*i*(B m, m) + 2*pi*i*(m, z)).
 
-    z is a finite complex vector of length B.genus.  The sum is over the box
-    |m|_inf <= radius, an int >= 1; when radius is None it is chosen by
-    default_radius.  With Im(B) = L L^T and v = L^{-1} Im z
+    z is a finite complex vector of length B.genus, each Re z_j first reduced
+    modulo 1.  The sum is over the box |m|_inf <= radius = default_radius(z, B).
+    With Im(B) = L L^T and v = L^{-1} Im z
     the real exponent of the m-th term is pi*(|v|^2 - |L^T m + v|^2), so the
     terms above any level lie in an ellipsoid |L^T m + v|^2 <= budget, listed
     by _ellipsoid_points.  The floor ellipsoid has budget |v|^2 -
@@ -275,12 +275,7 @@ def riemann_theta(z, B: PeriodMatrix, radius: int | None = None) -> complex:
     if not all(map(cmath.isfinite, z.tolist())):
         raise ValueError("z must be finite")
     z.real = np.fmod(z.real, 1.0)  # exact, signs kept: theta has period 1 in each Re z_j
-    if radius is None:
-        radius = default_radius(z, B)
-    elif isinstance(radius, bool) or not isinstance(radius, numbers.Integral):
-        raise ValueError(f"truncation radius must be an integer, got {radius!r}")
-    elif (radius := int(radius)) < 1:   # as an int: a numpy integer overflows the box count
-        raise ValueError(f"truncation radius must be >= 1, got {radius}")
+    radius = default_radius(z, B)
     L, g = B.im_cholesky, B.genus
     diag = L.diagonal().tolist()
     # a term beyond double range raises FloatingPointError (an ArithmeticError)
@@ -352,12 +347,11 @@ def riemann_theta(z, B: PeriodMatrix, radius: int | None = None) -> complex:
     return complex(math.fsum(re), math.fsum(im))
 
 
-def quasi_periodicity_defect(z, m, B: PeriodMatrix, radius: int | None = None,
-                             theta_z: complex | None = None) -> float:
+def quasi_periodicity_defect(z, m, B: PeriodMatrix, *, theta_z: complex | None = None) -> float:
     """Relative defect of theta(z + B m) = exp(-pi*i*(B m, m) - 2*pi*i*(m, z)) theta(z).
 
     Returns |theta(z + Bm) - factor * theta(z)| / (1 + |theta(z)|).  theta_z,
-    if given, is riemann_theta(z, B, radius), already evaluated by the caller.
+    if given, is riemann_theta(z, B), already evaluated by the caller.
     Printed by `mlsurf theta --shift-m`; vanishes to roundoff for an exact theta.
     """
     z = np.array(z, dtype=complex)
@@ -371,9 +365,9 @@ def quasi_periodicity_defect(z, m, B: PeriodMatrix, radius: int | None = None,
     with np.errstate(over="raise", invalid="raise"):   # B m or z + B m beyond double range
         Bm = B.entries @ m
         shifted = z + Bm
-    lhs = riemann_theta(shifted, B, radius)
+    lhs = riemann_theta(shifted, B)
     if theta_z is None:
-        theta_z = riemann_theta(z, B, radius)
+        theta_z = riemann_theta(z, B)
     with np.errstate(over="raise", invalid="raise"):
         factor = np.exp(-1j * math.pi * (Bm @ m) - 2j * math.pi * (m @ z))
         return float(abs(lhs - factor * theta_z) / (1.0 + abs(theta_z)))

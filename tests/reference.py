@@ -5,13 +5,16 @@ psi_2 = e^{i y z2} (f2 + g2 / (z2 - gamma)), with f2 and g2 complex.  The progra
 psi only through baker_akhiezer.f_coefficients (the real f2) and the jets of
 surface_families; these evaluators give the tests psi itself: its value on either
 component, the gluing and conjugation defects, and the expansion at the punctures.
-The seeded curve samplers random_curve and _log_uniform_curve are shared by the tests too.
+The seeded curve samplers random_curve and _log_uniform_curve are shared by the tests too,
+and so is in_box, which fixes the box that riemann_theta sums.
 """
 
 import cmath
 
 import numpy as np
+import pytest
 
+from mlsurf import theta
 from mlsurf.spectral_curve import ReducibleCurveData, derive_constants
 
 
@@ -102,3 +105,11 @@ def _log_uniform_curve(rng):
     return derive_constants(10 ** rng.uniform(-2, 2), b,
                             b * (1 + 10 ** rng.uniform(-3, 2)) * rng.choice((-1, 1)),
                             10 ** rng.uniform(-2, 2) * rng.choice((-1, 1)))
+
+
+def in_box(radius: int, evaluate, *args, **kwargs):
+    """evaluate(*args, **kwargs) with riemann_theta summing the box |m|_inf <= radius:
+    theta.default_radius, which picks the box for every caller, is patched for the call."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(theta, "default_radius", lambda z, B: radius)
+        return evaluate(*args, **kwargs)

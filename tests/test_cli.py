@@ -592,7 +592,8 @@ def test_abbreviated_flags_exit_2(argv, error, tmp_path, monkeypatch, capsys):
 
 
 def test_theta_takes_no_radius(tmp_path, monkeypatch, capsys):
-    # the CLI always sums the automatic radius's box; the library's radius argument stays
+    # the CLI sums the box that theta.default_radius picks, as the library does: neither
+    # takes a radius
     monkeypatch.chdir(tmp_path)
     (tmp_path / "pm.txt").write_text("1\n1j\n")
     assert run(["theta", "--period-file", "pm.txt", "--z", "0", "--radius", "3"]) == 2

@@ -14,6 +14,7 @@ from mpmath import pi as mppi
 from mlsurf import theta
 from mlsurf.theta import (PeriodMatrix, default_radius, quasi_periodicity_defect,
                           read_period_matrix, riemann_theta)
+from reference import in_box
 
 mp.dps = 40
 
@@ -39,7 +40,7 @@ def rng_period_matrix(rng, g):
 
 def test_theta_value_g1_matches_extended_precision_oracle():
     B = PeriodMatrix([[1j]])
-    val = riemann_theta(np.array([0.0]), B, 8)
+    val = in_box(8, riemann_theta, np.array([0.0]), B)
     oracle = mp_theta_g1(0, 1j)
     assert abs(complex(oracle) - THETA_0_I) < 1e-16
     assert abs(val - THETA_0_I) < 1e-12 * abs(THETA_0_I)
@@ -48,7 +49,7 @@ def test_theta_value_g1_matches_extended_precision_oracle():
 def test_theta_complex_argument_matches_oracle():
     B = PeriodMatrix([[2j]])
     z = 0.3 + 0.1j
-    val = riemann_theta(np.array([z]), B, 10)
+    val = in_box(10, riemann_theta, np.array([z]), B)
     oracle = complex(mp_theta_g1(z, 2j))
     # frozen from the 40-digit oracle
     assert abs(oracle - (0.9986104439069187 - 0.0023816175764664588j)) < 1e-15
@@ -98,11 +99,11 @@ def test_quasi_periodicity_g1_example():
     B = PeriodMatrix([[2j]])
     z = np.array([0.3 + 0.1j])
     m = np.array([1])
-    assert quasi_periodicity_defect(z, m, B, 10) < 1e-10
+    assert in_box(10, quasi_periodicity_defect, z, m, B) < 1e-10
     # independent oracle at R = 14: both sides separately
-    lhs = riemann_theta(z + B.entries @ m, B, 14)
+    lhs = in_box(14, riemann_theta, z + B.entries @ m, B)
     factor = np.exp(-1j * np.pi * (B.entries @ m) @ m - 2j * np.pi * (m @ z))
-    rhs = factor * riemann_theta(z, B, 14)
+    rhs = factor * in_box(14, riemann_theta, z, B)
     assert abs(lhs - rhs) < 1e-12 * (1.0 + abs(rhs))
 
 
@@ -141,10 +142,30 @@ def test_theta_at_a_large_real_part_matches_the_oracle(z1, entries):
     assert quasi_periodicity_defect(np.array([z1, -7.25 + 0.2j]), np.array([1, 0]), B) < 1e-13
 
 
+@pytest.mark.parametrize("entries, reduced", [
+    ([[4e15 + 1j]], [[1j]]),
+    ([[1e300 + 1j]], [[1j]]),
+    ([[-2.0**60 + 1j]], [[complex(-0.0, 1.0)]]),
+    ([[1j, 1e300], [1e300, 1j]], [[1j, 0.0], [0.0, 1j]]),
+    ([[1.5 + 1j, -1.75], [-1.75, 1j]], [[1.5 + 1j, -1.75], [-1.75, 1j]]),   # kept as given
+], ids=["4e15", "1e300", "-2^60", "off-diagonal-1e300", "below-2"])
+def test_a_large_real_part_of_b_is_reduced_modulo_2(entries, reduced):
+    # every term has period 2 in each Re B[i, j], and every double above 2^53 is an even
+    # integer: B is stored with Re B reduced modulo 2, exactly, so the value is that of the
+    # reduced matrix, not a phase pi Re(m B m) rounded to noise; the defect reads it too
+    # (18.1 at 4e15 unreduced, 0 at B = i)
+    B, kept = PeriodMatrix(entries), PeriodMatrix(reduced)
+    z, m = np.full(B.genus, 0.1), np.eye(B.genus, dtype=np.int64)[0]
+    assert np.array_equal(B.entries.view(np.uint64), np.array(reduced).view(np.uint64))
+    value, expected = riemann_theta(z, B), riemann_theta(z, kept)
+    assert (value.real.hex(), value.imag.hex()) == (expected.real.hex(), expected.imag.hex())
+    assert quasi_periodicity_defect(z, m, B) == quasi_periodicity_defect(z, m, kept)
+
+
 def test_truncation_monotonicity():
     B = PeriodMatrix([[1j]])
     z = np.array([0.1 + 0.05j])
-    vals = {R: riemann_theta(z, B, R) for R in (1, 2, 3, 5, 6, 7)}
+    vals = {R: in_box(R, riemann_theta, z, B) for R in (1, 2, 3, 5, 6, 7)}
     d1 = abs(vals[1] - vals[5])
     d2 = abs(vals[2] - vals[6])
     d3 = abs(vals[3] - vals[7])
@@ -162,22 +183,30 @@ def test_dimension_mismatch_rejected():
         quasi_periodicity_defect(np.array([0.0, 0.0]), np.array([1.0, 0.0]), B)
 
 
+def test_the_box_is_not_an_argument():
+    # default_radius picks the box for every caller: a fourth argument is refused, so
+    # an old positional radius is not read as theta_z
+    B, z, m = PeriodMatrix(1j * np.eye(2)), np.zeros(2), np.array([1, -1])
+    with pytest.raises(TypeError):
+        riemann_theta(z, B, 3)
+    with pytest.raises(TypeError):
+        quasi_periodicity_defect(z, m, B, 3)
+
+
 def test_truncation_cap():
     # Im B = 1e-4 I: the floor ellipsoid covers the whole box of 201^3 points
     B = PeriodMatrix(1e-4j * np.eye(3))
     with pytest.raises(ValueError, match=r"^radius 100 needs \d+ terms \(cap 4000000\)$"):
-        riemann_theta(np.zeros(3), B, 100)
-    with pytest.raises(ValueError, match="^truncation radius must be >= 1, got 0$"):
-        riemann_theta(np.zeros(3), B, 0)
+        in_box(100, riemann_theta, np.zeros(3), B)
 
 
 def test_im_z_beyond_double_range_is_refused_with_one_message():
     # Im z . Y^{-1} Im z overflows, also where each entry of v = L^-1 Im z is finite
-    # (1e308 squared overflows); a radius is given, as the automatic one refuses first
+    # (1e308 squared overflows); the box is fixed, as the automatic radius refuses first
     for entries, z, radius in (([[1j, 0.1], [0.1, 1j]], [0.1 + 1e300j, 0], 3),
                                (1j * np.eye(2), [1e308j, 0], 2)):
         with pytest.raises(FloatingPointError) as refused:
-            riemann_theta(np.array(z), PeriodMatrix(entries), radius)
+            in_box(radius, riemann_theta, np.array(z), PeriodMatrix(entries))
         assert str(refused.value) == "overflow encountered in Im z . (Im B)^-1 Im z"
 
 
@@ -192,7 +221,7 @@ def test_a_4000_digit_radius_is_refused_from_logarithms():
         for _ in range(3):
             start = time.perf_counter()
             with pytest.raises(ValueError) as refused:
-                riemann_theta(z, B, radius)
+                in_box(radius, riemann_theta, z, B)
             times.append(time.perf_counter() - start)
         return min(times), str(refused.value)
 
@@ -210,41 +239,9 @@ def test_a_4000_digit_radius_is_refused_from_logarithms():
 def test_a_shift_beyond_double_range_is_refused_without_a_warning(entries, z, m, step):
     # one message naming the overflow, as numpy words it, and no RuntimeWarning
     with pytest.raises(FloatingPointError) as refused:
-        quasi_periodicity_defect(np.array(z), np.array(m, dtype=np.int64), PeriodMatrix(entries), 3)
+        in_box(3, quasi_periodicity_defect, np.array(z), np.array(m, dtype=np.int64),
+               PeriodMatrix(entries))
     assert str(refused.value) == f"overflow encountered in {step}"
-
-
-@pytest.mark.parametrize("radius", [0, -2])
-@pytest.mark.parametrize("evaluate", [
-    lambda B, radius: riemann_theta(np.zeros(2), B, radius),
-    lambda B, radius: quasi_periodicity_defect(np.zeros(2), np.array([1, -1]), B, radius),
-], ids=["riemann_theta", "quasi_periodicity_defect"])
-def test_a_radius_below_one_is_refused_with_its_message(evaluate, radius):
-    B = PeriodMatrix(1j * np.eye(2))
-    with pytest.raises(ValueError) as refused:
-        evaluate(B, radius)
-    assert str(refused.value) == f"truncation radius must be >= 1, got {radius}"
-    assert math.isfinite(abs(evaluate(B, 1)))   # the smallest radius is summed
-
-
-@pytest.mark.parametrize("radius", [2.5, 2.0, True], ids=["float", "whole-float", "bool"])
-@pytest.mark.parametrize("evaluate", [
-    lambda B, radius: riemann_theta(np.zeros(2), B, radius),
-    lambda B, radius: quasi_periodicity_defect(np.zeros(2), np.array([1, -1]), B, radius),
-], ids=["riemann_theta", "quasi_periodicity_defect"])
-def test_a_radius_that_is_not_an_integer_is_refused(evaluate, radius):
-    # 2.5 would sum a box of its own (4.3532 where radius 2 gives 1.1803) and True radius 1
-    B = PeriodMatrix(1j * np.eye(2))
-    with pytest.raises(ValueError) as refused:
-        evaluate(B, radius)
-    assert str(refused.value) == f"truncation radius must be an integer, got {radius!r}"
-
-
-def test_a_numpy_integer_radius_is_summed_as_the_int():
-    B = PeriodMatrix(1j * np.eye(2))
-    z = np.array([0.1 + 0.2j, 0.3])
-    for radius in (2, 2**62):   # 2 R + 1 overflows an int64 at 2^62
-        assert riemann_theta(z, B, np.int64(radius)) == riemann_theta(z, B, radius)
 
 
 @given(g=st.integers(1, 4), data=st.data())
@@ -261,7 +258,7 @@ def test_cap_bound_covers_the_listed_points(g, data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(theta, "DEFAULT_TERM_CAP", 0)
         with pytest.raises(ValueError, match=r"^radius \d+ needs \d+ terms \(cap 0\)$") as refused:
-            riemann_theta(z, B, radius)
+            in_box(radius, riemann_theta, z, B)
     bound = int(re.search(r"needs (\d+) terms", str(refused.value)).group(1))
     M, _ = _floor_points(z, B, radius)
     assert len(M) <= bound <= (2 * radius + 1) ** g
@@ -277,7 +274,7 @@ def _floor_points(z, B, radius):
         patch.setattr(theta, "SPREAD", math.inf)
         patch.setattr(theta, "_ellipsoid_points",
                       lambda *args: listed.append(points(*args)) or listed[-1])
-        value = riemann_theta(z, B, radius)
+        value = in_box(radius, riemann_theta, z, B)
     [M] = listed
     return M, value
 
@@ -289,13 +286,13 @@ def test_cap_admits_a_box_whose_ellipsoid_fits(monkeypatch):
     B = PeriodMatrix([[0.1 + 3j, 0.2 + 0.3j], [0.2 + 0.3j, -0.3 + 3.2j]])
     z = np.array([0.3 + 0.2j, -0.1 + 0.4j])
     assert (2 * 30 + 1) ** 2 > 1000
-    value = riemann_theta(z, B, 30)
+    value = in_box(30, riemann_theta, z, B)
     _, terms = _box_terms(z, B, 30)
     full = complex(math.fsum(terms.real), math.fsum(terms.imag))
     assert (value.real.hex(), value.imag.hex()) == (full.real.hex(), full.imag.hex())
     # Im B = 0.5 I keeps about 1,500 points: refused with the bound, not the box
     with pytest.raises(ValueError, match=r"radius 30 needs 1\d{3} terms \(cap 1000\)"):
-        riemann_theta(z, PeriodMatrix(0.5j * np.eye(2)), 30)
+        in_box(30, riemann_theta, z, PeriodMatrix(0.5j * np.eye(2)))
 
 
 def test_period_matrix_invariants():
@@ -335,9 +332,11 @@ def test_the_first_asymmetric_pair_is_reported_row_by_row():
             B[i, j] += bound * rng.choice([0.5, 1.0 - 1e-9, 1.0 + 1e-9, 3.0]) * np.exp(1j * rng.uniform(0, 7))
         expected = _symmetry_refusal(B.tolist())
         if expected is None:
-            # kept, the lower triangle copied bit for bit from the upper
-            assert np.array_equal(PeriodMatrix(B).entries.view(np.uint64),
-                                  np.where(np.tri(g, k=-1, dtype=bool), B.T, B).view(np.uint64))
+            # kept, the lower triangle copied bit for bit from the upper, and Re B
+            # reduced modulo 2 as stored
+            kept = np.where(np.tri(g, k=-1, dtype=bool), B.T, B)
+            kept.real = np.fmod(kept.real, 2.0)
+            assert np.array_equal(PeriodMatrix(B).entries.view(np.uint64), kept.view(np.uint64))
         else:
             refused += 1
             with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
@@ -370,11 +369,11 @@ def test_default_radius_rule():
 def test_riemann_theta_deterministic_and_order_independent():
     B = PeriodMatrix([[0.2 + 1.1j, 0.1], [0.1, -0.3 + 0.9j]])
     z = np.array([0.4 + 0.02j, -0.7 + 0.05j])
-    v1 = riemann_theta(z, B, 6)
-    v2 = riemann_theta(z, B, 6)
+    v1 = in_box(6, riemann_theta, z, B)
+    v2 = in_box(6, riemann_theta, z, B)
     assert v1 == v2
     # widening the box only adds terms below roundoff once converged
-    v3 = riemann_theta(z, B, 12)
+    v3 = in_box(12, riemann_theta, z, B)
     assert abs(v1 - v3) < 1e-13 * (1 + abs(v3))
 
 
@@ -391,7 +390,7 @@ def test_lattice_order_does_not_change_theta(monkeypatch):
             cases.append((z, rng.integers(-1, 2, g), rng_period_matrix(rng, g)))
 
     def values():
-        return [(riemann_theta(z, B), quasi_periodicity_defect(z, m, B, 6))
+        return [(riemann_theta(z, B), in_box(6, quasi_periodicity_defect, z, m, B))
                 for z, m, B in cases]
 
     expected = values()
@@ -442,7 +441,7 @@ def test_omitted_box_terms_are_exact_zeros():
             assert np.all(terms[out] == 0.0)
             omitted += int(out.sum())
             full = complex(math.fsum(terms.real), math.fsum(terms.imag))
-            for value in (floor_value, riemann_theta(w, B, radius)):
+            for value in (floor_value, in_box(R, riemann_theta, w, B)):
                 assert (value.real.hex(), value.imag.hex()) == (full.real.hex(), full.imag.hex())
     assert omitted > 0
 
@@ -535,7 +534,7 @@ def test_small_pass_is_certified_or_falls_back(monkeypatch):
             if (2 * R + 1) ** g > 200_000:
                 continue
             passes.clear()
-            value = riemann_theta(w, P, radius)
+            value = in_box(R, riemann_theta, w, P)
             _, terms = _box_terms(w, P, R)
             full = complex(math.fsum(terms.real), math.fsum(terms.imag))
             assert (value.real.hex(), value.imag.hex()) == (full.real.hex(), full.imag.hex())
@@ -548,7 +547,7 @@ def test_small_pass_is_certified_or_falls_back(monkeypatch):
     # the cap is checked before any pass
     passes.clear()
     with pytest.raises(ValueError, match="cap 4000000"):
-        riemann_theta(np.zeros(3), PeriodMatrix(1e-4j * np.eye(3)), 100)
+        in_box(100, riemann_theta, np.zeros(3), PeriodMatrix(1e-4j * np.eye(3)))
     assert passes == []
 
 
@@ -576,7 +575,7 @@ def test_a_certified_small_sum_is_the_full_box_sum(monkeypatch):
         for spread in (1.0, 5.0, 10.0, 20.0, 40.0):
             monkeypatch.setattr(theta, "SPREAD", spread)
             refused.clear()
-            value = riemann_theta(z, B, R)
+            value = in_box(R, riemann_theta, z, B)
             assert (value.real.hex(), value.imag.hex()) == (full.real.hex(), full.imag.hex())
             outcomes.add(any(refused))
     assert outcomes == {True, False}
@@ -588,15 +587,13 @@ def test_defect_reuses_a_given_theta_value():
     z = rng.uniform(-0.5, 0.5, 3) + 1j * rng.uniform(-0.3, 0.3, 3)
     m = np.array([0, 1, 0])
     theta_z = riemann_theta(z, B)
-    assert quasi_periodicity_defect(z, m, B, None, theta_z) == quasi_periodicity_defect(z, m, B)
-    assert quasi_periodicity_defect(z, m, B, None, 2 * theta_z) > 0.1
+    assert quasi_periodicity_defect(z, m, B, theta_z=theta_z) == quasi_periodicity_defect(z, m, B)
+    assert quasi_periodicity_defect(z, m, B, theta_z=2 * theta_z) > 0.1
 
 
 def test_non_finite_input_rejected():
     B = PeriodMatrix([[1j, 0.1], [0.1, 1j]])
     for z in ([np.nan, 0.0], [complex(0.0, np.nan), 0.0], [0.0, complex(0.0, np.inf)]):
-        with pytest.raises(ValueError, match="z must be finite"):
-            riemann_theta(np.array(z), B, 3)
         with pytest.raises(ValueError, match="z must be finite"):
             riemann_theta(np.array(z), B)
     for bad in (np.nan, complex(0.0, np.inf)):

@@ -103,6 +103,8 @@ EDGE_PERIOD_FILES = {  # name: bytes; period files at the limits of the sum
     "thinner.txt": b"1\n1e-40j\n",
     "near.txt": b"2\n1j 0.1\n0.1000000000001 1j\n",   # symmetric within SYMMETRY_TOL
     "far.txt": b"2\n1e300j 0\n0 1j\n",   # B m overflows for a large shift
+    "even.txt": b"1\n4e15+1j\n",       # Re B an even integer: theta(z | i), as Re B is
+    "evens.txt": b"2\n1j 1e300\n1e300 1j\n",   # reduced modulo 2
 }
 REFUSED = [  # surface flags the CLI refuses before any sweep
     ["--family", "cone", "--m", "1", "--n", "2", "--grid", "4y4"],
@@ -113,6 +115,7 @@ REFUSED = [  # surface flags the CLI refuses before any sweep
     ["--family", "cone", "--m", str(10**154), "--n", "1"],   # (pi (m + n))^2 overflows
     ["--family", "cone", "--m", "1", "--n", "2", "--a", "1"],
     ["--family", "spectral", "--a", "1", "--b", "1", "--q1", "2", "--gamma-im", "1", "--m", "1"],
+    ["--family", "spectral", "--a", "1"],   # missing spectral parameters
     # the step is diffgeo.STEP: --h is an unrecognized argument, not an abbreviated --help
     ["--family", "cone", "--m", "1", "--n", "2", "--grid", "4x4", "--h", "1e-3"],
 ]
@@ -164,7 +167,10 @@ def corpus() -> list:
                            ("thin.txt", "1e150j", []),     # so does Im z . (Im B)^-1 Im z
                            ("near.txt", "0.1,0.2j", []),
                            ("near.txt", "0.1,0.2j", ["--shift-m", "1,-1"]),
-                           ("far.txt", "1j,1j", ["--shift-m", "-9223372036854775808,0"])]:
+                           ("far.txt", "1j,1j", ["--shift-m", "-9223372036854775808,0"]),
+                           ("even.txt", "0.1", []),
+                           ("even.txt", "0.1", ["--shift-m", "1"]),
+                           ("evens.txt", "0.1,0.1", [])]:
         calls.append(["theta", "--period-file", name, "--z", z, *extra])
     for z in ["0.1", "nan,0", "0.1,1+", "0,1e300j"]:   # the last too far off for a radius
         calls.append(["theta", "--period-file", "pm2.txt", "--z", z])
