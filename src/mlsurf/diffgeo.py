@@ -99,11 +99,12 @@ def _det3(m):
     return a[..., 0] * x[..., 0] + a[..., 1] * x[..., 1] + a[..., 2] * x[..., 2]
 
 
-def _inv3(m):
-    """Inverse as the adjugate over _det3: the cofactor rows are b x c, c x a, a x b.
-    Non-finite where the det is 0; it never raises."""
+def _inv3(m) -> tuple:
+    """(inverse, det): the adjugate over det = _det3(m), whose cofactor rows are b x c,
+    c x a, a x b.  Non-finite where the det is 0; it never raises."""
     a, b, c = m
-    return np.swapaxes([_cross(b, c), _cross(c, a), _cross(a, b)], 0, -1) / _det3(m)[..., None]
+    det = _det3(m)
+    return np.swapaxes([_cross(b, c), _cross(c, a), _cross(a, b)], 0, -1) / det[..., None], det
 
 
 def _mul3(p, q):
@@ -275,39 +276,41 @@ def minimality_defects(ch: ChristoffelData) -> np.ndarray:
 
 class FrameData(NamedTuple):
     Phi: np.ndarray
-    beta: float
+    det: complex   # _det3(Phi), the determinant the inverse in A and B is formed from
     A: np.ndarray
     B: np.ndarray
 
 
-def _twisted_frame(J, beta) -> np.ndarray:
-    """SU(3) frames of the rows J = (phi, phi_x, phi_y), each (..., 3), and their angles
-    beta (...): rows phi, e^{-i beta/2} phi_x/|phi_x|, e^{-i beta/2} phi_y/|phi_y|."""
+def _twisted_frame(J, beta, nx, ny) -> np.ndarray:
+    """SU(3) frames of the rows J = (phi, phi_x, phi_y), each (..., 3), their angles beta
+    and the norms nx = |phi_x|, ny = |phi_y| (...): rows phi, e^{-i beta/2} phi_x/|phi_x|,
+    e^{-i beta/2} phi_y/|phi_y|."""
     tw = np.exp(-0.5j * beta)[..., None]
-    return np.stack([J[0], tw * J[1] / _norm(J[1])[..., None], tw * J[2] / _norm(J[2])[..., None]])
+    return np.stack([J[0], tw * J[1] / nx[..., None], tw * J[2] / ny[..., None]])
 
 
-def _frame_data(S, beta, h: float) -> FrameData:
+def _frame_data(S, beta, nx, ny, h: float) -> FrameData:
     """FrameData from the rows S = (phi, phi_x, phi_y), each (5, ..., 3), at the centre and
-    at (x + h, y), (x - h, y), (x, y + h), (x, y - h), and their angles beta (5, ...).
-    Each angle is unwrapped to the nearest value of the centre's, so the half-angle twist
-    stays continuous; A and B are central differences over 2h.  The inverse is non-finite
-    where Phi is singular, and it never raises."""
+    at (x + h, y), (x - h, y), (x, y + h), (x, y - h), their angles beta and the norms
+    nx, ny of phi_x, phi_y (5, ...), as _stencil gives them.  Each angle is unwrapped to
+    the nearest value of the centre's, so the half-angle twist stays continuous; A and B
+    are central differences over 2h.  The inverse is non-finite where Phi is singular,
+    and it never raises."""
     Phi, xp, xm, yp, ym = np.swapaxes(
-        _twisted_frame(S, beta[0] + _remainder(beta - beta[0], _TWO_PI)), 0, 1)
-    inv = _inv3(Phi)
-    return FrameData(Phi, beta[0], _mul3((xp - xm) / (2.0 * h), inv),
+        _twisted_frame(S, beta[0] + _remainder(beta - beta[0], _TWO_PI), nx, ny), 0, 1)
+    inv, det = _inv3(Phi)
+    return FrameData(Phi, det, _mul3((xp - xm) / (2.0 * h), inv),
                      _mul3((yp - ym) / (2.0 * h), inv))
 
 
 def _stencil(S) -> tuple:
-    """(beta, centre_ok, angles_ok, frame_ok) of the rows S = (phi, phi_x, phi_y), each
-    (k, ..., 3), at a centre (slot 0) and its neighbours: their angles, where the centre's
-    is accepted, where all are, and where also no neighbour's |phi_x| or |phi_y| is below
-    MIN_STENCIL_NORM."""
+    """(beta, centre_ok, angles_ok, frame_ok, nx, ny) of the rows S = (phi, phi_x, phi_y),
+    each (k, ..., 3), at a centre (slot 0) and its neighbours: their angles, where the
+    centre's is accepted, where all are, where also no neighbour's |phi_x| or |phi_y| is
+    below MIN_STENCIL_NORM, and those norms |phi_x|, |phi_y| at every slot."""
     beta, ok, nx, ny = _angles(S)
     wide = (~(nx[1:] < MIN_STENCIL_NORM) & ~(ny[1:] < MIN_STENCIL_NORM)).all(axis=0)
-    return beta, ok[0], ok.all(axis=0), ok.all(axis=0) & wide
+    return beta, ok[0], ok.all(axis=0), ok.all(axis=0) & wide, nx, ny
 
 
 def _jets(jet, xs, ys) -> np.ndarray:
@@ -333,14 +336,14 @@ def frame_and_connection(jet_field, x: float, y: float, h: float = STEP) -> Fram
     central differences with step h: _frame_data where each _stencil mask holds."""
     xs, ys, rows = np.array([x]), np.array([y]), functools.partial(_jets, jet_field)
     S = _stencil_rows(rows(xs, ys), rows, xs, ys, h)[:, :, 0]
-    beta, centre_ok, angles_ok, frame_ok = _stencil(S)
+    beta, centre_ok, angles_ok, frame_ok, nx, ny = _stencil(S)
     if not centre_ok:
         raise ValueError("Lagrangian angle rejected at the stencil centre")
     if not angles_ok:
         raise ValueError("Lagrangian angle rejected at a stencil neighbour")
     if not frame_ok:
         raise ValueError("stencil crosses a degenerate point")
-    return _frame_data(S, beta, h)
+    return _frame_data(S, beta, nx, ny, h)
 
 
 def frame_defects(fd: FrameData) -> dict:
@@ -352,7 +355,7 @@ def frame_defects(fd: FrameData) -> dict:
         U[k][..., k] -= 1.0   # Phi Phi^H - I
     return {
         "unitarity": np.abs(U).max(axis=(0, -1)),
-        "det_unit": _abs(_det3(fd.Phi) - 1.0),
+        "det_unit": _abs(fd.det - 1.0),
         "A_antiherm": np.abs(A + np.conj(A).swapaxes(0, -1)).max(axis=(0, -1)),
         "B_antiherm": np.abs(B + np.conj(B).swapaxes(0, -1)).max(axis=(0, -1)),
         "A_trace": _abs(np.trace(A, axis1=0, axis2=-1)),

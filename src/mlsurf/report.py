@@ -121,8 +121,9 @@ class VerificationReport(NamedTuple):
 
     def write_json(self, fh) -> None:
         import json  # here, not at the top: only verify --json-out pays for it
-        # one write: json.dump makes thousands of small ones
-        fh.write(json.dumps(self.to_dict(), indent=2) + "\n")
+        # one compact line in one write: an indent selects json's pure-Python encoder, and
+        # json.dump makes thousands of small writes
+        fh.write(json.dumps(self.to_dict()) + "\n")
 
     def format_text(self) -> str:
         pars = " ".join(f"{k}={v}" for k, v in self.parameters.items())

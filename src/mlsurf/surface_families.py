@@ -152,14 +152,17 @@ def _cone_terms(m: int, n: int):
 _MAX_ORDER_SUM = math.sqrt(np.finfo(float).max) / math.pi   # largest m + n, (pi (m + n))^2 finite
 
 
-def _cone_rows(k1, k2, A, B, x):
-    """The rows u = (k1 sin x, k2 cos x, rho = sqrt(A cos^2 x + B sin^2 x)), u' and u'' at
-    the points x."""
+def _cone_rows(k1, k2, A, B, x, order: int):
+    """The rows u = (k1 sin x, k2 cos x, rho = sqrt(A cos^2 x + B sin^2 x)) and u' at the
+    points x, and u'' at order 2."""
     sx, cx = np.sin(x), np.cos(x)
     rho = np.sqrt(A * cx * cx + B * sx * sx)  # >= min(A, B) > 0
     s = (B - A) * sx * cx
+    rows = (k1 * sx, k2 * cx, rho), (k1 * cx, -k2 * sx, s / rho)
+    if order == 1:
+        return rows
     rho_pp = (B - A) * np.cos(2 * x) / rho - s * s / np.float_power(rho, 3)
-    return (k1 * sx, k2 * cx, rho), (k1 * cx, -k2 * sx, s / rho), (-k1 * sx, -k2 * cx, rho_pp)
+    return *rows, (-k1 * sx, -k2 * cx, rho_pp)
 
 
 def cone_family_jet(m: int, n: int, x: float, y: float) -> SurfaceJet:
@@ -168,7 +171,7 @@ def cone_family_jet(m: int, n: int, x: float, y: float) -> SurfaceJet:
     return SurfaceJet(x, y, J[0], J[1], J[2], J[3], J[4], J[5])
 
 
-def cone_jet_field(m: int, n: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def cone_jet_field(m: int, n: int, xs: np.ndarray, ys: np.ndarray, order: int = 2) -> np.ndarray:
     """Jets of the elementary family
 
     phi = (sin(x) sqrt(m+n)/sqrt(2m+n) e^{pi i m y},
@@ -176,12 +179,16 @@ def cone_jet_field(m: int, n: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray
            sqrt(n cos^2 x/(m+2n) + m sin^2 x/(2m+n)) e^{-pi i (m+n) y})
 
     at the points (xs, ys) as one (6, n, 3) array: the rows
-    (u, u', iq u, u'', iq u', (iq)^2 u) e^{i q y}, u from _cone_rows."""
+    (u, u', iq u, u'', iq u', (iq)^2 u) e^{i q y}, u from _cone_rows.  Order 1 gives the
+    first three alone, (3, n, 3), the same bits, and forms no u''."""
     k1, k2, A, B, iq = _cone_terms(m, n)
-    u, up, upp = (np.stack(row, axis=-1) for row in _cone_rows(k1, k2, A, B, xs))
+    u, up, *upp = (np.stack(row, axis=-1) for row in _cone_rows(k1, k2, A, B, xs, order))
+    rows = [u, up, iq * u]
+    if order == 2:
+        rows += [upp[0], iq * up, (iq * iq) * u]
     e = np.exp(iq * ys[:, None])
-    J = np.empty((6, len(xs), 3), dtype=complex)
-    for r, a in enumerate((u, up, iq * u, upp, iq * up, (iq * iq) * u)):
+    J = np.empty((len(rows), len(xs), 3), dtype=complex)
+    for r, a in enumerate(rows):
         np.multiply(a, e, out=J[r])
     return J
 
@@ -244,7 +251,8 @@ class Family(NamedTuple):
     name: str
     parameters: dict
     jet: object                     # (x, y) -> SurfaceJet
-    jets: object                    # (xs, ys) -> (6, n, 3) array of the same jets
+    jets: object                    # (xs, ys) -> (6, n, 3) array of the same jets; a cone's
+                                    # takes order 1 for rows phi, phi_x, phi_y alone, (3, n, 3)
     metric: MetricField
     beta_period: float
     curve: ReducibleCurveData | None = None
@@ -267,8 +275,8 @@ def cone_family(m: int, n: int) -> Family:
     m, n = int(m), int(n)   # a numpy int fails json
     _cone_terms(m, n)   # refuses the orders before the metric overflows on them
     return Family("cone", {"m": m, "n": n}, lambda x, y: cone_family_jet(m, n, x, y),
-                  lambda xs, ys: cone_jet_field(m, n, xs, ys), cone_metric_field(m, n),
-                  2.0 * math.pi)
+                  lambda xs, ys, order=2: cone_jet_field(m, n, xs, ys, order),
+                  cone_metric_field(m, n), 2.0 * math.pi)
 
 
 def degeneracy_angle(curve: ReducibleCurveData) -> float:

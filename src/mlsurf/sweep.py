@@ -5,8 +5,9 @@ block's coordinates formed from its point indices (GridSpec.points), so no axis 
 whatever the grid.  Per block it evaluates the jet field (Family.jets), its metric
 (metric_data) and the tube mask (tube_mask) at all centres at once; outside the tube
 diffgeo._stencil_rows stacks the centres' phi, phi_x, phi_y with the four neighbours'
-rows (a cone's from Family.jets, the spectral family's off Family.jet by diffgeo._jets),
-and _stencil takes all five angles in one pass.
+rows (a cone's from Family.jets at order 1, the spectral family's off Family.jet by
+diffgeo._jets), and _stencil takes all five angles and the norms |phi_x|, |phi_y| in one
+pass, which the frame stage (_frame_data) reuses with the determinant of its inverse.
 Each check group calls diffgeo's stages, which return masks where the scalar oracles
 raise, and gives (values, ok); one accumulator folds them into the maxima, a point where
 ok is False counting as inf.  The sweep forms only |E - E_closed|, |G - G_closed|,
@@ -83,11 +84,11 @@ def check_maxima(family: Family, grid) -> tuple:
     curve = family.curve
     timer = Timings()
     maxima, tube_points, beta_ref = {}, 0, None
-    # the stencil's four neighbours: a cone reads its field; the spectral family keeps its
-    # scalar jets, which the benchmark counts (bench/test_bench_smoke.py's
-    # test_counts_repeat_exactly asserts jets_per_point > 1.0 on verify-spectral) until
-    # ROADMAP item 1b swaps it too
-    rows_at = ((lambda xs, ys: family.jets(xs, ys)[:3]) if curve is None
+    # the stencil's four neighbours: a cone reads the three rows of its order-1 field; the
+    # spectral family keeps its scalar jets, which the benchmark counts
+    # (bench/test_bench_smoke.py's test_counts_repeat_exactly asserts jets_per_point > 1.0
+    # on verify-spectral) until ROADMAP item 1b swaps it too
+    rows_at = ((lambda xs, ys: family.jets(xs, ys, 1)) if curve is None
                else (lambda xs, ys: _jets(family.jet, xs, ys)))
 
     def fold(phase, names, values, ok=True):
@@ -118,7 +119,7 @@ def check_maxima(family: Family, grid) -> tuple:
             xa, ya, Ja = x[act], y[act], J[:, act]
             S = _stencil_rows(Ja[:3], rows_at, xa, ya, STEP)
             timer.lap("stencil")
-            beta, centre_ok, angles_ok, frame_ok = _stencil(S)
+            beta, centre_ok, angles_ok, frame_ok, nx, ny = _stencil(S)
             if beta_ref is None:
                 if not centre_ok[0]:
                     raise ValueError("Lagrangian angle rejected at the reference point "
@@ -138,7 +139,8 @@ def check_maxima(family: Family, grid) -> tuple:
                 *gradient_identity_defects(ch, metric_gradients_from_jet(ja, Ea, Ga),
                                            beta_gradient(beta[1:], STEP)),
                 *minimality_defects(ch)), basis_conditioned(ja) & metric_ok[act] & angles_ok)
-            fold("frame", FRAME_NAMES, frame_defects(_frame_data(S, beta, STEP)).values(), frame_ok)
+            fold("frame", FRAME_NAMES, frame_defects(_frame_data(S, beta, nx, ny, STEP)).values(),
+                 frame_ok)
             if curve is not None:
                 K, pos = gauss_curvature_masked(family.metric, xa, ya, STEP)
                 fold("curvature", ["curvature_K_minus_1"], [np.abs(K - 1.0)], pos & centre_ok)

@@ -11,8 +11,8 @@ from mlsurf.diffgeo import (angle_defect, basis_conditioned, beta_gradient, beta
                             frame_defects, gauss_curvature, gauss_curvature_masked, gram_defects,
                             herm, lagrangian_angle, gradient_identity_defects,
                             metric_data, metric_from_jet, metric_gradients_from_jet,
-                            minimality_defects, residue_identity_defects, _angles, _frame_data,
-                            _stencil, _twisted_frame)
+                            minimality_defects, residue_identity_defects, _angles, _det3,
+                            _frame_data, _norm, _stencil, _twisted_frame)
 from mlsurf.spectral_curve import derive_constants
 from mlsurf.surface_families import (MetricField, SurfaceJet, cone_family, cone_family_jet,
                                      cone_metric_field, degeneracy_angle, in_degeneracy_tube,
@@ -254,12 +254,12 @@ def test_frame_sphere(sphere_curve):
     d = frame_defects(fr)
     for name, val in d.items():
         assert val < 1e-6, (name, val)
-    # A_12 = sqrt(2) e^{v1/2 + i beta/2}
-    md = metric_from_jet(jet_field(0.3, 1.1))
-    expected = math.sqrt(2.0) * math.exp(md.v1 / 2) * cmath.exp(0.5j * fr.beta)
+    # A_12 = sqrt(2) e^{v1/2 + i beta/2}, beta the angle at the centre
+    md, beta = metric_from_jet(jet_field(0.3, 1.1)), lagrangian_angle(jet_field(0.3, 1.1))
+    expected = math.sqrt(2.0) * math.exp(md.v1 / 2) * cmath.exp(0.5j * beta)
     assert abs(fr.A[0, 1] - expected) < 1e-6
     # B first row pattern: B_12 = 0, B_13 = sqrt(2) e^{v2/2 + i beta/2}
-    expected_b = math.sqrt(2.0) * math.exp(md.v2 / 2) * cmath.exp(0.5j * fr.beta)
+    expected_b = math.sqrt(2.0) * math.exp(md.v2 / 2) * cmath.exp(0.5j * beta)
     assert abs(fr.B[0, 2] - expected_b) < 1e-6
     assert abs(fr.B[0, 1]) < 1e-6
 
@@ -270,7 +270,8 @@ def test_frame_defects_keep_a_nan_in_the_second_pattern_entry(matrix, entry):
     M = np.zeros((3, 3), dtype=complex)
     M[entry] = math.nan
     zero = np.zeros((3, 3), dtype=complex)
-    fd = FrameData(np.eye(3, dtype=complex), 0.0, *((M, zero) if matrix == "A" else (zero, M)))
+    fd = FrameData(np.eye(3, dtype=complex), 1.0 + 0.0j,   # the identity frame and its det
+                   *((M, zero) if matrix == "A" else (zero, M)))
     d = frame_defects(fd)
     assert [k for k, v in d.items() if math.isnan(v)] == [f"{matrix}_antiherm", f"{matrix}_pattern"]
 
@@ -281,10 +282,10 @@ def test_frame_defects_read_nan_wherever_the_frame_holds_a_nan():
     # LU meets a zero pivot, where det returns 0; the neighbours' twist makes A and B NaN
     jet = cone_family_jet(1, 2, 0.3, 1.1)._replace(phi=np.array([0.0, math.nan, 0.0]))
     beta = lagrangian_angle(jet)
-    Phi = _twisted_frame((jet.phi, jet.phi_x, jet.phi_y), beta)
+    Phi = _twisted_frame((jet.phi, jet.phi_x, jet.phi_y), beta, _norm(jet.phi_x), _norm(jet.phi_y))
     assert np.linalg.det(Phi) == 0.0
     nan = np.full((3, 3), complex(math.nan, math.nan))
-    d = frame_defects(FrameData(Phi, beta, nan, nan))
+    d = frame_defects(FrameData(Phi, _det3(Phi), nan, nan))
     assert [k for k, v in d.items() if not math.isnan(v)] == []
 
 
@@ -302,12 +303,12 @@ def test_metric_from_jet_logs_as_the_sweep_does():
 def test_frame_consistency_reconstruction(sphere_curve):
     jet_field = lambda x, y: sphere_jet(sphere_curve, x, y)
     x, y, h = 0.9, 0.2, 1e-4
-    fr = frame_and_connection(jet_field, x, y, h=h)
+    fr, beta = frame_and_connection(jet_field, x, y, h=h), lagrangian_angle(jet_field(x, y))
     # A Phi reproduces the finite-difference Phi_x
     def tw_frame(xx, yy):
         j = jet_field(xx, yy)
         b = lagrangian_angle(j)
-        b = fr.beta + math.remainder(b - fr.beta, 2 * math.pi)
+        b = beta + math.remainder(b - beta, 2 * math.pi)
         tw = cmath.exp(-0.5j * b)
         return np.array([j.phi,
                          tw * j.phi_x / np.linalg.norm(j.phi_x),
@@ -524,14 +525,19 @@ _NON_FINITE = [(0, 1, 0, math.nan), (1, 2, 1, math.inf), (2, 3, 2, complex(0, -m
                (3, 4, 0, math.nan), (5, 5, 1, -math.inf), (4, 6, 2, complex(math.nan, 1.0))]
 
 
-@pytest.mark.parametrize("make", [lambda: spectral_family(derive_constants(1.0, 1.0, 2.0, 1.0)),
-                                  lambda: cone_family(3, 2)], ids=["worked-example", "cone-3-2"])
-def test_each_defect_function_reads_one_point_as_it_does_in_a_stack(make):
-    # the oracles pass one point, the sweep a stack: the same bits either way, NaN and inf
-    # included; a zero phi at point 7 makes its basis and frame singular
-    family, h, n = make(), 1e-4, 12
+_STACK_FAMILIES = pytest.mark.parametrize(
+    "make", [lambda: spectral_family(derive_constants(1.0, 1.0, 2.0, 1.0)),
+             lambda: cone_family(3, 2)], ids=["worked-example", "cone-3-2"])
+
+
+def _special_stack(family, h: float) -> tuple:
+    """(xs, ys, J, S) at 12 drawn points, with the _NON_FINITE entries, a zero phi at
+    point 7 (its basis and frame singular), G = 0 at point 9, and in S, the rows
+    (3, 5, n, 3) of the centres and their stencil neighbours, a NaN at point 8's (x, y + h),
+    a rejected angle at point 6's (x, y - h) and a phi_y below MIN_STENCIL_NORM at point
+    10's (x - h, y); a spectral point 11 lies on a degeneracy line, inside the tube."""
     rng = np.random.default_rng(3903)
-    xs, ys = rng.uniform(-3.0, 3.0, (2, n))
+    xs, ys = rng.uniform(-3.0, 3.0, (2, 12))
     if family.curve is not None:   # point 11 on a degeneracy line, inside the tube
         xs[11] = (degeneracy_angle(family.curve) + family.curve.b * ys[11]) / family.curve.a
     J = family.jets(xs, ys)
@@ -545,19 +551,29 @@ def test_each_defect_function_reads_one_point_as_it_does_in_a_stack(make):
     S[1, 3, 8, 0] = math.nan
     S[0, 4, 6] *= 2.0     # the angle at (x, y - h) of point 6 rejected
     S[2, 2, 10] *= 1e-10  # phi_y at (x - h, y) of point 10 below MIN_STENCIL_NORM
+    return xs, ys, J, S
+
+
+@_STACK_FAMILIES
+def test_each_defect_function_reads_one_point_as_it_does_in_a_stack(make):
+    # the oracles pass one point, the sweep a stack: the same bits either way, NaN and inf
+    # included
+    family, h = make(), 1e-4
+    xs, ys, J, S = _special_stack(family, h)
+    n = len(xs)
     with np.errstate(all="ignore"):
         stack = SurfaceJet(xs, ys, *J)
         md, metric_ok = metric_data(stack)
         E, G = md.E, md.G
         angles, stencil = _angles(J), _stencil(S)
-        beta_s = stencil[0]
+        beta_s, nx_s, ny_s = stencil[0], *stencil[4:]
         if family.curve is not None:
             tube = tube_mask(family.curve, xs, ys)
             assert tube[11] and not tube[:11].any()
         conditioned, ch = basis_conditioned(stack), christoffel_data(stack)
         grads = metric_gradients_from_jet(stack, E, G)
         bgrad = beta_gradient(beta_s[1:], h)
-        fd = _frame_data(S, beta_s, h)
+        fd = _frame_data(S, beta_s, nx_s, ny_s, h)
         stacked = [gram_defects(stack), christoffel_b_defects(ch, E, G),
                    gradient_identity_defects(ch, grads, bgrad), minimality_defects(ch),
                    angle_defect(angles[0], 0.3, family.beta_period), *frame_defects(fd).values()]
@@ -582,9 +598,9 @@ def test_each_defect_function_reads_one_point_as_it_does_in_a_stack(make):
             for name in grads:
                 _same(grads[name][k], grads_k[name])
             _same(bgrad[:, k], beta_gradient(beta_s[1:, k], h))
-            fd_k = _frame_data(S[:, :, k], beta_s[:, k], h)
+            fd_k = _frame_data(S[:, :, k], beta_s[:, k], nx_s[:, k], ny_s[:, k], h)
             _same(fd.Phi[:, k], fd_k.Phi)
-            _same(fd.beta[k], fd_k.beta)
+            _same(fd.det[k], fd_k.det)
             _same(fd.A[:, k], fd_k.A)
             _same(fd.B[:, k], fd_k.B)
             alone = [gram_defects(jet), christoffel_b_defects(ch_k, E[k], G[k]),
@@ -598,7 +614,25 @@ def test_each_defect_function_reads_one_point_as_it_does_in_a_stack(make):
     # every defect reads a non-finite value at some point of the stack, and each mask of a
     # stage fails at some point where the masks before it hold
     assert not any(np.isfinite(v).all() for v in stacked)
-    centre_ok, angles_ok, frame_ok = stencil[1:]
+    centre_ok, angles_ok, frame_ok = stencil[1:4]
     assert metric_ok.any() and not metric_ok[9]
     assert conditioned[0] and not conditioned[[1, 2, 3, 7, 9]].any()   # NaN, inf, singular
     assert centre_ok[6] and not angles_ok[6] and angles_ok[10] and not frame_ok[10]
+
+
+@_STACK_FAMILIES
+def test_frame_data_carries_the_determinant_of_its_frame(make):
+    # the frame stage keeps the det its inverse divides by, and frame_defects reads det_unit
+    # from it: _det3(Phi) bit for bit in the stack and at each point alone, NaN, inf and the
+    # singular frame of point 7 included
+    family, h = make(), 1e-4
+    xs, ys, J, S = _special_stack(family, h)
+    with np.errstate(all="ignore"):
+        beta, _, _, _, nx, ny = _stencil(S)
+        fd = _frame_data(S, beta, nx, ny, h)
+        _same(fd.det, _det3(fd.Phi))
+        for k in range(len(xs)):
+            fd_k = _frame_data(S[:, :, k], beta[:, k], nx[:, k], ny[:, k], h)
+            _same(fd_k.det, _det3(fd_k.Phi))
+        _same(frame_defects(fd)["det_unit"], np.hypot((fd.det - 1.0).real, fd.det.imag))
+    assert fd.det[7] == 0.0 and not np.isfinite(fd.det).all()

@@ -130,3 +130,47 @@ def test_each_differing_call_says_which_checks_and_csv_columns_moved(tmp_path):
            for ln in run.stdout.splitlines()]
     assert got == expected + [f"differ: {len(calls)} of {len(_corpus())} calls",
                               f"verdict changes: {verify}"]
+
+
+_LAYOUT_CLI = """import json
+import time
+
+
+def main(argv):
+    print(*argv)
+    if argv[-2:] == ["--json-out", "report.json"]:
+        doc = {"checks": [{"name": "a", "max_defect": 1e-12, "passed": True}], "overall": True,
+               "timings": {"jets": time.perf_counter(), "total": time.perf_counter()}}
+        with open("report.json", "w") as fh:
+            fh.write(json.dumps(doc, indent=%r) + "\\n")
+    return 0
+"""
+
+
+def _layout_checkout(root: Path, indent) -> str:
+    """A source tree whose cli writes one report, in json's layout of indent, with the
+    clock's readings as its timings."""
+    pkg = root / "src" / "mlsurf"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "cli.py").write_text(_LAYOUT_CLI % (indent,))
+    return str(root)
+
+
+def test_the_timings_are_blanked_and_every_other_byte_of_the_report_is_digested(tmp_path):
+    # the same document with other timings is identical; in another layout it differs on
+    # every call that writes a report, with no check moved and no verdict changed
+    old = _layout_checkout(tmp_path / "old", None)
+    run = _compare(old, _layout_checkout(tmp_path / "same", None))
+    assert (run.returncode, run.stdout) == (0, f"identical: {len(_corpus())} calls\n")
+    new = _layout_checkout(tmp_path / "new", 2)
+    run = _compare(old, new)
+    calls = [" ".join(call) for call in _corpus() if call[-2:] == ["--json-out", "report.json"]]
+    lines = run.stdout.splitlines()
+    assert run.returncode == 1 and len(lines) == 2 * len(calls) + 2
+    for call, a, b in zip(calls, lines[0::2], lines[1::2]):
+        assert a.startswith(f"{old}: {call} 0 ") and b.startswith(f"{new}: {call} 0 ")
+        (*same_old, doc_old, csv_old), (*same_new, doc_new, csv_new) = (
+            ln.split()[-4:] for ln in (a, b))
+        assert same_old == same_new and doc_old != doc_new and csv_old == csv_new == "-"
+    assert lines[-2:] == [f"differ: {len(calls)} of {len(_corpus())} calls", "verdict changes: 0"]

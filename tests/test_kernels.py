@@ -36,7 +36,7 @@ def test_inv3_and_mul3_are_within_roundoff_of_lapack_on_near_unitary_frames():
     P, Q = _near_unitary(rng, 2000), _random(rng, 2000)
     assert np.all(np.abs(np.abs(np.linalg.det(P)) - 1.0) <= UNITARITY_GATE)
     inv = np.linalg.inv(P)
-    err = np.abs(_rows(_inv3(_rows(P))) - inv).max(axis=(1, 2))
+    err = np.abs(_rows(_inv3(_rows(P))[0]) - inv).max(axis=(1, 2))
     assert np.all(err <= 1e-13 * np.abs(inv).max(axis=(1, 2)))
     for p, q in ((P, Q), (Q, P), (P, inv)):
         bound = 1e-15 * np.linalg.norm(p, axis=(1, 2)) * np.linalg.norm(q, axis=(1, 2))
@@ -48,7 +48,8 @@ def test_one_matrix_reads_as_it_does_in_a_stack():
     M = _random(np.random.default_rng(3602), 50)
     for k, m in enumerate(M):
         assert np.array_equal(_det3(m), _det3(_rows(M))[k])
-        assert np.array_equal(_inv3(m), _inv3(_rows(M))[:, k])
+        (inv, det), (inv_k, det_k) = _inv3(_rows(M)), _inv3(m)   # each inverse and its det
+        assert np.array_equal(inv_k, inv[:, k]) and np.array_equal(det_k, det[k])
         assert np.array_equal(_mul3(m, m), _mul3(_rows(M), _rows(M))[:, k])
 
 
@@ -142,7 +143,8 @@ def test_a_singular_matrix_has_det_0_and_no_finite_inverse(m):
     m = m.astype(complex)
     assert _det3(m) == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        assert not np.isfinite(_inv3(m)).any()
+        inv, det = _inv3(m)
+    assert det == 0.0 and not np.isfinite(inv).any()
 
 
 def _solve(M, R):

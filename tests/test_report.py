@@ -212,6 +212,19 @@ def test_a_spectral_report_carries_its_curve_and_a_cone_report_none(family):
     assert report.format_text() == bare.format_text()
 
 
+@pytest.mark.parametrize("family", [cone_family(1, 2), cone_family(3, 2)], ids=["cone-1-2", "cone-3-2"])
+def test_the_json_report_is_one_line_of_its_document(family):
+    # --json-out is for machines: one compact line from json's C encoder (an indent would
+    # select its Python encoder), which reads back as the report's document, a FAILing
+    # report's included
+    report, out = verify(family, GridSpec(16, 16)), io.StringIO()
+    report.write_json(out)
+    text = out.getvalue()
+    assert text.count("\n") == 1 and text.endswith("}\n")
+    assert json.loads(text) == report.to_dict()
+    assert report.overall == (family.parameters["m"] == 1)
+
+
 @pytest.mark.parametrize("family, groups", [
     (TUBE_POINTS, [_HEAD, *_RESIDUES, *_ANGLE, ("curvature_K_minus_1", 1e-4, "upper"),
                    ("tube_G_bound", 1e-3, "upper"), *_CURVE]),
@@ -308,11 +321,12 @@ def test_verify_calls_the_scalar_jet_at_four_stencil_points_outside_the_tube(fam
     # the benchmark counts scalar jets by rebinding these module globals, as here:
     # Family.jet and Family.jets must look them up at call time.  The spectral stencil
     # calls its scalar jet once per stencil point of each point outside the tube; a cone
-    # makes no scalar call, its field reading each point and the point's stencil
+    # makes no scalar call, its field reading each point at order 2 and the point's
+    # stencil at order 1, the three rows the stencil reads
     calls = {"spectral_family_jet": [], "cone_family_jet": [], "cone_jet_field": []}
     for name, seen in calls.items():
         def counted(*args, _f=getattr(surface_families, name), _seen=seen):
-            _seen.append(args[-2:])
+            _seen.append(args)
             return _f(*args)
         monkeypatch.setattr(surface_families, name, counted)
     grid, h = GridSpec(16, 16), STEP
@@ -326,12 +340,13 @@ def test_verify_calls_the_scalar_jet_at_four_stencil_points_outside_the_tube(fam
     stencil = [p for x, y in outside for p in ((x + h, y), (x - h, y), (x, y + h), (x, y - h))]
     if family.curve is None:
         assert calls["spectral_family_jet"] == calls["cone_family_jet"] == []
-        read = [p for fx, fy in calls["cone_jet_field"] for p in zip(fx.tolist(), fy.tolist())]
-        assert len(read) == 5 * len(outside)
-        assert sorted(read) == sorted(outside + stencil)
+        # one block: its centres at order 2, then their stencil at order 1
+        assert [args[4:] for args in calls["cone_jet_field"]] == [(2,), (1,)]
+        read = [list(zip(args[2].tolist(), args[3].tolist())) for args in calls["cone_jet_field"]]
+        assert sorted(read[0]) == sorted(outside) and sorted(read[1]) == sorted(stencil)
     else:
         assert len(calls["spectral_family_jet"]) == 4 * len(outside)
-        assert sorted(calls["spectral_family_jet"]) == sorted(stencil)
+        assert sorted(args[-2:] for args in calls["spectral_family_jet"]) == sorted(stencil)
         assert calls["cone_family_jet"] == calls["cone_jet_field"] == []
 
 
@@ -556,8 +571,8 @@ def _jet_scaled_at(family, point, **scale):
             j = j._replace(**{f: getattr(j, f) * s for f, s in scale.items()})
         return j
 
-    def jets(xs, ys):
-        J = family.jets(xs, ys)
+    def jets(xs, ys, *order):   # a cone's stencil asks for order 1
+        J = family.jets(xs, ys, *order)
         at = (xs == point[0]) & (ys == point[1])
         for f, s in scale.items():
             J[_JET_FIELDS.index(f), at] *= s
@@ -663,8 +678,8 @@ def test_a_nan_frame_whose_lu_meets_a_zero_pivot_fails_without_raising():
     # a zero pivot; the closed-form inverse of such a frame is NaN and never raises
     cone = cone_family(1, 2)
 
-    def jets(xs, ys):
-        J = cone.jets(xs, ys)
+    def jets(xs, ys, order=2):
+        J = cone.jets(xs, ys, order)
         J[0, (xs == _X) & (ys == _Y)] = [0.0, math.nan, 0.0]
         return J
     checks = {c.name: c for c in verify(cone._replace(jets=jets), _GRID4).checks}
@@ -686,7 +701,7 @@ def test_angles_on_the_seam_are_unwrapped_to_the_centre():
 
     # rows times turn in the scalar jet's order: numpy's complex product is not
     # commutative bit for bit
-    family = cone._replace(jet=jet, jets=lambda xs, ys: cone.jets(xs, ys) * turn)
+    family = cone._replace(jet=jet, jets=lambda xs, ys, order=2: cone.jets(xs, ys, order) * turn)
     points = np.random.default_rng(26).uniform(0.0, 2.0 * math.pi, (200, 2))
     betas = [lagrangian_angle(family.jet(x, y)) for x, y in points.tolist()]
     assert min(betas) < -3.14 and max(betas) > 3.14
@@ -708,8 +723,8 @@ def test_nan_jet_fails_verify(where):
                         j.phi_xx, j.phi_xy, j.phi_yy)
         return j
 
-    def jets(xs, ys):
-        J = cone_jet_field(1, 2, xs, ys)
+    def jets(xs, ys, order=2):
+        J = cone_jet_field(1, 2, xs, ys, order)
         J[0, (xs == bad[0]) & (ys == bad[1])] *= math.nan
         return J
 
@@ -773,8 +788,8 @@ def test_each_frame_refusal_of_the_oracle_is_an_inf_of_the_sweep(where, row, sca
         j = cone.jet(x, y)
         return j._replace(**{row: scale * getattr(j, row)}) if (x, y) == bad else j
 
-    def jets(xs, ys):
-        J = cone.jets(xs, ys)
+    def jets(xs, ys, order=2):
+        J = cone.jets(xs, ys, order)
         J[{"phi": 0, "phi_x": 1}[row], (xs == bad[0]) & (ys == bad[1])] *= scale
         return J
 
@@ -823,8 +838,8 @@ def test_rejected_reference_angle_exits_verify():
         j = cone_family_jet(1, 2, x, y)
         return type(j)(x, y, 2.0 * j.phi, j.phi_x, j.phi_y, j.phi_xx, j.phi_xy, j.phi_yy)
 
-    def jets(xs, ys):
-        J = cone_jet_field(1, 2, xs, ys)
+    def jets(xs, ys, order=2):
+        J = cone_jet_field(1, 2, xs, ys, order)
         J[0] *= 2.0
         return J
 

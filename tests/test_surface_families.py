@@ -115,6 +115,20 @@ def test_cone_jet_field_is_pointwise(m):
             assert np.array_equal(_bits(alone), _bits(field[:, :64])), (m, n, grid.nx)
 
 
+@pytest.mark.parametrize("m", [*range(1, 7), 40])
+def test_order_1_cone_jets_are_the_first_three_rows(m):
+    # the orders and points of test_cone_jet_field_is_pointwise: the stencil's order-1 rows
+    # skip u'' and the second-order rows, and keep the bits of phi, phi_x and phi_y
+    rng = np.random.default_rng(100 + m)
+    for n in ([40] if m == 40 else range(1, 7)):
+        drawn = rng.uniform(-50, 50, (2, 500))
+        for grid in (GridSpec(64, 64), GridSpec(4096, 16)):
+            xs, ys = _with_sweep_points(*drawn, grid)
+            rows = cone_family(m, n).jets(xs, ys, 1)
+            assert rows.shape == (3, len(xs), 3)
+            assert np.array_equal(_bits(rows), _bits(cone_family(m, n).jets(xs, ys)[:3]))
+
+
 @pytest.mark.parametrize("family", [
     spectral_family(_random_curve(np.random.default_rng(seed))) for seed in range(5)],
     ids=lambda f: f.name + "-" + "-".join(f"{v:.3g}" for v in f.parameters.values()))

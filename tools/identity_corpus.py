@@ -5,8 +5,9 @@ Usage: python tools/identity_corpus.py [--keep DIR] CHECKOUT
 
 CHECKOUT is the root of an mlsurf source tree; its `src/mlsurf` is imported.
 Each call prints one line: the argv, the exit code, and the sha256 of stdout,
-of stderr, of the `--json-out` document without its `timings`, and of the CSV
-("-" where the call writes no file); with --keep, the report and the CSV of
+of stderr, of the `--json-out` document as written, layout included, with each
+value of its `timings` blanked in place to `null`, and of the CSV ("-" where
+the call writes no file); with --keep, the report so blanked and the CSV of
 call k are also saved as DIR/k.json and DIR/k.csv.  Stdout and stderr are file
 descriptors 1 and 2, captured per call, so what a C library writes there (a
 LAPACK message, say) enters that call's digest as it would reach a user.  Two
@@ -38,6 +39,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -232,10 +234,14 @@ def _take(path: str, read):
         os.remove(path)
 
 
-def _without_timings(path: Path) -> str:
-    doc = json.loads(path.read_text())
-    doc.pop("timings", None)
-    return json.dumps(doc, indent=2)
+_TIMINGS = re.compile(rb'("timings"\s*:\s*\{)([^{}]*)')   # a flat object of seconds
+_VALUE = re.compile(rb"(:\s*)[^,\s]+")
+
+
+def _without_timings(path: Path) -> bytes:
+    """The bytes of the report at path, each value of its timings replaced by null: only
+    the clock is blanked, and every other byte, the layout's included, is digested."""
+    return _TIMINGS.sub(lambda m: m[1] + _VALUE.sub(rb"\1null", m[2]), path.read_bytes(), count=1)
 
 
 def run_call(main, call: list) -> tuple:
@@ -360,7 +366,7 @@ def main(argv: list) -> int:
             csv = _take("surface.csv", Path.read_bytes)
             print(" ".join(call), code, *map(_digest, (out, err, doc, csv)))
             if keep and doc is not None:
-                Path(keep, f"{k}.json").write_text(doc)
+                Path(keep, f"{k}.json").write_bytes(doc)
             if keep and csv is not None:
                 Path(keep, f"{k}.csv").write_bytes(csv)
     print(f"{len(calls)} calls", file=sys.stderr)
